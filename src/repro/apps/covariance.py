@@ -7,8 +7,9 @@ product; the off-diagonal covariance entries come straight out of the
 pairwise result lists, the diagonal from each row's self product, and PCA
 is an eigendecomposition on top.
 
-Centering convention: *column* means are removed, matching ``np.cov`` of
-the row-variable matrix with ``bias=False`` (the ``n−1`` divisor).
+Centering convention: each row is a variable and its *own* mean (over the
+columns, i.e. the samples) is removed, matching ``np.cov`` of the
+row-variable matrix with ``bias=False`` (the ``n−1`` divisor).
 """
 
 from __future__ import annotations
@@ -37,12 +38,30 @@ register_sketch(row_inner_product, "dense-dot")
 
 
 def center_rows(matrix: np.ndarray) -> list[np.ndarray]:
-    """Rows of A with column means removed — the pairwise element payloads."""
+    """Rows of A, each minus its own mean — the pairwise element payloads."""
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
     centered = arr - arr.mean(axis=1, keepdims=True)
     return [centered[i] for i in range(centered.shape[0])]
+
+
+def _covariance_from_products(products: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Finish a ``(v, v)`` matrix of off-diagonal row products in place.
+
+    The diagonal comes from each row's self product (one ``einsum``); the
+    divisor is ``m − 1`` for m samples (columns).
+    """
+    v = len(rows)
+    if v == 0:
+        raise ValueError("need at least one row")
+    m = len(rows[0])
+    if m < 2:
+        raise ValueError(f"need >= 2 samples per row for covariance, got {m}")
+    stacked = np.asarray(rows, dtype=float)
+    np.fill_diagonal(products, np.einsum("ij,ij->i", stacked, stacked))
+    products /= m - 1
+    return products
 
 
 def assemble_covariance(
@@ -55,19 +74,18 @@ def assemble_covariance(
     rows' inner products; the divisor is ``m − 1`` for m samples (columns).
     """
     v = len(rows)
-    if v == 0:
-        raise ValueError("need at least one row")
-    m = len(rows[0])
-    if m < 2:
-        raise ValueError(f"need >= 2 samples per row for covariance, got {m}")
+    keys = np.array(list(pair_products), dtype=np.int64).reshape(-1, 2)
+    i, j = keys[:, 0], keys[:, 1]
+    bad = ~((1 <= j) & (j < i) & (i <= v))
+    if bad.any():
+        raise ValueError(
+            f"pair key {tuple(keys[bad][0].tolist())} out of range for v={v}"
+        )
     cov = np.zeros((v, v), dtype=float)
-    for i in range(v):
-        cov[i, i] = float(np.dot(rows[i], rows[i])) / (m - 1)
-    for (i, j), product in pair_products.items():
-        if not (1 <= j < i <= v):
-            raise ValueError(f"pair key {(i, j)} out of range for v={v}")
-        cov[i - 1, j - 1] = cov[j - 1, i - 1] = product / (m - 1)
-    return cov
+    cov[i - 1, j - 1] = cov[j - 1, i - 1] = np.fromiter(
+        pair_products.values(), dtype=float, count=len(keys)
+    )
+    return _covariance_from_products(cov, rows)
 
 
 def covariance_reference(matrix: np.ndarray) -> np.ndarray:
@@ -86,18 +104,18 @@ def covariance_via_pairwise(
 
     Centers the rows, runs the two-job pipeline under ``scheme`` with the
     covariance kernel selected by default (batched BLAS inner products),
-    and assembles the full matrix.  ``kernel=None`` forces the scalar
+    and assembles the full matrix row by row from the merged elements'
+    dense result view.  ``kernel=None`` forces the scalar
     per-pair dot product.
     """
-    from ..core.element import results_matrix
+    from ..core.element import results_dense
     from ..core.pairwise import PairwiseComputation
 
     rows = center_rows(matrix)
     computation = PairwiseComputation(
         scheme, row_inner_product, engine=engine, kernel=kernel
     )
-    products = results_matrix(computation.run(list(rows)))
-    return assemble_covariance(products, rows)
+    return _covariance_from_products(results_dense(computation.run(list(rows))), rows)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,12 @@ them back into one element.  A partner id appearing in two copies signals a
 pair evaluated twice — a violation of the schemes' exactly-once guarantee —
 and raises :class:`DuplicatePairError` unless the caller opts out.
 
+The compute phases write results a working set at a time
+(:meth:`Element.add_results`), and the flattened views
+(:func:`results_matrix`, :func:`ordered_results`, :func:`results_dense`)
+read them an element at a time; the single-pair :meth:`Element.add_result`
+is the public per-pair API and the path that names a bad pair.
+
 :func:`element_size_bytes` reproduces the §3 storage arithmetic (the
 "10,000 × 500 KB elements → 6.5 GB, not 50 TB" example).
 """
@@ -20,7 +26,10 @@ and raises :class:`DuplicatePairError` unless the caller opts out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from itertools import repeat
+from typing import Any, Callable, Collection, Iterable, Mapping
+
+import numpy as np
 
 
 class DuplicatePairError(RuntimeError):
@@ -53,6 +62,27 @@ class Element:
                 f"pair ({self.eid}, {partner}) evaluated more than once"
             )
         self.results[partner] = value
+
+    def add_results(self, partners: Collection[int], values: Collection[Any]) -> None:
+        """Bulk :meth:`add_result`: one ``dict(zip(...))`` + ``update``.
+
+        ``partners`` and ``values`` are aligned and must hold Python ints
+        and plain result objects (what ``ndarray.tolist()`` yields, never
+        numpy scalars — the map is pickled into shuffle records).  The
+        same checks as the single-pair call apply to the whole block; a
+        block that fails one is replayed pair by pair so the exception
+        names the offending pair.
+        """
+        new = dict(zip(partners, values, strict=True))
+        if (
+            len(new) == len(partners)
+            and self.eid not in new
+            and new.keys().isdisjoint(self.results)
+        ):
+            self.results.update(new)
+            return
+        for partner, value in zip(partners, values):
+            self.add_result(partner, value)  # raises, naming the pair
 
     def copy_without_results(self) -> "Element":
         """A fresh copy sharing the payload but with an empty result map.
@@ -99,6 +129,10 @@ def merge_copies(
             )
         if merged.payload is None and copy.payload is not None:
             merged.payload = copy.payload
+        if merged.results.keys().isdisjoint(copy.results):
+            # What the schemes guarantee: fuse the whole copy at C level.
+            merged.results.update(copy.results)
+            continue
         for partner, value in copy.results.items():
             if partner in merged.results:
                 if on_duplicate == "error":
@@ -165,6 +199,15 @@ def make_elements(payloads: Iterable[Any]) -> list[Element]:
     return [Element(i + 1, payload) for i, payload in enumerate(payloads)]
 
 
+def _as_list(elements: Mapping[int, Element] | Iterable[Element]) -> list[Element]:
+    return list(elements.values()) if isinstance(elements, Mapping) else list(elements)
+
+
+def _same_result(a: Any, b: Any) -> bool:
+    """Equality under which NaN agrees with NaN (a pair's two orientations)."""
+    return a == b or (a != a and b != b)
+
+
 def ordered_results(
     elements: Mapping[int, Element] | Iterable[Element],
 ) -> dict[tuple[int, int], Any]:
@@ -173,11 +216,10 @@ def ordered_results(
     The non-symmetric counterpart of :func:`results_matrix` — no symmetry
     check, both orientations kept as distinct keys.
     """
-    items = list(elements.values()) if isinstance(elements, Mapping) else list(elements)
     out: dict[tuple[int, int], Any] = {}
-    for element in items:
-        for partner, value in element.results.items():
-            out[(element.eid, partner)] = value
+    for element in _as_list(elements):
+        results = element.results
+        out.update(zip(zip(repeat(element.eid), results), results.values()))
     return out
 
 
@@ -185,21 +227,57 @@ def results_matrix(elements: Mapping[int, Element] | Iterable[Element]) -> dict[
     """Flatten per-element result maps into one canonical (i>j) pair map.
 
     Verifies symmetry on the way: if both orientations of a pair are stored
-    they must agree.
+    they must agree (NaN agrees with NaN); the first value seen for a pair
+    is the one kept.  Each element's entries go in with one C-level
+    ``map(out.setdefault, …)``; keys reuse the stored id objects, which
+    measured faster than building them from id arrays (fresh ints per key).
     """
-    if isinstance(elements, Mapping):
-        items = list(elements.values())
-    else:
-        items = list(elements)
     out: dict[tuple[int, int], Any] = {}
-    for element in items:
-        for partner, value in element.results.items():
-            key = (element.eid, partner) if element.eid > partner else (partner, element.eid)
-            if key in out:
-                if out[key] != value:
+    for element in _as_list(elements):
+        eid, results = element.eid, element.results
+        keys = [(eid, partner) if eid > partner else (partner, eid) for partner in results]
+        values = list(results.values())
+        kept = list(map(out.setdefault, keys, values))
+        if kept != values:  # list equality short-cuts on identity, so NaN may land here
+            for key, old, value in zip(keys, kept, values):
+                if not _same_result(old, value):
                     raise ValueError(
-                        f"asymmetric results for pair {key}: {out[key]!r} vs {value!r}"
+                        f"asymmetric results for pair {key}: {old!r} vs {value!r}"
                     )
-            else:
-                out[key] = value
     return out
+
+
+def results_dense(elements: Mapping[int, Element] | Iterable[Element]) -> np.ndarray:
+    """Dense symmetric view of float results: ``out[i-1, j-1]`` is pair (i, j).
+
+    The array counterpart of :func:`results_matrix` over elements ``1..v``
+    (``v`` = number of elements): one row write per element instead of one
+    dict entry per pair.  A pair stored in one orientation only is
+    mirrored; stored in both, the orientations must agree (NaN agrees with
+    NaN); stored in neither — and the diagonal — reads 0.  Ids outside
+    ``1..v`` raise ``ValueError``.
+    """
+    items = _as_list(elements)
+    v = len(items)
+    out = np.zeros((v, v), dtype=float)
+    stored = np.zeros((v, v), dtype=bool)
+    for element in items:
+        results = element.results
+        partners = np.fromiter(results, dtype=np.int64, count=len(results))
+        outside = partners[(partners < 1) | (partners > v)]
+        if outside.size or not 1 <= element.eid <= v:
+            partner = int(outside[0]) if outside.size else None
+            raise ValueError(f"pair key {(element.eid, partner)} out of range for v={v}")
+        row, cols = element.eid - 1, partners - 1
+        out[row, cols] = np.fromiter(results.values(), dtype=float, count=len(results))
+        stored[row, cols] = True
+    mirrored = out.T
+    agree = (out == mirrored) | (np.isnan(out) & np.isnan(mirrored))
+    clash = stored & stored.T & ~agree
+    if clash.any():
+        i, j = np.argwhere(clash)[-1].tolist()  # last in row-major order: i > j
+        raise ValueError(
+            f"asymmetric results for pair {(i + 1, j + 1)}: "
+            f"{float(out[j, i])!r} vs {float(out[i, j])!r}"
+        )
+    return np.where(stored, out, mirrored)

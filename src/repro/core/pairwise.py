@@ -30,19 +30,20 @@ Three execution paths, all driven by a :class:`DistributionScheme`:
 The pair function ``comp(payload_i, payload_j)`` must be symmetric (§1's
 standing assumption) and picklable for the multiprocess engine.
 
-**Kernels.**  The compute phases no longer hard-code one ``comp`` call
-per pair: each working set's pair relation is materialized into an index
-block and dispatched to a :mod:`repro.kernels` :class:`~repro.kernels.PairKernel`
+**Kernels.**  The compute phases work one *block* at a time, not one pair:
+each working set's pair relation becomes an ``(n, 2)`` index array once,
+stays an array through pruner → :class:`~repro.kernels.PairKernel`
 (``config["kernel"]``; ``None`` → the scalar kernel, bit-identical to the
 historical loop; ``"auto"`` → registry selection from the pair function
-and payload type).  ``run_local`` always evaluates scalar — it is the
-reference the vectorized paths are parity-tested against.
+and payload type) → :func:`scatter_results`, which hands every element its
+results in one bulk ``addResult``.  ``run_local`` always evaluates scalar,
+pair by pair — the reference the block paths are parity-tested against.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -68,7 +69,7 @@ from .aggregate import (
     TopKAggregator,
 )
 from .broadcast import BroadcastScheme
-from .element import Element, merge_copies
+from .element import Element, results_matrix
 from .scheme import DistributionScheme
 
 PairFunction = Callable[[Any, Any], Any]
@@ -99,79 +100,103 @@ class DistributeMapper(Mapper):
             context.counters.increment(PAIRWISE_GROUP, REPLICAS_EMITTED)
 
 
-def _apply_pruner(
-    pairs: Sequence[tuple[int, int]], context: Context
-) -> Sequence[tuple[int, int]]:
+def _apply_pruner(block: np.ndarray, context: Context) -> np.ndarray:
     """Intersect a working set's pair block with the configured pruner.
 
     No-op without a ``config["pruner"]``.  The pruner and the sketch
     suite (``cache["sketches"]``) are both built driver-side before job
-    submission, so the surviving subset is a pure function of the pair
+    submission, so the surviving rows are a pure function of the pair
     block — identical across workers, retries and speculative attempts.
     Meters ``PAIRS_PRUNED`` (the skipped evaluations) and the
     ``SKETCH_BYTES`` footprint gauge.
     """
     pruner: PairPruner | None = context.config.get("pruner")
-    if pruner is None or not pairs:
-        return pairs
+    if pruner is None or len(block) == 0:
+        return block
     suite = context.cache_file("sketches")
     context.counters.set_max(PAIRWISE_GROUP, SKETCH_BYTES, suite.nbytes)
-    keep = pruner.keep_mask(suite, pair_index_array(pairs))
-    kept = int(np.count_nonzero(keep))
-    if kept != len(pairs):
-        context.counters.increment(
-            PAIRWISE_GROUP, PAIRS_PRUNED, len(pairs) - kept
-        )
-        pairs = [pair for pair, flag in zip(pairs, keep) if flag]
-    return pairs
+    keep = pruner.keep_mask(suite, block)
+    pruned = len(block) - int(np.count_nonzero(keep))
+    if pruned:
+        context.counters.increment(PAIRWISE_GROUP, PAIRS_PRUNED, pruned)
+        block = block[keep]
+    return block
 
 
-def _meter_false_positives(
-    forward: Sequence[Any], context: Context
-) -> None:
+def _meter_false_positives(forward: Sequence[Any], context: Context) -> None:
     """Count threshold-pruner survivors whose true score failed anyway."""
     pruner = context.config.get("pruner")
     threshold = getattr(pruner, "threshold", None)
     if threshold is None:
         return
-    if pruner.keep_below:
-        misses = sum(1 for value in forward if not value < threshold)
-    else:
-        misses = sum(1 for value in forward if not value > threshold)
+    scores = np.asarray(forward, dtype=float)
+    passed = scores < threshold if pruner.keep_below else scores > threshold
+    misses = len(scores) - int(np.count_nonzero(passed))
     if misses:
-        context.counters.increment(
-            PAIRWISE_GROUP, PRUNE_FALSE_POSITIVES, misses
-        )
+        context.counters.increment(PAIRWISE_GROUP, PRUNE_FALSE_POSITIVES, misses)
 
 
 def _evaluate_pairs(
-    pairs: Sequence[tuple[int, int]],
-    payloads: Mapping[int, Any],
-    context: Context,
+    block: np.ndarray, payloads: Mapping[int, Any], context: Context
 ) -> tuple[list[Any], list[Any]]:
-    """Evaluate one working set's pair block through the configured kernel.
+    """Evaluate one non-empty pair block through the configured kernel.
 
-    Returns ``(forward, backward)`` result lists aligned with ``pairs``:
-    ``forward[k] = comp(s_i, s_j)`` for pair ``(i, j)``; with
+    Returns ``(forward, backward)`` lists of plain Python results aligned
+    with the rows: ``forward[k] = comp(s_i, s_j)`` for row ``(i, j)``; with
     ``symmetric=True`` (the paper's standing assumption) ``backward`` *is*
-    ``forward``, otherwise it holds the opposite orientation
-    ``comp(s_j, s_i)`` (§1's "marginal modification").  Meters
-    ``EVALUATIONS`` exactly like the historical per-pair loop: one per
-    pair, two when both orientations are computed.
+    ``forward``, otherwise it is ``comp(s_j, s_i)`` (§1's "marginal
+    modification").  Meters ``EVALUATIONS`` like the historical per-pair
+    loop: one per pair, two when both orientations are computed.
     """
-    comp: PairFunction = context.config["comp"]
-    symmetric: bool = context.config.get("symmetric", True)
-    sample = payloads[pairs[0][0]] if pairs else None
-    kernel = resolve_kernel(context.config.get("kernel"), comp, sample)
-    block = pair_index_array(pairs)
-    forward = kernel.evaluate_block(payloads, block)
-    context.counters.increment(PAIRWISE_GROUP, EVALUATIONS, len(pairs))
+    sample = payloads[int(block[0, 0])]
+    kernel = resolve_kernel(context.config.get("kernel"), context.config["comp"], sample)
+
+    def evaluate(oriented: np.ndarray) -> list[Any]:
+        values = kernel.evaluate_block(payloads, oriented)
+        context.counters.increment(PAIRWISE_GROUP, EVALUATIONS, len(oriented))
+        return values.tolist() if isinstance(values, np.ndarray) else values
+
+    forward = evaluate(block)
     _meter_false_positives(forward, context)
-    if symmetric:
+    if context.config.get("symmetric", True):
         return forward, forward
-    backward = kernel.evaluate_block(payloads, block[:, ::-1])
-    context.counters.increment(PAIRWISE_GROUP, EVALUATIONS, len(pairs))
-    return forward, backward
+    return forward, evaluate(block[:, ::-1])
+
+
+def scatter_results(
+    block: np.ndarray, forward: Sequence[Any], backward: Sequence[Any]
+) -> Iterator[tuple[int, list[int], list[Any]]]:
+    """Group a pair block's results by owning element (bulk ``addResult``).
+
+    Row k = ``(i, j)`` gives ``i`` the entry ``j → forward[k]`` and ``j``
+    the entry ``i → backward[k]``.  Yields ``(eid, partners, values)`` once
+    per element, for :meth:`Element.add_results`; the stable sort keeps an
+    element's entries in row order — the order the per-pair loop stored
+    them.  Values travel as objects, so tuple results scatter like floats.
+    """
+    n = len(block)
+    if n == 0:
+        return
+    values = np.empty(2 * n, dtype=object)
+    values[0::2] = np.fromiter(forward, dtype=object, count=n)
+    values[1::2] = np.fromiter(backward, dtype=object, count=n)
+    order = np.argsort(block.ravel(), kind="stable")  # owners: i0, j0, i1, j1, …
+    owners = block.ravel()[order]
+    cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    partners = block[:, ::-1].ravel()[order].tolist()
+    values = values[order].tolist()
+    for eid, lo, hi in zip(owners[starts].tolist(), starts, [*cuts, 2 * n]):
+        yield eid, partners[lo:hi], values[lo:hi]
+
+
+def _compute_block(
+    pairs: Sequence[tuple[int, int]], payloads: Mapping[int, Any], context: Context
+) -> Iterator[tuple[int, list[int], list[Any]]]:
+    """One working set, block-granular: index once → prune → kernel → scatter."""
+    block = _apply_pruner(pair_index_array(pairs), context)
+    if len(block):
+        yield from scatter_results(block, *_evaluate_pairs(block, payloads, context))
 
 
 class ComputeReducer(Reducer):
@@ -220,13 +245,10 @@ class ComputeReducer(Reducer):
             MAX_WORKING_SET_BYTES,
             sum(self._element_size(el) for el in elements.values()),
         )
-        pairs = _apply_pruner(scheme.get_pairs(key, member_ids), context)
-        if pairs:
-            payloads = {eid: el.payload for eid, el in elements.items()}
-            forward, backward = _evaluate_pairs(pairs, payloads, context)
-            for (i, j), fwd, bwd in zip(pairs, forward, backward):
-                elements[i].add_result(j, fwd)
-                elements[j].add_result(i, bwd)
+        payloads = {eid: el.payload for eid, el in elements.items()}
+        pairs = scheme.get_pairs(key, member_ids)
+        for eid, partners, results in _compute_block(pairs, payloads, context):
+            elements[eid].add_results(partners, results)
         for eid in member_ids:
             context.emit(eid, elements[eid])
 
@@ -287,7 +309,7 @@ class CachedComputeReducer(Reducer):
                 )
             seen.add(eid)
         member_ids = sorted(seen)
-        results: dict[int, dict[int, Any]] = {eid: {} for eid in member_ids}
+        partials: dict[int, dict[int, Any]] = {eid: {} for eid in member_ids}
         context.counters.set_max(
             PAIRWISE_GROUP, MAX_WORKING_SET_RECORDS, len(member_ids)
         )
@@ -296,14 +318,11 @@ class CachedComputeReducer(Reducer):
             MAX_WORKING_SET_BYTES,
             sum(self._payload_size(eid, payloads) for eid in member_ids),
         )
-        pairs = _apply_pruner(scheme.get_pairs(key, member_ids), context)
-        if pairs:
-            forward, backward = _evaluate_pairs(pairs, payloads, context)
-            for (i, j), fwd, bwd in zip(pairs, forward, backward):
-                results[i][j] = fwd
-                results[j][i] = bwd
+        pairs = scheme.get_pairs(key, member_ids)
+        for eid, partners, results in _compute_block(pairs, payloads, context):
+            partials[eid] = dict(zip(partners, results))
         for eid in member_ids:
-            context.emit(eid, results[eid])
+            context.emit(eid, partials[eid])
 
 
 class CachedAggregateReducer(Reducer):
@@ -311,7 +330,7 @@ class CachedAggregateReducer(Reducer):
 
     Rebuilds the element from the cached payload store and folds every
     working set's partial result map into it; duplicate pairs still raise
-    through :meth:`Element.add_result` (the exactly-once guarantee).
+    through :meth:`Element.add_results` (the exactly-once guarantee).
 
     An aggregator may declare ``needs_payload = False`` (e.g.
     :class:`~repro.core.aggregate.ReduceAggregator`, a pure fold over
@@ -327,9 +346,8 @@ class CachedAggregateReducer(Reducer):
             element = Element(key, payloads[key])
         else:
             element = Element(key)
-        for partial in values:
-            for partner, result in partial.items():
-                element.add_result(partner, result)
+        for partial in filter(None, values):  # pruned joins leave most partial maps empty
+            element.add_results(partial.keys(), partial.values())
         context.emit(key, aggregator([element]))
 
 
@@ -344,13 +362,9 @@ class BroadcastPairMapper(Mapper):
     def map(self, key: int, value: Any, context: Context) -> None:
         scheme: BroadcastScheme = context.config["scheme"]
         payloads: Mapping[int, Any] = context.cache_file("dataset")
-        pairs = _apply_pruner(scheme.get_pairs(key), context)
-        if not pairs:
-            return
-        forward, backward = _evaluate_pairs(pairs, payloads, context)
-        for (i, j), fwd, bwd in zip(pairs, forward, backward):
-            context.emit(i, (j, fwd))
-            context.emit(j, (i, bwd))
+        for eid, partners, results in _compute_block(scheme.get_pairs(key), payloads, context):
+            for record in zip(partners, results):
+                context.emit(eid, record)
 
 
 class BroadcastAggregateReducer(Reducer):
@@ -360,8 +374,7 @@ class BroadcastAggregateReducer(Reducer):
         aggregator: Aggregator = context.config["aggregator"]
         payloads: Mapping[int, Any] = context.cache_file("dataset")
         element = Element(key, payloads[key])
-        for partner, result in values:
-            element.add_result(partner, result)
+        element.add_results(*zip(*values))
         context.emit(key, aggregator([element]))
 
 
@@ -572,9 +585,16 @@ class PairwiseComputation:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.max_attempts = max_attempts
 
-    def _job_config(self, **app_keys: Any) -> dict[str, Any]:
+    def _job_config(self) -> dict[str, Any]:
         """Runtime knobs first, application keys on top (apps win)."""
-        return {**self.runtime_config, **app_keys}
+        return {
+            **self.runtime_config,
+            "scheme": self.scheme,
+            "comp": self.comp,
+            "aggregator": self.aggregator,
+            "symmetric": self.symmetric,
+            "kernel": self.kernel,
+        }
 
     def _build_pruning(
         self, payloads: Mapping[int, Any]
@@ -705,13 +725,7 @@ class PairwiseComputation:
     # -- execution paths --------------------------------------------------------
     def build_jobs(self) -> tuple[Job, Job]:
         """The two MR jobs of the generic algorithm (for inspection/chaining)."""
-        config = self._job_config(
-            scheme=self.scheme,
-            comp=self.comp,
-            aggregator=self.aggregator,
-            symmetric=self.symmetric,
-            kernel=self.kernel,
-        )
+        config = self._job_config()
         job1 = Job(
             name="pairwise-distribute-compute",
             mapper=DistributeMapper,
@@ -789,13 +803,7 @@ class PairwiseComputation:
         elements = self._as_elements(dataset)
         payloads = {element.eid: element.payload for element in elements}
         cache = {"dataset": payloads}
-        config = self._job_config(
-            scheme=self.scheme,
-            comp=self.comp,
-            aggregator=self.aggregator,
-            symmetric=self.symmetric,
-            kernel=self.kernel,
-        )
+        config = self._job_config()
         pruning = self._build_pruning(payloads)
         if pruning is not None:
             suite, pruner = pruning
@@ -851,13 +859,7 @@ class PairwiseComputation:
         elements = self._as_elements(dataset)
         payloads = {element.eid: element.payload for element in elements}
         cache = {"dataset": payloads}
-        config = self._job_config(
-            scheme=self.scheme,
-            comp=self.comp,
-            aggregator=self.aggregator,
-            symmetric=self.symmetric,
-            kernel=self.kernel,
-        )
+        config = self._job_config()
         pruning = self._build_pruning(payloads)
         if pruning is not None:
             suite, pruner = pruning
@@ -927,8 +929,6 @@ def pairwise_results(
 
     Returns ``{(i, j): comp(s_i, s_j)}`` with i > j, 1-indexed ids.
     """
-    from .element import results_matrix  # local import avoids cycle at module load
-
     computation = PairwiseComputation(scheme, comp, **kwargs)
     merged = computation.run(dataset)
     return results_matrix(merged)

@@ -74,14 +74,18 @@ class PairKernel(abc.ABC):
     @abc.abstractmethod
     def evaluate_block(
         self, payloads: Mapping[int, Any], pairs: np.ndarray
-    ) -> list[Any]:
+    ) -> list[Any] | np.ndarray:
         """Evaluate ``comp(payloads[i], payloads[j])`` for every pair row.
 
         ``pairs`` is an ``(n, 2)`` int64 array of element ids (the output
-        of :func:`pair_index_array`); the return value has exactly ``n``
-        results, aligned with the rows.  ``payloads`` may contain more
-        ids than the pairs reference (the cached reducer hands the whole
-        store); kernels must only touch referenced ids.
+        of :func:`pair_index_array`); the return value is a list or a
+        1-D ndarray of exactly ``n`` results, aligned with the rows.  The
+        reducers scatter the block as a whole and store plain Python
+        objects: an ndarray is converted with ``.tolist()`` (the built-in
+        kernels do that themselves), so numpy scalars never reach the
+        pickled result maps.  ``payloads`` may contain more ids than the
+        pairs reference (the cached reducer hands the whole store);
+        kernels must only touch referenced ids.
 
         Payload arrays may be **read-only zero-copy views** over a shared
         data plane (a shared-memory segment or an mmapped spill file —

@@ -65,7 +65,7 @@ class _DenseVectorKernel(PairKernel):
         if len(pairs) == 0:
             return []
         left, right = self._gather(payloads, pairs)
-        return [float(x) for x in self._reduce(left, right)]
+        return self._reduce(left, right).tolist()
 
     def _reduce(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -128,14 +128,14 @@ class CovarianceKernel(_DenseVectorKernel):
         triangle = k * (k - 1) // 2
         if triangle == 0 or len(pairs) < self.GRAM_COVERAGE * triangle:
             left, right = self._gather(payloads, pairs)
-            return [float(x) for x in self._reduce(left, right)]
+            return self._reduce(left, right).tolist()
         matrix = np.stack(
             [np.asarray(payloads[int(eid)], dtype=float) for eid in ids]
         )
         gram = matrix @ matrix.T
         rows = np.searchsorted(ids, pairs[:, 0])
         cols = np.searchsorted(ids, pairs[:, 1])
-        return [float(x) for x in gram[rows, cols]]
+        return gram[rows, cols].tolist()
 
     def _reduce(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", left, right)

@@ -94,7 +94,7 @@ class CsrCosineKernel(PairKernel):
                 out = gram[rows_l, rows_r]
             else:
                 out = np.einsum("ij,ij->i", dense[rows_l], dense[rows_r])
-        return [float(x) for x in out]
+        return out.tolist()
 
     @staticmethod
     def _to_csr_arrays(

@@ -7,6 +7,7 @@ from repro.apps.covariance import (
     assemble_covariance,
     center_rows,
     covariance_reference,
+    covariance_via_pairwise,
     pca_from_covariance,
     row_inner_product,
 )
@@ -24,6 +25,20 @@ class TestCentering:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             center_rows(np.zeros(5))
+
+    def test_each_row_loses_its_own_mean_not_the_column_means(self):
+        """Rows are the variables (np.cov's convention), so axis=1 is centered.
+
+        On a matrix whose row means and column means differ, removing column
+        means instead would leave the rows off-centre and miss np.cov.
+        """
+        A = np.arange(12.0).reshape(3, 4) ** 2 + np.array([[0.0], [50.0], [-7.0]])
+        assert not np.allclose(A.mean(axis=0), A.mean(axis=1, keepdims=True))
+        assert np.allclose(np.array(center_rows(A)), A - A.mean(axis=1, keepdims=True))
+        assert not np.allclose(np.array(center_rows(A)), A - A.mean(axis=0))
+        for kernel in ("auto", None):
+            cov = covariance_via_pairwise(A, BlockScheme(3, 2), kernel=kernel)
+            assert np.allclose(cov, np.cov(A))
 
 
 class TestAssembly:
@@ -45,6 +60,21 @@ class TestAssembly:
         rows = center_rows(make_matrix(3, 10, seed=0))
         with pytest.raises(ValueError):
             assemble_covariance({(5, 1): 1.0}, rows)
+
+    @pytest.mark.parametrize("key", [(4, 1), (1, 2), (2, 2), (2, 0)])
+    def test_range_check_names_the_key_among_good_ones(self, key):
+        rows = center_rows(make_matrix(3, 10, seed=0))
+        with pytest.raises(ValueError, match=rf"\({key[0]}, {key[1]}\) out of range for v=3"):
+            assemble_covariance({(3, 1): 1.0, key: 1.0, (3, 2): 1.0}, rows)
+
+    def test_via_pairwise_equals_dict_assembly(self):
+        """The dense-view assembly and the pair-map assembly are one matrix."""
+        A = make_matrix(9, 12, seed=3)
+        rows = center_rows(A)
+        products = pairwise_results(rows, row_inner_product, BlockScheme(9, 3))
+        via_dict = assemble_covariance(products, rows)
+        via_dense = covariance_via_pairwise(A, BlockScheme(9, 3), kernel=None)
+        assert np.array_equal(via_dict, via_dense)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Element model tests: result storage, merging, §3 size arithmetic."""
 
+import numpy as np
 import pytest
 
 from repro._util import GB, KB
@@ -10,6 +11,8 @@ from repro.core.element import (
     element_size_bytes,
     make_elements,
     merge_copies,
+    ordered_results,
+    results_dense,
     results_matrix,
 )
 
@@ -34,6 +37,31 @@ class TestElement:
         e.add_result(2, 0.5)
         with pytest.raises(DuplicatePairError):
             e.add_result(2, 0.7)
+
+    def test_add_results_bulk(self):
+        e = Element(1)
+        e.add_result(2, 0.5)
+        e.add_results([3, 4], [0.25, (1, 2)])
+        e.add_results({5: 0.75}.keys(), {5: 0.75}.values())  # dict views work too
+        e.add_results([], [])
+        assert e.results == {2: 0.5, 3: 0.25, 4: (1, 2), 5: 0.75}
+        assert list(e.results) == [2, 3, 4, 5]  # insertion order = call order
+
+    def test_add_results_self_pair_rejected(self):
+        with pytest.raises(ValueError, match="element 3 paired with itself"):
+            Element(3).add_results([1, 3], [0.5, 1.0])
+
+    @pytest.mark.parametrize("partners", [[4, 2], [4, 5, 4]])
+    def test_add_results_duplicate_names_the_pair(self, partners):
+        e = Element(1)
+        e.add_result(2, 0.5)
+        duplicate = 2 if 2 in partners else 4
+        with pytest.raises(DuplicatePairError, match=rf"pair \(1, {duplicate}\)"):
+            e.add_results(partners, [0.1] * len(partners))
+
+    def test_add_results_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            Element(1).add_results([2, 3], [0.5])
 
     def test_copy_without_results_shares_payload(self):
         payload = [1, 2, 3]
@@ -155,3 +183,73 @@ class TestHelpers:
         a = Element(1)
         a.add_result(2, 1.5)
         assert results_matrix({1: a}) == {(2, 1): 1.5}
+
+    def test_results_matrix_nan_is_symmetric(self):
+        """Regression: NaN != NaN made every NaN-valued pair 'asymmetric'."""
+        a = Element(1)
+        a.add_results([2, 3], [float("nan"), 1.0])
+        b = Element(2)
+        b.add_result(1, float("nan"))  # a distinct NaN object, as after a shuffle
+        out = results_matrix([a, b])
+        assert set(out) == {(2, 1), (3, 1)} and out[(2, 1)] != out[(2, 1)]
+        b.results[1] = 2.0
+        with pytest.raises(ValueError, match=r"asymmetric results for pair \(2, 1\)"):
+            results_matrix([a, b])
+
+    def test_results_matrix_keeps_first_value_and_one_sided_pairs(self):
+        a = Element(3)
+        a.add_results([1, 2], [0.0, 7.0])
+        b = Element(1)
+        b.add_result(3, -0.0)  # equal to 0.0: symmetric, first one seen is kept
+        out = results_matrix([a, b])
+        assert out == {(3, 1): 0.0, (3, 2): 7.0}
+        assert str(out[(3, 1)]) == "0.0"
+
+    def test_ordered_results_keeps_orientation(self):
+        a = Element(1)
+        a.add_result(2, "fwd")
+        b = Element(2)
+        b.add_result(1, "bwd")
+        assert ordered_results({1: a, 2: b}) == {(1, 2): "fwd", (2, 1): "bwd"}
+
+
+class TestResultsDense:
+    def _elements(self):
+        a = Element(1)
+        a.add_results([2, 3], [0.5, float("nan")])
+        b = Element(2)
+        b.add_result(1, 0.5)
+        c = Element(3)
+        c.add_result(1, float("nan"))
+        return a, b, c
+
+    def test_matches_results_matrix(self):
+        dense = results_dense(self._elements())
+        assert dense.shape == (3, 3)
+        assert dense[0, 1] == dense[1, 0] == 0.5
+        assert np.isnan(dense[0, 2]) and np.isnan(dense[2, 0])  # NaN agrees with NaN
+        assert dense[1, 2] == dense[2, 1] == 0.0  # never stored
+        assert not dense.diagonal().any()
+
+    def test_one_sided_pair_is_mirrored(self):
+        a, b, c = self._elements()
+        del b.results[1]
+        dense = results_dense({1: a, 2: b, 3: c})
+        assert dense[1, 0] == dense[0, 1] == 0.5
+
+    def test_detects_asymmetry(self):
+        a, b, c = self._elements()
+        b.results[1] = 0.6
+        with pytest.raises(ValueError, match=r"asymmetric results for pair \(2, 1\)"):
+            results_dense([a, b, c])
+
+    @pytest.mark.parametrize("partner", [0, 4, -1])
+    def test_out_of_range_partner_rejected(self, partner):
+        a, b, c = self._elements()
+        c.results[partner] = 1.0
+        with pytest.raises(ValueError, match="out of range for v=3"):
+            results_dense([a, b, c])
+
+    def test_out_of_range_element_rejected(self):
+        with pytest.raises(ValueError, match="out of range for v=1"):
+            results_dense([Element(2)])
