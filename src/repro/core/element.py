@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Collection, Iterable, Mapping
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -197,6 +197,13 @@ def dataset_size_bytes(
 def make_elements(payloads: Iterable[Any]) -> list[Element]:
     """Wrap raw payloads into elements with ids 1, 2, 3, …"""
     return [Element(i + 1, payload) for i, payload in enumerate(payloads)]
+
+
+def _elements_by_id(dataset: Sequence[Any]) -> dict[int, Element]:
+    """``{eid: Element}`` from elements (copied, results kept) or raw payloads."""
+    if dataset and isinstance(dataset[0], Element):
+        return {e.eid: Element(e.eid, e.payload, dict(e.results)) for e in dataset}
+    return {element.eid: element for element in make_elements(dataset)}
 
 
 def _as_list(elements: Mapping[int, Element] | Iterable[Element]) -> list[Element]:

@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from .._util import ceil_div, chunked, triangle_count
 from .design import DesignScheme
-from .element import Element
+from .element import Element, _elements_by_id
 from .scheme import Pair
 
 
@@ -242,10 +242,7 @@ def run_rounds(
             f"dataset has {len(dataset)} elements, schedule expects {schedule.v}"
         )
     aggregate = aggregator or ConcatAggregator()
-    if dataset and isinstance(dataset[0], Element):
-        current = {e.eid: Element(e.eid, e.payload, dict(e.results)) for e in dataset}  # type: ignore[union-attr]
-    else:
-        current = {i + 1: Element(i + 1, payload) for i, payload in enumerate(dataset)}
+    current = _elements_by_id(dataset)
 
     for round_ in schedule.rounds():
         copies: dict[int, list[Element]] = {}
@@ -329,10 +326,7 @@ def run_rounds_mr(
             f"dataset has {len(dataset)} elements, schedule expects {schedule.v}"
         )
     aggregate = aggregator or ConcatAggregator()
-    if dataset and isinstance(dataset[0], Element):
-        current = {e.eid: Element(e.eid, e.payload, dict(e.results)) for e in dataset}  # type: ignore[union-attr]
-    else:
-        current = {i + 1: Element(i + 1, payload) for i, payload in enumerate(dataset)}
+    current = _elements_by_id(dataset)
 
     for round_ in schedule.rounds():
         scheme = _RoundScheme(schedule.v, round_)

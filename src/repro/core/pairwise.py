@@ -1,31 +1,52 @@
 """The generic parallel pairwise algorithm (paper §4, Algorithms 1 & 2).
 
-Three execution paths, all driven by a :class:`DistributionScheme`:
+One idea — a mapping schema ``(D, P)`` (a :class:`DistributionScheme`)
+driven through *distribute → compute → aggregate* — and one executor,
+:meth:`PairwiseComputation._execute`, that runs it.  The public run
+methods are presets: each names a plan row and nothing else.
 
-1. :meth:`PairwiseComputation.run` — the faithful **two-MR-job** pipeline:
+===================== ========================================== ======== ================ ====
+preset                stages (map → reduce)                      payloads input records    legs
+===================== ========================================== ======== ================ ====
+``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  (eid, Element)   2
+                      identity → ``AggregateReducer``
+``run_cached``        ``DistributeMapper`` →                     cache    (eid, None)      2
+                      ``CachedComputeReducer``; identity →
+                      ``CachedAggregateReducer``
+``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    (task, None),    1
+                      ``BroadcastAggregateReducer``                       a split per task
+===================== ========================================== ======== ================ ====
 
-   - *Job 1* (Algorithm 1): the map phase calls ``getSubsets`` and emits a
-     copy of each element per working set; the shuffle groups working
-     sets onto reducers; each reducer calls ``getPairs``, evaluates them,
-     attaches both orientations of every result (``addResult``), and
-     re-emits the copies keyed by element id.
-   - *Job 2* (Algorithm 2): identity map; the shuffle groups an element's
-     copies; the reducer applies ``aggregateResults``.
+*Stages* are the plan's MR jobs in chain order (``;`` separates jobs; the
+job ``name`` strings are in :data:`_SHUFFLE_PLAN`, :data:`_CACHED_PLAN` and
+:data:`_ONE_JOB_PLAN`).  *Payloads* says whether element payloads travel in
+the shuffle or sit in the distributed cache as ``{eid: payload}``.  *Legs*
+is the number of shuffles crossed (the replication meter's byte floor
+scales with it).  Everything else — dataset normalisation, job
+construction, pruner / sketch attach, the
+:class:`~repro.mapreduce.pipeline.Pipeline` run, replication metering and
+the result map — happens once, in the executor.
 
-2. :meth:`PairwiseComputation.run_broadcast_job` — the paper's optimized
-   **one-job** form for the broadcast scheme: the dataset travels in the
-   distributed cache, map tasks evaluate their label chunk, the single
-   reduce phase aggregates per element.
+- ``run`` is the faithful **two-MR-job** pipeline.  *Job 1* (Algorithm 1):
+  the map phase calls ``getSubsets`` and emits a copy of each element per
+  working set; the shuffle groups working sets onto reducers; each reducer
+  calls ``getPairs``, evaluates them, attaches both orientations of every
+  result (``addResult``), and re-emits the copies keyed by element id.
+  *Job 2* (Algorithm 2): identity map; the shuffle groups an element's
+  copies; the reducer applies ``aggregateResults``.
+- ``run_cached`` is the same two jobs with the payload store
+  ``{eid: payload}`` in the **distributed cache**: the shuffle routes
+  element ids and partial result maps only, and a pooled engine broadcasts
+  the store once per worker instead of once per task.  Works with *any*
+  scheme (it generalizes the broadcast optimization's cache usage).
+- ``run_broadcast_job`` is the paper's optimized **one-job** form for the
+  broadcast scheme (§5.1) — the same steps folded into a single job: map
+  tasks evaluate their label chunk against the cached store, the single
+  reduce phase aggregates per element.
 
-3. :meth:`PairwiseComputation.run_cached` — the two-job pipeline with the
-   payload store in the **distributed cache**: the shuffle routes element
-   ids and partial result maps only, and a pooled engine broadcasts the
-   store once per worker instead of once per task.  Works with *any*
-   scheme (it generalizes the broadcast optimization's cache usage).
-
-4. :meth:`PairwiseComputation.run_local` — the same three abstract steps
-   without the MR machinery (fast in-process reference; tests compare the
-   MR paths against it).
+:meth:`PairwiseComputation.run_local` is not a plan: it is the same three
+abstract steps without the MR machinery (fast in-process reference; tests
+compare every preset against it).
 
 The pair function ``comp(payload_i, payload_j)`` must be symmetric (§1's
 standing assumption) and picklable for the multiprocess engine.
@@ -43,15 +64,17 @@ pair by pair — the reference the block paths are parity-tested against.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ..kernels import pair_index_array, resolve_kernel
-from ..mapreduce.job import Context, Job, Mapper, Reducer
+from ..mapreduce.controlplane.events import ReplicationMeasured
+from ..mapreduce.counters import FRAMEWORK_GROUP, SHUFFLE_BYTES
+from ..mapreduce.job import Context, IdentityMapper, Job, Mapper, Reducer
 from ..mapreduce.pipeline import Pipeline, PipelineResult
 from ..mapreduce.runtime import Engine, MultiprocessEngine, SerialEngine
-from ..mapreduce.serialization import record_size
+from ..mapreduce.serialization import estimate_element_size, record_size
 from ..sketches import (
     DISTANCE_KINDS,
     PRUNING_MODES,
@@ -91,12 +114,21 @@ PRUNE_FALSE_POSITIVES = "prune_false_positives"
 
 
 class DistributeMapper(Mapper):
-    """Algorithm 1's map: emit (working set, element copy) per getSubsets."""
+    """Algorithm 1's map: emit (working set, member) per getSubsets.
 
-    def map(self, key: Any, value: Element, context: Context) -> None:
+    An ``(eid, Element)`` record carries its payload through the shuffle:
+    every working set gets its own result-free copy.  An ``(eid, None)``
+    record says the payload rides the distributed cache (broadcast once
+    per worker by a pooled engine), so the shuffle only needs to route
+    the bare *id* — the replication cost drops from ``b·k`` payload
+    copies to ``b·k`` integers.
+    """
+
+    def map(self, key: int, value: Element | None, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
-        for subset_id in scheme.get_subsets(value.eid):
-            context.emit(subset_id, value.copy_without_results())
+        bare = value is None
+        for subset_id in scheme.get_subsets(key if bare else value.eid):
+            context.emit(subset_id, key if bare else value.copy_without_results())
             context.counters.increment(PAIRWISE_GROUP, REPLICAS_EMITTED)
 
 
@@ -199,6 +231,43 @@ def _compute_block(
         yield from scatter_results(block, *_evaluate_pairs(block, payloads, context))
 
 
+def _admit_working_set(
+    key: int,
+    members: Iterable[tuple[int, Any]],
+    sizes: dict[int, int],
+    context: Context,
+) -> dict[int, Any]:
+    """Take delivery of one working set; returns ``{eid: sized}`` by ascending id.
+
+    ``members`` yields ``(eid, sized)`` — a member and the object its
+    accounting size is measured on (the shuffled element copy, or the
+    cached payload).  A member delivered twice is a scheme or shuffle bug
+    and raises.  Meters §6's measured quantity — the peak working set
+    actually held by a reduce task, records and (declared) bytes — as
+    max-gauges.
+
+    ``sizes`` is the calling task's size cache: what a member is measured
+    on is identical across the working sets a task handles (copies share
+    the payload and carry no results at compute time; the cached store is
+    immutable), so each member is measured once per task instead of
+    re-pickled on every reduce call.
+    """
+    admitted: dict[int, Any] = {}
+    for eid, sized in members:
+        if eid in admitted:
+            raise ValueError(f"working set {key} received element {eid} twice")
+        admitted[eid] = sized
+    held = 0
+    for eid, sized in admitted.items():
+        size = sizes.get(eid)
+        if size is None:
+            size = sizes[eid] = record_size(eid, sized)
+        held += size
+    context.counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_RECORDS, len(admitted))
+    context.counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_BYTES, held)
+    return dict(sorted(admitted.items()))
+
+
 class ComputeReducer(Reducer):
     """Algorithm 1's reduce: getPairs, batch-evaluate, addResult both ways.
 
@@ -212,45 +281,19 @@ class ComputeReducer(Reducer):
     """
 
     def setup(self, context: Context) -> None:
-        # Element payloads are identical across the working sets a task
-        # handles (copies share the payload, results are empty at compute
-        # time), so each element's accounting size is measured once per
-        # task instead of re-pickled on every reduce call.
-        self._element_sizes: dict[int, int] = {}
-
-    def _element_size(self, element: Element) -> int:
-        size = self._element_sizes.get(element.eid)
-        if size is None:
-            size = record_size(element.eid, element)
-            self._element_sizes[element.eid] = size
-        return size
+        self._sizes: dict[int, int] = {}
 
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
-        elements: dict[int, Element] = {}
-        for element in values:
-            if element.eid in elements:
-                raise ValueError(
-                    f"working set {key} received element {element.eid} twice"
-                )
-            elements[element.eid] = element
-        member_ids = sorted(elements)
-        # §6's measured quantity: the peak working set actually held by a
-        # reduce task — records and (declared) bytes — as a max-gauge.
-        context.counters.set_max(
-            PAIRWISE_GROUP, MAX_WORKING_SET_RECORDS, len(elements)
+        elements: dict[int, Element] = _admit_working_set(
+            key, ((element.eid, element) for element in values), self._sizes, context
         )
-        context.counters.set_max(
-            PAIRWISE_GROUP,
-            MAX_WORKING_SET_BYTES,
-            sum(self._element_size(el) for el in elements.values()),
-        )
-        payloads = {eid: el.payload for eid, el in elements.items()}
-        pairs = scheme.get_pairs(key, member_ids)
+        payloads = {eid: element.payload for eid, element in elements.items()}
+        pairs = scheme.get_pairs(key, list(elements))
         for eid, partners, results in _compute_block(pairs, payloads, context):
             elements[eid].add_results(partners, results)
-        for eid in member_ids:
-            context.emit(eid, elements[eid])
+        for eid, element in elements.items():
+            context.emit(eid, element)
 
 
 class AggregateReducer(Reducer):
@@ -261,76 +304,40 @@ class AggregateReducer(Reducer):
         context.emit(key, aggregator(list(values)))
 
 
-class CachedDistributeMapper(Mapper):
-    """Algorithm 1's map for cache-resident payloads: emit ids only.
-
-    When the dataset rides the distributed cache (broadcast once per
-    worker by a pooled engine), the shuffle only needs to route element
-    *ids* into working sets — the replication cost drops from
-    ``b·k`` payload copies to ``b·k`` integers.
-    """
-
-    def map(self, key: int, value: Any, context: Context) -> None:
-        scheme: DistributionScheme = context.config["scheme"]
-        for subset_id in scheme.get_subsets(key):
-            context.emit(subset_id, key)
-            context.counters.increment(PAIRWISE_GROUP, REPLICAS_EMITTED)
-
-
 class CachedComputeReducer(Reducer):
     """Algorithm 1's reduce against the cached payload store.
 
     Same pair relation and orientation semantics as
-    :class:`ComputeReducer`; emits per-element *partial result maps*
-    (partner id → result) instead of full element copies.
+    :class:`ComputeReducer`; receives bare member ids and emits
+    per-element *partial result maps* (partner id → result) instead of
+    full element copies.
     """
 
     def setup(self, context: Context) -> None:
-        # The payload store is immutable for the task's lifetime, so each
-        # element's size is measured once even when getSubsets places it
-        # in many of the task's working sets.
-        self._payload_sizes: dict[int, int] = {}
-
-    def _payload_size(self, eid: int, payloads: Mapping[int, Any]) -> int:
-        size = self._payload_sizes.get(eid)
-        if size is None:
-            size = record_size(eid, payloads[eid])
-            self._payload_sizes[eid] = size
-        return size
+        self._sizes: dict[int, int] = {}
 
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
         payloads: Mapping[int, Any] = context.cache_file("dataset")
-        seen: set[int] = set()
-        for eid in values:
-            if eid in seen:
-                raise ValueError(
-                    f"working set {key} received element {eid} twice"
-                )
-            seen.add(eid)
-        member_ids = sorted(seen)
-        partials: dict[int, dict[int, Any]] = {eid: {} for eid in member_ids}
-        context.counters.set_max(
-            PAIRWISE_GROUP, MAX_WORKING_SET_RECORDS, len(member_ids)
+        members = _admit_working_set(
+            key, ((eid, payloads[eid]) for eid in values), self._sizes, context
         )
-        context.counters.set_max(
-            PAIRWISE_GROUP,
-            MAX_WORKING_SET_BYTES,
-            sum(self._payload_size(eid, payloads) for eid in member_ids),
-        )
-        pairs = scheme.get_pairs(key, member_ids)
+        partials: dict[int, dict[int, Any]] = {eid: {} for eid in members}
+        pairs = scheme.get_pairs(key, list(members))
         for eid, partners, results in _compute_block(pairs, payloads, context):
             partials[eid] = dict(zip(partners, results))
-        for eid in member_ids:
-            context.emit(eid, partials[eid])
+        for eid, partial in partials.items():
+            context.emit(eid, partial)
 
 
-class CachedAggregateReducer(Reducer):
-    """Algorithm 2's reduce for the cached variant: fuse partial maps.
+def _aggregate_from_store(
+    key: int, columns: Iterable[tuple[Any, Any]], context: Context
+) -> None:
+    """Algorithm 2 against the cached store: rebuild, fold, aggregate, emit.
 
-    Rebuilds the element from the cached payload store and folds every
-    working set's partial result map into it; duplicate pairs still raise
-    through :meth:`Element.add_results` (the exactly-once guarantee).
+    Rebuilds element ``key`` from the cached payload store and folds every
+    ``(partners, results)`` column pair into it; duplicate pairs still
+    raise through :meth:`Element.add_results` (the exactly-once guarantee).
 
     An aggregator may declare ``needs_payload = False`` (e.g.
     :class:`~repro.core.aggregate.ReduceAggregator`, a pure fold over
@@ -338,17 +345,22 @@ class CachedAggregateReducer(Reducer):
     elements are payload-free — the aggregate phase never touches the
     cached store at all.
     """
+    aggregator: Aggregator = context.config["aggregator"]
+    if getattr(aggregator, "needs_payload", True):
+        element = Element(key, context.cache_file("dataset")[key])
+    else:
+        element = Element(key)
+    for partners, results in columns:
+        element.add_results(partners, results)
+    context.emit(key, aggregator([element]))
+
+
+class CachedAggregateReducer(Reducer):
+    """Algorithm 2's reduce for the cached variant: fuse partial maps."""
 
     def reduce(self, key: int, values: Any, context: Context) -> None:
-        aggregator: Aggregator = context.config["aggregator"]
-        if getattr(aggregator, "needs_payload", True):
-            payloads: Mapping[int, Any] = context.cache_file("dataset")
-            element = Element(key, payloads[key])
-        else:
-            element = Element(key)
-        for partial in filter(None, values):  # pruned joins leave most partial maps empty
-            element.add_results(partial.keys(), partial.values())
-        context.emit(key, aggregator([element]))
+        partials = filter(None, values)  # pruned joins leave most partial maps empty
+        _aggregate_from_store(key, ((p.keys(), p.values()) for p in partials), context)
 
 
 class BroadcastPairMapper(Mapper):
@@ -368,14 +380,58 @@ class BroadcastPairMapper(Mapper):
 
 
 class BroadcastAggregateReducer(Reducer):
-    """One-job broadcast reduce: rebuild the element, aggregate its results."""
+    """One-job broadcast reduce: fuse an element's ``(partner, result)`` records."""
 
     def reduce(self, key: int, values: Any, context: Context) -> None:
-        aggregator: Aggregator = context.config["aggregator"]
-        payloads: Mapping[int, Any] = context.cache_file("dataset")
-        element = Element(key, payloads[key])
-        element.add_results(*zip(*values))
-        context.emit(key, aggregator([element]))
+        _aggregate_from_store(key, [tuple(zip(*values))], context)
+
+
+def _reject_engine_knobs(engine: Engine | None, *knobs: Any) -> None:
+    """An explicit engine was configured by whoever built it, not through us."""
+    if engine is not None and any(knob is not None for knob in knobs):
+        raise ValueError(
+            "pass scheduling_policy/trace_sink/data_plane/journal_dir to "
+            "the engine itself when supplying an explicit engine"
+        )
+
+
+#: one MR job of a plan: ``(job name, mapper, reducer)``
+_Stage = tuple[str, type[Mapper], type[Reducer]]
+
+
+class _Plan(NamedTuple):
+    """One row of the module docstring's plan table.
+
+    ``stages`` is one :data:`_Stage` per MR job, in chain order; the
+    compute phase is always in the first.  ``inputs`` names the first
+    job's input records and thereby how payloads travel: ``"elements"`` —
+    ``(eid, Element)``, payloads ride the shuffle; ``"ids"`` —
+    ``(eid, None)``, and ``"tasks"`` — one ``(task, None)`` descriptor per
+    task: payloads ride the distributed cache.
+    """
+
+    stages: tuple[_Stage, ...]
+    inputs: str
+
+
+_SHUFFLE_PLAN = _Plan(
+    (
+        ("pairwise-distribute-compute", DistributeMapper, ComputeReducer),
+        ("pairwise-aggregate", IdentityMapper, AggregateReducer),
+    ),
+    "elements",
+)
+_CACHED_PLAN = _Plan(
+    (
+        ("pairwise-distribute-compute-cached", DistributeMapper, CachedComputeReducer),
+        ("pairwise-aggregate-cached", IdentityMapper, CachedAggregateReducer),
+    ),
+    "ids",
+)
+_ONE_JOB_PLAN = _Plan(
+    (("pairwise-broadcast", BroadcastPairMapper, BroadcastAggregateReducer),),
+    "tasks",
+)
 
 
 class PairwiseComputation:
@@ -499,10 +555,20 @@ class PairwiseComputation:
         exact_fallback: bool = True,
         sketch_params: Mapping[str, Any] | None = None,
     ):
+        _reject_engine_knobs(engine, scheduling_policy, trace_sink, data_plane, journal_dir)
+        if num_reduce_tasks is None:
+            num_reduce_tasks = max(1, scheme.num_tasks // 8)
+        if num_reduce_tasks < 1:
+            raise ValueError(f"num_reduce_tasks must be >= 1, got {num_reduce_tasks}")
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.scheme = scheme
         self.comp = comp
         self.symmetric = symmetric
         self.kernel = kernel
+        self.num_reduce_tasks = num_reduce_tasks
+        self.runtime_config = dict(runtime_config or {})
+        self.max_attempts = max_attempts
         if pruning not in PRUNING_MODES:
             raise ValueError(
                 f"pruning must be one of {PRUNING_MODES}, got {pruning!r}"
@@ -551,16 +617,8 @@ class PairwiseComputation:
             else:
                 aggregator = TopKAggregator(top_k, smallest=keep_below)
         self.aggregator = aggregator or ConcatAggregator()
-        if engine is not None and (
-            scheduling_policy is not None
-            or trace_sink is not None
-            or data_plane is not None
-            or journal_dir is not None
-        ):
-            raise ValueError(
-                "pass scheduling_policy/trace_sink/data_plane/journal_dir to "
-                "the engine itself when supplying an explicit engine"
-            )
+        # Every check above has passed: nothing can raise between building
+        # an owned engine and handing it to the caller to close.
         self._owns_engine = engine is None
         if engine is not None:
             self.engine = engine
@@ -575,15 +633,6 @@ class PairwiseComputation:
             self.engine = SerialEngine(
                 scheduling_policy=scheduling_policy, trace_sink=trace_sink
             )
-        if num_reduce_tasks is None:
-            num_reduce_tasks = max(1, scheme.num_tasks // 8)
-        if num_reduce_tasks < 1:
-            raise ValueError(f"num_reduce_tasks must be >= 1, got {num_reduce_tasks}")
-        self.num_reduce_tasks = num_reduce_tasks
-        self.runtime_config = dict(runtime_config or {})
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.max_attempts = max_attempts
 
     def _job_config(self) -> dict[str, Any]:
         """Runtime knobs first, application keys on top (apps win)."""
@@ -596,18 +645,18 @@ class PairwiseComputation:
             "kernel": self.kernel,
         }
 
-    def _build_pruning(
-        self, payloads: Mapping[int, Any]
-    ) -> tuple[Any, PairPruner] | None:
-        """Sketch suite + pruner for one run, or None when pruning is off.
+    def _attach_pruning(self, compute: Job, payloads: Mapping[int, Any]) -> None:
+        """Give the compute job its sketch suite + pruner (no-op when pruning is off).
 
         Built driver-side exactly once per run and shipped through the
         distributed cache / job config, so every task attempt — retries
         and speculative launches included — prunes against the same
-        frozen state.
+        frozen state.  The suite joins the job's cache dict in place: when
+        that dict is the payload store shared by every job of the plan, it
+        stays one broadcast / shm segment.
         """
         if self.pruning != "sketch":
-            return None
+            return
         params = {
             key: value
             for key, value in self.sketch_params.items()
@@ -632,7 +681,8 @@ class PairwiseComputation:
                 estimate=not self.exact_fallback,
                 margin=self.sketch_params.get("margin", 0.15),
             )
-        return suite, pruner
+        compute.cache["sketches"] = suite
+        compute.config = {**compute.config, "pruner": pruner}
 
     def _meter_replication(
         self, counters: Any, elements: Sequence[Element], *, legs: int
@@ -659,11 +709,7 @@ class PairwiseComputation:
         replicas = counters.get(PAIRWISE_GROUP, REPLICAS_EMITTED)
         achieved = replicas / v if replicas else report.replication_achieved
         bound = report.replication_lower_bound
-        from ..mapreduce.counters import FRAMEWORK_GROUP, SHUFFLE_BYTES
-
         shuffle_bytes = counters.get(FRAMEWORK_GROUP, SHUFFLE_BYTES)
-        from .runner import estimate_element_size  # local import avoids cycle
-
         element_size = estimate_element_size([el.payload for el in elements])
         floor = legs * report.shuffle_bytes_floor(element_size)
         vs_bound = shuffle_bytes / floor if floor and shuffle_bytes else 0.0
@@ -674,8 +720,6 @@ class PairwiseComputation:
             stats.shuffle_bytes_vs_bound = vs_bound
         events = getattr(self.engine, "events", None)
         if events is not None:
-            from ..mapreduce.controlplane.events import ReplicationMeasured
-
             events.emit(
                 ReplicationMeasured(
                     time=time.monotonic(),
@@ -723,25 +767,76 @@ class PairwiseComputation:
         return [Element(i + 1, payload) for i, payload in enumerate(dataset)]
 
     # -- execution paths --------------------------------------------------------
+    def _job(
+        self, stage: _Stage, config: dict[str, Any], cache: dict[str, Any] | None = None
+    ) -> Job:
+        """Every MR job this computation builds is built here."""
+        name, mapper, reducer = stage
+        return Job(
+            name=name,
+            mapper=mapper,
+            reducer=reducer,
+            num_reducers=self.num_reduce_tasks,
+            cache={} if cache is None else cache,
+            config=config,
+            max_attempts=self.max_attempts,
+        )
+
     def build_jobs(self) -> tuple[Job, Job]:
         """The two MR jobs of the generic algorithm (for inspection/chaining)."""
         config = self._job_config()
-        job1 = Job(
-            name="pairwise-distribute-compute",
-            mapper=DistributeMapper,
-            reducer=ComputeReducer,
-            num_reducers=self.num_reduce_tasks,
-            config=config,
-            max_attempts=self.max_attempts,
-        )
-        job2 = Job(
-            name="pairwise-aggregate",
-            reducer=AggregateReducer,
-            num_reducers=self.num_reduce_tasks,
-            config=config,
-            max_attempts=self.max_attempts,
-        )
+        job1, job2 = (self._job(stage, config) for stage in _SHUFFLE_PLAN.stages)
         return job1, job2
+
+    def _execute(
+        self,
+        plan: _Plan,
+        dataset: Sequence[Any],
+        *,
+        num_map_tasks: int | None = None,
+        return_result: bool = False,
+    ):
+        """Run ``plan`` over ``dataset``: the one path behind every preset.
+
+        Returns ``{eid: Element}``; with ``return_result`` additionally
+        the engine's account of the run — the :class:`PipelineResult` of a
+        job chain, the bare :class:`~repro.mapreduce.job.JobResult` of a
+        one-job plan — and stage fusion is disabled so every stage's
+        records are materialized for inspection.
+        """
+        elements = self._as_elements(dataset)
+        payloads = {element.eid: element.payload for element in elements}
+        config = self._job_config()
+        # Jobs that read the payload store share one cache dict → one
+        # broadcast / shm segment per run, not one per job.
+        store = None if plan.inputs == "elements" else {"dataset": payloads}
+        jobs = [self._job(stage, config, store) for stage in plan.stages]
+        self._attach_pruning(jobs[0], payloads)
+        if plan.inputs == "tasks":
+            # One input record per task; one split per task mirrors Hadoop's
+            # one-mapper-per-task launch of the paper's implementation.
+            input_records = [(task, None) for task in range(self.scheme.num_tasks)]
+            num_map_tasks = self.scheme.num_tasks
+        else:
+            input_records = [
+                (element.eid, None if store else element) for element in elements
+            ]
+        result = Pipeline(jobs, engine=self.engine).run(
+            input_records,
+            num_map_tasks=num_map_tasks,
+            fuse=False if return_result else None,
+        )
+        self._meter_replication(result.counters, elements, legs=len(jobs))
+        merged = dict(result.records)
+        for element in elements:
+            # An element whose every pair was pruned is emitted by no map
+            # task of the one-job plan; give it what run_local gives an
+            # element that received no copies.
+            if element.eid not in merged:
+                merged[element.eid] = self.aggregator([element.copy_without_results()])
+        if not return_result:
+            return merged
+        return merged, (result if len(jobs) > 1 else result.stages[0])
 
     def run(
         self,
@@ -760,27 +855,9 @@ class PairwiseComputation:
         reduce into Job 2's (identity) map — same merged elements, no
         driver round-trip for the intermediate copies.
         """
-        elements = self._as_elements(dataset)
-        job1, job2 = self.build_jobs()
-        pruning = self._build_pruning(
-            {element.eid: element.payload for element in elements}
+        return self._execute(
+            _SHUFFLE_PLAN, dataset, num_map_tasks=num_map_tasks, return_result=return_pipeline
         )
-        if pruning is not None:
-            suite, pruner = pruning
-            job1.config = {**job1.config, "pruner": pruner}
-            job1.cache = {**job1.cache, "sketches": suite}
-        pipeline = Pipeline([job1, job2], engine=self.engine)
-        input_records = [(element.eid, element) for element in elements]
-        result = pipeline.run(
-            input_records,
-            num_map_tasks=num_map_tasks,
-            fuse=False if return_pipeline else None,
-        )
-        self._meter_replication(result.counters, elements, legs=2)
-        merged = {key: value for key, value in result.records}
-        if return_pipeline:
-            return merged, result
-        return merged
 
     def run_cached(
         self,
@@ -800,45 +877,9 @@ class PairwiseComputation:
         broadcast **once per worker per job** instead of once per task —
         the dispatch-cost profile the engine-scaling bench measures.
         """
-        elements = self._as_elements(dataset)
-        payloads = {element.eid: element.payload for element in elements}
-        cache = {"dataset": payloads}
-        config = self._job_config()
-        pruning = self._build_pruning(payloads)
-        if pruning is not None:
-            suite, pruner = pruning
-            # Same cache dict for both jobs → one broadcast / shm segment.
-            cache["sketches"] = suite
-            config = {**config, "pruner": pruner}
-        job1 = Job(
-            name="pairwise-distribute-compute-cached",
-            mapper=CachedDistributeMapper,
-            reducer=CachedComputeReducer,
-            num_reducers=self.num_reduce_tasks,
-            cache=cache,
-            config=config,
-            max_attempts=self.max_attempts,
+        return self._execute(
+            _CACHED_PLAN, dataset, num_map_tasks=num_map_tasks, return_result=return_pipeline
         )
-        job2 = Job(
-            name="pairwise-aggregate-cached",
-            reducer=CachedAggregateReducer,
-            num_reducers=self.num_reduce_tasks,
-            cache=cache,
-            config=config,
-            max_attempts=self.max_attempts,
-        )
-        pipeline = Pipeline([job1, job2], engine=self.engine)
-        input_records = [(element.eid, None) for element in elements]
-        result = pipeline.run(
-            input_records,
-            num_map_tasks=num_map_tasks,
-            fuse=False if return_pipeline else None,
-        )
-        self._meter_replication(result.counters, elements, legs=2)
-        merged = {key: value for key, value in result.records}
-        if return_pipeline:
-            return merged, result
-        return merged
 
     def run_broadcast_job(
         self,
@@ -856,33 +897,7 @@ class PairwiseComputation:
                 "run_broadcast_job requires a BroadcastScheme, got "
                 f"{type(self.scheme).__name__}"
             )
-        elements = self._as_elements(dataset)
-        payloads = {element.eid: element.payload for element in elements}
-        cache = {"dataset": payloads}
-        config = self._job_config()
-        pruning = self._build_pruning(payloads)
-        if pruning is not None:
-            suite, pruner = pruning
-            cache["sketches"] = suite
-            config = {**config, "pruner": pruner}
-        job = Job(
-            name="pairwise-broadcast",
-            mapper=BroadcastPairMapper,
-            reducer=BroadcastAggregateReducer,
-            num_reducers=self.num_reduce_tasks,
-            cache=cache,
-            config=config,
-            max_attempts=self.max_attempts,
-        )
-        # One input record per task; one split per task mirrors Hadoop's
-        # one-mapper-per-task launch of the paper's implementation.
-        task_records = [(task, None) for task in range(self.scheme.num_tasks)]
-        result = self.engine.run(job, task_records, num_map_tasks=self.scheme.num_tasks)
-        self._meter_replication(result.counters, elements, legs=1)
-        merged = {key: value for key, value in result.records}
-        if return_result:
-            return merged, result
-        return merged
+        return self._execute(_ONE_JOB_PLAN, dataset, return_result=return_result)
 
     def run_local(self, dataset: Sequence[Any]) -> dict[int, Element]:
         """In-process reference: same three steps, no MR framework.

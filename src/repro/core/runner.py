@@ -11,14 +11,14 @@ decision trail.
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Callable, Sequence
 
 from .._util import GB, MB, TB, ceil_div
+from ..mapreduce.serialization import estimate_element_size
 from .chooser import SchemeChoice, choose_scheme
 from .element import Element
 from .hierarchical import HierarchicalBlockScheme, run_rounds, run_rounds_mr
-from .pairwise import PairwiseComputation
+from .pairwise import PairwiseComputation, _reject_engine_knobs
 from .scheme import DistributionScheme
 
 
@@ -66,30 +66,6 @@ def _forced_choice(
         built,
         [f"scheme forced by caller: {built.describe()} (feasibility checks skipped)"],
     )
-
-
-def estimate_element_size(dataset: Sequence[Any], sample: int = 8) -> int:
-    """Pickled size of a small sample's mean element, in bytes (min 1).
-
-    Honors :class:`~repro.mapreduce.serialization.SizedPayload`
-    declarations via the same accounting the engine uses.
-    """
-    if not dataset:
-        raise ValueError("cannot estimate element size of an empty dataset")
-    from ..mapreduce.serialization import declared_size
-
-    sizes = []
-    step = max(1, len(dataset) // sample)
-    for index in range(0, len(dataset), step):
-        payload = dataset[index]
-        declared = declared_size(payload)
-        if declared is not None:
-            sizes.append(declared)
-        else:
-            sizes.append(len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)))
-        if len(sizes) >= sample:
-            break
-    return max(1, sum(sizes) // len(sizes))
 
 
 def auto_pairwise(
@@ -150,16 +126,7 @@ def auto_pairwise(
     """
     if len(dataset) < 2:
         raise ValueError("pairwise computation needs at least two elements")
-    if engine is not None and (
-        scheduling_policy is not None
-        or trace_sink is not None
-        or data_plane is not None
-        or journal_dir is not None
-    ):
-        raise ValueError(
-            "pass scheduling_policy/trace_sink/data_plane/journal_dir to "
-            "the engine itself when supplying an explicit engine"
-        )
+    _reject_engine_knobs(engine, scheduling_policy, trace_sink, data_plane, journal_dir)
     if data_plane is not None and not auto_engine:
         raise ValueError("data_plane requires auto_engine=True or an explicit engine")
     if journal_dir is not None and not auto_engine:

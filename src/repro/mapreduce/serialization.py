@@ -43,7 +43,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 
@@ -201,6 +201,28 @@ def record_size(key: Any, value: Any) -> int:
     if value_size is None:
         value_size = _quick_size(value)
     return _quick_size(key) + value_size
+
+
+def estimate_element_size(dataset: Sequence[Any], sample: int = 8) -> int:
+    """Pickled size of a small sample's mean element, in bytes (min 1).
+
+    Honors :class:`SizedPayload` declarations via the same accounting the
+    engine uses.
+    """
+    if not dataset:
+        raise ValueError("cannot estimate element size of an empty dataset")
+    sizes = []
+    step = max(1, len(dataset) // sample)
+    for index in range(0, len(dataset), step):
+        payload = dataset[index]
+        declared = declared_size(payload)
+        if declared is not None:
+            sizes.append(declared)
+        else:
+            sizes.append(len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)))
+        if len(sizes) >= sample:
+            break
+    return max(1, sum(sizes) // len(sizes))
 
 
 class Codec(Protocol):

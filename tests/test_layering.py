@@ -80,6 +80,13 @@ class TestClusterLayer:
         assert violations("repro.cluster", ENGINE_MODULES) == []
 
 
+class TestCoreLayer:
+    def test_pairwise_does_not_import_runner(self):
+        """``runner`` sits on top of ``pairwise``; the reverse edge was a cycle."""
+        imports = imported_modules(SRC / "repro" / "core" / "pairwise.py")
+        assert not {name for name in imports if name.startswith("repro.core.runner")}
+
+
 class TestSanity:
     def test_walker_sees_real_imports(self):
         """The checker itself must not be vacuous."""

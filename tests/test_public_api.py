@@ -92,3 +92,40 @@ class TestStableSurface:
         import repro
 
         assert repro.__version__.count(".") == 2
+
+
+class TestPinnedSignatures:
+    """Parameter names of the pairwise entry points.
+
+    Adding, renaming or dropping a knob is an API decision: make it a
+    conscious edit of this table, not a side effect of a refactor.
+    """
+
+    ENGINE_KNOBS = ("scheduling_policy", "trace_sink", "data_plane", "journal_dir")
+    OBJECTIVE_KNOBS = ("threshold", "top_k", "pruning", "exact_fallback", "sketch_params")
+    PINNED = {
+        "PairwiseComputation.__init__": (
+            "self", "scheme", "comp", "aggregator", "engine", "num_reduce_tasks",
+            "symmetric", "kernel", "runtime_config", "max_attempts",
+            *ENGINE_KNOBS, *OBJECTIVE_KNOBS,
+        ),
+        "PairwiseComputation.run": ("self", "dataset", "num_map_tasks", "return_pipeline"),
+        "PairwiseComputation.run_cached": (
+            "self", "dataset", "num_map_tasks", "return_pipeline",
+        ),
+        "PairwiseComputation.run_broadcast_job": ("self", "dataset", "return_result"),
+        "auto_pairwise": (
+            "dataset", "comp", "element_size", "maxws", "maxis", "num_nodes",
+            "aggregator", "engine", "symmetric", "auto_engine",
+            *ENGINE_KNOBS, *OBJECTIVE_KNOBS, "scheme",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_parameter_names(self, name):
+        import repro.core
+
+        target = repro.core
+        for part in name.split("."):
+            target = getattr(target, part)
+        assert tuple(inspect.signature(target).parameters) == self.PINNED[name]
