@@ -1,37 +1,17 @@
-"""Shared benchmark-harness helpers: table formatting and result persistence.
+"""Shared helpers of the paper-artifact scripts: table formatting and result persistence.
 
 Every bench regenerates one of the paper's tables/figures as a text table,
 asserts the *shape* the paper reports (who wins, by what factor, where
-crossovers fall), and writes the series to ``benchmarks/results/<name>.txt``
+crossovers fall), and writes the series to ``benchmarks/paper/results/<name>.txt``
 so EXPERIMENTS.md's numbers can be traced back to a concrete run.
 """
 
 from __future__ import annotations
 
-import os
-import platform
 from pathlib import Path
 from typing import Sequence
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def machine_info(*, warmup: int = 0, repeats: int = 1) -> dict:
-    """Provenance stamp for BENCH_*.json files.
-
-    Timings are only comparable against a baseline taken on a similar
-    box; the stamp makes a mismatch diagnosable instead of a mystery
-    regression.  ``warmup``/``repeats`` record the measurement protocol
-    the numbers were taken under.
-    """
-    return {
-        "cpu_count": os.cpu_count(),
-        "python_version": platform.python_version(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "warmup_rounds": warmup,
-        "repeat_rounds": repeats,
-    }
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

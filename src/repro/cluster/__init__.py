@@ -3,13 +3,6 @@
 from .metrics import ComparisonRow, MeasuredMetrics, TheoryComparison
 from .network import NetworkModel
 from .node import ClusterSpec, FailureModel, NodeSpec
-from .racks import (
-    Locality,
-    RackTopology,
-    locality_profile,
-    rack_aware_placement,
-    read_locality,
-)
 from .scheduler import (
     Assignment,
     TaskCost,
@@ -27,20 +20,15 @@ __all__ = [
     "ComparisonRow",
     "FailureModel",
     "LimitCheck",
-    "Locality",
     "MeasuredMetrics",
     "NetworkModel",
     "NodeSpec",
-    "RackTopology",
     "SimulationReport",
     "TaskCost",
     "TaskSpan",
     "TheoryComparison",
     "Trace",
     "build_trace",
-    "locality_profile",
-    "rack_aware_placement",
-    "read_locality",
     "schedule_lpt",
     "schedule_lpt_heterogeneous",
     "schedule_round_robin",

@@ -874,8 +874,7 @@ class PairwiseComputation:
         cache, Job 1 shuffles bare ids into working sets and emits partial
         result maps, Job 2 rebuilds each element from the store.  On a
         :class:`~repro.mapreduce.runtime.MultiprocessEngine` the store is
-        broadcast **once per worker per job** instead of once per task —
-        the dispatch-cost profile the engine-scaling bench measures.
+        broadcast **once per worker per job** instead of once per task.
         """
         return self._execute(
             _CACHED_PLAN, dataset, num_map_tasks=num_map_tasks, return_result=return_pipeline

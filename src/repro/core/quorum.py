@@ -304,9 +304,8 @@ def measure_task_bytes(
     """``(max, mean)`` working-set bytes over a scheme's tasks.
 
     Works for any scheme by materializing each working set — the
-    apples-to-apples skew measurement the replication bench uses to
-    compare the skew-aware quorum against design/block on the same
-    heavy-tailed sizes.
+    apples-to-apples skew measurement that compares the skew-aware
+    quorum against design/block on the same heavy-tailed sizes.
     """
     sizes = _normalize_sizes(scheme.v, element_sizes)
     totals = [

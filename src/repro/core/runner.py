@@ -106,8 +106,8 @@ def auto_pairwise(
     rationale records that.
 
     ``auto_engine=True`` (flat schemes, ``engine=None``) sizes the engine
-    too, through the same :func:`repro.mapreduce.runtime.choose_engine`
-    crossover :meth:`Engine.auto` uses, keyed on the chosen scheme's
+    too, through the :func:`repro.mapreduce.runtime.choose_engine`
+    crossover, keyed on the chosen scheme's
     ``metrics().communication_records``; ``comp`` must then be picklable
     in case the multiprocess engine is selected.  The built engine is
     closed before returning.  ``scheduling_policy`` / ``trace_sink`` /

@@ -10,8 +10,8 @@ The formal demands of paper §5 are checked exhaustively here:
     evaluate locally would violate the no-online-communication execution
     model of §3).
 
-These checkers are O(v²) and intended for tests and the coverage bench,
-not for production-size datasets.
+These checkers are O(v²) and intended for tests, not for
+production-size datasets.
 """
 
 from __future__ import annotations

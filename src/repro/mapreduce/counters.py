@@ -25,15 +25,6 @@ REDUCE_INPUT_GROUPS = "reduce_input_groups"
 REDUCE_INPUT_RECORDS = "reduce_input_records"
 REDUCE_OUTPUT_RECORDS = "reduce_output_records"
 
-# Engine-plane meter names.  These quantities are metered in
-# :class:`~repro.mapreduce.runtime.EngineStats`, NOT in job counters —
-# serial and pooled runs must stay bit-identical, and how records moved
-# (driver relay vs direct spill files) is an engine property, not a job
-# property.  The names are defined here so the CI shuffle guard and the
-# benchmarks reference one spelling.
-DRIVER_BYTES = "driver_bytes"
-SHUFFLE_SPILL_FILES = "shuffle_spill_files"
-
 
 class Counters:
     """A two-level map ``group → name → int`` with merge support.

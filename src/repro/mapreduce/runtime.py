@@ -73,7 +73,7 @@ from .controlplane import (
     resolve_policy,
 )
 
-# Counter names, the backoff helper, spill threshold and reduce-spill
+# Counter names, spill threshold and reduce-spill
 # counters moved out with the control-plane/worker split; re-exported
 # here because they are part of this module's long-standing surface.
 from .controlplane.attempts import (  # noqa: F401  (re-exports)
@@ -81,7 +81,6 @@ from .controlplane.attempts import (  # noqa: F401  (re-exports)
     TASK_FAILURES,
     TASK_RETRIES,
     TASKS_TIMED_OUT,
-    backoff_seconds as _backoff_seconds,
 )
 from .counters import (
     FRAMEWORK_GROUP,
@@ -101,7 +100,6 @@ from .tasks import (  # noqa: F401  (re-exports)
     DEFAULT_SPILL_THRESHOLD_BYTES,
     REDUCE_SPILL_RUNS,
     REDUCE_SPILLED_RECORDS,
-    FusedOutput,
     JobRef,
     MapTaskSpec,
     NextStage,
@@ -121,11 +119,11 @@ from .tasks import (  # noqa: F401  (re-exports)
 DEFAULT_RECORDS_PER_SPLIT = 5000
 
 #: Below this many records, :func:`choose_engine` picks :class:`SerialEngine`.
-#: The engine-scaling benchmark (BENCH_engine_scaling.json) shows the
-#: crossover empirically: at small scale (v=60 design-scheme docsim, a few
-#: thousand shuffled records) the serial engine beats the pooled one —
-#: pool startup plus per-job broadcasts cost more than the computation —
-#: while large record volumes amortize the dispatch overhead.
+#: Hand-set: at small scale (``tiny-auto-latency`` in ``benchmarks/e2e``,
+#: a few thousand shuffled records) pool startup plus per-job broadcasts
+#: cost more than the computation, while large record volumes amortize
+#: the dispatch overhead.  ``variant.serial_wall_ratio`` on the ladder is
+#: the measurement to re-derive it from.
 AUTO_SERIAL_MAX_RECORDS = 20_000
 
 #: driver polling cadence for completion/hang/speculation checks
@@ -140,19 +138,6 @@ SHUFFLE_MODES = ("direct", "relay")
 #: once per machine in POSIX shared memory and workers attach read-only
 #: zero-copy views (see :mod:`repro.mapreduce.shm`).
 DATA_PLANES = ("default", "shm")
-
-# Legacy private aliases from before the split into repro.mapreduce.tasks.
-_JobRef = JobRef
-_MapTaskSpec = MapTaskSpec
-_NextStage = NextStage
-_ReduceTaskSpec = ReduceTaskSpec
-_FusedOutput = FusedOutput
-_run_spec = run_spec
-_run_pickled_spec = run_pickled_spec
-_worker_init = worker_init
-_marker_path = marker_path
-_ShuffleState = ShuffleState
-
 
 class Engine:
     """Shared orchestration: split planning, shuffle accounting, result.
@@ -185,16 +170,11 @@ class Engine:
     # -- observability ---------------------------------------------------------
     @property
     def _observing(self) -> bool:
-        """True when someone listens; event objects aren't built otherwise.
-
-        ``getattr`` keeps engines defined before the control plane (or
-        subclasses skipping ``super().__init__``) working unobserved.
-        """
-        events = getattr(self, "events", None)
-        return events is not None and len(events) > 0
+        """True when someone listens; event objects aren't built otherwise."""
+        return len(self.events) > 0
 
     def _bus(self) -> EventBus | None:
-        return getattr(self, "events", None) if self._observing else None
+        return self.events if self._observing else None
 
     def _emit(self, event: Any) -> None:
         self.events.emit(event)
@@ -332,10 +312,7 @@ class Engine:
         return costs
 
     def _dispatch_order(self, specs: list[Any]) -> list[int]:
-        policy = getattr(self, "scheduling_policy", None)
-        if policy is None:
-            return list(range(len(specs)))
-        return policy.dispatch_order(self._phase_costs(specs))
+        return self.scheduling_policy.dispatch_order(self._phase_costs(specs))
 
     def _phase_marker(self, job: Job, kind: str, num_tasks: int, state: str) -> None:
         if self._observing:
@@ -356,7 +333,7 @@ class Engine:
         splits: list[Split],
         num_partitions: int,
         counters: Counters,
-    ) -> _ShuffleState:
+    ) -> ShuffleState:
         """Run the map tasks and gather their partitioned output by mode."""
         mode = self._shuffle_mode if num_partitions > 0 else "memory"
         spill_dir = self._shuffle_dir(handle) if mode == "direct" else None
@@ -437,7 +414,7 @@ class Engine:
                     )
                 )
         self._phase_marker(job, "map", len(map_specs), "finished")
-        return _ShuffleState(
+        return ShuffleState(
             mode=mode,
             gathered=gathered,
             part_records=part_records,
@@ -448,7 +425,7 @@ class Engine:
         self,
         job: Job,
         handle: Any,
-        state: _ShuffleState,
+        state: ShuffleState,
         *,
         next_stage: NextStage | None = None,
     ) -> list[Any]:
@@ -477,29 +454,10 @@ class Engine:
         self._phase_marker(job, "reduce", len(reduce_specs), "finished")
         return outputs
 
-    @staticmethod
-    def auto(
-        workload_hint: int | None = None,
-        *,
-        max_workers: int | None = None,
-        serial_below: int = AUTO_SERIAL_MAX_RECORDS,
-        data_plane: str | None = None,
-        journal_dir: str | Path | None = None,
-    ) -> "Engine":
-        """Pick an engine from a workload-size hint — see :func:`choose_engine`."""
-        return choose_engine(
-            workload_hint,
-            max_workers=max_workers,
-            serial_below=serial_below,
-            data_plane=data_plane,
-            journal_dir=journal_dir,
-        )
-
     def close(self) -> None:
         """Release engine resources and close the attached trace sink."""
-        sink = getattr(self, "_trace_sink", None)
-        if sink is not None:
-            sink.close()
+        if self._trace_sink is not None:
+            self._trace_sink.close()
 
     def __enter__(self) -> "Engine":
         return self
@@ -583,7 +541,6 @@ def choose_engine(
     workload_hint: int | None = None,
     *,
     max_workers: int | None = None,
-    serial_below: int = AUTO_SERIAL_MAX_RECORDS,
     scheduling_policy: SchedulingPolicy | str | None = None,
     trace_sink: Any = None,
     data_plane: str | None = None,
@@ -591,13 +548,12 @@ def choose_engine(
 ) -> Engine:
     """Pick an engine from a workload-size hint (records through the run).
 
-    The single serial/multiprocess crossover used by both
-    :meth:`Engine.auto` and :func:`repro.core.runner.auto_pairwise`.
+    The single serial/multiprocess crossover, also used by
+    :func:`repro.core.runner.auto_pairwise`.
     ``workload_hint`` is the caller's estimate of how many records the
     job pushes through map+shuffle (a scheme's
     ``metrics().communication_records``, or ``len(input_records)``).
-    Below ``serial_below`` (default :data:`AUTO_SERIAL_MAX_RECORDS`, the
-    engine-scaling benchmark's measured crossover) a
+    Below :data:`AUTO_SERIAL_MAX_RECORDS` a
     :class:`SerialEngine` is returned — at small scale pool startup and
     job broadcasts dominate; at or above it, a
     :class:`MultiprocessEngine` with ``max_workers``.  ``None`` (unknown
@@ -612,7 +568,7 @@ def choose_engine(
     if workload_hint is not None and workload_hint < 0:
         raise ValueError(f"workload_hint must be >= 0, got {workload_hint}")
     if journal_dir is None and (
-        workload_hint is None or workload_hint < serial_below
+        workload_hint is None or workload_hint < AUTO_SERIAL_MAX_RECORDS
     ):
         return SerialEngine(
             scheduling_policy=scheduling_policy, trace_sink=trace_sink

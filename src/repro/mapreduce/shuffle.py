@@ -147,25 +147,3 @@ def sort_and_group(
     ordered = sorted(records, key=ordering)
     for key, group in groupby(ordered, key=lambda kv: kv[0]):
         yield key, (value for _key, value in group)
-
-
-def run_combiner(
-    combiner_factory: Callable[[], Any],
-    records: list[KeyValue],
-    context_factory: Callable[[], Any],
-    sort_key: Callable[[Any], Any] | None = None,
-) -> tuple[list[KeyValue], Any]:
-    """Apply a combiner to one map task's output; returns (records, context).
-
-    The combiner is reducer-shaped and runs over locally sorted groups —
-    the same contract Hadoop gives: it may run zero or more times, so it
-    must be algebraically safe (associative + commutative contributions).
-    Here it runs exactly once per map task, which tests can rely on.
-    """
-    combiner = combiner_factory()
-    context = context_factory()
-    combiner.setup(context)
-    for key, values in sort_and_group(records, sort_key):
-        combiner.reduce(key, values, context)
-    combiner.cleanup(context)
-    return context.drain(), context

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -164,8 +164,3 @@ class SketchSuite:
 def empty_signature_row(num_hashes: int) -> np.ndarray:
     """Signature of the empty set: no term ever beats UINT64_MAX."""
     return np.full(num_hashes, _UINT64_MAX, dtype=np.uint64)
-
-
-def as_pair_block(pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """(n, 2) int64 view of a pair list (mirrors kernels.pair_index_array)."""
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)

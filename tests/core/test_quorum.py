@@ -8,6 +8,7 @@ engine parity against broadcast, and the chooser crossover.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +52,6 @@ class TestExactlyOnce:
     def test_closed_form_coverage_sampled(self, v):
         assert closed_form_coverage_ok(QuorumScheme(v))
 
-    @pytest.mark.replication
     def test_closed_form_coverage_every_v_to_200(self):
         for v in range(3, 201):
             assert closed_form_coverage_ok(QuorumScheme(v)), v
@@ -135,8 +135,11 @@ class TestReplicationReport:
             assert report.optimality_ratio == pytest.approx(1.0)
 
     def test_greedy_cover_within_modest_factor(self):
-        report = QuorumScheme(58).replication_report()
-        assert 1.0 <= report.optimality_ratio < 1.5
+        # Ceilings sit ~2 % over the measured 1.263 / 1.529: a greedy
+        # cover that grows by one quorum trips them.
+        for v, ceiling in ((58, 1.288), (120, 1.56)):
+            report = QuorumScheme(v).replication_report()
+            assert 1.0 <= report.optimality_ratio <= ceiling, v
 
     def test_quorum_beats_padded_design_off_plane(self):
         quorum = QuorumScheme(58).replication_report()
@@ -185,6 +188,15 @@ class TestSkewAware:
         max_packed, _ = measure_task_bytes(skewed, self.SIZES)
         max_identity, _ = measure_task_bytes(identity, self.SIZES)
         assert max_packed <= max_identity
+
+    def test_worst_task_30_percent_below_padded_design(self):
+        # Off-plane v=58: six heavies meet pairwise in 58 quorums at <= 2
+        # per task, while the padded design stacks >= 3 in one block.
+        sizes = [65536] * 6 + [1024] * 52
+        random.Random(17).shuffle(sizes)
+        max_quorum, _ = measure_task_bytes(QuorumScheme(58, element_sizes=sizes), sizes)
+        max_design, _ = measure_task_bytes(DesignScheme(58), sizes)
+        assert max_quorum <= 0.7 * max_design
 
     def test_mapping_sizes_accepted(self):
         as_mapping = {eid: size for eid, size in enumerate(self.SIZES, start=1)}

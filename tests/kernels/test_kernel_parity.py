@@ -25,8 +25,6 @@ from repro.core.scheme import DistributionScheme, SchemeMetrics
 from repro.mapreduce import MultiprocessEngine
 from repro.workloads.generator import make_documents
 
-pytestmark = pytest.mark.kernels
-
 V = 23  # matches the any_scheme fixture
 
 REL_TOLERANCE = 1e-9

@@ -1,4 +1,4 @@
-"""Picklable workload for the durable-journal tests and benchmarks.
+"""Picklable workload for the durable-journal tests.
 
 Journal resume reloads the job spec pickle in a *different* driver
 process, so every class the spec references must be importable under a

@@ -15,6 +15,7 @@ from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
 from repro.core.element import results_matrix
 from repro.core.pairwise import PairwiseComputation
+from repro.mapreduce.controlplane.attempts import backoff_seconds
 from repro.mapreduce.counters import FRAMEWORK_GROUP
 from repro.mapreduce.faults import (
     CrashFault,
@@ -34,7 +35,6 @@ from repro.mapreduce.runtime import (
     TASKS_TIMED_OUT,
     MultiprocessEngine,
     SerialEngine,
-    _backoff_seconds,
 )
 
 
@@ -202,10 +202,10 @@ class TestTimeouts:
 
 class TestBackoff:
     def test_deterministic_and_growing(self):
-        first = _backoff_seconds(0.1, "map", 3, 2)
-        assert first == _backoff_seconds(0.1, "map", 3, 2)
+        first = backoff_seconds(0.1, "map", 3, 2)
+        assert first == backoff_seconds(0.1, "map", 3, 2)
         assert 0.05 <= first <= 0.1
-        later = _backoff_seconds(0.1, "map", 3, 4)
+        later = backoff_seconds(0.1, "map", 3, 4)
         assert 0.2 <= later <= 0.4
 
     def test_backoff_job_still_recovers(self):

@@ -20,9 +20,9 @@ from repro.mapreduce.job import (
 )
 from repro.mapreduce.runtime import (
     AUTO_SERIAL_MAX_RECORDS,
-    Engine,
     MultiprocessEngine,
     SerialEngine,
+    choose_engine,
 )
 from repro.mapreduce.splits import split_by_count
 
@@ -241,22 +241,15 @@ class TestEngineInput:
 
 class TestEngineAuto:
     def test_small_workload_serial(self):
-        assert isinstance(Engine.auto(100), SerialEngine)
+        assert isinstance(choose_engine(100), SerialEngine)
+        assert isinstance(choose_engine(AUTO_SERIAL_MAX_RECORDS - 1), SerialEngine)
 
     def test_unknown_workload_serial(self):
-        assert isinstance(Engine.auto(), SerialEngine)
-        assert isinstance(Engine.auto(None), SerialEngine)
+        assert isinstance(choose_engine(), SerialEngine)
+        assert isinstance(choose_engine(None), SerialEngine)
 
     def test_large_workload_pooled(self):
-        engine = Engine.auto(AUTO_SERIAL_MAX_RECORDS, max_workers=2)
-        try:
-            assert isinstance(engine, MultiprocessEngine)
-        finally:
-            engine.close()
-
-    def test_threshold_override(self):
-        assert isinstance(Engine.auto(50, serial_below=10_000), SerialEngine)
-        engine = Engine.auto(50, max_workers=2, serial_below=10)
+        engine = choose_engine(AUTO_SERIAL_MAX_RECORDS, max_workers=2)
         try:
             assert isinstance(engine, MultiprocessEngine)
         finally:
@@ -264,4 +257,4 @@ class TestEngineAuto:
 
     def test_negative_hint_rejected(self):
         with pytest.raises(ValueError):
-            Engine.auto(-1)
+            choose_engine(-1)

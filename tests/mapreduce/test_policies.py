@@ -26,7 +26,6 @@ from repro.mapreduce.controlplane import (
 from repro.mapreduce.job import Job, Mapper, Reducer
 from repro.mapreduce.runtime import (
     AUTO_SERIAL_MAX_RECORDS,
-    Engine,
     MultiprocessEngine,
     SerialEngine,
     choose_engine,
@@ -188,14 +187,6 @@ class TestChooseEngine:
 
     def test_large_is_multiprocess(self):
         engine = choose_engine(AUTO_SERIAL_MAX_RECORDS, max_workers=2)
-        try:
-            assert isinstance(engine, MultiprocessEngine)
-        finally:
-            engine.close()
-
-    def test_engine_auto_uses_same_crossover(self):
-        assert isinstance(Engine.auto(100), SerialEngine)
-        engine = Engine.auto(AUTO_SERIAL_MAX_RECORDS, max_workers=2)
         try:
             assert isinstance(engine, MultiprocessEngine)
         finally:

@@ -40,8 +40,6 @@ from repro.sketches import (
 )
 from repro.workloads.generator import make_documents, make_vectors
 
-pytestmark = pytest.mark.sketches
-
 
 def all_pairs(v: int) -> np.ndarray:
     return np.asarray(

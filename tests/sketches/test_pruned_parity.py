@@ -40,8 +40,6 @@ from repro.core.pairwise import (
 from repro.core.runner import auto_pairwise
 from repro.workloads.generator import make_blobs, make_documents, make_matrix
 
-pytestmark = pytest.mark.sketches
-
 V = 23  # matches the any_scheme fixture
 REL_TOLERANCE = 1e-9  # the repo's vectorized kernel-parity contract
 

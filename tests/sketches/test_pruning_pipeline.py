@@ -31,8 +31,6 @@ from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.shm import shm_available
 from repro.workloads.generator import make_documents
 
-pytestmark = pytest.mark.sketches
-
 V = 23
 THRESHOLD = 0.3
 
@@ -93,6 +91,28 @@ class TestDataPlaneParity:
         assert results_matrix(computation.run(list(vectors))) == results_matrix(
             computation.run_cached(list(vectors))
         )
+
+
+class TestPruningPower:
+    def test_topic_clustered_corpus_prunes_most_pairs_at_full_recall(self):
+        # 30 tight topics: same-topic similarity sits above 0.6, the rest
+        # near 0, so at t=0.7 sound bounds must discard >= 60 % of the
+        # pair relation (measured: 243 of 7140 evaluated) and keep every
+        # qualifying pair.
+        v = 120
+        vectors = build_tfidf(
+            make_documents(
+                v, vocabulary=600, length=80, num_topics=30, topic_strength=0.95, seed=42
+            )
+        )
+        computation = PairwiseComputation(
+            BlockScheme(v, 8), cosine_similarity, threshold=0.7, pruning="sketch"
+        )
+        merged, pipeline = computation.run_cached(list(vectors), return_pipeline=True)
+        want = brute_force_similarity(vectors, threshold=0.7)
+        assert results_matrix(merged).keys() == want.keys()  # recall 1.0, no extras
+        evaluations = pipeline.counters.get(PAIRWISE_GROUP, EVALUATIONS)
+        assert evaluations <= 0.4 * (v * (v - 1) // 2), evaluations
 
 
 class TestBroadcastOneJob:

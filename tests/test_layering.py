@@ -12,12 +12,17 @@ The control-plane extraction draws two hard lines:
 
 These are enforced over the import *statements* of every module in each
 package, with relative imports resolved to absolute module paths.
+
+The last check is about the documents, not the code: every file path
+they name must exist, so a deleted script cannot stay cited as evidence.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 #: modules that constitute the real execution machinery
 ENGINE_MODULES = (
@@ -85,6 +90,32 @@ class TestCoreLayer:
         """``runner`` sits on top of ``pairwise``; the reverse edge was a cycle."""
         imports = imported_modules(SRC / "repro" / "core" / "pairwise.py")
         assert not {name for name in imports if name.startswith("repro.core.runner")}
+
+
+class TestDocsFollowFiles:
+    """README, DESIGN, EXPERIMENTS, ``docs/`` and the verify skill name real files.
+
+    CHANGES.md is history and ``benchmarks/e2e/`` is the frozen ruler;
+    neither is scanned.
+    """
+
+    NAMED = re.compile(
+        r"(?<![\w/])(?:(?:benchmarks|tests|src)/[\w./-]*\w\.py|bench_\w+\.py|BENCH_\w+\.json)\b"
+    )
+
+    def test_every_named_path_exists(self):
+        documents = [ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+        documents += sorted((ROOT / "docs").glob("*.md"))
+        documents.append(ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
+        # A bare ``bench_x.py`` may name a script in any benchmark directory.
+        bench_scripts = {path.name for path in (ROOT / "benchmarks").rglob("bench_*.py")}
+        missing = [
+            f"{document.name}: {name}"
+            for document in documents
+            for name in sorted(set(self.NAMED.findall(document.read_text(encoding="utf-8"))))
+            if not (ROOT / name).is_file() and name not in bench_scripts
+        ]
+        assert missing == []
 
 
 class TestSanity:
