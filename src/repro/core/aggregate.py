@@ -17,6 +17,12 @@ applications the paper motivates:
 
 All are plain classes with data-only attributes so they cross process
 boundaries intact.
+
+**``needs_payload``.**  An aggregator that never reads ``copy.payload``
+declares ``needs_payload = False``; the executor then ships result maps
+only on the way home and re-attaches the caller's payloads driver-side
+(docs/API.md, "Payload routing").  Everything here declares it; a callable
+without the attribute is assumed to read payloads and gets them.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ class ConcatAggregator:
     "error" (default) treats a twice-evaluated pair as a bug.
     """
 
+    needs_payload = False
+
     def __init__(self, on_duplicate: str = "error"):
         self.on_duplicate = on_duplicate
 
@@ -51,6 +59,8 @@ class ThresholdAggregator:
     ``False`` keeps ``> threshold`` (similarities).  ``key`` extracts the
     comparable magnitude from a result value (identity by default).
     """
+
+    needs_payload = False
 
     def __init__(
         self,
@@ -82,6 +92,8 @@ class TopKAggregator:
     distance); ``False`` the k largest (highest similarity).  Ties break on
     partner id for determinism.
     """
+
+    needs_payload = False
 
     def __init__(
         self,
@@ -121,11 +133,8 @@ class ReduceAggregator:
     Partner id 0 never collides with real 1-indexed elements.
 
     ``needs_payload`` declares whether the fold reads the element's
-    payload.  It defaults to False — a pure fold over result values —
-    which lets the cached pipeline's aggregate phase skip rebuilding the
-    element from the payload store entirely (the output elements then
-    carry ``payload=None``).  Pass True when ``fn`` (or a downstream
-    consumer) inspects payloads.
+    payload.  It defaults to False — a pure fold over result values.
+    Pass True when ``fn`` inspects payloads.
     """
 
     def __init__(
@@ -161,3 +170,6 @@ def count_neighbors(copies: Sequence[Element]) -> Element:
     merged = merge_copies(copies)
     merged.results = {0: len(merged.results)}
     return merged
+
+
+count_neighbors.needs_payload = False

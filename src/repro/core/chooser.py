@@ -22,6 +22,25 @@ paper's own analysis recommends:
 
 The returned :class:`SchemeChoice` carries the configured scheme (or
 schedule) plus a rationale trail suitable for logging.
+
+**Payload routing.**  Choosing the scheme fixes *which* elements meet;
+:func:`route_payloads` then prices *how* their payloads get there, from
+the same numbers (``v·s``, ``maxws``, the node count, the scheme's
+replication) — communication per reducer is the cost, in the frame of
+Afrati et al., "Upper and Lower Bounds on the Cost of a Map-Reduce
+Computation":
+
+- ``"shuffle"`` when ``v·s > maxws``: the payload store cannot sit in a
+  task's memory (the paper's premise), so replicas ride the shuffle;
+- else ``"one-job"`` for a broadcast scheme (§5.1: the store in the
+  distributed cache, one MR job);
+- else ``"cache"`` when ``num_nodes < replication`` — ``n`` store
+  localisations move fewer bytes than ``r`` shuffled replicas of every
+  element (the different-sized-inputs trade-off of "Assignment Problems of
+  Different-Sized Inputs in MapReduce");
+- else ``"shuffle"``.
+
+:func:`~repro.core.runner.auto_pairwise` executes the route chosen here.
 """
 
 from __future__ import annotations
@@ -48,12 +67,22 @@ class InfeasibleWorkloadError(RuntimeError):
     """No scheme (flat or hierarchical, within the round cap) fits."""
 
 
+#: how payloads reach the tasks (see :func:`route_payloads`)
+ROUTINGS = ("one-job", "cache", "shuffle")
+
+
 @dataclass
 class SchemeChoice:
-    """Outcome of automatic selection."""
+    """Outcome of automatic selection.
+
+    ``routing`` is one of :data:`ROUTINGS` — the payload route
+    :func:`route_payloads` priced for a flat scheme; hierarchical
+    schedules are not routed and keep the default.
+    """
 
     scheme: Union[DistributionScheme, HierarchicalBlockScheme]
     rationale: list[str] = field(default_factory=list)
+    routing: str = "shuffle"
 
     @property
     def is_hierarchical(self) -> bool:
@@ -61,6 +90,42 @@ class SchemeChoice:
 
     def explain(self) -> str:
         return "\n".join(self.rationale)
+
+
+def route_payloads(
+    choice: SchemeChoice, element_size: int, *, maxws: int, num_nodes: int
+) -> SchemeChoice:
+    """Set ``choice.routing`` by the module docstring's rule; returns ``choice``.
+
+    Appends one rationale line naming the route and both predicted byte
+    totals: ``r·v·s`` for replicas through the shuffle, ``n·v·s`` for one
+    store localisation per node.  No-op for a hierarchical schedule.
+    """
+    if choice.is_hierarchical:
+        return choice
+    scheme = choice.scheme
+    metrics = scheme.metrics()
+    replication = metrics.replication_factor
+    dataset_bytes = scheme.v * element_size
+    shuffled = metrics.intermediate_bytes(element_size)  # r·v·s, Table 1's maxis quantity
+    cached = num_nodes * dataset_bytes
+    if dataset_bytes > maxws:
+        choice.routing = "shuffle"
+        why = f"store {format_bytes(dataset_bytes)} > maxws {format_bytes(maxws)}"
+    elif isinstance(scheme, BroadcastScheme):
+        choice.routing = "one-job"
+        why = "broadcast scheme, store fits a slot (§5.1)"
+    elif num_nodes < replication:
+        choice.routing = "cache"
+        why = f"n={num_nodes} localisations < replication {replication:g}"
+    else:
+        choice.routing = "shuffle"
+        why = f"replication {replication:g} <= n={num_nodes} localisations"
+    choice.rationale.append(
+        f"routing: {choice.routing} ({why}); predicted payload bytes: "
+        f"shuffle {format_bytes(shuffled)}, cache {format_bytes(cached)}"
+    )
+    return choice
 
 
 def choose_scheme(
@@ -89,7 +154,23 @@ def choose_scheme(
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
     if min_tasks is None:
         min_tasks = 2 * num_nodes
+    choice = _select_scheme(
+        v, element_size, maxws, maxis, num_nodes, min_tasks, max_rounds, allow_prime_powers
+    )
+    return route_payloads(choice, element_size, maxws=maxws, num_nodes=num_nodes)
 
+
+def _select_scheme(
+    v: int,
+    element_size: int,
+    maxws: int,
+    maxis: int,
+    num_nodes: int,
+    min_tasks: int,
+    max_rounds: int,
+    allow_prime_powers: bool,
+) -> SchemeChoice:
+    """Steps 1–5 of the module docstring over validated arguments."""
     rationale: list[str] = [
         f"workload: v={v}, s={format_bytes(element_size)} "
         f"(dataset {format_bytes(v * element_size)}); "

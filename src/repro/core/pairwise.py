@@ -5,27 +5,37 @@ driven through *distribute → compute → aggregate* — and one executor,
 :meth:`PairwiseComputation._execute`, that runs it.  The public run
 methods are presets: each names a plan row and nothing else.
 
-===================== ========================================== ======== ================ ====
-preset                stages (map → reduce)                      payloads input records    legs
-===================== ========================================== ======== ================ ====
-``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  (eid, Element)   2
+===================== ========================================== ======== ================ ==== =========
+preset                stages (map → reduce)                      payloads input records    legs routing
+===================== ========================================== ======== ================ ==== =========
+``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  (eid, Element)   2    shuffle
                       identity → ``AggregateReducer``
-``run_cached``        ``DistributeMapper`` →                     cache    (eid, None)      2
+``run_cached``        ``DistributeMapper`` →                     cache    (eid, None)      2    cache
                       ``CachedComputeReducer``; identity →
                       ``CachedAggregateReducer``
-``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    (task, None),    1
-                      ``BroadcastAggregateReducer``                       a split per task
-===================== ========================================== ======== ================ ====
+``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    (task, None),    1    one-job
+                      ``CachedAggregateReducer``                          a split per task
+===================== ========================================== ======== ================ ==== =========
 
 *Stages* are the plan's MR jobs in chain order (``;`` separates jobs; the
 job ``name`` strings are in :data:`_SHUFFLE_PLAN`, :data:`_CACHED_PLAN` and
 :data:`_ONE_JOB_PLAN`).  *Payloads* says whether element payloads travel in
 the shuffle or sit in the distributed cache as ``{eid: payload}``.  *Legs*
-is the number of shuffles crossed (the replication meter's byte floor
-scales with it).  Everything else — dataset normalisation, job
-construction, pruner / sketch attach, the
+is the number of shuffles crossed.  *Routing* is the
+:attr:`~repro.core.chooser.SchemeChoice.routing` value under which
+:func:`~repro.core.runner.auto_pairwise` picks the row.  Everything else —
+dataset normalisation, job construction, pruner / sketch attach, the
 :class:`~repro.mapreduce.pipeline.Pipeline` run, replication metering and
 the result map — happens once, in the executor.
+
+**Payloads travel once.**  Whatever the row, an aggregator that declares
+``needs_payload = False`` (every built-in one) never sees a payload, so
+the executor sets ``config["results_only"]``: the compute phase emits
+``Element(eid, None, results)``, only the compute job gets the payload
+store, and the driver re-attaches the payloads it already holds — leg 2,
+the fused hand-over and the pool → driver result pickle carry results
+only.  :meth:`PairwiseComputation.build_jobs` never sets the key, so
+hand-chained jobs keep writing payload-carrying elements.
 
 - ``run`` is the faithful **two-MR-job** pipeline.  *Job 1* (Algorithm 1):
   the map phase calls ``getSubsets`` and emits a copy of each element per
@@ -41,7 +51,8 @@ the result map — happens once, in the executor.
   scheme (it generalizes the broadcast optimization's cache usage).
 - ``run_broadcast_job`` is the paper's optimized **one-job** form for the
   broadcast scheme (§5.1) — the same steps folded into a single job: map
-  tasks evaluate their label chunk against the cached store, the single
+  tasks evaluate their label chunk against the cached store and emit the
+  partial result maps ``run_cached``'s compute phase emits; the single
   reduce phase aggregates per element.
 
 :meth:`PairwiseComputation.run_local` is not a plan: it is the same three
@@ -278,6 +289,9 @@ class ComputeReducer(Reducer):
     §1) each unordered pair is still *visited* once — the schemes
     guarantee that — but both orientations are computed: element i stores
     ``comp(sᵢ, sⱼ)`` and element j stores ``comp(sⱼ, sᵢ)``.
+
+    Under ``config["results_only"]`` the copies leave without their
+    payloads: nothing downstream reads them (module docstring).
     """
 
     def setup(self, context: Context) -> None:
@@ -292,8 +306,9 @@ class ComputeReducer(Reducer):
         pairs = scheme.get_pairs(key, list(elements))
         for eid, partners, results in _compute_block(pairs, payloads, context):
             elements[eid].add_results(partners, results)
+        results_only = context.config.get("results_only", False)
         for eid, element in elements.items():
-            context.emit(eid, element)
+            context.emit(eid, Element(eid, None, element.results) if results_only else element)
 
 
 class AggregateReducer(Reducer):
@@ -330,60 +345,41 @@ class CachedComputeReducer(Reducer):
             context.emit(eid, partial)
 
 
-def _aggregate_from_store(
-    key: int, columns: Iterable[tuple[Any, Any]], context: Context
-) -> None:
-    """Algorithm 2 against the cached store: rebuild, fold, aggregate, emit.
-
-    Rebuilds element ``key`` from the cached payload store and folds every
-    ``(partners, results)`` column pair into it; duplicate pairs still
-    raise through :meth:`Element.add_results` (the exactly-once guarantee).
-
-    An aggregator may declare ``needs_payload = False`` (e.g.
-    :class:`~repro.core.aggregate.ReduceAggregator`, a pure fold over
-    result values): the payload lookup is then skipped and the output
-    elements are payload-free — the aggregate phase never touches the
-    cached store at all.
-    """
-    aggregator: Aggregator = context.config["aggregator"]
-    if getattr(aggregator, "needs_payload", True):
-        element = Element(key, context.cache_file("dataset")[key])
-    else:
-        element = Element(key)
-    for partners, results in columns:
-        element.add_results(partners, results)
-    context.emit(key, aggregator([element]))
-
-
 class CachedAggregateReducer(Reducer):
-    """Algorithm 2's reduce for the cached variant: fuse partial maps."""
+    """Algorithm 2's reduce over partial result maps: rebuild, fold, aggregate.
+
+    Rebuilds element ``key`` — from the cached payload store, or
+    payload-free under ``config["results_only"]``, when the aggregate
+    phase never touches the store at all — and folds every partial map
+    into it; duplicate pairs still raise through
+    :meth:`Element.add_results` (the exactly-once guarantee).
+    """
 
     def reduce(self, key: int, values: Any, context: Context) -> None:
-        partials = filter(None, values)  # pruned joins leave most partial maps empty
-        _aggregate_from_store(key, ((p.keys(), p.values()) for p in partials), context)
+        aggregator: Aggregator = context.config["aggregator"]
+        if context.config.get("results_only", False):
+            element = Element(key)
+        else:
+            element = Element(key, context.cache_file("dataset")[key])
+        for partial in filter(None, values):  # pruned joins leave most partial maps empty
+            element.add_results(partial.keys(), partial.values())
+        context.emit(key, aggregator([element]))
 
 
 class BroadcastPairMapper(Mapper):
     """One-job broadcast map: evaluate a task's label chunk from the cache.
 
     Input records are ``(task_id, None)`` descriptors; the dataset comes
-    from the distributed cache as ``{eid: payload}``.  Emits partial
-    results keyed by element id — both orientations, like addResult.
+    from the distributed cache as ``{eid: payload}``.  Emits one partial
+    result map per element with results in the task — both orientations,
+    like addResult; the wire format of :class:`CachedComputeReducer`.
     """
 
     def map(self, key: int, value: Any, context: Context) -> None:
         scheme: BroadcastScheme = context.config["scheme"]
         payloads: Mapping[int, Any] = context.cache_file("dataset")
         for eid, partners, results in _compute_block(scheme.get_pairs(key), payloads, context):
-            for record in zip(partners, results):
-                context.emit(eid, record)
-
-
-class BroadcastAggregateReducer(Reducer):
-    """One-job broadcast reduce: fuse an element's ``(partner, result)`` records."""
-
-    def reduce(self, key: int, values: Any, context: Context) -> None:
-        _aggregate_from_store(key, [tuple(zip(*values))], context)
+            context.emit(eid, dict(zip(partners, results)))
 
 
 def _reject_engine_knobs(engine: Engine | None, *knobs: Any) -> None:
@@ -429,7 +425,7 @@ _CACHED_PLAN = _Plan(
     "ids",
 )
 _ONE_JOB_PLAN = _Plan(
-    (("pairwise-broadcast", BroadcastPairMapper, BroadcastAggregateReducer),),
+    (("pairwise-broadcast", BroadcastPairMapper, CachedAggregateReducer),),
     "tasks",
 )
 
@@ -651,9 +647,8 @@ class PairwiseComputation:
         Built driver-side exactly once per run and shipped through the
         distributed cache / job config, so every task attempt — retries
         and speculative launches included — prunes against the same
-        frozen state.  The suite joins the job's cache dict in place: when
-        that dict is the payload store shared by every job of the plan, it
-        stays one broadcast / shm segment.
+        frozen state.  The suite joins the job's cache dict in place, so
+        beside a payload store it stays one broadcast / shm segment.
         """
         if self.pruning != "sketch":
             return
@@ -694,12 +689,14 @@ class PairwiseComputation:
         no stats object) and emits a
         :class:`~repro.mapreduce.controlplane.events.ReplicationMeasured`
         event on the engine's bus, which the JSONL trace sink serializes
-        like every other event.  ``legs`` is how many shuffle legs the
-        executed path has (2 for the two-job pipelines, 1 for the one-job
-        broadcast form); the byte floor scales with it.  Cached runs
-        shuffle ids instead of payloads, so their ``shuffle_bytes_vs_bound``
-        dropping far below 1.0 is the meter showing the cache optimization
-        beating the naive payload-shuffle floor.
+        like every other event.  ``legs`` is how many shuffle legs of the
+        executed path the byte floor prices: the ones that carry payloads
+        on the shuffle plan (1 when results come home payload-free, else
+        2), every leg of a cached plan (2, or 1 for the one-job form).
+        Cached runs shuffle ids instead of payloads, so their
+        ``shuffle_bytes_vs_bound`` dropping far below 1.0 is the meter
+        showing the cache optimization beating the naive payload-shuffle
+        floor.
         """
         report_hook = getattr(self.scheme, "replication_report", None)
         if report_hook is None:
@@ -806,11 +803,18 @@ class PairwiseComputation:
         """
         elements = self._as_elements(dataset)
         payloads = {element.eid: element.payload for element in elements}
-        config = self._job_config()
+        # An aggregator that never reads payloads gets none: the compute
+        # phase emits results only and the payloads are re-attached below.
+        results_only = not getattr(self.aggregator, "needs_payload", True)
+        config = {**self._job_config(), "results_only": results_only}
+        on_shuffle = plan.inputs == "elements"
         # Jobs that read the payload store share one cache dict → one
-        # broadcast / shm segment per run, not one per job.
-        store = None if plan.inputs == "elements" else {"dataset": payloads}
-        jobs = [self._job(stage, config, store) for stage in plan.stages]
+        # broadcast / shm segment; under results_only only the compute job reads it.
+        store = None if on_shuffle else {"dataset": payloads}
+        jobs = [
+            self._job(stage, config, None if results_only and index else store)
+            for index, stage in enumerate(plan.stages)
+        ]
         self._attach_pruning(jobs[0], payloads)
         if plan.inputs == "tasks":
             # One input record per task; one split per task mirrors Hadoop's
@@ -819,14 +823,15 @@ class PairwiseComputation:
             num_map_tasks = self.scheme.num_tasks
         else:
             input_records = [
-                (element.eid, None if store else element) for element in elements
+                (element.eid, element if on_shuffle else None) for element in elements
             ]
         result = Pipeline(jobs, engine=self.engine).run(
             input_records,
             num_map_tasks=num_map_tasks,
             fuse=False if return_result else None,
         )
-        self._meter_replication(result.counters, elements, legs=len(jobs))
+        payload_legs = 1 if on_shuffle and results_only else len(jobs)
+        self._meter_replication(result.counters, elements, legs=payload_legs)
         merged = dict(result.records)
         for element in elements:
             # An element whose every pair was pruned is emitted by no map
@@ -834,6 +839,8 @@ class PairwiseComputation:
             # element that received no copies.
             if element.eid not in merged:
                 merged[element.eid] = self.aggregator([element.copy_without_results()])
+            elif results_only:
+                merged[element.eid].payload = element.payload
         if not return_result:
             return merged
         return merged, (result if len(jobs) > 1 else result.stages[0])

@@ -2,11 +2,13 @@
 
 :func:`auto_pairwise` glues the pieces a user would otherwise assemble by
 hand: estimate the element size, let :func:`repro.core.chooser.choose_scheme`
-pick the scheme the paper's analysis recommends for the environment, and
-run it — through the two-job pipeline for flat schemes or round-by-round
-for a hierarchical schedule.  Returns the merged elements together with
-the :class:`~repro.core.chooser.SchemeChoice` so callers can log the
-decision trail.
+pick the scheme the paper's analysis recommends for the environment and
+the payload route it prices cheapest, and run it — a flat scheme through
+the plan its :attr:`~repro.core.chooser.SchemeChoice.routing` names
+(one-job broadcast, cached, or the two-job shuffle pipeline), a
+hierarchical schedule round by round.  Returns the merged elements
+together with the :class:`~repro.core.chooser.SchemeChoice` so callers
+can log the decision trail.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Any, Callable, Sequence
 
 from .._util import GB, MB, TB, ceil_div
 from ..mapreduce.serialization import estimate_element_size
-from .chooser import SchemeChoice, choose_scheme
+from .chooser import SchemeChoice, choose_scheme, route_payloads
 from .element import Element
 from .hierarchical import HierarchicalBlockScheme, run_rounds, run_rounds_mr
 from .pairwise import PairwiseComputation, _reject_engine_knobs
@@ -30,15 +32,18 @@ def _forced_choice(
     maxws: int,
     num_nodes: int,
 ) -> SchemeChoice:
-    """Build the SchemeChoice for an explicit ``scheme=`` override."""
+    """Build the (routed) SchemeChoice for an explicit ``scheme=`` override."""
+
+    def routed(built: DistributionScheme, note: str = "") -> SchemeChoice:
+        choice = SchemeChoice(built, [f"scheme forced by caller: {built.describe()}{note}"])
+        return route_payloads(choice, element_size, maxws=maxws, num_nodes=num_nodes)
+
     if isinstance(scheme, DistributionScheme):
         if scheme.v != v:
             raise ValueError(
                 f"supplied scheme is for v={scheme.v}, dataset has {v} elements"
             )
-        return SchemeChoice(
-            scheme, [f"scheme forced by caller: {scheme.describe()}"]
-        )
+        return routed(scheme)
     name = str(scheme)
     if name == "broadcast":
         from .broadcast import BroadcastScheme
@@ -62,10 +67,11 @@ def _forced_choice(
             f"unknown scheme family {name!r}: expected broadcast/block/"
             "design/quorum, or a DistributionScheme instance"
         )
-    return SchemeChoice(
-        built,
-        [f"scheme forced by caller: {built.describe()} (feasibility checks skipped)"],
-    )
+    return routed(built, " (feasibility checks skipped)")
+
+
+#: ``SchemeChoice.routing`` → the :class:`PairwiseComputation` preset that runs it
+_PRESETS = {"one-job": "run_broadcast_job", "cache": "run_cached", "shuffle": "run"}
 
 
 def auto_pairwise(
@@ -103,7 +109,9 @@ def auto_pairwise(
     :class:`~repro.core.scheme.DistributionScheme` instance (e.g. a
     skew-aware ``QuorumScheme(v, element_sizes=...)``) to use it as-is.
     Forced schemes skip the maxws/maxis feasibility analysis — the
-    rationale records that.
+    rationale records that.  Chosen or forced, a flat scheme runs on the
+    payload route :func:`~repro.core.chooser.route_payloads` prices for
+    it (``choice.routing``; the rationale's last line).
 
     ``auto_engine=True`` (flat schemes, ``engine=None``) sizes the engine
     too, through the :func:`repro.mapreduce.runtime.choose_engine`
@@ -198,7 +206,7 @@ def auto_pairwise(
                 exact_fallback=exact_fallback,
                 sketch_params=sketch_params,
             )
-            merged = computation.run(list(dataset))
+            merged = getattr(computation, _PRESETS[choice.routing])(list(dataset))
         finally:
             if owned_engine is not None:
                 owned_engine.close()

@@ -149,28 +149,47 @@ def declared_size(obj: Any) -> int | None:
     return None
 
 
-@lru_cache(maxsize=65536)
-def _pickled_size_of_hashable(obj: Any) -> int:
-    """Memoized pickled size for hashable objects.
+def _pickle_facts(obj: Any) -> tuple[int, bool]:
+    """Pickled size of ``obj``, and whether a :class:`SizedPayload` may sit inside.
 
-    Shuffle accounting calls :func:`record_size` once per record per phase;
-    real workloads emit the same key/payload *shapes* over and over (task
-    ids, element ids, repeated tuples), so the pickled size of a hashable
-    object is cached by value.  Unhashable objects (dicts, lists, most
-    mutable payloads) never reach this cache.
+    Pickle spells a class's name out where it first occurs, so finding
+    the name in the bytes is a necessary condition for a declaration
+    anywhere inside ``obj`` (by that class; a subclass is recognised only
+    if its own name contains ``SizedPayload``).  An Element-like object
+    declares through its payload alone (:func:`declared_size`), so one
+    around a plain payload is cleared without scanning the payload's bytes.
     """
-    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    subject = obj if isinstance(obj, (list, tuple, dict)) else getattr(obj, "payload", obj)
+    return len(data), _plain_size(subject) is None and b"SizedPayload" in data
 
 
-def _quick_size(obj: Any) -> int:
-    """Cheap size estimate for small plain objects (ids, floats, strings)."""
-    if obj is None:
+#: Memoized :func:`_pickle_facts` for hashable objects.  Shuffle accounting
+#: calls :func:`record_size` once per record per phase; real workloads emit
+#: the same key/payload *shapes* over and over (task ids, element ids,
+#: repeated tuples), so the facts of a hashable object are cached by value.
+#: Unhashable objects (dicts, lists, most mutable payloads) never reach it.
+_hashable_pickle_facts = lru_cache(maxsize=65536)(_pickle_facts)
+
+
+def _measured(obj: Any) -> tuple[int, bool]:
+    """:func:`_pickle_facts`, memoized where possible; ``(64, True)`` when unpicklable."""
+    try:
+        return _hashable_pickle_facts(obj)
+    except TypeError:  # unhashable: measure directly, no memo
+        try:
+            return _pickle_facts(obj)
+        except Exception:
+            return 64, True
+    except Exception:
+        return 64, True
+
+
+def _plain_size(obj: Any) -> int | None:
+    """Cheap size of a childless plain object (id, float, string, array); else None."""
+    if obj is None or isinstance(obj, bool):
         return 1
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return 8
-    if isinstance(obj, float):
+    if isinstance(obj, (int, float)):
         return 8
     if isinstance(obj, (bytes, bytearray)):
         return len(obj)
@@ -179,15 +198,13 @@ def _quick_size(obj: Any) -> int:
     if isinstance(obj, np.ndarray):
         # Raw buffer + metadata, without pickling the array to count it.
         return int(obj.nbytes) + _NDARRAY_OVERHEAD
-    try:
-        return _pickled_size_of_hashable(obj)
-    except TypeError:  # unhashable: measure directly, no memo
-        try:
-            return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-        except Exception:
-            return 64
-    except Exception:
-        return 64
+    return None
+
+
+def _quick_size(obj: Any) -> int:
+    """Size estimate of one object: cheap for plain ones, pickled otherwise."""
+    size = _plain_size(obj)
+    return _measured(obj)[0] if size is None else size
 
 
 def record_size(key: Any, value: Any) -> int:
@@ -196,10 +213,17 @@ def record_size(key: Any, value: Any) -> int:
     Declared sizes (SizedPayload trees) win; otherwise the pickled size is
     measured.  This is the quantity behind the engine's SHUFFLE_BYTES and
     MAP_OUTPUT_BYTES counters.
+
+    The value is pickled once; :func:`declared_size` walks it entry by
+    entry only when the bytes say a declaration may be inside.
     """
-    value_size = declared_size(value)
+    value_size = _plain_size(value)
     if value_size is None:
-        value_size = _quick_size(value)
+        value_size, may_declare = _measured(value)
+        if may_declare:
+            declared = declared_size(value)
+            if declared is not None:
+                value_size = declared
     return _quick_size(key) + value_size
 
 

@@ -268,6 +268,12 @@ def attach_object(ref: SegmentRef) -> Any:
     return obj
 
 
+def detach_object(ref: SegmentRef) -> None:
+    """Forget ``ref``'s attachment, if any: the job that brought it was released."""
+    if ref.name in _ATTACHED:
+        _drop_attachment(ref.name)
+
+
 def detach_all() -> None:
     """Drop every cached attachment (test hook; workers rely on the cap)."""
     for name in list(_ATTACHED):

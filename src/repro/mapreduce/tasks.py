@@ -15,7 +15,10 @@ pickled *once per job* to a broadcast file; each pool worker loads and
 caches it on first touch (once per worker, like Hadoop's
 DistributedCache localization).  Task specs carry a tiny :class:`JobRef`
 instead of the job, which is what keeps per-task pickling proportional
-to the records alone.
+to the records alone.  A worker keeps a loaded job — cache included —
+only while the driver does: loading a new job first drops every
+registry entry whose broadcast file the driver has unlinked, so the
+payload stores resident in a worker are bounded by the jobs in flight.
 
 **Attempt semantics.**  Every execution runs under the control plane's
 :func:`~repro.mapreduce.controlplane.attempts.run_attempt_loop` —
@@ -57,7 +60,7 @@ from .serialization import (
     record_size,
     set_spill_verification,
 )
-from .shm import attach_object
+from .shm import attach_object, detach_object
 from .shuffle import iter_spill_records, partition_with_sizes, sort_and_group
 from .spill import spill_partitions
 
@@ -173,8 +176,9 @@ class FusedOutput:
 
 
 # -- worker-side job registry -------------------------------------------------
-#: jobs this worker has loaded from broadcast files, keyed by JobRef.uid
-_WORKER_JOBS: dict[str, Job] = {}
+#: jobs this worker has loaded from broadcast files, keyed by JobRef.uid,
+#: each with the ref it was loaded through
+_WORKER_JOBS: dict[str, tuple[JobRef, Job]] = {}
 _WORKER_JOB_CAP = 8
 
 #: True inside pool worker processes (set by the initializer).  Injected
@@ -212,19 +216,40 @@ def resolve_job(handle: Any) -> tuple[Job, dict]:
     """
     if isinstance(handle, Job):
         return handle, {"pid": os.getpid(), "loaded": False}
-    job = _WORKER_JOBS.get(handle.uid)
-    if job is not None:
-        return job, {"pid": os.getpid(), "loaded": False}
+    entry = _WORKER_JOBS.get(handle.uid)
+    if entry is not None:
+        return entry[1], {"pid": os.getpid(), "loaded": False}
+    _forget_released_jobs()  # before the load: never two stores where one will do
     with open(handle.path, "rb") as fh:
         data = fh.read()
     io_meter.bytes_copied += len(data)
     job = pickle.loads(data)
     if handle.cache_ref is not None:
         job.cache = attach_object(handle.cache_ref)
-    _WORKER_JOBS[handle.uid] = job
-    while len(_WORKER_JOBS) > _WORKER_JOB_CAP:
-        _WORKER_JOBS.pop(next(iter(_WORKER_JOBS)))
+    _WORKER_JOBS[handle.uid] = (handle, job)
     return job, {"pid": os.getpid(), "loaded": True}
+
+
+def _forget_released_jobs() -> None:
+    """Make room for one more job: drop what the driver released, then the oldest.
+
+    The driver unlinks a job's broadcast file when it releases the job
+    (``_release_job``), so a registry entry whose file is gone can never
+    be asked for again — except by a late speculative loser, whose
+    result nobody reads.  The cap only bounds what is genuinely in
+    flight (a long fused chain).
+    """
+
+    def forget(uid: str) -> None:
+        ref, _job = _WORKER_JOBS.pop(uid)
+        if ref.cache_ref is not None:
+            detach_object(ref.cache_ref)
+
+    for uid, (ref, _job) in list(_WORKER_JOBS.items()):
+        if not os.path.exists(ref.path):
+            forget(uid)
+    while len(_WORKER_JOBS) >= _WORKER_JOB_CAP:
+        forget(next(iter(_WORKER_JOBS)))
 
 
 def _with_io_delta(info: dict, mark: tuple[int, int]) -> dict:

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro._util import GB, KB, MB, TB
+from repro._util import GB, KB, KIB, MB, TB, format_bytes
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
-from repro.core.chooser import InfeasibleWorkloadError, choose_scheme
+from repro.core.chooser import ROUTINGS, InfeasibleWorkloadError, choose_scheme
 from repro.core.cost_model import block_h_bounds
 from repro.core.design import DesignScheme
 from repro.core.hierarchical import HierarchicalBlockScheme
+from repro.core.runner import _forced_choice
 
 LIMITS = dict(maxws=200 * MB, maxis=1 * TB)
 
@@ -74,6 +75,60 @@ class TestDecisions:
         choice = choose_scheme(50_000, 100 * KB, **LIMITS)
         text = choice.explain()
         assert "block" in text and "maxws" in text
+
+
+class TestRouting:
+    """Payload routing: one rule, applied to chosen and forced schemes alike."""
+
+    @staticmethod
+    def forced(v, scheme, element_size, *, maxws=200 * MB, num_nodes=8):
+        return _forced_choice(
+            v, scheme, element_size=element_size, maxws=maxws, num_nodes=num_nodes
+        )
+
+    def test_chosen_broadcast_runs_as_one_job(self):
+        choice = choose_scheme(1000, 50 * KB, **LIMITS)
+        assert isinstance(choice.scheme, BroadcastScheme)
+        assert choice.routing == "one-job"
+
+    def test_replication_above_node_count_rides_the_cache(self):
+        # 273 x 128 KiB under the perfect-difference-set quorum: 17 replicas
+        # of every element vs 8 store localisations.
+        choice = self.forced(273, "quorum", 128 * KIB)
+        assert choice.scheme.metrics().replication_factor == 17
+        assert choice.routing == "cache"
+
+    def test_replication_below_node_count_rides_the_shuffle(self):
+        choice = self.forced(300, BlockScheme(300, 3), 10 * KB)
+        assert choice.routing == "shuffle"
+
+    @pytest.mark.parametrize("scheme", ["broadcast", "quorum", "design", "block"])
+    def test_store_beyond_a_task_slot_always_shuffles(self, scheme):
+        choice = self.forced(273, scheme, 1 * MB)  # v·s = 273 MB > maxws
+        assert choice.routing == "shuffle"
+        assert "> maxws" in choice.rationale[-1]
+
+    def test_hierarchical_is_not_routed(self):
+        choice = choose_scheme(5_000, 10 * MB, **LIMITS)
+        assert choice.is_hierarchical
+        assert choice.routing == "shuffle"  # the default, untouched
+        assert "routing" not in choice.explain()
+
+    def test_rationale_names_route_and_both_byte_totals(self):
+        store = 273 * 128 * KIB
+        choice = self.forced(273, "quorum", 128 * KIB)
+        line = choice.rationale[-1]
+        assert line.startswith("routing: cache")
+        # r·v·s through the shuffle, n·v·s via the cache
+        assert f"shuffle {format_bytes(17 * store)}" in line
+        assert f"cache {format_bytes(8 * store)}" in line
+        assert choice.explain().endswith(line)
+
+    def test_every_flat_choice_is_routed(self):
+        for v, s in [(500, 100 * KB), (20_000, 200 * KB), (2_500, 1 * MB)]:
+            choice = choose_scheme(v, s, **LIMITS)
+            assert choice.routing in ROUTINGS
+            assert choice.rationale[-1].startswith(f"routing: {choice.routing}")
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ from repro.core.fileflow import (
     write_element_files,
 )
 from repro.core.pairwise import PairwiseComputation, brute_force_results
+from repro.mapreduce.textio import read_records
 
 from ..conftest import abs_diff
 
@@ -46,6 +47,18 @@ class TestEndToEnd:
         elements = load_elements(out_paths)
         assert results_matrix(elements) == brute_force_results(dataset, abs_diff)
         assert report.output_records == 20
+
+    def test_files_carry_payloads_at_every_stage(self, tmp_path, dataset):
+        """build_jobs() chains through files: nobody re-attaches payloads there,
+        so the elements written between and after the jobs must hold them."""
+        paths = write_element_files(tmp_path / "in", dataset, files=4)
+        computation = PairwiseComputation(BlockScheme(20, 4), abs_diff)
+        out_paths, _report = run_pairwise_on_files(computation, paths, tmp_path / "work")
+        inter_paths = sorted((tmp_path / "work" / "intermediate").glob("part-r-*.jsonl"))
+        for stage in (inter_paths, out_paths):
+            records = [record for path in stage for record in read_records(path)]
+            assert records
+            assert all(element.payload == dataset[eid - 1] for eid, element in records)
 
     def test_intermediate_measures_replication(self, tmp_path, dataset):
         """Table 1: job-1 output holds exactly v·h element copies."""

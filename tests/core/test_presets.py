@@ -3,7 +3,12 @@
 Every preset must return what ``run_local`` — the scalar in-process
 reference — returns, for every scheme family the preset allows, both
 orientations, pruning off and on, on the serial engine and on a pool.
+``auto_pairwise`` picks the preset from the chooser's payload routing; each
+routing outcome is held to the same reference, and to handing back the
+caller's own payload objects.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from repro.apps.dbscan import euclidean_distance
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
-from repro.core.element import Element
+from repro.core.element import Element, merge_copies
 from repro.core.pairwise import (
     EVALUATIONS,
     PAIRS_PRUNED,
@@ -22,6 +27,8 @@ from repro.core.pairwise import (
     PairwiseComputation,
 )
 from repro.core.quorum import QuorumScheme
+from repro.core.runner import auto_pairwise
+from repro.mapreduce.controlplane.events import PhaseMarker, ReplicationMeasured
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
@@ -91,6 +98,7 @@ def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, 
     merged, result = getattr(runner, path)(data, **{flag: True})
     assert sorted(merged) == list(range(1, V + 1))
     assert result_maps(merged) == result_maps(runner.run_local(data))
+    assert all(merged[eid].payload is data[eid - 1] for eid in merged)
     if symmetric:
         evaluations = result.counters.get(PAIRWISE_GROUP, EVALUATIONS)
         pruned = result.counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)
@@ -105,6 +113,86 @@ def test_fully_pruned_element_is_still_returned(path):
     assert sorted(merged) == list(range(1, V + 1))
     assert merged[V].results == {}
     assert merged[V].payload == (1000.0, 1000.0)
+
+
+# -- auto_pairwise: the chooser's routing picks the preset ---------------------
+
+#: routing outcome -> (auto_pairwise arguments that produce it, the MR jobs it runs)
+ROUTES = {
+    # the chooser's own pick at this size: broadcast, store in the cache, one job
+    "one-job": ({}, ["pairwise-broadcast"]),
+    # a difference cover of Z_20 replicates 6-fold; two nodes localise the store twice
+    "cache": (
+        {"scheme": "quorum", "num_nodes": 2},
+        ["pairwise-distribute-compute-cached", "pairwise-aggregate-cached"],
+    ),
+    # three replicas against eight localisations
+    "shuffle": (
+        {"scheme": BlockScheme(V, 3)},
+        ["pairwise-distribute-compute", "pairwise-aggregate"],
+    ),
+}
+
+
+@contextmanager
+def watching(engine):
+    """The engine's events while the block runs."""
+    seen = []
+    engine.events.subscribe(seen.append)
+    try:
+        yield seen
+    finally:
+        engine.events.unsubscribe(seen.append)
+
+
+def jobs_run(events):
+    return list(dict.fromkeys(e.job for e in events if isinstance(e, PhaseMarker)))
+
+
+@pytest.mark.parametrize("engine", ["serial", "pool"])
+@pytest.mark.parametrize("symmetric,pruning", MODES)
+@pytest.mark.parametrize("routing", sorted(ROUTES))
+def test_auto_pairwise_runs_the_priced_route(routing, symmetric, pruning, engine, engines):
+    arguments, expected_jobs = ROUTES[routing]
+    data = points()
+    comp = euclidean_distance if symmetric else signed_gap
+    objective = {"threshold": THRESHOLD, "pruning": "sketch"} if pruning == "sketch" else {}
+    with watching(engines[engine]) as events:
+        merged, choice = auto_pairwise(
+            data, comp, engine=engines[engine], symmetric=symmetric, **objective, **arguments
+        )
+    assert choice.routing == routing
+    assert jobs_run(events) == expected_jobs
+    assert sum(isinstance(e, ReplicationMeasured) for e in events) == 1
+    reference = PairwiseComputation(choice.scheme, comp, symmetric=symmetric, **objective)
+    assert sorted(merged) == list(range(1, V + 1))
+    assert result_maps(merged) == result_maps(reference.run_local(data))
+    assert all(merged[eid].payload is data[eid - 1] for eid in merged)
+
+
+class PayloadCountingAggregator:
+    """Reads ``copies[0].payload``, and says so."""
+
+    needs_payload = True
+
+    def __call__(self, copies):
+        merged = merge_copies(copies)
+        merged.results = {0: (copies[0].payload, len(merged.results))}
+        return merged
+
+
+@pytest.mark.parametrize("engine", ["serial", "pool"])
+@pytest.mark.parametrize("routing", sorted(ROUTES))
+def test_aggregator_that_reads_payloads_gets_them_on_every_route(routing, engine, engines):
+    data = points()
+    merged, choice = auto_pairwise(
+        data, euclidean_distance, engine=engines[engine],
+        aggregator=PayloadCountingAggregator(), **ROUTES[routing][0],
+    )
+    assert choice.routing == routing
+    assert {eid: element.results[0] for eid, element in merged.items()} == {
+        eid: (data[eid - 1], V - 1) for eid in range(1, V + 1)
+    }
 
 
 @pytest.mark.parametrize(

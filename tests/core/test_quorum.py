@@ -10,6 +10,7 @@ engine parity against broadcast, and the chooser crossover.
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from repro.core.runner import auto_pairwise
 from repro.core.validate import balance_report, check_exactly_once
 from repro.designs.difference_covers import difference_cover
 from repro.mapreduce import MultiprocessEngine, SerialEngine
+from repro.mapreduce.serialization import estimate_element_size
 
 
 def closed_form_coverage_ok(scheme: QuorumScheme) -> bool:
@@ -224,6 +226,11 @@ V = 18
 DATA = [float(i * i % 37) for i in range(V)]
 
 
+def first_entry_gap(a, b):
+    """Symmetric pair function over ndarray rows."""
+    return abs(float(a[0] - b[0]))
+
+
 def abs_diff(a, b):
     return abs(a - b)
 
@@ -297,6 +304,34 @@ class TestMetering:
         assert event["scheme"] == "quorum"
         assert event["v"] == V
         assert event["replication_achieved"] >= event["replication_lower_bound"]
+
+    @pytest.mark.parametrize("needs_payload", [False, True])
+    def test_byte_floor_prices_the_legs_that_carry_payloads(self, needs_payload):
+        """A scheme on the replication bound must never read as beating the floor.
+
+        v = 13 is a perfect difference set (achieved == bound).  With a
+        payload-free leg 2 the floor is one leg of replicas, not two — priced
+        per job it would read ≈ 0.5.
+        """
+        from repro.core.aggregate import ConcatAggregator
+        from repro.mapreduce.controlplane.events import ReplicationMeasured
+
+        aggregator = ConcatAggregator()
+        aggregator.needs_payload = needs_payload
+        rows = [np.full(512, float(i)) for i in range(13)]
+        engine = SerialEngine()
+        measured = []
+        engine.events.subscribe(
+            lambda event: isinstance(event, ReplicationMeasured) and measured.append(event)
+        )
+        PairwiseComputation(
+            QuorumScheme(13), first_entry_gap, engine=engine, aggregator=aggregator
+        ).run(rows)
+        (event,) = measured
+        assert event.optimality_ratio == pytest.approx(1.0)
+        legs = 2 if needs_payload else 1
+        assert event.shuffle_bytes_floor == legs * 4 * 13 * estimate_element_size(rows)
+        assert 1.0 <= event.shuffle_bytes_vs_bound < 1.2
 
     def test_serial_engine_safe_no_stats(self):
         # SerialEngine has no .stats; the meter must not crash.

@@ -10,7 +10,9 @@ The loop is kept here as the reference: on any block the bulk path must
 leave every element with the same result map, filled in the same order,
 and must fail on the same blocks with the same exception type.  The parity
 test pins all three MR paths' records and counters to values recorded on
-the commit before the bulk path existed.
+the commit before the bulk path existed — except the bytes and the one-job
+record count, re-recorded once when payloads stopped riding leg 2 and the
+one-job map started emitting partial maps (see ``PARENT``).
 """
 
 import hashlib
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
-from repro.core.element import DuplicatePairError, Element
+from repro.core.element import DuplicatePairError, Element, merge_copies
 from repro.core.pairwise import PairwiseComputation, scatter_results
 from repro.kernels import pair_index_array
 from repro.mapreduce.runtime import SerialEngine
@@ -154,23 +156,34 @@ def _counters(records, groups, shuffle_bytes, attempts, **pairwise):
     }
 
 
+#: ``run``'s bytes with payloads still on leg 2 — what the row read before
+#: results came home payload-free, and what an aggregator that may read
+#: payloads still costs (``test_unknown_aggregator_keeps_payloads_on_leg_two``)
+RUN_BYTES_WITH_PAYLOADS = 36390
+
 PARENT = {
     "run": _counters(
-        (120, 180, 120), 36, 36390, 4,
+        (120, 180, 120), 36, 31350, 4,
         max_working_set_bytes=2960, max_working_set_records=20, replicas_emitted=90,
     ),
     "run_cached": _counters(
         (120, 180, 120), 36, 13170, 4,
         max_working_set_bytes=1540, max_working_set_records=20, replicas_emitted=90,
     ),
-    "run_broadcast_job": _counters((4, 870, 30), 30, 28710, 5),
+    # one {partner: result} map per element per task; 870 (partner, result)
+    # records and 28 710 bytes before
+    "run_broadcast_job": _counters((4, 95, 30), 30, 11850, 5),
 }
+
+
+def golden_data():
+    rng = random.Random(1234)
+    return [tuple(rng.randrange(-64, 65) / 64 for _ in range(6)) for _ in range(30)]
 
 
 @pytest.mark.parametrize("path", sorted(PARENT))
 def test_records_and_counters_identical_to_parent(path):
-    rng = random.Random(1234)
-    data = [tuple(rng.randrange(-64, 65) / 64 for _ in range(6)) for _ in range(30)]
+    data = golden_data()
     scheme = BroadcastScheme(30, 4) if path == "run_broadcast_job" else BlockScheme(30, 3)
     computation = PairwiseComputation(scheme, exact_dot, engine=SerialEngine())
     flag = "return_result" if path == "run_broadcast_job" else "return_pipeline"
@@ -180,3 +193,21 @@ def test_records_and_counters_identical_to_parent(path):
     # Pickle-size identity: Python ints and floats, never numpy scalars.
     for element in merged.values():
         assert all(type(p) is int and type(r) is float for p, r in element.results.items())
+
+
+def plain_concat(copies):
+    """An aggregator without a ``needs_payload`` declaration: may read payloads."""
+    assert all(copy.payload is not None for copy in copies)
+    return merge_copies(copies)
+
+
+def test_unknown_aggregator_keeps_payloads_on_leg_two():
+    """No declaration, no stripping: the bytes ``run`` moved before payload routing."""
+    computation = PairwiseComputation(
+        BlockScheme(30, 3), exact_dot, engine=SerialEngine(), aggregator=plain_concat
+    )
+    merged, result = computation.run(golden_data(), return_pipeline=True)
+    assert _digest(merged) == RECORDS_DIGEST
+    expected = {**PARENT["run"]["framework"]}
+    expected["map_output_bytes"] = expected["shuffle_bytes"] = RUN_BYTES_WITH_PAYLOADS
+    assert result.counters.as_dict() == {**PARENT["run"], "framework": expected}

@@ -17,6 +17,7 @@ from repro.mapreduce.runtime import (
     SerialEngine,
 )
 from repro.mapreduce.serialization import SizedPayload
+from repro.mapreduce.shm import shm_available
 
 
 class WordSplitMapper(Mapper):
@@ -136,6 +137,39 @@ class TestBroadcastOncePerWorker:
             assert stats.broadcast_bytes >= 200_000
             assert stats.broadcast_bytes < 2 * 200_000
             assert stats.spec_bytes < 200_000
+
+
+class ResidentJobsMapper(Mapper):
+    """Probe: how many jobs (and shm attachments) this worker still holds."""
+
+    def map(self, key, value, context):
+        from repro.mapreduce import shm, tasks
+
+        context.emit(len(tasks._WORKER_JOBS), len(shm._ATTACHED))
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [
+        "default",
+        pytest.param(
+            "shm",
+            marks=[
+                pytest.mark.shm,
+                pytest.mark.skipif(not shm_available(), reason="POSIX shared memory unavailable"),
+            ],
+        ),
+    ],
+)
+def test_workers_let_go_of_released_jobs(plane):
+    """Resident stores are bounded by the jobs in flight, not by a cap of 8."""
+    with MultiprocessEngine(max_workers=2, data_plane=plane) as engine:
+        for index in range(10):
+            job = wordcount_job(name=f"cached-{index}", cache={"blob": list(range(1000))})
+            engine.run(job, records_from(LINES), num_map_tasks=4)
+        probe = Job(name="probe", mapper=ResidentJobsMapper, reducer=None)
+        resident = engine.run(probe, records_from(LINES), num_map_tasks=4).records
+    assert resident and all(jobs <= 2 and segments <= 2 for jobs, segments in resident)
 
 
 class TestStreamingShuffleAccounting:

@@ -1,11 +1,15 @@
 """Serialization and byte-accounting tests."""
 
 import pickle
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.element import Element
+from repro.mapreduce import serialization
 from repro.mapreduce.serialization import (
     _BUFFER_MAGIC,
     NumpyBufferCodec,
@@ -64,6 +68,150 @@ class TestRecordSize:
 
     def test_bytes_value(self):
         assert record_size(0, b"12345") == 8 + 5
+
+
+# -- record_size vs the walk-first implementation it replaced ------------------
+# The reference below is that implementation, verbatim: walk the value for
+# declarations first, pickle it for its size afterwards.
+
+
+def walk_first_declared_size(obj):
+    if isinstance(obj, SizedPayload):
+        return obj.size_bytes
+    if isinstance(obj, (list, tuple)):
+        total = 0
+        found = False
+        for item in obj:
+            child = walk_first_declared_size(item)
+            if child is not None:
+                found = True
+                total += child
+            else:
+                total += walk_first_quick_size(item)
+        return total if found else None
+    if isinstance(obj, dict):
+        total = 0
+        found = False
+        for key, value in obj.items():
+            child = walk_first_declared_size(value)
+            if child is not None:
+                found = True
+                total += child + walk_first_quick_size(key)
+            else:
+                total += walk_first_quick_size(key) + walk_first_quick_size(value)
+        return total if found else None
+    if hasattr(obj, "payload"):
+        child = walk_first_declared_size(obj.payload)
+        if child is not None:
+            extra = 0
+            results = getattr(obj, "results", None)
+            if isinstance(results, dict):
+                extra = 16 * len(results)
+            return child + extra + 8
+    return None
+
+
+@lru_cache(maxsize=65536)
+def walk_first_pickled_size_of_hashable(obj):
+    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def walk_first_quick_size(obj):
+    if obj is None:
+        return 1
+    if isinstance(obj, bool):
+        return 1
+    if isinstance(obj, int):
+        return 8
+    if isinstance(obj, float):
+        return 8
+    if isinstance(obj, (bytes, bytearray)):
+        return len(obj)
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8", errors="replace"))
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes) + 128
+    try:
+        return walk_first_pickled_size_of_hashable(obj)
+    except TypeError:
+        try:
+            return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        except Exception:
+            return 64
+    except Exception:
+        return 64
+
+
+def walk_first_record_size(key, value):
+    value_size = walk_first_declared_size(value)
+    if value_size is None:
+        value_size = walk_first_quick_size(value)
+    return walk_first_quick_size(key) + value_size
+
+
+class Unpicklable:
+    """Hashable, but refuses to pickle; may still carry a declared payload."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def __reduce__(self):
+        raise pickle.PicklingError("not today")
+
+
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.just("SizedPayload"),  # spells the class without being one
+    st.binary(max_size=16),
+    st.builds(lambda n: np.arange(n, dtype=float), st.integers(0, 5)),
+    st.builds(SizedPayload, st.integers(0, 10**9), st.integers(0, 3)),
+)
+KEYS = st.one_of(st.integers(0, 50), st.text(max_size=5), st.tuples(st.integers(0, 9), st.integers(0, 9)))
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+        st.builds(
+            Element,
+            st.integers(1, 50),
+            children,
+            st.dictionaries(st.integers(1, 50), st.floats(allow_nan=False), max_size=3),
+        ),
+        st.builds(Unpicklable, children),
+    )
+
+
+TREES = st.recursive(LEAVES, containers, max_leaves=12)
+
+
+class TestRecordSizeEqualsWalkFirst:
+    @given(key=KEYS, value=TREES)
+    @settings(max_examples=400, deadline=None)
+    def test_same_size_on_any_tree(self, key, value):
+        # Both memoize hashables by value, so both start cold.
+        serialization._hashable_pickle_facts.cache_clear()
+        walk_first_pickled_size_of_hashable.cache_clear()
+        assert record_size(key, value) == walk_first_record_size(key, value)
+
+    def test_a_string_that_spells_the_class_declares_nothing(self):
+        value = {"kind": "SizedPayload", "weights": [0.5, 1.5]}
+        assert declared_size(value) is None
+        assert record_size(7, value) == 8 + len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def test_plain_container_is_not_walked(self, monkeypatch):
+        """The point of the change: no per-entry Python walk when nothing can be declared."""
+        monkeypatch.setattr(
+            serialization, "declared_size", lambda obj: pytest.fail("walked a plain container")
+        )
+        record_size(1, {"term": 0.5, "other": [1, 2, 3]})
+        record_size(1, Element(1, (0.5, 1.5), {2: 0.25}))
 
 
 class TestPickleCodec:

@@ -249,9 +249,11 @@ class TestEngineParity:
             assert shm_stage.counters.as_dict() == default_stage.counters.as_dict()
 
     def test_fused_chain_shares_one_segment(self):
-        # run_cached attaches the *same* cache dict to both jobs; the
-        # fused chain holds both handles concurrently, so the shm plane
-        # materializes exactly one segment for the whole pipeline.
+        # Only run_cached's compute job reads the payload store (results
+        # come home payload-free; with an aggregator that wants payloads
+        # both jobs attach the *same* cache dict, held concurrently by the
+        # fused chain), so the shm plane materializes exactly one segment
+        # for the whole pipeline.
         scheme = BlockScheme(V, 4)
         with MultiprocessEngine(max_workers=2, data_plane="shm") as engine:
             comp = PairwiseComputation(scheme, dot, engine=engine, num_reduce_tasks=3)

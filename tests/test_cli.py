@@ -77,6 +77,13 @@ class TestPlan:
         assert code == 0
         assert "BlockScheme" in capsys.readouterr().out
 
+    def test_prints_the_route_with_both_byte_totals(self, capsys):
+        assert main(["plan", "--v", "1000", "--element-size", "50KB", "--nodes", "8"]) == 0
+        out = capsys.readouterr().out
+        # 16 broadcast tasks replicate the 50 MB store 16-fold; 8 nodes localise it 8 times
+        assert "routing: one-job" in out
+        assert "shuffle 800MB, cache 400MB" in out
+
     def test_infeasible_exit_one(self, capsys):
         code = main(
             ["plan", "--v", "100", "--element-size", "10GB",

@@ -129,3 +129,15 @@ class TestPinnedSignatures:
         for part in name.split("."):
             target = getattr(target, part)
         assert tuple(inspect.signature(target).parameters) == self.PINNED[name]
+
+    def test_scheme_choice_fields(self):
+        """``routing`` is how callers learn which plan ``auto_pairwise`` ran."""
+        import dataclasses
+
+        from repro.core import SchemeChoice
+        from repro.core.chooser import ROUTINGS
+
+        fields = {field.name: field.default for field in dataclasses.fields(SchemeChoice)}
+        assert tuple(fields) == ("scheme", "rationale", "routing")
+        assert fields["routing"] == "shuffle"
+        assert ROUTINGS == ("one-job", "cache", "shuffle")

@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one benchmark workload, summarised per metric.
+
+    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W [--pairs 10] [--seed0 300]
+
+For pair i (seed ``seed0 + i``) runs ``benchmarks/e2e/run.py --workload W --seed S
+--seconds 10 --trace 0`` once in each checkout — the parent first on odd pairs, the
+change first on even ones — and reads the JSON on the run's last stdout line.  Prints,
+per end-to-end metric of the change's ``BENCHMARK.json``: both medians with quartiles,
+the relative change, and in how many pairs the change read better (ties count for
+neither).  A driver for the ruler, not a second benchmark: it measures nothing itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def measure(checkout: Path, workload: str, seed: int) -> dict:
+    """One ruler run in ``checkout``; returns its last-line JSON object."""
+    command = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", "10", "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0 or not done.stdout.strip():
+        sys.exit(f"{checkout}: run.py exited {done.returncode}\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> str:
+    """``median [q1, q3]`` (quartiles need four samples)."""
+    median = statistics.median(values)
+    if len(values) < 4:
+        return f"{median:.4g}"
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed0", type=int, default=300)
+    args = parser.parse_args()
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    sides = {"parent": args.parent, "change": args.change}
+    for pair in range(1, args.pairs + 1):
+        for side in ("parent", "change") if pair % 2 else ("change", "parent"):
+            runs[side].append(measure(sides[side], args.workload, args.seed0 + pair))
+        print(f"pair {pair}/{args.pairs} done", file=sys.stderr)
+
+    failed = {side: sum(run["failed"] for run in results) for side, results in runs.items()}
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed0 + 1}..{args.seed0 + args.pairs}; "
+          f"failed operations parent {failed['parent']}, change {failed['change']}")
+    print(f"{'metric':<22}{'parent median [q1, q3]':<34}{'change median [q1, q3]':<34}"
+          f"{'change':>9}  wins")
+    for metric in spec["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        parent = [run["metrics"][name]["value"] for run in runs["parent"]]
+        change = [run["metrics"][name]["value"] for run in runs["change"]]
+        wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+        base = statistics.median(parent)
+        relative = (statistics.median(change) - base) / base if base else float("nan")
+        print(f"{name:<22}{spread(parent):<34}{spread(change):<34}{relative:>+9.1%}  "
+              f"{wins}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
