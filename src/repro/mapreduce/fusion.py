@@ -1,4 +1,4 @@
-"""Fused job chaining: the reduce→map short-circuit for direct shuffles.
+"""Fused job chaining: when a reduce→map boundary may be short-circuited.
 
 When stage i's reduce feeds a stage i+1 whose map phase is
 identity-shaped (:func:`fusable`), stage i's reduce tasks partition
@@ -11,33 +11,16 @@ input/output records and bytes, shuffle volume) are synthesized from the
 manifest sums and equal the unfused values exactly; only attempt
 bookkeeping (``task_attempts``) differs, since no map attempts run.
 
-The driver-side half lives here; the worker-side half (partition + spill
-at source, triggered by ``ReduceTaskSpec.next_stage``) is in
-:mod:`repro.mapreduce.tasks`.  The entry point
-:func:`run_fused_chain` is engine-parameterized — it drives the pooled
-engine's phase machinery (``_map_phase``/``_reduce_phase``/job
-broadcast hooks) without importing :mod:`repro.mapreduce.runtime`.
+This module is the safety predicate's home and nothing else.  Whether an
+engine fuses at all is its ``_fuses`` hook and the driver side is the
+engine's one stage loop (both in :mod:`repro.mapreduce.runtime`); the
+worker side (partition + spill at source, triggered by
+``ReduceTaskSpec.next_stage``) is in :mod:`repro.mapreduce.tasks`.
 """
 
 from __future__ import annotations
 
-import pickle
-import time
-from typing import Any, Sequence
-
-from .controlplane import BytesMoved, SpillWritten
-from .counters import (
-    FRAMEWORK_GROUP,
-    MAP_INPUT_RECORDS,
-    MAP_OUTPUT_BYTES,
-    MAP_OUTPUT_RECORDS,
-    SHUFFLE_BYTES,
-    SHUFFLE_RECORDS,
-    Counters,
-)
-from .job import Job, JobResult, KeyValue, Mapper, TaskFailedError
-from .stats import ShuffleState
-from .tasks import JobRef, NextStage
+from .job import Job, Mapper
 
 
 def fusable(prev: Job, nxt: Job) -> bool:
@@ -88,162 +71,3 @@ def fusable(prev: Job, nxt: Job) -> bool:
         ):
             return False
     return True
-
-
-def gather_fused(
-    engine: Any,
-    reduce_outputs: list[Any],
-    num_partitions: int,
-    counters: Counters,
-) -> ShuffleState:
-    """Fold fused reduce manifests into the next stage's shuffle state."""
-    gathered: list[list] = [[] for _ in range(num_partitions)]
-    part_records = [0] * num_partitions
-    part_bytes = [0] * num_partitions
-    observing = engine._observing
-    for task, (fused, counter_dict, info) in enumerate(reduce_outputs):
-        counters.merge(Counters.from_dict(counter_dict))
-        engine._note_worker(info)
-        manifest_bytes = len(
-            pickle.dumps(fused.entries, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        engine.stats.driver_bytes += manifest_bytes
-        if observing:
-            engine._emit(
-                BytesMoved(
-                    time=time.monotonic(),
-                    channel="fused_manifest",
-                    num_bytes=manifest_bytes,
-                )
-            )
-        for partition, entry in enumerate(fused.entries):
-            if entry is not None:
-                gathered[partition].append(entry)
-                engine.stats.spill_files_written += 1
-                engine.stats.spill_bytes_written += entry[1]
-                if observing:
-                    engine._emit(
-                        SpillWritten(
-                            time=time.monotonic(),
-                            kind="fuse",
-                            task_index=task,
-                            partition=partition,
-                            num_bytes=entry[1],
-                        )
-                    )
-            part_records[partition] += fused.counts[partition]
-            part_bytes[partition] += fused.sizes[partition]
-    return ShuffleState(
-        mode="direct",
-        gathered=gathered,
-        part_records=part_records,
-        part_bytes=part_bytes,
-    )
-
-
-def run_fused_chain(
-    engine: Any,
-    jobs: Sequence[Job],
-    input_records: Sequence[KeyValue],
-    *,
-    num_map_tasks: int | None = None,
-) -> list[JobResult]:
-    """Run a job chain on ``engine``, fusing adjacent stages where safe.
-
-    The caller has already established the preconditions (direct shuffle
-    plane, ≥ 2 jobs, fusion not disabled); each adjacent pair is still
-    checked with :func:`fusable` and falls back to a plain staged run
-    when the pair doesn't qualify.
-    """
-    jobs = list(jobs)
-    results: list[JobResult] = []
-    records: Sequence[KeyValue] = input_records
-    handles: dict[int, JobRef] = {}
-
-    def handle_for(index: int) -> JobRef:
-        if index not in handles:
-            handles[index] = engine._job_handle(jobs[index])
-        return handles[index]
-
-    pending: ShuffleState | None = None  # spilled at source by stage i-1
-    try:
-        for index, job in enumerate(jobs):
-            try:
-                handle = handle_for(index)
-                num_partitions = job.num_reducers if job.reducer is not None else 0
-                counters = Counters()
-                num_splits = 0
-                if pending is not None:
-                    # Fused-in stage: its shuffle input is already on
-                    # disk.  Synthesize the elided identity map's
-                    # data-plane counters from the manifest sums so
-                    # fused and unfused runs report identical volumes.
-                    state = pending
-                    pending = None
-                    fed_records = sum(state.part_records)
-                    fed_bytes = sum(state.part_bytes)
-                    counters.increment(
-                        FRAMEWORK_GROUP, MAP_INPUT_RECORDS, fed_records
-                    )
-                    counters.increment(
-                        FRAMEWORK_GROUP, MAP_OUTPUT_RECORDS, fed_records
-                    )
-                    counters.increment(FRAMEWORK_GROUP, MAP_OUTPUT_BYTES, fed_bytes)
-                else:
-                    splits = engine._plan_splits(job, records, num_map_tasks)
-                    num_splits = len(splits)
-                    state = engine._map_phase(
-                        job, handle, splits, num_partitions, counters
-                    )
-                if job.reducer is None:
-                    records = [r for part in state.gathered for r in part]
-                    results.append(JobResult(records, counters, num_splits, 0))
-                    continue
-                counters.increment(
-                    FRAMEWORK_GROUP, SHUFFLE_RECORDS, sum(state.part_records)
-                )
-                counters.increment(
-                    FRAMEWORK_GROUP, SHUFFLE_BYTES, sum(state.part_bytes)
-                )
-                next_stage = None
-                if index + 1 < len(jobs) and fusable(job, jobs[index + 1]):
-                    next_handle = handle_for(index + 1)
-                    next_stage = NextStage(
-                        job=next_handle,
-                        num_partitions=jobs[index + 1].num_reducers,
-                        spill_dir=engine._shuffle_dir(next_handle),
-                    )
-                reduce_outputs = engine._reduce_phase(
-                    job, handle, state, next_stage=next_stage
-                )
-                if next_stage is not None:
-                    pending = gather_fused(
-                        engine, reduce_outputs, next_stage.num_partitions, counters
-                    )
-                    engine.stats.fused_stages += 1
-                    results.append(
-                        JobResult(
-                            [],
-                            counters,
-                            num_splits,
-                            num_partitions,
-                            records_elided=True,
-                        )
-                    )
-                else:
-                    records = []
-                    for output, counter_dict, info in reduce_outputs:
-                        counters.merge(Counters.from_dict(counter_dict))
-                        engine._note_worker(info)
-                        records.extend(output)
-                    results.append(
-                        JobResult(records, counters, num_splits, num_partitions)
-                    )
-            except TaskFailedError as exc:
-                exc.stage_index = index
-                exc.job_name = job.name
-                raise
-        return results
-    finally:
-        for handle in handles.values():
-            engine._release_job(handle)

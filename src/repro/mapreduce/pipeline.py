@@ -6,15 +6,16 @@ the two pairwise jobs, an application job consuming the result lists).
 :class:`Pipeline` runs such a chain on any engine and aggregates counters
 per stage and overall.
 
-Chains run through :meth:`~repro.mapreduce.runtime.Engine.run_chain`, so
-an engine with a direct shuffle plane may *fuse* adjacent stages: when
-the next job's map phase is identity-shaped, the upstream reduce tasks
-write the next job's spill files at source and the intermediate records
-never round-trip through the driver.  Fused stages report
-``records_elided=True`` and an empty record list; counters are
-unaffected.  Pass ``fuse=False`` to :meth:`Pipeline.run` (or set
-``config["pipeline_fusion"]=False`` on a job) to force the plain
-sequential chain — e.g. when per-stage records are inspected.
+A pipeline *is* a call to the engine's
+:meth:`~repro.mapreduce.runtime.Engine.run_chain` — the same stage loop
+that runs a single job — so an engine with a direct shuffle plane may
+*fuse* adjacent stages: when the next job's map phase is identity-shaped,
+the upstream reduce tasks write the next job's spill files at source and
+the intermediate records never round-trip through the driver.  Fused
+stages report ``records_elided=True`` and an empty record list; counters
+are unaffected.  Pass ``fuse=False`` to :meth:`Pipeline.run` (or set
+``config["pipeline_fusion"]=False`` on a job) to keep every boundary
+unfused — e.g. when per-stage records are inspected.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .counters import Counters
-from .job import Job, JobResult, KeyValue, TaskFailedError
+from .job import Job, JobResult, KeyValue
 from .runtime import Engine, SerialEngine
 
 
@@ -95,26 +96,10 @@ class Pipeline:
         ``fuse`` forwards to the engine's
         :meth:`~repro.mapreduce.runtime.Engine.run_chain`: ``None``
         (default) lets a direct-shuffle engine fuse adjacent stages where
-        safe, ``False`` forces the plain sequential chain (every stage's
-        records materialized in its :class:`~repro.mapreduce.job.JobResult`).
+        safe, ``False`` fuses none (every stage's records materialized in
+        its :class:`~repro.mapreduce.job.JobResult`).
         """
-        run_chain = getattr(self.engine, "run_chain", None)
-        if run_chain is not None:
-            stages = run_chain(
-                self.jobs, input_records, num_map_tasks=num_map_tasks, fuse=fuse
-            )
-            return PipelineResult(stages=stages)
-        # Duck-typed engines (benchmark replicas, external adapters) may
-        # implement only run(): chain sequentially, never fused.
-        stages = []
-        records: Sequence[KeyValue] = input_records
-        for index, job in enumerate(self.jobs):
-            try:
-                result = self.engine.run(job, records, num_map_tasks=num_map_tasks)
-            except TaskFailedError as error:
-                error.stage_index = index
-                error.job_name = job.name
-                raise
-            stages.append(result)
-            records = result.records
+        stages = self.engine.run_chain(
+            self.jobs, input_records, num_map_tasks=num_map_tasks, fuse=fuse
+        )
         return PipelineResult(stages=stages)

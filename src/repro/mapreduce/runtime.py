@@ -18,9 +18,10 @@ broadcast file and localized lazily per worker — see
 (``shuffle_mode="direct"``: map output moves through attempt-scoped
 spill files and only manifests cross the driver — see
 :mod:`repro.mapreduce.spill`; ``"relay"`` keeps the legacy
-driver-forwarding plane).  :meth:`Engine.run_chain` on the pooled engine
-additionally *fuses* adjacent pipeline stages whose next map phase is
-identity-shaped (see :mod:`repro.mapreduce.fusion`).  **Fault
+driver-forwarding plane).  One stage loop runs every job and chain
+(:meth:`Engine.run` is the one-stage case of :meth:`Engine.run_chain`);
+on the pooled engine's direct plane it *fuses* adjacent stages whose next
+map phase is identity-shaped (see :mod:`repro.mapreduce.fusion`).  **Fault
 tolerance** mirrors Hadoop 0.20: per-attempt wall-clock budgets,
 deterministic retry backoff, transparent recovery from dead workers
 (pool respawn + lost-attempt charging via began-markers), driver-side
@@ -84,11 +85,14 @@ from .controlplane.attempts import (  # noqa: F401  (re-exports)
 )
 from .counters import (
     FRAMEWORK_GROUP,
+    MAP_INPUT_RECORDS,
+    MAP_OUTPUT_BYTES,
+    MAP_OUTPUT_RECORDS,
     SHUFFLE_BYTES,
     SHUFFLE_RECORDS,
     Counters,
 )
-from .fusion import fusable, run_fused_chain
+from .fusion import fusable
 from .job import Job, JobResult, KeyValue, TaskFailedError
 from .journal import JobJournal
 from .serialization import SpillCorruptionError
@@ -189,29 +193,16 @@ class Engine:
     ) -> JobResult:
         """Execute ``job`` over ``input_records`` (or pre-built ``splits``).
 
-        ``num_map_tasks`` controls split planning when raw records are
-        given; when omitted, one split is planned per
-        ``job.config["records_per_split"]`` records (default
-        :data:`DEFAULT_RECORDS_PER_SPLIT`), at least one.  An explicit
-        ``num_map_tasks`` always overrides the per-split size.
+        The one-stage case of :meth:`run_chain`.  ``num_map_tasks``
+        controls split planning when raw records are given; when omitted,
+        one split is planned per ``job.config["records_per_split"]``
+        records (default :data:`DEFAULT_RECORDS_PER_SPLIT`), at least
+        one.  An explicit ``num_map_tasks`` always overrides the
+        per-split size.
         """
         if (input_records is None) == (splits is None):
             raise ValueError("provide exactly one of input_records or splits")
-        if splits is None:
-            assert input_records is not None
-            splits = self._plan_splits(job, input_records, num_map_tasks)
-
-        num_partitions = job.num_reducers if job.reducer is not None else 0
-        handle = self._job_handle(job)
-        self._journal_submit(job, handle, splits, num_partitions)
-        started = time.monotonic()
-        try:
-            result = self._run_phases(job, handle, splits, num_partitions)
-            self._journal_finish(handle)
-            return result
-        finally:
-            self._note_run(time.monotonic() - started)
-            self._release_job(handle)
+        return self._run_stages([job], input_records, splits, num_map_tasks, None)[0]
 
     def run_chain(
         self,
@@ -221,29 +212,133 @@ class Engine:
         num_map_tasks: int | None = None,
         fuse: bool | None = None,
     ) -> list[JobResult]:
-        """Run a job chain; stage i+1 consumes stage i's output records.
+        """Run a job chain; stage i+1 consumes stage i's output.
 
         Returns the per-stage :class:`~repro.mapreduce.job.JobResult`
         list.  A stage's :class:`~repro.mapreduce.job.TaskFailedError` is
-        re-raised annotated with ``stage_index``/``job_name``.  ``fuse``
-        is accepted on every engine for interface compatibility; only
-        engines with a direct shuffle plane implement fused chaining
-        (:meth:`MultiprocessEngine.run_chain`), everything else runs the
-        plain sequential chain.
+        re-raised annotated with ``stage_index``/``job_name``.  Where the
+        engine can (:meth:`_fuses`: a pooled engine on the direct plane,
+        unjournaled, across a :func:`~repro.mapreduce.fusion.fusable`
+        boundary) stage i's reducers spill stage i+1's shuffle input at
+        source: stage i reports ``records_elided=True`` and an empty
+        record list, stage i+1 runs no map tasks, and its data-plane
+        counters equal the unfused run's (only ``task_attempts`` differs,
+        since no map attempts run).  ``fuse=None`` (the default) and
+        ``fuse=True`` both fuse where safe; ``fuse=False`` never does, so
+        every stage's records are materialized.
         """
-        del fuse  # no fused plane here; see MultiprocessEngine.run_chain
+        return self._run_stages(list(jobs), input_records, None, num_map_tasks, fuse)
+
+    def _run_stages(
+        self,
+        jobs: list[Job],
+        records: Sequence[KeyValue] | None,
+        splits: list[Split] | None,
+        num_map_tasks: int | None,
+        fuse: bool | None,
+    ) -> list[JobResult]:
+        """The stage loop behind :meth:`run` and :meth:`run_chain`.
+
+        Every stage reduces a :class:`ShuffleState`; a fused boundary only
+        changes who produced it — this stage's map tasks, or the previous
+        stage's reducers spilling at source.  ``splits`` pre-plans stage
+        0's map phase (``run(job, splits=…)``).
+        """
         results: list[JobResult] = []
-        records: Sequence[KeyValue] = input_records
-        for index, job in enumerate(jobs):
-            try:
-                result = self.run(job, records, num_map_tasks=num_map_tasks)
-            except TaskFailedError as exc:
-                exc.stage_index = index
-                exc.job_name = job.name
-                raise
-            results.append(result)
-            records = result.records
-        return results
+        handles: list[Any] = []  # handles[i] references jobs[i]
+
+        def handle_for(index: int) -> Any:
+            if index == len(handles):
+                handles.append(self._job_handle(jobs[index]))
+            return handles[index]
+
+        state: ShuffleState | None = None  # spilled at source by stage i-1
+        started = time.monotonic()
+        try:
+            for index, (job, nxt) in enumerate(zip(jobs, [*jobs[1:], None])):
+                handle = handle_for(index)
+                num_partitions = job.num_reducers if job.reducer is not None else 0
+                counters = Counters()
+                num_splits = 0
+                if state is None:
+                    if index or splits is None:
+                        assert records is not None
+                        splits = self._plan_splits(job, records, num_map_tasks)
+                    num_splits = len(splits)
+                    self._journal_submit(job, handle, splits, num_partitions)
+                    state = self._map_phase(
+                        job, handle, splits, num_partitions, counters
+                    )
+                else:
+                    # Fused-in stage: its shuffle input is already on disk.
+                    # Synthesize the elided identity map's data-plane
+                    # counters from the manifest sums so fused and unfused
+                    # runs report identical volumes.
+                    fed_records = sum(state.part_records)
+                    fed_bytes = sum(state.part_bytes)
+                    counters.increment(FRAMEWORK_GROUP, MAP_INPUT_RECORDS, fed_records)
+                    counters.increment(FRAMEWORK_GROUP, MAP_OUTPUT_RECORDS, fed_records)
+                    counters.increment(FRAMEWORK_GROUP, MAP_OUTPUT_BYTES, fed_bytes)
+                if job.reducer is None:
+                    records = [record for part in state.gathered for record in part]
+                    state = None
+                else:
+                    # Shuffle volume comes from the per-partition sums the
+                    # producing tasks reported — the records were measured
+                    # exactly once, task-side.
+                    counters.increment(
+                        FRAMEWORK_GROUP, SHUFFLE_RECORDS, sum(state.part_records)
+                    )
+                    counters.increment(
+                        FRAMEWORK_GROUP, SHUFFLE_BYTES, sum(state.part_bytes)
+                    )
+                    next_stage = None
+                    if nxt is not None and self._fuses(job, nxt, fuse):
+                        next_handle = handle_for(index + 1)
+                        next_stage = NextStage(
+                            job=next_handle,
+                            num_partitions=nxt.num_reducers,
+                            spill_dir=self._shuffle_dir(next_handle),
+                        )
+                    outputs = self._reduce_phase(
+                        job, handle, state, next_stage=next_stage
+                    )
+                    if next_stage is None:
+                        records = [
+                            r for part in self._fold(outputs, counters) for r in part
+                        ]
+                        state = None
+                    else:
+                        records = []
+                        state = self._gather(
+                            outputs,
+                            "fuse",
+                            "direct",
+                            next_stage.num_partitions,
+                            counters,
+                        )
+                        self.stats.fused_stages += 1
+                self._journal_finish(handle)
+                results.append(
+                    JobResult(
+                        records,
+                        counters,
+                        num_splits,
+                        num_partitions,
+                        records_elided=state is not None,
+                    )
+                )
+            return results
+        except TaskFailedError as exc:
+            # Only a stage's tasks raise it: the loop variables name the
+            # stage that died.
+            exc.stage_index = index
+            exc.job_name = job.name
+            raise
+        finally:
+            self._note_run(time.monotonic() - started)
+            for handle in handles:
+                self._release_job(handle)
 
     def _plan_splits(
         self,
@@ -259,39 +354,6 @@ class Engine:
                 raise ValueError(f"records_per_split must be >= 1, got {per_split}")
             num_map_tasks = max(1, len(input_records) // per_split)
         return split_by_count(input_records, num_map_tasks)
-
-    def _run_phases(
-        self, job: Job, handle: Any, splits: list[Split], num_partitions: int
-    ) -> JobResult:
-        counters = Counters()
-        state = self._map_phase(job, handle, splits, num_partitions, counters)
-
-        if job.reducer is None:
-            records = [record for part in state.gathered for record in part]
-            return JobResult(
-                records=records,
-                counters=counters,
-                num_map_tasks=len(splits),
-                num_reduce_tasks=0,
-            )
-
-        # Shuffle volume comes from the map-reported per-partition sums —
-        # the records were measured exactly once, task-side.
-        counters.increment(FRAMEWORK_GROUP, SHUFFLE_RECORDS, sum(state.part_records))
-        counters.increment(FRAMEWORK_GROUP, SHUFFLE_BYTES, sum(state.part_bytes))
-
-        reduce_outputs = self._reduce_phase(job, handle, state)
-        records = []
-        for output, counter_dict, info in reduce_outputs:
-            counters.merge(Counters.from_dict(counter_dict))
-            self._note_worker(info)
-            records.extend(output)
-        return JobResult(
-            records=records,
-            counters=counters,
-            num_map_tasks=len(splits),
-            num_reduce_tasks=num_partitions,
-        )
 
     @staticmethod
     def _phase_costs(specs: list[Any]) -> list[TaskCost]:
@@ -355,17 +417,47 @@ class Engine:
         ]
         self._phase_marker(job, "map", len(map_specs), "started")
         map_outputs = self._run_tasks(map_specs, job)
+        state = self._gather(map_outputs, "map", mode, num_partitions, counters)
+        self._phase_marker(job, "map", len(map_specs), "finished")
+        return state
 
+    def _fold(self, outputs: list[Any], counters: Counters) -> list[Any]:
+        """Bring one wave's task output home; return the tasks' payloads.
+
+        Each task returns ``(payload, counters, info)``: its counters
+        merge into the job's, its worker info into the engine's stats.
+        """
+        payloads = []
+        for payload, counter_dict, info in outputs:
+            counters.merge(Counters.from_dict(counter_dict))
+            self._note_worker(info)
+            payloads.append(payload)
+        return payloads
+
+    def _gather(
+        self,
+        outputs: list[Any],
+        kind: str,
+        mode: str,
+        num_partitions: int,
+        counters: Counters,
+    ) -> ShuffleState:
+        """Fold a wave of partitioned task output into a shuffle state.
+
+        The tasks are a stage's map tasks (``kind="map"``) or the previous
+        stage's fused reducers (``kind="fuse"``, always ``mode="direct"``);
+        either way a payload is ``(partitions, counts, sizes)`` with one
+        slot per partition: raw records, an encoded chunk, or a
+        ``(path, file_bytes)`` manifest entry (``None`` when empty).
+        """
         slots = max(1, num_partitions)
         gathered: list[list] = [[] for _ in range(slots)]
         part_records = [0] * slots
         part_bytes = [0] * slots
         observing = self._observing
-        for task, ((partitions, counts, sizes), counter_dict, info) in enumerate(
-            map_outputs
-        ):
-            counters.merge(Counters.from_dict(counter_dict))
-            self._note_worker(info)
+        channel = "map_manifest" if kind == "map" else "fused_manifest"
+        payloads = self._fold(outputs, counters)
+        for task, (partitions, counts, sizes) in enumerate(payloads):
             if mode == "direct":
                 # What crossed the driver for this task is its manifest.
                 manifest_bytes = len(
@@ -376,7 +468,7 @@ class Engine:
                     self._emit(
                         BytesMoved(
                             time=time.monotonic(),
-                            channel="map_manifest",
+                            channel=channel,
                             num_bytes=manifest_bytes,
                         )
                     )
@@ -397,7 +489,7 @@ class Engine:
                         self._emit(
                             SpillWritten(
                                 time=time.monotonic(),
-                                kind="map",
+                                kind=kind,
                                 task_index=task,
                                 partition=index,
                                 num_bytes=part[1],
@@ -413,7 +505,6 @@ class Engine:
                         num_bytes=relayed,
                     )
                 )
-        self._phase_marker(job, "map", len(map_specs), "finished")
         return ShuffleState(
             mode=mode,
             gathered=gathered,
@@ -476,6 +567,13 @@ class Engine:
     def _shuffle_dir(self, handle: Any) -> str:
         """Scratch dir for a job's spill files (direct-mode engines only)."""
         raise NotImplementedError  # pragma: no cover - direct mode only
+
+    def _fuses(self, prev: Job, nxt: Job, fuse: bool | None) -> bool:
+        """True when ``prev``'s reducers spill ``nxt``'s shuffle input at source.
+
+        Needs a shuffle plane that hands over spill files: never here.
+        """
+        return False
 
     def _note_worker(self, info: dict) -> None:
         """Fold one task's worker info into engine stats (noop by default)."""
@@ -806,6 +904,18 @@ class MultiprocessEngine(Engine):
         # hold: fsync map spills before their manifests are journaled.
         return self._journal is not None
 
+    def _fuses(self, prev: Job, nxt: Job, fuse: bool | None) -> bool:
+        return (
+            fuse is not False
+            # Relay mode has no spill files to hand over.
+            and self._shuffle_mode == "direct"
+            # Fused stages publish fuse-kind spill files that cannot be
+            # replayed from a map spec; journaled chains run stage by
+            # stage so every stage stays independently resumable.
+            and self._journal is None
+            and fusable(prev, nxt)
+        )
+
     def _journal_submit(
         self, job: Job, handle: Any, splits: list[Split], num_partitions: int
     ) -> None:
@@ -928,40 +1038,6 @@ class MultiprocessEngine(Engine):
             return False  # pragma: no cover - replay dropped the partition
         spec.spill_paths[spec.spill_paths.index(corrupt)] = entry[0]
         return True
-
-    # -- fused chaining --------------------------------------------------------
-    #: fusability predicate, re-exposed for introspection/tests
-    _fusable = staticmethod(fusable)
-
-    def run_chain(
-        self,
-        jobs: Sequence[Job],
-        input_records: Sequence[KeyValue],
-        *,
-        num_map_tasks: int | None = None,
-        fuse: bool | None = None,
-    ) -> list[JobResult]:
-        """Run a chain, fusing adjacent stages where safe (direct mode).
-
-        See :mod:`repro.mapreduce.fusion` for the mechanism and exact
-        counter semantics.  ``fuse=None`` (the default) and ``fuse=True``
-        both fuse when safe; ``fuse=False`` forces the plain sequential
-        chain.  Relay mode has no spill files to hand over, so it never
-        fuses.
-        """
-        if (
-            fuse is False
-            or self._shuffle_mode != "direct"
-            # Fused stages publish fuse-kind spill files that cannot be
-            # replayed from a map spec; journaled chains run stage by
-            # stage so every stage stays independently resumable.
-            or self._journal is not None
-            or len(jobs) < 2
-        ):
-            return super().run_chain(
-                jobs, input_records, num_map_tasks=num_map_tasks
-            )
-        return run_fused_chain(self, jobs, input_records, num_map_tasks=num_map_tasks)
 
     def _teardown_pool(self, *, kill: bool = False) -> None:
         """Drop the current pool; ``kill`` terminates workers first.

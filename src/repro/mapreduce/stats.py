@@ -14,8 +14,8 @@ class EngineStats:
     accounting.  ``broadcast_loads`` counts one-shot job localizations
     (at most one per worker per job); ``worker_pids`` the distinct workers
     that executed tasks; ``run_seconds`` accumulates wall-clock over
-    ``Engine.run`` calls (the trace round-trip tests compare it to the
-    makespan of the emitted timeline).
+    ``Engine.run`` / ``Engine.run_chain`` calls, fused or not (the trace
+    round-trip tests compare it to the makespan of the emitted timeline).
 
     The fault-tolerance metrics meter the driver's recovery work:
     ``pool_restarts`` (worker pool respawned after a dead worker or hang
@@ -44,8 +44,7 @@ class EngineStats:
     mapped instead of slurped, and payload bytes that *were* copied into
     private process memory on the read path (eager file reads, broadcast
     localizations, driver-relayed chunks — shm attaches and mmap reads
-    count zero).  ``bytes_copied`` per pair is the benchmark's headline
-    number and the counter-ceiling guard watches it for regressions.
+    count zero).
 
     The durability meters track journaling and integrity recovery:
     ``journal_events`` counts fsync'd journal appends; ``tasks_resumed``
@@ -108,12 +107,14 @@ class EngineStats:
 
 @dataclass
 class ShuffleState:
-    """One job's gathered map output, ready for the reduce phase.
+    """One stage's gathered shuffle input, ready for the reduce phase.
 
-    ``gathered[p]`` holds partition ``p``'s data in map-task order: raw
-    records (``mode="memory"``), encoded chunks (``"relay"``), or
+    Produced by the stage's own map tasks or — across a fused boundary —
+    by the previous stage's reducers.  ``gathered[p]`` holds partition
+    ``p``'s data in producing-task order: raw records
+    (``mode="memory"``), encoded chunks (``"relay"``), or
     ``(path, file_bytes)`` manifest entries (``"direct"``).  The
-    map-reported per-partition record/byte sums drive the shuffle
+    task-reported per-partition record/byte sums drive the shuffle
     counters and the reduce-side spill decision in every mode.
     """
 

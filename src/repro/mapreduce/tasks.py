@@ -161,20 +161,6 @@ class ReduceTaskSpec:
     scratch_dir: str | None = None
 
 
-@dataclass
-class FusedOutput:
-    """What a fused reduce task returns: the next job's shuffle manifest."""
-
-    #: per-partition ``(path, file_bytes)`` entry, or None when empty
-    entries: list[tuple[str, int] | None]
-    #: per-partition record counts of this task's contribution
-    counts: list[int]
-    #: per-partition accounted byte sums (record_size, not file bytes)
-    sizes: list[int]
-    #: total records this reduce task emitted (the elided map's input)
-    num_records: int
-
-
 # -- worker-side job registry -------------------------------------------------
 #: jobs this worker has loaded from broadcast files, keyed by JobRef.uid,
 #: each with the ref it was loaded through
@@ -237,7 +223,7 @@ def _forget_released_jobs() -> None:
     (``_release_job``), so a registry entry whose file is gone can never
     be asked for again — except by a late speculative loser, whose
     result nobody reads.  The cap only bounds what is genuinely in
-    flight (a long fused chain).
+    flight (a long chain: its jobs are released together when it ends).
     """
 
     def forget(uid: str) -> None:
@@ -396,8 +382,9 @@ def execute_reduce_task(spec: ReduceTaskSpec) -> tuple[Any, dict, dict]:
     for every attempt, so an attempt that died mid-merge retries against
     a fresh, complete read of its input.  With ``spec.next_stage`` set
     (fused chaining) the winning attempt's output is partitioned for the
-    next job and spilled at source; a :class:`FusedOutput` manifest is
-    returned instead of the records.
+    next job and spilled at source; the ``(entries, counts, sizes)``
+    manifest a direct-shuffle map task returns comes back instead of the
+    records.
     """
     mark = io_meter.snapshot()
     job, info = resolve_job(spec.job)
@@ -456,9 +443,7 @@ def execute_reduce_task(spec: ReduceTaskSpec) -> tuple[Any, dict, dict]:
         )
         if next_info["loaded"]:
             info = {**info, "extra_loads": info.get("extra_loads", 0) + 1}
-        output = FusedOutput(
-            entries=entries, counts=counts, sizes=sizes, num_records=len(output)
-        )
+        output = (entries, counts, sizes)
     return output, counters, _with_io_delta(info, mark)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.design import DesignScheme
 from repro.core.pairwise import PairwiseComputation
+from repro.mapreduce.controlplane.attempts import TASK_ATTEMPTS
 from repro.mapreduce.counters import (
     FRAMEWORK_GROUP,
     MAP_INPUT_RECORDS,
@@ -22,8 +23,8 @@ from repro.mapreduce.counters import (
     SHUFFLE_RECORDS,
 )
 from repro.mapreduce.faults import CrashFault, FaultPlan
-from repro.mapreduce.job import Job, Mapper, Reducer, records_from
-from repro.mapreduce.pipeline import Pipeline
+from repro.mapreduce.job import Job, Mapper, Reducer, TaskFailedError, records_from
+from repro.mapreduce.pipeline import Pipeline, PipelineResult
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 
 DATA_PLANE_COUNTERS = [
@@ -61,6 +62,11 @@ class IncrementMapper(Mapper):
         context.emit(key, value + 1)
 
 
+class FailingReducer(Reducer):
+    def reduce(self, key, values, context):
+        raise RuntimeError("reducer always fails")
+
+
 LINES = [
     "the quick brown fox",
     "the lazy dog",
@@ -78,6 +84,113 @@ def fusable_chain(**second_overrides):
     return [first, Job(**settings)]
 
 
+#: chain shape -> (job list factory, stage boundaries a direct pool fuses)
+CHAINS = {
+    "one-job": (lambda: fusable_chain()[:1], 0),
+    "two-fusable": (fusable_chain, 1),
+    "middle-mapper-not-identity": (
+        lambda: fusable_chain(mapper=IncrementMapper)
+        + [Job(name="rollup-2", reducer=MaxReducer, num_reducers=2)],
+        1,
+    ),
+    "map-only-first": (
+        lambda: [
+            Job(name="split", mapper=WordSplitMapper, reducer=None, num_reducers=0),
+            Job(name="sum", reducer=SumReducer, num_reducers=2),
+        ],
+        0,
+    ),
+}
+
+ENGINE_KINDS = ("serial", "direct", "relay", "journaled")
+
+
+@pytest.fixture(scope="module", params=ENGINE_KINDS)
+def engine(request, tmp_path_factory):
+    """One engine per kind for the whole table: pools start once."""
+    kind = request.param
+    if kind == "serial":
+        built = SerialEngine()
+    elif kind == "journaled":
+        built = MultiprocessEngine(
+            max_workers=2, journal_dir=tmp_path_factory.mktemp("journal")
+        )
+    else:
+        built = MultiprocessEngine(max_workers=2, shuffle_mode=kind)
+    built.kind = kind
+    with built:
+        yield built
+
+
+def fused_so_far(engine):
+    return engine.stats.fused_stages if engine.kind != "serial" else 0
+
+
+def leftovers(engine):
+    """Job artifacts still in the engine's broadcast dir (serial has none)."""
+    if engine.kind == "serial":
+        return []
+    root = engine._broadcast_dir()
+    return sorted(
+        path.name
+        for pattern in ("*.pkl", "*.began", "*-shuffle")
+        for path in root.glob(pattern)
+    )
+
+
+def merged_counters(stages, *, drop_attempts):
+    merged = PipelineResult(stages=stages).counters.as_dict()
+    if drop_attempts:  # a fused boundary runs no map attempts for the next stage
+        del merged[FRAMEWORK_GROUP][TASK_ATTEMPTS]
+    return merged
+
+
+class TestOneStageLoop:
+    """Every engine × chain shape goes through the same loop, same answers."""
+
+    @pytest.mark.parametrize("shape", sorted(CHAINS))
+    def test_chain_matches_serial(self, engine, shape):
+        make_chain, direct_fuses = CHAINS[shape]
+        expect_fused = direct_fuses if engine.kind == "direct" else 0
+        baseline = SerialEngine().run_chain(
+            make_chain(), records_from(LINES), num_map_tasks=4
+        )
+        before = fused_so_far(engine)
+        stages = engine.run_chain(make_chain(), records_from(LINES), num_map_tasks=4)
+        assert fused_so_far(engine) - before == expect_fused
+        assert stages[-1].records == baseline[-1].records
+        assert [stage.records_elided for stage in stages].count(True) == expect_fused
+        assert merged_counters(stages, drop_attempts=expect_fused) == merged_counters(
+            baseline, drop_attempts=expect_fused
+        )
+        assert leftovers(engine) == []
+
+    def test_run_is_the_one_stage_chain(self, engine):
+        (job,) = CHAINS["one-job"][0]()
+        single = engine.run(job, records_from(LINES), num_map_tasks=4)
+        (staged,) = engine.run_chain([job], records_from(LINES), num_map_tasks=4)
+        assert single.records == staged.records
+        assert single.counters.as_dict() == staged.counters.as_dict()
+        assert (single.num_map_tasks, single.num_reduce_tasks) == (4, 3)
+        assert (staged.num_map_tasks, staged.num_reduce_tasks) == (4, 3)
+
+    @pytest.mark.parametrize("fuse", [None, False])
+    def test_failing_stage_is_named_and_nothing_leaks(self, engine, fuse):
+        # One reducer in the stage that dies: a sibling attempt still running
+        # when the phase fails may touch its began-marker after the release
+        # sweep (it goes with the engine's temp dir at close).
+        chain = fusable_chain(reducer=FailingReducer, num_reducers=1)
+        before = fused_so_far(engine)
+        with pytest.raises(TaskFailedError) as info:
+            engine.run_chain(chain, records_from(LINES), num_map_tasks=4, fuse=fuse)
+        assert info.value.stage_index == 1
+        assert info.value.job_name == "rollup"
+        # The boundary fused before stage 1's reducers died, where it can.
+        fused = engine.kind == "direct" and fuse is None
+        assert fused_so_far(engine) - before == int(fused)
+        assert leftovers(engine) == []
+
+
 class TestFusionHappens:
     def test_fused_chain_matches_unfused(self):
         baseline = SerialEngine().run_chain(
@@ -91,6 +204,12 @@ class TestFusionHappens:
         assert fused[-1].records == baseline[-1].records
         assert fused[0].records_elided
         assert fused[0].records == []
+
+    def test_run_seconds_accumulate_over_fused_chains(self):
+        with MultiprocessEngine(max_workers=2) as engine:
+            engine.run_chain(fusable_chain(), records_from(LINES), num_map_tasks=4)
+            assert engine.stats.fused_stages == 1
+            assert engine.stats.run_seconds > 0
 
     def test_elided_stage_counters_are_synthesized_exactly(self):
         baseline = SerialEngine().run_chain(

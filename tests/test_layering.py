@@ -13,8 +13,9 @@ The control-plane extraction draws two hard lines:
 These are enforced over the import *statements* of every module in each
 package, with relative imports resolved to absolute module paths.
 
-The last check is about the documents, not the code: every file path
-they name must exist, so a deleted script cannot stay cited as evidence.
+The last checks are about the documents, not the code: every file path
+they name must exist, so a deleted script cannot stay cited as evidence,
+and every ``EngineStats`` field ``docs/API.md`` tabulates must be one.
 """
 
 import ast
@@ -116,6 +117,28 @@ class TestDocsFollowFiles:
             if not (ROOT / name).is_file() and name not in bench_scripts
         ]
         assert missing == []
+
+    def test_engine_stats_table_names_real_fields(self):
+        """First column of ``docs/API.md``'s EngineStats table vs the dataclass."""
+        stats = ast.parse((SRC / "repro/mapreduce/stats.py").read_text(encoding="utf-8"))
+        (cls,) = [
+            node
+            for node in stats.body
+            if isinstance(node, ast.ClassDef) and node.name == "EngineStats"
+        ]
+        attributes = {
+            node.target.id if isinstance(node, ast.AnnAssign) else node.name
+            for node in cls.body
+            if isinstance(node, (ast.AnnAssign, ast.FunctionDef))
+        }
+        api = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
+        section = api.split("### EngineStats", 1)[1].split("\n### ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        named = {
+            name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])
+        }
+        assert len(named) > 10, "the table moved: this check reads nothing"
+        assert sorted(named - attributes) == []
 
 
 class TestSanity:

@@ -95,7 +95,7 @@ class TestStableSurface:
 
 
 class TestPinnedSignatures:
-    """Parameter names of the pairwise entry points.
+    """Parameter names of the pairwise and engine entry points.
 
     Adding, renaming or dropping a knob is an API decision: make it a
     conscious edit of this table, not a side effect of a refactor.
@@ -119,14 +119,19 @@ class TestPinnedSignatures:
             "aggregator", "engine", "symmetric", "auto_engine",
             *ENGINE_KNOBS, *OBJECTIVE_KNOBS, "scheme",
         ),
+        "Engine.run": ("self", "job", "input_records", "splits", "num_map_tasks"),
+        "Engine.run_chain": ("self", "jobs", "input_records", "num_map_tasks", "fuse"),
+        "Pipeline.run": ("self", "input_records", "num_map_tasks", "fuse"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_parameter_names(self, name):
         import repro.core
+        import repro.mapreduce
 
-        target = repro.core
-        for part in name.split("."):
+        head, *rest = name.split(".")
+        target = getattr(repro.core, head, None) or getattr(repro.mapreduce, head)
+        for part in rest:
             target = getattr(target, part)
         assert tuple(inspect.signature(target).parameters) == self.PINNED[name]
 
