@@ -62,8 +62,9 @@ TASKS_TIMED_OUT = "tasks_timed_out"
 def attempt_tag(attempt: int, speculative: bool = False) -> str:
     """Canonical tag naming one dispatch attempt: ``a<N>`` / ``a<N>s``.
 
-    This string is baked into on-disk spill-file names (see
-    :func:`repro.mapreduce.spill.spill_file_path`) so that re-dispatches
+    This string is baked into on-disk spill-file names
+    (``{kind}-{task:05d}-{tag}.spill``, one file per producing dispatch —
+    see :func:`repro.mapreduce.spill.spill_file_path`) so that re-dispatches
     and speculative backups can never collide with an earlier attempt's
     files.  The format is load-bearing: changing it orphans nothing at
     runtime (names only need to be unique within a job) but breaks any

@@ -41,7 +41,7 @@ class AttemptTransition:
 
 @dataclass(frozen=True)
 class SpillWritten:
-    """A shuffle spill file landed on disk."""
+    """One partition's segment of a task's spill file landed on disk."""
 
     time: float
     kind: str  # producing phase: "map" | "reduce"
@@ -52,12 +52,12 @@ class SpillWritten:
 
 @dataclass(frozen=True)
 class SpillQuarantined:
-    """A spill file failed its integrity check and was renamed aside.
+    """A spill segment failed its integrity check and was linked aside.
 
     The driver emits this just before replaying the producing map
-    attempt; ``kind``/``task_index``/``partition`` identify the producer
-    (parsed from the file name), ``reason`` carries the integrity
-    failure's description.
+    attempt; ``kind``/``task_index`` identify the producer (parsed from
+    the file name at ``path``), ``partition`` the damaged segment (the
+    reducer that tripped over it), ``reason`` the integrity failure.
     """
 
     time: float

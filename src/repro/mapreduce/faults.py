@@ -159,8 +159,9 @@ class FaultPlan:
       crashes, stalls for ``slow_seconds``, or dies; retries (attempt ≥ 2)
       run clean, so any plan built from rates alone is absorbed by a
       ``max_attempts >= 2`` budget.  ``corrupt_rate`` / ``truncate_rate``
-      draw per ``(kind, task_index, partition)`` whether a *published*
-      spill file gets a payload byte flipped or is cut short after its
+      draw per ``(kind, task_index, partition)`` whether that segment of
+      a *published* spill file gets a payload byte flipped, or the file is
+      cut short inside it (losing every later segment too), after the
       atomic rename — modelling silent disk/network corruption under the
       writer's feet; the integrity layer must detect it
       (:class:`~repro.mapreduce.serialization.SpillCorruptionError`) and
@@ -262,14 +263,14 @@ class FaultPlan:
         *,
         speculative: bool = False,
     ) -> str | None:
-        """Damage mode (``"corrupt"``/``"truncate"``) for one just-published
-        spill file, or ``None``.
+        """Damage mode (``"corrupt"``/``"truncate"``) for one partition's
+        segment of a just-published spill file, or ``None``.
 
         Like the attempt-level rates, spill damage fires only on first,
         non-speculative attempts: retries and driver-side replays model
         re-reading from a healthy replica, so recovery always converges.
-        Draws are keyed per partition, so each of a task's spill files is
-        damaged (or spared) independently.
+        Draws are keyed per partition, so each of a task's segments is
+        drawn independently (a truncation also takes the segments after it).
         """
         if attempt != 1 or speculative:
             return None

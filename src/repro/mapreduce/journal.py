@@ -12,7 +12,8 @@ spill files:
   (``{uid}.spec.pkl``, written atomically before any task runs), every
   control-plane event the engine emits (attempt transitions, spill
   publications, quarantines), one ``map_result`` line per completed map
-  task carrying its spill-file manifest, and a ``job_finished`` line on
+  task carrying its spill manifest (``[path, payload_bytes, offset]`` per
+  non-empty partition), and a ``job_finished`` line on
   success.  Each line is flushed and fsync'd before the engine
   proceeds, so the journal never promises state the disk doesn't hold
   (map spill files are themselves fsync'd before their manifests are
@@ -20,8 +21,8 @@ spill files:
 - :func:`plan_resume` — reads a journal tolerantly (a torn final line —
   the driver died mid-append — is dropped, matching the atomic-append
   contract) and computes the resume plan for the most recent unfinished
-  job: which map tasks' spill files survived intact (every manifest
-  entry present with the exact journaled size) and which must re-run.
+  job: which map tasks' spill files survived intact (the file still
+  holds every journaled segment in full) and which must re-run.
 - :func:`resume_job` — rebuilds the engine against the same journal
   directory, seeds the map phase's :class:`AttemptTracker`/results with
   the salvaged manifests, re-runs only the missing map tasks, and runs
@@ -231,17 +232,21 @@ class ResumeOutcome:
 
 
 def _entries_intact(entries: list) -> bool:
-    """True when every manifest entry's file exists at its exact size."""
+    """True when every entry's file is long enough to hold its segment.
+
+    An entry in any other shape (a journal from before files were
+    segmented) is not intact, so its task re-runs.
+    """
     from .serialization import SPILL_HEADER_BYTES
 
     for entry in entries:
         if entry is None:
             continue
-        path, payload_bytes = entry
         try:
-            if os.path.getsize(path) != payload_bytes + SPILL_HEADER_BYTES:
+            path, payload_bytes, offset = entry
+            if os.path.getsize(path) < offset + SPILL_HEADER_BYTES + payload_bytes:
                 return False
-        except OSError:
+        except (ValueError, OSError):
             return False
     return True
 

@@ -448,7 +448,9 @@ class Engine:
         stage's fused reducers (``kind="fuse"``, always ``mode="direct"``);
         either way a payload is ``(partitions, counts, sizes)`` with one
         slot per partition: raw records, an encoded chunk, or a
-        ``(path, file_bytes)`` manifest entry (``None`` when empty).
+        ``(path, payload_bytes, offset)`` manifest entry naming the
+        partition's segment in the task's one spill file (``None`` when
+        empty).
         """
         slots = max(1, num_partitions)
         gathered: list[list] = [[] for _ in range(slots)]
@@ -464,6 +466,8 @@ class Engine:
                     pickle.dumps(partitions, protocol=pickle.HIGHEST_PROTOCOL)
                 )
                 self.stats.driver_bytes += manifest_bytes
+                # One file per producing task, however many segments.
+                self.stats.spill_files_written += any(part is not None for part in partitions)
                 if observing:
                     self._emit(
                         BytesMoved(
@@ -481,9 +485,8 @@ class Engine:
                         gathered[index].append(part)
                         self.stats.driver_bytes += len(part)
                         relayed += len(part)
-                elif part is not None:  # direct: (path, file_bytes) entry
+                elif part is not None:  # direct: one segment's entry
                     gathered[index].append(part)
-                    self.stats.spill_files_written += 1
                     self.stats.spill_bytes_written += part[1]
                     if observing:
                         self._emit(
@@ -530,9 +533,7 @@ class Engine:
                     job=handle,
                     records=part if state.mode == "memory" else None,
                     chunks=part if state.mode == "relay" else None,
-                    spill_paths=[entry[0] for entry in part]
-                    if state.mode == "direct"
-                    else None,
+                    spill_paths=part if state.mode == "direct" else None,
                     num_records=state.part_records[index],
                     partition_bytes=state.part_bytes[index],
                     task_index=index,
@@ -864,6 +865,7 @@ class MultiprocessEngine(Engine):
         path = self._broadcast_dir() / f"{uid}.pkl"
         data = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
         path.write_bytes(data)
+        path.with_suffix(".began").mkdir()  # attempt-began markers (tasks.marker_path)
         self.stats.jobs_broadcast += 1
         self.stats.broadcast_bytes += len(data)
         return JobRef(uid=uid, path=str(path), cache_ref=cache_ref)
@@ -874,8 +876,7 @@ class MultiprocessEngine(Engine):
                 self._segment_host().release(handle.uid)
             base = Path(handle.path)
             base.unlink(missing_ok=True)
-            for marker in base.parent.glob(f"{base.stem}.*.began"):
-                marker.unlink(missing_ok=True)
+            shutil.rmtree(base.with_suffix(".began"), ignore_errors=True)
             # The job's spill files go with it — including orphans left by
             # lost attempts and losing speculative dispatches.
             shutil.rmtree(base.parent / f"{handle.uid}-shuffle", ignore_errors=True)
@@ -958,17 +959,19 @@ class MultiprocessEngine(Engine):
     def _recover_spill_corruption(
         self, exc: SpillCorruptionError, spec: Any
     ) -> bool:
-        """Hadoop fetch-failure semantics for a corrupt map spill file.
+        """Hadoop fetch-failure semantics for a corrupt map spill segment.
 
-        A reduce attempt that hit a corrupt or truncated spill names it
-        in ``exc.path``.  The driver — not the reducer — owns the fix:
-        quarantine the file (renamed aside for post-mortem), re-execute
-        the producing map task from its original split outside the retry
-        budget, and patch this reducer's manifest to the fresh file.
+        A reduce attempt that hit a corrupt or truncated segment names it
+        in ``exc.path`` / ``exc.offset``.  The driver — not the reducer —
+        owns the fix: quarantine the segment (a post-mortem hard link
+        ``<file>.p<partition>.quarantined``; the file itself stays, sibling
+        reducers still read their intact segments from it), re-execute the
+        producing map task from its original split outside the retry
+        budget, and patch this reducer's manifest entry to the fresh file.
         Replayed counters are discarded — the winning attempt already
         contributed them — so job counters stay bit-identical to a
         corruption-free run.  Returns False when the failure isn't
-        recoverable this way (unparseable producer, file not among this
+        recoverable this way (unparseable producer, segment not among this
         reducer's inputs, replay budget exhausted); the normal failure
         path then takes over.
         """
@@ -979,17 +982,18 @@ class MultiprocessEngine(Engine):
             or spec.spill_paths is None
         ):
             return False
-        corrupt = exc.path
-        if corrupt not in spec.spill_paths:
+        damaged = (exc.path, exc.offset)
+        located = [(path, offset) for path, _length, offset in spec.spill_paths]
+        if damaged not in located:
             return False  # already recovered for a sibling attempt
-        parsed = parse_spill_file_name(os.path.basename(corrupt))
+        parsed = parse_spill_file_name(os.path.basename(exc.path))
         if parsed is None:
             return False
-        file_kind, task_index, partition = parsed
+        file_kind, task_index = parsed
+        partition = spec.task_index  # a reducer reads its own partition only
         job, handle, splits, num_partitions = context
         if (
             file_kind != "map"
-            or partition != spec.task_index
             or not isinstance(handle, JobRef)
             or task_index >= len(splits)
         ):
@@ -1002,15 +1006,15 @@ class MultiprocessEngine(Engine):
 
         self.stats.spill_corruptions += 1
         try:
-            os.replace(corrupt, corrupt + ".quarantined")
+            os.link(exc.path, f"{exc.path}.p{partition:05d}.quarantined")
             self.stats.spill_files_quarantined += 1
         except OSError:
-            pass  # already moved or gone; the replay still supersedes it
+            pass  # already linked or gone; the replay still supersedes it
         if self._observing:
             self._emit(
                 SpillQuarantined(
                     time=time.monotonic(),
-                    path=corrupt,
+                    path=exc.path,
                     kind=file_kind,
                     task_index=task_index,
                     partition=partition,
@@ -1036,7 +1040,7 @@ class MultiprocessEngine(Engine):
         entry = entries[partition]
         if entry is None:
             return False  # pragma: no cover - replay dropped the partition
-        spec.spill_paths[spec.spill_paths.index(corrupt)] = entry[0]
+        spec.spill_paths[located.index(damaged)] = entry
         return True
 
     def _teardown_pool(self, *, kill: bool = False) -> None:
@@ -1238,7 +1242,7 @@ class MultiprocessEngine(Engine):
                         exc, SpillCorruptionError
                     ) and self._recover_spill_corruption(exc, specs[index]):
                         # The reducer's *input* was bad, not the attempt:
-                        # the corrupt file is quarantined, its producing
+                        # the corrupt segment is quarantined, its producing
                         # map attempt replayed, and the spec patched to
                         # the fresh file — kill (not fail) so the
                         # reducer's own retry budget stays untouched.

@@ -43,7 +43,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Protocol, Sequence
+from typing import Any, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -405,8 +405,9 @@ def read_chunk_view(path: str | Path) -> memoryview:
 # ---------------------------------------------------------------------------
 #
 # Published spill files are the only durable intermediate state in the
-# system (the job journal resumes from them), so they carry an integrity
-# header in front of the NPB1/pickle payload::
+# system (the job journal resumes from them).  A spill file holds one
+# producing task's non-empty partitions back to back, each as its own
+# *segment*: an integrity header in front of the NPB1/pickle payload::
 #
 #     offset  size  field
 #     ------  ----  -----------------------------------------------
@@ -415,6 +416,10 @@ def read_chunk_view(path: str | Path) -> memoryview:
 #          5     4  crc32  of the payload  (<I, zlib.crc32 & 0xFFFFFFFF)
 #          9     8  payload length in bytes  (<Q)
 #         17     …  payload (NPB1-framed or plain-pickle record chunk)
+#
+# Where a segment starts and how long its payload is travels in the
+# producer's manifest, so a reader verifies exactly its own segment and
+# damage to one segment leaves its neighbours readable.
 #
 # CRC32C would be the Hadoop-faithful choice but needs a C extension the
 # container doesn't ship, so the checksum is ``zlib.crc32`` (the
@@ -449,77 +454,103 @@ def spill_crc(data: bytes | memoryview) -> int:
 
 
 class SpillCorruptionError(RuntimeError):
-    """A spill file failed its integrity check (bad CRC, truncation, bad
-    framing).
+    """A spill segment failed its integrity check (bad CRC, truncation,
+    bad framing).
 
     Corruption of a *published* spill file is not the reading task's
     fault and cannot be cured by re-running the reader, so the attempt
     loop must not burn retry budget on it (``task_retryable = False``);
-    the driver instead quarantines the file and re-executes the upstream
-    map attempt that produced it.
+    the driver instead quarantines the segment (``path`` + ``offset``
+    name it) and re-executes the upstream map attempt that produced it.
     """
 
     #: consumed by the attempt loop: re-raise instead of retrying
     task_retryable = False
 
-    def __init__(self, path: str, reason: str) -> None:
-        super().__init__(f"spill file {path}: {reason}")
+    def __init__(self, path: str, reason: str, offset: int = 0) -> None:
+        super().__init__(f"spill file {path} @{offset}: {reason}")
         self.path = str(path)
         self.reason = reason
+        self.offset = offset
 
     def __reduce__(self):  # survive the process boundary with fields intact
-        return (type(self), (self.path, self.reason))
+        return (type(self), (self.path, self.reason, self.offset))
+
+
+def write_spill_segments(
+    path: str | Path, payloads: Iterable[bytes], *, durable: bool = False
+) -> list[tuple[int, int]]:
+    """Atomically publish ``payloads`` as one spill file, a checksummed
+    segment each; returns every segment's ``(payload_bytes, offset)``.
+
+    Temp file + atomic rename like :func:`write_chunk_file`; the temp file
+    is removed if a write raises.  ``payloads`` is consumed lazily (one
+    encoded chunk alive at a time).  ``durable=True`` fsyncs before the
+    rename — journaled engines need the bytes on disk before the journal
+    records the manifest, or a driver crash could leave a journal that
+    promises files the page cache never flushed.
+    """
+    flags = _SPILL_FLAG_CRC if _verify_spills else 0
+    target = os.fspath(path)
+    tmp = target + ".tmp"
+    segments: list[tuple[int, int]] = []
+    offset = 0
+    try:
+        with open(tmp, "wb") as handle:
+            for payload in payloads:
+                crc = spill_crc(payload) if flags else 0
+                handle.write(_SPILL_HEADER.pack(_SPILL_MAGIC, flags, crc, len(payload)))
+                handle.write(payload)
+                segments.append((len(payload), offset))
+                offset += SPILL_HEADER_BYTES + len(payload)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+    os.replace(tmp, target)
+    return segments
 
 
 def write_spill_chunk(path: str | Path, payload: bytes, *, durable: bool = False) -> int:
-    """Atomically publish one checksummed spill chunk; returns bytes written.
-
-    Like :func:`write_chunk_file` (temp file + atomic rename) but with the
-    SPC1 integrity header prefixed.  ``durable=True`` additionally fsyncs
-    before the rename — journaled engines need the payload on disk before
-    the journal records the manifest, otherwise a driver crash could leave
-    a journal that promises files the page cache never flushed.
-    """
-    flags = _SPILL_FLAG_CRC if _verify_spills else 0
-    crc = spill_crc(payload) if flags else 0
-    header = _SPILL_HEADER.pack(_SPILL_MAGIC, flags, crc, len(payload))
-    target = os.fspath(path)
-    tmp = target + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(header)
-        handle.write(payload)
-        if durable:
-            handle.flush()
-            os.fsync(handle.fileno())
-    os.replace(tmp, target)
+    """Publish a one-segment spill file; returns bytes written."""
+    write_spill_segments(path, [payload], durable=durable)
     return SPILL_HEADER_BYTES + len(payload)
 
 
-def read_spill_chunk(path: str | Path) -> memoryview:
-    """Verified zero-copy view of a spill payload written by
-    :func:`write_spill_chunk`.
+def read_spill_chunk(
+    path: str | Path, length: int | None = None, offset: int = 0
+) -> memoryview:
+    """Verified zero-copy view of one segment's payload in a spill file.
 
-    Raises :class:`SpillCorruptionError` on a bad magic, a short header, a
-    payload shorter or longer than the header declares, or (when
-    verification is enabled and the writer recorded one) a CRC mismatch.
+    ``length``/``offset`` come from the producer's manifest entry; the
+    defaults read a one-segment file whole (:func:`write_spill_chunk`).
+    Only this segment is checked: header present, magic and flags, header
+    length equal to the manifest's, payload as long as declared and —
+    when verification is on and the writer recorded one — its CRC.
     """
-    view = read_chunk_view(path)
+
+    def corrupt(reason: str) -> SpillCorruptionError:
+        return SpillCorruptionError(os.fspath(path), reason, offset)
+
+    view = read_chunk_view(path)[offset:]
     if view.nbytes < SPILL_HEADER_BYTES:
-        raise SpillCorruptionError(
-            os.fspath(path), f"truncated header ({view.nbytes} of {SPILL_HEADER_BYTES} bytes)"
-        )
-    magic, flags, crc, length = _SPILL_HEADER.unpack_from(view, 0)
+        raise corrupt(f"truncated header ({view.nbytes} of {SPILL_HEADER_BYTES} bytes)")
+    magic, flags, crc, stored = _SPILL_HEADER.unpack_from(view, 0)
     if magic != _SPILL_MAGIC:
-        raise SpillCorruptionError(os.fspath(path), f"bad magic {magic!r}")
+        raise corrupt(f"bad magic {magic!r}")
+    if flags & ~_SPILL_FLAG_CRC:  # a flipped flags byte must not switch the CRC off
+        raise corrupt(f"unknown flags {flags:#04x}")
     payload = view[SPILL_HEADER_BYTES:]
-    if payload.nbytes != length:
-        raise SpillCorruptionError(
-            os.fspath(path), f"truncated payload ({payload.nbytes} of {length} bytes)"
-        )
+    if length is not None:
+        if stored != length:
+            raise corrupt(f"header declares {stored} payload bytes, manifest {length}")
+        payload = payload[:length]
+    if payload.nbytes != stored:
+        raise corrupt(f"truncated payload ({payload.nbytes} of {stored} bytes)")
     if flags & _SPILL_FLAG_CRC and _verify_spills:
         actual = spill_crc(payload)
         if actual != crc:
-            raise SpillCorruptionError(
-                os.fspath(path), f"CRC mismatch (stored {crc:#010x}, computed {actual:#010x})"
-            )
+            raise corrupt(f"CRC mismatch (stored {crc:#010x}, computed {actual:#010x})")
     return payload

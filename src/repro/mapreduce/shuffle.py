@@ -25,32 +25,35 @@ from .serialization import (
 KeyValue = tuple[Any, Any]
 
 
-def iter_spill_records(paths: Iterable[str]) -> Iterator[KeyValue]:
-    """Stream one partition's records from its spill files, in manifest order.
+def iter_spill_records(entries: Iterable[tuple[str, int, int]]) -> Iterator[KeyValue]:
+    """Stream one partition's records from its spill segments, in manifest order.
 
     Reduce tasks on the direct shuffle path read their partition straight
-    from the map tasks' spill files instead of driver-relayed chunks.
-    Yielding files in manifest order (map-task order, fixed by the driver)
-    reproduces the relay path's arrival order exactly, so the stable sort
-    downstream breaks key ties identically and outputs stay bit-identical
-    across shuffle planes.  Each call starts a fresh stream, which is what
-    lets a retried reduce attempt re-read its input from scratch.  Files
-    are mmap-mapped, not slurped: ndarray payloads decode as read-only
-    views over the page cache with no intermediate ``bytes`` copy.
+    from the producing tasks' spill files instead of driver-relayed
+    chunks: each ``(path, payload_bytes, offset)`` entry names this
+    partition's segment in one producer's file.  Yielding segments in
+    manifest order (producing-task order, fixed by the driver) reproduces
+    the relay path's arrival order exactly, so the stable sort downstream
+    breaks key ties identically and outputs stay bit-identical across
+    shuffle planes.  Each call starts a fresh stream, which is what lets a
+    retried reduce attempt re-read its input from scratch.  Files are
+    mmap-mapped, not slurped: ndarray payloads decode as read-only views
+    over the page cache with no intermediate ``bytes`` copy.
 
-    Every file's SPC1 header is verified before decoding (and decode
-    errors are promoted to :class:`SpillCorruptionError` naming the file),
-    so a damaged spill file is always attributed to the producing map
-    task rather than surfacing as an opaque pickle failure in the reducer.
+    Only the segment's own SPC1 header is verified before decoding (and
+    decode errors are promoted to :class:`SpillCorruptionError` naming
+    it), so damage is always attributed to the producing map task rather
+    than surfacing as an opaque pickle failure in the reducer, and damage
+    to a sibling partition's segment is never seen.
     """
-    for path in paths:
-        payload = read_spill_chunk(path)
+    for path, length, offset in entries:
+        payload = read_spill_chunk(path, length, offset)
         try:
             records = decode_records(payload)
         except SpillCorruptionError:
             raise
         except Exception as exc:  # undetected damage within a valid frame
-            raise SpillCorruptionError(str(path), f"undecodable payload: {exc}") from exc
+            raise SpillCorruptionError(str(path), f"undecodable payload: {exc}", offset) from exc
         yield from records
 
 

@@ -30,9 +30,10 @@ class EngineStats:
     crossed the driver process — full encoded chunks on the relay path,
     only pickled manifests on the direct path (final job output returned
     to the caller is not shuffle traffic and is not counted);
-    ``spill_files_written``/``spill_bytes_written`` count the direct
-    path's on-disk spill chunks; ``fused_stages`` the reduce→map
-    short-circuits taken by fused chaining.
+    ``spill_files_written`` counts the direct path's spill files (one
+    per producing task with output, whatever the partition count),
+    ``spill_bytes_written`` their payload bytes; ``fused_stages`` the
+    reduce→map short-circuits taken by fused chaining.
 
     The zero-copy meters quantify the ``data_plane="shm"`` payoff:
     ``shm_segments``/``shm_bytes`` count the shared-memory segments the
@@ -52,10 +53,11 @@ class EngineStats:
     re-run by ``resume_job``; ``tasks_replayed`` map attempts re-executed
     driver-side (missing outputs on resume, corrupt spill files during a
     run); ``spill_corruptions`` integrity failures detected on the read
-    path; ``spill_files_quarantined`` damaged files renamed aside;
-    ``spill_files_damaged`` files the fault plan's ``corrupt_rate`` /
-    ``truncate_rate`` actually damaged (write-side injection count, so
-    tests can assert every injected corruption was detected).
+    path, one per damaged segment; ``spill_files_quarantined`` damaged
+    segments hard-linked aside for post-mortem; ``spill_files_damaged``
+    segments the fault plan's ``corrupt_rate`` / ``truncate_rate``
+    actually made unreadable (write-side injection count, so tests can
+    assert every injected corruption was detected).
 
     The replication meters record the last pairwise run's distance from
     the Afrati/Ullman lower bound: ``replication_factor_achieved`` is the
@@ -113,7 +115,7 @@ class ShuffleState:
     by the previous stage's reducers.  ``gathered[p]`` holds partition
     ``p``'s data in producing-task order: raw records
     (``mode="memory"``), encoded chunks (``"relay"``), or
-    ``(path, file_bytes)`` manifest entries (``"direct"``).  The
+    ``(path, payload_bytes, offset)`` manifest entries (``"direct"``).  The
     task-reported per-partition record/byte sums drive the shuffle
     counters and the reduce-side spill decision in every mode.
     """

@@ -104,8 +104,8 @@ class MapTaskSpec:
     num_partitions: int
     #: pre-encode partition chunks worker-side (pooled engine only)
     encode: bool = False
-    #: direct shuffle: write encoded partitions as spill files under this
-    #: directory and return a manifest instead of the chunks
+    #: direct shuffle: write encoded partitions as one spill file under
+    #: this directory and return a manifest instead of the chunks
     spill_dir: str | None = None
     #: position of this task within its phase (fault plans key on it)
     task_index: int = 0
@@ -135,14 +135,15 @@ class NextStage:
 
 @dataclass
 class ReduceTaskSpec:
-    """One reduce task: its partition as records, chunks, or spill paths."""
+    """One reduce task: its partition as records, chunks, or spill segments."""
 
     job: Any
     records: list[KeyValue] | None
     chunks: list[bytes] | None
-    #: direct shuffle: this partition's spill files, in map-task order
-    #: (order fixes the arrival-order tie-break — see iter_spill_records)
-    spill_paths: list[str] | None = None
+    #: direct shuffle: this partition's ``(path, payload_bytes, offset)``
+    #: segment in each producing task's spill file, in task order (order
+    #: fixes the arrival-order tie-break — see iter_spill_records)
+    spill_paths: list[tuple[str, int, int]] | None = None
     #: map-reported record count of the partition (REDUCE_INPUT_RECORDS;
     #: with spill paths the records are never counted driver-side)
     num_records: int = 0
@@ -253,14 +254,15 @@ def _with_io_delta(info: dict, mark: tuple[int, int]) -> dict:
 def marker_path(handle: JobRef, kind: str, task_index: int, attempt: int) -> Path:
     """Attempt-began marker: proves to the driver an attempt ran at all.
 
-    Workers touch it at the start of every attempt (same directory as the
-    job broadcast).  When the pool dies, the driver charges a lost attempt
-    only to tasks whose current attempt's marker exists — queued tasks
-    that never started are re-dispatched free, exactly like Hadoop
-    re-queues (rather than fails) tasks from a lost TaskTracker.
+    Workers touch it at the start of every attempt, in the marker
+    directory the driver makes with the job's broadcast and removes with
+    the job (a straggler outliving its job touches into a directory that
+    is gone and leaves nothing).  When the pool dies, the driver charges
+    a lost attempt only to tasks whose current attempt's marker exists —
+    queued tasks that never started are re-dispatched free, exactly like
+    Hadoop re-queues (rather than fails) tasks from a lost TaskTracker.
     """
-    base = Path(handle.path)
-    return base.parent / f"{base.stem}.{kind}.{task_index}.{attempt}.began"
+    return Path(handle.path).with_suffix(".began") / f"{kind}.{task_index}.{attempt}"
 
 
 def attempt_marker(handle: Any, kind: str, task_index: int):
@@ -390,10 +392,10 @@ def execute_reduce_task(spec: ReduceTaskSpec) -> tuple[Any, dict, dict]:
     job, info = resolve_job(spec.job)
     set_spill_verification(job.config.get("verify_spill_integrity", True))
     if spec.spill_paths is not None:
-        paths = spec.spill_paths
+        segments = spec.spill_paths
 
         def load() -> Iterable[KeyValue]:
-            return iter_spill_records(paths)
+            return iter_spill_records(segments)
 
     else:
         if spec.chunks is not None:
@@ -525,9 +527,9 @@ def replay_map_task(job: Job, spec: MapTaskSpec) -> tuple[list, list, list]:
     runs a single clean attempt in the driver process, outside the retry
     budget (recovery work is not charged to the task) and outside fault
     injection (the replay models re-reading from a healthy replica), and
-    republishes the spill files under ``spec.first_attempt`` — an attempt
-    number past any the worker loop could have used, so the fresh files
-    never collide with the quarantined ones.  The attempt's counters are
+    republishes the spill file under ``spec.first_attempt`` — an attempt
+    number past any the worker loop could have used, so the fresh file
+    never collides with the damaged one.  The attempt's counters are
     discarded: the original successful attempt's were already merged, and
     recovery must leave job counters bit-identical.
 

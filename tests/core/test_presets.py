@@ -28,7 +28,11 @@ from repro.core.pairwise import (
 )
 from repro.core.quorum import QuorumScheme
 from repro.core.runner import auto_pairwise
-from repro.mapreduce.controlplane.events import PhaseMarker, ReplicationMeasured
+from repro.mapreduce.controlplane.events import (
+    PhaseMarker,
+    ReplicationMeasured,
+    SpillWritten,
+)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
@@ -104,6 +108,59 @@ def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, 
         pruned = result.counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)
         assert evaluations + pruned == V * (V - 1) // 2
         assert (pruned > 0) == (pruning == "sketch")
+
+
+def test_shuffle_publishes_one_spill_file_per_producing_task(engines):
+    """Files scale with producing tasks, never with tasks × partitions.
+
+    Fused, job 2's input is spilled by job 1's reducers; unfused, by job
+    2's own map tasks.  Either way every producer publishes one file, and
+    what the run computes does not depend on who spilled.
+    """
+    pool, data = engines["pool"], points()
+    maps, reducers = 4, 3
+
+    def run(engine, **flags):
+        """(run's return value, SpillWritten events, metered shuffle bytes)."""
+        runner = PairwiseComputation(
+            BlockScheme(V, 3), euclidean_distance, engine=engine, num_reduce_tasks=reducers
+        )
+        events = []
+        engine.events.subscribe(events.append)
+        try:
+            out = runner.run(data, num_map_tasks=maps, **flags)
+        finally:
+            engine.events.unsubscribe(events.append)
+        segments = [event for event in events if isinstance(event, SpillWritten)]
+        (measured,) = (event for event in events if isinstance(event, ReplicationMeasured))
+        return out, segments, measured.shuffle_bytes
+
+    def pool_run(**flags):
+        """``run`` on the pool, plus what it added to (files, bytes, fused stages)."""
+        meters = ("spill_files_written", "spill_bytes_written", "fused_stages")
+        before = [getattr(pool.stats, name) for name in meters]
+        ran = run(pool, **flags)
+        return (*ran, [getattr(pool.stats, name) - was for name, was in zip(meters, before)])
+
+    fused, fused_segments, fused_shuffle, fused_added = pool_run()
+    (unfused, pipeline), unfused_segments, unfused_shuffle, unfused_added = pool_run(
+        return_pipeline=True
+    )
+    (serial, reference), serial_segments, serial_shuffle = run(
+        SerialEngine(), return_pipeline=True
+    )
+
+    for (files, spilled, stages), segments, producers, fuses in (
+        (fused_added, fused_segments, maps + reducers, 1),
+        (unfused_added, unfused_segments, maps + maps, 0),
+    ):
+        assert (files, stages) == (producers, fuses)
+        assert len(segments) > files  # several partitions' segments share a file
+        assert spilled == sum(event.num_bytes for event in segments)
+    assert serial_segments == []  # the serial engine never spills
+    assert result_maps(fused) == result_maps(unfused) == result_maps(serial)
+    assert pipeline.counters.as_dict() == reference.counters.as_dict()
+    assert fused_shuffle == unfused_shuffle == serial_shuffle
 
 
 @pytest.mark.parametrize("path", ["run", "run_cached", "run_broadcast_job"])

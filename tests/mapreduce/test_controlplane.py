@@ -31,10 +31,10 @@ class TestAttemptTag:
 
     def test_spill_filename_format_is_locked(self):
         """On-disk spill naming is parsed by tooling; lock it exactly."""
-        path = spill_file_path("/scratch", "map", 3, 2, True, 5)
-        assert path == "/scratch/map-00003-a2s-p00005.spill"
-        plain = spill_file_path("/scratch", "reduce", 0, 1, False, 0)
-        assert plain == "/scratch/reduce-00000-a1-p00000.spill"
+        path = spill_file_path("/scratch", "map", 3, 2, True)
+        assert path == "/scratch/map-00003-a2s.spill"
+        plain = spill_file_path("/scratch", "fuse", 0, 1, False)
+        assert plain == "/scratch/fuse-00000-a1.spill"
 
 
 class TestTaskAttemptStateMachine:

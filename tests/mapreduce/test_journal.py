@@ -179,6 +179,25 @@ class TestResume:
             reference_result().records
         )
 
+    def test_pre_segment_manifest_is_replayed_not_salvaged(self, tmp_path):
+        # A journal from before files were segmented: two-field entries,
+        # one file per partition.  Nothing there can be trusted to name a
+        # segment, so every task re-runs — and the resume does not crash.
+        journal_dir, gate = abandoned_run(tmp_path)
+        path = journal_dir / JOURNAL_NAME
+        records = read_journal(path)
+        for record in records:
+            if record["type"] == "map_result":
+                record["entries"] = [entry and entry[:2] for entry in record["entries"]]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        plan = plan_resume(journal_dir)
+        assert plan.salvage == {}
+        assert plan.missing == list(range(workload.NUM_MAP_TASKS))
+        gate.touch()
+        outcome = resume_job(journal_dir, max_workers=2)
+        assert outcome.tasks_replayed == workload.NUM_MAP_TASKS
+        assert sorted(outcome.result.records) == sorted(reference_result().records)
+
 
 @pytest.mark.durability
 class TestDriverKill:

@@ -176,10 +176,7 @@ class TestOneStageLoop:
 
     @pytest.mark.parametrize("fuse", [None, False])
     def test_failing_stage_is_named_and_nothing_leaks(self, engine, fuse):
-        # One reducer in the stage that dies: a sibling attempt still running
-        # when the phase fails may touch its began-marker after the release
-        # sweep (it goes with the engine's temp dir at close).
-        chain = fusable_chain(reducer=FailingReducer, num_reducers=1)
+        chain = fusable_chain(reducer=FailingReducer, num_reducers=3)
         before = fused_so_far(engine)
         with pytest.raises(TaskFailedError) as info:
             engine.run_chain(chain, records_from(LINES), num_map_tasks=4, fuse=fuse)

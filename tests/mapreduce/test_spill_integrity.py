@@ -10,14 +10,20 @@ bit-identically and without burning the reducer's retry budget.
 """
 
 import math
+import os
 import pickle
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.block import BlockScheme
 from repro.core.design import DesignScheme
 from repro.core.element import results_matrix
 from repro.core.pairwise import PairwiseComputation
+from repro.mapreduce.controlplane.events import SpillQuarantined
 from repro.mapreduce.extsort import ExternalSorter
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.job import Job, Reducer
@@ -118,15 +124,16 @@ class TestSpillContainer:
         # A payload that passes its CRC but cannot decode (the writer
         # checksummed garbage) is still a corruption, not a crash.
         path = tmp_path / "x.spill"
-        write_spill_chunk(path, b"not an NPB1 chunk")
+        garbage = b"not an NPB1 chunk"
+        write_spill_chunk(path, garbage)
         with pytest.raises(SpillCorruptionError, match="undecodable payload"):
-            list(iter_spill_records([str(path)]))
+            list(iter_spill_records([(str(path), len(garbage), 0)]))
 
     def test_error_pickles_with_fields(self):
-        error = SpillCorruptionError("/some/file.spill", "CRC mismatch")
+        error = SpillCorruptionError("/some/file.spill", "CRC mismatch", 4096)
         clone = pickle.loads(pickle.dumps(error))
         assert isinstance(clone, SpillCorruptionError)
-        assert clone.path == "/some/file.spill"
+        assert (clone.path, clone.offset) == ("/some/file.spill", 4096)
         assert clone.reason == "CRC mismatch"
         assert clone.task_retryable is False
 
@@ -217,19 +224,121 @@ class TestSpillInjection:
             False,
             plan=FaultPlan(corrupt_rate=1.0),
         )
-        assert damaged == 2  # every non-empty partition file
+        assert damaged == 2  # every non-empty partition's segment
         assert entries[1] is None
         for entry in (entries[0], entries[2]):
-            with pytest.raises(SpillCorruptionError):
-                read_spill_chunk(entry[0])
+            with pytest.raises(SpillCorruptionError, match="CRC mismatch"):
+                read_spill_chunk(*entry)
+
+    def test_truncation_counts_every_segment_it_takes(self, tmp_path):
+        class Plan:
+            def spill_fault(self, kind, task_index, attempt, partition, *, speculative=False):
+                return {0: "corrupt", 2: "truncate"}.get(partition)
+
+        partitions = [[(p, float(p))] for p in range(4)]
+        entries, damaged = spill_partitions(
+            partitions, [1] * 4, str(tmp_path), "map", 0, 1, False, plan=Plan()
+        )
+        # The cut inside segment 2 also takes segment 3; segment 1 is untouched.
+        assert damaged == 3
+        assert list(iter_spill_records([entries[1]])) == partitions[1]
+        for p, reason in ((0, "CRC mismatch"), (2, "truncated"), (3, "truncated")):
+            with pytest.raises(SpillCorruptionError, match=reason):
+                read_spill_chunk(*entries[p])
 
     def test_file_name_parses_back(self, tmp_path):
         entries, _ = spill_partitions(
             [[(0, 1.0)]], [1], str(tmp_path), "map", 7, 2, True
         )
         name = entries[0][0].rsplit("/", 1)[-1]
-        assert parse_spill_file_name(name) == ("map", 7, 0)
+        assert name == "map-00007-a2s.spill"
+        assert parse_spill_file_name(name) == ("map", 7)
         assert parse_spill_file_name("not-a-spill.bin") is None
+
+
+_values = st.one_of(
+    st.floats(allow_nan=False),
+    st.lists(st.floats(allow_nan=False), max_size=5).map(np.array),
+)
+_partitions = st.lists(
+    st.lists(st.tuples(st.integers(0, 9), _values), max_size=4), min_size=1, max_size=6
+)
+
+
+def _same_records(decoded, expected):
+    return len(decoded) == len(expected) and all(
+        got_key == key and np.array_equal(got, value)
+        for (got_key, got), (key, value) in zip(decoded, expected)
+    )
+
+
+class TestSegmentedSpillFile:
+    """One ``spill_partitions`` call → one file of independently verified segments."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(partitions=_partitions, data=st.data())
+    def test_segments_are_contiguous_and_fail_independently(self, partitions, data):
+        counts = [len(part) for part in partitions]
+        filled = [p for p, count in enumerate(counts) if count]
+        with tempfile.TemporaryDirectory() as spill_dir:
+            entries, damaged = spill_partitions(
+                partitions, counts, spill_dir, "map", 4, 1, False
+            )
+            assert damaged == 0
+            assert [p for p, entry in enumerate(entries) if entry is not None] == filled
+            # Exactly one published file (none for a task without output), no temp.
+            assert os.listdir(spill_dir) == (["map-00004-a1.spill"] if filled else [])
+            if not filled:
+                return
+            path = os.path.join(spill_dir, "map-00004-a1.spill")
+            end = 0
+            for p in filled:
+                assert entries[p][0] == path
+                assert entries[p][2] == end  # back to back, in partition order
+                end += SPILL_HEADER_BYTES + entries[p][1]
+            assert os.path.getsize(path) == end
+
+            def readable(p):
+                try:
+                    decoded = list(iter_spill_records([entries[p]]))
+                except SpillCorruptionError as error:
+                    assert (error.path, error.offset) == (path, entries[p][2])
+                    return False
+                assert _same_records(decoded, partitions[p])
+                return True
+
+            assert all(readable(p) for p in filled)
+            with open(path, "rb") as handle:
+                pristine = handle.read()
+            victim = data.draw(st.sampled_from(filled), label="victim partition")
+            _path, length, offset = entries[victim]
+            at = offset + data.draw(
+                st.integers(0, SPILL_HEADER_BYTES + length - 1), label="byte in segment"
+            )
+
+            # Any flipped byte of the segment fails that segment alone.
+            with open(path, "r+b") as handle:
+                handle.seek(at)
+                handle.write(bytes([pristine[at] ^ 0xFF]))
+            assert [p for p in filled if not readable(p)] == [victim]
+
+            # A cut inside the segment fails it and everything after it.
+            with open(path, "wb") as handle:
+                handle.write(pristine[:at])
+            assert [p for p in filled if not readable(p)] == [p for p in filled if p >= victim]
+
+            # Decoded ndarray views outlive the file (the mapping keeps the pages).
+            with open(path, "wb") as handle:
+                handle.write(pristine)
+            decoded = list(iter_spill_records([entries[victim]]))
+            os.unlink(path)
+            assert _same_records(decoded, partitions[victim])
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        unpicklable = [[(0, lambda: None)]]
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            spill_partitions(unpicklable, [1], str(tmp_path), "map", 0, 1, False)
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.durability
@@ -252,6 +361,29 @@ class TestCorruptionRecovery:
             assert stats.spill_corruptions == stats.spill_files_damaged
             assert stats.spill_files_quarantined == stats.spill_corruptions
             assert stats.tasks_replayed == stats.spill_corruptions
+
+    def test_quarantine_links_the_segment_and_leaves_the_file(self):
+        # The damaged file is shared: siblings still read their segments
+        # from it, so quarantine is a per-segment hard link beside it.
+        job = Job(
+            name="quarantined",
+            reducer=SumReducer,
+            num_reducers=2,
+            config={"fault_plan": FaultPlan(corrupt_rate=1.0, seed=3)},
+        )
+        linked = []
+
+        def on_event(event):
+            if isinstance(event, SpillQuarantined):
+                handle = f"{event.path}.p{event.partition:05d}.quarantined"
+                linked.append(os.path.samefile(event.path, handle))
+
+        with MultiprocessEngine(max_workers=2) as engine:
+            engine.events.subscribe(on_event)
+            result = engine.run(job, RECORDS, num_map_tasks=4)
+            assert result.records == clean_run().records
+            assert len(linked) == engine.stats.spill_files_quarantined > 0
+            assert all(linked)
 
     def test_mixed_rates_recover_bit_identical(self):
         plan = FaultPlan(corrupt_rate=0.5, truncate_rate=0.5, seed=11)

@@ -70,13 +70,14 @@ class TestReadChunkView:
 
     def test_spill_stream_reads_views(self, tmp_path):
         records = _records()
-        paths = []
+        entries = []
         for start in (0, 8):
             path = tmp_path / f"part-{start}.spill"
-            write_spill_chunk(path, encode_records(records[start : start + 8]))
-            paths.append(str(path))
+            chunk = encode_records(records[start : start + 8])
+            write_spill_chunk(path, chunk)
+            entries.append((str(path), len(chunk), 0))
         mark = io_meter.snapshot()
-        streamed = list(iter_spill_records(paths))
+        streamed = list(iter_spill_records(entries))
         assert io_meter.since(mark) == (2, 0)
         assert [(k, v.tolist()) for k, v in streamed] == [
             (k, v.tolist()) for k, v in records

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one benchmark workload, summarised per metric.
+"""Alternating parent/change pairs of benchmark workloads, summarised per metric.
 
-    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W [--pairs 10] [--seed0 300]
+    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...]
+                              [--pairs 10] [--seed0 300]
 
-For pair i (seed ``seed0 + i``) runs ``benchmarks/e2e/run.py --workload W --seed S
---seconds 10 --trace 0`` once in each checkout — the parent first on odd pairs, the
-change first on even ones — and reads the JSON on the run's last stdout line.  Prints,
-per end-to-end metric of the change's ``BENCHMARK.json``: both medians with quartiles,
-the relative change, and in how many pairs the change read better (ties count for
-neither).  A driver for the ruler, not a second benchmark: it measures nothing itself.
+For each workload, and pair i (seed ``seed0 + i``), runs ``benchmarks/e2e/run.py
+--workload W --seed S --seconds 10 --trace 0`` once in each checkout — the parent first
+on odd pairs, the change first on even ones — and reads the JSON on the run's last
+stdout line.  Prints one table per workload, per end-to-end metric of the change's
+``BENCHMARK.json``: both medians with quartiles, the relative change, and in how many
+pairs the change read better (ties count for neither).  Exits 1 when, on any workload,
+the change reported more failed operations than the parent: a gain does not count then.
+A driver for the ruler, not a second benchmark: it measures nothing itself.
 """
 
 from __future__ import annotations
@@ -44,22 +47,34 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append", dest="workloads", metavar="W")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=300)
     args = parser.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    more_failures = [w for w in args.workloads if not compare(args, spec, w)]
+    if more_failures:
+        print(f"change failed more operations than parent on: {', '.join(more_failures)}")
+    return 1 if more_failures else 0
+
+
+def compare(args: argparse.Namespace, spec: dict, workload: str) -> bool:
+    """Run and print one workload's pairs; False when the change failed more operations."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     sides = {"parent": args.parent, "change": args.change}
     for pair in range(1, args.pairs + 1):
         for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-            runs[side].append(measure(sides[side], args.workload, args.seed0 + pair))
-        print(f"pair {pair}/{args.pairs} done", file=sys.stderr)
+            runs[side].append(measure(sides[side], workload, args.seed0 + pair))
+        print(f"{workload}: pair {pair}/{args.pairs} done", file=sys.stderr)
 
-    failed = {side: sum(run["failed"] for run in results) for side, results in runs.items()}
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed0 + 1}..{args.seed0 + args.pairs}; "
-          f"failed operations parent {failed['parent']}, change {failed['change']}")
+    failed, attempted = (
+        {side: sum(run[key] for run in results) for side, results in runs.items()}
+        for key in ("failed", "attempted")
+    )
+    print(f"{workload}: {args.pairs} pairs, seeds {args.seed0 + 1}..{args.seed0 + args.pairs}; "
+          f"failed operations parent {failed['parent']}/{attempted['parent']}, "
+          f"change {failed['change']}/{attempted['change']}")
     print(f"{'metric':<22}{'parent median [q1, q3]':<34}{'change median [q1, q3]':<34}"
           f"{'change':>9}  wins")
     for metric in spec["end_to_end"]:
@@ -71,7 +86,8 @@ def main() -> int:
         relative = (statistics.median(change) - base) / base if base else float("nan")
         print(f"{name:<22}{spread(parent):<34}{spread(change):<34}{relative:>+9.1%}  "
               f"{wins}/{args.pairs}")
-    return 0
+    print(flush=True)
+    return failed["change"] <= failed["parent"]
 
 
 if __name__ == "__main__":
