@@ -12,12 +12,14 @@ This is the substitute for the paper's AWS-EC2 / Google-IBM cloud runs
    sizes (with the runtime memory overhead that made the paper hit maxws
    "a little earlier than expected"), intermediate storage, makespan,
 
-and reports limit violations against maxws/maxis.  Hierarchical schedules
-simulate round by round (sequential rounds, parallel tasks within).
+and reports limit violations against maxws/maxis.  A hierarchical schedule
+is its rounds simulated one after the other — each round is a scheme like
+any other — with the reports folded by sum or maximum.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection, Sequence
 
@@ -357,6 +359,18 @@ class ClusterSimulator:
         )
 
     # -- hierarchical schedules ----------------------------------------------------
+    #: fields of a schedule's report that add up over its sequential rounds …
+    ROUND_SUMS = (
+        "num_tasks", "replicas", "total_evaluations", "makespan_seconds",
+        "makespan_failure_adjusted", "expected_reexecutions",
+        "recovery_overhead_seconds", "driver_bytes", "relay_seconds",
+    )
+    #: … and those that are the worst round's (one round is alive at a time)
+    ROUND_PEAKS = (
+        "max_working_set_elements", "max_working_set_bytes", "max_task_memory_bytes",
+        "intermediate_bytes", "max_evaluations_per_task",
+    )
+
     def simulate_schedule(
         self,
         schedule: Schedule,
@@ -364,99 +378,39 @@ class ClusterSimulator:
         *,
         eval_seconds: float | None = None,
     ) -> SimulationReport:
-        """Simulate sequential rounds; makespan = Σ per-round makespans.
+        """Simulate sequential rounds: :meth:`simulate` per round, folded.
 
-        Intermediate storage is the *peak round's* replicas — the §7
-        easing — and working-set checks apply per fine-grained task.
+        Makespans, replicas and evaluations add up (:attr:`ROUND_SUMS`);
+        intermediate storage is the *peak round's* replicas — the §7
+        easing — and the working-set figures are the worst fine-grained
+        task's (:attr:`ROUND_PEAKS`).  The assignment keeps the last
+        round's placement with slot loads summed over all rounds.
         """
-        if element_size < 1:
-            raise ValueError(f"element_size must be >= 1, got {element_size}")
-        node = self.cluster.nodes[0]
-        if eval_seconds is None:
-            eval_seconds = 1.0 / node.eval_rate
-
-        total_makespan = 0.0
-        total_adjusted = 0.0
-        total_reexecutions = 0.0
-        total_replicas = 0
-        total_driver_bytes = 0
-        total_relay_seconds = 0.0
-        peak_round_bytes = 0
-        max_ws_elems = 0
-        total_evals = 0
-        max_task_evals = 0
-        num_tasks = 0
-        merged_loads: dict[tuple[int, int], float] = {}
-        last_assignment: Assignment | None = None
-
-        for round_ in schedule.rounds():
-            costs = []
-            refetch = []
-            for task in round_.tasks:
-                profile = TaskProfile(
-                    subset_id=task.task_index,
-                    num_members=len(task.members),
-                    num_evaluations=len(task.pairs),
-                )
-                costs.append(
-                    TaskCost(
-                        task.task_index,
-                        self._task_seconds(profile, element_size, eval_seconds, node),
-                    )
-                )
-                refetch.append(
-                    self.network.transfer_time(profile.num_members * element_size)
-                )
-                max_ws_elems = max(max_ws_elems, profile.num_members)
-                total_evals += profile.num_evaluations
-                max_task_evals = max(max_task_evals, profile.num_evaluations)
-            assignment = self._place(costs)
-            adjusted, reexecutions = self._failure_impact(
-                costs, refetch, assignment.makespan
-            )
-            last_assignment = assignment
-            for slot, load in assignment.slot_loads.items():
-                merged_loads[slot] = merged_loads.get(slot, 0.0) + load
-            round_driver, round_relay = self._relay_cost(
-                round_.replicas * element_size
-            )
-            total_driver_bytes += round_driver
-            total_relay_seconds += round_relay
-            total_makespan += assignment.makespan + round_relay
-            total_adjusted += adjusted + round_relay
-            total_reexecutions += reexecutions
-            total_replicas += round_.replicas
-            peak_round_bytes = max(peak_round_bytes, round_.replicas * element_size)
-            num_tasks += len(round_.tasks)
-
-        max_ws_bytes = max_ws_elems * element_size
-        max_task_memory = self.task_overhead.apply(max_ws_bytes)
+        reports = [
+            self.simulate(round_, element_size, eval_seconds=eval_seconds)
+            for round_ in schedule.rounds()
+        ]
+        rounds = [report.measured for report in reports]
+        folded = {name: sum(getattr(m, name) for m in rounds) for name in self.ROUND_SUMS}
+        folded.update(
+            {name: max(getattr(m, name) for m in rounds) for name in self.ROUND_PEAKS}
+        )
+        slot_loads: Counter = Counter()
+        for report in reports:
+            slot_loads.update(report.assignment.slot_loads)
         measured = MeasuredMetrics(
             scheme=type(schedule).__name__,
             v=schedule.v,
-            num_tasks=num_tasks,
-            replicas=total_replicas,
-            replication_factor=total_replicas / schedule.v,
-            max_working_set_elements=max_ws_elems,
-            max_working_set_bytes=max_ws_bytes,
-            max_task_memory_bytes=max_task_memory,
-            intermediate_bytes=peak_round_bytes,
-            total_evaluations=total_evals,
-            max_evaluations_per_task=max_task_evals,
-            makespan_seconds=total_makespan,
-            makespan_failure_adjusted=total_adjusted,
-            expected_reexecutions=total_reexecutions,
-            recovery_overhead_seconds=total_adjusted - total_makespan,
+            replication_factor=folded["replicas"] / schedule.v,
             shuffle_plane=self.shuffle_plane,
-            driver_bytes=total_driver_bytes,
-            relay_seconds=total_relay_seconds,
+            **folded,
         )
-        assignment = last_assignment or Assignment(placement={}, slot_loads={})
-        assignment = Assignment(placement=assignment.placement, slot_loads=merged_loads)
         return SimulationReport(
             measured=measured,
-            assignment=assignment,
-            limit_checks=self._limits(max_task_memory, peak_round_bytes),
+            assignment=Assignment(reports[-1].assignment.placement, dict(slot_loads)),
+            limit_checks=self._limits(
+                folded["max_task_memory_bytes"], folded["intermediate_bytes"]
+            ),
         )
 
     # -- input locality (§3's "most of the input data can be read locally") ---------

@@ -19,93 +19,56 @@ exactly-once property is about 2-subsets of *one* point set.  (The
 algebraic counterpart — transversal designs / orthogonal arrays — reduces
 to exactly the grid tiling the block scheme already provides.)
 
-Element addressing: side ``"r"`` ids ``1..vr``, side ``"s"`` ids
-``1..vs``.  Pairs are ``(r_id, s_id)`` tuples; working-set members are
-``(side, id)`` tuples.
+Element addressing: both sets live in the scheme's one id space, side S
+first — S's k-th element is id ``k``, R's k-th is ``vs + k``
+(:meth:`BipartiteScheme.eid`) — so a cross pair's canonical form
+``(vs + r, s)``, larger id first, evaluates ``comp(r, s)`` like any other
+pair.  A two-set scheme is then an ordinary
+:class:`~repro.core.scheme.DistributionScheme` whose declared universe
+(:meth:`~repro.core.scheme.DistributionScheme.required_pairs`) is the
+rectangle instead of the triangle: the one validator, executor and
+simulator take it as they take a flat scheme.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .._util import ceil_div
+from .element import results_matrix
+from .pairwise import PairwiseComputation
+from .scheme import DistributionScheme, Pair, SchemeMetrics
 
-SideId = tuple[str, int]  #: ("r", 3) or ("s", 17)
-CrossPair = tuple[int, int]  #: (r_id, s_id)
-
-
-@dataclass(frozen=True)
-class BipartiteMetrics:
-    """Table-1-style characteristics for a two-set scheme."""
-
-    scheme: str
-    vr: int
-    vs: int
-    num_tasks: int
-    communication_records: int
-    replication_r: float
-    replication_s: float
-    working_set_elements: int
-    evaluations_per_task: float
+CrossPair = tuple[int, int]  #: (r_id, s_id), each 1-based within its side
 
 
-class BipartiteScheme(abc.ABC):
-    """Partition the rectangle R × S into tasks, each pair exactly once."""
+class BipartiteScheme(DistributionScheme):
+    """Partition the rectangle R × S into tasks, each cross pair exactly once."""
 
     name = "bipartite-abstract"
 
     def __init__(self, vr: int, vs: int):
         if vr < 1 or vs < 1:
             raise ValueError(f"both sides need >= 1 element, got vr={vr}, vs={vs}")
+        super().__init__(vr + vs)
         self.vr = vr
         self.vs = vs
 
-    @property
-    @abc.abstractmethod
-    def num_tasks(self) -> int:
-        """Number of independent tasks."""
-
-    @abc.abstractmethod
-    def get_subsets(self, side: str, element_id: int) -> list[int]:
-        """Tasks the element of the given side joins."""
-
-    @abc.abstractmethod
-    def get_pairs(self, subset_id: int) -> list[CrossPair]:
-        """Cross pairs (r_id, s_id) task ``subset_id`` evaluates."""
-
-    @abc.abstractmethod
-    def subset_members(self, subset_id: int) -> list[SideId]:
-        """All (side, id) members of a task's working set."""
-
-    @abc.abstractmethod
-    def metrics(self) -> BipartiteMetrics:
-        """Analytic characteristics."""
-
-    # -- shared helpers ----------------------------------------------------------
-    def _check_side(self, side: str, element_id: int) -> None:
-        if side == "r":
-            bound = self.vr
-        elif side == "s":
-            bound = self.vs
-        else:
+    def eid(self, side: str, element_id: int) -> int:
+        """Id, in the scheme's one id space, of a side's ``element_id``-th element."""
+        if side not in ("r", "s"):
             raise ValueError(f"side must be 'r' or 's', got {side!r}")
+        bound = self.vr if side == "r" else self.vs
         if not 1 <= element_id <= bound:
             raise ValueError(
                 f"element id {element_id} out of range [1, {bound}] for side {side}"
             )
+        return element_id + self.vs if side == "r" else element_id
 
-    def _check_subset(self, subset_id: int) -> None:
-        if not 0 <= subset_id < self.num_tasks:
-            raise ValueError(f"subset id {subset_id} out of range [0, {self.num_tasks})")
-
-    def iter_subsets(self) -> Iterator[tuple[int, list[SideId]]]:
-        for subset_id in range(self.num_tasks):
-            yield subset_id, self.subset_members(subset_id)
-
-    def total_pairs(self) -> int:
-        return self.vr * self.vs
+    def required_pairs(self) -> frozenset[Pair]:
+        """The rectangle: every R element against every S element."""
+        r_ids = range(self.vs + 1, self.v + 1)
+        return frozenset((r, s) for r in r_ids for s in range(1, self.vs + 1))
 
     def describe(self) -> str:
         return f"{self.name}(vr={self.vr}, vs={self.vs}, tasks={self.num_tasks})"
@@ -136,7 +99,7 @@ class BipartiteBroadcastScheme(BipartiteScheme):
         return self._num_tasks
 
     def task_labels(self, subset_id: int) -> range:
-        self._check_subset(subset_id)
+        self._check_subset_id(subset_id)
         total = self.vr * self.vs
         lo = subset_id * self.chunk + 1
         hi = min((subset_id + 1) * self.chunk, total)
@@ -149,12 +112,13 @@ class BipartiteBroadcastScheme(BipartiteScheme):
         r_id = (p - 1) % self.vr + 1
         return (r_id, s_id)
 
-    def get_pairs(self, subset_id: int) -> list[CrossPair]:
-        return [self.label_to_pair(p) for p in self.task_labels(subset_id)]
+    def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
+        labels = self.task_labels(subset_id)
+        return [(self.vs + r, s) for r, s in map(self.label_to_pair, labels)]
 
-    def get_subsets(self, side: str, element_id: int) -> list[int]:
-        self._check_side(side, element_id)
-        if side == "r":
+    def get_subsets(self, element_id: int) -> list[int]:
+        self._check_element_id(element_id)
+        if element_id > self.vs:
             return list(range(self._num_tasks))  # R is broadcast
         # Side S: only tasks whose label chunk touches column element_id.
         first_label = (element_id - 1) * self.vr + 1
@@ -163,27 +127,21 @@ class BipartiteBroadcastScheme(BipartiteScheme):
         last_task = min((last_label - 1) // self.chunk, self._num_tasks - 1)
         return list(range(first_task, last_task + 1))
 
-    def subset_members(self, subset_id: int) -> list[SideId]:
-        labels = self.task_labels(subset_id)
-        members: list[SideId] = [("r", r) for r in range(1, self.vr + 1)]
-        s_ids = sorted({(p - 1) // self.vr + 1 for p in labels})
-        members.extend(("s", s) for s in s_ids)
-        return members
+    def subset_members(self, subset_id: int) -> list[int]:
+        s_ids = sorted({(p - 1) // self.vr + 1 for p in self.task_labels(subset_id)})
+        return [*s_ids, *range(self.vs + 1, self.v + 1)]
 
-    def metrics(self) -> BipartiteMetrics:
+    def metrics(self) -> SchemeMetrics:
         p = self._num_tasks
         # Every S element is in ⌈its column span⌉ tasks ≈ 1 + vr/chunk.
-        s_repl = sum(len(self.get_subsets("s", s)) for s in range(1, self.vs + 1)) / self.vs
-        max_ws = max(len(self.subset_members(t)) for t in range(p))
-        return BipartiteMetrics(
+        replicas = self.vr * p + sum(len(self.get_subsets(s)) for s in range(1, self.vs + 1))
+        return SchemeMetrics(
             scheme=self.name,
-            vr=self.vr,
-            vs=self.vs,
+            v=self.v,
             num_tasks=p,
-            communication_records=2 * (self.vr * p + int(round(s_repl * self.vs))),
-            replication_r=float(p),
-            replication_s=s_repl,
-            working_set_elements=max_ws,
+            communication_records=2 * replicas,
+            replication_factor=replicas / self.v,
+            working_set_elements=max(len(self.subset_members(t)) for t in range(p)),
             evaluations_per_task=self.vr * self.vs / p,
         )
 
@@ -214,105 +172,72 @@ class BipartiteBlockScheme(BipartiteScheme):
     def num_tasks(self) -> int:
         return self.hr * self.hs
 
-    def _chunk(self, side: str, index: int) -> list[int]:
-        """1-indexed element ids of chunk ``index`` (0-indexed) on a side."""
-        edge = self.er if side == "r" else self.es
-        bound = self.vr if side == "r" else self.vs
-        lo = index * edge + 1
-        hi = min((index + 1) * edge, bound)
-        return list(range(lo, hi + 1))
+    def _chunk(self, side: str, index: int) -> range:
+        """Element ids of chunk ``index`` (0-indexed) on a side."""
+        edge, bound = (self.er, self.vr) if side == "r" else (self.es, self.vs)
+        lo = self.eid(side, index * edge + 1)
+        return range(lo, lo + min(edge, bound - index * edge))
 
     def task_position(self, subset_id: int) -> tuple[int, int]:
-        self._check_subset(subset_id)
+        self._check_subset_id(subset_id)
         return divmod(subset_id, self.hs)
 
-    def get_pairs(self, subset_id: int) -> list[CrossPair]:
+    def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
         a, b = self.task_position(subset_id)
         return [(r, s) for r in self._chunk("r", a) for s in self._chunk("s", b)]
 
-    def get_subsets(self, side: str, element_id: int) -> list[int]:
-        self._check_side(side, element_id)
-        if side == "r":
-            a = (element_id - 1) // self.er
+    def get_subsets(self, element_id: int) -> list[int]:
+        self._check_element_id(element_id)
+        if element_id > self.vs:
+            a = (element_id - self.vs - 1) // self.er
             return [a * self.hs + b for b in range(self.hs)]
         b = (element_id - 1) // self.es
         return [a * self.hs + b for a in range(self.hr)]
 
-    def subset_members(self, subset_id: int) -> list[SideId]:
+    def subset_members(self, subset_id: int) -> list[int]:
         a, b = self.task_position(subset_id)
-        members: list[SideId] = [("r", r) for r in self._chunk("r", a)]
-        members.extend(("s", s) for s in self._chunk("s", b))
-        return members
+        return [*self._chunk("s", b), *self._chunk("r", a)]
 
-    def metrics(self) -> BipartiteMetrics:
-        return BipartiteMetrics(
+    def metrics(self) -> SchemeMetrics:
+        replicas = self.vr * self.hs + self.vs * self.hr
+        return SchemeMetrics(
             scheme=self.name,
-            vr=self.vr,
-            vs=self.vs,
+            v=self.v,
             num_tasks=self.num_tasks,
-            communication_records=2 * (self.vr * self.hs + self.vs * self.hr),
-            replication_r=float(self.hs),
-            replication_s=float(self.hr),
+            communication_records=2 * replicas,
+            replication_factor=replicas / self.v,
             working_set_elements=self.er + self.es,
             evaluations_per_task=float(self.er * self.es),
         )
 
 
 # ---------------------------------------------------------------------------
-# Validation and execution
+# Execution
 # ---------------------------------------------------------------------------
-
-def check_bipartite_exactly_once(scheme: BipartiteScheme) -> tuple[bool, str]:
-    """Every (r, s) pair exactly once, locally servable, views consistent."""
-    seen: dict[CrossPair, int] = {}
-    for subset_id, members in scheme.iter_subsets():
-        member_set = set(members)
-        for r, s in scheme.get_pairs(subset_id):
-            if ("r", r) not in member_set or ("s", s) not in member_set:
-                return False, f"pair ({r}, {s}) not servable in task {subset_id}"
-            seen[(r, s)] = seen.get((r, s), 0) + 1
-    expected = scheme.total_pairs()
-    if len(seen) != expected:
-        return False, f"covered {len(seen)} pairs, expected {expected}"
-    duplicates = [pair for pair, count in seen.items() if count != 1]
-    if duplicates:
-        return False, f"duplicated pairs: {duplicates[:5]}"
-    # Map-side / reduce-side agreement.
-    for side, bound in (("r", scheme.vr), ("s", scheme.vs)):
-        for eid in range(1, bound + 1):
-            for subset_id in scheme.get_subsets(side, eid):
-                if (side, eid) not in set(scheme.subset_members(subset_id)):
-                    return False, (
-                        f"get_subsets({side}, {eid}) claims task {subset_id} "
-                        "but subset_members disagrees"
-                    )
-    return True, "ok"
-
 
 def run_bipartite(
     r_payloads: Sequence,
     s_payloads: Sequence,
     comp,
     scheme: BipartiteScheme,
+    *,
+    engine=None,
 ) -> dict[CrossPair, object]:
     """Evaluate ``comp(r, s)`` on every cross pair under the scheme.
 
-    In-process reference runner (the MR form reuses the standard engine
-    with (side, id) keys; see tests).  Returns ``{(r_id, s_id): result}``.
+    One :class:`~repro.core.pairwise.PairwiseComputation` over S's payloads
+    followed by R's: the in-process reference without an ``engine``, the
+    two-job pipeline on it with one.  Returns ``{(r_id, s_id): result}``.
     """
     if len(r_payloads) != scheme.vr or len(s_payloads) != scheme.vs:
         raise ValueError(
             f"payload sizes ({len(r_payloads)}, {len(s_payloads)}) do not "
             f"match scheme ({scheme.vr}, {scheme.vs})"
         )
-    out: dict[CrossPair, object] = {}
-    for subset_id in range(scheme.num_tasks):
-        for r, s in scheme.get_pairs(subset_id):
-            key = (r, s)
-            if key in out:
-                raise RuntimeError(f"pair {key} evaluated twice (scheme bug)")
-            out[key] = comp(r_payloads[r - 1], s_payloads[s - 1])
-    return out
+    computation = PairwiseComputation(scheme, comp, engine=engine)
+    dataset = [*s_payloads, *r_payloads]
+    merged = computation.run_local(dataset) if engine is None else computation.run(dataset)
+    return {(i - scheme.vs, j): result for (i, j), result in results_matrix(merged).items()}
 
 
 def brute_force_bipartite(r_payloads: Sequence, s_payloads: Sequence, comp):

@@ -21,22 +21,29 @@ Two schedules are provided:
     in ``R`` sequential batches, dividing the materialized replication by
     ``≈ R``.
 
-Both expose rounds of tasks (``Round`` → ``ScheduledTask``) rather than the
-flat :class:`DistributionScheme` interface, since sequential rounds are the
-whole point; :func:`run_rounds` executes a schedule in-process, and
-:func:`check_schedule_exactly_once` validates global coverage.
+Both are ordered sequences of :class:`Round` objects, and a round is an ordinary
+:class:`~repro.core.scheme.DistributionScheme` over the global ids — explicit
+:class:`ScheduledTask` lists, a declared universe (the round's coarse blocks)
+and the elements that sit the round out — so the flat schemes' validator,
+executor and simulator run it unchanged: :func:`run_rounds` is a loop of
+:class:`~repro.core.pairwise.PairwiseComputation`, and
+:func:`check_schedule_exactly_once` asks
+:func:`~repro.core.validate.check_exactly_once` about every round.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .._util import ceil_div, chunked, triangle_count
 from .design import DesignScheme
 from .element import Element, _elements_by_id
-from .scheme import Pair
+from .pairwise import PairwiseComputation
+from .scheme import DistributionScheme, Pair, SchemeMetrics, TaskProfile
+from .validate import check_exactly_once
 
 
 @dataclass(frozen=True)
@@ -49,12 +56,35 @@ class ScheduledTask:
     pairs: tuple[Pair, ...]
 
 
-@dataclass(frozen=True)
-class Round:
-    """One sequential round: tasks that may run in parallel together."""
+class Round(DistributionScheme):
+    """One sequential round: tasks that may run in parallel together.
 
-    index: int
-    tasks: tuple[ScheduledTask, ...]
+    A schema over the global ids ``1..v`` built from the round's explicit
+    task list, so ``get_subsets`` / ``get_pairs`` are exact.  ``blocks`` is
+    what the round must cover — ``(high, low)`` id groups, each standing
+    for the pairs ``(i, j)``, i ∈ high, j ∈ low, i > j (a coarse block, or
+    a design block against itself) — stated apart from how ``tasks`` tile
+    it.  Elements of no task sit the round out.
+    """
+
+    name = "schedule-round"
+
+    def __init__(
+        self,
+        v: int,
+        index: int,
+        tasks: Iterable[ScheduledTask],
+        blocks: Iterable[tuple[Sequence[int], Sequence[int]]],
+    ):
+        super().__init__(v)
+        self.index = index
+        self.tasks = tuple(tasks)
+        self.blocks = tuple(blocks)
+        self._subsets_of: dict[int, list[int]] = {}
+        for task in self.tasks:
+            for eid in task.members:
+                self._subsets_of.setdefault(eid, []).append(task.task_index)
+        self._participants = sorted(self._subsets_of)
 
     @property
     def replicas(self) -> int:
@@ -68,6 +98,43 @@ class Round:
     @property
     def evaluations(self) -> int:
         return sum(len(task.pairs) for task in self.tasks)
+
+    @property
+    def num_tasks(self) -> int:
+        return len(self.tasks)
+
+    def get_subsets(self, element_id: int) -> list[int]:
+        return list(self._subsets_of.get(element_id, ()))
+
+    def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
+        return list(self.tasks[subset_id].pairs)
+
+    def subset_members(self, subset_id: int) -> list[int]:
+        return sorted(self.tasks[subset_id].members)
+
+    def participants(self) -> list[int]:
+        return self._participants
+
+    def required_pairs(self) -> frozenset[Pair]:
+        return frozenset(
+            (i, j) for high, low in self.blocks for i in high for j in low if i > j
+        )
+
+    def task_profile(self, subset_id: int) -> TaskProfile:
+        task = self.tasks[subset_id]
+        return TaskProfile(subset_id, len(task.members), len(task.pairs))
+
+    def metrics(self) -> SchemeMetrics:
+        """The round's Table-1 row; replication counts the elements sitting out as 0."""
+        return SchemeMetrics(
+            scheme=self.name,
+            v=self.v,
+            num_tasks=self.num_tasks,
+            communication_records=2 * self.replicas,
+            replication_factor=self.replicas / self.v,
+            working_set_elements=self.max_working_set,
+            evaluations_per_task=self.evaluations / max(1, self.num_tasks),
+        )
 
 
 class Schedule:
@@ -170,21 +237,20 @@ class HierarchicalBlockScheme(Schedule):
                     ScheduledTask(round_index, task_index, task_members, pairs)
                 )
                 task_index += 1
-        return Round(round_index, tuple(tasks))
+        return Round(self.v, round_index, tasks, [(members, members)])
 
     def _cross_round(self, round_index: int, I: int, J: int) -> Round:
         """All cross pairs between coarse groups I > J, tiled f × f."""
-        cols = self._fine_chunks(self._coarse_group(I))
-        rows = self._fine_chunks(self._coarse_group(J))
+        high, low = self._coarse_group(I), self._coarse_group(J)
         tasks: list[ScheduledTask] = []
         task_index = 0
-        for col_chunk in cols:
-            for row_chunk in rows:
+        for col_chunk in self._fine_chunks(high):
+            for row_chunk in self._fine_chunks(low):
                 pairs = tuple((c, r) for c in col_chunk for r in row_chunk)
                 members = tuple(list(row_chunk) + list(col_chunk))
                 tasks.append(ScheduledTask(round_index, task_index, members, pairs))
                 task_index += 1
-        return Round(round_index, tuple(tasks))
+        return Round(self.v, round_index, tasks, [(high, low)])
 
 
 class SequentialDesignSchedule(Schedule):
@@ -215,7 +281,8 @@ class SequentialDesignSchedule(Schedule):
                 members = tuple(self.design.subset_members(subset_id))
                 pairs = tuple(self.design.get_pairs(subset_id, members))
                 tasks.append(ScheduledTask(round_index, task_index, members, pairs))
-            yield Round(round_index, tuple(tasks))
+            # A design block owes every pair among its own points.
+            yield Round(self.v, round_index, tasks, [(t.members, t.members) for t in tasks])
 
 
 # ---------------------------------------------------------------------------
@@ -228,173 +295,56 @@ def run_rounds(
     schedule: Schedule,
     *,
     aggregator: Callable[[Sequence[Element]], Element] | None = None,
+    engine=None,
+    **options: Any,
 ) -> dict[int, Element]:
     """Execute a schedule round by round, aggregating between rounds (§7).
 
-    After each round the per-round copies are merged into the running
-    elements — "each block is aggregated before the next one is processed"
-    — so at no time do more than one round's replicas exist.
+    Every round is one :class:`~repro.core.pairwise.PairwiseComputation`
+    over the round's schema — the in-process reference without an
+    ``engine``, the two-MR-job pipeline on it with one (a persistent pool
+    keeps its workers across rounds); ``options`` are that class's other
+    keywords (``symmetric``, ``threshold``, ``pruning``, …).  Only a round's
+    participants are shipped, and the computation's own aggregator folds
+    what they bring back into the running elements — "each block is
+    aggregated before the next one is processed" — so at no time do more
+    than one round's replicas exist.  The aggregator therefore has to be
+    one that can be applied again to its own output (concat, threshold and
+    top-k can; a fold to a single value per element cannot).
     """
-    from .aggregate import ConcatAggregator  # local import avoids cycle
-
     if len(dataset) != schedule.v:
         raise ValueError(
             f"dataset has {len(dataset)} elements, schedule expects {schedule.v}"
         )
-    aggregate = aggregator or ConcatAggregator()
     current = _elements_by_id(dataset)
-
+    payloads = [current[eid].payload for eid in range(1, schedule.v + 1)]
     for round_ in schedule.rounds():
-        copies: dict[int, list[Element]] = {}
-        for task in round_.tasks:
-            local = {
-                eid: current[eid].copy_without_results() for eid in task.members
-            }
-            for i, j in task.pairs:
-                result = comp(local[i].payload, local[j].payload)
-                local[i].add_result(j, result)
-                local[j].add_result(i, result)
-            for eid, copy in local.items():
-                copies.setdefault(eid, []).append(copy)
-        # Aggregation barrier: merge this round's copies into the elements.
-        for eid, element_copies in copies.items():
-            carried = Element(
-                current[eid].eid, current[eid].payload, dict(current[eid].results)
-            )
-            merged = aggregate([carried] + element_copies)
-            current[eid] = merged
-    return current
-
-
-class _RoundScheme:
-    """Adapter: one schedule round presented as a DistributionScheme-alike.
-
-    Only the members/pairs surface the MR jobs need — built from the
-    round's explicit task list, so get_subsets/get_pairs are exact.
-    Element ids are global (1..v); tasks are the round's task indices.
-    """
-
-    name = "schedule-round"
-
-    def __init__(self, v: int, round_: Round):
-        self.v = v
-        self._tasks = round_.tasks
-        index: dict[int, list[int]] = {}
-        for task in round_.tasks:
-            for eid in task.members:
-                index.setdefault(eid, []).append(task.task_index)
-        self._subsets_of = index
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self._tasks)
-
-    def get_subsets(self, element_id: int) -> list[int]:
-        return list(self._subsets_of.get(element_id, []))
-
-    def get_pairs(self, subset_id: int, members=None) -> list[Pair]:
-        return list(self._tasks[subset_id].pairs)
-
-    def subset_members(self, subset_id: int) -> list[int]:
-        return sorted(self._tasks[subset_id].members)
-
-    def iter_subsets(self):
-        for task in self._tasks:
-            yield task.task_index, sorted(task.members)
-
-
-def run_rounds_mr(
-    dataset: Sequence[Any],
-    comp: Callable[[Any, Any], Any],
-    schedule: Schedule,
-    *,
-    aggregator: Callable[[Sequence[Element]], Element] | None = None,
-    engine=None,
-) -> dict[int, Element]:
-    """Execute a §7 schedule with each round as a real two-MR-job run.
-
-    The deployment shape the paper sketches: per round, job 1 distributes
-    the round's working sets and evaluates, job 2 aggregates — then the
-    next round starts from the merged state.  Elements in no working set
-    of a round skip that round's jobs entirely (no wasted shipping).
-    """
-    from .aggregate import ConcatAggregator
-    from .pairwise import PairwiseComputation
-
-    if len(dataset) != schedule.v:
-        raise ValueError(
-            f"dataset has {len(dataset)} elements, schedule expects {schedule.v}"
-        )
-    aggregate = aggregator or ConcatAggregator()
-    current = _elements_by_id(dataset)
-
-    for round_ in schedule.rounds():
-        scheme = _RoundScheme(schedule.v, round_)
-        participating = sorted(scheme._subsets_of)
-        if not participating:
-            continue
-        # Compact ids 1..k for the round's participants (the MR pairwise
-        # layer requires contiguous ids); remap pairs accordingly.
-        to_local = {eid: i + 1 for i, eid in enumerate(participating)}
-        to_global = {local: eid for eid, local in to_local.items()}
-
-        local_round = Round(
-            index=round_.index,
-            tasks=tuple(
-                ScheduledTask(
-                    round_index=task.round_index,
-                    task_index=task.task_index,
-                    members=tuple(sorted(to_local[eid] for eid in task.members)),
-                    pairs=tuple(
-                        (max(to_local[i], to_local[j]), min(to_local[i], to_local[j]))
-                        for i, j in task.pairs
-                    ),
-                )
-                for task in round_.tasks
-            ),
-        )
-        local_scheme = _RoundScheme(len(participating), local_round)
+        if not round_.evaluations:
+            continue  # nothing to evaluate: no jobs, nothing shipped
         computation = PairwiseComputation(
-            local_scheme,  # type: ignore[arg-type]
-            comp,
-            engine=engine,
+            round_, comp, aggregator=aggregator, engine=engine, **options
         )
-        payloads = [current[to_global[i + 1]].payload for i in range(len(participating))]
-        merged_local = computation.run(payloads)
-        # Fold the round's results back into the global elements.
-        for local_id, local_element in merged_local.items():
-            global_element = current[to_global[local_id]]
-            carried = Element(
-                global_element.eid, global_element.payload, dict(global_element.results)
-            )
-            contribution = Element(global_element.eid, global_element.payload)
-            for local_partner, result in local_element.results.items():
-                contribution.results[to_global[local_partner]] = result
-            current[global_element.eid] = aggregate([carried, contribution])
+        run = computation.run_local if engine is None else computation.run
+        for eid, contribution in run(payloads).items():
+            current[eid] = computation.aggregator([current[eid], contribution])
     return current
 
 
 def check_schedule_exactly_once(schedule: Schedule) -> tuple[bool, str]:
-    """Global exactly-once coverage across all rounds of a schedule."""
-    seen: dict[Pair, int] = {}
+    """Every round covers its own universe exactly once; the universes tile the triangle."""
+    universes: Counter = Counter()
     for round_ in schedule.rounds():
-        for task in round_.tasks:
-            member_set = set(task.members)
-            for i, j in task.pairs:
-                if i <= j:
-                    return False, f"non-canonical pair ({i}, {j}) in round {round_.index}"
-                if i not in member_set or j not in member_set:
-                    return False, (
-                        f"pair ({i}, {j}) not locally servable in round "
-                        f"{round_.index} task {task.task_index}"
-                    )
-                seen[(i, j)] = seen.get((i, j), 0) + 1
+        report = check_exactly_once(round_)
+        if not report.ok:
+            return False, f"round {round_.index} violates exactly-once coverage: {report}"
+        universes.update(round_.required_pairs())
     expected = triangle_count(schedule.v)
-    if len(seen) != expected:
-        return False, f"covered {len(seen)} pairs, expected {expected}"
-    duplicates = [pair for pair, count in seen.items() if count != 1]
-    if duplicates:
-        return False, f"duplicated pairs: {duplicates[:5]}"
+    inside = sum(1 for i, j in universes if 1 <= j < i <= schedule.v)
+    if inside != expected or sum(universes.values()) != expected:
+        return False, (
+            f"rounds declare {sum(universes.values())} pairs, {inside} distinct "
+            f"ones inside the triangle of {expected}"
+        )
     return True, "ok"
 
 

@@ -7,11 +7,12 @@ The paper computes all pairs of a *fixed* set; real datasets grow.  When
 - the ``w(w−1)/2`` **fresh pairs** (new against new)
 
 need evaluation — ``v·w + w(w−1)/2`` evaluations instead of re-running
-the full ``(v+w)(v+w−1)/2``.  Both phases reuse the paper's machinery:
-the cross pairs run under a :mod:`bipartite <repro.core.bipartite>`
-scheme (the §1 two-set generalization), the fresh pairs under any flat
-scheme over the new elements; exactly-once over the *union* follows from
-the three phases partitioning the enlarged triangle.
+the full ``(v+w)(v+w−1)/2``.  Both phases are one
+:class:`~repro.core.pairwise.PairwiseComputation` each: the cross pairs
+under a :mod:`bipartite <repro.core.bipartite>` scheme (the §1 two-set
+generalization, the new elements as side S), the fresh pairs under any
+flat scheme over the new elements; exactly-once over the *union* follows
+from the three phases partitioning the enlarged triangle.
 
 :class:`IncrementalPairwise` owns the merged element state across
 batches and is the unit a long-running pairwise service would persist.
@@ -108,11 +109,21 @@ class IncrementalPairwise:
 
         cross_evals = 0
         if old_v > 0:
-            cross_evals = self._evaluate_cross(new_elements)
+            hr, hs = self._cross_factors(old_v, len(new_elements))
+            scheme = BipartiteBlockScheme(old_v, len(new_elements), hr, hs)
+            held = [self._elements[eid] for eid in sorted(self._elements)]
+            # Side S, the batch, comes first in the scheme's id space.
+            cross_evals = self._evaluate(scheme, new_elements + held)
 
         fresh_evals = 0
         if len(new_elements) >= 2:
-            fresh_evals = self._evaluate_fresh(new_elements)
+            scheme = self._flat_factory(len(new_elements))
+            if scheme.v != len(new_elements):
+                raise ValueError(
+                    f"flat scheme factory returned v={scheme.v} for batch of "
+                    f"{len(new_elements)}"
+                )
+            fresh_evals = self._evaluate(scheme, new_elements)
 
         for element in new_elements:
             self._elements[element.eid] = element
@@ -123,42 +134,20 @@ class IncrementalPairwise:
             total_elements=self.v,
         )
 
-    # -- phases --------------------------------------------------------------
-    def _evaluate_cross(self, new_elements: list[Element]) -> int:
-        """Old × new pairs under a bipartite block scheme."""
-        old_ids = sorted(self._elements)
-        vr, vs = len(old_ids), len(new_elements)
-        hr, hs = self._cross_factors(vr, vs)
-        scheme = BipartiteBlockScheme(vr, vs, hr, hs)
-        count = 0
-        for task in range(scheme.num_tasks):
-            for r_index, s_index in scheme.get_pairs(task):
-                old = self._elements[old_ids[r_index - 1]]
-                new = new_elements[s_index - 1]
-                result = self.comp(old.payload, new.payload)
-                old.add_result(new.eid, result)
-                new.add_result(old.eid, result)
-                count += 1
-        return count
+    def _evaluate(self, scheme: DistributionScheme, members: list[Element]) -> int:
+        """Run ``scheme`` over ``members`` (its element k is ``members[k-1]``).
 
-    def _evaluate_fresh(self, new_elements: list[Element]) -> int:
-        """New × new pairs under a flat scheme over the batch."""
-        w = len(new_elements)
-        scheme = self._flat_factory(w)
-        if scheme.v != w:
-            raise ValueError(
-                f"flat scheme factory returned v={scheme.v} for batch of {w}"
-            )
+        Folds every result into the members under their own ids and
+        returns the number of pairs evaluated.
+        """
         computation = PairwiseComputation(scheme, self.comp)
-        merged = computation.run_local([element.payload for element in new_elements])
-        count = 0
+        merged = computation.run_local([member.payload for member in members])
+        entries = 0
         for local_id, local_element in merged.items():
-            target = new_elements[local_id - 1]
             for local_partner, result in local_element.results.items():
-                partner_eid = new_elements[local_partner - 1].eid
-                target.add_result(partner_eid, result)
-            count += len(local_element.results)
-        return count // 2  # each pair contributed two result entries
+                members[local_id - 1].add_result(members[local_partner - 1].eid, result)
+            entries += len(local_element.results)
+        return entries // 2  # each pair contributed two result entries
 
 
 def _default_flat_scheme(v: int) -> DistributionScheme:

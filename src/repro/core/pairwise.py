@@ -84,7 +84,7 @@ from ..mapreduce.controlplane.events import ReplicationMeasured
 from ..mapreduce.counters import FRAMEWORK_GROUP, SHUFFLE_BYTES
 from ..mapreduce.job import Context, IdentityMapper, Job, Mapper, Reducer
 from ..mapreduce.pipeline import Pipeline, PipelineResult
-from ..mapreduce.runtime import Engine, MultiprocessEngine, SerialEngine
+from ..mapreduce.runtime import Engine, SerialEngine
 from ..mapreduce.serialization import estimate_element_size, record_size
 from ..sketches import (
     DISTANCE_KINDS,
@@ -114,8 +114,8 @@ EVALUATIONS = "evaluations"
 REPLICAS_EMITTED = "replicas_emitted"
 MAX_WORKING_SET_RECORDS = "max_working_set_records"
 MAX_WORKING_SET_BYTES = "max_working_set_bytes"
-#: pairs dropped by the sketch pruner before kernel dispatch;
-#: EVALUATIONS + PAIRS_PRUNED == v(v−1)/2 on every symmetric pruned run
+#: pairs dropped by the sketch pruner before kernel dispatch; EVALUATIONS +
+#: PAIRS_PRUNED == |the scheme's required pairs| on every symmetric pruned run
 PAIRS_PRUNED = "pairs_pruned"
 #: sketch-suite footprint gauge (max across tasks; it is one shared object)
 SKETCH_BYTES = "max_sketch_bytes"
@@ -382,15 +382,6 @@ class BroadcastPairMapper(Mapper):
             context.emit(eid, dict(zip(partners, results)))
 
 
-def _reject_engine_knobs(engine: Engine | None, *knobs: Any) -> None:
-    """An explicit engine was configured by whoever built it, not through us."""
-    if engine is not None and any(knob is not None for knob in knobs):
-        raise ValueError(
-            "pass scheduling_policy/trace_sink/data_plane/journal_dir to "
-            "the engine itself when supplying an explicit engine"
-        )
-
-
 #: one MR job of a plan: ``(job name, mapper, reducer)``
 _Stage = tuple[str, type[Mapper], type[Reducer]]
 
@@ -437,7 +428,10 @@ class PairwiseComputation:
     ----------
     scheme:
         Any :class:`DistributionScheme`; its ``v`` must equal the dataset
-        cardinality passed to the run methods.
+        cardinality passed to the run methods.  Only its
+        :meth:`~DistributionScheme.participants` are shipped, stored and
+        returned: a flat scheme's are all of ``1..v``, a schedule round's
+        or a some-pairs schema's may be fewer.
     comp:
         Symmetric pair function over element payloads.  Must be defined at
         module level (picklable) to use :class:`MultiprocessEngine`.
@@ -445,7 +439,11 @@ class PairwiseComputation:
         ``aggregateResults`` strategy; default concatenates partial maps
         and treats duplicate evaluations as errors.
     engine:
-        MapReduce engine; default :class:`SerialEngine`.
+        MapReduce engine; default :class:`SerialEngine`.  The engine object
+        *is* the engine configuration — scheduling policy, trace sink, data
+        plane and journal are arguments of the engine's own constructor
+        (``engine=MultiprocessEngine(data_plane="shm")``), and whoever
+        built it closes it.
     num_reduce_tasks:
         Reducer parallelism for both jobs (default: a reducer per 8 tasks,
         at least 1 — working sets are spread over reducers like Hadoop
@@ -475,29 +473,6 @@ class PairwiseComputation:
     max_attempts:
         Task retry budget applied to every job built here (Hadoop's
         ``mapred.map.max.attempts``); default 1, i.e. fail fast.
-    scheduling_policy, trace_sink:
-        Control-plane knobs forwarded to the engine this computation
-        builds when ``engine`` is not supplied (see
-        :class:`~repro.mapreduce.runtime.Engine`).  Passing either
-        together with an explicit ``engine`` raises — configure the
-        engine directly in that case.
-    data_plane:
-        Broadcast data plane when this computation builds its own engine:
-        a non-``None`` value (``"default"`` or ``"shm"``) builds an owned
-        :class:`~repro.mapreduce.runtime.MultiprocessEngine` with that
-        plane (``"shm"`` shares the cached payload store once per machine
-        — the natural pairing with :meth:`run_cached` /
-        :meth:`run_broadcast_job`).  Raises with an explicit ``engine``,
-        like the other engine-construction knobs.  Close the owned engine
-        with :meth:`close` (the computation is a context manager).
-    journal_dir:
-        Durable job journal directory when this computation builds its
-        own engine: a non-``None`` value builds an owned journaled
-        :class:`~repro.mapreduce.runtime.MultiprocessEngine`, so a
-        driver killed mid-computation can be resumed with
-        :func:`repro.mapreduce.journal.resume_job`.  Composes with
-        ``data_plane``; raises with an explicit ``engine``, like the
-        other engine-construction knobs.
     threshold, top_k:
         Declarative objective (mutually exclusive): keep only results
         passing ``threshold``, or each element's ``top_k`` best.  The
@@ -541,17 +516,12 @@ class PairwiseComputation:
         kernel: Any = None,
         runtime_config: Mapping[str, Any] | None = None,
         max_attempts: int = 1,
-        scheduling_policy: Any = None,
-        trace_sink: Any = None,
-        data_plane: str | None = None,
-        journal_dir: Any = None,
         threshold: float | None = None,
         top_k: int | None = None,
         pruning: str = "off",
         exact_fallback: bool = True,
         sketch_params: Mapping[str, Any] | None = None,
     ):
-        _reject_engine_knobs(engine, scheduling_policy, trace_sink, data_plane, journal_dir)
         if num_reduce_tasks is None:
             num_reduce_tasks = max(1, scheme.num_tasks // 8)
         if num_reduce_tasks < 1:
@@ -613,22 +583,7 @@ class PairwiseComputation:
             else:
                 aggregator = TopKAggregator(top_k, smallest=keep_below)
         self.aggregator = aggregator or ConcatAggregator()
-        # Every check above has passed: nothing can raise between building
-        # an owned engine and handing it to the caller to close.
-        self._owns_engine = engine is None
-        if engine is not None:
-            self.engine = engine
-        elif data_plane is not None or journal_dir is not None:
-            self.engine = MultiprocessEngine(
-                data_plane=data_plane or "default",
-                scheduling_policy=scheduling_policy,
-                trace_sink=trace_sink,
-                journal_dir=journal_dir,
-            )
-        else:
-            self.engine = SerialEngine(
-                scheduling_policy=scheduling_policy, trace_sink=trace_sink
-            )
+        self.engine = SerialEngine() if engine is None else engine
 
     def _job_config(self) -> dict[str, Any]:
         """Runtime knobs first, application keys on top (apps win)."""
@@ -652,6 +607,13 @@ class PairwiseComputation:
         """
         if self.pruning != "sketch":
             return
+        if self.top_k is not None and len(payloads) != self.scheme.v:
+            raise NotImplementedError(
+                "top-k sketch pruning indexes its taus by dense element id, so "
+                f"every element must be in some working set; {self.scheme.describe()} "
+                f"leaves {self.scheme.v - len(payloads)} out (threshold pruning, or "
+                "pruning='exact', works on such a schema)"
+            )
         params = {
             key: value
             for key, value in self.sketch_params.items()
@@ -698,10 +660,7 @@ class PairwiseComputation:
         showing the cache optimization beating the naive payload-shuffle
         floor.
         """
-        report_hook = getattr(self.scheme, "replication_report", None)
-        if report_hook is None:
-            return  # ad-hoc schemes (hierarchical round wrappers) aren't metered
-        report = report_hook()
+        report = self.scheme.replication_report()
         v = self.scheme.v
         replicas = counters.get(PAIRWISE_GROUP, REPLICAS_EMITTED)
         achieved = replicas / v if replicas else report.replication_achieved
@@ -725,33 +684,26 @@ class PairwiseComputation:
                     capacity_elements=report.capacity_elements,
                     replication_achieved=achieved,
                     replication_lower_bound=bound,
-                    optimality_ratio=achieved / bound,
+                    optimality_ratio=achieved / bound if bound else 0.0,
                     shuffle_bytes=shuffle_bytes,
                     shuffle_bytes_floor=floor,
                     shuffle_bytes_vs_bound=vs_bound,
                 )
             )
 
-    # -- lifecycle -------------------------------------------------------------
-    def close(self) -> None:
-        """Close the engine this computation built (noop for a supplied one)."""
-        if self._owns_engine:
-            self.engine.close()
-
-    def __enter__(self) -> "PairwiseComputation":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- input handling --------------------------------------------------------
     def _as_elements(self, dataset: Sequence[Any]) -> list[Element]:
-        """Accept Elements or raw payloads; enforce ids 1..v and v == scheme.v."""
+        """Accept Elements or raw payloads; enforce ids 1..v and v == scheme.v.
+
+        Returns the scheme's participants — every element, unless the
+        scheme says some sit this computation out.
+        """
         if len(dataset) != self.scheme.v:
             raise ValueError(
                 f"dataset has {len(dataset)} elements but the scheme was "
                 f"built for v={self.scheme.v}"
             )
+        participants = self.scheme.participants()
         if dataset and isinstance(dataset[0], Element):
             elements = list(dataset)  # type: ignore[arg-type]
             ids = sorted(element.eid for element in elements)
@@ -760,8 +712,11 @@ class PairwiseComputation:
                     "element ids must be exactly 1..v; "
                     f"got min={ids[0]}, max={ids[-1]}, count={len(ids)}"
                 )
+            if len(participants) != len(elements):
+                taking_part = set(participants)
+                elements = [element for element in elements if element.eid in taking_part]
             return elements
-        return [Element(i + 1, payload) for i, payload in enumerate(dataset)]
+        return [Element(eid, dataset[eid - 1]) for eid in participants]
 
     # -- execution paths --------------------------------------------------------
     def _job(
@@ -795,7 +750,9 @@ class PairwiseComputation:
     ):
         """Run ``plan`` over ``dataset``: the one path behind every preset.
 
-        Returns ``{eid: Element}``; with ``return_result`` additionally
+        Returns ``{eid: Element}`` over the scheme's participants (the
+        only elements shipped, stored and re-attached); with
+        ``return_result`` additionally
         the engine's account of the run — the :class:`PipelineResult` of a
         job chain, the bare :class:`~repro.mapreduce.job.JobResult` of a
         one-job plan — and stage fusion is disabled so every stage's

@@ -6,9 +6,11 @@ pick the scheme the paper's analysis recommends for the environment and
 the payload route it prices cheapest, and run it — a flat scheme through
 the plan its :attr:`~repro.core.chooser.SchemeChoice.routing` names
 (one-job broadcast, cached, or the two-job shuffle pipeline), a
-hierarchical schedule round by round.  Returns the merged elements
-together with the :class:`~repro.core.chooser.SchemeChoice` so callers
-can log the decision trail.
+hierarchical schedule round by round (:func:`~repro.core.hierarchical.run_rounds`).
+Either way it is one :class:`~repro.core.pairwise.PairwiseComputation`
+keyword set on one engine, both built before the branch.  Returns the
+merged elements together with the :class:`~repro.core.chooser.SchemeChoice`
+so callers can log the decision trail.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from .._util import GB, MB, TB, ceil_div
+from ..mapreduce.runtime import choose_engine
 from ..mapreduce.serialization import estimate_element_size
 from .chooser import SchemeChoice, choose_scheme, route_payloads
 from .element import Element
-from .hierarchical import HierarchicalBlockScheme, run_rounds, run_rounds_mr
-from .pairwise import PairwiseComputation, _reject_engine_knobs
+from .hierarchical import run_rounds
+from .pairwise import PairwiseComputation
 from .scheme import DistributionScheme
 
 
@@ -113,33 +116,39 @@ def auto_pairwise(
     payload route :func:`~repro.core.chooser.route_payloads` prices for
     it (``choice.routing``; the rationale's last line).
 
-    ``auto_engine=True`` (flat schemes, ``engine=None``) sizes the engine
-    too, through the :func:`repro.mapreduce.runtime.choose_engine`
-    crossover, keyed on the chosen scheme's
-    ``metrics().communication_records``; ``comp`` must then be picklable
-    in case the multiprocess engine is selected.  The built engine is
-    closed before returning.  ``scheduling_policy`` / ``trace_sink`` /
-    ``data_plane`` / ``journal_dir`` are forwarded to whichever engine
-    this call builds (pass them on your own ``engine`` instead when
+    ``auto_engine=True`` (``engine=None``) sizes the engine too, through
+    the :func:`repro.mapreduce.runtime.choose_engine` crossover, keyed on
+    the records one run pushes through the shuffle — a flat scheme's
+    ``metrics().communication_records``, a schedule's peak round
+    (``2 × replicas``); ``comp`` must then be picklable in case the
+    multiprocess engine is selected.  ``scheduling_policy`` /
+    ``trace_sink`` / ``data_plane`` / ``journal_dir`` configure the engine
+    this call builds (pass them to your own ``engine`` instead when
     supplying one; ``data_plane`` and ``journal_dir`` additionally
     require ``auto_engine=True``, since only a pooled engine has a
     broadcast data plane to pick or a direct shuffle to journal —
-    ``journal_dir`` forces the pooled engine regardless of scale).
+    ``journal_dir`` forces the pooled engine regardless of scale).  The
+    built engine is closed before returning, whichever branch ran.
 
-    ``threshold`` / ``top_k`` / ``pruning`` / ``exact_fallback`` /
-    ``sketch_params`` forward to :class:`PairwiseComputation` on flat
-    schemes — the declarative objective plus sketch-based candidate
-    pruning (DESIGN.md §3.1.7).  Hierarchical schedules raise
-    ``NotImplementedError`` for them.
+    ``aggregator`` / ``symmetric`` / ``threshold`` / ``top_k`` /
+    ``pruning`` / ``exact_fallback`` / ``sketch_params`` forward to
+    :class:`PairwiseComputation` — the declarative objective plus
+    sketch-based candidate pruning (DESIGN.md §3.1.7) — for a flat scheme
+    and for every round of a schedule alike.  Without any engine a
+    schedule runs in-process (``run_local`` per round: the objective
+    applies, nothing is pruned).
     """
     if len(dataset) < 2:
         raise ValueError("pairwise computation needs at least two elements")
-    _reject_engine_knobs(engine, scheduling_policy, trace_sink, data_plane, journal_dir)
-    if data_plane is not None and not auto_engine:
-        raise ValueError("data_plane requires auto_engine=True or an explicit engine")
-    if journal_dir is not None and not auto_engine:
+    engine_knobs = (scheduling_policy, trace_sink, data_plane, journal_dir)
+    if engine is not None and any(knob is not None for knob in engine_knobs):
         raise ValueError(
-            "journal_dir requires auto_engine=True or an explicit engine"
+            "pass scheduling_policy/trace_sink/data_plane/journal_dir to "
+            "the engine itself when supplying an explicit engine"
+        )
+    if (data_plane is not None or journal_dir is not None) and not auto_engine:
+        raise ValueError(
+            "data_plane/journal_dir require auto_engine=True or an explicit engine"
         )
     if element_size is None:
         element_size = estimate_element_size(dataset)
@@ -155,59 +164,37 @@ def auto_pairwise(
             maxws=maxws,
             num_nodes=num_nodes,
         )
-    if isinstance(choice.scheme, HierarchicalBlockScheme):
-        if not symmetric:
-            raise NotImplementedError(
-                "hierarchical schedules currently run symmetric functions only"
-            )
-        if threshold is not None or top_k is not None or pruning != "off":
-            raise NotImplementedError(
-                "hierarchical schedules do not support threshold=/top_k=/"
-                "pruning yet; pick a flat scheme (raise maxws) for pruned runs"
-            )
-        if engine is not None:
-            # Round-by-round MR execution: a persistent-pool engine reuses
-            # its workers across every round's two jobs.
-            merged = run_rounds_mr(
-                dataset, comp, choice.scheme, aggregator=aggregator, engine=engine
-            )
+    owned_engine = None
+    if engine is None and (auto_engine or scheduling_policy is not None or trace_sink is not None):
+        records = None  # unknown workload: the serial engine, carrying the knobs
+        if auto_engine and choice.is_hierarchical:
+            records = 2 * choice.scheme.peak_round_replicas()
+        elif auto_engine:
+            records = choice.scheme.metrics().communication_records
+        engine = owned_engine = choose_engine(
+            records,
+            scheduling_policy=scheduling_policy,
+            trace_sink=trace_sink,
+            data_plane=data_plane,
+            journal_dir=journal_dir,
+        )
+    options = dict(
+        aggregator=aggregator,
+        engine=engine,
+        symmetric=symmetric,
+        threshold=threshold,
+        top_k=top_k,
+        pruning=pruning,
+        exact_fallback=exact_fallback,
+        sketch_params=sketch_params,
+    )
+    try:
+        if choice.is_hierarchical:
+            merged = run_rounds(dataset, comp, choice.scheme, **options)
         else:
-            if data_plane is not None or journal_dir is not None:
-                raise ValueError(
-                    "data_plane/journal_dir need a pooled engine; hierarchical "
-                    "schedules without an explicit engine run in-process"
-                )
-            merged = run_rounds(dataset, comp, choice.scheme, aggregator=aggregator)
-    else:
-        owned_engine = None
-        if engine is None and auto_engine:
-            from ..mapreduce.runtime import choose_engine
-
-            owned_engine = choose_engine(
-                choice.scheme.metrics().communication_records,
-                scheduling_policy=scheduling_policy,
-                trace_sink=trace_sink,
-                data_plane=data_plane,
-                journal_dir=journal_dir,
-            )
-            scheduling_policy = trace_sink = None
-        try:
-            computation = PairwiseComputation(
-                choice.scheme,
-                comp,
-                aggregator=aggregator,
-                engine=engine or owned_engine,
-                symmetric=symmetric,
-                scheduling_policy=scheduling_policy,
-                trace_sink=trace_sink,
-                threshold=threshold,
-                top_k=top_k,
-                pruning=pruning,
-                exact_fallback=exact_fallback,
-                sketch_params=sketch_params,
-            )
+            computation = PairwiseComputation(choice.scheme, comp, **options)
             merged = getattr(computation, _PRESETS[choice.routing])(list(dataset))
-        finally:
-            if owned_engine is not None:
-                owned_engine.close()
+    finally:
+        if owned_engine is not None:
+            owned_engine.close()
     return merged, choice

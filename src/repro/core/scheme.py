@@ -14,6 +14,15 @@ relations) of §5's formal problem, subject to:
   (a) balanced work across tasks, and
   (b) every unordered pair evaluated **exactly once** over all tasks.
 
+This is the only schema interface: the flat schemes, a two-set rectangle
+(:mod:`~repro.core.bipartite`) and one round of a sequential schedule
+(:mod:`~repro.core.hierarchical`) all implement it.  The last two cover
+fewer pairs than the full triangle and say so through two read-only facts,
+:meth:`DistributionScheme.required_pairs` (the pairs demand (b) is about)
+and :meth:`DistributionScheme.participants` (the elements in some working
+set); validation, execution and simulation read those instead of assuming
+``v(v−1)/2`` pairs over ids ``1..v``.
+
 Task/working-set ids are 0-indexed ints in ``[0, num_tasks)``; element ids
 are 1-indexed (``s1 … sv``) as in the paper.  :class:`SchemeMetrics`
 captures a scheme's Table-1 row — the analytic values; the cluster
@@ -181,7 +190,7 @@ class ReplicationReport:
 
 
 class DistributionScheme(abc.ABC):
-    """Abstract base for the broadcast, block, and design schemes.
+    """Abstract base of every mapping schema: flat, two-set, or one round.
 
     Subclasses must be deterministic: the same ``(v, parameters)`` must
     always produce the same working sets and pair relations, because the
@@ -221,6 +230,15 @@ class DistributionScheme(abc.ABC):
     def metrics(self) -> SchemeMetrics:
         """The analytic Table-1 row for this scheme instance."""
 
+    # -- what the schema covers ------------------------------------------------
+    def required_pairs(self) -> frozenset[Pair] | None:
+        """The pairs ``(i, j)``, i > j, to cover exactly once; ``None`` ≡ all of them."""
+        return None
+
+    def participants(self) -> Sequence[int]:
+        """Ascending ids of the elements in some working set — O(1), a stored fact."""
+        return range(1, self.v + 1)
+
     # -- derived helpers (shared implementations) -----------------------------
     def task_profile(self, subset_id: int) -> "TaskProfile":
         """Size profile of one task: member count and evaluation count.
@@ -239,13 +257,13 @@ class DistributionScheme(abc.ABC):
     def subset_members(self, subset_id: int) -> list[int]:
         """All element ids of working set ``subset_id``, ascending.
 
-        Default implementation inverts :meth:`get_subsets` by scanning all
-        elements — O(v · replication).  Subclasses with closed-form working
+        Default implementation inverts :meth:`get_subsets` by scanning the
+        participants — O(v · replication).  Subclasses with closed-form working
         sets override this with direct construction.
         """
         self._check_subset_id(subset_id)
         return [
-            eid for eid in range(1, self.v + 1) if subset_id in self.get_subsets(eid)
+            eid for eid in self.participants() if subset_id in self.get_subsets(eid)
         ]
 
     def iter_subsets(self) -> Iterator[tuple[int, list[int]]]:
@@ -263,16 +281,24 @@ class DistributionScheme(abc.ABC):
 
         The default derives both sides from :meth:`metrics`; schemes that
         know per-element byte sizes (skew-aware quorum) override to fill
-        the task-bytes skew fields as well.
+        the task-bytes skew fields as well.  Over a declared universe of
+        ``|P|`` pairs the same counting argument gives
+        ``r = Σ q_l / v ≥ 2|P| / ((q−1) · v)``, which is
+        :func:`replication_lower_bound` when ``P`` is the triangle.
         """
         m = self.metrics()
         capacity = max(2, m.working_set_elements)
+        required = self.required_pairs()
         return ReplicationReport(
             scheme=self.name,
             v=self.v,
             capacity_elements=capacity,
             replication_achieved=m.replication_factor,
-            replication_lower_bound=replication_lower_bound(self.v, capacity),
+            replication_lower_bound=(
+                replication_lower_bound(self.v, capacity)
+                if required is None
+                else 2 * len(required) / ((capacity - 1) * self.v)
+            ),
         )
 
     def describe(self) -> str:

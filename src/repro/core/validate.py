@@ -10,6 +10,12 @@ The formal demands of paper §5 are checked exhaustively here:
     evaluate locally would violate the no-online-communication execution
     model of §3).
 
+"Any two elements" is the scheme's declared universe
+(:meth:`~repro.core.scheme.DistributionScheme.required_pairs`): the full
+triangle for a flat scheme, the rectangle for a two-set scheme, a coarse
+block for one round of a schedule.  :func:`check_exactly_once` is the only
+function that walks pair coverage; every schema goes through it.
+
 These checkers are O(v²) and intended for tests, not for
 production-size datasets.
 """
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .._util import mean, stdev, triangle_count
 from .scheme import DistributionScheme
@@ -63,12 +70,13 @@ class BalanceReport:
 def check_exactly_once(
     scheme: DistributionScheme, *, max_reported: int = 20
 ) -> CoverageReport:
-    """Verify paper demand (b): every pair evaluated exactly once, locally.
+    """Verify paper demand (b): every required pair evaluated exactly once, locally.
 
     Walks every working set exactly as the MR reduce phase would (members
     from :meth:`subset_members`, pairs from :meth:`get_pairs`) and
     cross-checks against :meth:`get_subsets` — the map-side view — since
-    both sides must agree for the two-job implementation to work.
+    both sides must agree for the two-job implementation to work.  A pair
+    evaluated outside the declared universe fails the total.
     """
     v = scheme.v
     coverage: Counter = Counter()
@@ -77,14 +85,14 @@ def check_exactly_once(
 
     # Map-side view: element -> subsets.
     map_side: dict[int, set[int]] = {
-        eid: set(scheme.get_subsets(eid)) for eid in range(1, v + 1)
+        eid: set(scheme.get_subsets(eid)) for eid in scheme.participants()
     }
 
     for subset_id, members in scheme.iter_subsets():
         member_set = set(members)
         # Reduce-side membership must match the map-side emission exactly.
         for eid in members:
-            if subset_id not in map_side[eid]:
+            if subset_id not in map_side.get(eid, ()):
                 if len(membership_mismatches) < max_reported:
                     membership_mismatches.append(
                         f"element {eid} in subset {subset_id} per subset_members "
@@ -111,16 +119,14 @@ def check_exactly_once(
                         "but subset_members omits the element"
                     )
 
-    expected = triangle_count(v)
-    missing = []
-    for i in range(2, v + 1):
-        for j in range(1, i):
-            if (i, j) not in coverage:
-                missing.append((i, j))
-                if len(missing) >= max_reported:
-                    break
-        if len(missing) >= max_reported:
-            break
+    required = scheme.required_pairs()
+    if required is None:
+        expected = triangle_count(v)
+        universe = ((i, j) for i in range(2, v + 1) for j in range(1, i))
+    else:
+        expected = len(required)
+        universe = sorted(required)
+    missing = list(islice((pair for pair in universe if pair not in coverage), max_reported))
     duplicated = [pair for pair, count in coverage.items() if count > 1][:max_reported]
 
     ok = (

@@ -1,10 +1,13 @@
 """Cluster-simulator tests: the §6 measurements."""
 
+import dataclasses
+
 import pytest
 
 from repro._util import GB, KB, MB, TB
-from repro.cluster.node import ClusterSpec, NodeSpec
+from repro.cluster.node import ClusterSpec, FailureModel, NodeSpec
 from repro.cluster.simulator import ClusterSimulator
+from repro.core.bipartite import BipartiteBlockScheme
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
@@ -137,6 +140,59 @@ class TestSchedules:
         schedule = HierarchicalBlockScheme(200, 4, 2)
         report = simulator().simulate_schedule(schedule, element_size=10 * KB)
         assert report.measured.makespan_seconds > 0
+
+
+    @pytest.mark.parametrize("plane", ["direct", "relay"])
+    def test_one_round_schedule_is_the_flat_simulation(self, plane):
+        """A schedule of one round measures what ``simulate`` measures, field for field."""
+        design = DesignScheme(57)
+        sim = simulator(shuffle_plane=plane, failure_model=FailureModel(mtbf_seconds=50.0))
+        flat = sim.simulate(design, element_size=10 * KB)
+        seq = sim.simulate_schedule(SequentialDesignSchedule(design, 1), element_size=10 * KB)
+        assert dataclasses.replace(seq.measured, scheme=flat.measured.scheme) == flat.measured
+        assert seq.assignment == flat.assignment
+        assert seq.limit_checks == flat.limit_checks
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [HierarchicalBlockScheme(60, 3, 2), SequentialDesignSchedule(DesignScheme(57), 5)],
+        ids=["hierarchical-block", "sequential-design"],
+    )
+    def test_schedule_report_is_a_fold_over_its_rounds(self, schedule):
+        """Each round is simulated as the scheme it is; every field is a sum or a max."""
+        sim = simulator(shuffle_plane="relay", failure_model=FailureModel(mtbf_seconds=50.0))
+        report = sim.simulate_schedule(schedule, element_size=10 * KB)
+        rounds = [sim.simulate(r, element_size=10 * KB) for r in schedule.rounds()]
+        assert len(rounds) == schedule.num_rounds > 1
+        folded = {"scheme", "v", "replication_factor", "shuffle_plane"}
+        for name in sim.ROUND_SUMS:
+            total = sum(getattr(r.measured, name) for r in rounds)
+            assert getattr(report.measured, name) == pytest.approx(total), name
+        for name in sim.ROUND_PEAKS:
+            assert getattr(report.measured, name) == max(getattr(r.measured, name) for r in rounds)
+        named = folded | set(sim.ROUND_SUMS) | set(sim.ROUND_PEAKS)
+        assert named == {f.name for f in dataclasses.fields(report.measured)}
+        assert report.measured.v == schedule.v
+        assert report.measured.replication_factor == report.measured.replicas / schedule.v
+        assert report.measured.intermediate_bytes < report.measured.replicas * 10 * KB
+        loads = {}
+        for r in rounds:
+            for slot, load in r.assignment.slot_loads.items():
+                loads[slot] = loads.get(slot, 0.0) + load
+        assert report.assignment.slot_loads == pytest.approx(loads)
+        assert report.assignment.placement == rounds[-1].assignment.placement
+
+
+class TestTwoSetSchemes:
+    def test_rectangle_goes_through_the_flat_simulation(self):
+        """A bipartite scheme is a scheme: replication is replicas over vr + vs."""
+        scheme = BipartiteBlockScheme(100, 200, 5, 8)
+        measured = simulator().simulate(scheme, element_size=10 * KB).measured
+        assert measured.v == 300 and measured.num_tasks == 40
+        assert measured.replication_factor == (100 * 8 + 200 * 5) / 300
+        assert measured.total_evaluations == 100 * 200
+        assert measured.max_working_set_elements == 20 + 25
+        assert measured.replication_factor == scheme.metrics().replication_factor
 
 
 class TestInputLocality:

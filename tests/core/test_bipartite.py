@@ -8,9 +8,11 @@ from repro.core.bipartite import (
     BipartiteBlockScheme,
     BipartiteBroadcastScheme,
     brute_force_bipartite,
-    check_bipartite_exactly_once,
     run_bipartite,
 )
+from repro.core.scheme import DistributionScheme
+from repro.core.validate import check_exactly_once
+from repro.mapreduce import MultiprocessEngine, SerialEngine
 
 
 def cross(a, b):
@@ -32,18 +34,26 @@ class TestBroadcastScheme:
         with pytest.raises(ValueError):
             s.label_to_pair(7)
 
+    def test_one_id_space_s_side_first(self):
+        s = BipartiteBroadcastScheme(4, 6, 3)
+        assert isinstance(s, DistributionScheme) and s.v == 10
+        assert [s.eid("s", k) for k in (1, 6)] == [1, 6]
+        assert [s.eid("r", k) for k in (1, 4)] == [7, 10]
+        # The canonical pair (larger id first) is (r, s): comp(r, s) is evaluated.
+        assert s.get_pairs(0)[:2] == [(7, 1), (8, 1)]
+
     def test_r_side_fully_replicated(self):
         s = BipartiteBroadcastScheme(4, 6, 3)
         for r in range(1, 5):
-            assert s.get_subsets("r", r) == [0, 1, 2]
+            assert s.get_subsets(s.eid("r", r)) == [0, 1, 2]
 
     def test_s_side_partially_replicated(self):
         s = BipartiteBroadcastScheme(4, 6, 3)
         for col in range(1, 7):
-            tasks = s.get_subsets("s", col)
+            tasks = s.get_subsets(s.eid("s", col))
             assert tasks  # every S element reaches at least one task
             for task in tasks:
-                assert ("s", col) in s.subset_members(task)
+                assert s.eid("s", col) in s.subset_members(task)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -52,14 +62,17 @@ class TestBroadcastScheme:
             BipartiteBroadcastScheme(5, 5, 0)
         s = BipartiteBroadcastScheme(3, 3, 2)
         with pytest.raises(ValueError):
-            s.get_subsets("x", 1)
+            s.get_subsets(s.eid("x", 1))
         with pytest.raises(ValueError):
-            s.get_subsets("r", 4)
+            s.get_subsets(s.eid("r", 4))
+        with pytest.raises(ValueError):
+            s.get_subsets(7)
 
     @pytest.mark.parametrize("vr,vs,p", [(3, 5, 2), (7, 2, 4), (5, 5, 30), (2, 2, 1)])
     def test_exactly_once(self, vr, vs, p):
-        ok, msg = check_bipartite_exactly_once(BipartiteBroadcastScheme(vr, vs, p))
-        assert ok, msg
+        report = check_exactly_once(BipartiteBroadcastScheme(vr, vs, p))
+        assert report.ok, report
+        assert report.total_pairs_expected == vr * vs
 
 
 class TestBlockScheme:
@@ -72,14 +85,17 @@ class TestBlockScheme:
     def test_replication_factors(self):
         s = BipartiteBlockScheme(10, 15, 2, 3)
         for r in range(1, 11):
-            assert len(s.get_subsets("r", r)) == 3  # h_s
+            assert len(s.get_subsets(s.eid("r", r))) == 3  # h_s
         for col in range(1, 16):
-            assert len(s.get_subsets("s", col)) == 2  # h_r
+            assert len(s.get_subsets(s.eid("s", col))) == 2  # h_r
 
     def test_metrics(self):
-        m = BipartiteBlockScheme(100, 200, 5, 8).metrics()
-        assert m.replication_r == 8
-        assert m.replication_s == 5
+        scheme = BipartiteBlockScheme(100, 200, 5, 8)
+        m = scheme.metrics()
+        assert len(scheme.get_subsets(scheme.eid("r", 1))) == 8
+        assert len(scheme.get_subsets(scheme.eid("s", 1))) == 5
+        assert m.v == 300
+        assert m.replication_factor == (100 * 8 + 200 * 5) / 300
         assert m.communication_records == 2 * (100 * 8 + 200 * 5)
         assert m.working_set_elements == 20 + 25
         assert m.evaluations_per_task == 500
@@ -98,8 +114,22 @@ class TestBlockScheme:
         "vr,vs,hr,hs", [(6, 9, 2, 3), (5, 5, 5, 5), (8, 3, 4, 1), (2, 2, 1, 1)]
     )
     def test_exactly_once(self, vr, vs, hr, hs):
-        ok, msg = check_bipartite_exactly_once(BipartiteBlockScheme(vr, vs, hr, hs))
-        assert ok, msg
+        report = check_exactly_once(BipartiteBlockScheme(vr, vs, hr, hs))
+        assert report.ok, report
+        assert report.total_pairs_expected == vr * vs
+
+    def test_same_side_pair_fails_the_one_validator(self):
+        """A rectangle task may only emit cross pairs: (s₂, s₁) is outside the universe."""
+
+        class Leaky(BipartiteBlockScheme):
+            def get_pairs(self, subset_id, members=None):
+                extra = [(2, 1)] if subset_id == 0 else []
+                return super().get_pairs(subset_id, members) + extra
+
+        report = check_exactly_once(Leaky(6, 9, 2, 3))
+        assert report.ok is False
+        assert report.missing == () and report.duplicated == () and report.unservable == ()
+        assert report.total_pairs_seen == report.total_pairs_expected + 1
 
 
 class TestExecution:
@@ -112,6 +142,19 @@ class TestExecution:
             BipartiteBlockScheme(5, 3, 2, 2),
         ):
             assert run_bipartite(r, s, cross, scheme) == ref
+
+    def test_matches_brute_force_on_both_engines(self):
+        """The asymmetric ``cross`` pins the orientation: comp(r, s), never comp(s, r)."""
+        r = [1, 2, 3, 4, 5]
+        s = [6, 7, 8]
+        ref = brute_force_bipartite(r, s, cross)
+        with MultiprocessEngine(2) as pool:
+            for engine in (SerialEngine(), pool):
+                for scheme in (
+                    BipartiteBroadcastScheme(5, 3, 4),
+                    BipartiteBlockScheme(5, 3, 2, 2),
+                ):
+                    assert run_bipartite(r, s, cross, scheme, engine=engine) == ref
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -127,8 +170,8 @@ class TestExecution:
 def test_property_block_exactly_once(vr, vs, data):
     hr = data.draw(st.integers(min_value=1, max_value=vr))
     hs = data.draw(st.integers(min_value=1, max_value=vs))
-    ok, msg = check_bipartite_exactly_once(BipartiteBlockScheme(vr, vs, hr, hs))
-    assert ok, msg
+    report = check_exactly_once(BipartiteBlockScheme(vr, vs, hr, hs))
+    assert report.ok, report
 
 
 @given(
@@ -138,5 +181,5 @@ def test_property_block_exactly_once(vr, vs, data):
 )
 @settings(max_examples=40, deadline=None)
 def test_property_broadcast_exactly_once(vr, vs, p):
-    ok, msg = check_bipartite_exactly_once(BipartiteBroadcastScheme(vr, vs, p))
-    assert ok, msg
+    report = check_exactly_once(BipartiteBroadcastScheme(vr, vs, p))
+    assert report.ok, report

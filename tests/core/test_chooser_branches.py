@@ -34,19 +34,91 @@ class TestDiscreteWorkingSetBump:
         assert 2 * scheme.e * 1 * MB <= 25 * MB
 
 
+def tag_gap(a, b):
+    """Order-sensitive and module-level, so a pooled engine can pickle it."""
+    return a.tag - b.tag
+
+
+def declared_huge(count=30):
+    """``count`` × 100 MB declared: no flat scheme fits, the chooser goes hierarchical."""
+    from repro.mapreduce import SizedPayload
+
+    return [SizedPayload(100 * MB, tag=i) for i in range(count)]
+
+
+HUGE_LIMITS = {"maxws": 400 * MB, "maxis": int(1.2 * GB)}
+
+
+def closed_trace(path):
+    """The JSONL trace's objects, once its last line is a span — ``close()`` writes those."""
+    import json
+
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines and set(lines[-1]) == {"task", "node", "slot", "start", "end"}
+    return lines
+
+
 class TestRunnerEdges:
-    def test_asymmetric_hierarchical_rejected(self):
-        from repro.mapreduce import SizedPayload
+    def test_asymmetric_hierarchical_matches_brute_force(self):
+        from repro.core.element import ordered_results
+        from repro.core.pairwise import brute_force_asymmetric
+        from repro.mapreduce import SerialEngine, SizedPayload
 
         data = [SizedPayload(40 * MB, tag=i) for i in range(30)]
-        with pytest.raises(NotImplementedError):
-            auto_pairwise(
-                data,
-                lambda a, b: a.tag - b.tag,
-                maxws=100 * MB,
-                maxis=600 * MB,
-                symmetric=False,
+        for engine in (None, SerialEngine()):
+            merged, choice = auto_pairwise(
+                data, tag_gap, maxws=100 * MB, maxis=600 * MB, symmetric=False, engine=engine
             )
+            assert choice.is_hierarchical
+            assert ordered_results(merged) == brute_force_asymmetric(data, tag_gap)
+
+    def test_hierarchical_choice_keeps_the_engine_knobs(self, tmp_path):
+        """Bugfix: auto_engine / trace_sink / scheduling_policy were dropped on the floor.
+
+        At the parent this call returned with 0 bytes traced and the sink open.
+        """
+        from repro.core.element import results_matrix
+        from repro.mapreduce.controlplane.events import JsonlTraceSink
+
+        merged, choice = auto_pairwise(
+            declared_huge(), tag_gap, **HUGE_LIMITS, auto_engine=True,
+            trace_sink=JsonlTraceSink(tmp_path / "trace.jsonl"), scheduling_policy="lpt",
+        )
+        assert choice.is_hierarchical
+        pairs = results_matrix(merged)
+        assert len(pairs) == 30 * 29 // 2 and pairs[(30, 1)] == 29
+        # Every round ran its two jobs on the engine this call built, and closed it.
+        events = closed_trace(tmp_path / "trace.jsonl")
+        measured = [event for event in events if event.get("type") == "ReplicationMeasured"]
+        assert len(measured) == choice.scheme.num_rounds
+
+    def test_trace_sink_alone_is_served_by_a_serial_engine_and_closed(self, tmp_path):
+        from repro.mapreduce.controlplane.events import JsonlTraceSink
+
+        small = [float(x) for x in range(10)]
+        for name, data, comp, limits in (
+            ("flat", small, lambda a, b: a - b, {}),
+            ("hierarchical", declared_huge(), tag_gap, HUGE_LIMITS),
+        ):
+            path = tmp_path / f"{name}.jsonl"
+            _merged, choice = auto_pairwise(data, comp, trace_sink=JsonlTraceSink(path), **limits)
+            assert choice.is_hierarchical == (name == "hierarchical")
+            assert closed_trace(path)
+
+    @pytest.mark.parametrize("knob", ["data_plane", "journal_dir"])
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_pool_only_knobs_need_auto_engine(self, knob, hierarchical, tmp_path):
+        data = declared_huge() if hierarchical else [float(x) for x in range(10)]
+        limits = HUGE_LIMITS if hierarchical else {}
+        value = "default" if knob == "data_plane" else tmp_path / "journal"
+        with pytest.raises(ValueError, match="^data_plane/journal_dir require auto_engine=True"):
+            auto_pairwise(data, tag_gap, **limits, **{knob: value})
+
+    def test_engine_knobs_with_an_explicit_engine_raise(self):
+        from repro.mapreduce import SerialEngine
+
+        with pytest.raises(ValueError, match="to the engine itself"):
+            auto_pairwise([1.0, 2.0], tag_gap, engine=SerialEngine(), scheduling_policy="lpt")
 
     def test_asymmetric_flat_works(self):
         data = [float(x) for x in range(10)]

@@ -1,21 +1,38 @@
 """Hierarchical schedule tests (§7 extensions)."""
 
+import numpy as np
 import pytest
 
+from repro.apps.dbscan import euclidean_distance
+from repro.core.block import BlockScheme
 from repro.core.design import DesignScheme
-from repro.core.element import results_matrix
+from repro.core.element import ordered_results, results_matrix
 from repro.core.hierarchical import (
     HierarchicalBlockScheme,
+    Round,
     SequentialDesignSchedule,
     check_schedule_exactly_once,
     hierarchical_block_limits,
     hierarchical_max_dataset_bytes,
     run_rounds,
 )
-from repro.core.pairwise import brute_force_results
+from repro.core.pairwise import (
+    PairwiseComputation,
+    brute_force_asymmetric,
+    brute_force_results,
+)
+from repro.core.scheme import DistributionScheme
+from repro.core.validate import check_exactly_once
+from repro.mapreduce import MultiprocessEngine, SerialEngine
+from repro.mapreduce.controlplane.events import ReplicationMeasured
 from repro._util import GB, MB, TB
 
 from ..conftest import abs_diff
+
+
+def signed_diff(a, b):
+    """Order-sensitive pair function (module level: the pool pickles it)."""
+    return a - b
 
 
 class TestHierarchicalBlock:
@@ -34,6 +51,38 @@ class TestHierarchicalBlock:
     def test_exactly_once(self, v, H, f):
         ok, msg = check_schedule_exactly_once(HierarchicalBlockScheme(v, H, f))
         assert ok, msg
+
+    def test_every_round_is_a_scheme_over_its_coarse_block(self):
+        """One interface: a round passes the flat schemes' validator on its own universe."""
+        schedule = HierarchicalBlockScheme(23, 3, 2)
+        declared = 0
+        for round_ in schedule.rounds():
+            assert isinstance(round_, DistributionScheme) and round_.v == 23
+            report = check_exactly_once(round_)
+            assert report.ok, report
+            assert report.total_pairs_expected == round_.evaluations
+            assert set(round_.participants()) == {e for t in round_.tasks for e in t.members}
+            declared += len(round_.required_pairs())
+        assert declared == 23 * 22 // 2
+
+    def test_round_missing_a_required_pair_fails_the_one_validator(self):
+        whole = next(HierarchicalBlockScheme(20, 2, 2).rounds())
+        first, *rest = whole.tasks
+        dropped = first.pairs[0]
+        short = type(first)(first.round_index, first.task_index, first.members, first.pairs[1:])
+        report = check_exactly_once(Round(20, whole.index, [short, *rest], whole.blocks))
+        assert report.ok is False
+        assert report.missing == (dropped,)
+        assert report.total_pairs_seen == report.total_pairs_expected - 1
+
+    def test_overlapping_round_universes_fail_the_schedule_check(self):
+        class Twice(HierarchicalBlockScheme):
+            def rounds(self):
+                yield from super().rounds()
+                yield next(super().rounds())
+
+        ok, msg = check_schedule_exactly_once(Twice(12, 2, 2))
+        assert not ok and "inside the triangle" in msg
 
     def test_peak_replicas_below_flat(self):
         """The whole point of §7: per-round replicas ≪ total replicas."""
@@ -100,7 +149,7 @@ class TestRunRounds:
 
 
 class TestRunRoundsMR:
-    """§7 rounds executed as real two-MR-job runs per round."""
+    """§7 rounds executed as real two-MR-job runs per round (``engine=``)."""
 
     @pytest.mark.parametrize(
         "schedule_factory",
@@ -111,36 +160,98 @@ class TestRunRoundsMR:
         ],
     )
     def test_matches_brute_force(self, small_dataset, schedule_factory):
-        from repro.core.hierarchical import run_rounds_mr
-
-        out = run_rounds_mr(small_dataset, abs_diff, schedule_factory())
+        out = run_rounds(small_dataset, abs_diff, schedule_factory(), engine=SerialEngine())
         assert results_matrix(out) == brute_force_results(small_dataset, abs_diff)
 
     def test_matches_in_process_rounds(self, small_dataset):
-        from repro.core.hierarchical import run_rounds_mr
-
         schedule = HierarchicalBlockScheme(23, 4, 2)
-        mr = run_rounds_mr(small_dataset, abs_diff, schedule)
+        mr = run_rounds(small_dataset, abs_diff, schedule, engine=SerialEngine())
         local = run_rounds(small_dataset, abs_diff, schedule)
         assert results_matrix(mr) == results_matrix(local)
 
     def test_multiprocess_engine(self, small_dataset):
-        from repro.core.hierarchical import run_rounds_mr
-        from repro.mapreduce import MultiprocessEngine
-
-        out = run_rounds_mr(
-            small_dataset,
-            abs_diff,
-            HierarchicalBlockScheme(23, 3, 2),
-            engine=MultiprocessEngine(2),
-        )
-        assert results_matrix(out) == brute_force_results(small_dataset, abs_diff)
+        with MultiprocessEngine(2) as pool:
+            for schedule in (
+                HierarchicalBlockScheme(23, 3, 2),
+                SequentialDesignSchedule(DesignScheme(23), 4),
+            ):
+                out = run_rounds(small_dataset, abs_diff, schedule, engine=pool)
+                assert results_matrix(out) == brute_force_results(small_dataset, abs_diff)
 
     def test_cardinality_check(self):
-        from repro.core.hierarchical import run_rounds_mr
-
         with pytest.raises(ValueError):
-            run_rounds_mr([1.0], abs_diff, HierarchicalBlockScheme(23, 2, 2))
+            run_rounds(
+                [1.0], abs_diff, HierarchicalBlockScheme(23, 2, 2), engine=SerialEngine()
+            )
+
+    def test_rounds_with_nothing_to_evaluate_run_no_jobs(self, small_dataset):
+        """H = v: every diagonal round holds one element and no pair."""
+        engine, data = SerialEngine(), small_dataset[:6]
+        events = []
+        engine.events.subscribe(events.append)
+        out = run_rounds(data, abs_diff, HierarchicalBlockScheme(6, 6, 1), engine=engine)
+        assert results_matrix(out) == brute_force_results(data, abs_diff)
+        # One metered pipeline per cross round: 15 of the 21 rounds.
+        assert sum(isinstance(event, ReplicationMeasured) for event in events) == 15
+
+
+class TestRoundsTakeTheComputationsOptions:
+    """What a flat run can be asked, a schedule can: the rounds are the same class."""
+
+    SCHEDULES = [
+        lambda: HierarchicalBlockScheme(23, 3, 2),
+        lambda: SequentialDesignSchedule(DesignScheme(23), 4),
+    ]
+
+    POINTS = [tuple(p) for p in np.random.default_rng(3).random((23, 2)).tolist()]
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        with MultiprocessEngine(2) as pool:
+            yield {"local": None, "serial": SerialEngine(), "pool": pool}
+
+    @pytest.mark.parametrize("engine", ["local", "serial", "pool"])
+    @pytest.mark.parametrize("schedule_factory", SCHEDULES)
+    def test_asymmetric_matches_brute_force(
+        self, small_dataset, schedule_factory, engine, engines
+    ):
+        out = run_rounds(
+            small_dataset, signed_diff, schedule_factory(),
+            engine=engines[engine], symmetric=False,
+        )
+        assert ordered_results(out) == brute_force_asymmetric(small_dataset, signed_diff)
+
+    @pytest.mark.parametrize("engine", ["local", "serial", "pool"])
+    @pytest.mark.parametrize("schedule_factory", SCHEDULES)
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            {"threshold": 0.4},
+            {"threshold": 0.4, "pruning": "sketch"},
+            {"top_k": 3},
+        ],
+        ids=["threshold", "threshold-sketch", "top_k"],
+    )
+    def test_objectives_equal_the_flat_reference(
+        self, schedule_factory, objective, engine, engines
+    ):
+        flat = PairwiseComputation(BlockScheme(23, 4), euclidean_distance, **objective)
+        out = run_rounds(
+            self.POINTS, euclidean_distance, schedule_factory(),
+            engine=engines[engine], **objective,
+        )
+        want = flat.run_local(self.POINTS)
+        assert {eid: e.results for eid, e in out.items()} == {
+            eid: e.results for eid, e in want.items()
+        }
+
+    def test_top_k_sketch_pruning_is_refused_in_one_place(self, engines):
+        """Taus are indexed by dense id: refuse rather than prune a round wrongly."""
+        with pytest.raises(NotImplementedError, match="top-k sketch pruning"):
+            run_rounds(
+                self.POINTS, euclidean_distance, HierarchicalBlockScheme(23, 3, 2),
+                engine=engines["serial"], top_k=3, pruning="sketch",
+            )
 
 
 class TestLimitModel:

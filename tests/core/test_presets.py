@@ -3,6 +3,10 @@
 Every preset must return what ``run_local`` — the scalar in-process
 reference — returns, for every scheme family the preset allows, both
 orientations, pruning off and on, on the serial engine and on a pool.
+The families are all eight schema classes: the flat ones, a cross and a
+diagonal round of a §7 schedule, and the two §1 rectangles — the last four
+cover fewer pairs than the triangle and leave elements out, and go through
+the same executor on the universe and participants they declare.
 ``auto_pairwise`` picks the preset from the chooser's payload routing; each
 routing outcome is held to the same reference, and to handing back the
 caller's own payload objects.
@@ -14,10 +18,12 @@ import numpy as np
 import pytest
 
 from repro.apps.dbscan import euclidean_distance
+from repro.core.bipartite import BipartiteBlockScheme, BipartiteBroadcastScheme
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
 from repro.core.element import Element, merge_copies
+from repro.core.hierarchical import HierarchicalBlockScheme
 from repro.core.pairwise import (
     EVALUATIONS,
     PAIRS_PRUNED,
@@ -33,18 +39,31 @@ from repro.mapreduce.controlplane.events import (
     ReplicationMeasured,
     SpillWritten,
 )
-from repro.mapreduce.counters import Counters
+from repro.mapreduce.counters import FRAMEWORK_GROUP, MAP_INPUT_RECORDS, Counters
 from repro.mapreduce.job import Context
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 
 V = 20
 THRESHOLD = 5.0
 
+
+
+def schedule_round(index):
+    """Round ``index`` of the two-group schedule: (1,1), (2,1), (2,2)."""
+    return list(HierarchicalBlockScheme(V, 2, 2).rounds())[index]
+
+
 SCHEMES = {
     "broadcast": lambda: BroadcastScheme(V, 4),
     "block": lambda: BlockScheme(V, 3),
     "design": lambda: DesignScheme(V),
     "quorum": lambda: QuorumScheme(V),
+    # Both rounds hold the outlier (id 20); the diagonal one leaves ids 1..10 out.
+    "round-cross": lambda: schedule_round(1),
+    "round-diagonal": lambda: schedule_round(2),
+    # vr + vs = 20: S is ids 1..8, R ids 9..20.
+    "bipartite-block": lambda: BipartiteBlockScheme(12, 8, 3, 2),
+    "bipartite-broadcast": lambda: BipartiteBroadcastScheme(12, 8, 5),
 }
 PRESETS = [
     (path, scheme)
@@ -100,14 +119,25 @@ def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, 
     flag = "return_result" if path == "run_broadcast_job" else "return_pipeline"
     runner = computation(scheme, symmetric, pruning, engines[engine])
     merged, result = getattr(runner, path)(data, **{flag: True})
-    assert sorted(merged) == list(range(1, V + 1))
+    assert sorted(merged) == list(runner.scheme.participants())
     assert result_maps(merged) == result_maps(runner.run_local(data))
     assert all(merged[eid].payload is data[eid - 1] for eid in merged)
     if symmetric:
         evaluations = result.counters.get(PAIRWISE_GROUP, EVALUATIONS)
         pruned = result.counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)
-        assert evaluations + pruned == V * (V - 1) // 2
+        required = runner.scheme.required_pairs()
+        assert evaluations + pruned == (V * (V - 1) // 2 if required is None else len(required))
         assert (pruned > 0) == (pruning == "sketch")
+
+
+def test_a_round_ships_and_returns_its_participants_only(engines):
+    """Ids 1..10 sit the (2,2) round out: not an input record, not in the output."""
+    data = points()
+    for path in ("run", "run_cached"):
+        runner = PairwiseComputation(schedule_round(2), euclidean_distance, engine=engines["pool"])
+        merged, result = getattr(runner, path)(data, return_pipeline=True)
+        assert sorted(merged) == list(range(11, V + 1))
+        assert result.stages[0].counters.get(FRAMEWORK_GROUP, MAP_INPUT_RECORDS) == 10
 
 
 def test_shuffle_publishes_one_spill_file_per_producing_task(engines):
@@ -273,11 +303,11 @@ def test_member_delivered_twice_raises(reducer, values):
 
 @pytest.mark.parametrize("bad", [{"max_attempts": 0}, {"num_reduce_tasks": 0}])
 def test_range_checks_precede_owned_engine_construction(bad, monkeypatch):
-    """A rejected knob must not leave a worker pool behind for the finalizer."""
+    """A rejected knob must not leave an engine behind: the default one is built last."""
     built = []
-    monkeypatch.setattr(
-        "repro.core.pairwise.MultiprocessEngine", lambda **kwargs: built.append(kwargs)
-    )
+    monkeypatch.setattr("repro.core.pairwise.SerialEngine", lambda: built.append("serial"))
     with pytest.raises(ValueError, match="must be >= 1"):
-        PairwiseComputation(BlockScheme(V, 3), euclidean_distance, data_plane="default", **bad)
+        PairwiseComputation(BlockScheme(V, 3), euclidean_distance, **bad)
     assert built == []
+    PairwiseComputation(BlockScheme(V, 3), euclidean_distance)
+    assert built == ["serial"]

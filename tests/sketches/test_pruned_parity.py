@@ -265,18 +265,36 @@ class TestAutoPairwise:
             vectors, threshold=0.5
         )
 
-    def test_hierarchical_rejects_pruning(self):
-        # Huge declared elements force the §7 hierarchical fallback, which
-        # has no pruning hook yet — must refuse loudly, not silently skip.
+    def test_hierarchical_prunes_with_parity_or_refuses(self, monkeypatch):
+        """Huge declared elements force the §7 fallback; its rounds are ordinary
+        computations, so threshold pruning applies round by round with the flat
+        result — and the one combination a round cannot prune soundly (top-k
+        taus are indexed by dense id) is refused by ``_attach_pruning``, loudly,
+        never answered wrongly."""
+        from repro.mapreduce import SerialEngine
+
         MB = 1024 * 1024
+        huge = {"element_size": 40 * MB, "maxws": 100 * MB, "maxis": 600 * MB}
+        sketched = []  # elements sketched per round
+        attach = PairwiseComputation._attach_pruning
+
+        def watched(self, compute, payloads):
+            sketched.append(len(payloads))
+            return attach(self, compute, payloads)
+
+        monkeypatch.setattr(PairwiseComputation, "_attach_pruning", watched)
         vectors = sparse_vectors(30)
-        with pytest.raises(NotImplementedError, match="hierarchical"):
+        merged, choice = auto_pairwise(
+            list(vectors), cosine_similarity, engine=SerialEngine(),
+            threshold=0.5, pruning="sketch", **huge,
+        )
+        assert choice.is_hierarchical
+        assert results_matrix(merged) == brute_force_similarity(vectors, threshold=0.5)
+        # One suite per round, over that round's participants only.
+        assert len(sketched) == choice.scheme.num_rounds and max(sketched) < 30
+
+        with pytest.raises(NotImplementedError, match="top-k sketch pruning"):
             auto_pairwise(
-                list(vectors),
-                cosine_similarity,
-                element_size=40 * MB,
-                maxws=100 * MB,
-                maxis=600 * MB,
-                threshold=0.5,
-                pruning="sketch",
+                dense_points(30), euclidean_distance, engine=SerialEngine(),
+                top_k=3, pruning="sketch", **huge,
             )

@@ -70,13 +70,14 @@ class TestDataPlaneParity:
     def test_multiprocess_matches_serial(self, data_plane):
         vectors = sparse_vectors()
         reference = serial_reference(vectors)
-        with PairwiseComputation(
-            BlockScheme(V, 4),
-            cosine_similarity,
-            threshold=THRESHOLD,
-            pruning="sketch",
-            data_plane=data_plane,
-        ) as computation:
+        with MultiprocessEngine(data_plane=data_plane) as engine:
+            computation = PairwiseComputation(
+                BlockScheme(V, 4),
+                cosine_similarity,
+                threshold=THRESHOLD,
+                pruning="sketch",
+                engine=engine,
+            )
             pooled = results_matrix(computation.run_cached(list(vectors)))
         assert pooled == reference
 

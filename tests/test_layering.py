@@ -13,6 +13,12 @@ The control-plane extraction draws two hard lines:
 These are enforced over the import *statements* of every module in each
 package, with relative imports resolved to absolute module paths.
 
+``repro.core`` has one mapping-schema interface and one executor: whatever
+answers ``get_subsets`` / ``get_pairs`` is a ``DistributionScheme``, and the
+pair function is called by ``pairwise.py`` and the brute-force oracles only —
+rounds, rectangles and growth go through ``PairwiseComputation``, and a
+schedule's simulation through ``simulate``.
+
 The last checks are about the documents, not the code: every file path
 they name must exist, so a deleted script cannot stay cited as evidence,
 and every ``EngineStats`` field ``docs/API.md`` tabulates must be one.
@@ -91,6 +97,88 @@ class TestCoreLayer:
         """``runner`` sits on top of ``pairwise``; the reverse edge was a cycle."""
         imports = imported_modules(SRC / "repro" / "core" / "pairwise.py")
         assert not {name for name in imports if name.startswith("repro.core.runner")}
+
+
+def core_trees() -> dict[str, ast.Module]:
+    root = SRC / "repro" / "core"
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(root.glob("*.py"))
+    }
+
+
+def calls_of(tree: ast.AST, *names: str) -> list[int]:
+    """Line numbers of calls ``name(...)`` / ``anything.name(...)`` under ``tree``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    ]
+
+
+class TestOneSchemaInterfaceOneExecutor:
+    def test_whatever_answers_get_subsets_is_a_distribution_scheme(self):
+        classes = {
+            node.name: node
+            for tree in core_trees().values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        }
+
+        def ancestry(name: str) -> set[str]:
+            bases = {getattr(b, "id", getattr(b, "attr", "")) for b in classes[name].bases}
+            return bases.union(*(ancestry(base) for base in bases if base in classes))
+
+        schemas = [
+            name
+            for name, node in classes.items()
+            if {"get_subsets", "get_pairs"}
+            & {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        ]
+        assert len(schemas) >= 9  # the interface and its eight concrete classes
+        strays = [
+            name
+            for name in schemas
+            if name != "DistributionScheme" and "DistributionScheme" not in ancestry(name)
+        ]
+        assert strays == []
+
+    def test_only_the_executor_and_the_oracles_call_the_pair_function(self):
+        trees = core_trees()
+        callers = {name for name, tree in trees.items() if calls_of(tree, "comp")}
+        assert callers == {"pairwise.py", "bipartite.py"}
+        (oracle,) = [
+            node
+            for node in trees["bipartite.py"].body
+            if isinstance(node, ast.FunctionDef) and node.name == "brute_force_bipartite"
+        ]
+        assert calls_of(trees["bipartite.py"], "comp") == calls_of(oracle, "comp")
+
+    def test_the_forks_are_gone(self):
+        trees = core_trees()
+        defined = {
+            node.name
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        gone = {"BipartiteMetrics", "_RoundScheme", "run_rounds_mr", "check_bipartite_exactly_once"}
+        assert defined & gone == set()
+        runner = trees["runner.py"]
+        assert [n.id for n in ast.walk(runner) if isinstance(n, ast.Name)].count(
+            "NotImplementedError"
+        ) == 0
+        assert len(calls_of(runner, "PairwiseComputation")) == 1  # one keyword set, one place
+
+    def test_a_schedule_is_simulated_as_its_rounds(self):
+        simulator = ast.parse((SRC / "repro/cluster/simulator.py").read_text(encoding="utf-8"))
+        (fold,) = [
+            node
+            for node in ast.walk(simulator)
+            if isinstance(node, ast.FunctionDef) and node.name == "simulate_schedule"
+        ]
+        assert calls_of(fold, "TaskCost", "_task_seconds", "_place", "_failure_impact") == []
+        assert len(calls_of(fold, "simulate")) == 1
 
 
 class TestDocsFollowFiles:

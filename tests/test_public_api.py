@@ -104,10 +104,12 @@ class TestPinnedSignatures:
     ENGINE_KNOBS = ("scheduling_policy", "trace_sink", "data_plane", "journal_dir")
     OBJECTIVE_KNOBS = ("threshold", "top_k", "pruning", "exact_fallback", "sketch_params")
     PINNED = {
+        # 12 keywords: the engine object *is* the engine configuration, so the
+        # four ENGINE_KNOBS live on the engines and on auto_pairwise only.
         "PairwiseComputation.__init__": (
             "self", "scheme", "comp", "aggregator", "engine", "num_reduce_tasks",
             "symmetric", "kernel", "runtime_config", "max_attempts",
-            *ENGINE_KNOBS, *OBJECTIVE_KNOBS,
+            *OBJECTIVE_KNOBS,
         ),
         "PairwiseComputation.run": ("self", "dataset", "num_map_tasks", "return_pipeline"),
         "PairwiseComputation.run_cached": (
@@ -134,6 +136,14 @@ class TestPinnedSignatures:
         for part in rest:
             target = getattr(target, part)
         assert tuple(inspect.signature(target).parameters) == self.PINNED[name]
+
+    def test_pairwise_computation_has_twelve_keywords_and_no_lifecycle(self):
+        from repro.core import PairwiseComputation
+
+        parameters = inspect.signature(PairwiseComputation.__init__).parameters.values()
+        assert sum(p.kind is p.KEYWORD_ONLY for p in parameters) == 12
+        # It owns no engine, so there is nothing for it to close.
+        assert not any(hasattr(PairwiseComputation, name) for name in ("close", "__enter__"))
 
     def test_scheme_choice_fields(self):
         """``routing`` is how callers learn which plan ``auto_pairwise`` ran."""
