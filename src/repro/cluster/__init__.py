@@ -3,13 +3,7 @@
 from .metrics import ComparisonRow, MeasuredMetrics, TheoryComparison
 from .network import NetworkModel
 from .node import ClusterSpec, FailureModel, NodeSpec
-from .scheduler import (
-    Assignment,
-    TaskCost,
-    schedule_lpt,
-    schedule_lpt_heterogeneous,
-    schedule_round_robin,
-)
+from .scheduler import Assignment, TaskCost
 from .simulator import ClusterSimulator, LimitCheck, SimulationReport
 from .trace import TaskSpan, Trace, build_trace
 
@@ -29,7 +23,4 @@ __all__ = [
     "TheoryComparison",
     "Trace",
     "build_trace",
-    "schedule_lpt",
-    "schedule_lpt_heterogeneous",
-    "schedule_round_robin",
 ]

@@ -1,60 +1,33 @@
-"""Task placement: cluster-facing wrappers over the control-plane policies.
+"""Cluster slots for the control plane's one placement function.
 
-The paper's balance demand (§5 demand (a)) is about *task* sizes; how well
-balanced the *nodes* end up also depends on placement.  Hadoop assigns
-tasks to free slots as they come, which for independent tasks approximates
-Longest-Processing-Time-first list scheduling.  (Classical bound:
-makespan ≤ 4/3 · OPT.)
-
-The algorithms themselves live in
-:mod:`repro.mapreduce.controlplane.policy` so the real engines and the
-simulator share one implementation; this module keeps the historical
-``schedule_*`` entry points (and re-exports :class:`TaskCost` /
-:class:`Assignment`) and handles the cluster-model concerns the policies
-don't know about: expanding a :class:`~repro.cluster.node.ClusterSpec`
-into slots and validating the node blacklist.
+:func:`repro.mapreduce.controlplane.policy.place` knows tasks and slots,
+not clusters.  This module handles the cluster-model concerns it does not
+know about: expanding a :class:`~repro.cluster.node.ClusterSpec` into
+slots that carry their node's relative speed, and validating the node
+blacklist.  :class:`TaskCost` / :class:`Assignment` / ``place`` are
+re-exported so cluster code has one import.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Sequence
+from typing import Collection
 
-from ..mapreduce.controlplane.policy import (
-    Assignment,
-    LptPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    Slot,
-    TaskCost,
-)
+from ..mapreduce.controlplane.policy import Assignment, Slot, TaskCost, place
 from .node import ClusterSpec
 
-__all__ = [
-    "Assignment",
-    "TaskCost",
-    "cluster_slots",
-    "schedule_lpt",
-    "schedule_lpt_heterogeneous",
-    "schedule_round_robin",
-]
+__all__ = ["Assignment", "Slot", "TaskCost", "cluster_slots", "place"]
 
 
-def cluster_slots(
-    cluster: ClusterSpec,
-    blacklist: Collection[int] = (),
-    *,
-    speed_aware: bool = False,
-) -> list[Slot]:
-    """All usable slots on non-blacklisted nodes, as policy :class:`Slot`\\ s.
+def cluster_slots(cluster: ClusterSpec, blacklist: Collection[int] = ()) -> list[Slot]:
+    """All usable slots on non-blacklisted nodes, as placement :class:`Slot`\\ s.
 
     ``blacklist`` holds node indexes excluded from placement — Hadoop's
     TaskTracker blacklisting, where a node with repeated task failures
     stops receiving work.  Scheduling with every node blacklisted is a
     configuration error, not an empty schedule.
 
-    With ``speed_aware`` each slot carries its node's speed relative to
-    the first node (``eval_rate / rate₀``); otherwise every slot reports
-    speed 1.0, which keeps :func:`schedule_lpt` deliberately speed-blind.
+    Each slot carries its node's speed relative to the first node
+    (``eval_rate / rate₀``) — task costs are in the first node's seconds.
     """
     excluded = set(blacklist)
     for index in excluded:
@@ -64,11 +37,7 @@ def cluster_slots(
             )
     rate0 = cluster.nodes[0].eval_rate
     slots = [
-        Slot(
-            node=node_index,
-            index=slot_index,
-            speed=(node.eval_rate / rate0) if speed_aware else 1.0,
-        )
+        Slot(node=node_index, index=slot_index, speed=node.eval_rate / rate0)
         for node_index, node in enumerate(cluster.nodes)
         if node_index not in excluded
         for slot_index in range(node.slots)
@@ -76,52 +45,3 @@ def cluster_slots(
     if not slots:
         raise ValueError("every node is blacklisted; nothing can be scheduled")
     return slots
-
-
-def schedule_lpt(
-    tasks: Sequence[TaskCost],
-    cluster: ClusterSpec,
-    *,
-    blacklist: Collection[int] = (),
-) -> Assignment:
-    """Longest-Processing-Time-first list scheduling over all cluster slots.
-
-    Deliberately speed-blind: every slot is treated as equally fast, so
-    homogeneous-cluster results don't depend on node metadata.
-    ``blacklist`` excludes whole nodes from placement (TaskTracker
-    blacklisting); their slots receive no tasks and report no load.
-    """
-    return LptPolicy().assign(tasks, cluster_slots(cluster, blacklist))
-
-
-def schedule_lpt_heterogeneous(
-    tasks: Sequence[TaskCost],
-    cluster: ClusterSpec,
-    *,
-    blacklist: Collection[int] = (),
-) -> Assignment:
-    """LPT for clusters whose nodes differ in speed (uniform machines).
-
-    Task costs are given in *reference seconds* (the first node's speed);
-    a slot on a node with ``eval_rate`` r runs a task in
-    ``seconds · rate₀ / r``.  Each task goes to the slot that would
-    *finish it earliest* — the classic MET/LPT heuristic for uniformly
-    related machines.  ``blacklist`` excludes whole nodes, as in
-    :func:`schedule_lpt`.
-    """
-    slots = cluster_slots(cluster, blacklist, speed_aware=True)
-    if all(slot.speed == 1.0 for slot in slots):
-        # Uniform speeds: take the EFT path anyway so reported slot loads
-        # stay in wall-clock seconds, exactly as before the refactor.
-        return SchedulingPolicy.assign(LptPolicy(), tasks, slots)
-    return LptPolicy().assign(tasks, slots)
-
-
-def schedule_round_robin(
-    tasks: Sequence[TaskCost],
-    cluster: ClusterSpec,
-    *,
-    blacklist: Collection[int] = (),
-) -> Assignment:
-    """Naive round-robin placement — the baseline LPT is compared against."""
-    return RoundRobinPolicy().assign(tasks, cluster_slots(cluster, blacklist))

@@ -7,7 +7,8 @@ This is the substitute for the paper's AWS-EC2 / Google-IBM cloud runs
    closed forms,
 2. estimates per-task time = shuffle-in + compute + write-out under the
    node and network models,
-3. schedules tasks onto slots (LPT, like Hadoop's greedy slot filling),
+3. places tasks onto slots (costliest first, each to the slot that
+   finishes it earliest — Hadoop's greedy slot filling),
 4. measures the paper's §6 quantities: replication factor, working-set
    sizes (with the runtime memory overhead that made the paper hit maxws
    "a little earlier than expected"), intermediate storage, makespan,
@@ -28,14 +29,7 @@ from ..core.scheme import DistributionScheme, TaskProfile
 from .metrics import MeasuredMetrics, TheoryComparison
 from .network import NetworkModel
 from .node import ClusterSpec, FailureModel, NodeSpec
-from ..mapreduce.controlplane.policy import SchedulingPolicy, resolve_policy
-from .scheduler import (
-    Assignment,
-    TaskCost,
-    cluster_slots,
-    schedule_lpt,
-    schedule_lpt_heterogeneous,
-)
+from .scheduler import Assignment, TaskCost, cluster_slots, place
 
 
 @dataclass(frozen=True)
@@ -101,13 +95,6 @@ class ClusterSimulator:
     blacklist:
         Node indexes excluded from scheduling (TaskTracker blacklisting);
         the remaining nodes absorb the full task load.
-    scheduling_policy:
-        A :class:`~repro.mapreduce.controlplane.policy.SchedulingPolicy`
-        instance or registry name (``"fifo"``, ``"lpt"``,
-        ``"round_robin"``) used to place task costs onto slots — the same
-        policy objects the real engines accept.  ``None`` (default) keeps
-        the historical behaviour: speed-blind LPT on homogeneous
-        clusters, earliest-finish-time LPT when node speeds differ.
     shuffle_plane:
         How intermediate data moves between phases.  ``"direct"``
         (default) models reducers fetching map output straight from the
@@ -131,7 +118,6 @@ class ClusterSimulator:
         failure_model: FailureModel | None = None,
         blacklist: Collection[int] = (),
         shuffle_plane: str = "direct",
-        scheduling_policy: SchedulingPolicy | str | None = None,
     ):
         self.cluster = cluster
         self.network = network or NetworkModel()
@@ -149,22 +135,10 @@ class ClusterSimulator:
         self.task_overhead = FixedOverhead(task_overhead_bytes)
         self.failure_model = failure_model
         self.blacklist = frozenset(blacklist)
-        # Mixed node speeds need the speed-aware scheduler.
-        rates = {node.eval_rate for node in cluster.nodes}
-        self._heterogeneous = len(rates) > 1
-        self.scheduling_policy = (
-            None if scheduling_policy is None else resolve_policy(scheduling_policy)
-        )
 
     def _place(self, costs: Sequence[TaskCost]) -> Assignment:
-        """Schedule costs on the cluster, honouring blacklist and policy."""
-        if self.scheduling_policy is not None:
-            slots = cluster_slots(
-                self.cluster, self.blacklist, speed_aware=self._heterogeneous
-            )
-            return self.scheduling_policy.assign(costs, slots)
-        schedule = schedule_lpt_heterogeneous if self._heterogeneous else schedule_lpt
-        return schedule(costs, self.cluster, blacklist=self.blacklist)
+        """Place costs on the cluster's non-blacklisted slots."""
+        return place(costs, cluster_slots(self.cluster, self.blacklist))
 
     def _relay_cost(self, shuffle_bytes: int) -> tuple[int, float]:
         """(driver bytes, serialized driver seconds) for one shuffle leg."""

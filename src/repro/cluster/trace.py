@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .node import ClusterSpec
-from .scheduler import TaskCost
+from .scheduler import TaskCost, cluster_slots, place
 
 #: Keys every span record carries, in every supported serialization.
 _SPAN_KEYS = frozenset({"task", "node", "slot", "start", "end"})
@@ -188,40 +188,24 @@ class Trace:
         return "\n".join(lines)
 
 
-def build_trace(
-    tasks: Sequence[TaskCost],
-    cluster: ClusterSpec,
-    *,
-    scheduler=None,
-) -> Trace:
-    """Schedule tasks (LPT by default) and derive their timeline.
+def build_trace(tasks: Sequence[TaskCost], cluster: ClusterSpec) -> Trace:
+    """Place tasks on the cluster's slots and derive their timeline.
 
-    Tasks placed on the same slot start in descending-cost order (the
-    order LPT assigned them), each beginning when its predecessor ends.
-    The resulting trace inventories *every* usable slot, including ones
-    that received no tasks.
+    Tasks placed on the same slot run in the order they were placed
+    (costliest first), each beginning when its predecessor ends and
+    lasting its cost over the slot's speed.  The resulting trace
+    inventories *every* usable slot, including ones that received no tasks.
     """
-    from .scheduler import schedule_lpt
-
-    schedule = scheduler or schedule_lpt
-    assignment = schedule(tasks, cluster)
+    slots = cluster_slots(cluster)
+    assignment = place(tasks, slots)
     cost_of = {task.task_id: task.seconds for task in tasks}
-    # Reconstruct per-slot execution order: LPT assigns longest first.
-    per_slot: dict[tuple[int, int], list[int]] = {}
-    for task in sorted(tasks, key=lambda t: (-t.seconds, t.task_id)):
-        per_slot.setdefault(assignment.placement[task.task_id], []).append(
-            task.task_id
-        )
+    speed_of = {slot.key: slot.speed for slot in slots}
+    clocks = {slot.key: 0.0 for slot in slots}
     spans = []
-    for slot, task_ids in per_slot.items():
-        clock = 0.0
-        for task_id in task_ids:
-            duration = cost_of[task_id]
-            spans.append(
-                TaskSpan(
-                    task_id=task_id, node=slot[0], slot=slot[1],
-                    start=clock, end=clock + duration,
-                )
-            )
-            clock += duration
-    return Trace(spans=spans, slots=sorted(assignment.slot_loads))
+    for task_id, slot in assignment.placement.items():  # dispatch order
+        start = clocks[slot]
+        clocks[slot] = start + cost_of[task_id] / speed_of[slot]
+        spans.append(
+            TaskSpan(task_id=task_id, node=slot[0], slot=slot[1], start=start, end=clocks[slot])
+        )
+    return Trace(spans=spans, slots=sorted(clocks))

@@ -149,7 +149,7 @@ def _apply_pruner(block: np.ndarray, context: Context) -> np.ndarray:
     No-op without a ``config["pruner"]``.  The pruner and the sketch
     suite (``cache["sketches"]``) are both built driver-side before job
     submission, so the surviving rows are a pure function of the pair
-    block — identical across workers, retries and speculative attempts.
+    block — identical across workers and retries.
     Meters ``PAIRS_PRUNED`` (the skipped evaluations) and the
     ``SKETCH_BYTES`` footprint gauge.
     """
@@ -467,7 +467,7 @@ class PairwiseComputation:
         Extra ``job.config`` entries merged into every job this
         computation builds — the pass-through for the engine's
         fault-tolerance knobs (``task_timeout_seconds``,
-        ``speculative_execution``, ``fault_plan``, …; see
+        ``retry_backoff_seconds``, ``fault_plan``; see
         :class:`~repro.mapreduce.job.Job`).  Application keys
         (``scheme``/``comp``/``aggregator``/``symmetric``) always win.
     max_attempts:
@@ -601,8 +601,7 @@ class PairwiseComputation:
 
         Built driver-side exactly once per run and shipped through the
         distributed cache / job config, so every task attempt — retries
-        and speculative launches included — prunes against the same
-        frozen state.  The suite joins the job's cache dict in place, so
+        included — prunes against the same frozen state.  The suite joins the job's cache dict in place, so
         beside a payload store it stays one broadcast / shm segment.
         """
         if self.pruning != "sketch":

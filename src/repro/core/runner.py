@@ -89,7 +89,6 @@ def auto_pairwise(
     engine=None,
     symmetric: bool = True,
     auto_engine: bool = False,
-    scheduling_policy=None,
     trace_sink=None,
     data_plane: str | None = None,
     journal_dir=None,
@@ -121,9 +120,8 @@ def auto_pairwise(
     the records one run pushes through the shuffle — a flat scheme's
     ``metrics().communication_records``, a schedule's peak round
     (``2 × replicas``); ``comp`` must then be picklable in case the
-    multiprocess engine is selected.  ``scheduling_policy`` /
-    ``trace_sink`` / ``data_plane`` / ``journal_dir`` configure the engine
-    this call builds (pass them to your own ``engine`` instead when
+    multiprocess engine is selected.  ``trace_sink`` / ``data_plane`` /
+    ``journal_dir`` configure the engine this call builds (pass them to your own ``engine`` instead when
     supplying one; ``data_plane`` and ``journal_dir`` additionally
     require ``auto_engine=True``, since only a pooled engine has a
     broadcast data plane to pick or a direct shuffle to journal —
@@ -140,11 +138,11 @@ def auto_pairwise(
     """
     if len(dataset) < 2:
         raise ValueError("pairwise computation needs at least two elements")
-    engine_knobs = (scheduling_policy, trace_sink, data_plane, journal_dir)
+    engine_knobs = (trace_sink, data_plane, journal_dir)
     if engine is not None and any(knob is not None for knob in engine_knobs):
         raise ValueError(
-            "pass scheduling_policy/trace_sink/data_plane/journal_dir to "
-            "the engine itself when supplying an explicit engine"
+            "pass trace_sink/data_plane/journal_dir to the engine itself "
+            "when supplying an explicit engine"
         )
     if (data_plane is not None or journal_dir is not None) and not auto_engine:
         raise ValueError(
@@ -165,15 +163,14 @@ def auto_pairwise(
             num_nodes=num_nodes,
         )
     owned_engine = None
-    if engine is None and (auto_engine or scheduling_policy is not None or trace_sink is not None):
-        records = None  # unknown workload: the serial engine, carrying the knobs
+    if engine is None and (auto_engine or trace_sink is not None):
+        records = None  # unknown workload: the serial engine, carrying the sink
         if auto_engine and choice.is_hierarchical:
             records = 2 * choice.scheme.peak_round_replicas()
         elif auto_engine:
             records = choice.scheme.metrics().communication_records
         engine = owned_engine = choose_engine(
             records,
-            scheduling_policy=scheduling_policy,
             trace_sink=trace_sink,
             data_plane=data_plane,
             journal_dir=journal_dir,

@@ -10,12 +10,11 @@ machinery:
   TIMED_OUT}``), global attempt numbering, the worker-side retry loop
   with deterministic backoff, and the driver-side
   :class:`~repro.mapreduce.controlplane.attempts.AttemptTracker` that
-  owns speculation and lost-attempt charging;
-- :mod:`.policy` — the pluggable
-  :class:`~repro.mapreduce.controlplane.policy.SchedulingPolicy`
-  protocol (fifo, LPT-by-estimated-cost, round-robin) used for engine
-  dispatch ordering *and* simulator slot placement
-  (:mod:`repro.cluster.scheduler` delegates here);
+  owns attempt numbering and lost-attempt charging;
+- :mod:`.policy` — the one dispatch order (costliest task first) the
+  engines hand tasks out in and the one placement function
+  (:func:`~repro.mapreduce.controlplane.policy.place`) the simulator
+  puts them on slots with;
 - :mod:`.events` — the structured event bus (attempt transitions,
   shuffle spills, bytes moved) and the JSONL sink whose output
   :class:`repro.cluster.trace.Trace` loads directly.
@@ -48,16 +47,7 @@ from .events import (
     SpillQuarantined,
     SpillWritten,
 )
-from .policy import (
-    Assignment,
-    FifoPolicy,
-    LptPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    Slot,
-    TaskCost,
-    resolve_policy,
-)
+from .policy import Assignment, Slot, TaskCost, dispatch_order, place
 
 __all__ = [
     "AttemptTracker",
@@ -65,13 +55,9 @@ __all__ = [
     "Assignment",
     "BytesMoved",
     "EventBus",
-    "FifoPolicy",
     "JsonlTraceSink",
-    "LptPolicy",
     "PhaseMarker",
     "ReplicationMeasured",
-    "RoundRobinPolicy",
-    "SchedulingPolicy",
     "Slot",
     "SpillQuarantined",
     "SpillWritten",
@@ -84,6 +70,7 @@ __all__ = [
     "TaskState",
     "attempt_tag",
     "backoff_seconds",
-    "resolve_policy",
+    "dispatch_order",
+    "place",
     "run_attempt_loop",
 ]

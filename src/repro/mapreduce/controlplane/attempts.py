@@ -19,8 +19,9 @@ Two consumers share this module:
 - workers run :func:`run_attempt_loop` — the in-attempt retry loop with
   deterministic exponential backoff and the post-hoc wall-clock check;
 - drivers (both engines) hold an :class:`AttemptTracker` per phase — it
-  owns attempt numbering, lost-attempt charging, straggler/speculation
-  decisions, and emits every transition to the engine's event bus.
+  owns attempt numbering and lost-attempt charging, and emits every
+  transition to the engine's event bus.  A task has at most one live
+  (non-terminal) attempt at a time.
 
 This module is engine-agnostic by design: it must not import
 :mod:`repro.mapreduce.runtime` (see ``tests/test_layering.py``).
@@ -28,10 +29,8 @@ This module is engine-agnostic by design: it must not import
 
 from __future__ import annotations
 
-import math
-import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, TYPE_CHECKING
 
@@ -59,20 +58,20 @@ TASK_ATTEMPTS = "task_attempts"
 TASKS_TIMED_OUT = "tasks_timed_out"
 
 
-def attempt_tag(attempt: int, speculative: bool = False) -> str:
-    """Canonical tag naming one dispatch attempt: ``a<N>`` / ``a<N>s``.
+def attempt_tag(attempt: int) -> str:
+    """Canonical tag naming one dispatch attempt: ``a<N>``.
 
     This string is baked into on-disk spill-file names
     (``{kind}-{task:05d}-{tag}.spill``, one file per producing dispatch —
-    see :func:`repro.mapreduce.spill.spill_file_path`) so that re-dispatches
-    and speculative backups can never collide with an earlier attempt's
-    files.  The format is load-bearing: changing it orphans nothing at
-    runtime (names only need to be unique within a job) but breaks any
-    tooling that parses scratch directories, so it is locked by a test.
+    see :func:`repro.mapreduce.spill.spill_file_path`) so that a
+    re-dispatch can never collide with an earlier attempt's files.  The
+    format is load-bearing: changing it orphans nothing at runtime (names
+    only need to be unique within a job) but breaks any tooling that
+    parses scratch directories, so it is locked by a test.
     """
     if attempt < 1:
         raise ValueError(f"attempt numbers are 1-based, got {attempt}")
-    return f"a{attempt}s" if speculative else f"a{attempt}"
+    return f"a{attempt}"
 
 
 class TaskState(str, Enum):
@@ -115,7 +114,6 @@ class TaskAttempt:
     kind: str  # "map" | "reduce"
     task_index: int
     attempt: int  # 1-based global attempt number
-    speculative: bool = False
     state: TaskState = TaskState.PENDING
     dispatched_at: float | None = None
     started_at: float | None = None
@@ -124,7 +122,7 @@ class TaskAttempt:
 
     @property
     def tag(self) -> str:
-        return attempt_tag(self.attempt, self.speculative)
+        return attempt_tag(self.attempt)
 
     @property
     def duration(self) -> float | None:
@@ -155,8 +153,7 @@ class AttemptTracker:
 
     Engine-agnostic: the engine owns futures/processes; the tracker owns
     *decisions* — attempt numbering, lost-attempt charging against the
-    retry budget, straggler detection for speculative backups — and
-    narrates every transition to the event bus.  Both
+    retry budget — and narrates every transition to the event bus.  Both
     :class:`~repro.mapreduce.runtime.SerialEngine` (trivially) and
     :class:`~repro.mapreduce.runtime.MultiprocessEngine` (fully) run
     their phases through one of these.
@@ -174,17 +171,11 @@ class AttemptTracker:
         self.kind = kind
         self.num_tasks = num_tasks
         self.max_attempts = job.max_attempts
-        self.speculative_enabled = bool(job.config.get("speculative_execution", False))
-        self.speculative_multiplier = float(
-            job.config.get("speculative_multiplier", 2.0)
-        )
-        self.speculative_fraction = float(job.config.get("speculative_fraction", 0.25))
         self._bus = bus
         self._clock = clock
         #: next 1-based attempt number to dispatch, per task index
         self.next_attempt: dict[int, int] = {i: 1 for i in range(num_tasks)}
         self.completed: set[int] = set()
-        self.durations: list[float] = []
         self.history: list[TaskAttempt] = []
 
     # -- event plumbing --------------------------------------------------------
@@ -198,23 +189,17 @@ class AttemptTracker:
                     kind=attempt.kind,
                     task_index=attempt.task_index,
                     attempt=attempt.attempt,
-                    speculative=attempt.speculative,
                     state=attempt.state.value,
                     worker_pid=attempt.worker_pid,
                 )
             )
 
     # -- lifecycle -------------------------------------------------------------
-    def begin_dispatch(
-        self, index: int, *, speculative: bool = False, now: float | None = None
-    ) -> TaskAttempt:
+    def begin_dispatch(self, index: int, *, now: float | None = None) -> TaskAttempt:
         """Create and dispatch the task's current attempt."""
         now = self._clock() if now is None else now
         attempt = TaskAttempt(
-            kind=self.kind,
-            task_index=index,
-            attempt=self.next_attempt[index],
-            speculative=speculative,
+            kind=self.kind, task_index=index, attempt=self.next_attempt[index]
         )
         attempt.transition(TaskState.DISPATCHED, now)
         self.history.append(attempt)
@@ -232,16 +217,13 @@ class AttemptTracker:
         *,
         now: float | None = None,
         worker_pid: int | None = None,
-    ) -> float:
-        """Record a winning attempt; returns its observed duration."""
+    ) -> None:
+        """Record the task's winning attempt."""
         now = self._clock() if now is None else now
         attempt.worker_pid = worker_pid
         attempt.transition(TaskState.SUCCEEDED, now)
         self.completed.add(attempt.task_index)
-        duration = attempt.duration or 0.0
-        self.durations.append(duration)
         self._emit(attempt, now)
-        return duration
 
     def fail(self, attempt: TaskAttempt, now: float | None = None) -> None:
         now = self._clock() if now is None else now
@@ -256,7 +238,7 @@ class AttemptTracker:
         now: float | None = None,
     ) -> None:
         now = self._clock() if now is None else now
-        if not attempt.state.terminal:  # late losers may already be resolved
+        if not attempt.state.terminal:  # a hang-killed attempt is killed again with its pool
             attempt.transition(
                 TaskState.TIMED_OUT if timed_out else TaskState.KILLED, now
             )
@@ -275,20 +257,6 @@ class AttemptTracker:
         """The failure raised when lost attempts alone exhaust the budget."""
         lost = TaskLostError(self.kind, task_index, self.next_attempt[index] - 1)
         return TaskFailedError(self.kind, self.max_attempts, lost, causes=[lost])
-
-    # -- speculation -----------------------------------------------------------
-    def in_speculation_window(self) -> bool:
-        """True once the phase's tail is small enough to back up stragglers."""
-        if not (self.speculative_enabled and self.durations):
-            return False
-        remaining = self.num_tasks - len(self.completed)
-        return remaining <= max(
-            1, math.ceil(self.speculative_fraction * self.num_tasks)
-        )
-
-    def straggler_threshold(self) -> float:
-        """Elapsed seconds past which a running attempt counts as straggling."""
-        return self.speculative_multiplier * statistics.median(self.durations)
 
 
 def backoff_seconds(base: float, kind: str, task_index: int, attempt: int) -> float:
@@ -309,7 +277,6 @@ def run_attempt_loop(
     *,
     task_index: int = 0,
     first_attempt: int = 1,
-    speculative: bool = False,
     marker: Callable[[int], None] | None = None,
     in_worker: bool = False,
 ) -> Any:
@@ -350,13 +317,7 @@ def run_attempt_loop(
             # timeout a genuinely slow attempt would.
             started = time.monotonic()
             if plan is not None:
-                plan.fire(
-                    kind,
-                    task_index,
-                    attempt,
-                    speculative=speculative,
-                    in_worker=in_worker,
-                )
+                plan.fire(kind, task_index, attempt, in_worker=in_worker)
             result, counters = attempt_fn(attempt)
             elapsed = time.monotonic() - started
             if limit is not None and elapsed > limit:

@@ -34,7 +34,6 @@ class AttemptTransition:
     kind: str  # "map" | "reduce"
     task_index: int
     attempt: int
-    speculative: bool
     state: str  # TaskState value
     worker_pid: int | None = None
 
@@ -159,8 +158,8 @@ class JsonlTraceSink:
         self._t0: float | None = None
         self._slot_of_pid: dict[int | None, int] = {}
         self._task_ids: dict[tuple[str, int], int] = {}
-        #: (kind, task_index, attempt, speculative) -> begin time
-        self._begun: dict[tuple[str, int, int, bool], float] = {}
+        #: (kind, task_index, attempt) -> begin time
+        self._begun: dict[tuple[str, int, int], float] = {}
         self._spans: list[dict[str, Any]] = []
 
     # -- event intake ----------------------------------------------------------
@@ -181,7 +180,7 @@ class JsonlTraceSink:
 
     def _track(self, event: AttemptTransition) -> None:
         rebased = event.time - (self._t0 if self._t0 is not None else event.time)
-        key = (event.kind, event.task_index, event.attempt, event.speculative)
+        key = (event.kind, event.task_index, event.attempt)
         if event.state == "DISPATCHED":
             self._begun.setdefault(key, rebased)
             self._task_ids.setdefault(

@@ -1,27 +1,24 @@
-"""Pluggable scheduling policies shared by engines and the simulator.
+"""Task order and placement, shared by the engines and the simulator.
 
 The paper's balance demand (§5 demand (a)) is about *task* sizes; how
 well balanced the *nodes* end up also depends on placement.  Hadoop
-assigns tasks to free slots as they come (FIFO), which for independent
-tasks approximates Longest-Processing-Time-first list scheduling; LPT
-itself carries the classical makespan ≤ 4/3 · OPT bound.  Ullman's
-"Some Pairs Problems" and Afrati et al.'s bounds on MapReduce
-computations both study the reducer-capacity vs. wave-count trade-off
-that placement policy controls — so policy is a swappable component
-here, not something each executor hard-codes.
+hands tasks to free slots as they come, which for independent tasks
+handed out costliest-first is Longest-Processing-Time-first list
+scheduling, with the classical makespan ≤ 4/3 · OPT bound.  The cost of
+a run is fixed by the mapping schema's reducer size and replication
+(Afrati et al., "Upper and Lower Bounds on the Cost of a Map-Reduce
+Computation"), not by the order a driver queues tasks in — so there is
+one order and one placement, not a menu:
 
-One :class:`SchedulingPolicy` serves two consumers:
-
-- the **real engines** ask for :meth:`SchedulingPolicy.dispatch_order` —
-  the order a phase's tasks are handed to free worker slots.  Cost
-  estimates come from the paper's working-set quantities (``|D_l|``
-  record counts for map splits, ``|P_l|`` partition bytes for reduce
-  partitions).  Task outputs are keyed by task index, so *results are
-  bit-identical across policies*; only wall-clock changes.
-- the **cluster simulator** asks for :meth:`SchedulingPolicy.assign` —
-  full placement of estimated task costs onto modelled slots.  The
-  former ``repro.cluster.scheduler`` algorithms live here now; that
-  module keeps its ``schedule_*`` functions as thin wrappers.
+- :func:`dispatch_order` — cost-descending, ties by task id.  The **real
+  engines** hand a phase's tasks to free worker slots in this order,
+  costed by the paper's working-set quantities (``|D_l|`` record counts
+  for map splits, ``|P_l|`` partition bytes for reduce partitions).
+  Task outputs are keyed by task index, so the order never shows in a
+  job's results; only wall-clock depends on it.
+- :func:`place` — the **cluster simulator**'s placement of estimated task
+  costs onto modelled slots: tasks in that same order, each to the slot
+  that finishes it earliest.
 
 This module is dependency-free within the repo (no engine, no cluster
 imports) so both layers can sit on it — see ``tests/test_layering.py``.
@@ -29,7 +26,6 @@ imports) so both layers can sit on it — see ``tests/test_layering.py``.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,7 +68,7 @@ class Slot:
 class Assignment:
     """Result of scheduling: per-slot loads and task placements."""
 
-    #: task_id -> (node index, slot index within node)
+    #: task_id -> (node index, slot index within node), in dispatch order
     placement: dict[int, tuple[int, int]]
     #: busy seconds per (node, slot)
     slot_loads: dict[tuple[int, int], float]
@@ -98,154 +94,30 @@ class Assignment:
         return self.makespan / mean_load if mean_load > 0 else 1.0
 
 
-class SchedulingPolicy:
-    """Protocol for task-placement policies (subclass and override).
+def dispatch_order(costs: Sequence[TaskCost]) -> list[int]:
+    """Task ids costliest first, ties by id — the order tasks meet free slots."""
+    return [task.task_id for task in sorted(costs, key=lambda t: (-t.seconds, t.task_id))]
 
-    ``dispatch_order`` is what the real engines consume (which pending
-    task next, slots being anonymous pool workers); ``assign`` is the
-    simulator's full placement onto modelled slots.  The default
-    ``assign`` greedily gives each task — taken in ``dispatch_order`` —
-    the slot that finishes it earliest, which is exactly Hadoop's
-    fill-free-slots-as-they-come behaviour parameterized by the order.
+
+def place(costs: Sequence[TaskCost], slots: Sequence[Slot]) -> Assignment:
+    """Give each task, in :func:`dispatch_order`, the slot that finishes it earliest.
+
+    A task costing ``seconds`` adds ``seconds / speed`` to its slot's load,
+    so loads are wall-clock seconds.  On equal speeds this is classic LPT
+    list scheduling; on mixed speeds the MET/LPT heuristic for uniformly
+    related machines.  Ties go to the lowest ``(node, slot)``.
     """
-
-    name = "policy"
-
-    def dispatch_order(self, costs: Sequence[TaskCost]) -> list[int]:
-        """Task ids in the order they should be handed to free slots."""
-        raise NotImplementedError
-
-    def assign(
-        self, costs: Sequence[TaskCost], slots: Sequence[Slot]
-    ) -> Assignment:
-        if not slots:
-            raise ValueError("cannot schedule onto zero slots")
-        ordered = self._by_id(costs)
-        order = self.dispatch_order(costs)
-        loads: dict[tuple[int, int], float] = {slot.key: 0.0 for slot in slots}
-        speed = {slot.key: slot.speed for slot in slots}
-        placement: dict[int, tuple[int, int]] = {}
-        for task_id in order:
-            task = ordered[task_id]
-            best = min(
-                loads,
-                key=lambda key: (loads[key] + task.seconds / speed[key], key),
-            )
-            placement[task_id] = best
-            loads[best] += task.seconds / speed[best]
-        return Assignment(placement=placement, slot_loads=loads)
-
-    @staticmethod
-    def _by_id(costs: Sequence[TaskCost]) -> dict[int, TaskCost]:
-        by_id = {task.task_id: task for task in costs}
-        if len(by_id) != len(costs):
-            raise ValueError("task ids must be unique within a batch")
-        return by_id
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}()"
-
-
-class FifoPolicy(SchedulingPolicy):
-    """Hadoop's default: tasks go to free slots in arrival (id) order."""
-
-    name = "fifo"
-
-    def dispatch_order(self, costs: Sequence[TaskCost]) -> list[int]:
-        return [task.task_id for task in sorted(costs, key=lambda t: t.task_id)]
-
-
-class LptPolicy(SchedulingPolicy):
-    """Longest-Processing-Time-first list scheduling.
-
-    Dispatch order is descending estimated cost (ties by id, so runs are
-    deterministic).  ``assign`` on homogeneous slots reproduces the
-    classic heap-based LPT exactly (the former
-    ``repro.cluster.scheduler.schedule_lpt``); with mixed slot speeds it
-    gives each task the slot that *finishes it earliest* — the MET/LPT
-    heuristic for uniformly related machines (the former
-    ``schedule_lpt_heterogeneous``).
-    """
-
-    name = "lpt"
-
-    def dispatch_order(self, costs: Sequence[TaskCost]) -> list[int]:
-        return [
-            task.task_id
-            for task in sorted(costs, key=lambda t: (-t.seconds, t.task_id))
-        ]
-
-    def assign(
-        self, costs: Sequence[TaskCost], slots: Sequence[Slot]
-    ) -> Assignment:
-        if not slots:
-            raise ValueError("cannot schedule onto zero slots")
-        if any(slot.speed != slots[0].speed for slot in slots):
-            return super().assign(costs, slots)  # earliest-finish-time path
-        ordered = self._by_id(costs)
-        # Heap of (load, tiebreak, slot key); tiebreak keeps determinism.
-        heap: list[tuple[float, int, tuple[int, int]]] = [
-            (0.0, i, slot.key) for i, slot in enumerate(slots)
-        ]
-        heapq.heapify(heap)
-        placement: dict[int, tuple[int, int]] = {}
-        for task_id in self.dispatch_order(costs):
-            load, tiebreak, key = heapq.heappop(heap)
-            placement[task_id] = key
-            heapq.heappush(heap, (load + ordered[task_id].seconds, tiebreak, key))
-        slot_loads = {slot.key: 0.0 for slot in slots}
-        for task in costs:
-            slot_loads[placement[task.task_id]] += task.seconds
-        return Assignment(placement=placement, slot_loads=slot_loads)
-
-
-class RoundRobinPolicy(SchedulingPolicy):
-    """Naive cyclic placement — the baseline the others are compared to."""
-
-    name = "round_robin"
-
-    def dispatch_order(self, costs: Sequence[TaskCost]) -> list[int]:
-        return [task.task_id for task in sorted(costs, key=lambda t: t.task_id)]
-
-    def assign(
-        self, costs: Sequence[TaskCost], slots: Sequence[Slot]
-    ) -> Assignment:
-        if not slots:
-            raise ValueError("cannot schedule onto zero slots")
-        ordered = self._by_id(costs)
-        placement: dict[int, tuple[int, int]] = {}
-        slot_loads = {slot.key: 0.0 for slot in slots}
-        for position, task_id in enumerate(self.dispatch_order(costs)):
-            slot = slots[position % len(slots)]
-            placement[task_id] = slot.key
-            slot_loads[slot.key] += ordered[task_id].seconds
-        return Assignment(placement=placement, slot_loads=slot_loads)
-
-
-#: Registry for the string spellings accepted by ``resolve_policy``.
-POLICIES: dict[str, type[SchedulingPolicy]] = {
-    FifoPolicy.name: FifoPolicy,
-    LptPolicy.name: LptPolicy,
-    RoundRobinPolicy.name: RoundRobinPolicy,
-}
-
-
-def resolve_policy(
-    policy: "SchedulingPolicy | str | None", default: str = "fifo"
-) -> SchedulingPolicy:
-    """Accept a policy instance, a registry name, or None (the default)."""
-    if policy is None:
-        policy = default
-    if isinstance(policy, SchedulingPolicy):
-        return policy
-    if isinstance(policy, str):
-        cls = POLICIES.get(policy.replace("-", "_").lower())
-        if cls is not None:
-            return cls()
-        raise ValueError(
-            f"unknown scheduling policy {policy!r}; known: {sorted(POLICIES)}"
+    if not slots:
+        raise ValueError("cannot schedule onto zero slots")
+    seconds = {task.task_id: task.seconds for task in costs}
+    if len(seconds) != len(costs):
+        raise ValueError("task ids must be unique within a batch")
+    loads = {slot.key: 0.0 for slot in slots}
+    placement: dict[int, tuple[int, int]] = {}
+    for task_id in dispatch_order(costs):
+        finish, best = min(
+            (loads[slot.key] + seconds[task_id] / slot.speed, slot.key) for slot in slots
         )
-    raise TypeError(
-        f"scheduling_policy must be a SchedulingPolicy, name, or None, "
-        f"got {type(policy).__name__}"
-    )
+        placement[task_id] = best
+        loads[best] = finish
+    return Assignment(placement=placement, slot_loads=loads)

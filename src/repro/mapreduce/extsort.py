@@ -35,7 +35,6 @@ from .serialization import (
     read_chunk_view,
     record_size,
     spill_crc,
-    spill_verification_enabled,
 )
 from .shuffle import stable_hash
 
@@ -47,7 +46,6 @@ KeyValue = tuple[Any, Any]
 _RUN_CHUNK_RECORDS = 512
 
 #: per-chunk frame header within a run file: payload length + CRC32
-#: (0 when checksumming is disabled at write time)
 _FRAME_HEADER = struct.Struct("<QI")
 
 
@@ -122,12 +120,10 @@ class ExternalSorter:
             return
         self._buffer.sort(key=self._ordering)
         run_path = self._spill_dir / f"run-{len(self._runs):05d}.npb"
-        checksum = spill_verification_enabled()
         with run_path.open("wb") as handle:
             for start in range(0, len(self._buffer), _RUN_CHUNK_RECORDS):
                 chunk = encode_records(self._buffer[start : start + _RUN_CHUNK_RECORDS])
-                crc = spill_crc(chunk) if checksum else 0
-                handle.write(_FRAME_HEADER.pack(len(chunk), crc))
+                handle.write(_FRAME_HEADER.pack(len(chunk), spill_crc(chunk)))
                 handle.write(chunk)
         self._runs.append(run_path)
         self.spilled_records += len(self._buffer)
@@ -144,7 +140,6 @@ class ExternalSorter:
         # error (or, worse, silently wrong records).
         view = read_chunk_view(path)
         offset, end = 0, view.nbytes
-        verify = spill_verification_enabled()
         while offset < end:
             if end - offset < _FRAME_HEADER.size:
                 raise SpillCorruptionError(
@@ -159,7 +154,7 @@ class ExternalSorter:
                     f"(need {length} bytes, have {end - offset})",
                 )
             chunk = view[offset : offset + length]
-            if verify and crc and spill_crc(chunk) != crc:
+            if spill_crc(chunk) != crc:
                 raise SpillCorruptionError(
                     str(path), f"run frame CRC mismatch at offset {offset}"
                 )

@@ -2,8 +2,8 @@
 
 The paper's premise is that MapReduce makes pairwise computation practical
 on *commodity* clusters — machines that crash, stall, and lose tasks —
-because the framework re-executes failed attempts and speculates around
-stragglers (Hadoop 0.20's fault model).  To test and benchmark that
+because the framework re-executes failed and lost attempts (Hadoop 0.20's
+fault model).  To test and benchmark that
 machinery the engines need failures that are **reproducible**: a
 :class:`FaultPlan` describes exactly which task attempts crash, hang, or
 die, either as an explicit fault list or as seeded per-task draws, and the
@@ -26,10 +26,6 @@ points:
 Rate-based plans draw per ``(kind, task_index)`` from a keyed blake2b
 hash — no shared RNG state, so the draw is independent of execution order
 and identical across serial and pooled engines.
-
-Speculative backup attempts skip injected faults by default (a backup
-lands on a "healthy node"); set ``affects_speculative=True`` on a fault to
-hit backups too.
 """
 
 from __future__ import annotations
@@ -82,21 +78,15 @@ class _Fault:
     ``task_index`` selects one task (``None`` = every task);
     ``attempts`` is a tuple of 1-based global attempt numbers (``None`` =
     every attempt — the fault is then *permanent* and no retry budget can
-    absorb it).  ``affects_speculative`` opts the fault into firing on
-    speculative backup attempts as well.
+    absorb it).
     """
 
     task_kind: str | None = None
     task_index: int | None = None
     attempts: tuple[int, ...] | None = (1,)
-    affects_speculative: bool = False
 
-    def applies(
-        self, kind: str, task_index: int, attempt: int, speculative: bool
-    ) -> bool:
+    def applies(self, kind: str, task_index: int, attempt: int) -> bool:
         """True when this fault selects the given task attempt."""
-        if speculative and not self.affects_speculative:
-            return False
         if self.task_kind is not None and self.task_kind != kind:
             return False
         if not _matches(self.task_index, task_index):
@@ -113,8 +103,8 @@ class CrashFault(_Fault):
 class SlowFault(_Fault):
     """Sleep ``seconds`` at the start of matching attempts.
 
-    Short sleeps model stragglers (speculation territory); sleeps well
-    past the task timeout model hangs (timeout/kill territory).
+    Short sleeps model stragglers; sleeps well past the task timeout
+    model hangs (timeout/kill territory).
     """
 
     seconds: float = 0.5
@@ -196,7 +186,6 @@ class FaultPlan:
         task_index: int,
         attempt: int,
         *,
-        speculative: bool = False,
         in_worker: bool = False,
     ) -> None:
         """Apply attempt-level faults for one task attempt (or no-op).
@@ -209,7 +198,7 @@ class FaultPlan:
         kill = False
         crash: _Fault | None = None
         for fault in self.faults:
-            if not fault.applies(kind, task_index, attempt, speculative):
+            if not fault.applies(kind, task_index, attempt):
                 continue
             if isinstance(fault, SlowFault):
                 delay = max(delay, fault.seconds)
@@ -217,7 +206,7 @@ class FaultPlan:
                 kill = True
             elif isinstance(fault, CrashFault):
                 crash = fault
-        if attempt == 1 and not speculative:
+        if attempt == 1:
             if self.slow_rate and _draw(self.seed, kind, task_index, "slow") < self.slow_rate:
                 delay = max(delay, self.slow_seconds)
             if self.kill_rate and _draw(self.seed, kind, task_index, "kill") < self.kill_rate:
@@ -238,41 +227,29 @@ class FaultPlan:
             )
 
     def poisons(
-        self,
-        kind: str,
-        task_index: int,
-        attempt: int,
-        record_index: int,
-        *,
-        speculative: bool = False,
+        self, kind: str, task_index: int, attempt: int, record_index: int
     ) -> bool:
         """True when a :class:`PoisonFault` targets this record."""
         return any(
             isinstance(fault, PoisonFault)
             and fault.record_index == record_index
-            and fault.applies(kind, task_index, attempt, speculative)
+            and fault.applies(kind, task_index, attempt)
             for fault in self.faults
         )
 
     def spill_fault(
-        self,
-        kind: str,
-        task_index: int,
-        attempt: int,
-        partition: int,
-        *,
-        speculative: bool = False,
+        self, kind: str, task_index: int, attempt: int, partition: int
     ) -> str | None:
         """Damage mode (``"corrupt"``/``"truncate"``) for one partition's
         segment of a just-published spill file, or ``None``.
 
-        Like the attempt-level rates, spill damage fires only on first,
-        non-speculative attempts: retries and driver-side replays model
-        re-reading from a healthy replica, so recovery always converges.
+        Like the attempt-level rates, spill damage fires only on first
+        attempts: retries and driver-side replays model re-reading from a
+        healthy replica, so recovery always converges.
         Draws are keyed per partition, so each of a task's segments is
         drawn independently (a truncation also takes the segments after it).
         """
-        if attempt != 1 or speculative:
+        if attempt != 1:
             return None
         if self.corrupt_rate and (
             _draw(self.seed, kind, task_index, f"corrupt:p{partition}") < self.corrupt_rate

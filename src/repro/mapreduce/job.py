@@ -128,11 +128,7 @@ class Job:
     - ``"spill_threshold_bytes"`` — reduce partitions whose accounted size
       exceeds this go through the external merge sort instead of an
       in-memory sort (default
-      :data:`~repro.mapreduce.runtime.DEFAULT_SPILL_THRESHOLD_BYTES`);
-    - ``"pipeline_fusion"`` (bool, default True) — set False on either of
-      two adjacent chained jobs to forbid fusing them (the reduce→map
-      short-circuit in
-      :meth:`~repro.mapreduce.runtime.MultiprocessEngine.run_chain`).
+      :data:`~repro.mapreduce.runtime.DEFAULT_SPILL_THRESHOLD_BYTES`).
 
     Fault-tolerance knobs (all off by default; see
     :mod:`repro.mapreduce.faults` and the DESIGN "Fault model" section):
@@ -144,12 +140,6 @@ class Job:
       never returns is killed with its worker pool and re-dispatched.
     - ``"retry_backoff_seconds"`` — base delay between attempts; grows
       exponentially per retry with deterministic jitter (0 disables).
-    - ``"speculative_execution"`` (bool) — Hadoop-style backup attempts on
-      the multiprocess engine: near the end of a task batch, a task running
-      past ``"speculative_multiplier"`` (default 2.0) × the median task
-      time gets a backup attempt; the first finisher wins.
-      ``"speculative_fraction"`` (default 0.25) sets the "near the end"
-      threshold as a fraction of tasks still unfinished.
     - ``"fault_plan"`` — a :class:`~repro.mapreduce.faults.FaultPlan` for
       deterministic fault injection (tests/benchmarks only).
     """

@@ -314,7 +314,6 @@ def resume_job(
     journal_dir: str | Path,
     *,
     max_workers: int | None = None,
-    scheduling_policy: Any = None,
     trace_sink: Any = None,
 ) -> ResumeOutcome:
     """Resume the most recent unfinished journaled job to completion.
@@ -337,10 +336,7 @@ def resume_job(
     with open(plan.spec_path, "rb") as fh:
         job, splits, num_partitions = pickle.load(fh)
     engine = MultiprocessEngine(
-        max_workers=max_workers,
-        journal_dir=journal_dir,
-        scheduling_policy=scheduling_policy,
-        trace_sink=trace_sink,
+        max_workers=max_workers, journal_dir=journal_dir, trace_sink=trace_sink
     )
     try:
         engine._pending_resume = plan

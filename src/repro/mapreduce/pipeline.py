@@ -13,9 +13,8 @@ that runs a single job — so an engine with a direct shuffle plane may
 the upstream reduce tasks write the next job's spill files at source and
 the intermediate records never round-trip through the driver.  Fused
 stages report ``records_elided=True`` and an empty record list; counters
-are unaffected.  Pass ``fuse=False`` to :meth:`Pipeline.run` (or set
-``config["pipeline_fusion"]=False`` on a job) to keep every boundary
-unfused — e.g. when per-stage records are inspected.
+are unaffected.  Pass ``fuse=False`` to :meth:`Pipeline.run` to keep
+every boundary unfused — e.g. when per-stage records are inspected.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Execution engines: run a :class:`~repro.mapreduce.job.Job` over splits.
 
 Two engines share one code path per task (worker-side execution lives in
-:mod:`repro.mapreduce.tasks`, attempt/retry/speculation decisions in
-:mod:`repro.mapreduce.controlplane`, spill-file plumbing in
+:mod:`repro.mapreduce.tasks`, attempt/retry decisions and the dispatch
+order in :mod:`repro.mapreduce.controlplane`, spill-file plumbing in
 :mod:`repro.mapreduce.spill`): :class:`SerialEngine` runs everything
 in-process and deterministic (the default for tests and validation);
 :class:`MultiprocessEngine` fans map and reduce tasks out over a
@@ -24,19 +24,18 @@ on the pooled engine's direct plane it *fuses* adjacent stages whose next
 map phase is identity-shaped (see :mod:`repro.mapreduce.fusion`).  **Fault
 tolerance** mirrors Hadoop 0.20: per-attempt wall-clock budgets,
 deterministic retry backoff, transparent recovery from dead workers
-(pool respawn + lost-attempt charging via began-markers), driver-side
-kills of hung attempts, and end-of-phase speculative backups — see
-:mod:`repro.mapreduce.controlplane.attempts` for the state machine.
+(pool respawn + lost-attempt charging via began-markers) and driver-side
+kills of hung attempts — see :mod:`repro.mapreduce.controlplane.attempts`
+for the state machine.  A task never has two attempts in flight.
 
 **Control plane.**  Both engines orchestrate through the shared control
 plane: an :class:`~repro.mapreduce.controlplane.AttemptTracker` per
-phase owns attempt lifecycle and speculation decisions; a pluggable
-:class:`~repro.mapreduce.controlplane.SchedulingPolicy`
-(``scheduling_policy=`` — ``"fifo"`` default, ``"lpt"``,
-``"round_robin"``) orders task dispatch by estimated working-set cost
-(the paper's ``|D_l|`` split sizes and ``|P_l|`` partition bytes);
-results stay bit-identical across policies because outputs are keyed by
-task index.  Engines narrate attempt transitions, spills, and bytes
+phase owns the attempt lifecycle, and a phase's tasks are handed to free
+slots costliest first
+(:func:`~repro.mapreduce.controlplane.policy.dispatch_order` over the
+paper's ``|D_l|`` split sizes and ``|P_l|`` partition bytes); results
+do not depend on the order because outputs are keyed by task index.
+Engines narrate attempt transitions, spills, and bytes
 moved on an :class:`~repro.mapreduce.controlplane.EventBus`
 (``trace_sink=`` attaches a
 :class:`~repro.mapreduce.controlplane.JsonlTraceSink` whose file loads
@@ -67,11 +66,10 @@ from .controlplane import (
     BytesMoved,
     EventBus,
     PhaseMarker,
-    SchedulingPolicy,
     SpillQuarantined,
     SpillWritten,
     TaskCost,
-    resolve_policy,
+    dispatch_order,
 )
 
 # Counter names, spill threshold and reduce-spill
@@ -130,7 +128,7 @@ DEFAULT_RECORDS_PER_SPLIT = 5000
 #: the measurement to re-derive it from.
 AUTO_SERIAL_MAX_RECORDS = 20_000
 
-#: driver polling cadence for completion/hang/speculation checks
+#: driver polling cadence for completion/hang checks
 _POLL_SECONDS = 0.05
 
 #: shuffle data planes a :class:`MultiprocessEngine` supports
@@ -146,9 +144,6 @@ DATA_PLANES = ("default", "shm")
 class Engine:
     """Shared orchestration: split planning, shuffle accounting, result.
 
-    ``scheduling_policy`` (a
-    :class:`~repro.mapreduce.controlplane.SchedulingPolicy`, a registry
-    name, or None for fifo) orders task dispatch within each phase;
     ``trace_sink`` (e.g. a
     :class:`~repro.mapreduce.controlplane.JsonlTraceSink`) subscribes to
     the engine's :attr:`events` bus and is closed with the engine.
@@ -157,13 +152,7 @@ class Engine:
     #: how map output reaches reduce tasks; pooled engines override
     _shuffle_mode = "memory"
 
-    def __init__(
-        self,
-        *,
-        scheduling_policy: SchedulingPolicy | str | None = None,
-        trace_sink: Any = None,
-    ):
-        self.scheduling_policy = resolve_policy(scheduling_policy)
+    def __init__(self, *, trace_sink: Any = None):
         self.events = EventBus()
         self._trace_sink = trace_sink
         #: (job, handle, splits, num_partitions) of the current map phase
@@ -356,25 +345,24 @@ class Engine:
         return split_by_count(input_records, num_map_tasks)
 
     @staticmethod
-    def _phase_costs(specs: list[Any]) -> list[TaskCost]:
-        """Estimated task costs for the scheduling policy, by working set.
+    def _dispatch_order(specs: list[Any]) -> list[int]:
+        """Positions of a phase's specs, costliest working set first.
 
-        Map tasks are costed by their split's record count (the paper's
-        ``|D_l|``), reduce tasks by their partition's accounted bytes
-        (``|P_l|``, falling back to the record count for in-memory
-        partitions).  Units are arbitrary — policies only compare.
+        The one place either engine orders a phase.  Map tasks are costed
+        by their split's record count (the paper's ``|D_l|``), reduce
+        tasks by their partition's accounted bytes (``|P_l|``, falling
+        back to the record count for in-memory partitions).  Units are
+        arbitrary — the order only compares.
         """
-        costs = []
-        for index, spec in enumerate(specs):
-            if isinstance(spec, MapTaskSpec):
-                seconds = float(len(spec.records))
-            else:
-                seconds = float(spec.partition_bytes or spec.num_records)
-            costs.append(TaskCost(task_id=index, seconds=seconds))
-        return costs
 
-    def _dispatch_order(self, specs: list[Any]) -> list[int]:
-        return self.scheduling_policy.dispatch_order(self._phase_costs(specs))
+        def cost(spec: Any) -> int:
+            if isinstance(spec, MapTaskSpec):
+                return len(spec.records)
+            return spec.partition_bytes or spec.num_records
+
+        return dispatch_order(
+            [TaskCost(index, float(cost(spec))) for index, spec in enumerate(specs)]
+        )
 
     def _phase_marker(self, job: Job, kind: str, num_tasks: int, state: str) -> None:
         if self._observing:
@@ -640,7 +628,6 @@ def choose_engine(
     workload_hint: int | None = None,
     *,
     max_workers: int | None = None,
-    scheduling_policy: SchedulingPolicy | str | None = None,
     trace_sink: Any = None,
     data_plane: str | None = None,
     journal_dir: str | Path | None = None,
@@ -656,10 +643,10 @@ def choose_engine(
     :class:`SerialEngine` is returned — at small scale pool startup and
     job broadcasts dominate; at or above it, a
     :class:`MultiprocessEngine` with ``max_workers``.  ``None`` (unknown
-    workload) conservatively picks serial.  ``scheduling_policy`` and
-    ``trace_sink`` are passed through to whichever engine is built;
-    ``data_plane`` only to a pooled engine (the serial engine runs
-    in-process, where the cache is already shared by definition).
+    workload) conservatively picks serial.  ``trace_sink`` is passed
+    through to whichever engine is built; ``data_plane`` only to a pooled
+    engine (the serial engine runs in-process, where the cache is already
+    shared by definition).
     ``journal_dir`` forces a pooled engine regardless of the hint — the
     durable journal rides the direct shuffle's spill files, which only
     the :class:`MultiprocessEngine` has.
@@ -669,13 +656,10 @@ def choose_engine(
     if journal_dir is None and (
         workload_hint is None or workload_hint < AUTO_SERIAL_MAX_RECORDS
     ):
-        return SerialEngine(
-            scheduling_policy=scheduling_policy, trace_sink=trace_sink
-        )
+        return SerialEngine(trace_sink=trace_sink)
     return MultiprocessEngine(
         max_workers=max_workers,
         data_plane=data_plane or "default",
-        scheduling_policy=scheduling_policy,
         trace_sink=trace_sink,
         journal_dir=journal_dir,
     )
@@ -719,9 +703,8 @@ class MultiprocessEngine(Engine):
     zero-copy views — see :mod:`repro.mapreduce.shm`); where shared
     memory is unavailable the engine silently downgrades to ``"default"``
     (check :attr:`data_plane` after construction).  Outputs are
-    bit-identical across data planes too.  ``scheduling_policy`` orders
-    dispatch within each phase (fifo by default); ``trace_sink`` receives
-    the run's structured events (see :class:`Engine`).
+    bit-identical across data planes too.  ``trace_sink`` receives the
+    run's structured events (see :class:`Engine`).
 
     ``journal_dir`` (direct mode only) attaches a durable
     :class:`~repro.mapreduce.journal.JobJournal`: job specs, attempt
@@ -738,7 +721,6 @@ class MultiprocessEngine(Engine):
         *,
         shuffle_mode: str = "direct",
         data_plane: str = "default",
-        scheduling_policy: SchedulingPolicy | str | None = None,
         trace_sink: Any = None,
         journal_dir: str | Path | None = None,
     ):
@@ -758,7 +740,7 @@ class MultiprocessEngine(Engine):
                 "resumable state is the direct plane's spill files, got "
                 f"shuffle_mode={shuffle_mode!r}"
             )
-        super().__init__(scheduling_policy=scheduling_policy, trace_sink=trace_sink)
+        super().__init__(trace_sink=trace_sink)
         self.max_workers = max_workers
         self._shuffle_mode = shuffle_mode
         if data_plane == "shm" and not shm_available():
@@ -878,7 +860,7 @@ class MultiprocessEngine(Engine):
             base.unlink(missing_ok=True)
             shutil.rmtree(base.with_suffix(".began"), ignore_errors=True)
             # The job's spill files go with it — including orphans left by
-            # lost attempts and losing speculative dispatches.
+            # lost attempts.
             shutil.rmtree(base.parent / f"{handle.uid}-shuffle", ignore_errors=True)
 
     def _shuffle_dir(self, handle: Any) -> str:
@@ -1060,18 +1042,18 @@ class MultiprocessEngine(Engine):
         pool.shutdown(wait=True, cancel_futures=True)
 
     def _run_tasks(self, specs: list[Any], job: Job) -> list[Any]:
-        """Dispatch one phase's tasks with recovery and speculation.
+        """Dispatch one phase's tasks with recovery.
 
         A future-per-dispatch loop replaces ``pool.map`` so the driver can
         (a) respawn a broken pool and re-run only the lost in-flight
-        tasks, (b) kill attempts that hang past the task timeout, and
-        (c) launch speculative backup attempts for end-of-phase
-        stragglers.  The :class:`AttemptTracker` owns attempt numbering,
-        lost-attempt charging, and speculation decisions; the
-        :class:`SchedulingPolicy` orders dispatch.  Results are keyed by
+        tasks and (b) kill attempts that hang past the task timeout.  The
+        :class:`AttemptTracker` owns attempt numbering and lost-attempt
+        charging.  Invariant: *at most one live attempt per task* — a task
+        is re-dispatched only after its previous attempt was lost with its
+        pool or killed for a corrupt input, so a future in ``inflight``
+        always belongs to a task without a result.  Results are keyed by
         task index, so output order — and therefore job results — is
-        identical to :class:`SerialEngine` no matter which attempt of a
-        task wins or which order the policy dispatched.
+        identical to :class:`SerialEngine` whatever the dispatch order.
         """
         if not specs:
             return []
@@ -1095,28 +1077,18 @@ class MultiprocessEngine(Engine):
             resume, self._pending_resume = self._pending_resume, None
         inflight: dict[Future, int] = {}
         attempts: dict[Future, Any] = {}  # Future -> TaskAttempt
-        launched_at: dict[Future, float] = {}
         started_at: dict[Future, float] = {}
         budget: dict[Future, float] = {}
-        errors: dict[int, BaseException] = {}
 
-        def active_attempts(index: int) -> int:
-            return sum(1 for i in inflight.values() if i == index)
-
-        def dispatch(index: int, *, speculative: bool = False) -> None:
+        def dispatch(index: int) -> None:
             spec = specs[index]
             spec.first_attempt = tracker.next_attempt[index]
-            spec.speculative = speculative
             payload = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
             self.stats.spec_bytes += len(payload)
             self.stats.tasks_dispatched += 1
             future = self._ensure_pool().submit(run_pickled_spec, payload)
-            now = time.monotonic()
             inflight[future] = index
-            attempts[future] = tracker.begin_dispatch(
-                index, speculative=speculative, now=now
-            )
-            launched_at[future] = now
+            attempts[future] = tracker.begin_dispatch(index)
             if limit is not None:
                 # A started attempt may legitimately consume the whole
                 # remaining retry budget worker-side (each local retry gets
@@ -1124,23 +1096,6 @@ class MultiprocessEngine(Engine):
                 # hung; the slack absorbs dispatch/pickling overhead.
                 remaining = job.max_attempts - tracker.next_attempt[index] + 1
                 budget[future] = limit * remaining + max(1.0, limit)
-
-        def resolve(index: int, future: Future, output: Any, now: float) -> None:
-            results[index] = output
-            errors.pop(index, None)
-            tracker.complete(
-                attempts[future], now=now, worker_pid=output[2].get("pid")
-            )
-            if journal is not None:
-                self._journal_map_result(specs[index], output)
-            # Any sibling attempt still out is wasted speculative work:
-            # cancel it if it never started, discard its output otherwise.
-            for other, other_index in list(inflight.items()):
-                if other_index == index:
-                    self.stats.speculative_wasted += 1
-                    tracker.kill(attempts[other], now=now)
-                    if other.cancel():
-                        inflight.pop(other, None)
 
         def restart_pool() -> None:
             """Respawn the pool; re-dispatch and charge unfinished tasks.
@@ -1153,9 +1108,8 @@ class MultiprocessEngine(Engine):
             """
             self.stats.pool_restarts += 1
             now = time.monotonic()
-            for future, attempt in attempts.items():
-                if future in inflight:
-                    tracker.kill(attempt, now=now)
+            for future in inflight:
+                tracker.kill(attempts[future], now=now)
             charged: set[int] = set()
             for index in range(total):
                 if index in results or index in charged:
@@ -1169,7 +1123,6 @@ class MultiprocessEngine(Engine):
                 tracker.charge_lost(index)
             inflight.clear()
             attempts.clear()
-            launched_at.clear()
             started_at.clear()
             budget.clear()
             self._teardown_pool(kill=True)
@@ -1228,15 +1181,19 @@ class MultiprocessEngine(Engine):
             broken = False
             try:
                 for future in done:
-                    index = inflight.pop(future, None)
-                    if index is None or index in results or future.cancelled():
-                        continue  # late loser of an already-resolved task
                     exc = future.exception()
-                    if exc is None:
-                        resolve(index, future, future.result(), now)
-                        continue
                     if isinstance(exc, BrokenProcessPool):
-                        broken = True
+                        broken = True  # stays in flight: restart_pool kills it
+                        continue
+                    index = inflight.pop(future)
+                    if exc is None:
+                        output = future.result()
+                        results[index] = output
+                        tracker.complete(
+                            attempts[future], now=now, worker_pid=output[2].get("pid")
+                        )
+                        if journal is not None:
+                            self._journal_map_result(specs[index], output)
                         continue
                     if isinstance(
                         exc, SpillCorruptionError
@@ -1249,42 +1206,26 @@ class MultiprocessEngine(Engine):
                         tracker.kill(attempts[future], now=now)
                         dispatch(index)
                         continue
+                    # The task's one attempt in flight failed for good:
+                    # fail the job like the serial engine would.
                     tracker.fail(attempts[future], now=now)
-                    errors[index] = exc
-                    if active_attempts(index) == 0:
-                        # No backup attempt can save this task: fail the
-                        # job like the serial engine would.
-                        for straggler in inflight:
-                            straggler.cancel()
-                            tracker.kill(attempts[straggler], now=now)
-                        raise exc
+                    for straggler in inflight:
+                        straggler.cancel()
+                        tracker.kill(attempts[straggler], now=now)
+                    raise exc
 
                 if not broken and limit is not None:
                     hung_futures = {
                         future
                         for future, begun in started_at.items()
-                        if future in inflight
-                        and inflight[future] not in results
-                        and now - begun > budget[future]
+                        if future in inflight and now - begun > budget[future]
                     }
                     if hung_futures:
-                        self.stats.tasks_timed_out += len(
-                            {inflight[future] for future in hung_futures}
-                        )
+                        self.stats.tasks_timed_out += len(hung_futures)
                         for future in hung_futures:
                             tracker.kill(attempts[future], timed_out=True, now=now)
                         restart_pool()
                         continue
-
-                if not broken and tracker.in_speculation_window():
-                    threshold = tracker.straggler_threshold()
-                    for future, index in list(inflight.items()):
-                        if index in results or active_attempts(index) > 1:
-                            continue
-                        begun = started_at.get(future)
-                        if begun is not None and now - begun > threshold:
-                            self.stats.speculative_launched += 1
-                            dispatch(index, speculative=True)
             except BrokenProcessPool:
                 broken = True
             if broken:

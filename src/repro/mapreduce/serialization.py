@@ -412,7 +412,7 @@ def read_chunk_view(path: str | Path) -> memoryview:
 #     offset  size  field
 #     ------  ----  -----------------------------------------------
 #          0     4  magic  b"SPC1"
-#          4     1  flags  (bit 0: payload CRC present)
+#          4     1  flags  (always 0x01: payload CRC present)
 #          5     4  crc32  of the payload  (<I, zlib.crc32 & 0xFFFFFFFF)
 #          9     8  payload length in bytes  (<Q)
 #         17     …  payload (NPB1-framed or plain-pickle record chunk)
@@ -423,8 +423,8 @@ def read_chunk_view(path: str | Path) -> memoryview:
 #
 # CRC32C would be the Hadoop-faithful choice but needs a C extension the
 # container doesn't ship, so the checksum is ``zlib.crc32`` (the
-# documented fallback).  Truncation is caught by the length field even
-# when checksumming is disabled (flags bit 0 clear, crc written as 0).
+# documented fallback).  The flags byte is a constant: every segment is
+# checksummed, so a header saying otherwise is damage, not a format.
 
 _SPILL_MAGIC = b"SPC1"
 _SPILL_FLAG_CRC = 0x01
@@ -432,21 +432,6 @@ _SPILL_HEADER = struct.Struct("<4sBIQ")
 
 #: size of the SPC1 header prefixed to every spill payload
 SPILL_HEADER_BYTES = _SPILL_HEADER.size
-
-#: process-local write/verify toggle; task executors set it from the job
-#: config knob ``verify_spill_integrity`` (default on)
-_verify_spills = True
-
-
-def set_spill_verification(enabled: bool) -> None:
-    """Toggle CRC computation on spill writes and verification on reads."""
-    global _verify_spills
-    _verify_spills = bool(enabled)
-
-
-def spill_verification_enabled() -> bool:
-    return _verify_spills
-
 
 def spill_crc(data: bytes | memoryview) -> int:
     """Checksum of one spill payload (CRC32; see module note on CRC32C)."""
@@ -490,7 +475,6 @@ def write_spill_segments(
     records the manifest, or a driver crash could leave a journal that
     promises files the page cache never flushed.
     """
-    flags = _SPILL_FLAG_CRC if _verify_spills else 0
     target = os.fspath(path)
     tmp = target + ".tmp"
     segments: list[tuple[int, int]] = []
@@ -498,8 +482,8 @@ def write_spill_segments(
     try:
         with open(tmp, "wb") as handle:
             for payload in payloads:
-                crc = spill_crc(payload) if flags else 0
-                handle.write(_SPILL_HEADER.pack(_SPILL_MAGIC, flags, crc, len(payload)))
+                header = (_SPILL_MAGIC, _SPILL_FLAG_CRC, spill_crc(payload), len(payload))
+                handle.write(_SPILL_HEADER.pack(*header))
                 handle.write(payload)
                 segments.append((len(payload), offset))
                 offset += SPILL_HEADER_BYTES + len(payload)
@@ -527,8 +511,7 @@ def read_spill_chunk(
     ``length``/``offset`` come from the producer's manifest entry; the
     defaults read a one-segment file whole (:func:`write_spill_chunk`).
     Only this segment is checked: header present, magic and flags, header
-    length equal to the manifest's, payload as long as declared and —
-    when verification is on and the writer recorded one — its CRC.
+    length equal to the manifest's, payload as long as declared, and its CRC.
     """
 
     def corrupt(reason: str) -> SpillCorruptionError:
@@ -540,7 +523,7 @@ def read_spill_chunk(
     magic, flags, crc, stored = _SPILL_HEADER.unpack_from(view, 0)
     if magic != _SPILL_MAGIC:
         raise corrupt(f"bad magic {magic!r}")
-    if flags & ~_SPILL_FLAG_CRC:  # a flipped flags byte must not switch the CRC off
+    if flags != _SPILL_FLAG_CRC:  # a flipped flags byte must not switch the CRC off
         raise corrupt(f"unknown flags {flags:#04x}")
     payload = view[SPILL_HEADER_BYTES:]
     if length is not None:
@@ -549,8 +532,7 @@ def read_spill_chunk(
         payload = payload[:length]
     if payload.nbytes != stored:
         raise corrupt(f"truncated payload ({payload.nbytes} of {stored} bytes)")
-    if flags & _SPILL_FLAG_CRC and _verify_spills:
-        actual = spill_crc(payload)
-        if actual != crc:
-            raise corrupt(f"CRC mismatch (stored {crc:#010x}, computed {actual:#010x})")
+    actual = spill_crc(payload)
+    if actual != crc:
+        raise corrupt(f"CRC mismatch (stored {crc:#010x}, computed {actual:#010x})")
     return payload

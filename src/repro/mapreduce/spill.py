@@ -7,13 +7,14 @@ checksummed SPC1 segments — so only manifests (path, payload bytes,
 offset per partition) ever cross the driver, and a shuffle costs one file
 create per producing task, not one per (task, partition).  Files are
 *attempt-scoped*: the dispatch identity (task index, 1-based
-first-attempt number, speculative flag — see
+first-attempt number — see
 :func:`repro.mapreduce.controlplane.attempts.attempt_tag`) is baked into
-the name, so a re-dispatch after a lost worker or a speculative backup
-can never collide with an earlier attempt's file.  Within one dispatch
-the worker writes only after its attempt loop succeeds, exactly once, and
+the name, so a re-dispatch after a lost worker can never collide with an
+earlier attempt's file.  Within one dispatch the worker writes only after
+its attempt loop succeeds, exactly once, and
 :func:`~repro.mapreduce.serialization.write_spill_segments` publishes by
-atomic rename — losers just leave orphans that are removed with the job.
+atomic rename — a lost attempt just leaves an orphan that is removed with
+the job.
 
 Fault injection rides the publish step: a plan with ``corrupt_rate`` /
 ``truncate_rate`` damages just-published segments *after* the rename,
@@ -33,23 +34,20 @@ from .serialization import SPILL_HEADER_BYTES, encode_records, write_spill_segme
 
 #: inverse of :func:`spill_file_path` — scratch tooling and the driver's
 #: corruption-recovery path parse (kind, task) back out of names
-_SPILL_NAME_RE = re.compile(r"^(?P<kind>[a-z]+)-(?P<task>\d{5})-a\d+s?\.spill$")
+_SPILL_NAME_RE = re.compile(r"^(?P<kind>[a-z]+)-(?P<task>\d{5})-a\d+\.spill$")
 
 #: one partition's manifest entry: (path, payload bytes, segment offset)
 Segment = tuple[str, int, int]
 
 
-def spill_file_path(
-    spill_dir: str, kind: str, task_index: int, attempt: int, speculative: bool
-) -> str:
+def spill_file_path(spill_dir: str, kind: str, task_index: int, attempt: int) -> str:
     """Attempt-scoped spill file name for one producing dispatch.
 
     The on-disk format — ``{kind}-{task:05d}-{tag}.spill`` with the tag
     from :func:`attempt_tag` — is locked by a unit test;
     scratch-directory tooling parses it.
     """
-    tag = attempt_tag(attempt, speculative)
-    return os.path.join(spill_dir, f"{kind}-{task_index:05d}-{tag}.spill")
+    return os.path.join(spill_dir, f"{kind}-{task_index:05d}-{attempt_tag(attempt)}.spill")
 
 
 def parse_spill_file_name(name: str) -> tuple[str, int] | None:
@@ -67,7 +65,6 @@ def spill_partitions(
     kind: str,
     task_index: int,
     attempt: int,
-    speculative: bool,
     *,
     plan: FaultPlan | None = None,
     durable: bool = False,
@@ -89,7 +86,7 @@ def spill_partitions(
     filled = [partition for partition, count in enumerate(counts) if count]
     if not filled:
         return entries, 0
-    path = spill_file_path(spill_dir, kind, task_index, attempt, speculative)
+    path = spill_file_path(spill_dir, kind, task_index, attempt)
     segments = write_spill_segments(
         path, (encode_records(partitions[p]) for p in filled), durable=durable
     )
@@ -98,7 +95,7 @@ def spill_partitions(
     faults = {} if plan is None else {
         p: mode
         for p in filled
-        if (mode := plan.spill_fault(kind, task_index, attempt, p, speculative=speculative))
+        if (mode := plan.spill_fault(kind, task_index, attempt, p))
     }
     return entries, _damage_segments(path, entries, faults) if faults else 0
 

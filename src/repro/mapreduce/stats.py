@@ -21,9 +21,7 @@ class EngineStats:
     ``pool_restarts`` (worker pool respawned after a dead worker or hang
     kill), ``tasks_relaunched`` (task dispatches re-issued after a pool
     restart), ``tasks_timed_out`` (hung attempts the driver killed —
-    post-hoc attempt timeouts are job counters instead),
-    ``speculative_launched``/``speculative_wasted`` (backup attempts
-    started / attempts whose output lost the race and was discarded).
+    post-hoc attempt timeouts are job counters instead).
 
     The shuffle data-plane meters quantify what the driver actually
     touched: ``driver_bytes`` is the intermediate (map-output) bytes that
@@ -79,8 +77,6 @@ class EngineStats:
     pool_restarts: int = 0
     tasks_relaunched: int = 0
     tasks_timed_out: int = 0
-    speculative_launched: int = 0
-    speculative_wasted: int = 0
     driver_bytes: int = 0
     spill_files_written: int = 0
     spill_bytes_written: int = 0

@@ -5,7 +5,7 @@ This is the code that runs *inside* an executor — in-process for
 :class:`~repro.mapreduce.runtime.MultiprocessEngine`.  The driver builds
 :class:`MapTaskSpec`/:class:`ReduceTaskSpec` objects, pickles them, and
 ships them to :func:`run_pickled_spec`; everything orchestration-side
-(dispatch, recovery, speculation) stays in the engines, everything
+(dispatch, recovery) stays in the engines, everything
 decision-side (attempt numbering, retry loop) in
 :mod:`repro.mapreduce.controlplane`.
 
@@ -58,7 +58,6 @@ from .serialization import (
     encode_records,
     io_meter,
     record_size,
-    set_spill_verification,
 )
 from .shm import attach_object, detach_object
 from .shuffle import iter_spill_records, partition_with_sizes, sort_and_group
@@ -112,8 +111,6 @@ class MapTaskSpec:
     #: 1-based global attempt this dispatch starts at (> 1 after the
     #: driver lost earlier attempts to a dead/hung worker)
     first_attempt: int = 1
-    #: True for a speculative backup dispatch of a straggling task
-    speculative: bool = False
     #: fsync spill files before publish (journaled engines: the journal
     #: must never promise a manifest the page cache hasn't flushed)
     durable_spill: bool = False
@@ -151,7 +148,6 @@ class ReduceTaskSpec:
     partition_bytes: int = 0
     task_index: int = 0
     first_attempt: int = 1
-    speculative: bool = False
     #: when set, partition + spill this task's output for the next job
     #: (the fused reduce→map short-circuit) instead of returning records
     next_stage: NextStage | None = None
@@ -222,8 +218,7 @@ def _forget_released_jobs() -> None:
 
     The driver unlinks a job's broadcast file when it releases the job
     (``_release_job``), so a registry entry whose file is gone can never
-    be asked for again — except by a late speculative loser, whose
-    result nobody reads.  The cap only bounds what is genuinely in
+    be asked for again.  The cap only bounds what is genuinely in
     flight (a long chain: its jobs are released together when it ends).
     """
 
@@ -244,8 +239,7 @@ def _with_io_delta(info: dict, mark: tuple[int, int]) -> dict:
 
     The driver sums the deltas into :class:`EngineStats` (``mmap_reads``,
     ``bytes_copied``); per-task deltas rather than absolute meter values
-    so retried/speculative dispatches and long-lived workers never
-    double-count.
+    so retried dispatches and long-lived workers never double-count.
     """
     mmap_reads, bytes_copied = io_meter.since(mark)
     return {**info, "mmap_reads": mmap_reads, "bytes_copied": bytes_copied}
@@ -289,14 +283,12 @@ def execute_map_task(spec: MapTaskSpec) -> tuple[tuple, dict, dict]:
     """
     mark = io_meter.snapshot()
     job, info = resolve_job(spec.job)
-    set_spill_verification(job.config.get("verify_spill_integrity", True))
     (partitions, counts, sizes), counters = run_attempt_loop(
         "map",
         job,
         lambda attempt: _map_attempt(job, spec, attempt),
         task_index=spec.task_index,
         first_attempt=spec.first_attempt,
-        speculative=spec.speculative,
         marker=attempt_marker(spec.job, "map", spec.task_index),
         in_worker=_IS_POOL_WORKER,
     )
@@ -308,7 +300,6 @@ def execute_map_task(spec: MapTaskSpec) -> tuple[tuple, dict, dict]:
             "map",
             spec.task_index,
             spec.first_attempt,
-            spec.speculative,
             plan=job.config.get("fault_plan"),
             durable=spec.durable_spill,
         )
@@ -327,9 +318,7 @@ def _map_attempt(job: Job, spec: MapTaskSpec, attempt: int) -> tuple[tuple, dict
     mapper = job.mapper()
     mapper.setup(context)
     for ordinal, (key, value) in enumerate(spec.records):
-        if plan is not None and plan.poisons(
-            "map", spec.task_index, attempt, ordinal, speculative=spec.speculative
-        ):
+        if plan is not None and plan.poisons("map", spec.task_index, attempt, ordinal):
             raise PoisonedRecordError(
                 f"poisoned record {ordinal} in map task {spec.task_index} "
                 f"(attempt {attempt})"
@@ -390,7 +379,6 @@ def execute_reduce_task(spec: ReduceTaskSpec) -> tuple[Any, dict, dict]:
     """
     mark = io_meter.snapshot()
     job, info = resolve_job(spec.job)
-    set_spill_verification(job.config.get("verify_spill_integrity", True))
     if spec.spill_paths is not None:
         segments = spec.spill_paths
 
@@ -423,7 +411,6 @@ def execute_reduce_task(spec: ReduceTaskSpec) -> tuple[Any, dict, dict]:
         ),
         task_index=spec.task_index,
         first_attempt=spec.first_attempt,
-        speculative=spec.speculative,
         marker=attempt_marker(spec.job, "reduce", spec.task_index),
         in_worker=_IS_POOL_WORKER,
     )
@@ -441,7 +428,6 @@ def execute_reduce_task(spec: ReduceTaskSpec) -> tuple[Any, dict, dict]:
             "fuse",
             spec.task_index,
             spec.first_attempt,
-            spec.speculative,
         )
         if next_info["loaded"]:
             info = {**info, "extra_loads": info.get("extra_loads", 0) + 1}
@@ -457,9 +443,8 @@ def _attempt_scratch(spec: ReduceTaskSpec, attempt: int) -> str | None:
     """
     if spec.scratch_dir is None:
         return None
-    tag = attempt_tag(attempt, spec.speculative)
     return os.path.join(
-        spec.scratch_dir, f"extsort-reduce-{spec.task_index:05d}-{tag}"
+        spec.scratch_dir, f"extsort-reduce-{spec.task_index:05d}-{attempt_tag(attempt)}"
     )
 
 
@@ -535,7 +520,6 @@ def replay_map_task(job: Job, spec: MapTaskSpec) -> tuple[list, list, list]:
 
     Returns ``(entries, counts, sizes)`` for the replayed task.
     """
-    set_spill_verification(job.config.get("verify_spill_integrity", True))
     (partitions, counts, sizes), _counters = _map_attempt(job, spec, spec.first_attempt)
     assert spec.spill_dir is not None
     entries, _damaged = spill_partitions(
@@ -545,7 +529,6 @@ def replay_map_task(job: Job, spec: MapTaskSpec) -> tuple[list, list, list]:
         "map",
         spec.task_index,
         spec.first_attempt,
-        spec.speculative,
         durable=spec.durable_spill,
     )
     return entries, counts, sizes

@@ -9,7 +9,7 @@ zero-copy (pickle protocol 5 out-of-band buffers).
 
 Term hashing goes through blake2b, **not** ``hash(str)``: Python string
 hashing is salted per process (PYTHONHASHSEED), and pruning decisions
-must be identical across workers, retries and speculative attempts.
+must be identical across workers and retries.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ Both builders take the pairwise layer's ``{eid: payload}`` store (ids
 1..v) and return a :class:`~repro.sketches.base.SketchSuite` whose
 arrays are indexed by element id.  They run driver-side, once, before
 job submission; the suite then rides the distributed cache so every
-task — including retries and speculative attempts — prunes against the
-same frozen summaries.
+task — including retries — prunes against the same frozen summaries.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ A :class:`PairPruner` is the object the compute reducers consult: given
 the :class:`~repro.sketches.base.SketchSuite` and an (n, 2) block of
 candidate pair ids, :meth:`~PairPruner.keep_mask` marks the pairs whose
 true score could still pass the objective.  Pruners are small picklable
-value objects built driver-side once per run — every task, retry and
-speculative attempt sees the same frozen decisions.
+value objects built driver-side once per run — every task and every
+retry sees the same frozen decisions.
 
 ``sound`` is the contract bit: a sound pruner never drops a pair whose
 true score could clear the objective, so the pruned run's output equals

@@ -9,11 +9,9 @@ from repro.cluster import (
     ClusterSpec,
     FailureModel,
     TaskCost,
-    schedule_lpt,
-    schedule_lpt_heterogeneous,
-    schedule_round_robin,
 )
 from repro.cluster.node import NodeSpec
+from repro.cluster.scheduler import cluster_slots, place
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
@@ -21,6 +19,10 @@ from repro.core.hierarchical import HierarchicalBlockScheme
 
 
 CLUSTER = ClusterSpec.homogeneous(8)
+
+
+def schedule(tasks, cluster, blacklist=()):
+    return place(tasks, cluster_slots(cluster, blacklist))
 
 
 def typical_task_seconds(scheme):
@@ -62,32 +64,28 @@ class TestBlacklisting:
     TASKS = [TaskCost(i, float(1 + i % 3)) for i in range(24)]
 
     def test_blacklisted_node_gets_no_tasks(self):
-        assignment = schedule_lpt(self.TASKS, CLUSTER, blacklist={2})
+        assignment = schedule(self.TASKS, CLUSTER, blacklist={2})
         assert all(node != 2 for node, _slot in assignment.placement.values())
 
     def test_blacklist_raises_makespan(self):
-        base = schedule_lpt(self.TASKS, CLUSTER).makespan
-        degraded = schedule_lpt(self.TASKS, CLUSTER, blacklist={0, 1, 2}).makespan
+        base = schedule(self.TASKS, CLUSTER).makespan
+        degraded = schedule(self.TASKS, CLUSTER, blacklist={0, 1, 2}).makespan
         assert degraded > base
 
     def test_heterogeneous_blacklist(self):
         mixed = ClusterSpec(
             nodes=[NodeSpec(), NodeSpec(eval_rate=20_000.0), NodeSpec()]
         )
-        assignment = schedule_lpt_heterogeneous(self.TASKS, mixed, blacklist={1})
+        assignment = schedule(self.TASKS, mixed, blacklist={1})
         assert all(node != 1 for node, _slot in assignment.placement.values())
-
-    def test_round_robin_blacklist(self):
-        assignment = schedule_round_robin(self.TASKS, CLUSTER, blacklist={5})
-        assert all(node != 5 for node, _slot in assignment.placement.values())
 
     def test_everything_blacklisted_rejected(self):
         with pytest.raises(ValueError, match="blacklisted"):
-            schedule_lpt(self.TASKS, CLUSTER, blacklist=set(range(8)))
+            schedule(self.TASKS, CLUSTER, blacklist=set(range(8)))
 
     def test_out_of_range_blacklist_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            schedule_lpt(self.TASKS, CLUSTER, blacklist={99})
+            schedule(self.TASKS, CLUSTER, blacklist={99})
 
     def test_simulator_blacklist_slows_scheme(self):
         scheme = DesignScheme(13)

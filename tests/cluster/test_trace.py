@@ -36,12 +36,12 @@ class TestBuildTrace:
                     assert later.start >= earlier.end - 1e-12
 
     def test_makespan_matches_lpt(self):
-        from repro.cluster.scheduler import schedule_lpt
+        from repro.cluster.scheduler import cluster_slots, place
 
         tasks = [TaskCost(i, float((i * 7) % 5 + 1)) for i in range(12)]
         c = cluster(3, 1)
         trace = build_trace(tasks, c)
-        assert trace.makespan == pytest.approx(schedule_lpt(tasks, c).makespan)
+        assert trace.makespan == pytest.approx(place(tasks, cluster_slots(c)).makespan)
 
     def test_empty_tasks(self):
         trace = build_trace([], cluster())

@@ -73,7 +73,7 @@ class TestRunnerEdges:
             assert ordered_results(merged) == brute_force_asymmetric(data, tag_gap)
 
     def test_hierarchical_choice_keeps_the_engine_knobs(self, tmp_path):
-        """Bugfix: auto_engine / trace_sink / scheduling_policy were dropped on the floor.
+        """Bugfix: auto_engine / trace_sink were dropped on the floor.
 
         At the parent this call returned with 0 bytes traced and the sink open.
         """
@@ -82,7 +82,7 @@ class TestRunnerEdges:
 
         merged, choice = auto_pairwise(
             declared_huge(), tag_gap, **HUGE_LIMITS, auto_engine=True,
-            trace_sink=JsonlTraceSink(tmp_path / "trace.jsonl"), scheduling_policy="lpt",
+            trace_sink=JsonlTraceSink(tmp_path / "trace.jsonl"),
         )
         assert choice.is_hierarchical
         pairs = results_matrix(merged)
@@ -114,11 +114,13 @@ class TestRunnerEdges:
         with pytest.raises(ValueError, match="^data_plane/journal_dir require auto_engine=True"):
             auto_pairwise(data, tag_gap, **limits, **{knob: value})
 
-    def test_engine_knobs_with_an_explicit_engine_raise(self):
+    def test_engine_knobs_with_an_explicit_engine_raise(self, tmp_path):
         from repro.mapreduce import SerialEngine
+        from repro.mapreduce.controlplane.events import JsonlTraceSink
 
-        with pytest.raises(ValueError, match="to the engine itself"):
-            auto_pairwise([1.0, 2.0], tag_gap, engine=SerialEngine(), scheduling_policy="lpt")
+        with JsonlTraceSink(tmp_path / "trace.jsonl") as sink:
+            with pytest.raises(ValueError, match="to the engine itself"):
+                auto_pairwise([1.0, 2.0], tag_gap, engine=SerialEngine(), trace_sink=sink)
 
     def test_asymmetric_flat_works(self):
         data = [float(x) for x in range(10)]

@@ -22,24 +22,19 @@ class TestAttemptTag:
         assert attempt_tag(1) == "a1"
         assert attempt_tag(7) == "a7"
 
-    def test_speculative_suffix(self):
-        assert attempt_tag(2, speculative=True) == "a2s"
-
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             attempt_tag(0)
 
     def test_spill_filename_format_is_locked(self):
         """On-disk spill naming is parsed by tooling; lock it exactly."""
-        path = spill_file_path("/scratch", "map", 3, 2, True)
-        assert path == "/scratch/map-00003-a2s.spill"
-        plain = spill_file_path("/scratch", "fuse", 0, 1, False)
-        assert plain == "/scratch/fuse-00000-a1.spill"
+        assert spill_file_path("/scratch", "map", 3, 2) == "/scratch/map-00003-a2.spill"
+        assert spill_file_path("/scratch", "fuse", 0, 1) == "/scratch/fuse-00000-a1.spill"
 
 
 class TestTaskAttemptStateMachine:
     def make(self):
-        return TaskAttempt(kind="map", task_index=0, attempt=1, speculative=False)
+        return TaskAttempt(kind="map", task_index=0, attempt=1)
 
     def test_happy_path(self):
         attempt = self.make()
@@ -63,8 +58,8 @@ class TestTaskAttemptStateMachine:
             attempt.transition(TaskState.RUNNING, now=2.0)
 
     def test_tag_matches_attempt_number(self):
-        attempt = TaskAttempt(kind="map", task_index=0, attempt=3, speculative=True)
-        assert attempt.tag == "a3s"
+        attempt = TaskAttempt(kind="map", task_index=0, attempt=3)
+        assert attempt.tag == "a3"
 
 
 class IdMapper(Mapper):
@@ -102,7 +97,7 @@ class TestAttemptTracker:
         tracker.mark_running(attempt, now=1.0)
         tracker.complete(attempt, now=4.0, worker_pid=123)
         assert 0 in tracker.completed
-        assert tracker.durations == [pytest.approx(3.0)]
+        assert attempt.duration == pytest.approx(3.0)
         assert attempt.worker_pid == 123
 
     def test_kill_is_noop_on_terminal_attempts(self):
@@ -111,19 +106,6 @@ class TestAttemptTracker:
         tracker.complete(attempt, now=1.0)
         tracker.kill(attempt, now=2.0)  # must not raise
         assert attempt.state is TaskState.SUCCEEDED
-
-    def test_speculation_window_honours_config(self):
-        job = make_job(
-            speculative_execution=True, speculative_slowest_fraction=0.5
-        )
-        tracker = AttemptTracker("map", 4, job)
-        assert not tracker.in_speculation_window()  # nothing completed yet
-        for index in range(3):
-            attempt = tracker.begin_dispatch(index, now=0.0)
-            tracker.mark_running(attempt, now=0.0)
-            tracker.complete(attempt, now=1.0)
-        assert tracker.in_speculation_window()
-        assert tracker.straggler_threshold() == pytest.approx(2.0)
 
     def test_events_emitted_on_bus(self):
         bus = EventBus()
@@ -159,7 +141,7 @@ class TestJsonlTraceSink:
             sink.record(
                 AttemptTransition(
                     time=when, kind="map", task_index=0, attempt=1,
-                    speculative=False, state=state, worker_pid=42,
+                    state=state, worker_pid=42,
                 )
             )
 

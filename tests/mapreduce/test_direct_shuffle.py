@@ -299,34 +299,3 @@ class TestDirectShuffleUnderWorkerDeath:
         ):
             time.sleep(0.1)
         assert len(glob.glob(leak_pattern)) <= leaks_before
-
-    def test_speculative_attempts_stay_bit_identical(self):
-        from repro.mapreduce.faults import SlowFault
-
-        records = [(i, SizedPayload(500, tag=i)) for i in range(80)]
-
-        def job(plan=None):
-            config = {
-                "spill_threshold_bytes": 2000,
-                "speculative_execution": True,
-                "speculative_multiplier": 1.5,
-                "speculative_fraction": 1.0,
-            }
-            if plan is not None:
-                config["fault_plan"] = plan
-            return Job(
-                name="spec-direct",
-                mapper=FanOutMapper,
-                reducer=CollectReducer,
-                num_reducers=4,
-                config=config,
-                max_attempts=2,
-            )
-
-        clean = SerialEngine().run(job(), records, num_map_tasks=4)
-        plan = FaultPlan(
-            faults=[SlowFault(task_kind="reduce", task_index=1, seconds=1.2)]
-        )
-        with MultiprocessEngine(max_workers=4, shuffle_mode="direct") as engine:
-            raced = engine.run(job(plan), records, num_map_tasks=4)
-        assert raced.records == clean.records

@@ -1,4 +1,4 @@
-"""Fault injection, timeouts, recovery, and speculation tests.
+"""Fault injection, timeouts and recovery tests.
 
 The parity tests assert the ISSUE's acceptance criterion: with any
 absorbable :class:`FaultPlan`, the :class:`MultiprocessEngine`'s results
@@ -15,7 +15,7 @@ from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
 from repro.core.element import results_matrix
 from repro.core.pairwise import PairwiseComputation
-from repro.mapreduce.controlplane.attempts import backoff_seconds
+from repro.mapreduce.controlplane.attempts import AttemptTracker, backoff_seconds
 from repro.mapreduce.counters import FRAMEWORK_GROUP
 from repro.mapreduce.faults import (
     CrashFault,
@@ -90,15 +90,10 @@ class TestFaultPlan:
 
     def test_selectors(self):
         fault = CrashFault(task_kind="map", task_index=2, attempts=(1,))
-        assert fault.applies("map", 2, 1, False)
-        assert not fault.applies("reduce", 2, 1, False)
-        assert not fault.applies("map", 3, 1, False)
-        assert not fault.applies("map", 2, 2, False)
-        assert not fault.applies("map", 2, 1, True)  # speculative skipped
-
-    def test_affects_speculative_opt_in(self):
-        fault = CrashFault(affects_speculative=True)
-        assert fault.applies("map", 0, 1, True)
+        assert fault.applies("map", 2, 1)
+        assert not fault.applies("reduce", 2, 1)
+        assert not fault.applies("map", 3, 1)
+        assert not fault.applies("map", 2, 2)
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -111,7 +106,6 @@ class TestFaultPlan:
         with pytest.raises(InjectedCrash):
             plan.fire("map", 0, 1)
         plan.fire("map", 0, 2)  # retries run clean
-        plan.fire("map", 0, 1, speculative=True)  # backups run clean
 
     def test_describe_mentions_rates(self):
         text = FaultPlan(crash_rate=0.25, seed=3).describe()
@@ -252,15 +246,46 @@ class TestEngineParityUnderFaults:
         assert serial.counters.as_dict() == pooled.counters.as_dict()
 
 
+@pytest.fixture
+def one_live_attempt(monkeypatch):
+    """Fail any dispatch of a task that still has a non-terminal attempt.
+
+    Yields the phase trackers seen, so a test can also read their histories.
+    """
+    trackers = []
+    begin_dispatch = AttemptTracker.begin_dispatch
+
+    def checked(self, index, **kwargs):
+        if self not in trackers:
+            trackers.append(self)
+        alive = [a for a in self.history if a.task_index == index and not a.state.terminal]
+        assert not alive, f"{self.kind} task {index} re-dispatched over live {alive}"
+        return begin_dispatch(self, index, **kwargs)
+
+    monkeypatch.setattr(AttemptTracker, "begin_dispatch", checked)
+    return trackers
+
+
 @pytest.mark.faults
 class TestWorkerDeathRecovery:
-    def test_injected_worker_kill_recovered(self):
+    def test_injected_worker_kill_recovered(self, one_live_attempt):
         plan = FaultPlan(faults=[WorkerKillFault(task_kind="map", task_index=1)])
+        expected = clean_run().records
+        one_live_attempt.clear()  # keep the pooled run's two phases only
         with MultiprocessEngine(max_workers=2) as engine:
             result = engine.run(fault_job(plan), RECORDS, num_map_tasks=4)
-            assert result.records == clean_run().records
+            assert result.records == expected
             assert engine.stats.pool_restarts >= 1
             assert engine.stats.tasks_relaunched >= 1
+        # At most one live attempt per task, at every dispatch (the fixture)
+        # and at the end: the kill cost re-dispatches, each task won once,
+        # and no attempt was left non-terminal.
+        map_tracker, reduce_tracker = one_live_attempt
+        assert len(map_tracker.history) > 4 and len(reduce_tracker.history) == 2
+        for tracker in one_live_attempt:
+            assert all(attempt.state.terminal for attempt in tracker.history)
+            winners = [a.task_index for a in tracker.history if a.state.value == "SUCCEEDED"]
+            assert sorted(winners) == list(range(tracker.num_tasks))
         # The lost attempt is charged in job counters like a worker-side
         # retry would be (same counter parity as the serial degradation).
         assert result.counters.get(FRAMEWORK_GROUP, TASK_RETRIES) >= 1
@@ -285,7 +310,7 @@ class TestWorkerDeathRecovery:
 
 @pytest.mark.faults
 class TestDriverHangKill:
-    def test_hung_attempt_killed_and_rerun(self, tmp_path):
+    def test_hung_attempt_killed_and_rerun(self, tmp_path, one_live_attempt):
         job = Job(
             name="hang",
             mapper=SleepOnceMapper,
@@ -308,28 +333,3 @@ class TestDriverHangKill:
             num_map_tasks=1,
         )
         assert result.records == expected.records
-
-
-@pytest.mark.faults
-class TestSpeculativeExecution:
-    def test_backup_attempt_beats_injected_straggler(self):
-        plan = FaultPlan(
-            faults=[SlowFault(task_kind="map", task_index=3, seconds=0.5)]
-        )
-        job = fault_job(
-            plan,
-            max_attempts=1,
-            speculative_execution=True,
-            speculative_multiplier=1.5,
-            speculative_fraction=1.0,
-        )
-        with MultiprocessEngine(max_workers=2) as engine:
-            result = engine.run(job, RECORDS, num_map_tasks=4)
-            assert result.records == clean_run().records
-            assert engine.stats.speculative_launched >= 1
-            assert engine.stats.speculative_wasted >= 1
-
-    def test_speculation_off_by_default(self):
-        with MultiprocessEngine(max_workers=2) as engine:
-            engine.run(fault_job(FaultPlan()), RECORDS, num_map_tasks=4)
-            assert engine.stats.speculative_launched == 0

@@ -198,6 +198,26 @@ class TestResume:
         assert outcome.tasks_replayed == workload.NUM_MAP_TASKS
         assert sorted(outcome.result.records) == sorted(reference_result().records)
 
+    def test_attempt_lines_of_an_older_journal_still_load(self, tmp_path):
+        # Until speculative execution was deleted every AttemptTransition
+        # line carried a "speculative" key.  Resume reads type / uid /
+        # manifests only, so a journal written by such a driver resumes.
+        journal_dir, gate = abandoned_run(tmp_path)
+        path = journal_dir / JOURNAL_NAME
+        records = read_journal(path)
+        for record in records:
+            if record["type"] == "AttemptTransition":
+                record["speculative"] = False
+        assert sum("speculative" in record for record in records) >= workload.NUM_MAP_TASKS
+        text = "".join(json.dumps(record) + "\n" for record in records)
+        path.write_text(text)
+        assert parse_jsonl_tolerant(text) == records
+        assert len(plan_resume(journal_dir).salvage) == workload.NUM_MAP_TASKS
+        gate.touch()
+        outcome = resume_job(journal_dir, max_workers=2)
+        assert outcome.tasks_resumed == workload.NUM_MAP_TASKS
+        assert sorted(outcome.result.records) == sorted(reference_result().records)
+
 
 @pytest.mark.durability
 class TestDriverKill:

@@ -259,12 +259,14 @@ class TestFusionGuards:
         assert fused_stages == 0
         assert results[0].records and not results[0].records_elided
 
-    def test_config_opt_out_on_either_job(self):
-        for stage in range(2):
-            chain = fusable_chain()
-            chain[stage].config["pipeline_fusion"] = False
-            _, fused_stages = self.run_fused(chain, num_map_tasks=4)
-            assert fused_stages == 0, f"opt-out on stage {stage} ignored"
+    def test_fuse_false_keeps_every_stages_records(self):
+        """The one opt-out: there is no per-job config key beside it."""
+        serial = SerialEngine().run_chain(fusable_chain(), records_from(LINES), num_map_tasks=4)
+        results, fused_stages = self.run_fused(fusable_chain(), num_map_tasks=4, fuse=False)
+        assert fused_stages == 0
+        for stage, reference in zip(results, serial):
+            assert not stage.records_elided
+            assert stage.records == reference.records
 
     def test_non_identity_mapper_falls_back(self):
         baseline = SerialEngine().run_chain(

@@ -1,28 +1,12 @@
-"""Scheduling policies: parity with the cluster scheduler, engine wiring,
-the unified engine chooser, and the real-run trace round-trip."""
+"""The engines' one dispatch order, the unified engine chooser, and the
+real-run trace round-trip.  (Placement lives in ``tests/cluster/test_scheduler.py``.)"""
 
 import json
 
 import pytest
 
-from repro.cluster.node import ClusterSpec, NodeSpec
-from repro.cluster.scheduler import (
-    TaskCost,
-    cluster_slots,
-    schedule_lpt,
-    schedule_lpt_heterogeneous,
-    schedule_round_robin,
-)
 from repro.cluster.trace import Trace
-from repro.mapreduce.controlplane import (
-    FifoPolicy,
-    JsonlTraceSink,
-    LptPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    Slot,
-    resolve_policy,
-)
+from repro.mapreduce.controlplane import AttemptTransition, JsonlTraceSink
 from repro.mapreduce.job import Job, Mapper, Reducer
 from repro.mapreduce.runtime import (
     AUTO_SERIAL_MAX_RECORDS,
@@ -30,85 +14,7 @@ from repro.mapreduce.runtime import (
     SerialEngine,
     choose_engine,
 )
-
-
-def cluster(nodes=2, slots=2, rates=None):
-    if rates is None:
-        return ClusterSpec.homogeneous(nodes, NodeSpec(slots=slots))
-    return ClusterSpec(nodes=[NodeSpec(slots=slots, eval_rate=r) for r in rates])
-
-
-TASKS = [TaskCost(i, float((i * 7) % 5 + 1)) for i in range(12)]
-
-
-class TestPolicyParityWithClusterScheduler:
-    """The schedule_* wrappers and the policies must agree exactly."""
-
-    def test_lpt_matches_schedule_lpt(self):
-        c = cluster(3, 2)
-        expected = schedule_lpt(TASKS, c)
-        got = LptPolicy().assign(TASKS, cluster_slots(c))
-        assert got.placement == expected.placement
-        assert got.slot_loads == expected.slot_loads
-
-    def test_lpt_heterogeneous_matches(self):
-        c = cluster(2, 2, rates=[100.0, 300.0])
-        expected = schedule_lpt_heterogeneous(TASKS, c)
-        got = LptPolicy().assign(TASKS, cluster_slots(c, speed_aware=True))
-        assert got.placement == expected.placement
-        assert got.slot_loads == pytest.approx(expected.slot_loads)
-
-    def test_round_robin_matches(self):
-        c = cluster(2, 2)
-        expected = schedule_round_robin(TASKS, c)
-        got = RoundRobinPolicy().assign(TASKS, cluster_slots(c))
-        assert got.placement == expected.placement
-
-    def test_lpt_beats_round_robin_on_skew(self):
-        skewed = [TaskCost(i, float(2**i % 97 + 1)) for i in range(16)]
-        c = cluster(4, 1)
-        assert (
-            schedule_lpt(skewed, c).makespan
-            <= schedule_round_robin(skewed, c).makespan
-        )
-
-    def test_blacklist_validation_preserved(self):
-        c = cluster(2, 1)
-        with pytest.raises(ValueError, match="outside cluster"):
-            schedule_lpt(TASKS, c, blacklist=[9])
-        with pytest.raises(ValueError, match="blacklisted"):
-            schedule_lpt(TASKS, c, blacklist=[0, 1])
-
-
-class TestPolicyProtocol:
-    def test_fifo_order_is_id_order(self):
-        assert FifoPolicy().dispatch_order(TASKS) == list(range(12))
-
-    def test_lpt_order_is_descending_cost(self):
-        order = LptPolicy().dispatch_order(TASKS)
-        seconds = {t.task_id: t.seconds for t in TASKS}
-        costs = [seconds[task_id] for task_id in order]
-        assert costs == sorted(costs, reverse=True)
-
-    def test_duplicate_ids_rejected(self):
-        slots = [Slot(0, 0)]
-        with pytest.raises(ValueError, match="unique"):
-            FifoPolicy().assign([TaskCost(1, 1.0), TaskCost(1, 2.0)], slots)
-
-    def test_assign_needs_slots(self):
-        with pytest.raises(ValueError, match="zero slots"):
-            LptPolicy().assign(TASKS, [])
-
-    def test_resolve_policy(self):
-        assert isinstance(resolve_policy(None), FifoPolicy)
-        assert isinstance(resolve_policy("lpt"), LptPolicy)
-        assert isinstance(resolve_policy("Round-Robin"), RoundRobinPolicy)
-        lpt = LptPolicy()
-        assert resolve_policy(lpt) is lpt
-        with pytest.raises(ValueError, match="unknown scheduling policy"):
-            resolve_policy("nope")
-        with pytest.raises(TypeError):
-            resolve_policy(42)
+from repro.mapreduce.serialization import record_size
 
 
 class WordSplitMapper(Mapper):
@@ -135,49 +41,43 @@ def wordcount_job():
     )
 
 
-class TestEnginePolicyWiring:
-    def test_outputs_bit_identical_across_policies(self):
-        records = list(enumerate(LINES))
-        baseline = None
-        for policy in ("fifo", "lpt", "round_robin"):
-            engine = SerialEngine(scheduling_policy=policy)
-            result = engine.run(wordcount_job(), records, num_map_tasks=4)
-            if baseline is None:
-                baseline = result
-            else:
-                assert result.records == baseline.records
-                assert result.counters.as_dict() == baseline.counters.as_dict()
+def first_field(key, num_partitions):
+    return key[0] % num_partitions
 
-    def test_pooled_outputs_match_serial_under_lpt(self):
-        records = list(enumerate(LINES))
-        serial = SerialEngine().run(wordcount_job(), records, num_map_tasks=4)
-        with MultiprocessEngine(max_workers=2, scheduling_policy="lpt") as engine:
-            pooled = engine.run(wordcount_job(), records, num_map_tasks=4)
+
+#: partition → (records, value length): 1 is the heavy one, 2 and 3 tie, 0 is light
+SKEW = {0: (3, 10), 1: (40, 400), 2: (12, 100), 3: (12, 100)}
+SKEWED = [
+    ((partition, i), "x" * length)
+    for partition, (count, length) in SKEW.items()
+    for i in range(count)
+]
+
+
+class TestDispatchOrder:
+    def test_reduce_wave_leaves_largest_partition_first(self):
+        """Costliest first, ties by index — and records + counters equal the serial run's."""
+        job = Job(name="skewed", num_reducers=4, partitioner=first_field)
+        serial = SerialEngine().run(job, SKEWED, num_map_tasks=3)
+        events = []
+        with MultiprocessEngine(max_workers=2) as engine:
+            engine.events.subscribe(events.append)
+            pooled = engine.run(job, SKEWED, num_map_tasks=3)
         assert pooled.records == serial.records
         assert pooled.counters.as_dict() == serial.counters.as_dict()
 
-    def test_both_engines_accept_policy_objects(self):
-        policy = LptPolicy()
-        assert SerialEngine(scheduling_policy=policy).scheduling_policy is policy
-        with MultiprocessEngine(max_workers=2, scheduling_policy=policy) as engine:
-            assert engine.scheduling_policy is policy
-
-    def test_simulator_accepts_policy(self):
-        from repro.core.block import BlockScheme
-        from repro.cluster.simulator import ClusterSimulator
-
-        scheme = BlockScheme(v=30, h=5)
-        default = ClusterSimulator(cluster(2, 2)).simulate(scheme, 64)
-        lpt = ClusterSimulator(cluster(2, 2), scheduling_policy="lpt").simulate(
-            scheme, 64
-        )
-        assert lpt.measured.makespan_seconds == pytest.approx(
-            default.measured.makespan_seconds
-        )
-        rr = ClusterSimulator(
-            cluster(2, 2), scheduling_policy=RoundRobinPolicy()
-        ).simulate(scheme, 64)
-        assert rr.measured.makespan_seconds >= lpt.measured.makespan_seconds
+        partition_bytes = [0] * 4
+        for key, value in SKEWED:
+            partition_bytes[key[0]] += record_size(key, value)
+        assert partition_bytes[2] == partition_bytes[3]  # the tie is real
+        dispatched = [
+            event.task_index
+            for event in events
+            if isinstance(event, AttemptTransition)
+            and (event.kind, event.state) == ("reduce", "DISPATCHED")
+        ]
+        assert dispatched == sorted(range(4), key=lambda p: (-partition_bytes[p], p))
+        assert dispatched == [1, 2, 3, 0]
 
 
 class TestChooseEngine:

@@ -261,23 +261,6 @@ class TestEngineParity:
             assert engine.stats.shm_segments == 1
             assert engine.stats.jobs_broadcast == 2
 
-    def test_speculation_parity_on_shm_plane(self):
-        serial = SerialEngine().run(cache_job(), RECORDS, num_map_tasks=4)
-        with MultiprocessEngine(max_workers=2, data_plane="shm") as engine:
-            pooled = engine.run(
-                cache_job(
-                    config={
-                        "speculative_execution": True,
-                        "speculative_multiplier": 1.2,
-                        "speculative_fraction": 1.0,
-                    }
-                ),
-                RECORDS,
-                num_map_tasks=4,
-            )
-        assert serial.records == pooled.records
-        assert serial.counters.as_dict() == pooled.counters.as_dict()
-
 
 class TestCrashRecovery:
     def test_worker_kill_recovers_and_leaves_no_segments(self):

@@ -33,18 +33,10 @@ from repro.mapreduce.serialization import (
     SpillCorruptionError,
     encode_records,
     read_spill_chunk,
-    set_spill_verification,
     write_spill_chunk,
 )
 from repro.mapreduce.shuffle import iter_spill_records
 from repro.mapreduce.spill import parse_spill_file_name, spill_partitions
-
-
-@pytest.fixture(autouse=True)
-def _verification_on():
-    set_spill_verification(True)
-    yield
-    set_spill_verification(True)
 
 
 def product(a, b):
@@ -109,16 +101,22 @@ class TestSpillContainer:
         with pytest.raises(SpillCorruptionError, match="bad magic"):
             read_spill_chunk(path)
 
-    def test_verification_off_still_catches_truncation(self, tmp_path):
-        set_spill_verification(False)
+    def test_cleared_flags_byte_raises(self, tmp_path):
+        """``flags == 0`` is not a legal header: one flipped bit (byte 4,
+        0x01 → 0x00) used to switch the CRC off for its segment, so a payload
+        damaged alongside it decoded to *different records* with no error."""
         path = tmp_path / "x.spill"
         write_spill_chunk(path, encode_records([(1, 2.0), (3, 4.0)]))
-        assert bytes(read_spill_chunk(path))  # flags=0 file reads fine
-        size = path.stat().st_size
-        with open(path, "r+b") as handle:
-            handle.truncate(size - 1)
-        with pytest.raises(SpillCorruptionError, match="truncated payload"):
+        data = bytearray(path.read_bytes())
+        assert data[4] == 0x01  # the writer always records the CRC
+        data[4] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(SpillCorruptionError, match="unknown flags 0x00"):
             read_spill_chunk(path)
+        data[-1] ^= 0x01  # and a payload bit with it
+        path.write_bytes(bytes(data))
+        with pytest.raises(SpillCorruptionError, match="unknown flags 0x00"):
+            list(iter_spill_records([(str(path), len(data) - SPILL_HEADER_BYTES, 0)]))
 
     def test_iter_spill_records_wraps_undecodable_payload(self, tmp_path):
         # A payload that passes its CRC but cannot decode (the writer
@@ -197,7 +195,6 @@ class TestFaultPlanSpillFaults:
         assert plan.spill_fault("map", 0, 1, 0) == "corrupt"
         assert plan.spill_fault("map", 0, 1, 0) == "corrupt"
         assert plan.spill_fault("map", 0, 2, 0) is None  # replays run clean
-        assert plan.spill_fault("map", 0, 1, 0, speculative=True) is None
 
     def test_truncate_drawn_independently(self):
         plan = FaultPlan(truncate_rate=1.0, seed=9)
@@ -221,7 +218,6 @@ class TestSpillInjection:
             "map",
             0,
             1,
-            False,
             plan=FaultPlan(corrupt_rate=1.0),
         )
         assert damaged == 2  # every non-empty partition's segment
@@ -232,12 +228,12 @@ class TestSpillInjection:
 
     def test_truncation_counts_every_segment_it_takes(self, tmp_path):
         class Plan:
-            def spill_fault(self, kind, task_index, attempt, partition, *, speculative=False):
+            def spill_fault(self, kind, task_index, attempt, partition):
                 return {0: "corrupt", 2: "truncate"}.get(partition)
 
         partitions = [[(p, float(p))] for p in range(4)]
         entries, damaged = spill_partitions(
-            partitions, [1] * 4, str(tmp_path), "map", 0, 1, False, plan=Plan()
+            partitions, [1] * 4, str(tmp_path), "map", 0, 1, plan=Plan()
         )
         # The cut inside segment 2 also takes segment 3; segment 1 is untouched.
         assert damaged == 3
@@ -248,10 +244,10 @@ class TestSpillInjection:
 
     def test_file_name_parses_back(self, tmp_path):
         entries, _ = spill_partitions(
-            [[(0, 1.0)]], [1], str(tmp_path), "map", 7, 2, True
+            [[(0, 1.0)]], [1], str(tmp_path), "map", 7, 2
         )
         name = entries[0][0].rsplit("/", 1)[-1]
-        assert name == "map-00007-a2s.spill"
+        assert name == "map-00007-a2.spill"
         assert parse_spill_file_name(name) == ("map", 7)
         assert parse_spill_file_name("not-a-spill.bin") is None
 
@@ -282,7 +278,7 @@ class TestSegmentedSpillFile:
         filled = [p for p, count in enumerate(counts) if count]
         with tempfile.TemporaryDirectory() as spill_dir:
             entries, damaged = spill_partitions(
-                partitions, counts, spill_dir, "map", 4, 1, False
+                partitions, counts, spill_dir, "map", 4, 1
             )
             assert damaged == 0
             assert [p for p, entry in enumerate(entries) if entry is not None] == filled
@@ -337,7 +333,7 @@ class TestSegmentedSpillFile:
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         unpicklable = [[(0, lambda: None)]]
         with pytest.raises((pickle.PicklingError, AttributeError)):
-            spill_partitions(unpicklable, [1], str(tmp_path), "map", 0, 1, False)
+            spill_partitions(unpicklable, [1], str(tmp_path), "map", 0, 1)
         assert list(tmp_path.iterdir()) == []
 
 

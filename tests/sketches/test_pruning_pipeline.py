@@ -5,7 +5,7 @@ distributed cache, and every pruning input (blake2b hashing, frozen
 arrays, seeded builders) is process-independent — so pruned output must
 be identical across SerialEngine, MultiprocessEngine, both broadcast
 data planes, the broadcast one-job path, and under injected faults
-(retries and speculative attempts prune against the same frozen state).
+(retries prune against the same frozen state).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class TestBroadcastOneJob:
 
 
 class TestFaultDeterminism:
-    """Retried/speculative attempts must reach identical pruning decisions.
+    """Retried attempts must reach identical pruning decisions.
 
     Rate faults hit first attempts only, so ``max_attempts=3`` absorbs a
     5% crash rate; what this actually checks is that a *re-run* task —

@@ -19,9 +19,15 @@ pair function is called by ``pairwise.py`` and the brute-force oracles only —
 rounds, rectangles and growth go through ``PairwiseComputation``, and a
 schedule's simulation through ``simulate``.
 
+The control plane offers no menu: one dispatch order, one placement
+function, one attempt of a task in flight — the policy classes, the
+``schedule_*`` wrappers, speculative execution and the switches nobody set
+stay deleted.
+
 The last checks are about the documents, not the code: every file path
 they name must exist, so a deleted script cannot stay cited as evidence,
-and every ``EngineStats`` field ``docs/API.md`` tabulates must be one.
+``docs/API.md`` tabulates exactly the ``EngineStats`` fields, and its
+job-config table lists exactly the keys the runtime reads.
 """
 
 import ast
@@ -181,6 +187,68 @@ class TestOneSchemaInterfaceOneExecutor:
         assert len(calls_of(fold, "simulate")) == 1
 
 
+class TestTheMenuIsGone:
+    def test_no_policy_class_no_wrapper_no_backup_attempt_no_dead_switch(self):
+        policy_classes, names, strings = [], set(), set()
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef) and node.name.endswith("Policy"):
+                    policy_classes.append(f"{path.name}: {node.name}")
+                for field in ("name", "id", "attr", "arg"):  # defs, names, attributes, params
+                    if isinstance(getattr(node, field, None), str):
+                        names.add(getattr(node, field))
+                if isinstance(node, ast.alias):
+                    names.update((node.name, node.asname or node.name))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    strings.add(node.value)
+        assert len(names) > 1000, "the walk saw nothing"
+        assert policy_classes == []
+        assert [
+            name
+            for name in sorted(names)
+            if name in ("resolve_policy", "scheduling_policy", "schedule_round_robin")
+            or name.startswith("schedule_lpt")
+            or "speculative" in name
+        ] == []
+        # Config keys are strings; docstrings that merely mention one are longer.
+        assert strings & {"verify_spill_integrity", "pipeline_fusion"} == set()
+        assert not any("speculative" in text for text in strings if " " not in text)
+
+    def test_policy_module_imports_nothing_from_the_repo(self):
+        """Stricter than ``TestControlPlaneLayer``: engines and simulator both sit on it."""
+        imports = imported_modules(SRC / "repro/mapreduce/controlplane/policy.py")
+        assert not {name for name in imports if name.startswith("repro")}
+
+    def test_one_function_places_and_one_orders(self):
+        """``place`` alone writes a placement; ``dispatch_order`` alone sorts tasks by cost."""
+        policy = ast.parse(
+            (SRC / "repro/mapreduce/controlplane/policy.py").read_text(encoding="utf-8")
+        )
+        functions = [node.name for node in policy.body if isinstance(node, ast.FunctionDef)]
+        assert functions == ["dispatch_order", "place"]
+        writers = {
+            path.name
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Subscript) and getattr(target.value, "id", "") == "placement"
+        }
+        assert writers == {"policy.py"}
+        cluster = SRC / "repro" / "cluster"
+        placers = {
+            path.name: len(calls_of(ast.parse(path.read_text(encoding="utf-8")), "place"))
+            for path in sorted(cluster.glob("*.py"))
+        }
+        assert {name: count for name, count in placers.items() if count} == {
+            "simulator.py": 1,  # ClusterSimulator._place
+            "trace.py": 1,  # build_trace
+        }
+        runtime = ast.parse((SRC / "repro/mapreduce/runtime.py").read_text(encoding="utf-8"))
+        assert len(calls_of(runtime, "dispatch_order")) == 1  # Engine._dispatch_order
+        assert len(calls_of(runtime, "_dispatch_order")) == 2  # one per engine
+
+
 class TestDocsFollowFiles:
     """README, DESIGN, EXPERIMENTS, ``docs/`` and the verify skill name real files.
 
@@ -226,7 +294,40 @@ class TestDocsFollowFiles:
             name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])
         }
         assert len(named) > 10, "the table moved: this check reads nothing"
-        assert sorted(named - attributes) == []
+        assert sorted(named ^ attributes) == []
+
+    def test_job_config_table_names_real_keys(self):
+        """First column of ``docs/API.md``'s job-config table vs the keys the runtime reads.
+
+        A read is ``….config["key"]`` or ``….config.get("key", …)`` under
+        ``src/repro/mapreduce`` (AST-level, so docstrings do not count).
+        """
+
+        def is_config(node: ast.AST) -> bool:
+            return getattr(node, "id", getattr(node, "attr", None)) == "config"
+
+        read = set()
+        for path in sorted((SRC / "repro" / "mapreduce").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                key = None
+                if isinstance(node, ast.Subscript) and is_config(node.value):
+                    key = node.slice
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get"
+                    and is_config(node.func.value)
+                    and node.args
+                ):
+                    key = node.args[0]
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    read.add(key.value)
+        api = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
+        section = api.split("### Job config keys", 1)[1].split("\n### ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        named = {name for row in rows for name in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+        assert len(read) >= 8, "the walk saw nothing"
+        assert sorted(named ^ read) == []
 
 
 class TestSanity:

@@ -101,11 +101,11 @@ class TestPinnedSignatures:
     conscious edit of this table, not a side effect of a refactor.
     """
 
-    ENGINE_KNOBS = ("scheduling_policy", "trace_sink", "data_plane", "journal_dir")
+    ENGINE_KNOBS = ("trace_sink", "data_plane", "journal_dir")
     OBJECTIVE_KNOBS = ("threshold", "top_k", "pruning", "exact_fallback", "sketch_params")
     PINNED = {
         # 12 keywords: the engine object *is* the engine configuration, so the
-        # four ENGINE_KNOBS live on the engines and on auto_pairwise only.
+        # three ENGINE_KNOBS live on the engines and on auto_pairwise only.
         "PairwiseComputation.__init__": (
             "self", "scheme", "comp", "aggregator", "engine", "num_reduce_tasks",
             "symmetric", "kernel", "runtime_config", "max_attempts",
@@ -124,15 +124,31 @@ class TestPinnedSignatures:
         "Engine.run": ("self", "job", "input_records", "splits", "num_map_tasks"),
         "Engine.run_chain": ("self", "jobs", "input_records", "num_map_tasks", "fuse"),
         "Pipeline.run": ("self", "input_records", "num_map_tasks", "fuse"),
+        # The next engine knob is an edit of these five rows.
+        "SerialEngine.__init__": ("self", "trace_sink"),
+        "MultiprocessEngine.__init__": (
+            "self", "max_workers", "shuffle_mode", "data_plane", "trace_sink", "journal_dir",
+        ),
+        "choose_engine": ("workload_hint", "max_workers", *ENGINE_KNOBS),
+        "resume_job": ("journal_dir", "max_workers", "trace_sink"),
+        "ClusterSimulator.__init__": (
+            "self", "cluster", "network", "maxis", "task_overhead_bytes",
+            "failure_model", "blacklist", "shuffle_plane",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_parameter_names(self, name):
+        import repro.cluster
         import repro.core
         import repro.mapreduce
 
         head, *rest = name.split(".")
-        target = getattr(repro.core, head, None) or getattr(repro.mapreduce, head)
+        target = next(
+            getattr(package, head)
+            for package in (repro.core, repro.mapreduce, repro.cluster)
+            if hasattr(package, head)
+        )
         for part in rest:
             target = getattr(target, part)
         assert tuple(inspect.signature(target).parameters) == self.PINNED[name]
