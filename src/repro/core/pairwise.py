@@ -5,23 +5,29 @@ driven through *distribute → compute → aggregate* — and one executor,
 :meth:`PairwiseComputation._execute`, that runs it.  The public run
 methods are presets: each names a plan row and nothing else.
 
-===================== ========================================== ======== ================ ==== =========
-preset                stages (map → reduce)                      payloads input records    legs routing
-===================== ========================================== ======== ================ ==== =========
-``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  (eid, Element)   2    shuffle
-                      identity → ``AggregateReducer``
-``run_cached``        ``DistributeMapper`` →                     cache    (eid, None)      2    cache
+===================== ========================================== ======== ====================== ==== =========
+preset                stages (map → reduce)                      payloads leg 1 carries          legs routing
+===================== ========================================== ======== ====================== ==== =========
+``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  blocks of ids +        2    shuffle
+                      identity → ``AggregateReducer``                     payload references
+``run_cached``        ``DistributeMapper`` →                     cache    blocks of ids          2    cache
                       ``CachedComputeReducer``; identity →
                       ``CachedAggregateReducer``
-``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    (task, None),    1    one-job
-                      ``CachedAggregateReducer``                          a split per task
-===================== ========================================== ======== ================ ==== =========
+``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    partial result maps    1    one-job
+                      ``CachedAggregateReducer``                          (its only leg)
+===================== ========================================== ======== ====================== ==== =========
 
 *Stages* are the plan's MR jobs in chain order (``;`` separates jobs; the
 job ``name`` strings are in :data:`_SHUFFLE_PLAN`, :data:`_CACHED_PLAN` and
 :data:`_ONE_JOB_PLAN`).  *Payloads* says whether element payloads travel in
-the shuffle or sit in the distributed cache as ``{eid: payload}``.  *Legs*
-is the number of shuffles crossed.  *Routing* is the
+the shuffle or sit in the distributed cache as ``{eid: payload}``.  *Leg 1
+carries* is what crosses the first shuffle: the distribute map ships
+working sets, not records — one :class:`WorkingSetBlock` per (map task,
+working set), keyed by subset id — so leg 1 counts ``map tasks × working
+sets reached`` records while ``REPLICAS_EMITTED`` still counts the ``v·r``
+memberships; the input records are ``(eid, Element)``, ``(eid, None)`` and
+one ``(task, None)`` descriptor per task (a split each).  *Legs* is the
+number of shuffles crossed.  *Routing* is the
 :attr:`~repro.core.chooser.SchemeChoice.routing` value under which
 :func:`~repro.core.runner.auto_pairwise` picks the row.  Everything else —
 dataset normalisation, job construction, pruner / sketch attach, the
@@ -38,15 +44,17 @@ only.  :meth:`PairwiseComputation.build_jobs` never sets the key, so
 hand-chained jobs keep writing payload-carrying elements.
 
 - ``run`` is the faithful **two-MR-job** pipeline.  *Job 1* (Algorithm 1):
-  the map phase calls ``getSubsets`` and emits a copy of each element per
-  working set; the shuffle groups working sets onto reducers; each reducer
-  calls ``getPairs``, evaluates them, attaches both orientations of every
-  result (``addResult``), and re-emits the copies keyed by element id.
+  the map phase calls ``getSubsets`` per element and emits, per working
+  set, the block of its members this map task holds; the shuffle groups
+  working sets onto reducers; each reducer admits the blocks
+  (:func:`_admit_working_set`), calls ``getPairs``, evaluates them,
+  attaches both orientations of every result (``addResult``) to one copy
+  per member, and emits the copies keyed by element id.
   *Job 2* (Algorithm 2): identity map; the shuffle groups an element's
   copies; the reducer applies ``aggregateResults``.
 - ``run_cached`` is the same two jobs with the payload store
   ``{eid: payload}`` in the **distributed cache**: the shuffle routes
-  element ids and partial result maps only, and a pooled engine broadcasts
+  id blocks and partial result maps only, and a pooled engine broadcasts
   the store once per worker instead of once per task.  Works with *any*
   scheme (it generalizes the broadcast optimization's cache usage).
 - ``run_broadcast_job`` is the paper's optimized **one-job** form for the
@@ -63,7 +71,10 @@ The pair function ``comp(payload_i, payload_j)`` must be symmetric (§1's
 standing assumption) and picklable for the multiprocess engine.
 
 **Kernels.**  The compute phases work one *block* at a time, not one pair:
-each working set's pair relation becomes an ``(n, 2)`` index array once,
+the two compute reducers admit a working set's payloads as one
+:class:`~repro.kernels.WorkingSetStore` (a ``dict`` that stacks its rows
+once for the kernels that want a matrix), its pair relation becomes an
+``(n, 2)`` index array once,
 stays an array through pruner → :class:`~repro.kernels.PairKernel`
 (``config["kernel"]``; ``None`` → the scalar kernel, bit-identical to the
 historical loop; ``"auto"`` → registry selection from the pair function
@@ -75,11 +86,12 @@ pair by pair — the reference the block paths are parity-tested against.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..kernels import pair_index_array, resolve_kernel
+from ..kernels import WorkingSetStore, pair_index_array, resolve_kernel
 from ..mapreduce.controlplane.events import ReplicationMeasured
 from ..mapreduce.counters import FRAMEWORK_GROUP, SHUFFLE_BYTES
 from ..mapreduce.job import Context, IdentityMapper, Job, Mapper, Reducer
@@ -124,23 +136,66 @@ SKETCH_BYTES = "max_sketch_bytes"
 PRUNE_FALSE_POSITIVES = "prune_false_positives"
 
 
-class DistributeMapper(Mapper):
-    """Algorithm 1's map: emit (working set, member) per getSubsets.
+@dataclass(slots=True, eq=False)
+class WorkingSetBlock:
+    """One map task's share of one working set: the leg-1 shuffle value.
 
-    An ``(eid, Element)`` record carries its payload through the shuffle:
-    every working set gets its own result-free copy.  An ``(eid, None)``
-    record says the payload rides the distributed cache (broadcast once
-    per worker by a pooled engine), so the shuffle only needs to route
-    the bare *id* — the replication cost drops from ``b·k`` payload
-    copies to ``b·k`` integers.
+    ``ids`` lists the members this map task saw, in input order, as
+    Python ``int``s (two or three pickled bytes each — an id array's
+    out-of-band frame costs more than that per block); ``payloads`` holds *references* to their payload objects in the
+    same order (``None`` on the cached plan, where the shuffle routes ids
+    only) — references, not a stacked copy, so a payload that lands in
+    several blocks of one spill chunk is still written once (pickle's
+    memo).  ``size_bytes`` is the block's accounted size, which
+    :func:`~repro.mapreduce.serialization.record_size` takes as stated:
+    8 B per id plus each payload's own size, never more than the
+    per-member records the block stands for.
     """
+
+    ids: list[int]
+    payloads: list[Any] | None
+    size_bytes: int
+
+
+class DistributeMapper(Mapper):
+    """Algorithm 1's map: one :class:`WorkingSetBlock` per working set reached.
+
+    ``getSubsets`` is called per input record and the memberships are
+    buffered; ``cleanup`` emits, per working set, what this map task has
+    for it.  An ``(eid, Element)`` record carries its payload through the
+    shuffle, sized once per map task however many working sets it joins;
+    an ``(eid, None)`` record says the payload rides the distributed cache
+    (broadcast once per worker by a pooled engine), so the shuffle only
+    routes the bare *id* — the replication cost drops from ``b·k`` payload
+    copies to ``b·k`` integers.  ``REPLICAS_EMITTED`` counts memberships
+    either way.
+    """
+
+    def setup(self, context: Context) -> None:
+        self._members: dict[int, list[int]] = {}  # subset id → member ids, input order
+        self._payloads: dict[int, tuple[Any, int]] = {}  # eid → (payload, accounted bytes)
 
     def map(self, key: int, value: Element | None, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
-        bare = value is None
-        for subset_id in scheme.get_subsets(key if bare else value.eid):
-            context.emit(subset_id, key if bare else value.copy_without_results())
-            context.counters.increment(PAIRWISE_GROUP, REPLICAS_EMITTED)
+        if value is None:
+            eid = key
+        else:
+            eid = value.eid
+            self._payloads[eid] = (value.payload, record_size(eid, value.payload))
+        subsets = scheme.get_subsets(eid)
+        for subset_id in subsets:
+            self._members.setdefault(subset_id, []).append(eid)
+        context.counters.increment(PAIRWISE_GROUP, REPLICAS_EMITTED, len(subsets))
+
+    def cleanup(self, context: Context) -> None:
+        carried = self._payloads
+        for subset_id, members in self._members.items():
+            if carried:
+                payloads, sizes = zip(*(carried[eid] for eid in members))
+                block = WorkingSetBlock(members, list(payloads), sum(sizes))
+            else:
+                block = WorkingSetBlock(members, None, 8 * len(members))
+            context.emit(subset_id, block)
 
 
 def _apply_pruner(block: np.ndarray, context: Context) -> np.ndarray:
@@ -244,39 +299,38 @@ def _compute_block(
 
 def _admit_working_set(
     key: int,
-    members: Iterable[tuple[int, Any]],
-    sizes: dict[int, int],
+    blocks: Iterable[WorkingSetBlock],
     context: Context,
-) -> dict[int, Any]:
-    """Take delivery of one working set; returns ``{eid: sized}`` by ascending id.
+    store: Mapping[int, Any] | None = None,
+) -> WorkingSetStore:
+    """Take delivery of one working set; returns its payloads by ascending id.
 
-    ``members`` yields ``(eid, sized)`` — a member and the object its
-    accounting size is measured on (the shuffled element copy, or the
-    cached payload).  A member delivered twice is a scheme or shuffle bug
-    and raises.  Meters §6's measured quantity — the peak working set
-    actually held by a reduce task, records and (declared) bytes — as
-    max-gauges.
-
-    ``sizes`` is the calling task's size cache: what a member is measured
-    on is identical across the working sets a task handles (copies share
-    the payload and carry no results at compute time; the cached store is
-    immutable), so each member is measured once per task instead of
-    re-pickled on every reduce call.
+    ``blocks`` are the map tasks' shares of working set ``key``; their
+    members' payloads come with them, or from the cached ``store`` when
+    the blocks carry ids only.  A member delivered twice is a scheme or
+    shuffle bug and raises.  Meters §6's measured quantity — the peak
+    working set actually delivered to a reduce task, records and the
+    blocks' accounted bytes — as max-gauges.  Payload arrays decoded by a
+    pooled engine are read-only views over the spill file: nothing here
+    writes to them.
     """
-    admitted: dict[int, Any] = {}
-    for eid, sized in members:
-        if eid in admitted:
-            raise ValueError(f"working set {key} received element {eid} twice")
-        admitted[eid] = sized
-    held = 0
-    for eid, sized in admitted.items():
-        size = sizes.get(eid)
-        if size is None:
-            size = sizes[eid] = record_size(eid, sized)
-        held += size
-    context.counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_RECORDS, len(admitted))
-    context.counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_BYTES, held)
-    return dict(sorted(admitted.items()))
+    blocks = list(blocks)
+    ids = np.array([eid for block in blocks for eid in block.ids], dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    twice = np.flatnonzero(ids[1:] == ids[:-1])
+    if len(twice):
+        raise ValueError(f"working set {key} received element {int(ids[twice[0]])} twice")
+    if store is None:
+        arrived = [payload for block in blocks for payload in block.payloads]
+        payloads = [arrived[index] for index in order.tolist()]
+    else:
+        payloads = [store[eid] for eid in ids.tolist()]
+    context.counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_RECORDS, len(ids))
+    context.counters.set_max(
+        PAIRWISE_GROUP, MAX_WORKING_SET_BYTES, sum(block.size_bytes for block in blocks)
+    )
+    return WorkingSetStore(ids, payloads)
 
 
 class ComputeReducer(Reducer):
@@ -290,25 +344,24 @@ class ComputeReducer(Reducer):
     guarantee that — but both orientations are computed: element i stores
     ``comp(sᵢ, sⱼ)`` and element j stores ``comp(sⱼ, sᵢ)``.
 
-    Under ``config["results_only"]`` the copies leave without their
+    The working set's element copies are made here, one per admitted
+    member.  Under ``config["results_only"]`` they leave without their
     payloads: nothing downstream reads them (module docstring).
     """
 
-    def setup(self, context: Context) -> None:
-        self._sizes: dict[int, int] = {}
-
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
-        elements: dict[int, Element] = _admit_working_set(
-            key, ((element.eid, element) for element in values), self._sizes, context
-        )
-        payloads = {eid: element.payload for eid, element in elements.items()}
-        pairs = scheme.get_pairs(key, list(elements))
-        for eid, partners, results in _compute_block(pairs, payloads, context):
-            elements[eid].add_results(partners, results)
+        payloads = _admit_working_set(key, values, context)
+        pairs = scheme.get_pairs(key, list(payloads))
         results_only = context.config.get("results_only", False)
-        for eid, element in elements.items():
-            context.emit(eid, Element(eid, None, element.results) if results_only else element)
+        copies = {
+            eid: Element(eid, None if results_only else payload)
+            for eid, payload in payloads.items()
+        }
+        for eid, partners, results in _compute_block(pairs, payloads, context):
+            copies[eid].add_results(partners, results)
+        for eid, copy in copies.items():
+            context.emit(eid, copy)
 
 
 class AggregateReducer(Reducer):
@@ -323,22 +376,16 @@ class CachedComputeReducer(Reducer):
     """Algorithm 1's reduce against the cached payload store.
 
     Same pair relation and orientation semantics as
-    :class:`ComputeReducer`; receives bare member ids and emits
+    :class:`ComputeReducer`; receives id-only blocks and emits
     per-element *partial result maps* (partner id → result) instead of
     full element copies.
     """
 
-    def setup(self, context: Context) -> None:
-        self._sizes: dict[int, int] = {}
-
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
-        payloads: Mapping[int, Any] = context.cache_file("dataset")
-        members = _admit_working_set(
-            key, ((eid, payloads[eid]) for eid in values), self._sizes, context
-        )
-        partials: dict[int, dict[int, Any]] = {eid: {} for eid in members}
-        pairs = scheme.get_pairs(key, list(members))
+        payloads = _admit_working_set(key, values, context, context.cache_file("dataset"))
+        partials: dict[int, dict[int, Any]] = {eid: {} for eid in payloads}
+        pairs = scheme.get_pairs(key, list(payloads))
         for eid, partners, results in _compute_block(pairs, payloads, context):
             partials[eid] = dict(zip(partners, results))
         for eid, partial in partials.items():
@@ -834,7 +881,7 @@ class PairwiseComputation:
         Semantically identical to :meth:`run` (same pair relation, same
         merged elements), but element payloads never flow through the
         shuffle: both jobs attach ``{eid: payload}`` to the distributed
-        cache, Job 1 shuffles bare ids into working sets and emits partial
+        cache, Job 1 shuffles id blocks into working sets and emits partial
         result maps, Job 2 rebuilds each element from the store.  On a
         :class:`~repro.mapreduce.runtime.MultiprocessEngine` the store is
         broadcast **once per worker per job** instead of once per task.

@@ -23,7 +23,7 @@ Applications bind their pair functions via :func:`register_comp` so that
 unbound (or with an unsupported payload) falls back to ``scalar``.
 """
 
-from .base import PairFunction, PairKernel, ScalarKernel, pair_index_array
+from .base import PairFunction, PairKernel, ScalarKernel, WorkingSetStore, pair_index_array
 from .dense import (
     CovarianceKernel,
     DenseCosineKernel,
@@ -58,6 +58,7 @@ __all__ = [
     "PairFunction",
     "PairKernel",
     "ScalarKernel",
+    "WorkingSetStore",
     "available_kernels",
     "get_kernel",
     "kernel_for_comp",

@@ -50,6 +50,46 @@ def pair_index_array(pairs: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
     return arr
 
 
+class WorkingSetStore(dict):
+    """``{eid: payload}`` of one admitted working set, ids ascending.
+
+    What the compute reducers hand :meth:`PairKernel.evaluate_block`
+    after taking delivery of a working set: a ``dict`` (so every kernel
+    written against a plain payload store works on it unchanged) that
+    also knows its members' stacked form.  ``ids`` is the sorted int64 id
+    array; ``matrix`` is the ``(k, m)`` float matrix whose row ``r`` is
+    the payload of ``ids[r]`` — built the first time a kernel asks for
+    it, kept for the working set's remaining calls (the second
+    orientation of a non-symmetric run), and never built for kernels
+    that read payloads one at a time.  Both are read-only.
+    """
+
+    __slots__ = ("ids", "_matrix")
+
+    def __init__(self, ids: np.ndarray, payloads: Iterable[Any]):
+        super().__init__(zip(ids.tolist(), payloads))
+        self.ids = ids
+        self._matrix: np.ndarray | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = stack_rows(self.values())
+            self._matrix.flags.writeable = False
+        return self._matrix
+
+
+def stack_rows(rows: Iterable[Any]) -> np.ndarray:
+    """Dense 1-D payloads stacked into one ``(k, m)`` float64 matrix.
+
+    ``np.asarray(..., dtype=float)`` on a float64 row is a zero-copy
+    pass-through — rows living in a shared-memory segment or an mmapped
+    spill file are read (never copied) straight from the shared buffer;
+    the stack is the working set's single gather copy.
+    """
+    return np.stack([np.asarray(row, dtype=float) for row in rows])
+
+
 class PairKernel(abc.ABC):
     """Evaluate a block of pairs over a payload store in one call.
 
@@ -83,9 +123,12 @@ class PairKernel(abc.ABC):
         reducers scatter the block as a whole and store plain Python
         objects: an ndarray is converted with ``.tolist()`` (the built-in
         kernels do that themselves), so numpy scalars never reach the
-        pickled result maps.  ``payloads`` may contain more ids than the
-        pairs reference (the cached reducer hands the whole store);
-        kernels must only touch referenced ids.
+        pickled result maps.  ``payloads`` is any ``{eid: payload}``
+        mapping and may contain more ids than the pairs reference (the
+        one-job map hands the whole cached store); kernels must only
+        touch referenced ids and never write to the mapping.  From the
+        two compute reducers it is a :class:`WorkingSetStore`, whose
+        ``ids`` / ``matrix`` save an array kernel its own stacking.
 
         Payload arrays may be **read-only zero-copy views** over a shared
         data plane (a shared-memory segment or an mmapped spill file —

@@ -1,10 +1,12 @@
 """NumPy kernels for dense vector payloads (rows, points, centered rows).
 
-All four kernels share one strategy: stack the block's referenced payloads
-into a ``(k, m)`` matrix once per working set, gather the left/right rows
-of every pair with fancy indexing, and reduce along the feature axis with
-a single vectorized expression — ``n`` pair evaluations for the price of
-one NumPy call instead of ``n`` Python calls.
+All four kernels share one strategy: take the working set's payloads as a
+``(k, m)`` matrix — the one a :class:`~repro.kernels.base.WorkingSetStore`
+already holds, or a stack of the referenced rows of a plain store —
+gather the left/right rows of the pairs with fancy indexing, a fixed-size
+tile at a time, and reduce each tile along the feature axis with a single
+vectorized expression — ``n`` pair evaluations for the price of a few
+NumPy calls instead of ``n`` Python calls.
 
 :class:`CovarianceKernel` additionally switches to one BLAS Gram-matrix
 product (``X @ X.T``) when the pair block covers most of the working
@@ -18,7 +20,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .base import PairKernel
+from .base import PairKernel, WorkingSetStore, stack_rows
 
 
 def _is_dense_vector(payload: Any) -> bool:
@@ -34,38 +36,43 @@ def _is_dense_vector(payload: Any) -> bool:
     return False
 
 
+#: bytes of one gathered operand per tile: the left / right / difference
+#: temporaries of a tile stay cache-sized whatever the pair block's length
+_TILE_BYTES = 2**20
+
+
 class _DenseVectorKernel(PairKernel):
     """Shared stack/gather machinery for dense 1-D payloads."""
 
     def supports(self, payload: Any) -> bool:
         return _is_dense_vector(payload)
 
-    def _gather(
-        self, payloads: Mapping[int, Any], pairs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Left/right row matrices for the pair block (one stack per call).
-
-        ``np.asarray(..., dtype=float)`` on a float64 payload row is a
-        zero-copy pass-through — rows living in a shared-memory segment
-        or an mmapped spill file are read (never copied) straight from
-        the shared buffer; the stack into the ``(k, m)`` working matrix
-        is the block's single gather copy.
-        """
-        ids = np.unique(pairs)
-        matrix = np.stack(
-            [np.asarray(payloads[int(eid)], dtype=float) for eid in ids]
-        )
-        left = matrix[np.searchsorted(ids, pairs[:, 0])]
-        right = matrix[np.searchsorted(ids, pairs[:, 1])]
-        return left, right
-
     def evaluate_block(
         self, payloads: Mapping[int, Any], pairs: np.ndarray
     ) -> list[Any]:
         if len(pairs) == 0:
             return []
-        left, right = self._gather(payloads, pairs)
-        return self._reduce(left, right).tolist()
+        if isinstance(payloads, WorkingSetStore):  # stacked once per working set
+            ids, matrix = payloads.ids, payloads.matrix
+        else:
+            ids = np.unique(pairs)
+            matrix = stack_rows(payloads[eid] for eid in ids.tolist())
+        rows = np.searchsorted(ids, pairs[:, 0])
+        cols = np.searchsorted(ids, pairs[:, 1])
+        return self._evaluate(matrix, rows, cols).tolist()
+
+    def _evaluate(self, matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``_reduce`` over the pairs ``(matrix[rows], matrix[cols])``, tile by tile.
+
+        Every ``_reduce`` works row by row, so cutting the block into
+        tiles changes no result bit — only the size of the temporaries.
+        """
+        out = np.empty(len(rows), dtype=float)
+        step = max(1, _TILE_BYTES // max(1, matrix.shape[1] * matrix.itemsize))
+        for lo in range(0, len(rows), step):
+            tile = slice(lo, lo + step)
+            out[tile] = self._reduce(matrix[rows[tile]], matrix[cols[tile]])
+        return out
 
     def _reduce(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -118,24 +125,11 @@ class CovarianceKernel(_DenseVectorKernel):
     #: Gram path when ``n_pairs >= GRAM_COVERAGE * k(k-1)/2``
     GRAM_COVERAGE = 0.25
 
-    def evaluate_block(
-        self, payloads: Mapping[int, Any], pairs: np.ndarray
-    ) -> list[Any]:
-        if len(pairs) == 0:
-            return []
-        ids = np.unique(pairs)
-        k = len(ids)
-        triangle = k * (k - 1) // 2
-        if triangle == 0 or len(pairs) < self.GRAM_COVERAGE * triangle:
-            left, right = self._gather(payloads, pairs)
-            return self._reduce(left, right).tolist()
-        matrix = np.stack(
-            [np.asarray(payloads[int(eid)], dtype=float) for eid in ids]
-        )
-        gram = matrix @ matrix.T
-        rows = np.searchsorted(ids, pairs[:, 0])
-        cols = np.searchsorted(ids, pairs[:, 1])
-        return gram[rows, cols].tolist()
+    def _evaluate(self, matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        triangle = len(matrix) * (len(matrix) - 1) // 2
+        if triangle == 0 or len(rows) < self.GRAM_COVERAGE * triangle:
+            return super()._evaluate(matrix, rows, cols)
+        return (matrix @ matrix.T)[rows, cols]
 
     def _reduce(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", left, right)

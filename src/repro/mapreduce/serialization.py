@@ -210,14 +210,18 @@ def _quick_size(obj: Any) -> int:
 def record_size(key: Any, value: Any) -> int:
     """Accounting size in bytes of one key/value record.
 
-    Declared sizes (SizedPayload trees) win; otherwise the pickled size is
-    measured.  This is the quantity behind the engine's SHUFFLE_BYTES and
-    MAP_OUTPUT_BYTES counters.
+    A value that states its own ``size_bytes`` (a :class:`SizedPayload`, a
+    working-set block that priced itself when it was built) is taken at
+    its word; declared sizes deeper inside (SizedPayload trees) win next;
+    otherwise the pickled size is measured.  This is the quantity behind
+    the engine's SHUFFLE_BYTES and MAP_OUTPUT_BYTES counters.
 
     The value is pickled once; :func:`declared_size` walks it entry by
     entry only when the bytes say a declaration may be inside.
     """
     value_size = _plain_size(value)
+    if value_size is None:
+        value_size = getattr(value, "size_bytes", None)
     if value_size is None:
         value_size, may_declare = _measured(value)
         if may_declare:

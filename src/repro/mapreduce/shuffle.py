@@ -11,9 +11,12 @@ with all its values, keys in sorted order.
 from __future__ import annotations
 
 import hashlib
+import operator
 import pickle
 from itertools import groupby
 from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from .serialization import (
     SpillCorruptionError,
@@ -61,8 +64,9 @@ def stable_hash(key: Any) -> int:
     """Process-independent 64-bit hash of an arbitrary picklable key.
 
     Ints and strings take a fast path; everything else hashes its canonical
-    pickle.  Equal keys always collide (required for correctness); the
-    spread only affects balance.
+    pickle.  Equal keys always collide (required for correctness) — a
+    NumPy integer is hashed as the ``int`` it equals, whatever its width;
+    the spread only affects balance.
     """
     if isinstance(key, bool):  # bool before int: True/False pickle differently
         data = b"\x01" if key else b"\x00"
@@ -72,6 +76,8 @@ def stable_hash(key: Any) -> int:
         data = key.encode("utf-8")
     elif isinstance(key, bytes):
         data = key
+    elif isinstance(key, np.integer):
+        return stable_hash(operator.index(key))
     else:
         data = pickle.dumps(key, protocol=4)
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")

@@ -10,12 +10,23 @@ the same executor on the universe and participants they declare.
 ``auto_pairwise`` picks the preset from the chooser's payload routing; each
 routing outcome is held to the same reference, and to handing back the
 caller's own payload objects.
+
+Leg 1 ships working sets, not records: one ``WorkingSetBlock`` per (map
+task, working set).  The per-record ``emit`` loop it replaced is kept here
+as the reference the blocks are held to — same deliveries, same payload
+objects, never more accounted bytes — and the presets run over three
+payload kinds, so both the stacked and the one-at-a-time reading of an
+admitted working set cross both engines.
 """
 
+from collections import Counter
 from contextlib import contextmanager
+from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.dbscan import euclidean_distance
 from repro.core.bipartite import BipartiteBlockScheme, BipartiteBroadcastScheme
@@ -28,9 +39,12 @@ from repro.core.pairwise import (
     EVALUATIONS,
     PAIRS_PRUNED,
     PAIRWISE_GROUP,
+    REPLICAS_EMITTED,
     CachedComputeReducer,
     ComputeReducer,
+    DistributeMapper,
     PairwiseComputation,
+    WorkingSetBlock,
 )
 from repro.core.quorum import QuorumScheme
 from repro.core.runner import auto_pairwise
@@ -39,9 +53,16 @@ from repro.mapreduce.controlplane.events import (
     ReplicationMeasured,
     SpillWritten,
 )
-from repro.mapreduce.counters import FRAMEWORK_GROUP, MAP_INPUT_RECORDS, Counters
+from repro.mapreduce.counters import (
+    FRAMEWORK_GROUP,
+    MAP_INPUT_RECORDS,
+    SHUFFLE_RECORDS,
+    Counters,
+)
 from repro.mapreduce.job import Context
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
+from repro.mapreduce.serialization import SizedPayload, record_size
+from repro.mapreduce.shm import shm_available
 
 V = 20
 THRESHOLD = 5.0
@@ -128,6 +149,85 @@ def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, 
         required = runner.scheme.required_pairs()
         assert evaluations + pruned == (V * (V - 1) // 2 if required is None else len(required))
         assert (pruned > 0) == (pruning == "sketch")
+
+
+def ragged_total(a, b):
+    """Symmetric and exact on the ragged rows: every sum is a small integer."""
+    return float(a.sum() + b.sum())
+
+
+def repr_lengths(a, b):
+    return len(repr(a)) + len(repr(b))
+
+
+def grid_rows():
+    """Integer-valued rows: the euclidean kernel and the scalar loop agree to the bit."""
+    return list(np.random.default_rng(9).integers(-8, 9, size=(V, 4)).astype(float))
+
+
+def ragged_rows():
+    return [np.arange(1 + eid % 5, dtype=float) for eid in range(V)]
+
+
+def mixed_objects():
+    kinds = [(1, "a"), "text", {"k": 2.5}, 7, None, [1, 2], np.ones(3), SizedPayload(40)]
+    return [kinds[eid % len(kinds)] for eid in range(V)]
+
+
+#: payload kind -> (dataset, pair function, kernel): the first is read through the
+#: admitted working set's stacked matrix, the other two one payload at a time
+KINDS = {
+    "same-shape-rows": (grid_rows, euclidean_distance, "auto"),
+    "ragged-rows": (ragged_rows, ragged_total, None),
+    "mixed-objects": (mixed_objects, repr_lengths, None),
+}
+
+
+@pytest.mark.parametrize("engine", ["serial", "pool"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("path,scheme", PRESETS)
+def test_preset_carries_every_payload_kind(path, scheme, kind, engine, engines):
+    """Pool-decoded blocks are read-only views: admitting them must not write."""
+    dataset, comp, kernel = KINDS[kind]
+    data = dataset()
+    runner = PairwiseComputation(SCHEMES[scheme](), comp, engine=engines[engine], kernel=kernel)
+    merged = getattr(runner, path)(data)
+    assert sorted(merged) == list(runner.scheme.participants())
+    assert result_maps(merged) == result_maps(runner.run_local(data))
+    assert all(merged[eid].payload is data[eid - 1] for eid in merged)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        pytest.param({"shuffle_mode": "relay"}, id="relay"),
+        pytest.param(
+            {"data_plane": "shm"},
+            id="shm",
+            marks=[
+                pytest.mark.shm,
+                pytest.mark.skipif(not shm_available(), reason="POSIX shared memory unavailable"),
+            ],
+        ),
+    ],
+)
+def test_blocks_cross_the_other_planes_bit_identically(knobs):
+    """Relayed chunks and shm-resident stores: same stage records and counters as serial."""
+    with MultiprocessEngine(max_workers=2, **knobs) as pool:
+        for kind, (dataset, comp, kernel) in KINDS.items():
+            data = dataset()  # one list for both engines: payloads compare by identity
+            for path in ("run", "run_cached"):
+                outcomes = []
+                for engine in (SerialEngine(), pool):
+                    runner = PairwiseComputation(
+                        SCHEMES["quorum"](), comp, engine=engine, kernel=kernel
+                    )
+                    merged, result = getattr(runner, path)(
+                        data, num_map_tasks=3, return_pipeline=True
+                    )
+                    stages = [(s.records, s.counters.as_dict()) for s in result.stages]
+                    outcomes.append((result_maps(merged), stages))
+                assert outcomes[0] == outcomes[1], (kind, path)
 
 
 def test_a_round_ships_and_returns_its_participants_only(engines):
@@ -282,11 +382,15 @@ def test_aggregator_that_reads_payloads_gets_them_on_every_route(routing, engine
     }
 
 
+def block(ids, payloads=None):
+    return WorkingSetBlock(ids, payloads, 8 * len(ids))
+
+
 @pytest.mark.parametrize(
     "reducer,values",
     [
-        (ComputeReducer, [Element(1, 0.5), Element(2, 1.5), Element(2, 1.5)]),
-        (CachedComputeReducer, [1, 2, 2]),
+        (ComputeReducer, [block([1, 2], [0.5, 1.5]), block([2], [1.5])]),
+        (CachedComputeReducer, [block([1, 2]), block([2])]),
     ],
 )
 def test_member_delivered_twice_raises(reducer, values):
@@ -299,6 +403,72 @@ def test_member_delivered_twice_raises(reducer, values):
     task.setup(context)
     with pytest.raises(ValueError, match="^working set 3 received element 2 twice$"):
         task.reduce(3, iter(values), context)
+
+
+# -- leg 1 ships blocks: held to the per-record emit loop they replaced ----------
+
+
+def per_record_emit(scheme, records):
+    """The map phase before blocks: one ``(subset, copy or bare id)`` per membership."""
+    for key, value in records:
+        bare = value is None
+        for subset_id in scheme.get_subsets(key if bare else value.eid):
+            yield subset_id, key if bare else value.copy_without_results()
+
+
+def map_task_output(scheme, records):
+    """What one ``DistributeMapper`` task emits for ``records``, and its counters."""
+    context = Context(Counters(), config={"scheme": scheme})
+    mapper = DistributeMapper()
+    mapper.setup(context)
+    for key, value in records:
+        mapper.map(key, value, context)
+    mapper.cleanup(context)
+    return context.drain(), context.counters
+
+
+@given(
+    scheme=st.sampled_from(sorted(SCHEMES)),
+    bare=st.booleans(),
+    cuts=st.sets(st.integers(min_value=0, max_value=V), max_size=6),
+)
+@settings(max_examples=120, deadline=None)
+def test_blocks_deliver_what_the_per_record_loop_delivered(scheme, bare, cuts):
+    scheme = SCHEMES[scheme]()
+    data = mixed_objects()
+    records = [
+        (eid, None if bare else Element(eid, data[eid - 1])) for eid in scheme.participants()
+    ]
+    bounds = sorted({0, len(records), *(cut for cut in cuts if cut < len(records))})
+    delivered, delivered_bytes, replicas = Counter(), 0, 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        output, counters = map_task_output(scheme, records[lo:hi])
+        replicas += counters.get(PAIRWISE_GROUP, REPLICAS_EMITTED)
+        assert len({key for key, _block in output}) == len(output)  # one block per working set
+        for key, shipped in output:
+            ids = shipped.ids
+            assert type(key) is int and all(type(eid) is int for eid in ids)
+            assert (shipped.payloads is None) == bare
+            payloads = repeat(None) if bare else shipped.payloads
+            delivered.update((key, eid, id(payload)) for eid, payload in zip(ids, payloads))
+            delivered_bytes += record_size(key, shipped)
+    reference = list(per_record_emit(scheme, records))
+    assert delivered == Counter(
+        (key, value, id(None)) if bare else (key, value.eid, id(value.payload))
+        for key, value in reference
+    )
+    assert replicas == len(reference)
+    assert delivered_bytes <= sum(record_size(key, value) for key, value in reference)
+
+
+def test_leg_one_shuffles_at_most_a_block_per_map_task_and_working_set():
+    scheme, maps = BlockScheme(V, 3), 4
+    runner = PairwiseComputation(scheme, euclidean_distance, engine=SerialEngine())
+    _merged, result = runner.run(points(), num_map_tasks=maps, return_pipeline=True)
+    leg_one = result.stages[0].counters
+    replicas = leg_one.get(PAIRWISE_GROUP, REPLICAS_EMITTED)
+    assert replicas == V * 3
+    assert leg_one.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS) <= maps * scheme.num_tasks < replicas
 
 
 @pytest.mark.parametrize("bad", [{"max_attempts": 0}, {"num_reduce_tasks": 0}])

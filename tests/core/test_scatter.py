@@ -12,7 +12,10 @@ and must fail on the same blocks with the same exception type.  The parity
 test pins all three MR paths' records and counters to values recorded on
 the commit before the bulk path existed — except the bytes and the one-job
 record count, re-recorded once when payloads stopped riding leg 2 and the
-one-job map started emitting partial maps (see ``PARENT``).
+one-job map started emitting partial maps, and leg 1's records, bytes and
+working-set gauge, re-recorded once when the distribute map started
+shipping one block per working set (see ``PARENT``; every result, the
+digest, the evaluations and the replica count are the original ones).
 """
 
 import hashlib
@@ -159,16 +162,17 @@ def _counters(records, groups, shuffle_bytes, attempts, **pairwise):
 #: ``run``'s bytes with payloads still on leg 2 — what the row read before
 #: results came home payload-free, and what an aggregator that may read
 #: payloads still costs (``test_unknown_aggregator_keeps_payloads_on_leg_two``)
-RUN_BYTES_WITH_PAYLOADS = 36390
+RUN_BYTES_WITH_PAYLOADS = 30048
 
 PARENT = {
+    # leg 1 is one block per working set (one map task, six working sets)
     "run": _counters(
-        (120, 180, 120), 36, 31350, 4,
-        max_working_set_bytes=2960, max_working_set_records=20, replicas_emitted=90,
+        (120, 96, 120), 36, 25008, 4,
+        max_working_set_bytes=1540, max_working_set_records=20, replicas_emitted=90,
     ),
     "run_cached": _counters(
-        (120, 180, 120), 36, 13170, 4,
-        max_working_set_bytes=1540, max_working_set_records=20, replicas_emitted=90,
+        (120, 96, 120), 36, 12498, 4,
+        max_working_set_bytes=160, max_working_set_records=20, replicas_emitted=90,
     ),
     # one {partner: result} map per element per task; 870 (partner, result)
     # records and 28 710 bytes before

@@ -19,6 +19,7 @@ from repro.kernels import (
     DenseEuclideanKernel,
     PairKernel,
     ScalarKernel,
+    WorkingSetStore,
     available_kernels,
     get_kernel,
     kernel_for_comp,
@@ -128,6 +129,43 @@ class TestDenseKernels:
         close(kernel.evaluate_block(payloads, full), reference)
         sparse_ref = self._scalar(row_inner_product, payloads, sparse_block)
         close(kernel.evaluate_block(payloads, sparse_block), sparse_ref)
+
+    @pytest.mark.parametrize(
+        "kernel", [DenseDotKernel(), DenseCosineKernel(), DenseEuclideanKernel(), CovarianceKernel()]
+    )
+    @pytest.mark.parametrize("num_pairs", [10, 400])
+    def test_tiled_evaluation_is_bit_identical_to_one_gather(self, kernel, num_pairs):
+        """The untiled gather — the whole block's operands at once — is the reference.
+
+        Rows of 16 KiB make a tile 64 pairs: 400 pairs span seven tiles
+        (the last one short), 10 pairs fit inside one.  400 of v = 60's
+        1 770 pairs stay under the Gram coverage, so the covariance kernel
+        takes its gather path too.  A plain store and an admitted working
+        set must give the same bits.
+        """
+        rng = np.random.default_rng(11)
+        v = 60
+        store = {eid: rng.normal(size=2048) for eid in range(1, v + 1)}
+        store[7] = np.zeros(2048)
+        chosen = rng.choice(v * (v - 1) // 2, size=num_pairs, replace=False)
+        block = pair_index_array([all_pairs(v)[k] for k in sorted(chosen.tolist())])
+        matrix = np.stack([store[eid] for eid in range(1, v + 1)])
+        untiled = kernel._reduce(matrix[block[:, 0] - 1], matrix[block[:, 1] - 1]).tolist()
+        assert kernel.evaluate_block(store, block) == untiled
+        admitted = WorkingSetStore(np.arange(1, v + 1), store.values())
+        assert kernel.evaluate_block(admitted, block) == untiled
+        assert kernel.evaluate_block(admitted, block[:, ::-1]) == kernel.evaluate_block(
+            store, block[:, ::-1]
+        )
+
+    def test_working_set_store_stacks_once_and_read_only(self, payloads):
+        admitted = WorkingSetStore(np.arange(1, 11), payloads.values())
+        assert dict(admitted) == payloads and admitted.ids.tolist() == list(payloads)
+        assert all(admitted[eid] is payloads[eid] for eid in payloads)
+        assert admitted.matrix is admitted.matrix
+        assert np.array_equal(admitted.matrix, np.stack(list(payloads.values())))
+        with pytest.raises(ValueError, match="read-only"):
+            admitted.matrix[0, 0] = 1.0
 
     def test_empty_block(self, payloads):
         assert DenseDotKernel().evaluate_block(payloads, pair_index_array([])) == []

@@ -1,5 +1,6 @@
 """Partitioning / sorting / grouping tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +30,14 @@ class TestStableHash:
 
     def test_negative_and_positive_differ(self):
         assert stable_hash(-5) != stable_hash(5)
+
+    @pytest.mark.parametrize("key", [0, 5, -5, 255, 2**31 - 1, -(2**31)])
+    def test_numpy_integers_hash_like_the_int_they_equal(self, key):
+        """Equal keys must collide: an id leaked from an id array is still that id."""
+        for leaked in (np.int64(key), np.int32(key), np.array([key])[0]):
+            assert leaked == key
+            assert stable_hash(leaked) == stable_hash(key)
+            assert hash_partition(leaked, 7) == hash_partition(key, 7)
 
 
 class TestHashPartition:

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of benchmark workloads, summarised per metric.
 
-    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W [--workload W2 ...]
+    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR (--workload W [--workload W2 ...] | --all)
                               [--pairs 10] [--seed0 300]
+
+``--all`` takes every workload the change's ``BENCHMARK.json`` declares — the "nothing
+got worse on any workload" half of a claim in one command.
 
 For each workload, and pair i (seed ``seed0 + i``), runs ``benchmarks/e2e/run.py
 --workload W --seed S --seconds 10 --trace 0`` once in each checkout — the parent first
@@ -47,13 +50,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, action="append", dest="workloads", metavar="W")
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("--workload", action="append", dest="workloads", metavar="W")
+    which.add_argument("--all", action="store_true", help="every workload in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=300)
     args = parser.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    more_failures = [w for w in args.workloads if not compare(args, spec, w)]
+    workloads = args.workloads or [workload["name"] for workload in spec["workloads"]]
+    more_failures = [w for w in workloads if not compare(args, spec, w)]
     if more_failures:
         print(f"change failed more operations than parent on: {', '.join(more_failures)}")
     return 1 if more_failures else 0
