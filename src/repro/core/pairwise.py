@@ -536,10 +536,9 @@ class PairwiseComputation:
         :class:`~repro.sketches.SketchSuite` driver-side, ships it in
         the distributed cache, and drops pairs whose bounds prove they
         cannot pass the objective *before* kernel dispatch (requires
-        ``symmetric=True`` and a sketch-registered comp); ``"exact"``
-        names the reference arm — every pair evaluated, the objective
-        applied in aggregation only (identical to ``"off"`` plus an
-        objective; benches compare ``"sketch"`` against it).
+        ``symmetric=True`` and a sketch-registered comp).  The reference
+        arm for ``"sketch"`` is ``"off"`` with the same objective: every
+        pair evaluated, the objective applied in aggregation only.
     exact_fallback:
         ``True`` (default) restricts pruning to **sound** bounds: the
         pruned output is identical to the unpruned run (DESIGN.md
@@ -658,7 +657,7 @@ class PairwiseComputation:
                 "top-k sketch pruning indexes its taus by dense element id, so "
                 f"every element must be in some working set; {self.scheme.describe()} "
                 f"leaves {self.scheme.v - len(payloads)} out (threshold pruning, or "
-                "pruning='exact', works on such a schema)"
+                "pruning='off', works on such a schema)"
             )
         params = {
             key: value
@@ -831,7 +830,7 @@ class PairwiseComputation:
         result = Pipeline(jobs, engine=self.engine).run(
             input_records,
             num_map_tasks=num_map_tasks,
-            fuse=False if return_result else None,
+            fuse=not return_result,
         )
         payload_legs = 1 if on_shuffle and results_only else len(jobs)
         self._meter_replication(result.counters, elements, legs=payload_legs)

@@ -66,8 +66,6 @@ from .runtime import (
     choose_engine,
 )
 from .serialization import (
-    NumpyBufferCodec,
-    PickleCodec,
     SizedPayload,
     SpillCorruptionError,
     record_size,
@@ -110,8 +108,6 @@ __all__ = [
     "MAP_OUTPUT_RECORDS",
     "Mapper",
     "MultiprocessEngine",
-    "NumpyBufferCodec",
-    "PickleCodec",
     "Pipeline",
     "PipelineResult",
     "PoisonFault",

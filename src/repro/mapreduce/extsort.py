@@ -7,10 +7,17 @@ exceed single-machine memory — so the substrate provides the real
 mechanism:
 
 - :class:`ExternalSorter` — accept records, keep at most
-  ``memory_budget`` of them buffered, spill sorted runs to temp files
-  (length-prefixed NPB1 chunks — the shuffle codec, so ndarray payloads
-  spill out-of-band instead of through the pickle stream), then stream a
-  globally sorted merge via ``heapq.merge``;
+  ``memory_budget`` of them buffered, spill sorted runs to disk, then
+  stream a globally sorted merge via ``heapq.merge``.  A run is an SPC1
+  file like a shuffle spill file: one checksummed segment per chunk of
+  sorted records, encoded by the shuffle codec (ndarray payloads spill
+  out-of-band) and published by
+  :func:`~repro.mapreduce.serialization.write_spill_segments`.  The merge
+  reads each run back through
+  :func:`~repro.mapreduce.shuffle.iter_spill_records`, the reduce path's
+  own reader, so a torn or bit-flipped run raises
+  :class:`~repro.mapreduce.serialization.SpillCorruptionError` instead of
+  yielding different records;
 - :func:`sorted_groups` — the reducer-facing wrapper yielding
   ``(key, value-iterator)`` groups from a sorter, drop-in compatible
   with :func:`repro.mapreduce.shuffle.sort_and_group`.
@@ -22,31 +29,20 @@ and for the simulator's I/O model.
 from __future__ import annotations
 
 import heapq
-import struct
 import tempfile
 from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from .serialization import (
-    SpillCorruptionError,
-    decode_records,
-    encode_records,
-    read_chunk_view,
-    record_size,
-    spill_crc,
-)
-from .shuffle import stable_hash
+from .serialization import encode_records, record_size, write_spill_segments
+from .shuffle import iter_spill_records, stable_hash
 
 KeyValue = tuple[Any, Any]
 
-#: records per framed chunk within a spill run.  Runs are read back one
-#: chunk at a time during the k-way merge, so per-run memory while merging
-#: is one chunk, not the whole run.
+#: records per SPC1 segment within a spill run.  Runs are read back one
+#: segment at a time during the k-way merge, so per-run memory while
+#: merging is one segment, not the whole run.
 _RUN_CHUNK_RECORDS = 512
-
-#: per-chunk frame header within a run file: payload length + CRC32
-_FRAME_HEADER = struct.Struct("<QI")
 
 
 class ExternalSorter:
@@ -79,7 +75,8 @@ class ExternalSorter:
         self.sort_key = sort_key
         self._buffer: list[KeyValue] = []
         self._buffered_bytes = 0
-        self._runs: list[Path] = []
+        #: one manifest per spilled run: its segments' (path, payload bytes, offset)
+        self._runs: list[list[tuple[str, int, int]]] = []
         # Only own a system tempdir when the caller gave us nowhere to
         # spill; a caller-provided directory is the caller's to remove
         # (e.g. the engine's per-job shuffle directory, swept on release),
@@ -119,47 +116,16 @@ class ExternalSorter:
         if not self._buffer:
             return
         self._buffer.sort(key=self._ordering)
-        run_path = self._spill_dir / f"run-{len(self._runs):05d}.npb"
-        with run_path.open("wb") as handle:
-            for start in range(0, len(self._buffer), _RUN_CHUNK_RECORDS):
-                chunk = encode_records(self._buffer[start : start + _RUN_CHUNK_RECORDS])
-                handle.write(_FRAME_HEADER.pack(len(chunk), spill_crc(chunk)))
-                handle.write(chunk)
-        self._runs.append(run_path)
+        path = str(self._spill_dir / f"run-{len(self._runs):05d}.spill")
+        chunks = (
+            encode_records(self._buffer[start : start + _RUN_CHUNK_RECORDS])
+            for start in range(0, len(self._buffer), _RUN_CHUNK_RECORDS)
+        )
+        segments = write_spill_segments(path, chunks)
+        self._runs.append([(path, *segment) for segment in segments])
         self.spilled_records += len(self._buffer)
         self._buffer = []
         self._buffered_bytes = 0
-
-    @staticmethod
-    def _read_run(path: Path) -> Iterator[KeyValue]:
-        # One mmap per run; each framed chunk decodes from a slice of the
-        # mapping, so merge-time memory stays one chunk of *records* per
-        # run and the raw bytes are never copied out of the page cache.
-        # Every frame is length- and CRC-checked: a torn or bit-flipped
-        # run file surfaces as SpillCorruptionError instead of a pickle
-        # error (or, worse, silently wrong records).
-        view = read_chunk_view(path)
-        offset, end = 0, view.nbytes
-        while offset < end:
-            if end - offset < _FRAME_HEADER.size:
-                raise SpillCorruptionError(
-                    str(path), f"truncated run frame header at offset {offset}"
-                )
-            length, crc = _FRAME_HEADER.unpack_from(view, offset)
-            offset += _FRAME_HEADER.size
-            if offset + length > end:
-                raise SpillCorruptionError(
-                    str(path),
-                    f"truncated run frame at offset {offset} "
-                    f"(need {length} bytes, have {end - offset})",
-                )
-            chunk = view[offset : offset + length]
-            if spill_crc(chunk) != crc:
-                raise SpillCorruptionError(
-                    str(path), f"run frame CRC mismatch at offset {offset}"
-                )
-            yield from decode_records(chunk)
-            offset += length
 
     # -- output ---------------------------------------------------------------
     @property
@@ -179,9 +145,7 @@ class ExternalSorter:
             raise RuntimeError("sorter already iterated; create a new one")
         self._sealed = True
         self._buffer.sort(key=self._ordering)
-        streams: list[Iterator[KeyValue]] = [
-            self._read_run(path) for path in self._runs
-        ]
+        streams = [iter_spill_records(run) for run in self._runs]
         streams.append(iter(self._buffer))
         yield from heapq.merge(*streams, key=self._ordering)
 
@@ -190,11 +154,8 @@ class ExternalSorter:
         if self._tempdir is not None:
             self._tempdir.cleanup()
             return
-        for path in self._runs:
-            try:
-                path.unlink()
-            except OSError:
-                pass  # caller's directory may already be gone
+        for run in self._runs:
+            Path(run[0][0]).unlink(missing_ok=True)  # caller's dir may be gone
 
     def __enter__(self) -> "ExternalSorter":
         return self

@@ -9,7 +9,8 @@ spill files:
 
 - :class:`JobJournal` — an append-only, fsync'd JSONL file
   (``journal.jsonl``) recording, per job: the pickled job spec
-  (``{uid}.spec.pkl``, written atomically before any task runs), every
+  (``{uid}.spec.pkl``, one checksummed SPC1 segment written atomically
+  and fsync'd before any task runs), every
   control-plane event the engine emits (attempt transitions, spill
   publications, quarantines), one ``map_result`` line per completed map
   task carrying its spill manifest (``[path, payload_bytes, offset]`` per
@@ -23,7 +24,10 @@ spill files:
   contract) and computes the resume plan for the most recent unfinished
   job: which map tasks' spill files survived intact (the file still
   holds every journaled segment in full) and which must re-run.
-- :func:`resume_job` — rebuilds the engine against the same journal
+- :func:`resume_job` — verifies and loads the spec (a damaged,
+  truncated or unchecksummed spec raises
+  :class:`~repro.mapreduce.serialization.SpillCorruptionError` naming it
+  before any engine is built), rebuilds the engine against the same journal
   directory, seeds the map phase's :class:`AttemptTracker`/results with
   the salvaged manifests, re-runs only the missing map tasks, and runs
   the reduce phase as usual.  Outputs and job counters are bit-identical
@@ -47,6 +51,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .controlplane.events import AttemptTransition, SpillQuarantined, SpillWritten
+from .serialization import SPILL_HEADER_BYTES, read_spill_chunk, write_spill_chunk
 
 if TYPE_CHECKING:  # circular at runtime: runtime.py imports this module
     from .job import Job, JobResult
@@ -91,7 +96,7 @@ def read_journal(path: str | Path) -> list[dict]:
 class JobJournal:
     """Append-only fsync'd JSONL journal for one engine's jobs.
 
-    Writers call :meth:`submit` / :meth:`map_result` / :meth:`finish`
+    Writers call :meth:`submit` / :meth:`map_result` / :meth:`retire`
     (and feed :meth:`record_event` to the engine's event bus); every
     append hits the disk before returning.  ``stats`` (when given) gets
     ``journal_events`` incremented per append so the durability overhead
@@ -107,7 +112,7 @@ class JobJournal:
 
     # -- paths an engine and resume share --------------------------------------
     def spec_path(self, uid: str) -> Path:
-        """Durable pickled (job, splits, num_partitions) for one job uid."""
+        """Durable SPC1-wrapped pickle of (job, splits, num_partitions) for one job uid."""
         return self.dir / f"{uid}.spec.pkl"
 
     def shuffle_dir(self, uid: str) -> Path:
@@ -126,23 +131,17 @@ class JobJournal:
             self._stats.journal_events += 1
 
     def submit(self, uid: str, job: "Job", splits: list, num_partitions: int) -> None:
-        """Write-ahead record for one job: durable spec pickle + journal line.
+        """Write-ahead record for one job: durable spec + journal line.
 
-        The spec pickle is published atomically (temp + rename + fsync)
-        *before* the journal references it, so a journal that names a
-        spec guarantees the spec is loadable.
+        The spec is one checksummed SPC1 segment, published atomically and
+        fsync'd *before* the journal references it, so a journal that
+        names a spec guarantees the spec is on disk — and :func:`resume_job`
+        refuses one that no longer matches its checksum.
         """
         spec = self.spec_path(uid)
-        tmp = str(spec) + ".tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(
-                (job, list(splits), num_partitions),
-                fh,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, spec)
+        spec_tuple = (job, list(splits), num_partitions)
+        payload = pickle.dumps(spec_tuple, protocol=pickle.HIGHEST_PROTOCOL)
+        write_spill_chunk(spec, payload, durable=True)
         self.append(
             {
                 "type": JOB_SUBMITTED,
@@ -176,9 +175,13 @@ class JobJournal:
             }
         )
 
-    def finish(self, uid: str, *, resumed: bool = False) -> None:
-        """Mark one job complete; its journal state is no longer needed."""
+    def retire(self, uid: str, *, resumed: bool = False) -> None:
+        """Mark one job complete and remove its durable artifacts."""
+        # Journal line first, then the shuffle directory, then the spec: a
+        # crash in between leaks files rather than resurrecting a finished job.
         self.append({"type": JOB_FINISHED, "uid": uid, "resumed": resumed})
+        shutil.rmtree(self.shuffle_dir(uid), ignore_errors=True)
+        self.spec_path(uid).unlink(missing_ok=True)
 
     def record_event(self, event: Any) -> None:
         """EventBus subscriber persisting the attempt/spill event stream.
@@ -237,8 +240,6 @@ def _entries_intact(entries: list) -> bool:
     An entry in any other shape (a journal from before files were
     segmented) is not intact, so its task re-runs.
     """
-    from .serialization import SPILL_HEADER_BYTES
-
     for entry in entries:
         if entry is None:
             continue
@@ -327,30 +328,25 @@ def resume_job(
     (``tasks_resumed``) versus re-executed (``tasks_replayed``).
 
     On success the dead run — and any older unfinished runs in the same
-    journal, all superseded by this completion — is marked finished and
-    its spill files and spec pickle are removed.
+    journal, all superseded by this completion — is retired
+    (:meth:`JobJournal.retire`).  A spec that fails its SPC1 check raises
+    :class:`~repro.mapreduce.serialization.SpillCorruptionError` naming
+    it, before any engine, pool or temp directory exists.
     """
     from .runtime import MultiprocessEngine  # runtime imports journal at top level
 
     plan = plan_resume(journal_dir)
-    with open(plan.spec_path, "rb") as fh:
-        job, splits, num_partitions = pickle.load(fh)
+    job, splits, _num_partitions = pickle.loads(read_spill_chunk(plan.spec_path))
     engine = MultiprocessEngine(
         max_workers=max_workers, journal_dir=journal_dir, trace_sink=trace_sink
     )
     try:
         engine._pending_resume = plan
-        del num_partitions  # Engine.run re-derives it from job.num_reducers
+        # Engine.run re-derives the partition count from job.num_reducers.
         result = engine.run(job, splits=splits)
-        # The resumed execution supersedes every unfinished run on record:
-        # retire them (journal first, then artifacts, so a crash between
-        # the two leaks files rather than resurrecting a finished job).
-        journal = engine._journal
+        # The resumed execution supersedes every unfinished run on record.
         for uid in plan.open_uids:
-            journal.finish(uid, resumed=True)
-        for uid in plan.open_uids:
-            shutil.rmtree(journal.shuffle_dir(uid), ignore_errors=True)
-            journal.spec_path(uid).unlink(missing_ok=True)
+            engine._journal.retire(uid, resumed=True)
     finally:
         engine.close()
     return ResumeOutcome(

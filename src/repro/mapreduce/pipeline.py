@@ -83,7 +83,7 @@ class Pipeline:
         input_records: Sequence[KeyValue],
         *,
         num_map_tasks: int | None = None,
-        fuse: bool | None = None,
+        fuse: bool = True,
     ) -> PipelineResult:
         """Run all jobs; stage i+1 consumes stage i's output records.
 
@@ -93,7 +93,7 @@ class Pipeline:
         its worker pool) stays usable for the next ``run``.
 
         ``fuse`` forwards to the engine's
-        :meth:`~repro.mapreduce.runtime.Engine.run_chain`: ``None``
+        :meth:`~repro.mapreduce.runtime.Engine.run_chain`: ``True``
         (default) lets a direct-shuffle engine fuse adjacent stages where
         safe, ``False`` fuses none (every stage's records materialized in
         its :class:`~repro.mapreduce.job.JobResult`).

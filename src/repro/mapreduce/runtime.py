@@ -68,6 +68,7 @@ from .controlplane import (
     PhaseMarker,
     SpillQuarantined,
     SpillWritten,
+    TaskAttempt,
     TaskCost,
     dispatch_order,
 )
@@ -191,7 +192,7 @@ class Engine:
         """
         if (input_records is None) == (splits is None):
             raise ValueError("provide exactly one of input_records or splits")
-        return self._run_stages([job], input_records, splits, num_map_tasks, None)[0]
+        return self._run_stages([job], input_records, splits, num_map_tasks, True)[0]
 
     def run_chain(
         self,
@@ -199,7 +200,7 @@ class Engine:
         input_records: Sequence[KeyValue],
         *,
         num_map_tasks: int | None = None,
-        fuse: bool | None = None,
+        fuse: bool = True,
     ) -> list[JobResult]:
         """Run a job chain; stage i+1 consumes stage i's output.
 
@@ -212,9 +213,9 @@ class Engine:
         source: stage i reports ``records_elided=True`` and an empty
         record list, stage i+1 runs no map tasks, and its data-plane
         counters equal the unfused run's (only ``task_attempts`` differs,
-        since no map attempts run).  ``fuse=None`` (the default) and
-        ``fuse=True`` both fuse where safe; ``fuse=False`` never does, so
-        every stage's records are materialized.
+        since no map attempts run).  ``fuse=True`` (the default) fuses
+        where safe; ``fuse=False`` never does, so every stage's records
+        are materialized.
         """
         return self._run_stages(list(jobs), input_records, None, num_map_tasks, fuse)
 
@@ -224,7 +225,7 @@ class Engine:
         records: Sequence[KeyValue] | None,
         splits: list[Split] | None,
         num_map_tasks: int | None,
-        fuse: bool | None,
+        fuse: bool,
     ) -> list[JobResult]:
         """The stage loop behind :meth:`run` and :meth:`run_chain`.
 
@@ -557,7 +558,7 @@ class Engine:
         """Scratch dir for a job's spill files (direct-mode engines only)."""
         raise NotImplementedError  # pragma: no cover - direct mode only
 
-    def _fuses(self, prev: Job, nxt: Job, fuse: bool | None) -> bool:
+    def _fuses(self, prev: Job, nxt: Job, fuse: bool) -> bool:
         """True when ``prev``'s reducers spill ``nxt``'s shuffle input at source.
 
         Needs a shuffle plane that hands over spill files: never here.
@@ -887,9 +888,9 @@ class MultiprocessEngine(Engine):
         # hold: fsync map spills before their manifests are journaled.
         return self._journal is not None
 
-    def _fuses(self, prev: Job, nxt: Job, fuse: bool | None) -> bool:
+    def _fuses(self, prev: Job, nxt: Job, fuse: bool) -> bool:
         return (
-            fuse is not False
+            fuse
             # Relay mode has no spill files to hand over.
             and self._shuffle_mode == "direct"
             # Fused stages publish fuse-kind spill files that cannot be
@@ -908,13 +909,7 @@ class MultiprocessEngine(Engine):
 
     def _journal_finish(self, handle: Any) -> None:
         if self._journal is not None and isinstance(handle, JobRef):
-            # Journal first, then artifacts: a crash between the two
-            # leaks files rather than resurrecting a finished job.
-            self._journal.finish(handle.uid)
-            shutil.rmtree(
-                self._journal.shuffle_dir(handle.uid), ignore_errors=True
-            )
-            self._journal.spec_path(handle.uid).unlink(missing_ok=True)
+            self._journal.retire(handle.uid)
 
     def _note_worker(self, info: dict) -> None:
         self.stats.worker_pids.add(info["pid"])
@@ -1075,10 +1070,7 @@ class MultiprocessEngine(Engine):
         resume = None
         if kind == "map" and self._pending_resume is not None:
             resume, self._pending_resume = self._pending_resume, None
-        inflight: dict[Future, int] = {}
-        attempts: dict[Future, Any] = {}  # Future -> TaskAttempt
-        started_at: dict[Future, float] = {}
-        budget: dict[Future, float] = {}
+        inflight: dict[Future, TaskAttempt] = {}
 
         def dispatch(index: int) -> None:
             spec = specs[index]
@@ -1087,15 +1079,7 @@ class MultiprocessEngine(Engine):
             self.stats.spec_bytes += len(payload)
             self.stats.tasks_dispatched += 1
             future = self._ensure_pool().submit(run_pickled_spec, payload)
-            inflight[future] = index
-            attempts[future] = tracker.begin_dispatch(index)
-            if limit is not None:
-                # A started attempt may legitimately consume the whole
-                # remaining retry budget worker-side (each local retry gets
-                # its own post-hoc window) before the driver declares it
-                # hung; the slack absorbs dispatch/pickling overhead.
-                remaining = job.max_attempts - tracker.next_attempt[index] + 1
-                budget[future] = limit * remaining + max(1.0, limit)
+            inflight[future] = tracker.begin_dispatch(index)
 
         def restart_pool() -> None:
             """Respawn the pool; re-dispatch and charge unfinished tasks.
@@ -1108,23 +1092,19 @@ class MultiprocessEngine(Engine):
             """
             self.stats.pool_restarts += 1
             now = time.monotonic()
-            for future in inflight:
-                tracker.kill(attempts[future], now=now)
-            charged: set[int] = set()
+            for attempt in inflight.values():
+                tracker.kill(attempt, now=now)
             for index in range(total):
-                if index in results or index in charged:
-                    continue
                 handle = specs[index].job
-                if isinstance(handle, JobRef) and marker_path(
-                    handle, kind, specs[index].task_index, tracker.next_attempt[index]
-                ).exists():
-                    charged.add(index)
-            for index in charged:
-                tracker.charge_lost(index)
+                if (
+                    index not in results
+                    and isinstance(handle, JobRef)
+                    and marker_path(
+                        handle, kind, specs[index].task_index, tracker.next_attempt[index]
+                    ).exists()
+                ):
+                    tracker.charge_lost(index)
             inflight.clear()
-            attempts.clear()
-            started_at.clear()
-            budget.clear()
             self._teardown_pool(kill=True)
             host = self._resources.get("segments")
             if host is not None:
@@ -1174,10 +1154,9 @@ class MultiprocessEngine(Engine):
                 list(inflight), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
             )
             now = time.monotonic()
-            for future in list(inflight):
-                if future not in started_at and future.running():
-                    started_at[future] = now
-                    tracker.mark_running(attempts[future], now=now)
+            for future, attempt in inflight.items():
+                if attempt.started_at is None and future.running():
+                    tracker.mark_running(attempt, now=now)
             broken = False
             try:
                 for future in done:
@@ -1185,13 +1164,12 @@ class MultiprocessEngine(Engine):
                     if isinstance(exc, BrokenProcessPool):
                         broken = True  # stays in flight: restart_pool kills it
                         continue
-                    index = inflight.pop(future)
+                    attempt = inflight.pop(future)
+                    index = attempt.task_index
                     if exc is None:
                         output = future.result()
                         results[index] = output
-                        tracker.complete(
-                            attempts[future], now=now, worker_pid=output[2].get("pid")
-                        )
+                        tracker.complete(attempt, now=now, worker_pid=output[2].get("pid"))
                         if journal is not None:
                             self._journal_map_result(specs[index], output)
                         continue
@@ -1203,27 +1181,33 @@ class MultiprocessEngine(Engine):
                         # map attempt replayed, and the spec patched to
                         # the fresh file — kill (not fail) so the
                         # reducer's own retry budget stays untouched.
-                        tracker.kill(attempts[future], now=now)
+                        tracker.kill(attempt, now=now)
                         dispatch(index)
                         continue
                     # The task's one attempt in flight failed for good:
                     # fail the job like the serial engine would.
-                    tracker.fail(attempts[future], now=now)
-                    for straggler in inflight:
+                    tracker.fail(attempt, now=now)
+                    for straggler, other in inflight.items():
                         straggler.cancel()
-                        tracker.kill(attempts[straggler], now=now)
+                        tracker.kill(other, now=now)
                     raise exc
 
                 if not broken and limit is not None:
-                    hung_futures = {
-                        future
-                        for future, begun in started_at.items()
-                        if future in inflight and now - begun > budget[future]
-                    }
-                    if hung_futures:
-                        self.stats.tasks_timed_out += len(hung_futures)
-                        for future in hung_futures:
-                            tracker.kill(attempts[future], timed_out=True, now=now)
+                    # A started attempt may legitimately consume the whole
+                    # remaining retry budget worker-side (each local retry
+                    # gets its own post-hoc window) before the driver
+                    # declares it hung; the slack absorbs dispatch overhead.
+                    stuck = [
+                        attempt
+                        for attempt in inflight.values()
+                        if attempt.started_at is not None
+                        and now - attempt.started_at
+                        > limit * (job.max_attempts - attempt.attempt + 1) + max(1.0, limit)
+                    ]
+                    if stuck:
+                        self.stats.tasks_timed_out += len(stuck)
+                        for attempt in stuck:
+                            tracker.kill(attempt, timed_out=True, now=now)
                         restart_pool()
                         continue
             except BrokenProcessPool:

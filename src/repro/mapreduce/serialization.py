@@ -1,34 +1,41 @@
-"""Record codecs and byte accounting.
+"""The record codec, byte accounting, and the one on-disk container.
 
 The engine meters shuffle and output volume in *bytes*, not just records,
-because the paper's feasibility limits (maxws/maxis) are byte quantities.
-Records cross task boundaries through a :class:`Codec`; the default pickle
-codec measures the true wire size of whatever objects the application
-emits.  For analytic experiments where payloads are synthetic,
+because the paper's feasibility limits (maxws/maxis) are byte quantities:
+:func:`record_size` measures the pickled size of whatever objects the
+application emits.  For analytic experiments where payloads are synthetic,
 :class:`SizedPayload` carries a declared size without allocating it, and
 :func:`record_size` knows to honour the declaration.
 
-**NumPy-aware buffer encoding.**  Shuffle chunks
-(:func:`encode_records`/:func:`decode_records`) and the standalone
-:class:`NumpyBufferCodec` use pickle protocol 5 with out-of-band buffers:
-every ndarray payload contributes its raw data buffer to a framed binary
-layout (``magic · buffer count · length-prefixed raw buffers · pickle
-head``) instead of being copied element-wise through the pickle stream.
-Encoding joins the raw memoryviews without an intermediate copy; decoding
-hands zero-copy views of the wire bytes back to ``pickle.loads`` — decoded
-arrays are therefore *read-only* views over the chunk (mappers/reducers
-treat payloads as immutable, matching the MR contract).  Chunks without
-ndarray payloads keep the plain-pickle wire format, so the two layouts
-coexist and are distinguished by the leading magic bytes.
+**One codec.**  Records cross task boundaries as chunks encoded by
+:func:`encode_records` and decoded by :func:`decode_records`: pickle
+protocol 5 with out-of-band buffers.  Every ndarray payload contributes
+its raw data buffer to a framed binary layout (``NPB1 · buffer count ·
+length-prefixed raw buffers · pickle head``) instead of being copied
+element-wise through the pickle stream.  Encoding joins the raw
+memoryviews without an intermediate copy; decoding hands zero-copy views
+of the wire bytes back to ``pickle.loads`` — decoded arrays are therefore
+*read-only* views over the chunk (mappers/reducers treat payloads as
+immutable, matching the MR contract).  Chunks without ndarray payloads
+keep the plain-pickle wire format, so the two layouts coexist and are
+distinguished by the leading magic bytes.
 
-**Zero-copy chunk reads.**  Both decode entry points accept ``bytes`` or
-any buffer (``memoryview``), so callers never need an intermediate
-``bytes`` copy of a chunk that already lives somewhere — an ``mmap``'d
-spill file (:func:`read_chunk_view`) or a shared-memory segment
+**One container.**  Every file the engine reads back — after a crash or
+from another attempt — is an SPC1 file (see the section note below):
+shuffle spill files, extsort runs and the journal's job spec.
+:func:`write_spill_segments` is the one writer (temp file, optional
+fsync, atomic rename) and :func:`read_spill_chunk` the one checking
+reader, so damage surfaces as :class:`SpillCorruptionError` naming the
+file, never as different records.
+
+**Zero-copy chunk reads.**  The decoder accepts ``bytes`` or any buffer
+(``memoryview``), so callers never need an intermediate ``bytes`` copy of
+a chunk that already lives somewhere — an ``mmap``'d file
+(:func:`read_chunk_view`) or a shared-memory segment
 (:mod:`repro.mapreduce.shm`).  The process-local :data:`io_meter` counts
 what the read path actually did: ``mmap_reads`` for views served without
 copying, ``bytes_copied`` for payload bytes slurped into process-private
-buffers (eager file reads, broadcast localizations, relayed chunks).
+buffers (unmappable files, broadcast localizations, relayed chunks).
 Task executors snapshot it around each task so the driver can aggregate
 per-engine totals without touching job counters.
 """
@@ -43,7 +50,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterable, Protocol, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -253,29 +260,6 @@ def estimate_element_size(dataset: Sequence[Any], sample: int = 8) -> int:
     return max(1, sum(sizes) // len(sizes))
 
 
-class Codec(Protocol):
-    """Encode/decode records crossing process boundaries.
-
-    ``decode`` accepts ``bytes`` or any readable buffer (``memoryview``)
-    so chunks can be decoded straight out of mapped spill files and
-    shared-memory segments without an intermediate copy.
-    """
-
-    def encode(self, obj: Any) -> bytes: ...
-
-    def decode(self, data: bytes | memoryview) -> Any: ...
-
-
-class PickleCodec:
-    """Default codec: highest-protocol pickle."""
-
-    def encode(self, obj: Any) -> bytes:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def decode(self, data: bytes | memoryview) -> Any:
-        return pickle.loads(data)
-
-
 def _encode_with_buffers(obj: Any) -> bytes:
     """Protocol-5 encode with ndarray buffers framed out-of-band.
 
@@ -320,20 +304,6 @@ def _decode_with_buffers(data: bytes | memoryview) -> Any:
     return pickle.loads(view[offset:], buffers=buffers)
 
 
-class NumpyBufferCodec:
-    """Protocol-5 codec with out-of-band ndarray buffers (framed layout).
-
-    Decoded arrays are read-only zero-copy views over the wire bytes;
-    callers that must mutate a payload copy it first.
-    """
-
-    def encode(self, obj: Any) -> bytes:
-        return _encode_with_buffers(obj)
-
-    def decode(self, data: bytes | memoryview) -> Any:
-        return _decode_with_buffers(data)
-
-
 def encode_records(records: list[tuple[Any, Any]]) -> bytes:
     """Encode one shuffle partition chunk (a record list) to wire bytes.
 
@@ -354,34 +324,6 @@ def decode_records(data: bytes | memoryview) -> list[tuple[Any, Any]]:
     zero-copy views over whatever buffer ``data`` wraps.
     """
     return _decode_with_buffers(data)
-
-
-def write_chunk_file(path: str | Path, data: bytes) -> None:
-    """Atomically persist one encoded chunk (spill file) at ``path``.
-
-    Spill files are written by worker processes that can be killed
-    mid-write (injected worker kills, hang kills, pool restarts), so the
-    write goes to a sibling temp file first and is published with an
-    atomic rename: a spill file either exists complete or not at all,
-    never as a truncated chunk for a reader to trip over.
-    """
-    target = os.fspath(path)
-    tmp = target + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, target)
-
-
-def read_chunk_file(path: str | Path) -> bytes:
-    """Read one chunk written by :func:`write_chunk_file` (eager copy).
-
-    Prefer :func:`read_chunk_view` on the data plane — this variant
-    materializes the whole chunk as ``bytes`` and meters the copy.
-    """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    io_meter.bytes_copied += len(data)
-    return data
 
 
 def read_chunk_view(path: str | Path) -> memoryview:
@@ -408,10 +350,12 @@ def read_chunk_view(path: str | Path) -> memoryview:
 # Checksummed spill chunks (SPC1)
 # ---------------------------------------------------------------------------
 #
-# Published spill files are the only durable intermediate state in the
-# system (the job journal resumes from them).  A spill file holds one
-# producing task's non-empty partitions back to back, each as its own
-# *segment*: an integrity header in front of the NPB1/pickle payload::
+# Every file the engine reads back is an SPC1 file: shuffle spill files
+# (the job journal resumes from them), extsort runs and the journal's job
+# spec.  A file holds one or more *segments* back to back — a spill file
+# one per non-empty partition of its producing task, an extsort run one
+# per chunk of sorted records, the spec exactly one — each an integrity
+# header in front of its payload::
 #
 #     offset  size  field
 #     ------  ----  -----------------------------------------------
@@ -419,10 +363,11 @@ def read_chunk_view(path: str | Path) -> memoryview:
 #          4     1  flags  (always 0x01: payload CRC present)
 #          5     4  crc32  of the payload  (<I, zlib.crc32 & 0xFFFFFFFF)
 #          9     8  payload length in bytes  (<Q)
-#         17     …  payload (NPB1-framed or plain-pickle record chunk)
+#         17     …  payload (NPB1-framed or plain-pickle record chunk,
+#                   or the pickled job spec)
 #
 # Where a segment starts and how long its payload is travels in the
-# producer's manifest, so a reader verifies exactly its own segment and
+# writer's manifest, so a reader verifies exactly its own segment and
 # damage to one segment leaves its neighbours readable.
 #
 # CRC32C would be the Hadoop-faithful choice but needs a C extension the
@@ -443,8 +388,8 @@ def spill_crc(data: bytes | memoryview) -> int:
 
 
 class SpillCorruptionError(RuntimeError):
-    """A spill segment failed its integrity check (bad CRC, truncation,
-    bad framing).
+    """An SPC1 segment failed its integrity check (bad CRC, truncation,
+    bad framing) — in a shuffle spill file, an extsort run or a job spec.
 
     Corruption of a *published* spill file is not the reading task's
     fault and cannot be cured by re-running the reader, so the attempt
@@ -472,12 +417,14 @@ def write_spill_segments(
     """Atomically publish ``payloads`` as one spill file, a checksummed
     segment each; returns every segment's ``(payload_bytes, offset)``.
 
-    Temp file + atomic rename like :func:`write_chunk_file`; the temp file
-    is removed if a write raises.  ``payloads`` is consumed lazily (one
-    encoded chunk alive at a time).  ``durable=True`` fsyncs before the
-    rename — journaled engines need the bytes on disk before the journal
-    records the manifest, or a driver crash could leave a journal that
-    promises files the page cache never flushed.
+    Writers can be killed mid-write (injected worker kills, hang kills,
+    pool restarts, a dying driver), so the bytes go to a sibling temp file
+    that is published by atomic rename — a file exists complete or not at
+    all — and is removed if a write raises.  ``payloads`` is consumed
+    lazily (one encoded chunk alive at a time).  ``durable=True`` fsyncs
+    before the rename — journaled engines need the bytes on disk before
+    the journal records the manifest, or a driver crash could leave a
+    journal that promises files the page cache never flushed.
     """
     target = os.fspath(path)
     tmp = target + ".tmp"
@@ -502,7 +449,7 @@ def write_spill_segments(
 
 
 def write_spill_chunk(path: str | Path, payload: bytes, *, durable: bool = False) -> int:
-    """Publish a one-segment spill file; returns bytes written."""
+    """Publish a one-segment SPC1 file (the journal's job spec); returns bytes written."""
     write_spill_segments(path, [payload], durable=durable)
     return SPILL_HEADER_BYTES + len(payload)
 

@@ -31,7 +31,7 @@ from .base import SketchSuite
 BOUND_GUARD = 1e-9
 
 #: the PairwiseComputation pruning modes
-PRUNING_MODES = ("off", "sketch", "exact")
+PRUNING_MODES = ("off", "sketch")
 
 
 class PairPruner(abc.ABC):

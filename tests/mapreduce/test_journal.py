@@ -14,6 +14,7 @@ The journal's contract, in order of increasing violence:
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -32,7 +33,9 @@ from repro.mapreduce import (
     read_journal,
     resume_job,
 )
+from repro.mapreduce import runtime
 from repro.mapreduce.journal import JOURNAL_NAME, parse_jsonl_tolerant
+from repro.mapreduce.serialization import SpillCorruptionError, read_spill_chunk
 from repro.mapreduce.stats import EngineStats
 
 from . import journal_workload as workload
@@ -197,6 +200,41 @@ class TestResume:
         outcome = resume_job(journal_dir, max_workers=2)
         assert outcome.tasks_replayed == workload.NUM_MAP_TASKS
         assert sorted(outcome.result.records) == sorted(reference_result().records)
+
+    def test_flipped_record_in_the_spec_raises_instead_of_resuming(self, tmp_path, monkeypatch):
+        # Task 0 must replay from its split in the spec, and one byte of
+        # that split's record (5, 5) now says (7, 5).  Unchecked, the
+        # resumed job returned different records and raised nothing.
+        journal_dir, gate = abandoned_run(tmp_path)
+        for path in journal_dir.glob("*-shuffle/map-00000-*"):
+            path.unlink()
+        spec = plan_resume(journal_dir).spec_path
+        data = bytearray(spec.read_bytes())
+        at = data.index(bytes([0x4B, 5, 0x4B, 5, 0x86]))  # BININT1 5, BININT1 5, TUPLE2
+        assert data.count(data[at : at + 5]) == 1
+        data[at + 1] ^= 0x02
+        spec.write_bytes(bytes(data))
+        gate.touch()
+        monkeypatch.setattr(runtime, "MultiprocessEngine", self._no_engine)
+        with pytest.raises(SpillCorruptionError, match="CRC mismatch") as info:
+            resume_job(journal_dir, max_workers=2)
+        assert info.value.path == str(spec)
+
+    def test_bare_pickle_spec_is_refused(self, tmp_path, monkeypatch):
+        # The unchecksummed format specs used to be written in.
+        journal_dir, gate = abandoned_run(tmp_path)
+        spec = plan_resume(journal_dir).spec_path
+        job, splits, num_partitions = pickle.loads(read_spill_chunk(spec))
+        spec.write_bytes(pickle.dumps((job, splits, num_partitions)))
+        gate.touch()
+        monkeypatch.setattr(runtime, "MultiprocessEngine", self._no_engine)
+        with pytest.raises(SpillCorruptionError, match="bad magic") as info:
+            resume_job(journal_dir, max_workers=2)
+        assert info.value.path == str(spec)
+
+    @staticmethod
+    def _no_engine(*args, **kwargs):
+        pytest.fail("resume_job built an engine from a spec it could not verify")
 
     def test_attempt_lines_of_an_older_journal_still_load(self, tmp_path):
         # Until speculative execution was deleted every AttemptTransition

@@ -174,7 +174,7 @@ class TestOneStageLoop:
         assert (single.num_map_tasks, single.num_reduce_tasks) == (4, 3)
         assert (staged.num_map_tasks, staged.num_reduce_tasks) == (4, 3)
 
-    @pytest.mark.parametrize("fuse", [None, False])
+    @pytest.mark.parametrize("fuse", [True, False])
     def test_failing_stage_is_named_and_nothing_leaks(self, engine, fuse):
         chain = fusable_chain(reducer=FailingReducer, num_reducers=3)
         before = fused_so_far(engine)
@@ -183,7 +183,7 @@ class TestOneStageLoop:
         assert info.value.stage_index == 1
         assert info.value.job_name == "rollup"
         # The boundary fused before stage 1's reducers died, where it can.
-        fused = engine.kind == "direct" and fuse is None
+        fused = engine.kind == "direct" and fuse
         assert fused_so_far(engine) - before == int(fused)
         assert leftovers(engine) == []
 

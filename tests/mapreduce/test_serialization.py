@@ -12,8 +12,6 @@ from repro.core.element import Element
 from repro.mapreduce import serialization
 from repro.mapreduce.serialization import (
     _BUFFER_MAGIC,
-    NumpyBufferCodec,
-    PickleCodec,
     SizedPayload,
     declared_size,
     decode_records,
@@ -214,65 +212,52 @@ class TestRecordSizeEqualsWalkFirst:
         record_size(1, Element(1, (0.5, 1.5), {2: 0.25}))
 
 
-class TestPickleCodec:
-    def test_roundtrip(self):
-        codec = PickleCodec()
-        obj = {"key": [1, 2, (3, 4)], "e": Element(1, "p")}
-        restored = codec.decode(codec.encode(obj))
-        assert restored["key"] == obj["key"]
-        assert restored["e"].eid == 1
-
-
 class TestNumpyBufferCodec:
+    """The NPB1 buffer layout of ``encode_records`` / ``decode_records``."""
+
     def test_ndarray_roundtrip_out_of_band(self):
-        codec = NumpyBufferCodec()
         arr = np.arange(1000, dtype=np.float64)
-        wire = codec.encode({"row": arr, "tag": 7})
+        wire = encode_records([(7, arr)])
         assert wire.startswith(_BUFFER_MAGIC)
-        restored = codec.decode(wire)
-        assert restored["tag"] == 7
-        np.testing.assert_array_equal(restored["row"], arr)
+        ((key, restored),) = decode_records(wire)
+        assert key == 7
+        np.testing.assert_array_equal(restored, arr)
 
     def test_raw_buffer_not_copied_through_pickle_head(self):
-        codec = NumpyBufferCodec()
         arr = np.arange(4096, dtype=np.float64)
-        wire = codec.encode(arr)
+        wire = encode_records([(0, arr)])
         # Framed layout: magic + count + length-prefixed raw data + head.
         # The head alone must stay tiny (metadata only, no element data).
         head_size = len(wire) - arr.nbytes
         assert head_size < 512
 
     def test_plain_objects_keep_plain_pickle_layout(self):
-        codec = NumpyBufferCodec()
-        obj = {"key": [1, 2, (3, 4)], "text": "hello"}
-        wire = codec.encode(obj)
+        records = [("key", [1, 2, (3, 4)]), ("text", "hello")]
+        wire = encode_records(records)
         assert wire.startswith(b"\x80")  # PROTO opcode, not the magic
-        assert pickle.loads(wire) == obj  # any pickle reader still works
-        assert codec.decode(wire) == obj
+        assert pickle.loads(wire) == records  # any pickle reader still works
+        assert decode_records(wire) == records
 
     def test_decoded_arrays_are_readonly_views(self):
-        codec = NumpyBufferCodec()
-        restored = codec.decode(codec.encode(np.ones(16)))
+        ((_key, restored),) = decode_records(encode_records([(0, np.ones(16))]))
         assert not restored.flags.writeable
         copy = restored.copy()
         copy[0] = 5.0  # mutating a copy is the supported path
         assert restored[0] == 1.0
 
     def test_noncontiguous_array_falls_back_in_band(self):
-        codec = NumpyBufferCodec()
         arr = np.arange(100, dtype=np.float64)[::2]
-        restored = codec.decode(codec.encode(arr))
+        ((_key, restored),) = decode_records(encode_records([(0, arr)]))
         np.testing.assert_array_equal(restored, arr)
 
     def test_mixed_dtypes_and_nesting(self):
-        codec = NumpyBufferCodec()
-        obj = [
+        records = [
             (1, np.arange(10, dtype=np.int32)),
             (2, {"w": np.ones((3, 4)), "label": "x"}),
         ]
-        restored = codec.decode(codec.encode(obj))
-        np.testing.assert_array_equal(restored[0][1], obj[0][1])
-        np.testing.assert_array_equal(restored[1][1]["w"], obj[1][1]["w"])
+        restored = decode_records(encode_records(records))
+        np.testing.assert_array_equal(restored[0][1], records[0][1])
+        np.testing.assert_array_equal(restored[1][1]["w"], records[1][1]["w"])
         assert restored[1][1]["label"] == "x"
 
 

@@ -1,8 +1,8 @@
 """End-to-end spill integrity: SPC1 checksums, injection, recovery.
 
 Every published spill chunk carries an SPC1 header (magic, flags, CRC32,
-payload length); extsort run files frame each chunk with length + CRC.
-These tests pin the container format's failure modes, the seeded
+payload length); extsort runs are SPC1 files too, one segment per chunk
+of sorted records.  These tests pin the container format's failure modes, the seeded
 ``corrupt_rate``/``truncate_rate`` injection that damages files *after*
 publication, and the driver's Hadoop-style recovery: quarantine the bad
 file, replay the producing map attempt, re-dispatch the reducer —
@@ -13,6 +13,7 @@ import math
 import os
 import pickle
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,27 +147,47 @@ class TestExtsortIntegrity:
 
     def test_corrupt_run_frame_detected(self, tmp_path):
         sorter = self._spilled_sorter(tmp_path)
-        run = sorter._runs[0]
+        ((path, length, offset),) = sorter._runs[0]  # a short run: one segment
+        run = Path(path)
         data = bytearray(run.read_bytes())
-        data[len(data) // 2] ^= 0xFF
+        data[offset + SPILL_HEADER_BYTES + length // 2] ^= 0xFF
         run.write_bytes(bytes(data))
-        with pytest.raises(SpillCorruptionError):
+        with pytest.raises(SpillCorruptionError, match="CRC mismatch") as info:
             list(sorter.sorted_records())
+        assert info.value.path == path
+
+    def test_long_run_is_one_segment_per_chunk(self, tmp_path):
+        # 1 200 records of 16 accounted bytes fill the budget once: one run
+        # of three 512-record segments, each checked on its own.
+        sorter = ExternalSorter(memory_budget=16 * 1200, spill_dir=tmp_path)
+        for ordinal in range(1200):
+            sorter.add(ordinal % 17, float(ordinal))
+        (run,) = sorter._runs
+        assert len(run) == 3  # segments of one file, back to back
+        assert len({path for path, _length, _offset in run}) == 1 and run[0][2] == 0
+        path, length, offset = run[-1]
+        data = bytearray(Path(path).read_bytes())
+        data[offset + SPILL_HEADER_BYTES + length // 2] ^= 0xFF
+        Path(path).write_bytes(bytes(data))
+        with pytest.raises(SpillCorruptionError, match="CRC mismatch") as info:
+            list(sorter.sorted_records())
+        assert (info.value.path, info.value.offset) == (path, offset)
 
     def test_truncated_run_detected(self, tmp_path):
         sorter = self._spilled_sorter(tmp_path)
-        run = sorter._runs[0]
-        with open(run, "r+b") as handle:
-            handle.truncate(run.stat().st_size - 3)
-        with pytest.raises(SpillCorruptionError, match="truncated run frame"):
+        ((path, _length, _offset),) = sorter._runs[0]
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) - 3)
+        with pytest.raises(SpillCorruptionError, match="truncated payload") as info:
             list(sorter.sorted_records())
+        assert info.value.path == path
 
     def test_caller_owned_spill_dir_survives_close(self, tmp_path):
         sorter = self._spilled_sorter(tmp_path)
         list(sorter.sorted_records())
         sorter.close()
         assert tmp_path.exists()  # run files gone, caller's dir kept
-        assert list(tmp_path.glob("run-*.npb")) == []
+        assert list(tmp_path.glob("run-*")) == []
 
     def test_owned_tempdir_removed_on_close(self):
         sorter = ExternalSorter(memory_budget=128)

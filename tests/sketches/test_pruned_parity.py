@@ -38,6 +38,7 @@ from repro.core.pairwise import (
     PairwiseComputation,
 )
 from repro.core.runner import auto_pairwise
+from repro.sketches import PRUNING_MODES
 from repro.workloads.generator import make_blobs, make_documents, make_matrix
 
 V = 23  # matches the any_scheme fixture
@@ -106,7 +107,7 @@ class TestThresholdJoinParity:
         vectors = sparse_vectors()
         scheme = BlockScheme(V, 4)
         exact = pairwise_similarity(
-            vectors, scheme, kernel=None, threshold=0.3, pruning="exact"
+            vectors, scheme, kernel=None, threshold=0.3, pruning="off"
         )
         estimated = pairwise_similarity(
             vectors,
@@ -185,7 +186,7 @@ class TestCounterLedger:
         vectors = sparse_vectors()
         scheme = BlockScheme(V, 4)
         computation = PairwiseComputation(
-            scheme, cosine_similarity, threshold=0.5, pruning="exact"
+            scheme, cosine_similarity, threshold=0.5, pruning="off"
         )
         _, pipeline = computation.run_cached(list(vectors), return_pipeline=True)
         assert pipeline.counters.get(PAIRWISE_GROUP, EVALUATIONS) == V * (V - 1) // 2
@@ -209,6 +210,14 @@ class TestObjectiveValidation:
         with pytest.raises(ValueError, match="pruning"):
             PairwiseComputation(
                 BlockScheme(V, 4), cosine_similarity, threshold=0.5, pruning="maybe"
+            )
+
+    def test_exact_is_no_longer_a_mode(self):
+        """``"exact"`` was ``"off"`` plus an objective; it is refused like any unknown mode."""
+        assert PRUNING_MODES == ("off", "sketch")
+        with pytest.raises(ValueError, match=r"pruning must be one of \('off', 'sketch'\)"):
+            PairwiseComputation(
+                BlockScheme(V, 4), cosine_similarity, threshold=0.5, pruning="exact"
             )
 
     def test_unregistered_comp_rejected(self):

@@ -24,6 +24,10 @@ function, one attempt of a task in flight — the policy classes, the
 ``schedule_*`` wrappers, speculative execution and the switches nobody set
 stay deleted.
 
+Everything the engine persists is one SPC1 container: ``struct`` framing,
+``os.replace`` publication and file-object pickles live in
+``serialization.py``'s writer or nowhere.
+
 The last checks are about the documents, not the code: every file path
 they name must exist, so a deleted script cannot stay cited as evidence,
 ``docs/API.md`` tabulates exactly the ``EngineStats`` fields, and its
@@ -247,6 +251,63 @@ class TestTheMenuIsGone:
         runtime = ast.parse((SRC / "repro/mapreduce/runtime.py").read_text(encoding="utf-8"))
         assert len(calls_of(runtime, "dispatch_order")) == 1  # Engine._dispatch_order
         assert len(calls_of(runtime, "_dispatch_order")) == 2  # one per engine
+
+
+class TestOneContainer:
+    """Every file the engine reads back is SPC1: one writer, one checking reader.
+
+    A second hand-rolled frame format needs ``struct``, a second atomic
+    writer needs ``os.replace``, and an unchecked durable pickle needs
+    ``pickle.dump`` / ``pickle.load`` on a file object — each is confined
+    to ``serialization.py``'s container or gone.
+    """
+
+    @staticmethod
+    def trees() -> dict[str, ast.Module]:
+        return {
+            str(path.relative_to(SRC / "repro")): ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC / "repro").rglob("*.py"))
+        }
+
+    def test_only_serialization_imports_struct(self):
+        importers = {
+            name
+            for name, tree in self.trees().items()
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "struct")
+        }
+        assert importers == {"mapreduce/serialization.py"}
+
+    def test_only_the_spill_writer_renames_into_place(self):
+        def is_replace(node: ast.AST) -> bool:
+            return (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "replace"
+                and getattr(node.func.value, "id", None) == "os"
+            )
+
+        calls, inside = [], []
+        for name, tree in self.trees().items():
+            calls += [f"{name}:{node.lineno}" for node in ast.walk(tree) if is_replace(node)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "write_spill_segments":
+                    inside += [f"{name}:{n.lineno}" for n in ast.walk(node) if is_replace(n)]
+        assert len(inside) == 1
+        assert calls == inside
+
+    def test_no_file_object_pickle(self):
+        found = [
+            f"{name}:{node.lineno}"
+            for name, tree in self.trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("load", "dump")
+            and getattr(node.func.value, "id", None) == "pickle"
+        ]
+        assert found == []
 
 
 class TestDocsFollowFiles:
