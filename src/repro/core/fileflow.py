@@ -34,7 +34,12 @@ from .pairwise import PairwiseComputation
 
 @dataclass(frozen=True)
 class FileFlowReport:
-    """Byte- and record-level accounting of one file-backed run."""
+    """Byte- and record-level accounting of one file-backed run.
+
+    ``intermediate_records`` counts element copies — the memberships job
+    1's result blocks list (Σ block ids) — not the blocks themselves, so
+    it is ``v·r`` however the copies were packed.
+    """
 
     input_files: int
     input_bytes: int
@@ -137,7 +142,7 @@ def run_pairwise_on_files(
         input_records=input_records,
         intermediate_files=len(inter_paths),
         intermediate_bytes=_dir_bytes(inter_paths),
-        intermediate_records=len(result1.records),
+        intermediate_records=sum(len(block[0]) for _partition, block in result1.records),
         output_files=len(output_paths),
         output_bytes=_dir_bytes(output_paths),
         output_records=len(result2.records),

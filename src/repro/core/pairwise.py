@@ -5,17 +5,17 @@ driven through *distribute → compute → aggregate* — and one executor,
 :meth:`PairwiseComputation._execute`, that runs it.  The public run
 methods are presets: each names a plan row and nothing else.
 
-===================== ========================================== ======== ====================== ==== =========
-preset                stages (map → reduce)                      payloads leg 1 carries          legs routing
-===================== ========================================== ======== ====================== ==== =========
-``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  blocks of ids +        2    shuffle
-                      identity → ``AggregateReducer``                     payload references
-``run_cached``        ``DistributeMapper`` →                     cache    blocks of ids          2    cache
+===================== ========================================== ======== ================== =================== ==== =========
+preset                stages (map → reduce)                      payloads leg 1 carries      leg 2 carries       legs routing
+===================== ========================================== ======== ================== =================== ==== =========
+``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  blocks of ids +    result blocks (+    2    shuffle
+                      identity → ``AggregateReducer``                     payload references payload references)
+``run_cached``        ``DistributeMapper`` →                     cache    blocks of ids      result blocks       2    cache
                       ``CachedComputeReducer``; identity →
-                      ``CachedAggregateReducer``
-``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    partial result maps    1    one-job
-                      ``CachedAggregateReducer``                          (its only leg)
-===================== ========================================== ======== ====================== ==== =========
+                      ``AggregateReducer``
+``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    result blocks      —                   1    one-job
+                      ``AggregateReducer``                                (its only leg)
+===================== ========================================== ======== ================== =================== ==== =========
 
 *Stages* are the plan's MR jobs in chain order (``;`` separates jobs; the
 job ``name`` strings are in :data:`_SHUFFLE_PLAN`, :data:`_CACHED_PLAN` and
@@ -26,42 +26,55 @@ working sets, not records — one :class:`WorkingSetBlock` per (map task,
 working set), keyed by subset id — so leg 1 counts ``map tasks × working
 sets reached`` records while ``REPLICAS_EMITTED`` still counts the ``v·r``
 memberships; the input records are ``(eid, Element)``, ``(eid, None)`` and
-one ``(task, None)`` descriptor per task (a split each).  *Legs* is the
-number of shuffles crossed.  *Routing* is the
-:attr:`~repro.core.chooser.SchemeChoice.routing` value under which
-:func:`~repro.core.runner.auto_pairwise` picks the row.  Everything else —
-dataset normalisation, job construction, pruner / sketch attach, the
-:class:`~repro.mapreduce.pipeline.Pipeline` run, replication metering and
-the result map — happens once, in the executor.
+one ``(task, None)`` descriptor per task (a split each).  *Leg 2 carries*
+is what crosses into the one :class:`AggregateReducer`: results, not
+records — one result block per (compute task, aggregate partition), keyed
+by the partition index (:class:`_ResultBlocks`) — so it counts at most
+``compute tasks × aggregate partitions`` records, not one copy per
+membership; the one-job plan's map tasks are its compute tasks, and their
+blocks cross its only leg.  *Legs* is the number of shuffles crossed.
+*Routing* is the :attr:`~repro.core.chooser.SchemeChoice.routing` value
+under which :func:`~repro.core.runner.auto_pairwise` picks the row.
+Everything else — dataset normalisation, job construction, pruner /
+sketch attach, the :class:`~repro.mapreduce.pipeline.Pipeline` run,
+replication metering and the result map — happens once, in the executor.
 
 **Payloads travel once.**  Whatever the row, an aggregator that declares
 ``needs_payload = False`` (every built-in one) never sees a payload, so
-the executor sets ``config["results_only"]``: the compute phase emits
-``Element(eid, None, results)``, only the compute job gets the payload
-store, and the driver re-attaches the payloads it already holds — leg 2,
-the fused hand-over and the pool → driver result pickle carry results
-only.  :meth:`PairwiseComputation.build_jobs` never sets the key, so
-hand-chained jobs keep writing payload-carrying elements.
+the executor sets ``config["results_only"]``: the result blocks carry no
+payload column, only the compute job gets the payload store, and the
+driver re-attaches the payloads it already holds — leg 2, the fused
+hand-over and the pool → driver result pickle carry results only.  An
+aggregator that may read payloads gets them from the block on the
+shuffle row, where a block references its members' payloads and pickle
+writes each one once per block however many of the task's working sets
+hold it, and from the store on the cached rows.
+:meth:`PairwiseComputation.build_jobs` never sets the key, so
+hand-chained jobs keep shipping payload-carrying blocks and writing
+payload-carrying elements.
 
 - ``run`` is the faithful **two-MR-job** pipeline.  *Job 1* (Algorithm 1):
   the map phase calls ``getSubsets`` per element and emits, per working
   set, the block of its members this map task holds; the shuffle groups
   working sets onto reducers; each reducer admits the blocks
   (:func:`_admit_working_set`), calls ``getPairs``, evaluates them,
-  attaches both orientations of every result (``addResult``) to one copy
-  per member, and emits the copies keyed by element id.
-  *Job 2* (Algorithm 2): identity map; the shuffle groups an element's
-  copies; the reducer applies ``aggregateResults``.
+  and files both orientations of every result (``addResult``) under the
+  member's aggregate partition; at task end it emits one result block per
+  partition reached.
+  *Job 2* (Algorithm 2): identity map; the shuffle groups a partition's
+  blocks; the reducer rebuilds each element from its slices — the
+  partial result lists of all its copies — and applies
+  ``aggregateResults``.
 - ``run_cached`` is the same two jobs with the payload store
   ``{eid: payload}`` in the **distributed cache**: the shuffle routes
-  id blocks and partial result maps only, and a pooled engine broadcasts
+  id blocks and result blocks only, and a pooled engine broadcasts
   the store once per worker instead of once per task.  Works with *any*
   scheme (it generalizes the broadcast optimization's cache usage).
 - ``run_broadcast_job`` is the paper's optimized **one-job** form for the
   broadcast scheme (§5.1) — the same steps folded into a single job: map
   tasks evaluate their label chunk against the cached store and emit the
-  partial result maps ``run_cached``'s compute phase emits; the single
-  reduce phase aggregates per element.
+  result blocks ``run_cached``'s compute phase emits; the single reduce
+  phase aggregates per element.
 
 :meth:`PairwiseComputation.run_local` is not a plan: it is the same three
 abstract steps without the MR machinery (fast in-process reference; tests
@@ -78,8 +91,9 @@ once for the kernels that want a matrix), its pair relation becomes an
 stays an array through pruner → :class:`~repro.kernels.PairKernel`
 (``config["kernel"]``; ``None`` → the scalar kernel, bit-identical to the
 historical loop; ``"auto"`` → registry selection from the pair function
-and payload type) → :func:`scatter_results`, which hands every element its
-results in one bulk ``addResult``.  ``run_local`` always evaluates scalar,
+and payload type) → :func:`scatter_results`, which groups the results by
+element for the task's result blocks; the aggregate reducer hands every
+element all of them in one bulk ``addResult``.  ``run_local`` always evaluates scalar,
 pair by pair — the reference the block paths are parity-tested against.
 """
 
@@ -87,6 +101,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -98,6 +113,7 @@ from ..mapreduce.job import Context, IdentityMapper, Job, Mapper, Reducer
 from ..mapreduce.pipeline import Pipeline, PipelineResult
 from ..mapreduce.runtime import Engine, SerialEngine
 from ..mapreduce.serialization import estimate_element_size, record_size
+from ..mapreduce.shuffle import hash_partition
 from ..sketches import (
     DISTANCE_KINDS,
     PRUNING_MODES,
@@ -333,7 +349,70 @@ def _admit_working_set(
     return WorkingSetStore(ids, payloads)
 
 
-class ComputeReducer(Reducer):
+#: an element's aggregate partition: the hash partition of its id, memoised
+_partition_of = lru_cache(maxsize=1 << 16)(hash_partition)
+
+
+def _block_partition(key: int, num_partitions: int) -> int:
+    """The aggregate job's partitioner: a result block's key *is* its partition."""
+    return key
+
+
+class _ResultBlocks:
+    """Leg 2's producer side: one result block per (task, aggregate partition).
+
+    Mixed into the three compute steps (:class:`ComputeReducer`,
+    :class:`CachedComputeReducer`, :class:`BroadcastPairMapper`).  Each
+    working set's :func:`scatter_results` output joins the columns of its
+    members' aggregate partition — the hash partition of the id among
+    ``config["aggregate_partitions"]``, where a per-element record would
+    have gone — and ``cleanup`` emits one block per partition reached,
+    keyed by the partition index, which the aggregate job's
+    :func:`_block_partition` routes as is.  A block is the plain tuple
+    ``(ids, counts, partners, values, payloads)`` — no class path or field
+    names to pickle into every block: every member once per working set,
+    with or without results; ``counts[k]`` of ``ids[k]``'s results in the
+    flat ``partners`` / ``values`` columns (Python ints and floats, one
+    pickle sizes the block); ``payloads`` referencing the members'
+    payloads on the shuffle plan when the aggregator may read them, else
+    ``None``.
+    """
+
+    #: whether the members' payloads arrive on the shuffle (and may leave on it)
+    ships_payloads = False
+
+    def setup(self, context: Context) -> None:
+        self._partitions = context.config["aggregate_partitions"]
+        self._carry = self.ships_payloads and not context.config.get("results_only", False)
+        self._blocks: dict[int, tuple[list, list, list, list, list | None]] = {}
+
+    def _keep(
+        self,
+        results: Iterable[tuple[int, list[int], list[Any]]],
+        members: Mapping[int, Any] | None = None,
+    ) -> None:
+        """Buffer one working set's results; ``members`` is its admitted store."""
+        found = {eid: (partners, values) for eid, partners, values in results}
+        for eid in found if members is None else members:
+            partition = _partition_of(eid, self._partitions)
+            block = self._blocks.get(partition)
+            if block is None:
+                block = self._blocks[partition] = ([], [], [], [], [] if self._carry else None)
+            ids, counts, partners, values, payloads = block
+            got_partners, got_values = found.get(eid, ((), ()))
+            ids.append(eid)
+            counts.append(len(got_partners))
+            partners += got_partners
+            values += got_values
+            if payloads is not None:
+                payloads.append(members[eid])
+
+    def cleanup(self, context: Context) -> None:
+        for partition, block in self._blocks.items():
+            context.emit(partition, block)
+
+
+class ComputeReducer(_ResultBlocks, Reducer):
     """Algorithm 1's reduce: getPairs, batch-evaluate, addResult both ways.
 
     The pair relation is materialized once and dispatched to the
@@ -344,89 +423,90 @@ class ComputeReducer(Reducer):
     guarantee that — but both orientations are computed: element i stores
     ``comp(sᵢ, sⱼ)`` and element j stores ``comp(sⱼ, sᵢ)``.
 
-    The working set's element copies are made here, one per admitted
-    member.  Under ``config["results_only"]`` they leave without their
-    payloads: nothing downstream reads them (module docstring).
+    The results leave in the task's result blocks (:class:`_ResultBlocks`),
+    with the members' payloads unless ``config["results_only"]`` says
+    nothing downstream reads them (module docstring).
     """
+
+    ships_payloads = True
 
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
         payloads = _admit_working_set(key, values, context)
         pairs = scheme.get_pairs(key, list(payloads))
-        results_only = context.config.get("results_only", False)
-        copies = {
-            eid: Element(eid, None if results_only else payload)
-            for eid, payload in payloads.items()
-        }
-        for eid, partners, results in _compute_block(pairs, payloads, context):
-            copies[eid].add_results(partners, results)
-        for eid, copy in copies.items():
-            context.emit(eid, copy)
+        self._keep(_compute_block(pairs, payloads, context), payloads)
 
 
-class AggregateReducer(Reducer):
-    """Algorithm 2's reduce: fuse all copies of one element."""
-
-    def reduce(self, key: int, values: Any, context: Context) -> None:
-        aggregator: Aggregator = context.config["aggregator"]
-        context.emit(key, aggregator(list(values)))
-
-
-class CachedComputeReducer(Reducer):
+class CachedComputeReducer(_ResultBlocks, Reducer):
     """Algorithm 1's reduce against the cached payload store.
 
-    Same pair relation and orientation semantics as
-    :class:`ComputeReducer`; receives id-only blocks and emits
-    per-element *partial result maps* (partner id → result) instead of
-    full element copies.
+    Same pair relation, orientation semantics and result blocks as
+    :class:`ComputeReducer`; receives id-only blocks, and its result
+    blocks never carry payloads: the aggregate side reads the same store.
     """
 
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
         payloads = _admit_working_set(key, values, context, context.cache_file("dataset"))
-        partials: dict[int, dict[int, Any]] = {eid: {} for eid in payloads}
         pairs = scheme.get_pairs(key, list(payloads))
-        for eid, partners, results in _compute_block(pairs, payloads, context):
-            partials[eid] = dict(zip(partners, results))
-        for eid, partial in partials.items():
-            context.emit(eid, partial)
+        self._keep(_compute_block(pairs, payloads, context), payloads)
 
 
-class CachedAggregateReducer(Reducer):
-    """Algorithm 2's reduce over partial result maps: rebuild, fold, aggregate.
-
-    Rebuilds element ``key`` — from the cached payload store, or
-    payload-free under ``config["results_only"]``, when the aggregate
-    phase never touches the store at all — and folds every partial map
-    into it; duplicate pairs still raise through
-    :meth:`Element.add_results` (the exactly-once guarantee).
-    """
-
-    def reduce(self, key: int, values: Any, context: Context) -> None:
-        aggregator: Aggregator = context.config["aggregator"]
-        if context.config.get("results_only", False):
-            element = Element(key)
-        else:
-            element = Element(key, context.cache_file("dataset")[key])
-        for partial in filter(None, values):  # pruned joins leave most partial maps empty
-            element.add_results(partial.keys(), partial.values())
-        context.emit(key, aggregator([element]))
-
-
-class BroadcastPairMapper(Mapper):
+class BroadcastPairMapper(_ResultBlocks, Mapper):
     """One-job broadcast map: evaluate a task's label chunk from the cache.
 
     Input records are ``(task_id, None)`` descriptors; the dataset comes
-    from the distributed cache as ``{eid: payload}``.  Emits one partial
-    result map per element with results in the task — both orientations,
-    like addResult; the wire format of :class:`CachedComputeReducer`.
+    from the distributed cache as ``{eid: payload}``.  Every element with
+    results in the task joins the map task's result blocks — both
+    orientations, like addResult; the wire format of the compute reducers.
     """
 
     def map(self, key: int, value: Any, context: Context) -> None:
         scheme: BroadcastScheme = context.config["scheme"]
         payloads: Mapping[int, Any] = context.cache_file("dataset")
-        for eid, partners, results in _compute_block(scheme.get_pairs(key), payloads, context):
-            context.emit(eid, dict(zip(partners, results)))
+        self._keep(_compute_block(scheme.get_pairs(key), payloads, context))
+
+
+class AggregateReducer(Reducer):
+    """Algorithm 2's reduce: fold a partition's result blocks per element, aggregate.
+
+    The blocks arrive in producing-task order.  Elements are rebuilt in
+    ascending id, each from its slices in arrival order — the order its
+    copies arrived in when leg 2 carried one record per membership — with
+    one :meth:`Element.add_results`, so a self pair or a pair delivered
+    twice still raises, naming the pair.  The payload is the block's when
+    it carries one, else the cached store's, else (``results_only``)
+    none.  Then ``aggregator([element])``: the aggregator contract is
+    unchanged.
+    """
+
+    def reduce(self, key: int, values: Iterable[tuple], context: Context) -> None:
+        aggregator: Aggregator = context.config["aggregator"]
+        blocks = list(values)
+        slices: dict[int, list[tuple[int, int, int, int]]] = {}
+        for number, (ids, counts, *_columns) in enumerate(blocks):
+            hi = 0
+            for at, (eid, count) in enumerate(zip(ids, counts)):
+                lo, hi = hi, hi + count
+                slices.setdefault(eid, []).append((number, at, lo, hi))
+        carried = blocks[0][4] is not None
+        store = None
+        if not carried and not context.config.get("results_only", False):
+            store = context.cache_file("dataset")
+        for eid in sorted(slices):
+            spans = slices[eid]
+            if carried:
+                payload = blocks[spans[0][0]][4][spans[0][1]]
+            else:
+                payload = None if store is None else store[eid]
+            partners: list[int] = []
+            results: list[Any] = []
+            for number, _at, lo, hi in spans:
+                partners += blocks[number][2][lo:hi]
+                results += blocks[number][3][lo:hi]
+            element = Element(eid, payload)
+            element.add_results(partners, results)
+            context.emit(eid, aggregator([element]))
 
 
 #: one MR job of a plan: ``(job name, mapper, reducer)``
@@ -458,12 +538,12 @@ _SHUFFLE_PLAN = _Plan(
 _CACHED_PLAN = _Plan(
     (
         ("pairwise-distribute-compute-cached", DistributeMapper, CachedComputeReducer),
-        ("pairwise-aggregate-cached", IdentityMapper, CachedAggregateReducer),
+        ("pairwise-aggregate-cached", IdentityMapper, AggregateReducer),
     ),
     "ids",
 )
 _ONE_JOB_PLAN = _Plan(
-    (("pairwise-broadcast", BroadcastPairMapper, CachedAggregateReducer),),
+    (("pairwise-broadcast", BroadcastPairMapper, AggregateReducer),),
     "tasks",
 )
 
@@ -640,6 +720,8 @@ class PairwiseComputation:
             "aggregator": self.aggregator,
             "symmetric": self.symmetric,
             "kernel": self.kernel,
+            # the compute side routes result blocks to the aggregate reducers
+            "aggregate_partitions": self.num_reduce_tasks,
         }
 
     def _attach_pruning(self, compute: Job, payloads: Mapping[int, Any]) -> None:
@@ -774,6 +856,7 @@ class PairwiseComputation:
             mapper=mapper,
             reducer=reducer,
             num_reducers=self.num_reduce_tasks,
+            partitioner=_block_partition if reducer is AggregateReducer else None,
             cache={} if cache is None else cache,
             config=config,
             max_attempts=self.max_attempts,

@@ -859,7 +859,16 @@ class MultiprocessEngine(Engine):
                 self._segment_host().release(handle.uid)
             base = Path(handle.path)
             base.unlink(missing_ok=True)
-            shutil.rmtree(base.with_suffix(".began"), ignore_errors=True)
+            # A straggler may still touch its attempt-began marker.  Moving
+            # the directory aside first makes a late touch fail with ENOENT
+            # (which attempt_marker swallows) instead of refilling the
+            # directory rmtree is emptying, which then could not be removed.
+            began, tombstone = base.with_suffix(".began"), base.with_suffix(".released")
+            try:
+                began.rename(tombstone)
+            except OSError:  # already gone, or cannot move: remove it in place
+                tombstone = began
+            shutil.rmtree(tombstone, ignore_errors=True)
             # The job's spill files go with it — including orphans left by
             # lost attempts.
             shutil.rmtree(base.parent / f"{handle.uid}-shuffle", ignore_errors=True)

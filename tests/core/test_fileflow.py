@@ -50,15 +50,22 @@ class TestEndToEnd:
 
     def test_files_carry_payloads_at_every_stage(self, tmp_path, dataset):
         """build_jobs() chains through files: nobody re-attaches payloads there,
-        so the elements written between and after the jobs must hold them."""
+        so the result blocks written between the jobs and the elements
+        written after them must hold them."""
         paths = write_element_files(tmp_path / "in", dataset, files=4)
         computation = PairwiseComputation(BlockScheme(20, 4), abs_diff)
         out_paths, _report = run_pairwise_on_files(computation, paths, tmp_path / "work")
         inter_paths = sorted((tmp_path / "work" / "intermediate").glob("part-r-*.jsonl"))
-        for stage in (inter_paths, out_paths):
-            records = [record for path in stage for record in read_records(path)]
-            assert records
-            assert all(element.payload == dataset[eid - 1] for eid, element in records)
+        blocks = [block for path in inter_paths for _partition, block in read_records(path)]
+        assert blocks
+        assert all(
+            payload == dataset[eid - 1]
+            for ids, _counts, _partners, _values, payloads in blocks
+            for eid, payload in zip(ids, payloads, strict=True)
+        )
+        records = [record for path in out_paths for record in read_records(path)]
+        assert records
+        assert all(element.payload == dataset[eid - 1] for eid, element in records)
 
     def test_intermediate_measures_replication(self, tmp_path, dataset):
         """Table 1: job-1 output holds exactly v·h element copies."""

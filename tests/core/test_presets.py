@@ -16,7 +16,9 @@ task, working set).  The per-record ``emit`` loop it replaced is kept here
 as the reference the blocks are held to — same deliveries, same payload
 objects, never more accounted bytes — and the presets run over three
 payload kinds, so both the stacked and the one-at-a-time reading of an
-admitted working set cross both engines.
+admitted working set cross both engines.  Leg 2 ships result blocks: at
+most one per (compute task, aggregate partition) on every preset, and the
+one aggregate reducer still refuses a pair delivered twice.
 """
 
 from collections import Counter
@@ -29,17 +31,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.dbscan import euclidean_distance
+from repro.core.aggregate import ConcatAggregator
 from repro.core.bipartite import BipartiteBlockScheme, BipartiteBroadcastScheme
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
-from repro.core.element import Element, merge_copies
+from repro.core.element import DuplicatePairError, Element, merge_copies
 from repro.core.hierarchical import HierarchicalBlockScheme
 from repro.core.pairwise import (
     EVALUATIONS,
     PAIRS_PRUNED,
     PAIRWISE_GROUP,
     REPLICAS_EMITTED,
+    AggregateReducer,
     CachedComputeReducer,
     ComputeReducer,
     DistributeMapper,
@@ -59,7 +63,7 @@ from repro.mapreduce.counters import (
     SHUFFLE_RECORDS,
     Counters,
 )
-from repro.mapreduce.job import Context
+from repro.mapreduce.job import Context, JobResult
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 from repro.mapreduce.serialization import SizedPayload, record_size
 from repro.mapreduce.shm import shm_available
@@ -132,6 +136,17 @@ def result_maps(merged):
     return {eid: element.results for eid, element in merged.items()}
 
 
+def leg_two(result):
+    """A preset run's leg-2 shuffle records, and compute tasks × aggregate partitions."""
+    if isinstance(result, JobResult):  # the one-job plan: its only leg carries results
+        compute_tasks, aggregate = result.num_map_tasks, result
+    else:
+        compute, aggregate = result.stages
+        compute_tasks = compute.num_reduce_tasks
+    shipped = aggregate.counters.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS)
+    return shipped, compute_tasks * aggregate.num_reduce_tasks
+
+
 @pytest.mark.parametrize("engine", ["serial", "pool"])
 @pytest.mark.parametrize("symmetric,pruning", MODES)
 @pytest.mark.parametrize("path,scheme", PRESETS)
@@ -143,6 +158,8 @@ def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, 
     assert sorted(merged) == list(runner.scheme.participants())
     assert result_maps(merged) == result_maps(runner.run_local(data))
     assert all(merged[eid].payload is data[eid - 1] for eid in merged)
+    shipped, bound = leg_two(result)
+    assert 0 < shipped <= bound  # one result block per (compute task, partition) at most
     if symmetric:
         evaluations = result.counters.get(PAIRWISE_GROUP, EVALUATIONS)
         pruned = result.counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)
@@ -397,12 +414,43 @@ def test_member_delivered_twice_raises(reducer, values):
     context = Context(
         Counters(),
         cache={"dataset": {1: 0.5, 2: 1.5}},
-        config={"scheme": BlockScheme(4, 2)},
+        config={"scheme": BlockScheme(4, 2), "aggregate_partitions": 1},
     )
     task = reducer()
     task.setup(context)
     with pytest.raises(ValueError, match="^working set 3 received element 2 twice$"):
         task.reduce(3, iter(values), context)
+
+
+def aggregate(blocks):
+    """Run the one aggregate reducer over one partition's result blocks."""
+    context = Context(
+        Counters(), config={"aggregator": ConcatAggregator(), "results_only": True}
+    )
+    task = AggregateReducer()
+    task.setup(context)
+    task.reduce(0, iter(blocks), context)
+    return dict(context.drain())
+
+
+def test_aggregate_reducer_folds_blocks_in_arrival_order():
+    first = ([3, 5], [2, 1], [5, 7, 3], [0.5, 0.7, 0.5], None)
+    second = ([7, 3], [1, 1], [3, 9], [0.7, 0.9], None)
+    merged = aggregate([first, second])
+    assert sorted(merged) == [3, 5, 7]
+    assert list(merged[3].results.items()) == [(5, 0.5), (7, 0.7), (9, 0.9)]
+
+
+def test_aggregate_reducer_refuses_a_pair_two_tasks_delivered():
+    first = ([3, 5], [1, 1], [5, 3], [0.5, 0.5], None)
+    second = ([3], [1], [5], [0.25], None)  # another compute task sent (3, 5) again
+    with pytest.raises(DuplicatePairError, match=r"^pair \(3, 5\) evaluated more than once$"):
+        aggregate([first, second])
+
+
+def test_aggregate_reducer_refuses_a_self_pair():
+    with pytest.raises(ValueError, match="^element 4 paired with itself$"):
+        aggregate([([6, 4], [0, 1], [4], [0.0], None)])
 
 
 # -- leg 1 ships blocks: held to the per-record emit loop they replaced ----------

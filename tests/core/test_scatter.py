@@ -12,10 +12,12 @@ and must fail on the same blocks with the same exception type.  The parity
 test pins all three MR paths' records and counters to values recorded on
 the commit before the bulk path existed — except the bytes and the one-job
 record count, re-recorded once when payloads stopped riding leg 2 and the
-one-job map started emitting partial maps, and leg 1's records, bytes and
+one-job map started emitting partial maps, leg 1's records, bytes and
 working-set gauge, re-recorded once when the distribute map started
-shipping one block per working set (see ``PARENT``; every result, the
-digest, the evaluations and the replica count are the original ones).
+shipping one block per working set, and leg 2's records, groups and bytes,
+re-recorded once when the compute tasks started shipping one result block
+per aggregate partition (see ``PARENT``; every result, the digest, the
+evaluations and the replica count are the original ones).
 """
 
 import hashlib
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
 from repro.core.element import DuplicatePairError, Element, merge_copies
-from repro.core.pairwise import PairwiseComputation, scatter_results
+from repro.core.pairwise import AggregateReducer, PairwiseComputation, scatter_results
 from repro.kernels import pair_index_array
 from repro.mapreduce.runtime import SerialEngine
 
@@ -162,21 +164,24 @@ def _counters(records, groups, shuffle_bytes, attempts, **pairwise):
 #: ``run``'s bytes with payloads still on leg 2 — what the row read before
 #: results came home payload-free, and what an aggregator that may read
 #: payloads still costs (``test_unknown_aggregator_keeps_payloads_on_leg_two``)
-RUN_BYTES_WITH_PAYLOADS = 30048
+RUN_BYTES_WITH_PAYLOADS = 18781
 
 PARENT = {
-    # leg 1 is one block per working set (one map task, six working sets)
+    # leg 1 is one block per working set (one map task, six working sets);
+    # leg 2 one result block (one compute task, one aggregate partition):
+    # 90 records, 30 groups and 18 030 (run) / 11 730 (run_cached) bytes before
     "run": _counters(
-        (120, 96, 120), 36, 25008, 4,
+        (31, 7, 31), 7, 16948, 4,
         max_working_set_bytes=1540, max_working_set_records=20, replicas_emitted=90,
     ),
     "run_cached": _counters(
-        (120, 96, 120), 36, 12498, 4,
+        (31, 7, 31), 7, 10738, 4,
         max_working_set_bytes=160, max_working_set_records=20, replicas_emitted=90,
     ),
-    # one {partner: result} map per element per task; 870 (partner, result)
-    # records and 28 710 bytes before
-    "run_broadcast_job": _counters((4, 95, 30), 30, 11850, 5),
+    # one result block per map task; 95 partial result maps over 30 groups
+    # and 11 850 bytes before (870 (partner, result) records, 28 710 bytes
+    # before that)
+    "run_broadcast_job": _counters((4, 4, 30), 1, 10110, 5),
 }
 
 
@@ -197,6 +202,30 @@ def test_records_and_counters_identical_to_parent(path):
     # Pickle-size identity: Python ints and floats, never numpy scalars.
     for element in merged.values():
         assert all(type(p) is int and type(r) is float for p, r in element.results.items())
+
+
+@pytest.mark.parametrize("path", sorted(PARENT))
+def test_result_blocks_hold_plain_python_objects(path, monkeypatch):
+    """Pickle-size identity on leg 2: block columns hold ``int``s, ``float``s, ``None``."""
+    blocks = []
+    fold = AggregateReducer.reduce
+
+    def watched(self, key, values, context):
+        values = list(values)
+        blocks.extend(values)
+        return fold(self, key, iter(values), context)
+
+    monkeypatch.setattr(AggregateReducer, "reduce", watched)
+    scheme = BroadcastScheme(30, 4) if path == "run_broadcast_job" else BlockScheme(30, 3)
+    getattr(PairwiseComputation(scheme, exact_dot, engine=SerialEngine()), path)(golden_data())
+    assert blocks
+    for block in blocks:
+        assert type(block) is tuple
+        ids, counts, partners, values, payloads = block
+        assert all(type(item) is int for item in [*ids, *counts, *partners])
+        assert all(type(value) is float for value in values)
+        assert payloads is None  # results come home payload-free
+        assert sum(counts) == len(partners) == len(values)
 
 
 def plain_concat(copies):

@@ -6,6 +6,8 @@ records never reach the driver and its data-plane counters are
 synthesized from the manifest sums — bit-identical to the unfused values.
 """
 
+import os
+
 import pytest
 
 from repro.core.design import DesignScheme
@@ -26,6 +28,7 @@ from repro.mapreduce.faults import CrashFault, FaultPlan
 from repro.mapreduce.job import Job, Mapper, Reducer, TaskFailedError, records_from
 from repro.mapreduce.pipeline import Pipeline, PipelineResult
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
+from repro.mapreduce.tasks import attempt_marker
 
 DATA_PLANE_COUNTERS = [
     MAP_INPUT_RECORDS,
@@ -133,7 +136,7 @@ def leftovers(engine):
     root = engine._broadcast_dir()
     return sorted(
         path.name
-        for pattern in ("*.pkl", "*.began", "*-shuffle")
+        for pattern in ("*.pkl", "*.began", "*.released", "*-shuffle")
         for path in root.glob(pattern)
     )
 
@@ -186,6 +189,25 @@ class TestOneStageLoop:
         fused = engine.kind == "direct" and fuse
         assert fused_so_far(engine) - before == int(fused)
         assert leftovers(engine) == []
+
+
+def test_a_straggler_touching_its_marker_during_release_leaves_nothing(monkeypatch):
+    """A worker that outlives its job touches its attempt-began marker while
+    the driver removes the job's marker directory — after the directory was
+    emptied, before it is unlinked.  The directory must still go."""
+    with MultiprocessEngine(max_workers=1) as engine:
+        handle = engine._job_handle(Job(name="straggler", reducer=SumReducer))
+        straggler = attempt_marker(handle, "map", 0)
+        real_rmdir = os.rmdir
+
+        def rmdir_racing_the_straggler(path, *args, **kwargs):
+            straggler(2)
+            return real_rmdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "rmdir", rmdir_racing_the_straggler)
+        engine._release_job(handle)
+        monkeypatch.undo()
+        assert sorted(path.name for path in engine._broadcast_dir().iterdir()) == []
 
 
 class TestFusionHappens:

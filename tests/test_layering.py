@@ -24,6 +24,9 @@ function, one attempt of a task in flight — the policy classes, the
 ``schedule_*`` wrappers, speculative execution and the switches nobody set
 stay deleted.
 
+Leg 2 ships result blocks: the pairwise producers emit once per task, from
+``cleanup``, never one record per element.
+
 Everything the engine persists is one SPC1 container: ``struct`` framing,
 ``os.replace`` publication and file-object pickles live in
 ``serialization.py``'s writer or nowhere.
@@ -189,6 +192,35 @@ class TestOneSchemaInterfaceOneExecutor:
         ]
         assert calls_of(fold, "TaskCost", "_task_seconds", "_place", "_failure_impact") == []
         assert len(calls_of(fold, "simulate")) == 1
+
+
+class TestLegTwoShipsBlocks:
+    PRODUCERS = ("ComputeReducer", "CachedComputeReducer", "BroadcastPairMapper")
+
+    def test_producers_emit_only_in_cleanup(self):
+        """A return to per-element emission emits from ``reduce`` / ``map`` and fails here."""
+        tree = core_trees()["pairwise.py"]
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+        def lineage(name: str) -> list[str]:
+            bases = [getattr(base, "id", "") for base in classes[name].bases]
+            return [name, *(a for base in bases if base in classes for a in lineage(base))]
+
+        emitters = {
+            f"{cls}.{method.name}"
+            for producer in self.PRODUCERS
+            for cls in lineage(producer)
+            for method in classes[cls].body
+            if isinstance(method, ast.FunctionDef) and calls_of(method, "emit")
+        }
+        assert emitters, "the producers emit nowhere: this check reads nothing"
+        assert [name for name in sorted(emitters) if not name.endswith(".cleanup")] == []
+        helpers = [
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and calls_of(node, "emit")
+        ]
+        assert helpers == []
 
 
 class TestTheMenuIsGone:
