@@ -1,19 +1,15 @@
 #!/usr/bin/env python
-"""The MapReduce substrate standing alone: file-driven wordcount.
+"""The MapReduce substrate standing alone: wordcount.
 
 The pairwise library rides on a complete local MR runtime; this example
 shows it is usable as a general-purpose engine — the classic wordcount,
-run three ways over the same JSONL input files:
+run twice over the same in-memory records:
 
 1. serial engine, native Python mapper/reducer with a combiner;
-2. multiprocess engine (identical results, parallel tasks);
-3. a Hadoop-Streaming reducer (an external python one-liner).
+2. multiprocess engine (identical results, parallel tasks).
 
 Run:  python examples/mapreduce_wordcount.py
 """
-
-import tempfile
-from pathlib import Path
 
 from repro.mapreduce import (
     FRAMEWORK_GROUP,
@@ -23,11 +19,8 @@ from repro.mapreduce import (
     Reducer,
     SHUFFLE_RECORDS,
     SerialEngine,
-    read_output_dir,
-    run_job_on_files,
-    write_records,
+    records_from,
 )
-from repro.mapreduce.streaming import StreamingReducer, python_command
 
 LINES = [
     "the quick brown fox jumps over the lazy dog",
@@ -48,68 +41,30 @@ class SumReducer(Reducer):
         context.emit(key, sum(values))
 
 
-STREAM_SUM = python_command(
-    "current, total = None, 0\n"
-    "def flush():\n"
-    "    if current is not None:\n"
-    "        print(f'{current}\\t{total}')\n"
-    "for line in sys.stdin:\n"
-    "    k, v = line.rstrip('\\n').split('\\t')\n"
-    "    if k != current:\n"
-    "        flush()\n"
-    "        current, total = k, 0\n"
-    "    total += int(v)\n"
-    "flush()"
-)
-
-
 def main() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp_path = Path(tmp)
-        inputs = []
-        for index, line in enumerate(LINES):
-            path = tmp_path / f"lines-{index}.jsonl"
-            write_records(path, [(index, line)])
-            inputs.append(path)
+    records = records_from(LINES)  # [(line number, line), ...]
+    job = Job(
+        name="wordcount",
+        mapper=TokenizeMapper,
+        reducer=SumReducer,
+        combiner=SumReducer,
+        num_reducers=3,
+    )
+    with SerialEngine() as engine:
+        serial = engine.run(job, records, num_map_tasks=len(LINES))
+    counts = serial.as_dict()
+    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
+    print("serial engine, combiner on:")
+    for word, count in top:
+        print(f"   {word:<10} {count}")
+    shuffled = serial.counters.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS)
+    print(f"   shuffle records (post-combiner): {shuffled}\n")
 
-        job = Job(
-            name="wordcount",
-            mapper=TokenizeMapper,
-            reducer=SumReducer,
-            combiner=SumReducer,
-            num_reducers=3,
-        )
-        serial = run_job_on_files(job, inputs, tmp_path / "out-serial")
-        counts = dict(read_output_dir(tmp_path / "out-serial"))
-        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-        print("serial engine, combiner on:")
-        for word, count in top:
-            print(f"   {word:<10} {count}")
-        shuffled = serial.counters.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS)
-        print(f"   shuffle records (post-combiner): {shuffled}\n")
-
-        parallel = run_job_on_files(
-            job, inputs, tmp_path / "out-mp", engine=MultiprocessEngine(2)
-        )
-        mp_counts = dict(read_output_dir(tmp_path / "out-mp"))
-        assert mp_counts == counts
-        print("multiprocess engine: identical counts ✓\n")
-
-        streaming_job = Job(
-            name="wordcount-streaming",
-            mapper=TokenizeMapper,
-            reducer=StreamingReducer,
-            num_reducers=2,
-            config={"stream.reducer": STREAM_SUM},
-        )
-        run_job_on_files(streaming_job, inputs, tmp_path / "out-stream",
-                         engine=SerialEngine())
-        stream_counts = {
-            word: int(count)
-            for word, count in read_output_dir(tmp_path / "out-stream")
-        }
-        assert stream_counts == counts
-        print("streaming reducer (external python process): identical counts ✓")
+    with MultiprocessEngine(2) as engine:
+        parallel = engine.run(job, records, num_map_tasks=len(LINES))
+    assert parallel.as_dict() == counts
+    assert parallel.records == serial.records
+    print("multiprocess engine: identical counts ✓")
 
 
 if __name__ == "__main__":

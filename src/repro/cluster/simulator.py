@@ -387,62 +387,6 @@ class ClusterSimulator:
             ),
         )
 
-    # -- input locality (§3's "most of the input data can be read locally") ---------
-    def input_locality(
-        self,
-        dataset_bytes: int,
-        *,
-        dfs_block_size: int | None = None,
-        dfs_replication: int = 3,
-        num_map_tasks: int | None = None,
-        seed: int = 0,
-    ) -> dict[str, float]:
-        """Estimate the local-read fraction of the distribution job's input.
-
-        Places the dataset on a modelled DFS (block placement with
-        replication) and assigns map tasks round-robin over nodes, as the
-        engine's split planner would; returns the local/remote byte split
-        and the resulting read-time estimate.  Backs the paper's §5.4
-        assumption that network costs are dominated by *intermediate*
-        data, input being mostly local.
-        """
-        from ..mapreduce.hdfs import DistributedFileSystem
-
-        if dataset_bytes < 1:
-            raise ValueError(f"dataset_bytes must be >= 1, got {dataset_bytes}")
-        num_nodes = self.cluster.num_nodes
-        if num_map_tasks is None:
-            num_map_tasks = self.cluster.total_slots
-        kwargs = {"replication": dfs_replication, "seed": seed}
-        if dfs_block_size is not None:
-            kwargs["block_size"] = dfs_block_size
-        dfs = DistributedFileSystem(num_nodes, **kwargs)
-        entry = dfs.create("dataset", dataset_bytes)
-
-        local = remote = 0
-        total_blocks = max(1, entry.num_blocks)
-        for block_index, replicas in enumerate(entry.placements):
-            # Map tasks read *contiguous* block ranges (file splits); the
-            # task owning this block runs on a round-robin node.
-            task = block_index * num_map_tasks // total_blocks
-            reader = task % num_nodes
-            size = dfs.block_size_of("dataset", block_index)
-            if reader in replicas:
-                local += size
-            else:
-                remote += size
-        node = self.cluster.nodes[0]
-        read_seconds = local / node.io_rate + (
-            self.network.transfer_time(remote) if remote else 0.0
-        )
-        total = local + remote
-        return {
-            "local_bytes": float(local),
-            "remote_bytes": float(remote),
-            "local_fraction": local / total if total else 1.0,
-            "read_seconds": read_seconds,
-        }
-
     # -- limits ---------------------------------------------------------------------
     def _limits(self, max_task_memory: int, intermediate: int) -> list[LimitCheck]:
         checks = [

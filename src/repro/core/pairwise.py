@@ -49,9 +49,6 @@ aggregator that may read payloads gets them from the block on the
 shuffle row, where a block references its members' payloads and pickle
 writes each one once per block however many of the task's working sets
 hold it, and from the store on the cached rows.
-:meth:`PairwiseComputation.build_jobs` never sets the key, so
-hand-chained jobs keep shipping payload-carrying blocks and writing
-payload-carrying elements.
 
 - ``run`` is the faithful **two-MR-job** pipeline.  *Job 1* (Algorithm 1):
   the map phase calls ``getSubsets`` per element and emits, per working
@@ -861,12 +858,6 @@ class PairwiseComputation:
             config=config,
             max_attempts=self.max_attempts,
         )
-
-    def build_jobs(self) -> tuple[Job, Job]:
-        """The two MR jobs of the generic algorithm (for inspection/chaining)."""
-        config = self._job_config()
-        job1, job2 = (self._job(stage, config) for stage in _SHUFFLE_PLAN.stages)
-        return job1, job2
 
     def _execute(
         self,

@@ -2,29 +2,24 @@
 
 The execution model (§3) assumes "the input dataset is stored as files,
 distributed on the participating nodes ... each file contains multiple
-records".  A :class:`Split` is one map task's slice of those records,
-optionally tagged with the node that stores it (for the cluster
-simulator's locality accounting).
+records".  A :class:`Split` is one map task's slice of those records;
+the engine plans them with :func:`split_by_count`, and ``resume_job``
+hands a journaled job's planned splits back to ``Engine.run(splits=…)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
-
-from .._util import ceil_div
 
 KeyValue = tuple[Any, Any]
 
 
 @dataclass
 class Split:
-    """One map task's input: a list of records plus optional placement."""
+    """One map task's input: a list of records."""
 
     records: list[KeyValue]
-    #: node id holding this split's data (None = unplaced / local run)
-    location: int | None = None
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -47,21 +42,4 @@ def split_by_count(records: Sequence[KeyValue], num_splits: int) -> list[Split]:
         size = base + (1 if index < extra else 0)
         splits.append(Split(records=list(records[start : start + size])))
         start += size
-    return splits
-
-
-def split_by_size(records: Sequence[KeyValue], max_records: int) -> list[Split]:
-    """Carve records into splits of at most ``max_records`` each."""
-    if max_records < 1:
-        raise ValueError(f"max_records must be >= 1, got {max_records}")
-    num_splits = max(1, ceil_div(len(records), max_records))
-    return split_by_count(records, num_splits)
-
-
-def assign_round_robin(splits: list[Split], num_nodes: int) -> list[Split]:
-    """Tag splits with node locations round-robin (simulator placement)."""
-    if num_nodes < 1:
-        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-    for index, split in enumerate(splits):
-        split.location = index % num_nodes
     return splits

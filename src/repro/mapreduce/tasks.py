@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -170,16 +172,33 @@ _WORKER_JOB_CAP = 8
 _IS_POOL_WORKER = False
 
 
+#: how often a pool worker checks that its driver is still alive
+_PARENT_POLL_SECONDS = 0.2
+
+
 def worker_init() -> None:
     """Pool initializer: start every worker with an empty job registry.
 
     With the ``fork`` start method workers would otherwise inherit
     whatever the driver process had resident; clearing keeps the
-    load-once-per-worker accounting honest.
+    load-once-per-worker accounting honest.  A daemon thread also ends
+    the worker once its driver is gone: a SIGKILLed driver never shuts
+    its pool down, and the orphan would otherwise wait on its call queue
+    forever.
     """
     global _IS_POOL_WORKER
     _IS_POOL_WORKER = True
     _WORKER_JOBS.clear()
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), name="parent-watch", daemon=True
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Poll until this process is re-parented (its driver died), then exit."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
 
 
 def resolve_job(handle: Any) -> tuple[Job, dict]:

@@ -195,39 +195,6 @@ class TestTwoSetSchemes:
         assert measured.replication_factor == scheme.metrics().replication_factor
 
 
-class TestInputLocality:
-    def test_full_replication_all_local(self):
-        """Replication >= node count: every block has a local replica."""
-        sim = ClusterSimulator(ClusterSpec.homogeneous(3))
-        stats = sim.simulate if False else sim.input_locality(
-            1 * GB, dfs_replication=3
-        )
-        assert stats["local_fraction"] == 1.0
-        assert stats["remote_bytes"] == 0.0
-
-    def test_partial_replication_mostly_local(self):
-        """3-way replication on 8 nodes: a solid local majority, not all."""
-        sim = ClusterSimulator(ClusterSpec.homogeneous(8))
-        stats = sim.input_locality(10 * GB, dfs_replication=3, seed=5)
-        assert 0.3 < stats["local_fraction"] < 1.0
-        assert stats["local_bytes"] + stats["remote_bytes"] == 10 * GB
-
-    def test_single_replica_worst_case(self):
-        sim = ClusterSimulator(ClusterSpec.homogeneous(8))
-        one = sim.input_locality(10 * GB, dfs_replication=1, seed=1)
-        three = sim.input_locality(10 * GB, dfs_replication=3, seed=1)
-        assert three["local_fraction"] >= one["local_fraction"]
-
-    def test_read_seconds_positive(self):
-        sim = ClusterSimulator(ClusterSpec.homogeneous(4))
-        assert sim.input_locality(1 * GB)["read_seconds"] > 0
-
-    def test_validation(self):
-        sim = ClusterSimulator(ClusterSpec.homogeneous(2))
-        with pytest.raises(ValueError):
-            sim.input_locality(0)
-
-
 class TestValidation:
     def test_bad_element_size(self):
         with pytest.raises(ValueError):

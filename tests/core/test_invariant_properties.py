@@ -126,30 +126,6 @@ def test_concat_aggregator_idempotent_on_single_copy(results):
     assert merged.results == results
 
 
-@given(
-    records=st.lists(
-        st.tuples(
-            st.one_of(st.integers(), st.text(max_size=8)),
-            st.one_of(
-                st.integers(),
-                st.floats(allow_nan=False),
-                st.text(max_size=12),
-                st.lists(st.integers(), max_size=4),
-            ),
-        ),
-        max_size=30,
-    )
-)
-@settings(max_examples=30, deadline=None)
-def test_textio_roundtrip_property(records, tmp_path_factory):
-    """Arbitrary JSON-able records survive the JSONL round trip."""
-    from repro.mapreduce.textio import read_records, write_records
-
-    path = tmp_path_factory.mktemp("textio") / "records.jsonl"
-    write_records(path, records)
-    assert list(read_records(path)) == records
-
-
 @given(v=SMALL_V, n=st.integers(min_value=1, max_value=10))
 @settings(max_examples=30, deadline=None)
 def test_broadcast_effective_ws_never_exceeds_v(v, n):

@@ -20,11 +20,7 @@ from repro.core import (
     ThresholdAggregator,
     results_matrix,
 )
-from repro.core.fileflow import (
-    load_elements,
-    run_pairwise_on_files,
-    write_element_files,
-)
+from repro.core.pairwise import PAIRWISE_GROUP, REPLICAS_EMITTED
 from repro.core.runner import auto_pairwise, estimate_element_size
 from repro.mapreduce import MultiprocessEngine
 from repro.workloads import make_blobs, make_documents
@@ -83,31 +79,28 @@ class TestAutoRunner:
         assert pairs[(30, 1)] == 29
 
 
-class TestDbscanOverFilesMultiprocess:
-    """The full production shape: files in, multiprocess MR, DBSCAN out."""
+class TestDbscanMultiprocess:
+    """The full production shape: the two MR jobs on a pool, DBSCAN out."""
 
-    def test_pipeline(self, tmp_path):
+    def test_pipeline(self):
         points = make_blobs(40, num_clusters=3, spread=0.3, seed=23)
         eps, min_pts = 1.5, 3
 
-        input_paths = write_element_files(tmp_path / "in", points, files=4)
-        computation = PairwiseComputation(
-            BlockScheme(40, 5),
-            euclid,
-            aggregator=ThresholdAggregator(eps),
-            engine=MultiprocessEngine(max_workers=2),
-        )
-        out_paths, report = run_pairwise_on_files(
-            computation, input_paths, tmp_path / "work"
-        )
-        elements = load_elements(out_paths)
+        with MultiprocessEngine(max_workers=2) as engine:
+            computation = PairwiseComputation(
+                BlockScheme(40, 5),
+                euclid,
+                aggregator=ThresholdAggregator(eps),
+                engine=engine,
+            )
+            elements, pipeline = computation.run(points, return_pipeline=True)
         neighbors = {eid: sorted(el.results) for eid, el in elements.items()}
         got = cluster_from_neighbors(neighbors, min_pts)
 
         expected = dbscan_reference(points, eps, min_pts)
         assert got.labels == expected.labels
-        # The file flow measured block replication = h on disk.
-        assert report.disk_replication_factor == 5
+        # Block replication h: every element reaches h working sets.
+        assert pipeline.counters.get(PAIRWISE_GROUP, REPLICAS_EMITTED) == 40 * 5
 
 
 class TestDocsimCyclicDesign:

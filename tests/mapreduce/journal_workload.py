@@ -9,7 +9,8 @@ way; ``python -m`` would rebrand it ``__main__`` and break unpickling).
 ``main`` is the subprocess entry point used by the SIGKILL tests: it
 runs one journaled job to completion and prints the sorted result.  The
 parent kills it mid-map (watching the journal for progress), then calls
-``resume_job`` on the same directory in-process.
+``resume_job`` on the same directory in-process.  ``hold_pool`` is the
+driver the orphan-worker test kills: it keeps a live pool and nothing else.
 """
 
 from __future__ import annotations
@@ -98,6 +99,14 @@ def main(argv):
     sleep = float(argv[1]) if len(argv) > 1 else 0.0
     result = run_journaled(journal_dir, sleep_per_task=sleep)
     print(json.dumps(sorted(result.records)))
+
+
+def hold_pool():
+    """Subprocess entry: run one job on a 2-worker pool, then hold it until killed."""
+    engine = MultiprocessEngine(max_workers=2)
+    engine.run(make_job(), make_records(), num_map_tasks=NUM_MAP_TASKS)
+    print("ready", flush=True)
+    time.sleep(600)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess helper

@@ -12,9 +12,11 @@ The journal's contract, in order of increasing violence:
   driver subprocess mid-map-phase.
 """
 
+import contextlib
 import json
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -314,3 +316,64 @@ class TestDriverKill:
         assert sorted(outcome.result.records) == sorted(reference.records)
         assert outcome.result.counters.as_dict() == reference.counters.as_dict()
         assert sorted(p.name for p in journal_dir.iterdir()) == [JOURNAL_NAME]
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_a_killed_drivers_pool_workers_exit(self):
+        """A SIGKILLed driver never shuts its pool down; the workers must notice."""
+        child = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                "from tests.mapreduce import journal_workload as w; w.hold_pool()",
+            ],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": "src"},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        workers: list[int] = []
+        try:
+            assert select.select([child.stdout], [], [], 120)[0], "driver never got ready"
+            assert child.stdout.readline().strip() == "ready"
+            workers = [pid for pid, parent in proc_parents().items() if parent == child.pid]
+            assert len(workers) == 2
+            os.kill(child.pid, signal.SIGKILL)
+            child.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and any(map(is_running, workers)):
+                time.sleep(0.05)
+            assert [pid for pid in workers if is_running(pid)] == []
+        finally:
+            if child.poll() is None:  # pragma: no cover - cleanup guard
+                child.kill()
+                child.wait()
+            child.stdout.close()
+            for pid in filter(is_running, workers):  # a failing run leaks nothing
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def proc_stat(pid) -> list[str]:
+    """``/proc/<pid>/stat`` fields after the command name: state, ppid, …"""
+    text = Path(f"/proc/{pid}/stat").read_text()
+    return text[text.rindex(")") + 2 :].split()
+
+
+def proc_parents() -> dict[int, int]:
+    parents = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                parents[int(entry.name)] = int(proc_stat(entry.name)[1])
+            except (FileNotFoundError, ProcessLookupError):
+                continue  # exited while we looked
+    return parents
+
+
+def is_running(pid: int) -> bool:
+    """Alive and not a zombie (an orphan's new parent may never reap it)."""
+    try:
+        return proc_stat(pid)[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False

@@ -5,12 +5,7 @@ import pytest
 from repro.mapreduce.job import Job, Mapper, Reducer, records_from
 from repro.mapreduce.pipeline import Pipeline
 from repro.mapreduce.runtime import SerialEngine
-from repro.mapreduce.splits import (
-    Split,
-    assign_round_robin,
-    split_by_count,
-    split_by_size,
-)
+from repro.mapreduce.splits import split_by_count
 
 
 class TestSplitByCount:
@@ -31,31 +26,6 @@ class TestSplitByCount:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             split_by_count([], 0)
-
-
-class TestSplitBySize:
-    def test_max_respected(self):
-        splits = split_by_size([(i, i) for i in range(10)], 4)
-        assert all(len(s) <= 4 for s in splits)
-        assert sum(len(s) for s in splits) == 10
-
-    def test_empty_input(self):
-        assert len(split_by_size([], 5)) == 1
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            split_by_size([], 0)
-
-
-class TestPlacement:
-    def test_round_robin(self):
-        splits = [Split(records=[]) for _ in range(7)]
-        assign_round_robin(splits, 3)
-        assert [s.location for s in splits] == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_rejects_zero_nodes(self):
-        with pytest.raises(ValueError):
-            assign_round_robin([], 0)
 
 
 class DoubleMapper(Mapper):

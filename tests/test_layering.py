@@ -16,7 +16,7 @@ package, with relative imports resolved to absolute module paths.
 ``repro.core`` has one mapping-schema interface and one executor: whatever
 answers ``get_subsets`` / ``get_pairs`` is a ``DistributionScheme``, and the
 pair function is called by ``pairwise.py`` and the brute-force oracles only —
-rounds, rectangles and growth go through ``PairwiseComputation``, and a
+rounds and rectangles go through ``PairwiseComputation``, and a
 schedule's simulation through ``simulate``.
 
 The control plane offers no menu: one dispatch order, one placement
@@ -26,6 +26,9 @@ stay deleted.
 
 Leg 2 ships result blocks: the pairwise producers emit once per task, from
 ``cleanup``, never one record per element.
+
+The periphery nothing ran — a second file route, a DFS model, Streaming
+stages, a range partitioner, an incremental wrapper — stays deleted.
 
 Everything the engine persists is one SPC1 container: ``struct`` framing,
 ``os.replace`` publication and file-object pickles live in
@@ -285,6 +288,49 @@ class TestTheMenuIsGone:
         assert len(calls_of(runtime, "_dispatch_order")) == 2  # one per engine
 
 
+class TestThePeripheryIsGone:
+    """Nothing ran these modules or the methods that served them."""
+
+    MODULES = {
+        "mapreduce/textio.py": (
+            "read_output_dir", "read_records", "run_job_on_files",
+            "write_partitioned", "write_records",
+        ),
+        "core/fileflow.py": (
+            "FileFlowReport", "load_elements", "run_pairwise_on_files", "write_element_files",
+        ),
+        "mapreduce/hdfs.py": ("DistributedFileSystem",),
+        "mapreduce/streaming.py": ("StreamingMapper", "StreamingProtocolError", "StreamingReducer"),
+        "mapreduce/partitioners.py": ("RangePartitioner", "is_globally_sorted"),
+        "core/incremental.py": ("BatchReport", "IncrementalPairwise"),
+    }
+
+    def test_the_six_files_are_absent(self):
+        assert [name for name in self.MODULES if (SRC / "repro" / name).exists()] == []
+
+    def test_no_package_exports_their_names(self):
+        forbidden = {Path(name).stem for name in self.MODULES}.union(*self.MODULES.values())
+        exported = []
+        for init in sorted((SRC / "repro").rglob("__init__.py")):
+            for node in ast.parse(init.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__":
+                    names = {element.value for element in node.value.elts}
+                    exported += [f"{init.parent.name}: {n}" for n in sorted(names & forbidden)]
+        assert exported == []
+
+    def test_the_methods_that_served_them_are_gone(self):
+        def methods(path: str, cls: str) -> set[str]:
+            tree = ast.parse((SRC / "repro" / path).read_text(encoding="utf-8"))
+            (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+            return {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+
+        pairwise = methods("core/pairwise.py", "PairwiseComputation")
+        simulator = methods("cluster/simulator.py", "ClusterSimulator")
+        assert {"run", "_execute"} <= pairwise and "simulate" in simulator  # the walk reads
+        assert "build_jobs" not in pairwise
+        assert "input_locality" not in simulator
+
+
 class TestOneContainer:
     """Every file the engine reads back is SPC1: one writer, one checking reader.
 
@@ -419,7 +465,7 @@ class TestDocsFollowFiles:
         section = api.split("### Job config keys", 1)[1].split("\n### ", 1)[0]
         rows = [line for line in section.splitlines() if line.startswith("| `")]
         named = {name for row in rows for name in re.findall(r"`([\w.]+)`", row.split("|")[1])}
-        assert len(read) >= 8, "the walk saw nothing"
+        assert len(read) >= 5, "the walk saw nothing"
         assert sorted(named ^ read) == []
 
 

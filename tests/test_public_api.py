@@ -72,7 +72,7 @@ class TestStableSurface:
         "ConcatAggregator", "ThresholdAggregator", "TopKAggregator",
         "check_exactly_once", "balance_report", "choose_scheme",
         "HierarchicalBlockScheme", "SequentialDesignSchedule", "run_rounds",
-        "auto_pairwise", "IncrementalPairwise", "Element", "results_matrix",
+        "auto_pairwise", "Element", "results_matrix",
     }
 
     def test_core_surface_present(self):
