@@ -34,10 +34,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .._util import ceil_div
 from .element import results_matrix
 from .pairwise import PairwiseComputation
-from .scheme import DistributionScheme, Pair, SchemeMetrics
+from .scheme import DistributionScheme, Pair, SchemeMetrics, pairs_across
 
 CrossPair = tuple[int, int]  #: (r_id, s_id), each 1-based within its side
 
@@ -112,9 +114,10 @@ class BipartiteBroadcastScheme(BipartiteScheme):
         r_id = (p - 1) % self.vr + 1
         return (r_id, s_id)
 
-    def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
         labels = self.task_labels(subset_id)
-        return [(self.vs + r, s) for r, s in map(self.label_to_pair, labels)]
+        offsets = np.arange(labels.start - 1, labels.stop - 1, dtype=np.int64)
+        return np.column_stack((self.vs + offsets % self.vr + 1, offsets // self.vr + 1))
 
     def get_subsets(self, element_id: int) -> list[int]:
         self._check_element_id(element_id)
@@ -182,9 +185,9 @@ class BipartiteBlockScheme(BipartiteScheme):
         self._check_subset_id(subset_id)
         return divmod(subset_id, self.hs)
 
-    def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
         a, b = self.task_position(subset_id)
-        return [(r, s) for r in self._chunk("r", a) for s in self._chunk("s", b)]
+        return pairs_across(self._chunk("r", a), self._chunk("s", b))
 
     def get_subsets(self, element_id: int) -> list[int]:
         self._check_element_id(element_id)

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .._util import ceil_div
-from .scheme import DistributionScheme, Pair, SchemeMetrics
+from .scheme import DistributionScheme, SchemeMetrics, pairs_across, pairs_within
 
 
 class BlockScheme(DistributionScheme):
@@ -74,9 +76,10 @@ class BlockScheme(DistributionScheme):
         """Element ids of group ``g``: (g−1)e+1 … min(ge, v)."""
         if not 1 <= group <= self.h:
             raise ValueError(f"group {group} out of range [1, {self.h}]")
-        lo = (group - 1) * self.e + 1
-        hi = min(group * self.e, self.v)
-        return list(range(lo, hi + 1))
+        return list(self._group_range(group))
+
+    def _group_range(self, group: int) -> range:
+        return range((group - 1) * self.e + 1, min(group * self.e, self.v) + 1)
 
     def block_position(self, block: int) -> tuple[int, int]:
         """Grid position (I, J), I >= J >= 1, of 1-indexed block id ``p``.
@@ -117,21 +120,14 @@ class BlockScheme(DistributionScheme):
             return self.group_members(I)
         return self.group_members(J) + self.group_members(I)
 
-    def block_pairs(self, block: int) -> list[Pair]:
-        """Pair relation P_p of one block: cross pairs, or the diagonal half."""
+    def block_pairs(self, block: int) -> np.ndarray:
+        """Pair relation P_p of one block as rows: cross pairs, or the diagonal half."""
         I, J = self.block_position(block)
         if I == J:
-            members = self.group_members(I)
-            return [
-                (members[a], members[b])
-                for a in range(len(members))
-                for b in range(a)
-            ]
-        rows = self.group_members(J)
-        cols = self.group_members(I)
+            return pairs_within(self._group_range(I))
         # Column ids are strictly greater than row ids (I > J), so (c, r)
         # is already in canonical i > j orientation.
-        return [(c, r) for c in cols for r in rows]
+        return pairs_across(self._group_range(I), self._group_range(J))
 
     # -- task fusion for paired diagonals ---------------------------------------
     def _build_paired_tasks(self) -> None:
@@ -171,14 +167,11 @@ class BlockScheme(DistributionScheme):
             return list(seen)
         return [block - 1 for block in blocks]  # 0-indexed task ids
 
-    def get_pairs(self, subset_id: int, members: Sequence[int] = ()) -> list[Pair]:
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
         """Pairs of the task; derived from grid math, ``members`` unused."""
         self._check_subset_id(subset_id)
         if self.pair_diagonals:
-            pairs: list[Pair] = []
-            for block in self._tasks[subset_id]:
-                pairs.extend(self.block_pairs(block))
-            return pairs
+            return np.concatenate([self.block_pairs(block) for block in self._tasks[subset_id]])
         return self.block_pairs(subset_id + 1)
 
     def subset_members(self, subset_id: int) -> list[int]:
@@ -192,9 +185,7 @@ class BlockScheme(DistributionScheme):
 
     def _group_size(self, group: int) -> int:
         """Cardinality of group g without materializing it."""
-        lo = (group - 1) * self.e + 1
-        hi = min(group * self.e, self.v)
-        return hi - lo + 1
+        return len(self._group_range(group))
 
     def _block_profile(self, block: int) -> tuple[int, int]:
         """(members, evaluations) of one 1-indexed block, O(1)."""

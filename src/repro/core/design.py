@@ -26,9 +26,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from ..designs import plane_order_for, plane_size, projective_plane, truncate_design
 from ..designs.difference_sets import singer_difference_set
-from .scheme import DistributionScheme, Pair, SchemeMetrics
+from .scheme import DistributionScheme, SchemeMetrics, pairs_within
 
 
 class DesignScheme(DistributionScheme):
@@ -91,7 +93,7 @@ class DesignScheme(DistributionScheme):
         # excluded by the base class).
         return list(self._subsets_of.get(element_id, []))
 
-    def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
         """Full pair relation within the working set (paper §5.3's P_l).
 
         Uses the reducer-provided ``members`` when given (mirroring
@@ -107,7 +109,7 @@ class DesignScheme(DistributionScheme):
                     f"task {subset_id} received members {sorted(members)} "
                     f"but the design block is {block}"
                 )
-        return [(block[a], block[b]) for a in range(len(block)) for b in range(a)]
+        return pairs_within(block)
 
     def subset_members(self, subset_id: int) -> list[int]:
         self._check_subset_id(subset_id)
@@ -234,15 +236,14 @@ class CyclicDesignScheme(DistributionScheme):
                 tasks.append(task)
         return sorted(tasks)
 
-    def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
-        self._check_subset_id(subset_id)
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
         block = self.subset_members(subset_id)
         if members is not None and len(members) > 0 and sorted(members) != block:
             raise ValueError(
                 f"task {subset_id} received members {sorted(members)} "
                 f"but the cyclic block is {block}"
             )
-        return [(block[a], block[b]) for a in range(len(block)) for b in range(a)]
+        return pairs_within(block)
 
     def task_profile(self, subset_id: int):
         from .scheme import TaskProfile

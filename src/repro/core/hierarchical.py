@@ -38,6 +38,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .._util import ceil_div, chunked, triangle_count
 from .design import DesignScheme
 from .element import Element, _elements_by_id
@@ -60,7 +62,7 @@ class Round(DistributionScheme):
     """One sequential round: tasks that may run in parallel together.
 
     A schema over the global ids ``1..v`` built from the round's explicit
-    task list, so ``get_subsets`` / ``get_pairs`` are exact.  ``blocks`` is
+    task list, so ``get_subsets`` / ``pair_array`` are exact.  ``blocks`` is
     what the round must cover — ``(high, low)`` id groups, each standing
     for the pairs ``(i, j)``, i ∈ high, j ∈ low, i > j (a coarse block, or
     a design block against itself) — stated apart from how ``tasks`` tile
@@ -106,10 +108,12 @@ class Round(DistributionScheme):
     def get_subsets(self, element_id: int) -> list[int]:
         return list(self._subsets_of.get(element_id, ()))
 
-    def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
-        return list(self.tasks[subset_id].pairs)
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+        self._check_subset_id(subset_id)
+        return np.array(self.tasks[subset_id].pairs, dtype=np.int64).reshape(-1, 2)
 
     def subset_members(self, subset_id: int) -> list[int]:
+        self._check_subset_id(subset_id)
         return sorted(self.tasks[subset_id].members)
 
     def participants(self) -> list[int]:
@@ -121,6 +125,7 @@ class Round(DistributionScheme):
         )
 
     def task_profile(self, subset_id: int) -> TaskProfile:
+        self._check_subset_id(subset_id)
         task = self.tasks[subset_id]
         return TaskProfile(subset_id, len(task.members), len(task.pairs))
 

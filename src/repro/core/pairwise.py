@@ -54,7 +54,8 @@ hold it, and from the store on the cached rows.
   the map phase calls ``getSubsets`` per element and emits, per working
   set, the block of its members this map task holds; the shuffle groups
   working sets onto reducers; each reducer admits the blocks
-  (:func:`_admit_working_set`), calls ``getPairs``, evaluates them,
+  (:func:`_admit_working_set`), takes ``getPairs`` as the scheme's pair
+  array, evaluates it,
   and files both orientations of every result (``addResult``) under the
   member's aggregate partition; at task end it emits one result block per
   partition reached.
@@ -83,8 +84,10 @@ standing assumption) and picklable for the multiprocess engine.
 **Kernels.**  The compute phases work one *block* at a time, not one pair:
 the two compute reducers admit a working set's payloads as one
 :class:`~repro.kernels.WorkingSetStore` (a ``dict`` that stacks its rows
-once for the kernels that want a matrix), its pair relation becomes an
-``(n, 2)`` index array once,
+once for the kernels that want a matrix); its pair relation comes from
+the scheme as an ``(n, 2)`` int64 array
+(:meth:`~repro.core.scheme.DistributionScheme.pair_array`, no Python
+tuple per pair) and
 stays an array through pruner → :class:`~repro.kernels.PairKernel`
 (``config["kernel"]``; ``None`` → the scalar kernel, bit-identical to the
 historical loop; ``"auto"`` → registry selection from the pair function
@@ -103,7 +106,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from ..kernels import WorkingSetStore, pair_index_array, resolve_kernel
+from ..kernels import WorkingSetStore, resolve_kernel
 from ..mapreduce.controlplane.events import ReplicationMeasured
 from ..mapreduce.counters import FRAMEWORK_GROUP, SHUFFLE_BYTES
 from ..mapreduce.job import Context, IdentityMapper, Job, Mapper, Reducer
@@ -302,10 +305,10 @@ def scatter_results(
 
 
 def _compute_block(
-    pairs: Sequence[tuple[int, int]], payloads: Mapping[int, Any], context: Context
+    pairs: np.ndarray, payloads: Mapping[int, Any], context: Context
 ) -> Iterator[tuple[int, list[int], list[Any]]]:
-    """One working set, block-granular: index once → prune → kernel → scatter."""
-    block = _apply_pruner(pair_index_array(pairs), context)
+    """One working set, block-granular: the scheme's pair array → prune → kernel → scatter."""
+    block = _apply_pruner(pairs, context)
     if len(block):
         yield from scatter_results(block, *_evaluate_pairs(block, payloads, context))
 
@@ -412,9 +415,9 @@ class _ResultBlocks:
 class ComputeReducer(_ResultBlocks, Reducer):
     """Algorithm 1's reduce: getPairs, batch-evaluate, addResult both ways.
 
-    The pair relation is materialized once and dispatched to the
-    configured :mod:`repro.kernels` kernel (scalar by default — see
-    :func:`_evaluate_pairs`).  With ``symmetric=False`` in the job config
+    The pair relation arrives from the scheme as one int64 array and is
+    dispatched to the configured :mod:`repro.kernels` kernel (scalar by
+    default — see :func:`_evaluate_pairs`).  With ``symmetric=False`` in the job config
     (the paper's "marginal modification" for non-symmetric evaluations,
     §1) each unordered pair is still *visited* once — the schemes
     guarantee that — but both orientations are computed: element i stores
@@ -430,7 +433,7 @@ class ComputeReducer(_ResultBlocks, Reducer):
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
         payloads = _admit_working_set(key, values, context)
-        pairs = scheme.get_pairs(key, list(payloads))
+        pairs = scheme.pair_array(key, list(payloads))
         self._keep(_compute_block(pairs, payloads, context), payloads)
 
 
@@ -445,7 +448,7 @@ class CachedComputeReducer(_ResultBlocks, Reducer):
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
         payloads = _admit_working_set(key, values, context, context.cache_file("dataset"))
-        pairs = scheme.get_pairs(key, list(payloads))
+        pairs = scheme.pair_array(key, list(payloads))
         self._keep(_compute_block(pairs, payloads, context), payloads)
 
 
@@ -461,7 +464,7 @@ class BroadcastPairMapper(_ResultBlocks, Mapper):
     def map(self, key: int, value: Any, context: Context) -> None:
         scheme: BroadcastScheme = context.config["scheme"]
         payloads: Mapping[int, Any] = context.cache_file("dataset")
-        self._keep(_compute_block(scheme.get_pairs(key), payloads, context))
+        self._keep(_compute_block(scheme.pair_array(key), payloads, context))
 
 
 class AggregateReducer(Reducer):

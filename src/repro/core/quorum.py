@@ -39,6 +39,8 @@ from __future__ import annotations
 import statistics
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..designs.difference_covers import DifferenceCover, difference_cover
 from .scheme import (
     DistributionScheme,
@@ -200,27 +202,24 @@ class QuorumScheme(DistributionScheme):
         v = self.v
         return sorted({(p - d) % v for d in self.residues})
 
-    def get_pairs(self, subset_id: int, members: Sequence[int]) -> list[Pair]:
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
         """One pair per difference class, owned by translate ``subset_id``.
 
         Closed-form like broadcast/block: ``members`` is ignored (the
         reducer's arrived set is validated upstream by the exactly-once
-        checker and the working-set assertions).
+        checker and the working-set assertions).  Row ``δ − 1`` is class δ.
         """
         self._check_subset_id(subset_id)
-        t = subset_id
         v = self.v
-        half = v // 2
-        even = v % 2 == 0
-        pairs: list[Pair] = []
-        for delta in range(1, half + 1):
-            if even and delta == half and t >= half:
-                continue  # the t + v/2 translate generates the same pair
-            d_i, d_j = self._reps[delta - 1]
-            a = self._element((t + d_i) % v)
-            b = self._element((t + d_j) % v)
-            pairs.append((a, b) if a > b else (b, a))
-        return pairs
+        reps = np.array(self._reps, dtype=np.int64).reshape(-1, 2)
+        if v % 2 == 0 and subset_id >= v // 2:
+            reps = reps[:-1]  # the t + v/2 translate generates class v/2's pair
+        ends = (subset_id + reps) % v
+        if self._element_at is None:
+            ends += 1
+        else:
+            ends = np.asarray(self._element_at, dtype=np.int64)[ends]
+        return np.column_stack((ends.max(axis=1), ends.min(axis=1)))
 
     # -- structure -------------------------------------------------------------
     @property

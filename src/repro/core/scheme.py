@@ -6,7 +6,10 @@ algorithm needs (paper §4):
 1. **getSubsets** — which working sets does element ``s_i`` belong to?
    (drives the map phase of the distribution job), and
 2. **getPairs** — which pairs does working set ``D_l`` evaluate?
-   (drives the reduce phase).
+   (drives the reduce phase).  A scheme answers it as one ``(n, 2)``
+   int64 array, :meth:`DistributionScheme.pair_array`, built from its
+   closed form; :meth:`DistributionScheme.get_pairs` is the list-of-tuples
+   view of that array.
 
 Together they define the systems ``D`` (working sets) and ``P`` (pair
 relations) of §5's formal problem, subject to:
@@ -35,9 +38,25 @@ import abc
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .._util import format_bytes
 
 Pair = tuple[int, int]
+
+
+def pairs_within(points: Sequence[int]) -> np.ndarray:
+    """Every pair of ascending ``points``, rows ``(points[a], points[b])`` for b < a, a ascending."""
+    points = np.asarray(points, dtype=np.int64)
+    below, left = np.tril_indices(len(points), -1)
+    return np.column_stack((points[below], points[left]))
+
+
+def pairs_across(high: Sequence[int], low: Sequence[int]) -> np.ndarray:
+    """The cross product ``(h, l)``, h ∈ high, l ∈ low, ``high``-major."""
+    high = np.asarray(high, dtype=np.int64)
+    low = np.asarray(low, dtype=np.int64)
+    return np.column_stack((np.repeat(high, len(low)), np.tile(low, len(high))))
 
 
 @dataclass(frozen=True)
@@ -194,7 +213,7 @@ class DistributionScheme(abc.ABC):
 
     Subclasses must be deterministic: the same ``(v, parameters)`` must
     always produce the same working sets and pair relations, because the
-    map phase (get_subsets) and the reduce phase (get_pairs) run on
+    map phase (get_subsets) and the reduce phase (pair_array) run on
     different nodes and must agree on the partitioning.
     """
 
@@ -212,13 +231,22 @@ class DistributionScheme(abc.ABC):
         """Working-set ids (0-indexed tasks) that element ``element_id`` joins."""
 
     @abc.abstractmethod
-    def get_pairs(self, subset_id: int, members: Sequence[int]) -> list[Pair]:
-        """Pairs ``(i, j)`` with i > j that task ``subset_id`` must evaluate.
+    def pair_array(
+        self, subset_id: int, members: Sequence[int] | None = None
+    ) -> np.ndarray:
+        """getPairs: the ``(n, 2)`` int64 rows ``(i, j)``, i > j, task ``subset_id`` evaluates.
 
         ``members`` is the sorted list of element ids that arrived at the
-        reducer for this working set; schemes may use it (design) or ignore
-        it in favour of closed-form index math (broadcast, block).
+        reducer for this working set; schemes may check it (design) or
+        ignore it in favour of closed-form index math (broadcast, block).
+        A task with no pairs returns shape ``(0, 2)``.  This is the form
+        the compute steps hand to pruner, kernel and scatter.
         """
+
+    def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
+        """:meth:`pair_array` as a list of ``(i, j)`` tuples of Python ints."""
+        rows = self.pair_array(subset_id, members)
+        return list(zip(rows[:, 0].tolist(), rows[:, 1].tolist()))
 
     # -- structure ------------------------------------------------------------
     @property
@@ -243,15 +271,15 @@ class DistributionScheme(abc.ABC):
     def task_profile(self, subset_id: int) -> "TaskProfile":
         """Size profile of one task: member count and evaluation count.
 
-        The default materializes the members and pairs; every concrete
-        scheme overrides this with closed-form O(1) math so the cluster
-        simulator can profile millions of tasks cheaply.
+        The default materializes the members and the pair array; every
+        concrete scheme overrides this with closed-form O(1) math so the
+        cluster simulator can profile millions of tasks cheaply.
         """
         members = self.subset_members(subset_id)
         return TaskProfile(
             subset_id=subset_id,
             num_members=len(members),
-            num_evaluations=len(self.get_pairs(subset_id, members)),
+            num_evaluations=len(self.pair_array(subset_id, members)),
         )
 
     def subset_members(self, subset_id: int) -> list[int]:

@@ -10,16 +10,19 @@ so that pair (2,1) gets label 1, (3,1) label 2, (3,2) label 3, (4,1) label
 4, … (the paper's Figure 5).  Labels run 1 … T where T = v(v−1)/2.
 
 This module provides the labelling, its exact integer inverse, and range
-iterators used to carve the triangle into per-task chunks.  Everything is
-pure integer arithmetic: the inverse uses ``math.isqrt``, so it is exact for
-arbitrarily large v (no float round-off at the billion-pair scale the
-paper's datasets imply).
+iterators used to carve the triangle into per-task chunks.  The scalar
+inverse uses ``math.isqrt``, so it is exact for arbitrarily large v (no
+float round-off at the billion-pair scale the paper's datasets imply); the
+vectorised one, :func:`label_pair_array`, corrects its float square root
+in integer arithmetic and is exact over the int64 label range.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator
+
+import numpy as np
 
 from .._util import ceil_div, triangle_count
 
@@ -76,21 +79,24 @@ def labels_for_task(task: int, num_tasks: int, v: int) -> range:
     return range(lo, hi + 1)
 
 
-def pairs_in_labels(labels: range) -> Iterator[Pair]:
-    """Yield the (i, j) pairs for a contiguous label range.
+def label_pair_array(labels: range) -> np.ndarray:
+    """The pairs of a contiguous label range as ``(n, 2)`` int64 rows, in label order.
 
-    Walks the triangle incrementally (one inverse computation at the start,
-    then constant-time steps) rather than inverting every label.
+    Inverts every label at once the way :func:`label_to_pair` inverts one:
+    a float square root stands in for ``isqrt``, off by at most one, and
+    one integer fix-up step in each direction makes the column exact.
     """
-    if len(labels) == 0:
-        return
-    i, j = label_to_pair(labels.start)
-    for _ in labels:
+    p = np.arange(labels.start, labels.stop, dtype=np.int64)
+    i = (np.sqrt((8 * p - 7).astype(np.float64)).astype(np.int64) + 3) // 2
+    i -= (i - 1) * (i - 2) // 2 >= p
+    i += i * (i - 1) // 2 < p
+    return np.column_stack((i, p - (i - 1) * (i - 2) // 2))
+
+
+def pairs_in_labels(labels: range) -> Iterator[Pair]:
+    """Yield the (i, j) pairs for a contiguous label range."""
+    for i, j in label_pair_array(labels).tolist():
         yield (i, j)
-        j += 1
-        if j >= i:  # column exhausted: move to next column of the triangle
-            i += 1
-            j = 1
 
 
 def pairs_for_task(task: int, num_tasks: int, v: int) -> Iterator[Pair]:
@@ -104,8 +110,4 @@ def elements_in_labels(labels: range) -> set[int]:
     Used to compute the *effective* working set of a broadcast task — the
     scheme ships all v elements, but a task only reads these.
     """
-    touched: set[int] = set()
-    for i, j in pairs_in_labels(labels):
-        touched.add(i)
-        touched.add(j)
-    return touched
+    return set(np.unique(label_pair_array(labels)).tolist())

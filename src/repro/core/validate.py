@@ -153,7 +153,7 @@ def balance_report(scheme: DistributionScheme) -> BalanceReport:
     ws: list[int] = []
     replication: Counter = Counter()
     for subset_id, members in scheme.iter_subsets():
-        evals.append(len(scheme.get_pairs(subset_id, members)))
+        evals.append(len(scheme.pair_array(subset_id, members)))
         ws.append(len(members))
         for eid in members:
             replication[eid] += 1

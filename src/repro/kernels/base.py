@@ -5,8 +5,9 @@ et al.'s replication/computation trade-off, Ullman's "some pairs"
 problems) treats the per-pair evaluation cost of ``comp(si, sj)`` as the
 dominant term of the compute phase.  The reducers of
 :mod:`repro.core.pairwise` therefore no longer hard-code a Python-level
-``comp`` call per pair: they materialize a working set's pair relation
-into an index array and hand the whole block to a :class:`PairKernel`.
+``comp`` call per pair: they take a working set's pair relation as the
+scheme's index array (``DistributionScheme.pair_array``) and hand the
+whole block to a :class:`PairKernel`.
 
 A kernel answers one question — *evaluate this block of pairs over these
 payloads* — and is free to vectorize however it likes (NumPy gathers,
@@ -35,9 +36,10 @@ PairFunction = Callable[[Any, Any], Any]
 def pair_index_array(pairs: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
     """Materialize a pair relation into an ``(n, 2)`` int64 index array.
 
-    Accepts what ``scheme.get_pairs`` returns (a list of ``(i, j)`` id
-    tuples) or an existing array.  An empty relation becomes a ``(0, 2)``
-    array so kernels can rely on the shape unconditionally.
+    Accepts a list of ``(i, j)`` id tuples (what ``scheme.get_pairs``
+    returns) or an existing array.  An empty relation becomes a ``(0, 2)``
+    array so kernels can rely on the shape unconditionally.  The compute
+    steps do not call it: ``scheme.pair_array`` already is this array.
     """
     if isinstance(pairs, np.ndarray):
         arr = pairs.astype(np.int64, copy=False)
@@ -117,8 +119,8 @@ class PairKernel(abc.ABC):
     ) -> list[Any] | np.ndarray:
         """Evaluate ``comp(payloads[i], payloads[j])`` for every pair row.
 
-        ``pairs`` is an ``(n, 2)`` int64 array of element ids (the output
-        of :func:`pair_index_array`); the return value is a list or a
+        ``pairs`` is an ``(n, 2)`` int64 array of element ids (a scheme's
+        ``pair_array``, possibly pruned); the return value is a list or a
         1-D ndarray of exactly ``n`` results, aligned with the rows.  The
         reducers scatter the block as a whole and store plain Python
         objects: an ndarray is converted with ``.tolist()`` (the built-in
@@ -152,6 +154,8 @@ class ScalarKernel(PairKernel):
     Evaluation order, argument order and result objects are exactly those
     of the historical per-pair reducer loop, so runs configured with the
     scalar kernel (the default) are bit-identical to pre-kernel builds.
+    The rows are walked as ``pairs.tolist()``: one conversion for the
+    block instead of an ndarray row and two ``int()`` calls per pair.
     """
 
     name = "scalar"
@@ -169,7 +173,7 @@ class ScalarKernel(PairKernel):
         self, payloads: Mapping[int, Any], pairs: np.ndarray
     ) -> list[Any]:
         comp = self.comp
-        return [comp(payloads[int(i)], payloads[int(j)]) for i, j in pairs]
+        return [comp(payloads[i], payloads[j]) for i, j in pairs.tolist()]
 
     def describe(self) -> str:
         comp_name = getattr(self.comp, "__name__", repr(self.comp))

@@ -1,5 +1,6 @@
 """Two-set (bipartite) pairwise computation tests (§1's generalization)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from repro.core.bipartite import (
 )
 from repro.core.scheme import DistributionScheme
 from repro.core.validate import check_exactly_once
+from repro.kernels import pair_index_array
 from repro.mapreduce import MultiprocessEngine, SerialEngine
 
 
@@ -122,9 +124,9 @@ class TestBlockScheme:
         """A rectangle task may only emit cross pairs: (s₂, s₁) is outside the universe."""
 
         class Leaky(BipartiteBlockScheme):
-            def get_pairs(self, subset_id, members=None):
-                extra = [(2, 1)] if subset_id == 0 else []
-                return super().get_pairs(subset_id, members) + extra
+            def pair_array(self, subset_id, members=None):
+                extra = pair_index_array([(2, 1)] if subset_id == 0 else [])
+                return np.concatenate([super().pair_array(subset_id, members), extra])
 
         report = check_exactly_once(Leaky(6, 9, 2, 3))
         assert report.ok is False

@@ -99,6 +99,15 @@ class TestHierarchicalBlock:
         schedule = HierarchicalBlockScheme(30, 3, 2)
         assert schedule.total_evaluations() == 30 * 29 // 2
 
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_a_round_rejects_task_ids_out_of_range(self, where):
+        """Like every scheme: ``-1`` is not the last task, ``num_tasks`` not an ``IndexError``."""
+        round_ = next(HierarchicalBlockScheme(40, 4, 2).rounds())
+        task = -1 if where == "before" else round_.num_tasks
+        for ask in (round_.get_pairs, round_.subset_members, round_.task_profile):
+            with pytest.raises(ValueError, match="out of range"):
+                ask(task)
+
 
 class TestSequentialDesign:
     def test_round_partitioning(self):

@@ -2,11 +2,13 @@
 
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 from repro.core.block import BlockScheme
 from repro.core.scheme import DistributionScheme, Pair, SchemeMetrics
 from repro.core.validate import assert_valid_scheme, balance_report, check_exactly_once
+from repro.kernels import pair_index_array
 
 
 class _BrokenScheme(DistributionScheme):
@@ -34,7 +36,10 @@ class _BrokenScheme(DistributionScheme):
             )
         return list(range(1, self.v + 1))
 
-    def get_pairs(self, subset_id: int, members: Sequence[int]) -> list[Pair]:
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+        return pair_index_array(self.pair_list(subset_id))
+
+    def pair_list(self, subset_id: int) -> list[Pair]:
         full = [(i, j) for i in range(2, self.v + 1) for j in range(1, i)]
         if self.mode == "duplicate":
             return full  # both subsets evaluate everything → every pair twice
@@ -86,7 +91,7 @@ class TestCatchesViolations:
 class TestNonCanonicalPairs:
     def test_swapped_pair_raises_immediately(self):
         class Swapped(_BrokenScheme):
-            def get_pairs(self, subset_id, members):
+            def pair_list(self, subset_id):
                 return [(1, 2)] if subset_id == 0 else []
 
         with pytest.raises(AssertionError, match="non-canonical"):

@@ -14,7 +14,7 @@ These are enforced over the import *statements* of every module in each
 package, with relative imports resolved to absolute module paths.
 
 ``repro.core`` has one mapping-schema interface and one executor: whatever
-answers ``get_subsets`` / ``get_pairs`` is a ``DistributionScheme``, and the
+answers ``get_subsets`` / ``pair_array`` is a ``DistributionScheme``, and the
 pair function is called by ``pairwise.py`` and the brute-force oracles only —
 rounds and rectangles go through ``PairwiseComputation``, and a
 schedule's simulation through ``simulate``.
@@ -23,6 +23,10 @@ The control plane offers no menu: one dispatch order, one placement
 function, one attempt of a task in flight — the policy classes, the
 ``schedule_*`` wrappers, speculative execution and the switches nobody set
 stay deleted.
+
+A pair relation is an int64 array from scheme to kernel: every scheme
+implements ``pair_array``, ``get_pairs`` is the base class's list view, and
+only ``run_local`` reads tuples in ``pairwise.py``.
 
 Leg 2 ships result blocks: the pairwise producers emit once per task, from
 ``cleanup``, never one record per element.
@@ -148,7 +152,7 @@ class TestOneSchemaInterfaceOneExecutor:
         schemas = [
             name
             for name, node in classes.items()
-            if {"get_subsets", "get_pairs"}
+            if {"get_subsets", "pair_array"}
             & {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
         ]
         assert len(schemas) >= 9  # the interface and its eight concrete classes
@@ -195,6 +199,44 @@ class TestOneSchemaInterfaceOneExecutor:
         ]
         assert calls_of(fold, "TaskCost", "_task_seconds", "_place", "_failure_impact") == []
         assert len(calls_of(fold, "simulate")) == 1
+
+
+class TestPairsAreArrays:
+    """A scheme implements ``pair_array``; the compute steps take its array as is."""
+
+    COMPUTE_STEPS = {"ComputeReducer": "reduce", "CachedComputeReducer": "reduce",
+                     "BroadcastPairMapper": "map"}
+
+    def test_no_scheme_overrides_the_list_view(self):
+        definers = sorted(
+            f"{path.name}: {node.name}"
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            and "get_pairs" in {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        )
+        assert definers == ["scheme.py: DistributionScheme"]
+
+    def test_the_compute_steps_call_pair_array(self):
+        tree = core_trees()["pairwise.py"]
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        callers = {
+            name: bool(calls_of(method, "pair_array"))
+            for name, step in self.COMPUTE_STEPS.items()
+            for method in classes[name].body
+            if isinstance(method, ast.FunctionDef) and method.name == step
+        }
+        assert callers == dict.fromkeys(self.COMPUTE_STEPS, True)
+
+    def test_only_run_local_reads_tuples(self):
+        tree = core_trees()["pairwise.py"]
+        (run_local,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "run_local"
+        ]
+        tuple_calls = ("get_pairs", "pair_index_array")
+        assert calls_of(run_local, *tuple_calls), "run_local moved: this check reads nothing"
+        assert calls_of(tree, *tuple_calls) == calls_of(run_local, *tuple_calls)
 
 
 class TestLegTwoShipsBlocks:

@@ -8,13 +8,15 @@
 got worse on any workload" half of a claim in one command.
 
 For each workload, and pair i (seed ``seed0 + i``), runs ``benchmarks/e2e/run.py
---workload W --seed S --seconds 10 --trace 0`` once in each checkout — the parent first
-on odd pairs, the change first on even ones — and reads the JSON on the run's last
-stdout line.  Prints one table per workload, per end-to-end metric of the change's
-``BENCHMARK.json``: both medians with quartiles, the relative change, and in how many
-pairs the change read better (ties count for neither).  Exits 1 when, on any workload,
-the change reported more failed operations than the parent: a gain does not count then.
-A driver for the ruler, not a second benchmark: it measures nothing itself.
+--workload W --seed S --seconds T --trace 0`` once in each checkout, T being the
+change's ``BENCHMARK.json`` ``run_seconds`` — the parent first on odd pairs, the change
+first on even ones — and reads the JSON on the run's last stdout line.  Prints one table
+per workload, per end-to-end metric of the change's ``BENCHMARK.json``: both medians with
+quartiles, the relative change, in how many pairs the change read better (ties count for
+neither), and whether the claim rule holds — the change wins at least 9 pairs in 10 and
+its median beats the parent's by more than the parent's q3 − q1.  Exits 1 when, on any
+workload, the change reported more failed operations than the parent: a gain does not
+count then.  It runs the ruler and is not a second benchmark: it measures nothing itself.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import sys
 from pathlib import Path
 
 
-def measure(checkout: Path, workload: str, seed: int) -> dict:
+def measure(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ruler run in ``checkout``; returns its last-line JSON object."""
     command = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", "10", "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0 or not done.stdout.strip():
         sys.exit(f"{checkout}: run.py exited {done.returncode}\n{done.stderr[-2000:]}")
@@ -44,6 +46,15 @@ def spread(values: list[float]) -> str:
         return f"{median:.4g}"
     q1, _, q3 = statistics.quantiles(values, n=4)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def claim_holds(parent: list[float], change: list[float], wins: int, sign: int) -> bool:
+    """≥ 9/10 of the pairs won, and the medians further apart than the parent's q3 − q1."""
+    if len(parent) < 4:
+        return False
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gain = sign * (statistics.median(parent) - statistics.median(change))
+    return 10 * wins >= 9 * len(parent) and gain > q3 - q1
 
 
 def main() -> int:
@@ -71,7 +82,9 @@ def compare(args: argparse.Namespace, spec: dict, workload: str) -> bool:
     sides = {"parent": args.parent, "change": args.change}
     for pair in range(1, args.pairs + 1):
         for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-            runs[side].append(measure(sides[side], workload, args.seed0 + pair))
+            runs[side].append(
+                measure(sides[side], workload, args.seed0 + pair, spec["run_seconds"])
+            )
         print(f"{workload}: pair {pair}/{args.pairs} done", file=sys.stderr)
 
     failed, attempted = (
@@ -82,7 +95,7 @@ def compare(args: argparse.Namespace, spec: dict, workload: str) -> bool:
           f"failed operations parent {failed['parent']}/{attempted['parent']}, "
           f"change {failed['change']}/{attempted['change']}")
     print(f"{'metric':<22}{'parent median [q1, q3]':<34}{'change median [q1, q3]':<34}"
-          f"{'change':>9}  wins")
+          f"{'change':>9}  {'wins':<7}claim")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [run["metrics"][name]["value"] for run in runs["parent"]]
@@ -90,8 +103,9 @@ def compare(args: argparse.Namespace, spec: dict, workload: str) -> bool:
         wins = sum(sign * c < sign * p for p, c in zip(parent, change))
         base = statistics.median(parent)
         relative = (statistics.median(change) - base) / base if base else float("nan")
+        claim = "holds" if claim_holds(parent, change, wins, sign) else "no"
         print(f"{name:<22}{spread(parent):<34}{spread(change):<34}{relative:>+9.1%}  "
-              f"{wins}/{args.pairs}")
+              f"{f'{wins}/{args.pairs}':<7}{claim}")
     print(flush=True)
     return failed["change"] <= failed["parent"]
 
