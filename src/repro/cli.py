@@ -322,7 +322,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .cluster import ClusterSimulator, ClusterSpec, NodeSpec, TaskCost, build_trace
+    from .cluster import ClusterSimulator, ClusterSpec, NodeSpec, build_trace
     from .core.chooser import InfeasibleWorkloadError, choose_scheme
     from .core.hierarchical import HierarchicalBlockScheme
 
@@ -355,14 +355,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for check in report.limit_checks:
         print("  " + check.format())
     if args.gantt and not isinstance(scheme, HierarchicalBlockScheme):
-        node = cluster.nodes[0]
-        costs = [
-            TaskCost(
-                t, scheme.task_profile(t).num_evaluations / node.eval_rate + 1e-9
-            )
-            for t in range(scheme.num_tasks)
-        ]
-        trace = build_trace(costs, cluster)
+        trace = build_trace(report.costs, cluster)
         print(trace.gantt(width=64))
         print(f"  mean slot utilization: {trace.mean_utilization():.1%}")
     return 0 if report.feasible else 1

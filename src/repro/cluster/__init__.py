@@ -2,7 +2,7 @@
 
 from .metrics import ComparisonRow, MeasuredMetrics, TheoryComparison
 from .network import NetworkModel
-from .node import ClusterSpec, FailureModel, NodeSpec
+from .node import ClusterSpec, NodeSpec
 from .scheduler import Assignment, TaskCost
 from .simulator import ClusterSimulator, LimitCheck, SimulationReport
 from .trace import TaskSpan, Trace, build_trace
@@ -12,7 +12,6 @@ __all__ = [
     "ClusterSimulator",
     "ClusterSpec",
     "ComparisonRow",
-    "FailureModel",
     "LimitCheck",
     "MeasuredMetrics",
     "NetworkModel",

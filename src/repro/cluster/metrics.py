@@ -32,20 +32,6 @@ class MeasuredMetrics:
     total_evaluations: int
     max_evaluations_per_task: int
     makespan_seconds: float
-    #: makespan with expected re-execution cost folded in (equals
-    #: ``makespan_seconds`` when the simulator has no failure model)
-    makespan_failure_adjusted: float = 0.0
-    #: expected number of failed task runs across the whole scheme
-    expected_reexecutions: float = 0.0
-    #: ``makespan_failure_adjusted − makespan_seconds``
-    recovery_overhead_seconds: float = 0.0
-    #: shuffle data plane the run was modelled under ("direct" or "relay")
-    shuffle_plane: str = "direct"
-    #: intermediate bytes crossing the driver link (0 on the direct plane,
-    #: the full shuffle volume on the relay plane)
-    driver_bytes: int = 0
-    #: serialized driver-link time added to the makespan (relay plane only)
-    relay_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -90,9 +76,6 @@ class TheoryComparison:
                 self.measured.max_evaluations_per_task,
             ),
         ]
-
-    def max_relative_error(self) -> float:
-        return max(row.relative_error for row in self.rows())
 
     def format(self) -> str:
         lines = [f"{self.theory.scheme} (v={self.theory.v}):"]

@@ -3,9 +3,8 @@
 The execution model permits data shipping between jobs but no online
 communication; all the simulator needs from the network is *how long bulk
 transfers take* and *how many bytes crossed it*.  The model is a classic
-α–β one: a transfer of ``b`` bytes costs ``latency + b / bandwidth``, and
-aggregate shuffle traffic over ``n`` nodes is spread over per-node links
-(each node sources and sinks roughly ``1/n`` of the volume).
+α–β one: a transfer of ``b`` bytes costs ``latency + b / bandwidth``, and a
+broadcast to ``n`` nodes pipelines through a tree of ``⌈log2 n⌉`` levels.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .._util import MB
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Per-link bandwidth/latency and a cluster-level shuffle estimator."""
+    """Per-link bandwidth/latency: point-to-point and broadcast times."""
 
     bandwidth: float = 100 * MB  #: bytes/second per node link
     latency: float = 0.5e-3  #: seconds per transfer setup
@@ -35,38 +34,6 @@ class NetworkModel:
         if num_bytes == 0:
             return 0.0
         return self.latency + num_bytes / self.bandwidth
-
-    def shuffle_time(self, total_bytes: int, num_nodes: int) -> float:
-        """All-to-all shuffle of ``total_bytes`` over ``num_nodes`` links.
-
-        Each node both sends and receives ≈ ``total/n``; the phases overlap
-        in Hadoop, so the bound is one direction's volume per link plus a
-        latency term per peer.
-        """
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        if total_bytes < 0:
-            raise ValueError(f"bytes must be non-negative, got {total_bytes}")
-        per_link = total_bytes / num_nodes
-        return self.latency * max(0, num_nodes - 1) + per_link / self.bandwidth
-
-    def relay_shuffle_time(self, total_bytes: int, num_nodes: int) -> float:
-        """Shuffle of ``total_bytes`` funnelled through a single driver link.
-
-        Models the legacy driver-relay data plane: every intermediate byte
-        crosses the driver's link *twice* (gathered from mappers, forwarded
-        to reducers), serialized on one link instead of spread over ``n``
-        — the driver is the bottleneck regardless of cluster size, which
-        is exactly what the direct spill-file plane removes.  A latency
-        term per peer applies to each direction.
-        """
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        if total_bytes < 0:
-            raise ValueError(f"bytes must be non-negative, got {total_bytes}")
-        return 2 * (
-            self.latency * max(0, num_nodes - 1) + total_bytes / self.bandwidth
-        )
 
     def broadcast_time(self, num_bytes: int, num_nodes: int) -> float:
         """Time to replicate ``num_bytes`` to every node.

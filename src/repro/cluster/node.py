@@ -13,18 +13,10 @@ earlier than expected ... next to the elements themselves, other variables
 and data need to be kept in memory" — modelled as
 :attr:`NodeSpec.memory_overhead` (fraction of slot memory consumed by the
 framework before any element is loaded).
-
-:class:`FailureModel` adds the commodity-cluster reality the paper's
-framework choice is predicated on: tasks fail and get re-executed.  It
-turns a failure rate (or MTBF) into an expected re-execution cost per
-task, which the simulator folds into scheduling to report a
-failure-adjusted makespan — exposing how a scheme's replication choice
-(its working-set size) drives recovery cost.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .._util import MB
@@ -65,80 +57,6 @@ class NodeSpec:
     def usable_slot_memory(self) -> int:
         """Slot memory actually available for elements (after overhead)."""
         return int(self.slot_memory * (1.0 - self.memory_overhead))
-
-
-@dataclass(frozen=True)
-class FailureModel:
-    """Poisson task-failure model: MTBF → expected re-execution cost.
-
-    A task running for ``t`` seconds on a slot whose host fails with mean
-    time between failures ``mtbf_seconds`` dies before finishing with
-    probability ``p = 1 − exp(−t / mtbf)``.  Under independent retries
-    the expected number of failed runs before the first success is
-    ``p / (1 − p)``; each failed run wastes half the task on average
-    (failures arrive uniformly over the attempt) plus the cost of
-    re-localizing the task's working set and a fixed re-scheduling
-    overhead (Hadoop's task-restart latency).  That makes the expected
-    completion time
-
-    ``t_adj = t + p/(1−p) · (t/2 + refetch + restart_overhead)``
-
-    — which is exactly where replication choice bites: a scheme with
-    small working sets pays a small ``refetch`` on recovery, a broadcast
-    scheme re-ships the whole dataset.
-    """
-
-    mtbf_seconds: float
-    restart_overhead_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.mtbf_seconds > 0:
-            raise ValueError(f"mtbf_seconds must be > 0, got {self.mtbf_seconds}")
-        if self.restart_overhead_seconds < 0:
-            raise ValueError(
-                "restart_overhead_seconds must be >= 0, got "
-                f"{self.restart_overhead_seconds}"
-            )
-
-    @classmethod
-    def from_task_failure_rate(
-        cls,
-        rate: float,
-        task_seconds: float,
-        *,
-        restart_overhead_seconds: float = 0.0,
-    ) -> "FailureModel":
-        """Model under which a ``task_seconds``-long task fails with ``rate``.
-
-        ``rate=0`` yields an infinite MTBF (a model that never fails) so
-        benchmark sweeps can include the 0% point without special-casing.
-        """
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"rate must be in [0, 1), got {rate}")
-        if task_seconds <= 0:
-            raise ValueError(f"task_seconds must be > 0, got {task_seconds}")
-        mtbf = math.inf if rate == 0.0 else task_seconds / -math.log1p(-rate)
-        return cls(mtbf_seconds=mtbf, restart_overhead_seconds=restart_overhead_seconds)
-
-    def failure_probability(self, task_seconds: float) -> float:
-        """P(the slot fails while a ``task_seconds``-long attempt runs)."""
-        if task_seconds <= 0 or math.isinf(self.mtbf_seconds):
-            return 0.0
-        return -math.expm1(-task_seconds / self.mtbf_seconds)
-
-    def expected_reexecutions(self, task_seconds: float) -> float:
-        """Expected failed runs before one attempt of length ``t`` lands."""
-        p = self.failure_probability(task_seconds)
-        return p / (1.0 - p)
-
-    def expected_task_seconds(
-        self, task_seconds: float, refetch_seconds: float = 0.0
-    ) -> float:
-        """Expected wall clock including re-executions and re-localization."""
-        retries = self.expected_reexecutions(task_seconds)
-        return task_seconds + retries * (
-            task_seconds / 2.0 + refetch_seconds + self.restart_overhead_seconds
-        )
 
 
 @dataclass

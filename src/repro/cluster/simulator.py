@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
 
 from ..core.hierarchical import Schedule
 from ..core.scheme import DistributionScheme, TaskProfile
 from .metrics import MeasuredMetrics, TheoryComparison
 from .network import NetworkModel
-from .node import ClusterSpec, FailureModel, NodeSpec
+from .node import ClusterSpec, NodeSpec
 from .scheduler import Assignment, TaskCost, cluster_slots, place
 
 
@@ -53,6 +52,9 @@ class SimulationReport:
     measured: MeasuredMetrics
     assignment: Assignment
     limit_checks: list[LimitCheck] = field(default_factory=list)
+    #: the task costs a flat :meth:`ClusterSimulator.simulate` placed, which
+    #: :func:`~repro.cluster.trace.build_trace` turns into its timeline
+    costs: list[TaskCost] = field(default_factory=list)
 
     @property
     def feasible(self) -> bool:
@@ -60,16 +62,6 @@ class SimulationReport:
 
     def compare(self, theory) -> TheoryComparison:
         return TheoryComparison(theory=theory, measured=self.measured)
-
-
-@dataclass(frozen=True)
-class FixedOverhead:
-    """Constant per-task memory overhead in bytes (framework buffers)."""
-
-    bytes: int = 0
-
-    def apply(self, working_set_bytes: int) -> int:
-        return working_set_bytes + self.bytes
 
 
 class ClusterSimulator:
@@ -87,26 +79,7 @@ class ClusterSimulator:
     task_overhead_bytes:
         Fixed per-task memory beyond the working set — the "other
         variables and data [that] need to be kept in memory" of §6.
-    failure_model:
-        Optional :class:`~repro.cluster.node.FailureModel`; when set,
-        every ``simulate*`` also reports a failure-adjusted makespan in
-        which each task carries its expected re-execution cost (wasted
-        partial runs plus re-fetching its working set over the network).
-    blacklist:
-        Node indexes excluded from scheduling (TaskTracker blacklisting);
-        the remaining nodes absorb the full task load.
-    shuffle_plane:
-        How intermediate data moves between phases.  ``"direct"``
-        (default) models reducers fetching map output straight from the
-        producing nodes — the per-task transfer term already covers it.
-        ``"relay"`` models the legacy driver-relay plane: the whole
-        shuffle volume is funnelled twice through a single driver link
-        (:meth:`~repro.cluster.network.NetworkModel.relay_shuffle_time`),
-        a serialized term added to the makespan and reported as
-        ``driver_bytes``/``relay_seconds`` in the measured metrics.
     """
-
-    SHUFFLE_PLANES = ("direct", "relay")
 
     def __init__(
         self,
@@ -115,66 +88,18 @@ class ClusterSimulator:
         *,
         maxis: int | None = None,
         task_overhead_bytes: int = 0,
-        failure_model: FailureModel | None = None,
-        blacklist: Collection[int] = (),
-        shuffle_plane: str = "direct",
     ):
         self.cluster = cluster
         self.network = network or NetworkModel()
         self.maxis = maxis
-        if shuffle_plane not in self.SHUFFLE_PLANES:
-            raise ValueError(
-                f"shuffle_plane must be one of {self.SHUFFLE_PLANES}, "
-                f"got {shuffle_plane!r}"
-            )
-        self.shuffle_plane = shuffle_plane
         if task_overhead_bytes < 0:
             raise ValueError(
                 f"task_overhead_bytes must be >= 0, got {task_overhead_bytes}"
             )
-        self.task_overhead = FixedOverhead(task_overhead_bytes)
-        self.failure_model = failure_model
-        self.blacklist = frozenset(blacklist)
+        self.task_overhead_bytes = task_overhead_bytes
 
-    def _place(self, costs: Sequence[TaskCost]) -> Assignment:
-        """Place costs on the cluster's non-blacklisted slots."""
-        return place(costs, cluster_slots(self.cluster, self.blacklist))
-
-    def _relay_cost(self, shuffle_bytes: int) -> tuple[int, float]:
-        """(driver bytes, serialized driver seconds) for one shuffle leg."""
-        if self.shuffle_plane != "relay" or shuffle_bytes <= 0:
-            return 0, 0.0
-        return shuffle_bytes, self.network.relay_shuffle_time(
-            shuffle_bytes, self.cluster.num_nodes
-        )
-
-    def _failure_impact(
-        self,
-        costs: Sequence[TaskCost],
-        refetch_seconds: Sequence[float],
-        base_makespan: float,
-    ) -> tuple[float, float]:
-        """(failure-adjusted makespan, expected re-executions) for a batch.
-
-        Each task's cost is inflated to its expected completion time under
-        the failure model — re-running LPT on the inflated costs, since a
-        failure-heavy schedule can balance differently — and the expected
-        number of failed runs is summed across tasks.  Without a failure
-        model this is the identity: (``base_makespan``, 0).
-        """
-        if self.failure_model is None or not costs:
-            return base_makespan, 0.0
-        adjusted = [
-            TaskCost(
-                cost.task_id,
-                self.failure_model.expected_task_seconds(cost.seconds, refetch),
-            )
-            for cost, refetch in zip(costs, refetch_seconds)
-        ]
-        reexecutions = sum(
-            self.failure_model.expected_reexecutions(cost.seconds) for cost in costs
-        )
-        return self._place(adjusted).makespan, reexecutions
+    def _place(self, costs: list[TaskCost]) -> Assignment:
+        return place(costs, cluster_slots(self.cluster))
 
     # -- per-task cost model ----------------------------------------------------
     def _task_seconds(
@@ -208,7 +133,7 @@ class ClusterSimulator:
         total_evals = sum(p.num_evaluations for p in profiles)
         max_ws_elems = max(p.num_members for p in profiles)
         max_ws_bytes = max_ws_elems * element_size
-        max_task_memory = self.task_overhead.apply(max_ws_bytes)
+        max_task_memory = max_ws_bytes + self.task_overhead_bytes
         intermediate = replicas * element_size
 
         costs = [
@@ -216,15 +141,6 @@ class ClusterSimulator:
             for p in profiles
         ]
         assignment = self._place(costs)
-        # Recovery re-ships exactly the task's working set — the quantity
-        # the scheme's replication choice controls.
-        refetch = [
-            self.network.transfer_time(p.num_members * element_size) for p in profiles
-        ]
-        adjusted, reexecutions = self._failure_impact(
-            costs, refetch, assignment.makespan
-        )
-        driver_bytes, relay_seconds = self._relay_cost(intermediate)
 
         measured = MeasuredMetrics(
             scheme=scheme.name,
@@ -238,18 +154,13 @@ class ClusterSimulator:
             intermediate_bytes=intermediate,
             total_evaluations=total_evals,
             max_evaluations_per_task=max(p.num_evaluations for p in profiles),
-            makespan_seconds=assignment.makespan + relay_seconds,
-            makespan_failure_adjusted=adjusted + relay_seconds,
-            expected_reexecutions=reexecutions,
-            recovery_overhead_seconds=adjusted - assignment.makespan,
-            shuffle_plane=self.shuffle_plane,
-            driver_bytes=driver_bytes,
-            relay_seconds=relay_seconds,
+            makespan_seconds=assignment.makespan,
         )
         return SimulationReport(
             measured=measured,
             assignment=assignment,
             limit_checks=self._limits(max_task_memory, intermediate),
+            costs=costs,
         )
 
     # -- the broadcast one-job form (§5.1) -------------------------------------------
@@ -295,12 +206,6 @@ class ClusterSimulator:
             seconds = p.num_evaluations * eval_seconds + out_bytes / node.io_rate
             costs.append(TaskCost(p.subset_id, seconds))
         assignment = self._place(costs)
-        # A recovered broadcast task must re-localize the *whole* cached
-        # dataset on its replacement node — broadcast's recovery downside.
-        refetch = [self.network.transfer_time(dataset_bytes)] * len(costs)
-        adjusted, reexecutions = self._failure_impact(
-            costs, refetch, assignment.makespan
-        )
 
         total_evals = sum(p.num_evaluations for p in profiles)
         # Every node caches the dataset once; results add 2 records/eval.
@@ -308,7 +213,7 @@ class ClusterSimulator:
             dataset_bytes * self.cluster.num_nodes
             + 2 * total_evals * result_bytes
         )
-        max_task_memory = self.task_overhead.apply(dataset_bytes)
+        max_task_memory = dataset_bytes + self.task_overhead_bytes
         measured = MeasuredMetrics(
             scheme=f"{scheme.name}(one-job)",
             v=scheme.v,
@@ -322,9 +227,6 @@ class ClusterSimulator:
             total_evaluations=total_evals,
             max_evaluations_per_task=max(p.num_evaluations for p in profiles),
             makespan_seconds=broadcast_time + assignment.makespan,
-            makespan_failure_adjusted=broadcast_time + adjusted,
-            expected_reexecutions=reexecutions,
-            recovery_overhead_seconds=adjusted - assignment.makespan,
         )
         return SimulationReport(
             measured=measured,
@@ -334,11 +236,7 @@ class ClusterSimulator:
 
     # -- hierarchical schedules ----------------------------------------------------
     #: fields of a schedule's report that add up over its sequential rounds …
-    ROUND_SUMS = (
-        "num_tasks", "replicas", "total_evaluations", "makespan_seconds",
-        "makespan_failure_adjusted", "expected_reexecutions",
-        "recovery_overhead_seconds", "driver_bytes", "relay_seconds",
-    )
+    ROUND_SUMS = ("num_tasks", "replicas", "total_evaluations", "makespan_seconds")
     #: … and those that are the worst round's (one round is alive at a time)
     ROUND_PEAKS = (
         "max_working_set_elements", "max_working_set_bytes", "max_task_memory_bytes",
@@ -376,7 +274,6 @@ class ClusterSimulator:
             scheme=type(schedule).__name__,
             v=schedule.v,
             replication_factor=folded["replicas"] / schedule.v,
-            shuffle_plane=self.shuffle_plane,
             **folded,
         )
         return SimulationReport(

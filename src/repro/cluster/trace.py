@@ -5,10 +5,9 @@ each task runs and how loaded each slot is; a :class:`Trace` adds *when*:
 tasks on one slot run back-to-back in scheduling order, giving every task
 a (start, end) interval.  Traces support
 
-- JSON export (loadable into external tooling) and loading from the
-  legacy span-array format, the current ``{"slots", "spans"}`` document,
-  a single span object, or the JSONL files a real engine run's
-  :class:`~repro.mapreduce.controlplane.events.JsonlTraceSink` writes,
+- JSON export (loadable into external tooling) and loading from that
+  ``{"slots", "spans"}`` document or from the JSONL files a real engine
+  run's :class:`~repro.mapreduce.controlplane.events.JsonlTraceSink` writes,
 - an ASCII Gantt chart for quick terminal inspection,
 - utilization statistics (busy fraction per slot, cluster-wide).
 
@@ -27,10 +26,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..mapreduce.controlplane.events import parse_jsonl_tolerant
 from .node import ClusterSpec
 from .scheduler import TaskCost, cluster_slots, place
 
-#: Keys every span record carries, in every supported serialization.
+#: Keys every span record carries, in both supported serializations.
 _SPAN_KEYS = frozenset({"task", "node", "slot", "start", "end"})
 
 
@@ -122,51 +122,26 @@ class Trace:
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
-        """Load a trace from any of the formats we have ever written.
+        """Load a :meth:`to_json` document or a JSONL event stream.
 
-        Accepted inputs: the current ``{"slots", "spans"}`` document, the
-        legacy bare span array, a single span object, and JSONL — one
-        JSON object per line, as written by
-        :class:`~repro.mapreduce.controlplane.events.JsonlTraceSink` —
-        where span-shaped lines become spans and typed event lines are
-        skipped.
+        JSONL is one JSON object per line, as written by
+        :class:`~repro.mapreduce.controlplane.events.JsonlTraceSink` and
+        read by :func:`~repro.mapreduce.controlplane.events.parse_jsonl_tolerant`
+        (a torn final line is dropped): span-shaped lines become spans and
+        typed event lines are skipped.
         """
         try:
             document = json.loads(text)
         except json.JSONDecodeError:
-            return cls._from_jsonl(text)
-        if isinstance(document, list):  # legacy span array
-            return cls(spans=[_span_from_dict(record) for record in document])
-        if isinstance(document, dict):
-            if "spans" in document:
-                return cls(
-                    spans=[_span_from_dict(r) for r in document["spans"]],
-                    slots=[tuple(slot) for slot in document.get("slots", [])],
-                )
-            if _SPAN_KEYS <= document.keys():  # a single bare span
-                return cls(spans=[_span_from_dict(document)])
+            records = parse_jsonl_tolerant(text)
+            spans = [r for r in records if isinstance(r, dict) and _SPAN_KEYS <= r.keys()]
+            return cls(spans=[_span_from_dict(r) for r in spans])
+        if isinstance(document, dict) and "spans" in document:
+            return cls(
+                spans=[_span_from_dict(r) for r in document["spans"]],
+                slots=[tuple(slot) for slot in document.get("slots", [])],
+            )
         raise ValueError("unrecognized trace document")
-
-    @classmethod
-    def _from_jsonl(cls, text: str) -> "Trace":
-        """Parse JSONL event-stream output; keep the span-shaped lines.
-
-        A torn *final* line — the writer died mid-append, e.g. a sink
-        whose driver was killed — is dropped; a malformed line anywhere
-        else is real corruption and re-raises.
-        """
-        spans: list[TaskSpan] = []
-        lines = [line.strip() for line in text.splitlines() if line.strip()]
-        for position, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    break
-                raise
-            if isinstance(record, dict) and _SPAN_KEYS <= record.keys():
-                spans.append(_span_from_dict(record))
-        return cls(spans=spans)
 
     def gantt(self, width: int = 72) -> str:
         """ASCII Gantt: one row per slot, task ids mod 10 as fill digits."""

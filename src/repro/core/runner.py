@@ -90,8 +90,6 @@ def auto_pairwise(
     symmetric: bool = True,
     auto_engine: bool = False,
     trace_sink=None,
-    data_plane: str | None = None,
-    journal_dir=None,
     threshold: float | None = None,
     top_k: int | None = None,
     pruning: str = "off",
@@ -120,12 +118,11 @@ def auto_pairwise(
     the records one run pushes through the shuffle — a flat scheme's
     ``metrics().communication_records``, a schedule's peak round
     (``2 × replicas``); ``comp`` must then be picklable in case the
-    multiprocess engine is selected.  ``trace_sink`` / ``data_plane`` /
-    ``journal_dir`` configure the engine this call builds (pass them to your own ``engine`` instead when
-    supplying one; ``data_plane`` and ``journal_dir`` additionally
-    require ``auto_engine=True``, since only a pooled engine has a
-    broadcast data plane to pick or a direct shuffle to journal —
-    ``journal_dir`` forces the pooled engine regardless of scale).  The
+    multiprocess engine is selected.  ``trace_sink`` goes to the engine
+    this call builds (a serial one when ``auto_engine`` is off); pass it to
+    your own ``engine`` instead when supplying one.  Any other engine
+    knob — a shared-memory data plane, a journal — is the engine's own:
+    build ``MultiprocessEngine(...)`` and pass it as ``engine``.  The
     built engine is closed before returning, whichever branch ran.
 
     ``aggregator`` / ``symmetric`` / ``threshold`` / ``top_k`` /
@@ -138,16 +135,8 @@ def auto_pairwise(
     """
     if len(dataset) < 2:
         raise ValueError("pairwise computation needs at least two elements")
-    engine_knobs = (trace_sink, data_plane, journal_dir)
-    if engine is not None and any(knob is not None for knob in engine_knobs):
-        raise ValueError(
-            "pass trace_sink/data_plane/journal_dir to the engine itself "
-            "when supplying an explicit engine"
-        )
-    if (data_plane is not None or journal_dir is not None) and not auto_engine:
-        raise ValueError(
-            "data_plane/journal_dir require auto_engine=True or an explicit engine"
-        )
+    if engine is not None and trace_sink is not None:
+        raise ValueError("pass trace_sink to the engine itself when supplying an explicit engine")
     if element_size is None:
         element_size = estimate_element_size(dataset)
     if scheme is None:
@@ -169,12 +158,7 @@ def auto_pairwise(
             records = 2 * choice.scheme.peak_round_replicas()
         elif auto_engine:
             records = choice.scheme.metrics().communication_records
-        engine = owned_engine = choose_engine(
-            records,
-            trace_sink=trace_sink,
-            data_plane=data_plane,
-            journal_dir=journal_dir,
-        )
+        engine = owned_engine = choose_engine(records, trace_sink=trace_sink)
     options = dict(
         aggregator=aggregator,
         engine=engine,

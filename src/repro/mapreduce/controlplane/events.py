@@ -13,6 +13,8 @@ span schema of :meth:`repro.cluster.trace.Trace.to_json` (``task`` /
 file therefore loads straight into ``Trace.from_json`` and renders with
 ``Trace.gantt()``, giving real runs the same timeline artifact the
 simulator produces — and a calibration target for its cost model.
+:func:`parse_jsonl_tolerant` is the one reader of such files, the sink's
+and the job journal's alike.
 
 Layering: this module must not import the engines or ``repro.cluster``
 (the *schema* is shared, the code is not — see ``tests/test_layering.py``).
@@ -221,3 +223,22 @@ class JsonlTraceSink:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def parse_jsonl_tolerant(text: str) -> list[dict]:
+    """Parse JSONL, dropping a torn *final* line (interrupted append).
+
+    A record that fails to parse anywhere else is real corruption and
+    re-raises — only the tail of the file can legitimately be torn by a
+    dying writer under the append-fsync discipline.
+    """
+    records: list[dict] = []
+    lines = [line for line in text.splitlines() if line.strip()]
+    for position, line in enumerate(lines):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            if position == len(lines) - 1:
+                break
+            raise
+    return records

@@ -50,7 +50,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .controlplane.events import AttemptTransition, SpillQuarantined, SpillWritten
+from .controlplane.events import (
+    AttemptTransition,
+    SpillQuarantined,
+    SpillWritten,
+    parse_jsonl_tolerant,
+)
 from .serialization import SPILL_HEADER_BYTES, read_spill_chunk, write_spill_chunk
 
 if TYPE_CHECKING:  # circular at runtime: runtime.py imports this module
@@ -67,25 +72,6 @@ JOB_FINISHED = "job_finished"
 
 #: control-plane events worth persisting (attempt lifecycle + data plane)
 _EVENT_TYPES = (AttemptTransition, SpillWritten, SpillQuarantined)
-
-
-def parse_jsonl_tolerant(text: str) -> list[dict]:
-    """Parse JSONL, dropping a torn *final* line (interrupted append).
-
-    A record that fails to parse anywhere else is real corruption and
-    re-raises — only the tail of the file can legitimately be torn by a
-    dying writer under the append-fsync discipline.
-    """
-    records: list[dict] = []
-    lines = [line for line in text.splitlines() if line.strip()]
-    for position, line in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if position == len(lines) - 1:
-                break
-            raise
-    return records
 
 
 def read_journal(path: str | Path) -> list[dict]:

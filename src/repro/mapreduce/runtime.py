@@ -630,8 +630,6 @@ def choose_engine(
     *,
     max_workers: int | None = None,
     trace_sink: Any = None,
-    data_plane: str | None = None,
-    journal_dir: str | Path | None = None,
 ) -> Engine:
     """Pick an engine from a workload-size hint (records through the run).
 
@@ -645,25 +643,13 @@ def choose_engine(
     job broadcasts dominate; at or above it, a
     :class:`MultiprocessEngine` with ``max_workers``.  ``None`` (unknown
     workload) conservatively picks serial.  ``trace_sink`` is passed
-    through to whichever engine is built; ``data_plane`` only to a pooled
-    engine (the serial engine runs in-process, where the cache is already
-    shared by definition).
-    ``journal_dir`` forces a pooled engine regardless of the hint — the
-    durable journal rides the direct shuffle's spill files, which only
-    the :class:`MultiprocessEngine` has.
+    through to whichever engine is built.
     """
     if workload_hint is not None and workload_hint < 0:
         raise ValueError(f"workload_hint must be >= 0, got {workload_hint}")
-    if journal_dir is None and (
-        workload_hint is None or workload_hint < AUTO_SERIAL_MAX_RECORDS
-    ):
+    if workload_hint is None or workload_hint < AUTO_SERIAL_MAX_RECORDS:
         return SerialEngine(trace_sink=trace_sink)
-    return MultiprocessEngine(
-        max_workers=max_workers,
-        data_plane=data_plane or "default",
-        trace_sink=trace_sink,
-        journal_dir=journal_dir,
-    )
+    return MultiprocessEngine(max_workers=max_workers, trace_sink=trace_sink)
 
 
 def _dispose(resources: dict) -> None:

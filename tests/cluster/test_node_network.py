@@ -56,12 +56,6 @@ class TestNetworkModel:
     def test_zero_bytes_free(self):
         assert NetworkModel().transfer_time(0) == 0.0
 
-    def test_shuffle_scales_with_nodes(self):
-        net = NetworkModel(latency=0.0)
-        t4 = net.shuffle_time(400 * MB, 4)
-        t8 = net.shuffle_time(400 * MB, 8)
-        assert t8 == pytest.approx(t4 / 2)
-
     def test_broadcast_single_node_free(self):
         assert NetworkModel().broadcast_time(100 * MB, 1) == 0.0
 
@@ -77,4 +71,4 @@ class TestNetworkModel:
         with pytest.raises(ValueError):
             NetworkModel().transfer_time(-5)
         with pytest.raises(ValueError):
-            NetworkModel().shuffle_time(10, 0)
+            NetworkModel().broadcast_time(10, 0)

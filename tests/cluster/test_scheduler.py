@@ -13,8 +13,8 @@ def cluster(nodes=2, slots=2):
     return ClusterSpec.homogeneous(nodes, NodeSpec(slots=slots))
 
 
-def schedule(tasks, spec, blacklist=()):
-    return place(tasks, cluster_slots(spec, blacklist))
+def schedule(tasks, spec):
+    return place(tasks, cluster_slots(spec))
 
 
 #: 12 tasks with costs 1..5, and where the parent commit's ``schedule_lpt``
@@ -102,20 +102,6 @@ class TestLPT:
     def test_needs_slots(self):
         with pytest.raises(ValueError, match="zero slots"):
             place(TASKS, [])
-
-
-class TestBlacklistValidation:
-    def test_out_of_range_node(self):
-        with pytest.raises(ValueError, match="outside cluster"):
-            cluster_slots(cluster(2, 1), blacklist=[9])
-
-    def test_every_node_blacklisted(self):
-        with pytest.raises(ValueError, match="blacklisted"):
-            cluster_slots(cluster(2, 1), blacklist=[0, 1])
-
-    def test_blacklisted_slots_report_no_load(self):
-        assignment = schedule(TASKS, cluster(3, 2), blacklist={1})
-        assert {node for node, _slot in assignment.slot_loads} == {0, 2}
 
 
 class TestHeterogeneousLPT:

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro._util import GB, KB, MB, TB
-from repro.cluster.node import ClusterSpec, FailureModel, NodeSpec
+from repro.cluster.node import ClusterSpec, NodeSpec
 from repro.cluster.simulator import ClusterSimulator
 from repro.core.bipartite import BipartiteBlockScheme
 from repro.core.block import BlockScheme
@@ -141,12 +141,10 @@ class TestSchedules:
         report = simulator().simulate_schedule(schedule, element_size=10 * KB)
         assert report.measured.makespan_seconds > 0
 
-
-    @pytest.mark.parametrize("plane", ["direct", "relay"])
-    def test_one_round_schedule_is_the_flat_simulation(self, plane):
+    def test_one_round_schedule_is_the_flat_simulation(self):
         """A schedule of one round measures what ``simulate`` measures, field for field."""
         design = DesignScheme(57)
-        sim = simulator(shuffle_plane=plane, failure_model=FailureModel(mtbf_seconds=50.0))
+        sim = simulator(task_overhead_bytes=1 * MB)
         flat = sim.simulate(design, element_size=10 * KB)
         seq = sim.simulate_schedule(SequentialDesignSchedule(design, 1), element_size=10 * KB)
         assert dataclasses.replace(seq.measured, scheme=flat.measured.scheme) == flat.measured
@@ -160,11 +158,11 @@ class TestSchedules:
     )
     def test_schedule_report_is_a_fold_over_its_rounds(self, schedule):
         """Each round is simulated as the scheme it is; every field is a sum or a max."""
-        sim = simulator(shuffle_plane="relay", failure_model=FailureModel(mtbf_seconds=50.0))
+        sim = simulator(task_overhead_bytes=1 * MB)
         report = sim.simulate_schedule(schedule, element_size=10 * KB)
         rounds = [sim.simulate(r, element_size=10 * KB) for r in schedule.rounds()]
         assert len(rounds) == schedule.num_rounds > 1
-        folded = {"scheme", "v", "replication_factor", "shuffle_plane"}
+        folded = {"scheme", "v", "replication_factor"}
         for name in sim.ROUND_SUMS:
             total = sum(getattr(r.measured, name) for r in rounds)
             assert getattr(report.measured, name) == pytest.approx(total), name

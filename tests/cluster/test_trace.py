@@ -103,18 +103,6 @@ class TestSlotInventory:
         # The idle inventoried slot shows up as zero utilization.
         assert restored.utilization()[(0, 0)] == 0.0
 
-    def test_single_bare_span_document(self):
-        restored = Trace.from_json(
-            '{"task": 1, "node": 0, "slot": 2, "start": 0.0, "end": 1.0}'
-        )
-        assert restored.spans == [TaskSpan(1, 0, 2, 0.0, 1.0)]
-
-    def test_legacy_span_array_still_loads(self):
-        legacy = '[{"task": 1, "node": 0, "slot": 0, "start": 0.0, "end": 1.0}]'
-        restored = Trace.from_json(legacy)
-        assert restored.spans == [TaskSpan(1, 0, 0, 0.0, 1.0)]
-        assert restored.slots == [(0, 0)]
-
     def test_jsonl_event_stream_loads(self):
         text = "\n".join(
             [
@@ -131,19 +119,6 @@ class TestSlotInventory:
     def test_unrecognized_document_raises(self):
         with pytest.raises(ValueError):
             Trace.from_json('{"not": "a trace"}')
-
-    def test_jsonl_torn_final_line_tolerated(self):
-        # A trace sink that dies mid-write leaves a torn last line; the
-        # loader keeps everything before it (crash-artifact tolerance).
-        text = "\n".join(
-            [
-                '{"task": 0, "node": 0, "slot": 0, "start": 0.0, "end": 1.0}',
-                '{"task": 1, "node": 0, "slot": 1, "start": 0.5, "end": 2.0}',
-                '{"task": 2, "node": 0, "slot": 0, "start": 1.0, "e',
-            ]
-        )
-        restored = Trace.from_json(text)
-        assert [span.task_id for span in restored.spans] == [0, 1]
 
     def test_jsonl_interior_corruption_still_raises(self):
         text = "\n".join(

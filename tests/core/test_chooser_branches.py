@@ -105,15 +105,6 @@ class TestRunnerEdges:
             assert choice.is_hierarchical == (name == "hierarchical")
             assert closed_trace(path)
 
-    @pytest.mark.parametrize("knob", ["data_plane", "journal_dir"])
-    @pytest.mark.parametrize("hierarchical", [False, True])
-    def test_pool_only_knobs_need_auto_engine(self, knob, hierarchical, tmp_path):
-        data = declared_huge() if hierarchical else [float(x) for x in range(10)]
-        limits = HUGE_LIMITS if hierarchical else {}
-        value = "default" if knob == "data_plane" else tmp_path / "journal"
-        with pytest.raises(ValueError, match="^data_plane/journal_dir require auto_engine=True"):
-            auto_pairwise(data, tag_gap, **limits, **{knob: value})
-
     def test_engine_knobs_with_an_explicit_engine_raise(self, tmp_path):
         from repro.mapreduce import SerialEngine
         from repro.mapreduce.controlplane.events import JsonlTraceSink

@@ -14,6 +14,7 @@ The journal's contract, in order of increasing violence:
 
 import contextlib
 import json
+import operator
 import os
 import pickle
 import select
@@ -24,6 +25,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mapreduce import (
     JobJournal,
@@ -62,10 +65,32 @@ def journal_types(journal_dir):
     return counts
 
 
+#: JSONL records as the journal and the trace sink write them: flat objects
+RECORDS = st.lists(
+    st.dictionaries(
+        st.text(max_size=4),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6)),
+        max_size=3,
+    ),
+    max_size=6,
+)
+
+
 class TestJournalFile:
-    def test_parse_tolerates_torn_final_line(self):
-        text = '{"type": "a"}\n{"type": "b"}\n{"type": "c", "oops'
-        assert parse_jsonl_tolerant(text) == [{"type": "a"}, {"type": "b"}]
+    @given(records=RECORDS, data=st.data())
+    def test_parse_tolerates_torn_final_line(self, records, data):
+        """The one tolerant reader (journal and ``Trace.from_json`` alike).
+
+        A writer killed mid-append leaves a text cut at some byte: it reads
+        back as a prefix of what was written, never shorter than its
+        complete lines.
+        """
+        text = "".join(json.dumps(record) + "\n" for record in records)
+        assert text.isascii()  # so a character offset is a byte offset
+        cut = text[: data.draw(st.integers(0, len(text)))]
+        parsed = parse_jsonl_tolerant(cut)
+        assert parsed == records[: len(parsed)]
+        assert len(parsed) >= cut.count("\n")
 
     def test_parse_raises_on_interior_corruption(self):
         text = '{"type": "a"}\n{"torn\n{"type": "c"}\n'
@@ -110,12 +135,26 @@ class TestJournaledRun:
             MultiprocessEngine(shuffle_mode="relay", journal_dir=tmp_path)
 
     def test_journal_dir_forces_pooled_engine(self, tmp_path):
-        engine = choose_engine(10, journal_dir=tmp_path)
-        try:
-            assert isinstance(engine, MultiprocessEngine)
+        """Only the pooled engine takes a journal; callers build it and pass it in."""
+        import inspect
+
+        from repro.core.runner import auto_pairwise
+
+        takers = [
+            f.__qualname__
+            for f in (MultiprocessEngine.__init__, SerialEngine.__init__, choose_engine, auto_pairwise)
+            if "journal_dir" in inspect.signature(f).parameters
+        ]
+        assert takers == ["MultiprocessEngine.__init__"]
+        data = [float(x) for x in range(12)]
+        with MultiprocessEngine(max_workers=2, journal_dir=tmp_path) as engine:
             assert engine.shuffle_mode == "direct"
-        finally:
-            engine.close()
+            merged, _choice = auto_pairwise(data, operator.sub, engine=engine)
+        assert {i: len(element.results) for i, element in merged.items()} == dict.fromkeys(
+            range(1, 13), 11
+        )
+        types = journal_types(tmp_path)
+        assert types["job_finished"] == types["job_submitted"] >= 1
 
 
 def abandoned_run(tmp_path):

@@ -131,6 +131,21 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "n0.s0" in out and "utilization" in out
 
+    def test_gantt_draws_the_schedule_it_prices(self, capsys):
+        """Bugfix: the Gantt re-costed tasks by compute alone and ended at 200.0 s."""
+        from repro.cluster import ClusterSimulator, ClusterSpec, NodeSpec, build_trace
+        from repro.core.block import BlockScheme
+
+        main(["simulate", "--v", "5000", "--element-size", "100KB", "--nodes", "4", "--gantt"])
+        out = capsys.readouterr().out
+        assert "makespan 220.0s" in out
+        assert out.count("220.0s") == 2  # the report line and the Gantt's time axis
+        cluster = ClusterSpec.homogeneous(4, NodeSpec())
+        report = ClusterSimulator(cluster).simulate(BlockScheme(5000, 5), 100 * KB)
+        trace = build_trace(report.costs, cluster)
+        assert trace.makespan == report.measured.makespan_seconds
+        assert trace.slots == sorted(report.assignment.slot_loads)
+
     def test_infeasible_exit_code(self, capsys):
         code = main(
             ["simulate", "--v", "50", "--element-size", "10GB",

@@ -32,7 +32,9 @@ Leg 2 ships result blocks: the pairwise producers emit once per task, from
 ``cleanup``, never one record per element.
 
 The periphery nothing ran — a second file route, a DFS model, Streaming
-stages, a range partitioner, an incremental wrapper — stays deleted.
+stages, a range partitioner, an incremental wrapper — stays deleted, and so
+do the simulator options only tests set: a failure model, a node blacklist,
+a relay shuffle plane, and a second JSONL reader in the trace loader.
 
 Everything the engine persists is one SPC1 container: ``struct`` framing,
 ``os.replace`` publication and file-object pickles live in
@@ -197,7 +199,7 @@ class TestOneSchemaInterfaceOneExecutor:
             for node in ast.walk(simulator)
             if isinstance(node, ast.FunctionDef) and node.name == "simulate_schedule"
         ]
-        assert calls_of(fold, "TaskCost", "_task_seconds", "_place", "_failure_impact") == []
+        assert calls_of(fold, "TaskCost", "_task_seconds", "_place") == []
         assert len(calls_of(fold, "simulate")) == 1
 
 
@@ -371,6 +373,42 @@ class TestThePeripheryIsGone:
         assert {"run", "_execute"} <= pairwise and "simulate" in simulator  # the walk reads
         assert "build_jobs" not in pairwise
         assert "input_locality" not in simulator
+
+    def test_the_simulator_keeps_only_what_its_callers_read(self):
+        """No failure model, no blacklist, no relay plane, one JSONL reader."""
+        trees = {
+            path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC / "repro" / "cluster").glob("*.py"))
+        }
+
+        def function(module: str, name: str, cls: str | None = None) -> ast.FunctionDef:
+            body = trees[module].body
+            if cls is not None:
+                (owner,) = [n for n in body if isinstance(n, ast.ClassDef) and n.name == cls]
+                body = owner.body
+            (node,) = [n for n in body if isinstance(n, ast.FunctionDef) and n.name == name]
+            return node
+
+        def parameters(node: ast.FunctionDef) -> list[str]:
+            args = node.args
+            return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+        init = function("simulator.py", "__init__", "ClusterSimulator")
+        assert parameters(init) == ["self", "cluster", "network", "maxis", "task_overhead_bytes"]
+        assert parameters(function("scheduler.py", "cluster_slots")) == ["cluster"]
+        defined = {
+            node.name
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        assert len(defined) > 20, "the walk saw nothing"
+        assert defined & {"FailureModel", "relay_shuffle_time", "_from_jsonl"} == set()
+        # The trace loader parses one JSON document itself; lines go to the shared reader.
+        trace = trees["trace.py"]
+        assert calls_of(trace, "parse_jsonl_tolerant"), "the trace loader reads no JSONL"
+        assert len(calls_of(trace, "loads")) == 1
+        assert calls_of(trace, "splitlines") == []
 
 
 class TestOneContainer:

@@ -101,11 +101,11 @@ class TestPinnedSignatures:
     conscious edit of this table, not a side effect of a refactor.
     """
 
-    ENGINE_KNOBS = ("trace_sink", "data_plane", "journal_dir")
     OBJECTIVE_KNOBS = ("threshold", "top_k", "pruning", "exact_fallback", "sketch_params")
     PINNED = {
         # 12 keywords: the engine object *is* the engine configuration, so the
-        # three ENGINE_KNOBS live on the engines and on auto_pairwise only.
+        # engine knobs live on the engines; auto_pairwise and choose_engine
+        # pass on only the trace sink of the engine they build.
         "PairwiseComputation.__init__": (
             "self", "scheme", "comp", "aggregator", "engine", "num_reduce_tasks",
             "symmetric", "kernel", "runtime_config", "max_attempts",
@@ -119,7 +119,7 @@ class TestPinnedSignatures:
         "auto_pairwise": (
             "dataset", "comp", "element_size", "maxws", "maxis", "num_nodes",
             "aggregator", "engine", "symmetric", "auto_engine",
-            *ENGINE_KNOBS, *OBJECTIVE_KNOBS, "scheme",
+            "trace_sink", *OBJECTIVE_KNOBS, "scheme",
         ),
         "Engine.run": ("self", "job", "input_records", "splits", "num_map_tasks"),
         "Engine.run_chain": ("self", "jobs", "input_records", "num_map_tasks", "fuse"),
@@ -129,11 +129,10 @@ class TestPinnedSignatures:
         "MultiprocessEngine.__init__": (
             "self", "max_workers", "shuffle_mode", "data_plane", "trace_sink", "journal_dir",
         ),
-        "choose_engine": ("workload_hint", "max_workers", *ENGINE_KNOBS),
+        "choose_engine": ("workload_hint", "max_workers", "trace_sink"),
         "resume_job": ("journal_dir", "max_workers", "trace_sink"),
         "ClusterSimulator.__init__": (
             "self", "cluster", "network", "maxis", "task_overhead_bytes",
-            "failure_model", "blacklist", "shuffle_plane",
         ),
     }
 

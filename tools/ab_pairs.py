@@ -13,10 +13,14 @@ change's ``BENCHMARK.json`` ``run_seconds`` — the parent first on odd pairs, t
 first on even ones — and reads the JSON on the run's last stdout line.  Prints one table
 per workload, per end-to-end metric of the change's ``BENCHMARK.json``: both medians with
 quartiles, the relative change, in how many pairs the change read better (ties count for
-neither), and whether the claim rule holds — the change wins at least 9 pairs in 10 and
-its median beats the parent's by more than the parent's q3 − q1.  Exits 1 when, on any
-workload, the change reported more failed operations than the parent: a gain does not
-count then.  It runs the ruler and is not a second benchmark: it measures nothing itself.
+neither), whether the claim rule holds — the change wins at least 9 pairs in 10 and
+its median beats the parent's by more than the parent's q3 − q1 — and the no-regression
+verdict against the metric's ``bound`` (a relative tolerance): ``worse`` when the change's
+median is worse than the parent's by more than the bound, ``unresolved`` when the parent's
+relative q3 − q1 is wider than the bound (unless every change run beats every parent
+run), ``ok`` otherwise.  Exits 1 when, on any workload, a metric reads ``worse`` or the
+change reported more failed operations than the parent: a gain does not count then.  It
+runs the ruler and is not a second benchmark: it measures nothing itself.
 """
 
 from __future__ import annotations
@@ -57,6 +61,19 @@ def claim_holds(parent: list[float], change: list[float], wins: int, sign: int) 
     return 10 * wins >= 9 * len(parent) and gain > q3 - q1
 
 
+def bound_verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """``worse`` / ``unresolved`` / ``ok`` under the no-regression rule (docstring above)."""
+    base = statistics.median(parent)
+    if base and sign * (statistics.median(change) - base) / abs(base) > bound:
+        return "worse"
+    if len(parent) >= 4 and base:
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+        if (q3 - q1) / abs(base) > bound and not beats_all:
+            return "unresolved"
+    return "ok"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -70,14 +87,14 @@ def main() -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workloads or [workload["name"] for workload in spec["workloads"]]
-    more_failures = [w for w in workloads if not compare(args, spec, w)]
-    if more_failures:
-        print(f"change failed more operations than parent on: {', '.join(more_failures)}")
-    return 1 if more_failures else 0
+    problems = [problem for w in workloads for problem in compare(args, spec, w)]
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
 
 
-def compare(args: argparse.Namespace, spec: dict, workload: str) -> bool:
-    """Run and print one workload's pairs; False when the change failed more operations."""
+def compare(args: argparse.Namespace, spec: dict, workload: str) -> list[str]:
+    """Run and print one workload's pairs; returns what rejects the change there."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     sides = {"parent": args.parent, "change": args.change}
     for pair in range(1, args.pairs + 1):
@@ -95,7 +112,10 @@ def compare(args: argparse.Namespace, spec: dict, workload: str) -> bool:
           f"failed operations parent {failed['parent']}/{attempted['parent']}, "
           f"change {failed['change']}/{attempted['change']}")
     print(f"{'metric':<22}{'parent median [q1, q3]':<34}{'change median [q1, q3]':<34}"
-          f"{'change':>9}  {'wins':<7}claim")
+          f"{'change':>9}  {'wins':<7}{'claim':<7}bound")
+    problems = []
+    if failed["change"] > failed["parent"]:
+        problems.append(f"{workload}: change failed more operations than parent")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [run["metrics"][name]["value"] for run in runs["parent"]]
@@ -104,10 +124,13 @@ def compare(args: argparse.Namespace, spec: dict, workload: str) -> bool:
         base = statistics.median(parent)
         relative = (statistics.median(change) - base) / base if base else float("nan")
         claim = "holds" if claim_holds(parent, change, wins, sign) else "no"
+        verdict = bound_verdict(parent, change, sign, metric["bound"])
+        if verdict == "worse":
+            problems.append(f"{workload}: {name} worse than its bound {metric['bound']:.0%}")
         print(f"{name:<22}{spread(parent):<34}{spread(change):<34}{relative:>+9.1%}  "
-              f"{f'{wins}/{args.pairs}':<7}{claim}")
+              f"{f'{wins}/{args.pairs}':<7}{claim:<7}{verdict}")
     print(flush=True)
-    return failed["change"] <= failed["parent"]
+    return problems
 
 
 if __name__ == "__main__":
