@@ -5,7 +5,7 @@ The pairwise library rides on a complete local MR runtime; this example
 shows it is usable as a general-purpose engine — the classic wordcount,
 run twice over the same in-memory records:
 
-1. serial engine, native Python mapper/reducer with a combiner;
+1. serial engine, native Python mapper/reducer;
 2. multiprocess engine (identical results, parallel tasks).
 
 Run:  python examples/mapreduce_wordcount.py
@@ -47,18 +47,17 @@ def main() -> None:
         name="wordcount",
         mapper=TokenizeMapper,
         reducer=SumReducer,
-        combiner=SumReducer,
         num_reducers=3,
     )
     with SerialEngine() as engine:
         serial = engine.run(job, records, num_map_tasks=len(LINES))
     counts = serial.as_dict()
     top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-    print("serial engine, combiner on:")
+    print("serial engine:")
     for word, count in top:
         print(f"   {word:<10} {count}")
     shuffled = serial.counters.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS)
-    print(f"   shuffle records (post-combiner): {shuffled}\n")
+    print(f"   shuffle records: {shuffled}\n")
 
     with MultiprocessEngine(2) as engine:
         parallel = engine.run(job, records, num_map_tasks=len(LINES))

@@ -45,7 +45,7 @@ from .core import (
     results_matrix,
     run_rounds,
 )
-from .mapreduce import Job, MultiprocessEngine, Pipeline, SerialEngine
+from .mapreduce import Job, MultiprocessEngine, SerialEngine
 
 __version__ = "1.0.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "NodeSpec",
     "PairKernel",
     "PairwiseComputation",
-    "Pipeline",
     "ScalarKernel",
     "SchemeMetrics",
     "SequentialDesignSchedule",

@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Sequence
 
 from ..kernels import register_comp
 from ..mapreduce.job import Context, Job, Mapper, Reducer
-from ..mapreduce.pipeline import Pipeline
+from ..mapreduce.pipeline import PipelineResult
 from ..mapreduce.runtime import Engine, SerialEngine
 from ..sketches import register_sketch
 
@@ -210,9 +210,8 @@ def elsayed_similarity(
         num_reducers=num_reduce_tasks,
         config=config,
     )
-    pipeline = Pipeline([job1, job2], engine=engine or SerialEngine())
     records = [(doc_id + 1, vector) for doc_id, vector in enumerate(vectors)]
-    result = pipeline.run(records)
+    result = PipelineResult((engine or SerialEngine()).run_chain([job1, job2], records))
     return dict(result.records), result
 
 

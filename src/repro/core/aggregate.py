@@ -39,17 +39,14 @@ Aggregator = Callable[[Sequence[Element]], Element]
 class ConcatAggregator:
     """Union of all copies' result maps; the default aggregation.
 
-    ``on_duplicate`` follows :func:`repro.core.element.merge_copies`:
-    "error" (default) treats a twice-evaluated pair as a bug.
+    A twice-evaluated pair is a scheme bug: :func:`merge_copies` raises
+    :class:`~repro.core.element.DuplicatePairError` naming it.
     """
 
     needs_payload = False
 
-    def __init__(self, on_duplicate: str = "error"):
-        self.on_duplicate = on_duplicate
-
     def __call__(self, copies: Sequence[Element]) -> Element:
-        return merge_copies(copies, on_duplicate=self.on_duplicate)
+        return merge_copies(copies)
 
 
 class ThresholdAggregator:

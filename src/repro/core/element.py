@@ -11,7 +11,7 @@ sets, multiple *copies* of an element accumulate disjoint partial result
 maps; :func:`merge_copies` (used by the aggregation job, Algorithm 2) fuses
 them back into one element.  A partner id appearing in two copies signals a
 pair evaluated twice — a violation of the schemes' exactly-once guarantee —
-and raises :class:`DuplicatePairError` unless the caller opts out.
+and always raises :class:`DuplicatePairError`.
 
 The compute phases write results a working set at a time
 (:meth:`Element.add_results`), and the flattened views
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,27 +96,13 @@ class Element:
         return f"Element(eid={self.eid}, results={len(self.results)})"
 
 
-def merge_copies(
-    copies: Iterable[Element],
-    *,
-    on_duplicate: str = "error",
-    combine: Callable[[Any, Any], Any] | None = None,
-) -> Element:
+def merge_copies(copies: Iterable[Element]) -> Element:
     """Fuse all copies of one element into a single element (Algorithm 2).
 
-    ``on_duplicate`` controls what happens when two copies both carry a
-    result for the same partner (which the schemes guarantee never happens):
-
-    - ``"error"``   — raise :class:`DuplicatePairError` (default; catches
-      scheme bugs in tests),
-    - ``"keep"``    — keep the first value seen,
-    - ``"combine"`` — apply ``combine(old, new)``.
+    Two copies carrying a result for the same partner mean a pair was
+    evaluated twice, which the schemes guarantee never happens: that
+    raises :class:`DuplicatePairError` naming the pair.
     """
-    if on_duplicate not in ("error", "keep", "combine"):
-        raise ValueError(f"unknown duplicate policy: {on_duplicate!r}")
-    if on_duplicate == "combine" and combine is None:
-        raise ValueError("on_duplicate='combine' requires a combine function")
-
     merged: Element | None = None
     for copy in copies:
         if merged is None:
@@ -133,17 +119,8 @@ def merge_copies(
             # What the schemes guarantee: fuse the whole copy at C level.
             merged.results.update(copy.results)
             continue
-        for partner, value in copy.results.items():
-            if partner in merged.results:
-                if on_duplicate == "error":
-                    raise DuplicatePairError(
-                        f"pair ({merged.eid}, {partner}) appears in multiple copies"
-                    )
-                if on_duplicate == "combine":
-                    merged.results[partner] = combine(merged.results[partner], value)  # type: ignore[misc]
-                # "keep": leave the existing value
-            else:
-                merged.results[partner] = value
+        partner = next(p for p in copy.results if p in merged.results)
+        raise DuplicatePairError(f"pair ({merged.eid}, {partner}) appears in multiple copies")
     if merged is None:
         raise ValueError("merge_copies got an empty iterable")
     return merged

@@ -36,7 +36,7 @@ blocks cross its only leg.  *Legs* is the number of shuffles crossed.
 *Routing* is the :attr:`~repro.core.chooser.SchemeChoice.routing` value
 under which :func:`~repro.core.runner.auto_pairwise` picks the row.
 Everything else — dataset normalisation, job construction, pruner /
-sketch attach, the :class:`~repro.mapreduce.pipeline.Pipeline` run,
+sketch attach, the :meth:`~repro.mapreduce.runtime.Engine.run_chain` call,
 replication metering and the result map — happens once, in the executor.
 
 **Payloads travel once.**  Whatever the row, an aggregator that declares
@@ -110,7 +110,7 @@ from ..kernels import WorkingSetStore, resolve_kernel
 from ..mapreduce.controlplane.events import ReplicationMeasured
 from ..mapreduce.counters import FRAMEWORK_GROUP, SHUFFLE_BYTES
 from ..mapreduce.job import Context, IdentityMapper, Job, Mapper, Reducer
-from ..mapreduce.pipeline import Pipeline, PipelineResult
+from ..mapreduce.pipeline import PipelineResult
 from ..mapreduce.runtime import Engine, SerialEngine
 from ..mapreduce.serialization import estimate_element_size, record_size
 from ..mapreduce.shuffle import hash_partition
@@ -904,10 +904,10 @@ class PairwiseComputation:
             input_records = [
                 (element.eid, element if on_shuffle else None) for element in elements
             ]
-        result = Pipeline(jobs, engine=self.engine).run(
-            input_records,
-            num_map_tasks=num_map_tasks,
-            fuse=not return_result,
+        result = PipelineResult(
+            self.engine.run_chain(
+                jobs, input_records, num_map_tasks=num_map_tasks, fuse=not return_result
+            )
         )
         payload_legs = 1 if on_shuffle and results_only else len(jobs)
         self._meter_replication(result.counters, elements, legs=payload_legs)

@@ -1,9 +1,10 @@
 """Local MapReduce runtime: the substrate under the pairwise algorithms.
 
-Reimplements the Hadoop-0.20 contract the paper targets — mappers,
-sort/shuffle with deterministic partitioning, reducers, combiners,
-distributed cache, counters, job chaining — with serial and multiprocess
-executors.
+Reimplements the part of the Hadoop-0.20 contract the paper's algorithms
+rely on — mappers, sort/shuffle with deterministic partitioning,
+reducers, distributed cache, counters, job chaining
+(:meth:`Engine.run_chain`, whose stages :class:`PipelineResult` wraps) —
+with serial and multiprocess executors.
 """
 
 from .counters import (
@@ -50,7 +51,7 @@ from .job import (
     TaskTimeoutError,
     records_from,
 )
-from .pipeline import Pipeline, PipelineResult
+from .pipeline import PipelineResult
 from .runtime import (
     AUTO_SERIAL_MAX_RECORDS,
     DATA_PLANES,
@@ -97,7 +98,6 @@ __all__ = [
     "MAP_OUTPUT_RECORDS",
     "Mapper",
     "MultiprocessEngine",
-    "Pipeline",
     "PipelineResult",
     "PoisonFault",
     "PoisonedRecordError",

@@ -17,8 +17,6 @@ FRAMEWORK_GROUP = "framework"
 MAP_INPUT_RECORDS = "map_input_records"
 MAP_OUTPUT_RECORDS = "map_output_records"
 MAP_OUTPUT_BYTES = "map_output_bytes"
-COMBINE_INPUT_RECORDS = "combine_input_records"
-COMBINE_OUTPUT_RECORDS = "combine_output_records"
 SHUFFLE_RECORDS = "shuffle_records"
 SHUFFLE_BYTES = "shuffle_bytes"
 REDUCE_INPUT_GROUPS = "reduce_input_groups"

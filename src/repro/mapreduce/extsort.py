@@ -31,11 +31,12 @@ from __future__ import annotations
 import heapq
 import tempfile
 from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .serialization import encode_records, record_size, write_spill_segments
-from .shuffle import iter_spill_records, stable_hash
+from .shuffle import iter_spill_records
 
 KeyValue = tuple[Any, Any]
 
@@ -43,6 +44,9 @@ KeyValue = tuple[Any, Any]
 #: segment at a time during the k-way merge, so per-run memory while
 #: merging is one segment, not the whole run.
 _RUN_CHUNK_RECORDS = 512
+
+#: records order by key alone; ties keep arrival order (stable sort and merge)
+_by_key = itemgetter(0)
 
 
 class ExternalSorter:
@@ -56,23 +60,20 @@ class ExternalSorter:
         for key, value in sorter.sorted_records():
             ...
 
-    ``sort_key`` maps keys to sortable proxies (same contract as the
-    in-memory shuffle); ties between distinct keys break on the stable
-    hash so output order is deterministic.  A sorter is single-use:
-    adding after iteration starts raises.
+    Records are ordered by key (keys must be mutually comparable, as in
+    the in-memory shuffle).  A sorter is single-use: adding after
+    iteration starts raises.
     """
 
     def __init__(
         self,
         memory_budget: int = 64_000_000,
         *,
-        sort_key: Callable[[Any], Any] | None = None,
         spill_dir: Path | str | None = None,
     ):
         if memory_budget < 1:
             raise ValueError(f"memory_budget must be >= 1, got {memory_budget}")
         self.memory_budget = memory_budget
-        self.sort_key = sort_key
         self._buffer: list[KeyValue] = []
         self._buffered_bytes = 0
         #: one manifest per spilled run: its segments' (path, payload bytes, offset)
@@ -106,16 +107,10 @@ class ExternalSorter:
             self.add(key, value)
 
     # -- spill machinery ----------------------------------------------------------
-    def _ordering(self, record: KeyValue):
-        key = record[0]
-        if self.sort_key is None:
-            return (key,)
-        return (self.sort_key(key), stable_hash(key))
-
     def _spill(self) -> None:
         if not self._buffer:
             return
-        self._buffer.sort(key=self._ordering)
+        self._buffer.sort(key=_by_key)
         path = str(self._spill_dir / f"run-{len(self._runs):05d}.spill")
         chunks = (
             encode_records(self._buffer[start : start + _RUN_CHUNK_RECORDS])
@@ -137,17 +132,17 @@ class ExternalSorter:
 
         Streams are merged oldest run first with the in-memory buffer
         last; since ``heapq.merge`` is stable across its inputs, records
-        whose ordering keys tie come out in *arrival* order — the same
+        whose keys tie come out in *arrival* order — the same
         tie-break a single stable in-memory sort gives, so spilling and
         not spilling produce identical streams.
         """
         if self._sealed:
             raise RuntimeError("sorter already iterated; create a new one")
         self._sealed = True
-        self._buffer.sort(key=self._ordering)
+        self._buffer.sort(key=_by_key)
         streams = [iter_spill_records(run) for run in self._runs]
         streams.append(iter(self._buffer))
-        yield from heapq.merge(*streams, key=self._ordering)
+        yield from heapq.merge(*streams, key=_by_key)
 
     def close(self) -> None:
         """Release spill files early (also happens on GC for owned dirs)."""
@@ -168,5 +163,5 @@ def sorted_groups(
     sorter: ExternalSorter,
 ) -> Iterator[tuple[Any, Iterator[Any]]]:
     """Group a sorter's output by key — the external sort_and_group."""
-    for key, group in groupby(sorter.sorted_records(), key=lambda kv: kv[0]):
+    for key, group in groupby(sorter.sorted_records(), key=_by_key):
         yield key, (value for _key, value in group)

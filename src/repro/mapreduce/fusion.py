@@ -28,15 +28,13 @@ def fusable(prev: Job, nxt: Job) -> bool:
 
     Safe exactly when the next job's map phase is a pure identity
     reshuffle: the default :class:`~repro.mapreduce.job.Mapper` map
-    (no subclass override, no setup/cleanup hooks) and no combiner —
-    then partitioning the upstream reduce output at source is
-    observationally identical to running the map tasks.  A fault
+    (no subclass override, no setup/cleanup hooks) — then partitioning
+    the upstream reduce output at source is observationally identical to
+    running the map tasks.  A fault
     plan that could target the next job's (elided) map attempts also
     blocks fusion, so injected-fault runs stay bit-identical.
     """
     if prev.reducer is None or nxt.reducer is None or nxt.num_reducers < 1:
-        return False
-    if nxt.combiner is not None:
         return False
     mapper = nxt.mapper
     if not (

@@ -1,4 +1,4 @@
-"""Job specification: mappers, reducers, combiners, and their context.
+"""Job specification: mappers, reducers, and their context.
 
 The programming contract mirrors Hadoop 0.20's (the framework version the
 paper used):
@@ -8,8 +8,6 @@ paper used):
   and **groups** equal keys;
 - a **Reducer** sees each key once with the iterator of all its values and
   emits output records;
-- an optional **Combiner** (reducer-shaped) runs on map-side output to
-  shrink shuffle volume;
 - tasks communicate with the framework only through their :class:`Context`
   (emit, counters, distributed-cache lookup, job configuration) — there is
   no other channel, enforcing the paper's execution model (§3: tasks
@@ -109,22 +107,19 @@ class IdentityReducer(Reducer):
 class Job:
     """Declarative MR job description.
 
-    ``mapper``/``reducer``/``combiner`` are zero-argument factories
-    (typically the class itself); the engine instantiates one per task.
-    ``num_reducers`` controls reduce-side parallelism; ``partitioner``
-    (key, num_partitions) → partition overrides hash partitioning;
-    ``sort_key`` orders keys within a partition (must make keys comparable);
-    ``cache`` is the distributed cache payload, ``config`` arbitrary
+    ``mapper``/``reducer`` are zero-argument factories (typically the
+    class itself); the engine instantiates one per task.  ``num_reducers``
+    controls reduce-side parallelism; ``partitioner`` (key,
+    num_partitions) → partition overrides hash partitioning; keys within a
+    partition are sorted by their natural order, so they must be mutually
+    comparable; ``cache`` is the distributed cache payload, ``config`` arbitrary
     job-wide parameters readable by every task.  ``max_attempts`` is
     Hadoop's task-retry knob: a task raising an exception is re-executed
     from scratch (fresh mapper/reducer instance, fresh context) up to
     that many times before the job fails.
 
-    The engine itself reads these optional ``config`` keys:
+    The engine itself reads this optional ``config`` key:
 
-    - ``"records_per_split"`` — records per map split when the caller does
-      not pass ``num_map_tasks`` (default
-      :data:`~repro.mapreduce.runtime.DEFAULT_RECORDS_PER_SPLIT`);
     - ``"spill_threshold_bytes"`` — reduce partitions whose accounted size
       exceeds this go through the external merge sort instead of an
       in-memory sort (default
@@ -147,13 +142,8 @@ class Job:
     name: str
     mapper: Callable[[], Mapper] = IdentityMapper
     reducer: Callable[[], Reducer] | None = IdentityReducer
-    combiner: Callable[[], Reducer] | None = None
     num_reducers: int = 1
     partitioner: Callable[[Any, int], int] | None = None
-    sort_key: Callable[[Any], Any] | None = None
-    #: secondary sort: order each key group's values before reduce sees
-    #: them (Hadoop's composite-key secondary sort, without the plumbing)
-    value_sort_key: Callable[[Any], Any] | None = None
     cache: dict[str, Any] = field(default_factory=dict)
     config: dict[str, Any] = field(default_factory=dict)
     max_attempts: int = 1
@@ -163,8 +153,6 @@ class Job:
             raise ValueError(f"num_reducers must be >= 0, got {self.num_reducers}")
         if self.num_reducers == 0 and self.reducer is not None:
             raise ValueError("num_reducers=0 (map-only) requires reducer=None")
-        if self.reducer is None and self.combiner is not None:
-            raise ValueError("a combiner without a reducer is meaningless")
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
@@ -176,12 +164,12 @@ class TaskFailedError(RuntimeError):
     ``causes`` lists all failed attempts in order.  The engine chains each
     attempt's exception to the previous one via ``__cause__`` before
     raising, so a traceback shows the whole retry history, not just the
-    final error.  When the failure happened inside a
-    :class:`~repro.mapreduce.pipeline.Pipeline`, ``stage_index`` and
-    ``job_name`` identify the stage that died.
+    final error.  When the failure happened inside a job chain
+    (:meth:`~repro.mapreduce.runtime.Engine.run_chain`), ``stage_index``
+    and ``job_name`` identify the stage that died.
     """
 
-    #: set by Pipeline when a chained stage fails
+    #: set by the engine's stage loop when a stage fails
     stage_index: int | None = None
     job_name: str | None = None
 

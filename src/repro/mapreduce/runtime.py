@@ -114,11 +114,9 @@ from .tasks import (  # noqa: F401  (re-exports)
     worker_init,
 )
 
-#: Default records per map split when neither ``num_map_tasks`` nor the
-#: job's ``config["records_per_split"]`` is given.  ``num_map_tasks``
-#: always wins over the per-split size: when the caller fixes the task
-#: count, records are carved into exactly that many near-equal splits and
-#: this constant is ignored.
+#: Records per map split when the caller does not pass ``num_map_tasks``.
+#: An explicit ``num_map_tasks`` always wins: records are then carved into
+#: exactly that many near-equal splits and this constant is ignored.
 DEFAULT_RECORDS_PER_SPLIT = 5000
 
 #: Below this many records, :func:`choose_engine` picks :class:`SerialEngine`.
@@ -185,10 +183,8 @@ class Engine:
 
         The one-stage case of :meth:`run_chain`.  ``num_map_tasks``
         controls split planning when raw records are given; when omitted,
-        one split is planned per ``job.config["records_per_split"]``
-        records (default :data:`DEFAULT_RECORDS_PER_SPLIT`), at least
-        one.  An explicit ``num_map_tasks`` always overrides the
-        per-split size.
+        one split is planned per :data:`DEFAULT_RECORDS_PER_SPLIT`
+        records, at least one.
         """
         if (input_records is None) == (splits is None):
             raise ValueError("provide exactly one of input_records or splits")
@@ -215,8 +211,10 @@ class Engine:
         counters equal the unfused run's (only ``task_attempts`` differs,
         since no map attempts run).  ``fuse=True`` (the default) fuses
         where safe; ``fuse=False`` never does, so every stage's records
-        are materialized.
+        are materialized.  An empty chain raises ``ValueError``.
         """
+        if not jobs:
+            raise ValueError("a job chain needs at least one job")
         return self._run_stages(list(jobs), input_records, None, num_map_tasks, fuse)
 
     def _run_stages(
@@ -253,7 +251,7 @@ class Engine:
                 if state is None:
                     if index or splits is None:
                         assert records is not None
-                        splits = self._plan_splits(job, records, num_map_tasks)
+                        splits = self._plan_splits(records, num_map_tasks)
                     num_splits = len(splits)
                     self._journal_submit(job, handle, splits, num_partitions)
                     state = self._map_phase(
@@ -330,19 +328,12 @@ class Engine:
             for handle in handles:
                 self._release_job(handle)
 
+    @staticmethod
     def _plan_splits(
-        self,
-        job: Job,
-        input_records: Sequence[KeyValue],
-        num_map_tasks: int | None,
+        input_records: Sequence[KeyValue], num_map_tasks: int | None
     ) -> list[Split]:
         if num_map_tasks is None:
-            per_split = int(
-                job.config.get("records_per_split", DEFAULT_RECORDS_PER_SPLIT)
-            )
-            if per_split < 1:
-                raise ValueError(f"records_per_split must be >= 1, got {per_split}")
-            num_map_tasks = max(1, len(input_records) // per_split)
+            num_map_tasks = max(1, len(input_records) // DEFAULT_RECORDS_PER_SPLIT)
         return split_by_count(input_records, num_map_tasks)
 
     @staticmethod

@@ -90,25 +90,6 @@ def hash_partition(key: Any, num_partitions: int) -> int:
     return stable_hash(key) % num_partitions
 
 
-def partition_records(
-    records: Iterable[KeyValue],
-    num_partitions: int,
-    partitioner: Callable[[Any, int], int] | None = None,
-) -> list[list[KeyValue]]:
-    """Split records into ``num_partitions`` lists by key."""
-    part_fn = partitioner or hash_partition
-    partitions: list[list[KeyValue]] = [[] for _ in range(num_partitions)]
-    for key, value in records:
-        index = part_fn(key, num_partitions)
-        if not 0 <= index < num_partitions:
-            raise ValueError(
-                f"partitioner returned {index} for key {key!r}, "
-                f"outside [0, {num_partitions})"
-            )
-        partitions[index].append((key, value))
-    return partitions
-
-
 def partition_with_sizes(
     records: Iterable[KeyValue],
     num_partitions: int,
@@ -137,22 +118,11 @@ def partition_with_sizes(
     return partitions, sizes
 
 
-def sort_and_group(
-    records: list[KeyValue],
-    sort_key: Callable[[Any], Any] | None = None,
-) -> Iterator[tuple[Any, Iterator[Any]]]:
+def sort_and_group(records: list[KeyValue]) -> Iterator[tuple[Any, Iterator[Any]]]:
     """Sort a partition by key and yield (key, value-iterator) groups.
 
-    ``sort_key`` maps a record key to a sortable proxy when keys are not
-    naturally comparable (mixed types, dataclasses).  Grouping is by the
-    *original* key, so distinct keys with equal proxies stay separate
-    groups as long as they are adjacent after sorting; a tie-break on the
-    stable hash keeps them deterministic.
+    The sort is stable, so values within a group keep arrival order.
     """
-    if sort_key is None:
-        ordering = lambda kv: kv[0]  # noqa: E731 - tiny inline key
-    else:
-        ordering = lambda kv: (sort_key(kv[0]), stable_hash(kv[0]))  # noqa: E731
-    ordered = sorted(records, key=ordering)
+    ordered = sorted(records, key=lambda kv: kv[0])
     for key, group in groupby(ordered, key=lambda kv: kv[0]):
         yield key, (value for _key, value in group)

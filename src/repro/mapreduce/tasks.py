@@ -41,8 +41,6 @@ from typing import Any, Callable, Iterable
 
 from .controlplane.attempts import attempt_tag, run_attempt_loop
 from .counters import (
-    COMBINE_INPUT_RECORDS,
-    COMBINE_OUTPUT_RECORDS,
     FRAMEWORK_GROUP,
     MAP_INPUT_RECORDS,
     MAP_OUTPUT_BYTES,
@@ -348,38 +346,17 @@ def _map_attempt(job: Job, spec: MapTaskSpec, attempt: int) -> tuple[tuple, dict
     output = context.drain()
     counters.increment(FRAMEWORK_GROUP, MAP_OUTPUT_RECORDS, len(output))
 
-    if job.combiner is not None:
-        # Combined output differs from raw map output, so the raw bytes
-        # must be measured before combining; the partition pass below
-        # re-measures the (smaller) combined records for shuffle volume.
-        counters.increment(
-            FRAMEWORK_GROUP,
-            MAP_OUTPUT_BYTES,
-            sum(record_size(k, v) for k, v in output),
-        )
-        counters.increment(FRAMEWORK_GROUP, COMBINE_INPUT_RECORDS, len(output))
-        combiner = job.combiner()
-        combine_context = Context(counters, cache=job.cache, config=job.config)
-        combiner.setup(combine_context)
-        for key, values in sort_and_group(output, job.sort_key):
-            combiner.reduce(key, values, combine_context)
-        combiner.cleanup(combine_context)
-        output = combine_context.drain()
-        counters.increment(FRAMEWORK_GROUP, COMBINE_OUTPUT_RECORDS, len(output))
-
     if spec.num_partitions == 0:  # map-only job: single pseudo-partition
         total = sum(record_size(k, v) for k, v in output)
-        if job.combiner is None:
-            counters.increment(FRAMEWORK_GROUP, MAP_OUTPUT_BYTES, total)
+        counters.increment(FRAMEWORK_GROUP, MAP_OUTPUT_BYTES, total)
         return ([output], [len(output)], [total]), counters.as_dict()
 
+    # The partitioned records *are* the map output; one record_size pass
+    # serves both MAP_OUTPUT_BYTES and the shuffle volume.
     partitions, sizes = partition_with_sizes(
         output, spec.num_partitions, job.partitioner
     )
-    if job.combiner is None:
-        # Without a combiner the partitioned records *are* the map output;
-        # one record_size pass serves both counters.
-        counters.increment(FRAMEWORK_GROUP, MAP_OUTPUT_BYTES, sum(sizes))
+    counters.increment(FRAMEWORK_GROUP, MAP_OUTPUT_BYTES, sum(sizes))
     counts = [len(part) for part in partitions]
     return (partitions, counts, sizes), counters.as_dict()
 
@@ -496,19 +473,15 @@ def _reduce_attempt(
         # Partition beyond the spill threshold: external merge sort with
         # the threshold as memory budget.  Deterministic and identical to
         # the in-memory path (same ordering + stable arrival-order ties).
-        sorter = ExternalSorter(
-            memory_budget=max(1, threshold), sort_key=job.sort_key, spill_dir=scratch
-        )
+        sorter = ExternalSorter(memory_budget=max(1, threshold), spill_dir=scratch)
         sorter.add_all(records)
         groups = sorted_groups(sorter)
     else:
-        groups = sort_and_group(records, job.sort_key)
+        groups = sort_and_group(records)
 
     try:
         for key, values in groups:
             counters.increment(FRAMEWORK_GROUP, REDUCE_INPUT_GROUPS)
-            if job.value_sort_key is not None:
-                values = iter(sorted(values, key=job.value_sort_key))
             reducer.reduce(key, values, context)
     finally:
         if sorter is not None:

@@ -29,12 +29,8 @@ class TestConcat:
         assert merged.results == {2: 0.1, 3: 0.2, 4: 0.3}
 
     def test_error_on_duplicates(self):
-        with pytest.raises(DuplicatePairError):
-            ConcatAggregator()(_copies([{2: 0.1}, {2: 0.2}]))
-
-    def test_keep_policy(self):
-        merged = ConcatAggregator(on_duplicate="keep")(_copies([{2: 0.1}, {2: 0.2}]))
-        assert merged.results == {2: 0.1}
+        with pytest.raises(DuplicatePairError, match=r"pair \(1, 2\)"):
+            ConcatAggregator()(_copies([{2: 0.1}, {3: 0.3}, {4: 0.4, 2: 0.2}]))
 
 
 class TestThreshold:

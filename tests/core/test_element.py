@@ -91,30 +91,8 @@ class TestMergeCopies:
         a, _ = self._copies()
         b = Element(1)
         b.add_result(2, 0.9)
-        with pytest.raises(DuplicatePairError):
+        with pytest.raises(DuplicatePairError, match=r"pair \(1, 2\)"):
             merge_copies([a, b])
-
-    def test_duplicate_keep_policy(self):
-        a, _ = self._copies()
-        b = Element(1)
-        b.add_result(2, 0.9)
-        merged = merge_copies([a, b], on_duplicate="keep")
-        assert merged.results[2] == 0.2
-
-    def test_duplicate_combine_policy(self):
-        a, _ = self._copies()
-        b = Element(1)
-        b.add_result(2, 0.9)
-        merged = merge_copies([a, b], on_duplicate="combine", combine=max)
-        assert merged.results[2] == 0.9
-
-    def test_combine_requires_function(self):
-        with pytest.raises(ValueError):
-            merge_copies([Element(1)], on_duplicate="combine")
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            merge_copies([Element(1)], on_duplicate="whatever")
 
     def test_different_ids_rejected(self):
         with pytest.raises(ValueError):

@@ -26,16 +26,10 @@ from repro.mapreduce.runtime import (
 )
 from repro.mapreduce.serialization import SizedPayload
 
+from . import wordcount
+from .wordcount import wordcount_job
 
-class WordSplitMapper(Mapper):
-    def map(self, key, value, context):
-        for word in value.split():
-            context.emit(word, 1)
-
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(key, sum(values))
+LINES = wordcount.LINES * 4
 
 
 class FanOutMapper(Mapper):
@@ -54,24 +48,6 @@ class CollectReducer(Reducer):
 class ByteLenReducer(Reducer):
     def reduce(self, key, values, context):
         context.emit(key, sum(len(v) for v in values))
-
-
-LINES = [
-    "the quick brown fox",
-    "the lazy dog",
-    "the fox jumps over the lazy dog",
-] * 4
-
-
-def wordcount_job(**overrides):
-    settings = dict(
-        name="wordcount",
-        mapper=WordSplitMapper,
-        reducer=SumReducer,
-        num_reducers=3,
-    )
-    settings.update(overrides)
-    return Job(**settings)
 
 
 def abs_distance(a, b):
@@ -110,15 +86,6 @@ class TestBitIdenticalAcrossPlanes:
             == relay.counters.as_dict()
             == direct.counters.as_dict()
         )
-
-    def test_combiner_parity(self):
-        serial, relay, direct = self.run_all_planes(
-            lambda: wordcount_job(combiner=SumReducer),
-            records_from(LINES),
-            num_map_tasks=4,
-        )
-        assert serial.records == relay.records == direct.records
-        assert serial.counters.as_dict() == direct.counters.as_dict()
 
     def test_payload_parity(self):
         # ndarray-free payloads with ties across map tasks: arrival-order

@@ -55,13 +55,6 @@ class TestGroups:
         expected = {k: sorted(i for i in range(50) if i % 5 == k) for k in range(5)}
         assert groups == expected
 
-    def test_sort_key_proxy(self):
-        records = [(("b", 2), 1), (("a", 9), 2)]
-        with ExternalSorter(memory_budget=10**9, sort_key=lambda k: k[0]) as sorter:
-            sorter.add_all(records)
-            keys = [k for k, _ in sorter.sorted_records()]
-        assert keys == [("a", 9), ("b", 2)]
-
 
 class TestLifecycle:
     def test_single_use(self):

@@ -28,7 +28,7 @@ from repro.mapreduce.faults import (
     WorkerKillFault,
     _draw,
 )
-from repro.mapreduce.job import Job, Mapper, Reducer, TaskFailedError, TaskTimeoutError
+from repro.mapreduce.job import Job, Mapper, TaskFailedError, TaskTimeoutError
 from repro.mapreduce.runtime import (
     TASK_ATTEMPTS,
     TASK_RETRIES,
@@ -37,10 +37,7 @@ from repro.mapreduce.runtime import (
     SerialEngine,
 )
 
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(key, sum(values))
+from .wordcount import SumReducer
 
 
 class SleepOnceMapper(Mapper):

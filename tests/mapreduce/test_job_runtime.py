@@ -26,16 +26,13 @@ from repro.mapreduce.runtime import (
 )
 from repro.mapreduce.splits import split_by_count
 
-
-class WordSplitMapper(Mapper):
-    def map(self, key, value, context):
-        for word in value.split():
-            context.emit(word, 1)
-
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(key, sum(values))
+from .wordcount import (
+    EXPECTED_COUNTS,
+    LINES,
+    SumReducer,
+    WordSplitMapper,
+    wordcount_job,
+)
 
 
 class SetupCleanupMapper(Mapper):
@@ -57,27 +54,6 @@ class CacheReadingMapper(Mapper):
         context.emit(key, value * factor)
 
 
-LINES = [
-    "the quick brown fox",
-    "the lazy dog",
-    "the fox jumps over the lazy dog",
-]
-EXPECTED_COUNTS = {
-    "the": 4, "quick": 1, "brown": 1, "fox": 2, "lazy": 2,
-    "dog": 2, "jumps": 1, "over": 1,
-}
-
-
-def wordcount_job(num_reducers=3, combiner=None):
-    return Job(
-        name="wordcount",
-        mapper=WordSplitMapper,
-        reducer=SumReducer,
-        combiner=combiner,
-        num_reducers=num_reducers,
-    )
-
-
 class TestWordCount:
     def test_serial(self):
         result = SerialEngine().run(wordcount_job(), records_from(LINES))
@@ -94,17 +70,6 @@ class TestWordCount:
         # Framework counters agree too (same record movement).
         assert serial.counters.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS) == \
             parallel.counters.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS)
-
-    def test_combiner_shrinks_shuffle(self):
-        plain = SerialEngine().run(
-            wordcount_job(), records_from(LINES), num_map_tasks=1
-        )
-        combined = SerialEngine().run(
-            wordcount_job(combiner=SumReducer), records_from(LINES), num_map_tasks=1
-        )
-        assert dict(combined.records) == EXPECTED_COUNTS
-        assert combined.counters.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS) < \
-            plain.counters.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS)
 
     def test_single_reducer(self):
         result = SerialEngine().run(wordcount_job(num_reducers=1), records_from(LINES))
@@ -141,10 +106,6 @@ class TestJobValidation:
         with pytest.raises(ValueError):
             Job(name="bad", num_reducers=0)  # default reducer present
 
-    def test_combiner_without_reducer_rejected(self):
-        with pytest.raises(ValueError):
-            Job(name="bad", reducer=None, num_reducers=0, combiner=SumReducer)
-
     def test_negative_reducers_rejected(self):
         with pytest.raises(ValueError):
             Job(name="bad", num_reducers=-1)
@@ -167,24 +128,7 @@ class FirstValueReducer(Reducer):
 
 
 class TestSecondarySort:
-    def test_values_ordered_within_group(self):
-        job = Job(
-            name="secondary",
-            reducer=FirstValueReducer,
-            value_sort_key=lambda v: v,
-        )
-        records = [("k", 9), ("k", 1), ("k", 5), ("x", 3), ("x", 2)]
-        result = SerialEngine().run(job, records, num_map_tasks=2)
-        assert dict(result.records) == {"k": 1, "x": 2}
-
-    def test_descending_order(self):
-        job = Job(
-            name="secondary-desc",
-            reducer=FirstValueReducer,
-            value_sort_key=lambda v: -v,
-        )
-        result = SerialEngine().run(job, [("k", 1), ("k", 7)], num_map_tasks=1)
-        assert result.as_dict() == {"k": 7}
+    """There is no secondary sort: a group's values reach reduce in arrival order."""
 
     def test_without_value_sort_order_is_arrival(self):
         job = Job(name="plain", reducer=FirstValueReducer)

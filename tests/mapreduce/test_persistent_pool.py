@@ -19,16 +19,10 @@ from repro.mapreduce.runtime import (
 from repro.mapreduce.serialization import SizedPayload
 from repro.mapreduce.shm import shm_available
 
+from . import wordcount
+from .wordcount import wordcount_job
 
-class WordSplitMapper(Mapper):
-    def map(self, key, value, context):
-        for word in value.split():
-            context.emit(word, 1)
-
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(key, sum(values))
+LINES = wordcount.LINES * 4
 
 
 class FanOutMapper(Mapper):
@@ -37,24 +31,6 @@ class FanOutMapper(Mapper):
     def map(self, key, value, context):
         for offset in range(4):
             context.emit((key + offset) % 8, value)
-
-
-LINES = [
-    "the quick brown fox",
-    "the lazy dog",
-    "the fox jumps over the lazy dog",
-] * 4
-
-
-def wordcount_job(**overrides):
-    settings = dict(
-        name="wordcount",
-        mapper=WordSplitMapper,
-        reducer=SumReducer,
-        num_reducers=3,
-    )
-    settings.update(overrides)
-    return Job(**settings)
 
 
 def run_both(job_factory, records, **kwargs):
@@ -71,15 +47,6 @@ class TestBitIdenticalResults:
         assert serial.records == pooled.records  # exact order, not just content
         assert serial.counters.as_dict() == pooled.counters.as_dict()
 
-    def test_combiner_path_matches(self):
-        serial, pooled = run_both(
-            lambda: wordcount_job(combiner=SumReducer),
-            records_from(LINES),
-            num_map_tasks=4,
-        )
-        assert serial.records == pooled.records
-        assert serial.counters.as_dict() == pooled.counters.as_dict()
-
     def test_map_only_matches(self):
         serial, pooled = run_both(
             lambda: wordcount_job(reducer=None, num_reducers=0),
@@ -92,13 +59,7 @@ class TestBitIdenticalResults:
 
 class TestBroadcastOncePerWorker:
     def test_cache_loaded_exactly_once_per_worker(self):
-        job = Job(
-            name="bc",
-            mapper=WordSplitMapper,
-            reducer=SumReducer,
-            num_reducers=4,
-            cache={"blob": list(range(10_000))},
-        )
+        job = wordcount_job(name="bc", num_reducers=4, cache={"blob": list(range(10_000))})
         with MultiprocessEngine(max_workers=2) as engine:
             engine.run(job, records_from(LINES), num_map_tasks=12)
             stats = engine.stats
@@ -122,13 +83,7 @@ class TestBroadcastOncePerWorker:
 
     def test_specs_do_not_ship_the_cache(self):
         cache = {"blob": b"x" * 200_000}
-        job = Job(
-            name="slim-specs",
-            mapper=WordSplitMapper,
-            reducer=SumReducer,
-            num_reducers=2,
-            cache=cache,
-        )
+        job = wordcount_job(name="slim-specs", num_reducers=2, cache=cache)
         with MultiprocessEngine(max_workers=2) as engine:
             engine.run(job, records_from(LINES), num_map_tasks=8)
             stats = engine.stats
@@ -249,13 +204,7 @@ class TestPoolReuseAfterFailure:
                 engine.run(bad, records_from(LINES), num_map_tasks=4)
             # Same pool, fresh broadcast: the next job's cache localizes
             # cleanly and produces correct output.
-            good = Job(
-                name="good",
-                mapper=WordSplitMapper,
-                reducer=SumReducer,
-                num_reducers=3,
-                cache={"blob": list(range(1000))},
-            )
+            good = wordcount_job(name="good", cache={"blob": list(range(1000))})
             pooled = engine.run(good, records_from(LINES), num_map_tasks=4)
             assert engine.stats.pools_created == 1
             assert engine.stats.jobs_broadcast == 2
@@ -268,44 +217,32 @@ class TestPoolReuseAfterFailure:
 
     def test_pipeline_failure_names_stage_and_engine_stays_usable(self):
         from repro.mapreduce.job import TaskFailedError
-        from repro.mapreduce.pipeline import Pipeline
 
+        chain = [
+            wordcount_job(name="stage-0"),
+            Job(name="stage-1", mapper=FailingMapper, reducer=None, num_reducers=0),
+        ]
         with MultiprocessEngine(max_workers=2) as engine:
-            chain = Pipeline(
-                [
-                    wordcount_job(name="stage-0"),
-                    Job(name="stage-1", mapper=FailingMapper, reducer=None, num_reducers=0),
-                ],
-                engine=engine,
-            )
             with pytest.raises(TaskFailedError) as info:
-                chain.run(records_from(LINES), num_map_tasks=4)
+                engine.run_chain(chain, records_from(LINES), num_map_tasks=4)
             assert info.value.stage_index == 1
             assert info.value.job_name == "stage-1"
-            result = Pipeline([wordcount_job()], engine=engine).run(
-                records_from(LINES), num_map_tasks=4
+            (result,) = engine.run_chain(
+                [wordcount_job()], records_from(LINES), num_map_tasks=4
             )
         serial = SerialEngine().run(wordcount_job(), records_from(LINES), num_map_tasks=4)
         assert result.records == serial.records
 
 
 class TestRecordsPerSplitConfig:
+    """Splits are planned from the one constant; no job config key overrides it."""
+
     def test_default_constant(self):
         records = records_from(["x"] * (DEFAULT_RECORDS_PER_SPLIT * 2))
         result = SerialEngine().run(wordcount_job(), records)
         assert result.num_map_tasks == 2
 
-    def test_config_override(self):
-        job = wordcount_job(config={"records_per_split": 3})
-        result = SerialEngine().run(job, records_from(LINES))
-        assert result.num_map_tasks == len(LINES) // 3
-
     def test_explicit_num_map_tasks_wins(self):
-        job = wordcount_job(config={"records_per_split": 3})
-        result = SerialEngine().run(job, records_from(LINES), num_map_tasks=2)
-        assert result.num_map_tasks == 2
-
-    def test_invalid_records_per_split(self):
-        job = wordcount_job(config={"records_per_split": 0})
-        with pytest.raises(ValueError, match="records_per_split"):
-            SerialEngine().run(job, records_from(LINES))
+        records = records_from(["x"] * (DEFAULT_RECORDS_PER_SPLIT * 2))
+        result = SerialEngine().run(wordcount_job(), records, num_map_tasks=3)
+        assert result.num_map_tasks == 3

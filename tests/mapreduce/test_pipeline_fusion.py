@@ -26,9 +26,14 @@ from repro.mapreduce.counters import (
 )
 from repro.mapreduce.faults import CrashFault, FaultPlan
 from repro.mapreduce.job import Job, Mapper, Reducer, TaskFailedError, records_from
-from repro.mapreduce.pipeline import Pipeline, PipelineResult
+from repro.mapreduce.pipeline import PipelineResult
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 from repro.mapreduce.tasks import attempt_marker
+
+from . import wordcount
+from .wordcount import SumReducer, wordcount_job
+
+LINES = wordcount.LINES * 6
 
 DATA_PLANE_COUNTERS = [
     MAP_INPUT_RECORDS,
@@ -40,17 +45,6 @@ DATA_PLANE_COUNTERS = [
     REDUCE_INPUT_RECORDS,
     REDUCE_OUTPUT_RECORDS,
 ]
-
-
-class WordSplitMapper(Mapper):
-    def map(self, key, value, context):
-        for word in value.split():
-            context.emit(word, 1)
-
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(key, sum(values))
 
 
 class MaxReducer(Reducer):
@@ -70,18 +64,9 @@ class FailingReducer(Reducer):
         raise RuntimeError("reducer always fails")
 
 
-LINES = [
-    "the quick brown fox",
-    "the lazy dog",
-    "the fox jumps over the lazy dog",
-] * 6
-
-
 def fusable_chain(**second_overrides):
     """wordcount → identity-map re-aggregation: the fusable shape."""
-    first = Job(
-        name="count", mapper=WordSplitMapper, reducer=SumReducer, num_reducers=3
-    )
+    first = wordcount_job(name="count")
     settings = dict(name="rollup", reducer=MaxReducer, num_reducers=2)
     settings.update(second_overrides)
     return [first, Job(**settings)]
@@ -98,7 +83,7 @@ CHAINS = {
     ),
     "map-only-first": (
         lambda: [
-            Job(name="split", mapper=WordSplitMapper, reducer=None, num_reducers=0),
+            wordcount_job(name="split", reducer=None, num_reducers=0),
             Job(name="sum", reducer=SumReducer, num_reducers=2),
         ],
         0,
@@ -176,6 +161,10 @@ class TestOneStageLoop:
         assert single.counters.as_dict() == staged.counters.as_dict()
         assert (single.num_map_tasks, single.num_reduce_tasks) == (4, 3)
         assert (staged.num_map_tasks, staged.num_reduce_tasks) == (4, 3)
+
+    def test_an_empty_chain_is_refused(self, engine):
+        with pytest.raises(ValueError, match="at least one job"):
+            engine.run_chain([], records_from(LINES))
 
     @pytest.mark.parametrize("fuse", [True, False])
     def test_failing_stage_is_named_and_nothing_leaks(self, engine, fuse):
@@ -300,11 +289,6 @@ class TestFusionGuards:
         assert fused_stages == 0
         assert results[-1].records == baseline[-1].records
 
-    def test_combiner_on_next_job_falls_back(self):
-        chain = fusable_chain(combiner=MaxReducer)
-        _, fused_stages = self.run_fused(chain, num_map_tasks=4)
-        assert fused_stages == 0
-
     def test_relay_mode_never_fuses(self):
         with MultiprocessEngine(max_workers=2, shuffle_mode="relay") as engine:
             results = engine.run_chain(
@@ -341,19 +325,6 @@ class TestFusionGuards:
 
 
 class TestPipelineIntegration:
-    def test_pipeline_forwards_fuse(self):
-        with MultiprocessEngine(max_workers=2) as engine:
-            fused = Pipeline(fusable_chain(), engine=engine).run(
-                records_from(LINES), num_map_tasks=4
-            )
-            assert engine.stats.fused_stages == 1
-            unfused = Pipeline(fusable_chain(), engine=engine).run(
-                records_from(LINES), num_map_tasks=4, fuse=False
-            )
-            assert engine.stats.fused_stages == 1  # unchanged by second run
-        assert fused.records == unfused.records
-        assert fused.stages[0].records_elided
-
     def test_pairwise_run_fuses_and_matches_serial(self):
         scheme = DesignScheme(13)
         dataset = list(range(100, 100 + scheme.v))

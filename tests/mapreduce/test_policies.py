@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.trace import Trace
 from repro.mapreduce.controlplane import AttemptTransition, JsonlTraceSink
-from repro.mapreduce.job import Job, Mapper, Reducer
+from repro.mapreduce.job import Job
 from repro.mapreduce.runtime import (
     AUTO_SERIAL_MAX_RECORDS,
     MultiprocessEngine,
@@ -16,29 +16,10 @@ from repro.mapreduce.runtime import (
 )
 from repro.mapreduce.serialization import record_size
 
+from . import wordcount
+from .wordcount import wordcount_job
 
-class WordSplitMapper(Mapper):
-    def map(self, key, value, context):
-        for word in value.split():
-            context.emit(word, 1)
-
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(key, sum(values))
-
-
-LINES = [
-    "the quick brown fox",
-    "the lazy dog",
-    "the fox jumps over the lazy dog",
-] * 4
-
-
-def wordcount_job():
-    return Job(
-        name="wordcount", mapper=WordSplitMapper, reducer=SumReducer, num_reducers=3
-    )
+LINES = wordcount.LINES * 4
 
 
 def first_field(key, num_partitions):

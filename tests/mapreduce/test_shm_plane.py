@@ -14,7 +14,7 @@ import pytest
 from repro.core.element import results_matrix
 from repro.core.pairwise import PairwiseComputation
 from repro.core.block import BlockScheme
-from repro.mapreduce import Job, Mapper, Reducer, MultiprocessEngine, SerialEngine
+from repro.mapreduce import Job, Mapper, MultiprocessEngine, SerialEngine
 from repro.mapreduce.faults import FaultPlan, WorkerKillFault
 from repro.mapreduce.shm import (
     SEGMENT_PREFIX,
@@ -25,6 +25,8 @@ from repro.mapreduce.shm import (
     shm_available,
 )
 from repro.mapreduce.tasks import JobRef
+
+from .wordcount import SumReducer
 
 pytestmark = [
     pytest.mark.shm,
@@ -181,11 +183,6 @@ class CacheSumMapper(Mapper):
     def map(self, key, value, context):
         arr = context.cache_file("data")
         context.emit(key % 3, float(arr[value].sum()))
-
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(key, sum(values))
 
 
 def cache_job(**overrides):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.mapreduce.serialization import record_size
 from repro.mapreduce.shuffle import (
     hash_partition,
-    partition_records,
+    partition_with_sizes,
     sort_and_group,
     stable_hash,
 )
@@ -58,27 +59,30 @@ class TestHashPartition:
 
 
 class TestPartitionRecords:
+    """``partition_with_sizes``: the map side's one partition pass."""
+
     def test_all_records_kept(self):
         records = [(i % 5, i) for i in range(100)]
-        parts = partition_records(records, 4)
+        parts, sizes = partition_with_sizes(records, 4)
         assert sum(len(p) for p in parts) == 100
+        assert sum(sizes) == sum(record_size(k, v) for k, v in records)
 
     def test_same_key_same_partition(self):
         records = [(i % 5, i) for i in range(100)]
-        parts = partition_records(records, 4)
+        parts, _sizes = partition_with_sizes(records, 4)
         key_home = {}
         for index, part in enumerate(parts):
             for key, _value in part:
                 assert key_home.setdefault(key, index) == index
 
     def test_custom_partitioner(self):
-        parts = partition_records([(3, "a"), (4, "b")], 2, lambda k, n: k % n)
+        parts, _sizes = partition_with_sizes([(3, "a"), (4, "b")], 2, lambda k, n: k % n)
         assert parts[1] == [(3, "a")]
         assert parts[0] == [(4, "b")]
 
     def test_out_of_range_partitioner_rejected(self):
-        with pytest.raises(ValueError):
-            partition_records([(1, "a")], 2, lambda k, n: 5)
+        with pytest.raises(ValueError, match="outside"):
+            partition_with_sizes([(1, "a")], 2, lambda k, n: 5)
 
 
 class TestSortAndGroup:
@@ -91,17 +95,6 @@ class TestSortAndGroup:
         records = [(i % 7, i) for i in range(70)]
         keys = [k for k, _vs in sort_and_group(records)]
         assert keys == sorted(set(keys))
-
-    def test_sort_key_proxy(self):
-        """Non-comparable keys become sortable through the proxy."""
-        records = [((2, "x"), 1), ((1, "y"), 2)]
-        groups = list(sort_and_group(records, sort_key=lambda k: k[0]))
-        assert [k for k, _ in groups] == [(1, "y"), (2, "x")]
-
-    def test_equal_proxy_distinct_keys_stay_separate(self):
-        records = [(("a", 1), "r1"), (("b", 1), "r2")]
-        groups = [(k, list(vs)) for k, vs in sort_and_group(records, sort_key=lambda k: k[1])]
-        assert len(groups) == 2
 
     def test_empty(self):
         assert list(sort_and_group([])) == []

@@ -27,7 +27,7 @@ from repro.core.pairwise import PairwiseComputation
 from repro.mapreduce.controlplane.events import SpillQuarantined
 from repro.mapreduce.extsort import ExternalSorter
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.job import Job, Reducer
+from repro.mapreduce.job import Job
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 from repro.mapreduce.serialization import (
     SPILL_HEADER_BYTES,
@@ -39,14 +39,11 @@ from repro.mapreduce.serialization import (
 from repro.mapreduce.shuffle import iter_spill_records
 from repro.mapreduce.spill import parse_spill_file_name, spill_partitions
 
+from .wordcount import SumReducer
+
 
 def product(a, b):
     return a * b
-
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(key, sum(values))
 
 
 RECORDS = [(i % 4, i) for i in range(16)]

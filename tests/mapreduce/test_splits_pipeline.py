@@ -1,11 +1,13 @@
-"""Split planning and pipeline chaining tests."""
+"""Split planning and job chaining tests."""
 
 import pytest
 
-from repro.mapreduce.job import Job, Mapper, Reducer, records_from
-from repro.mapreduce.pipeline import Pipeline
+from repro.mapreduce.job import Job, Mapper, records_from
+from repro.mapreduce.pipeline import PipelineResult
 from repro.mapreduce.runtime import SerialEngine
 from repro.mapreduce.splits import split_by_count
+
+from .wordcount import SumReducer
 
 
 class TestSplitByCount:
@@ -33,9 +35,8 @@ class DoubleMapper(Mapper):
         context.emit(key, value * 2)
 
 
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(key, sum(values))
+def run_chain(jobs, records):
+    return PipelineResult(SerialEngine().run_chain(jobs, records))
 
 
 class TestPipeline:
@@ -45,7 +46,7 @@ class TestPipeline:
             Job(name="double1", mapper=DoubleMapper, reducer=SumReducer),
             Job(name="double2", mapper=DoubleMapper, reducer=SumReducer),
         ]
-        result = Pipeline(jobs, engine=SerialEngine()).run([(1, 5), (2, 7)])
+        result = run_chain(jobs, [(1, 5), (2, 7)])
         assert dict(result.records) == {1: 20, 2: 28}
 
     def test_stage_results_retained(self):
@@ -53,7 +54,7 @@ class TestPipeline:
             Job(name="a", mapper=DoubleMapper, reducer=SumReducer),
             Job(name="b", mapper=DoubleMapper, reducer=SumReducer),
         ]
-        result = Pipeline(jobs).run([(1, 5)])
+        result = run_chain(jobs, [(1, 5)])
         assert len(result.stages) == 2
         assert dict(result.stages[0].records) == {1: 10}
 
@@ -62,18 +63,16 @@ class TestPipeline:
             Job(name="a", mapper=DoubleMapper, reducer=SumReducer),
             Job(name="b", mapper=DoubleMapper, reducer=SumReducer),
         ]
-        result = Pipeline(jobs).run([(1, 5)])
+        result = run_chain(jobs, [(1, 5)])
         from repro.mapreduce.counters import FRAMEWORK_GROUP, MAP_INPUT_RECORDS
 
         assert result.counters.get(FRAMEWORK_GROUP, MAP_INPUT_RECORDS) == 2
 
     def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            Pipeline([])
+        with pytest.raises(ValueError, match="at least one job"):
+            SerialEngine().run_chain([], [(1, 5)])
 
     def test_empty_result_access(self):
-        from repro.mapreduce.pipeline import PipelineResult
-
         with pytest.raises(ValueError):
             PipelineResult().records
 

@@ -34,7 +34,10 @@ Leg 2 ships result blocks: the pairwise producers emit once per task, from
 The periphery nothing ran — a second file route, a DFS model, Streaming
 stages, a range partitioner, an incremental wrapper — stays deleted, and so
 do the simulator options only tests set: a failure model, a node blacklist,
-a relay shuffle plane, and a second JSONL reader in the trace loader.
+a relay shuffle plane, and a second JSONL reader in the trace loader.  The
+MapReduce substrate keeps only what the pairwise plans use: no combiner, no
+sort proxies, no ``Pipeline`` wrapper, no per-job split size and no
+duplicate-pair policy.
 
 Everything the engine persists is one SPC1 container: ``struct`` framing,
 ``os.replace`` publication and file-object pickles live in
@@ -410,6 +413,49 @@ class TestThePeripheryIsGone:
         assert len(calls_of(trace, "loads")) == 1
         assert calls_of(trace, "splitlines") == []
 
+    def test_the_substrate_keeps_only_what_the_plans_use(self):
+        """No combiner, no sort proxies, no Pipeline, no split-size key, no duplicate policy."""
+        trees = {
+            str(path.relative_to(SRC / "repro")): ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC / "repro").rglob("*.py"))
+        }
+
+        def definition(module: str, name: str) -> ast.AST:
+            (node,) = [n for n in trees[module].body if getattr(n, "name", None) == name]
+            return node
+
+        def parameters(node: ast.FunctionDef) -> list[str]:
+            args = node.args
+            return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+        job = definition("mapreduce/job.py", "Job")
+        assert [n.target.id for n in job.body if isinstance(n, ast.AnnAssign)] == [
+            "name", "mapper", "reducer", "num_reducers", "partitioner", "cache", "config",
+            "max_attempts",
+        ]
+        assert parameters(definition("core/element.py", "merge_copies")) == ["copies"]
+        sorter = definition("mapreduce/extsort.py", "ExternalSorter")
+        (init,) = [n for n in sorter.body if getattr(n, "name", None) == "__init__"]
+        assert parameters(init) == ["self", "memory_budget", "spill_dir"]
+        assert parameters(definition("mapreduce/shuffle.py", "sort_and_group")) == ["records"]
+        defined = {
+            getattr(node, "name", None) or getattr(target, "id", None)
+            for module, tree in trees.items()
+            if module.startswith("mapreduce/")
+            for node in ast.walk(tree)
+            for target in getattr(node, "targets", [None])
+        }
+        assert len(defined) > 50, "the walk saw nothing"
+        assert {"Pipeline", "partition_records"} & defined == set()
+        assert [name for name in defined if str(name).startswith("COMBINE_")] == []
+        readers = [
+            f"{module}:{node.lineno}"
+            for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == "records_per_split"
+        ]
+        assert readers == []
+
 
 class TestOneContainer:
     """Every file the engine reads back is SPC1: one writer, one checking reader.
@@ -545,7 +591,7 @@ class TestDocsFollowFiles:
         section = api.split("### Job config keys", 1)[1].split("\n### ", 1)[0]
         rows = [line for line in section.splitlines() if line.startswith("| `")]
         named = {name for row in rows for name in re.findall(r"`([\w.]+)`", row.split("|")[1])}
-        assert len(read) >= 5, "the walk saw nothing"
+        assert len(read) >= 4, "the walk saw nothing"
         assert sorted(named ^ read) == []
 
 

@@ -123,7 +123,6 @@ class TestPinnedSignatures:
         ),
         "Engine.run": ("self", "job", "input_records", "splits", "num_map_tasks"),
         "Engine.run_chain": ("self", "jobs", "input_records", "num_map_tasks", "fuse"),
-        "Pipeline.run": ("self", "input_records", "num_map_tasks", "fuse"),
         # The next engine knob is an edit of these five rows.
         "SerialEngine.__init__": ("self", "trace_sink"),
         "MultiprocessEngine.__init__": (

@@ -18,9 +18,11 @@ its median beats the parent's by more than the parent's q3 − q1 — and the no
 verdict against the metric's ``bound`` (a relative tolerance): ``worse`` when the change's
 median is worse than the parent's by more than the bound, ``unresolved`` when the parent's
 relative q3 − q1 is wider than the bound (unless every change run beats every parent
-run), ``ok`` otherwise.  Exits 1 when, on any workload, a metric reads ``worse`` or the
-change reported more failed operations than the parent: a gain does not count then.  It
-runs the ruler and is not a second benchmark: it measures nothing itself.
+run), ``ok`` otherwise.  Exits 1 when, on any workload, a metric reads ``worse`` or a
+larger share of the change's operations failed than of the parent's (failed / attempted
+over all of a side's runs: runs last a fixed time, so a slower side attempts fewer
+operations and equal failure counts can hide a higher share): a gain does not count
+then.  It runs the ruler and is not a second benchmark: it measures nothing itself.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ def spread(values: list[float]) -> str:
         return f"{median:.4g}"
     q1, _, q3 = statistics.quantiles(values, n=4)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def failed_share(runs: list[dict]) -> float:
+    """Failed operations over attempted ones, summed over one side's runs."""
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
 
 
 def claim_holds(parent: list[float], change: list[float], wins: int, sign: int) -> bool:
@@ -108,14 +116,16 @@ def compare(args: argparse.Namespace, spec: dict, workload: str) -> list[str]:
         {side: sum(run[key] for run in results) for side, results in runs.items()}
         for key in ("failed", "attempted")
     )
+    share = {side: failed_share(results) for side, results in runs.items()}
     print(f"{workload}: {args.pairs} pairs, seeds {args.seed0 + 1}..{args.seed0 + args.pairs}; "
-          f"failed operations parent {failed['parent']}/{attempted['parent']}, "
-          f"change {failed['change']}/{attempted['change']}")
+          f"failed operations parent {failed['parent']}/{attempted['parent']} "
+          f"({share['parent']:.2%}), change {failed['change']}/{attempted['change']} "
+          f"({share['change']:.2%})")
     print(f"{'metric':<22}{'parent median [q1, q3]':<34}{'change median [q1, q3]':<34}"
           f"{'change':>9}  {'wins':<7}{'claim':<7}bound")
     problems = []
-    if failed["change"] > failed["parent"]:
-        problems.append(f"{workload}: change failed more operations than parent")
+    if share["change"] > share["parent"]:
+        problems.append(f"{workload}: a larger share of the change's operations failed")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent = [run["metrics"][name]["value"] for run in runs["parent"]]
