@@ -111,7 +111,6 @@ def dbscan_pairwise(
     engine=None,
     use_local: bool = False,
     pruning: str = "off",
-    sketch_params=None,
 ) -> DBSCANResult:
     """Full DBSCAN via the parallel pairwise pipeline under ``scheme``.
 
@@ -130,7 +129,6 @@ def dbscan_pairwise(
         euclidean_distance,
         threshold=eps,
         pruning=pruning,
-        sketch_params=sketch_params,
         engine=engine,
     )
     merged: dict[int, Element]

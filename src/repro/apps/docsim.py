@@ -99,8 +99,6 @@ def pairwise_similarity(
     num_reduce_tasks: int | None = None,
     threshold: float | None = None,
     pruning: str = "off",
-    exact_fallback: bool = True,
-    sketch_params: Mapping[str, object] | None = None,
 ) -> dict[tuple[int, int], float]:
     """All-pairs cosine through the generic pairwise pipeline, vectorized.
 
@@ -114,9 +112,9 @@ def pairwise_similarity(
     ``threshold=`` turns this into a similarity join: only pairs with
     cosine above the threshold are returned (the
     :func:`brute_force_similarity` contract), and ``pruning="sketch"``
-    skips pairs whose bucket-norm bound proves they cannot qualify —
-    with ``exact_fallback=True`` (default) the result is identical to
-    the unpruned join (DESIGN.md §3.1.7).
+    skips pairs whose bucket-norm bound proves they cannot qualify — a
+    sound bound, so the result is identical to the unpruned join
+    (DESIGN.md §3.1.7).
     """
     from ..core.element import results_matrix
     from ..core.pairwise import PairwiseComputation
@@ -129,8 +127,6 @@ def pairwise_similarity(
         num_reduce_tasks=num_reduce_tasks,
         threshold=threshold,
         pruning=pruning,
-        exact_fallback=exact_fallback,
-        sketch_params=sketch_params,
     )
     return results_matrix(computation.run_cached(list(vectors)))
 

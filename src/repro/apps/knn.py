@@ -79,7 +79,6 @@ def knn_graph(
     kernel=None,
     use_local: bool = False,
     pruning: str = "off",
-    sketch_params=None,
 ) -> KnnGraph:
     """Build the kNN graph through the pairwise pipeline under ``scheme``.
 
@@ -89,10 +88,10 @@ def knn_graph(
 
     ``pruning="sketch"`` routes the run through the top-k pruner: pairs
     whose projection-sketch distance lower bound exceeds both endpoints'
-    k-th-best upper bound are skipped before kernel dispatch.  The
-    top-k bounds are always sound, so the graph is identical to the
-    unpruned one (``use_local=True`` never prunes — it is the
-    reference).
+    k-th-best upper bound are skipped before kernel dispatch.  Each
+    element's k-th-best bound is taken over the partners ``scheme``
+    requires, so the graph is identical to the unpruned one on every
+    schema (``use_local=True`` never prunes — it is the reference).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -103,7 +102,6 @@ def knn_graph(
         euclidean_distance,
         top_k=k,
         pruning=pruning,
-        sketch_params=sketch_params,
         engine=engine,
         kernel=kernel,
     )

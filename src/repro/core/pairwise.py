@@ -618,16 +618,10 @@ class PairwiseComputation:
         cannot pass the objective *before* kernel dispatch (requires
         ``symmetric=True`` and a sketch-registered comp).  The reference
         arm for ``"sketch"`` is ``"off"`` with the same objective: every
-        pair evaluated, the objective applied in aggregation only.
-    exact_fallback:
-        ``True`` (default) restricts pruning to **sound** bounds: the
-        pruned output is identical to the unpruned run (DESIGN.md
-        §3.1.7's recall proof).  ``False`` additionally prunes on the
-        MinHash overlap estimate with a safety ``margin``
-        (``sketch_params``) — more pruning, recall no longer guaranteed.
-    sketch_params:
-        Extra keyword arguments for the sketch builders (``num_buckets``,
-        ``proj_dim``, ``seed``, …) plus ``margin`` for estimate mode.
+        pair evaluated, the objective applied in aggregation only.  The
+        bounds are sound, so the two return the same output on every
+        schema (DESIGN.md §3.1.7): top-k taus come from the schema's
+        required pairs, not from the triangle.
     """
 
     def __init__(
@@ -645,8 +639,6 @@ class PairwiseComputation:
         threshold: float | None = None,
         top_k: int | None = None,
         pruning: str = "off",
-        exact_fallback: bool = True,
-        sketch_params: Mapping[str, Any] | None = None,
     ):
         if num_reduce_tasks is None:
             num_reduce_tasks = max(1, scheme.num_tasks // 8)
@@ -674,8 +666,6 @@ class PairwiseComputation:
         self.threshold = threshold
         self.top_k = top_k
         self.pruning = pruning
-        self.exact_fallback = exact_fallback
-        self.sketch_params = dict(sketch_params or {})
         self._sketch_kind: str | None = None
         if threshold is not None or top_k is not None:
             if aggregator is not None:
@@ -734,37 +724,15 @@ class PairwiseComputation:
         """
         if self.pruning != "sketch":
             return
-        if self.top_k is not None and len(payloads) != self.scheme.v:
-            raise NotImplementedError(
-                "top-k sketch pruning indexes its taus by dense element id, so "
-                f"every element must be in some working set; {self.scheme.describe()} "
-                f"leaves {self.scheme.v - len(payloads)} out (threshold pruning, or "
-                "pruning='off', works on such a schema)"
-            )
-        params = {
-            key: value
-            for key, value in self.sketch_params.items()
-            if key != "margin"
-        }
-        if (
-            self._sketch_kind == "sparse-cosine"
-            and self.exact_fallback
-            and "num_hashes" not in params
-        ):
-            # Sound mode never consults MinHash; skip the signature build.
-            params["num_hashes"] = 0
-        suite = build_sketches(payloads, self._sketch_kind, **params)
+        suite = build_sketches(payloads, self._sketch_kind)
         if self.top_k is not None:
-            pruner: PairPruner = TopKPruner(
-                self.top_k, build_topk_taus(suite, self.top_k)
-            )
+            # Taus over the pairs this schema evaluates: a rectangle's or a
+            # round's elements rank only their required partners.
+            required = self.scheme.required_pairs()
+            pairs = None if required is None else np.array(list(required), np.int64).reshape(-1, 2)
+            pruner: PairPruner = TopKPruner(self.top_k, build_topk_taus(suite, self.top_k, pairs))
         else:
-            pruner = ThresholdPruner(
-                self.threshold,
-                keep_below=self._sketch_kind in DISTANCE_KINDS,
-                estimate=not self.exact_fallback,
-                margin=self.sketch_params.get("margin", 0.15),
-            )
+            pruner = ThresholdPruner(self.threshold, keep_below=self._sketch_kind in DISTANCE_KINDS)
         compute.cache["sketches"] = suite
         compute.config = {**compute.config, "pruner": pruner}
 

@@ -93,8 +93,6 @@ def auto_pairwise(
     threshold: float | None = None,
     top_k: int | None = None,
     pruning: str = "off",
-    exact_fallback: bool = True,
-    sketch_params=None,
     scheme: str | Any = None,
 ) -> tuple[dict[int, Element], SchemeChoice]:
     """Evaluate all pairs of ``dataset`` under an auto-chosen scheme.
@@ -126,10 +124,9 @@ def auto_pairwise(
     built engine is closed before returning, whichever branch ran.
 
     ``aggregator`` / ``symmetric`` / ``threshold`` / ``top_k`` /
-    ``pruning`` / ``exact_fallback`` / ``sketch_params`` forward to
-    :class:`PairwiseComputation` — the declarative objective plus
-    sketch-based candidate pruning (DESIGN.md §3.1.7) — for a flat scheme
-    and for every round of a schedule alike.  Without any engine a
+    ``pruning`` forward to :class:`PairwiseComputation` — the declarative
+    objective plus sketch-based candidate pruning (DESIGN.md §3.1.7) — for
+    a flat scheme and for every round of a schedule alike.  Without any engine a
     schedule runs in-process (``run_local`` per round: the objective
     applies, nothing is pruned).
     """
@@ -166,8 +163,6 @@ def auto_pairwise(
         threshold=threshold,
         top_k=top_k,
         pruning=pruning,
-        exact_fallback=exact_fallback,
-        sketch_params=sketch_params,
     )
     try:
         if choice.is_hierarchical:

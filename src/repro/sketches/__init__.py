@@ -1,28 +1,29 @@
 """repro.sketches — per-element summaries for candidate-pair pruning.
 
-The pairwise contract evaluates all v(v−1)/2 pairs exactly once; for
+The pairwise contract evaluates every pair a schema requires (all
+v(v−1)/2 on a flat one) exactly once; for
 threshold and top-k objectives most of those evaluations are provably
 wasted.  This package builds cheap numpy-vectorized summaries of every
 element once per run — a :class:`SketchSuite` — and a
 :class:`PairPruner` that, given a block of candidate pair indices,
 returns the surviving subset *before* the kernel runs.
 
-Three summary families:
+Two summary families bound scores:
 
 - **bucket norms** (sparse tf-idf vectors): per-bucket L2 norms with
   count-min-selected heavy-hitter terms in dedicated buckets; a sound
   upper bound on the sparse dot product by per-bucket Cauchy–Schwarz;
 - **projection coordinates** (dense vectors): coordinates in a seeded
   orthonormal basis plus the residual norm outside it; sound two-sided
-  bounds on euclidean distance and a sound upper bound on dot/cosine;
-- **MinHash signatures** (sparse vectors): estimated Jaccard overlap —
-  an *estimate*, not a bound, used only when ``exact_fallback=False``
-  trades recall for extra pruning.
+  bounds on euclidean distance and a sound upper bound on dot/cosine.
 
-Soundness contract: every pruner advertises ``sound``; a sound pruner
-never drops a pair whose true score could pass the objective, so
-``pruning="sketch", exact_fallback=True`` output is identical to the
-unpruned run (DESIGN.md §3.1.7 has the argument).
+MinHash signatures (:func:`minhash_signatures`) estimate overlap and
+bound nothing, so no pruner reads them.
+
+Soundness contract: no pruner ever drops a pair whose true score could
+pass the objective among the pairs the schema requires, so
+``pruning="sketch"`` output is identical to ``pruning="off"`` on every
+schema (DESIGN.md §3.1.7 has the argument).
 
 Pair functions bind to a sketch kind via :func:`register_sketch`,
 mirroring the kernel registry; the apps register their comps at import.
@@ -31,7 +32,7 @@ mirroring the kernel registry; the apps register their comps at import.
 from .base import SketchSuite, stable_term_hash, stable_term_hashes
 from .builders import build_dense_sketch, build_sparse_cosine_sketch
 from .countmin import CountMinSketch
-from .minhash import estimated_jaccard, minhash_signatures
+from .minhash import minhash_signatures
 from .pruners import (
     BOUND_GUARD,
     PRUNING_MODES,
@@ -70,7 +71,6 @@ __all__ = [
     "build_sketches",
     "build_sparse_cosine_sketch",
     "build_topk_taus",
-    "estimated_jaccard",
     "minhash_signatures",
     "register_sketch",
     "sketch_kind_for_comp",

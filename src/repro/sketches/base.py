@@ -137,15 +137,6 @@ class SketchSuite:
         gap, res_i, res_j = self._projected_gap(block)
         return np.sqrt(gap + (res_i + res_j) ** 2)
 
-    # -- estimates (NOT bounds) ------------------------------------------------
-    def estimated_jaccard(self, block: np.ndarray) -> np.ndarray:
-        """MinHash Jaccard estimate per pair — an estimate, never a bound."""
-        if self.signatures is None:
-            raise ValueError("suite was built without MinHash signatures")
-        i = block[:, 0]
-        j = block[:, 1]
-        return (self.signatures[i] == self.signatures[j]).mean(axis=1)
-
     def describe(self) -> str:
         """One-line human summary (benches print it)."""
         parts = [f"kind={self.kind}", f"v={self.v}", f"bytes={self.nbytes}"]

@@ -36,10 +36,10 @@ def build_sparse_cosine_sketch(
     max_heavy: int = 24,
     cm_width: int = 2048,
     cm_depth: int = 4,
-    num_hashes: int = 32,
+    num_hashes: int = 0,
     seed: int = 0,
 ) -> SketchSuite:
-    """Bucket-norm + MinHash suite for sparse term-weight vectors.
+    """Bucket-norm suite for sparse term-weight vectors.
 
     One streaming pass feeds distinct terms through a count-min sketch;
     terms whose estimated document frequency reaches
@@ -50,9 +50,8 @@ def build_sparse_cosine_sketch(
     isolating heavy terms just stops the vocabulary head from inflating
     every shared bucket's norm.
 
-    ``num_hashes=0`` skips the MinHash signatures (they are only
-    consulted in estimate mode, so the exact-fallback path can skip the
-    build cost).
+    ``num_hashes > 0`` also records that many MinHash signature slots
+    per element (:attr:`SketchSuite.signatures`); no pruner reads them.
     """
     if num_buckets < 2:
         raise ValueError(f"num_buckets must be >= 2, got {num_buckets}")

@@ -7,9 +7,9 @@ minimum over a document's terms.  The collision probability of one
 signature slot approximates the Jaccard overlap of the term sets, so
 averaging slot agreements estimates it.
 
-This is the suite's one **unsound** summary: MinHash estimates overlap,
-it bounds nothing.  The pruners only consult it when the caller opted
-out of the exact-fallback guarantee.
+MinHash estimates overlap, it bounds nothing, so no pruner consults
+it: the sparse builder computes signatures only when asked for
+``num_hashes > 0``.
 """
 
 from __future__ import annotations
@@ -51,12 +51,3 @@ def minhash_signatures(
         else:
             signatures[row] = empty_signature_row(num_hashes)
     return signatures
-
-
-def estimated_jaccard(
-    signatures: np.ndarray, block: np.ndarray
-) -> np.ndarray:
-    """Per-pair fraction of agreeing signature slots (the Jaccard estimate)."""
-    i = block[:, 0]
-    j = block[:, 1]
-    return (signatures[i] == signatures[j]).mean(axis=1)

@@ -7,11 +7,11 @@ true score could still pass the objective.  Pruners are small picklable
 value objects built driver-side once per run — every task and every
 retry sees the same frozen decisions.
 
-``sound`` is the contract bit: a sound pruner never drops a pair whose
-true score could clear the objective, so the pruned run's output equals
-the unpruned run's.  :class:`ThresholdPruner` is sound unless built in
-estimate mode (MinHash margin pruning, ``exact_fallback=False``);
-:class:`TopKPruner` is always sound.
+Every pruner is sound: it never drops a pair whose true score could
+clear the objective, so the pruned run's output equals the unpruned
+run's.  :class:`ThresholdPruner` compares one bound with the threshold;
+:class:`TopKPruner` compares a lower bound with per-element taus taken
+over the pairs the schema requires (:func:`build_topk_taus`).
 
 Bound comparisons carry a relative float guard (``BOUND_GUARD``): a
 pair is only dropped when its bound fails the threshold by more than
@@ -37,11 +37,6 @@ PRUNING_MODES = ("off", "sketch")
 class PairPruner(abc.ABC):
     """Decide, per candidate pair, whether the kernel must evaluate it."""
 
-    @property
-    def sound(self) -> bool:
-        """True when no pair that could pass the objective is ever dropped."""
-        return True
-
     @abc.abstractmethod
     def keep_mask(self, suite: SketchSuite, block: np.ndarray) -> np.ndarray:
         """Boolean mask over ``block`` rows; True = evaluate the pair."""
@@ -55,40 +50,17 @@ class ThresholdPruner(PairPruner):
     ``keep_below=False`` (similarities, keep ``value > threshold``)
     drops when the similarity *upper* bound cannot reach it.  Both
     directions are sound given the suite's bounds.
-
-    ``estimate=True`` additionally drops pairs whose MinHash overlap
-    estimate sits more than ``margin`` below the threshold — extra
-    pruning with no guarantee (``sound`` turns False).
     """
 
-    def __init__(
-        self,
-        threshold: float,
-        *,
-        keep_below: bool,
-        estimate: bool = False,
-        margin: float = 0.15,
-    ):
+    def __init__(self, threshold: float, keep_below: bool):
         self.threshold = float(threshold)
         self.keep_below = keep_below
-        self.estimate = estimate
-        if margin < 0:
-            raise ValueError(f"margin must be >= 0, got {margin}")
-        self.margin = float(margin)
-
-    @property
-    def sound(self) -> bool:
-        return not self.estimate
 
     def keep_mask(self, suite: SketchSuite, block: np.ndarray) -> np.ndarray:
         guard = BOUND_GUARD * (1.0 + abs(self.threshold))
         if self.keep_below:
-            keep = suite.distance_lower(block) < self.threshold + guard
-        else:
-            keep = suite.similarity_upper(block) > self.threshold - guard
-        if self.estimate and not self.keep_below and suite.signatures is not None:
-            keep &= suite.estimated_jaccard(block) > self.threshold - self.margin
-        return keep
+            return suite.distance_lower(block) < self.threshold + guard
+        return suite.similarity_upper(block) > self.threshold - guard
 
 
 class TopKPruner(PairPruner):
@@ -117,21 +89,43 @@ class TopKPruner(PairPruner):
 
 
 def build_topk_taus(
-    suite: SketchSuite, k: int, *, chunk_size: int = 256
+    suite: SketchSuite,
+    k: int,
+    pairs: np.ndarray | None = None,
+    *,
+    chunk_size: int = 256,
 ) -> np.ndarray:
-    """Per-element upper bound on the k-th smallest true distance.
+    """Per-element upper bound on the k-th smallest true distance, by element id.
 
-    For each element, the k-th smallest *distance upper bound* over all
+    For each element, the k-th smallest *distance upper bound* over its
     partners: at least k partners have true distance at most that value,
-    so the true k-th nearest distance cannot exceed it.  Computed in
-    row chunks against all columns — O(v²) bound arithmetic, but pure
-    vectorized float work, orders of magnitude cheaper than the kernels
-    plus shuffle it lets the run skip.
+    so the true k-th nearest distance cannot exceed it.
+
+    ``pairs=None`` takes the partners from the whole triangle over ids
+    ``1..v``, in row chunks against all columns — O(v²) bound arithmetic,
+    but pure vectorized float work, orders of magnitude cheaper than the
+    kernels plus shuffle it lets the run skip.  An ``(n, 2)`` array of
+    pairs takes each element's partners from those rows only (a schema's
+    required pairs); an element with fewer than k of them gets ``+inf``,
+    so none of its pairs is pruned.
     """
     if suite.coords is None:
         raise ValueError(
             f"top-k taus need a dense distance suite, got kind={suite.kind!r}"
         )
+    if pairs is not None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        upper = suite.distance_upper(pairs)
+        owners = pairs.T.ravel()
+        values = np.concatenate([upper, upper])
+        order = np.lexsort((values, owners))
+        counts = np.bincount(owners, minlength=len(suite.coords))
+        starts = np.cumsum(counts) - counts
+        taus = np.full(len(counts), np.inf)
+        full = counts >= k
+        taus[full] = values[order][starts[full] + k - 1]
+        return taus
     v = suite.v
     if not 1 <= k <= v - 1:
         raise ValueError(f"need 1 <= k <= v-1, got k={k}, v={v}")

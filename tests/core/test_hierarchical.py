@@ -238,8 +238,9 @@ class TestRoundsTakeTheComputationsOptions:
             {"threshold": 0.4},
             {"threshold": 0.4, "pruning": "sketch"},
             {"top_k": 3},
+            {"top_k": 3, "pruning": "sketch"},
         ],
-        ids=["threshold", "threshold-sketch", "top_k"],
+        ids=["threshold", "threshold-sketch", "top_k", "top_k-sketch"],
     )
     def test_objectives_equal_the_flat_reference(
         self, schedule_factory, objective, engine, engines
@@ -253,14 +254,6 @@ class TestRoundsTakeTheComputationsOptions:
         assert {eid: e.results for eid, e in out.items()} == {
             eid: e.results for eid, e in want.items()
         }
-
-    def test_top_k_sketch_pruning_is_refused_in_one_place(self, engines):
-        """Taus are indexed by dense id: refuse rather than prune a round wrongly."""
-        with pytest.raises(NotImplementedError, match="top-k sketch pruning"):
-            run_rounds(
-                self.POINTS, euclidean_distance, HierarchicalBlockScheme(23, 3, 2),
-                engine=engines["serial"], top_k=3, pruning="sketch",
-            )
 
 
 class TestLimitModel:

@@ -97,7 +97,13 @@ PRESETS = [
     if path != "run_broadcast_job" or scheme == "broadcast"
 ]
 #: (symmetric, pruning); sketch pruning is symmetric-only by construction
-MODES = [(True, "off"), (False, "off"), (True, "sketch")]
+MODES = [(True, "off"), (False, "off"), (True, "sketch"), (True, "topk-sketch")]
+#: pruning mode -> the objective it declares; top-k taus come from the schema's own pairs
+OBJECTIVES = {
+    "off": {},
+    "sketch": {"threshold": THRESHOLD, "pruning": "sketch"},
+    "topk-sketch": {"top_k": 3, "pruning": "sketch"},
+}
 
 
 def signed_gap(a, b):
@@ -123,13 +129,10 @@ def engines():
 
 
 def computation(scheme, symmetric, pruning, engine=None):
-    if pruning == "sketch":
-        return PairwiseComputation(
-            SCHEMES[scheme](), euclidean_distance, engine=engine,
-            threshold=THRESHOLD, pruning="sketch",
-        )
     comp = euclidean_distance if symmetric else signed_gap
-    return PairwiseComputation(SCHEMES[scheme](), comp, engine=engine, symmetric=symmetric)
+    return PairwiseComputation(
+        SCHEMES[scheme](), comp, engine=engine, symmetric=symmetric, **OBJECTIVES[pruning]
+    )
 
 
 def result_maps(merged):
@@ -165,7 +168,7 @@ def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, 
         pruned = result.counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)
         required = runner.scheme.required_pairs()
         assert evaluations + pruned == (V * (V - 1) // 2 if required is None else len(required))
-        assert (pruned > 0) == (pruning == "sketch")
+        assert (pruned > 0) == (pruning != "off")
 
 
 def ragged_total(a, b):
@@ -360,7 +363,7 @@ def test_auto_pairwise_runs_the_priced_route(routing, symmetric, pruning, engine
     arguments, expected_jobs = ROUTES[routing]
     data = points()
     comp = euclidean_distance if symmetric else signed_gap
-    objective = {"threshold": THRESHOLD, "pruning": "sketch"} if pruning == "sketch" else {}
+    objective = OBJECTIVES[pruning]
     with watching(engines[engine]) as events:
         merged, choice = auto_pairwise(
             data, comp, engine=engines[engine], symmetric=symmetric, **objective, **arguments

@@ -170,6 +170,23 @@ class TestTopKTaus:
                 pair = (max(i, j), min(i, j))
                 assert pair in kept, f"true neighbor pair {pair} was pruned"
 
+    def test_taus_over_given_pairs_cap_the_kth_required_partner(self):
+        """A rectangle's owner ranks only its required partners; too few → +inf."""
+        v, k = 30, 3
+        payloads = dense_payloads(v)
+        suite = build_dense_sketch(payloads, "dense-euclidean", proj_dim=6)
+        # ids 3..30 against ids 1..2: the low side has 28 partners, the high side 2.
+        pairs = np.asarray([(i, j) for i in range(3, v + 1) for j in (1, 2)], dtype=np.int64)
+        taus = build_topk_taus(suite, k, pairs)
+        assert len(taus) == v + 1 and np.isinf(taus[3:]).all()
+        for i in (1, 2):
+            distances = sorted(euclidean_distance(payloads[i], payloads[j]) for j in range(3, v + 1))
+            assert taus[i] >= distances[k - 1] - BOUND_GUARD
+        # The whole triangle as given pairs is the default, up to float rounding.
+        np.testing.assert_allclose(
+            build_topk_taus(suite, k, all_pairs(v))[1:], build_topk_taus(suite, k)[1:]
+        )
+
     def test_validation(self):
         payloads = dense_payloads(10)
         suite = build_dense_sketch(payloads, "dense-euclidean")
@@ -189,22 +206,10 @@ class TestThresholdPruner:
         block = all_pairs(40)
         for threshold in (0.1, 0.3, 0.6):
             pruner = ThresholdPruner(threshold, keep_below=False)
-            assert pruner.sound
             keep = pruner.keep_mask(suite, block)
             for (i, j), flag in zip(block.tolist(), keep):
                 if cosine_similarity(payloads[i], payloads[j]) > threshold:
                     assert flag, f"qualifying pair ({i}, {j}) pruned at {threshold}"
-
-    def test_estimate_mode_is_marked_unsound(self):
-        payloads = sparse_payloads(20)
-        suite = build_sparse_cosine_sketch(payloads)
-        pruner = ThresholdPruner(0.3, keep_below=False, estimate=True)
-        assert not pruner.sound
-        block = all_pairs(20)
-        sound = ThresholdPruner(0.3, keep_below=False).keep_mask(suite, block)
-        estimated = pruner.keep_mask(suite, block)
-        # Estimate mode only ever prunes *more*.
-        assert (estimated <= sound).all()
 
     def test_distance_orientation(self):
         payloads = dense_payloads(20)
@@ -292,14 +297,6 @@ class TestMinHashAndHashing:
         rows = [stable_term_hashes([]), stable_term_hashes(["a"])]
         signatures = minhash_signatures(rows, 8)
         assert (signatures[0] == np.iinfo(np.uint64).max).all()
-
-    def test_identical_sets_estimate_one(self):
-        payloads = {1: {"a": 1.0, "b": 2.0}, 2: {"a": 3.0, "b": 0.5}, 3: {"c": 1.0}}
-        suite = build_sparse_cosine_sketch(payloads, num_hashes=32)
-        block = np.asarray([(2, 1), (3, 1)], dtype=np.int64)
-        estimates = suite.estimated_jaccard(block)
-        assert estimates[0] == 1.0  # same term set
-        assert estimates[1] == 0.0  # disjoint term sets
 
 
 class TestSuitePlumbing:

@@ -1,7 +1,7 @@
 """Pruned output parity: ``pruning="sketch"`` must change nothing.
 
-The exact-fallback contract (DESIGN.md §3.1.7): with sound bounds only,
-the pruned pipeline returns exactly the unpruned pipeline's output — on
+The pruning contract (DESIGN.md §3.1.7): the bounds are sound, so the
+pruned pipeline returns exactly the unpruned pipeline's output — on
 the scalar kernel bit-for-bit, on vectorized kernels within the repo's
 established 1e-9 relative kernel-parity tolerance (vectorized per-pair
 floats legitimately depend on block composition, pruned or not).  Plus
@@ -102,25 +102,6 @@ class TestThresholdJoinParity:
         assert pruned.keys() == want.keys()
         for key in want:
             assert pruned[key] == pytest.approx(want[key], rel=REL_TOLERANCE)
-
-    def test_estimate_mode_returns_subset(self):
-        vectors = sparse_vectors()
-        scheme = BlockScheme(V, 4)
-        exact = pairwise_similarity(
-            vectors, scheme, kernel=None, threshold=0.3, pruning="off"
-        )
-        estimated = pairwise_similarity(
-            vectors,
-            scheme,
-            kernel=None,
-            threshold=0.3,
-            pruning="sketch",
-            exact_fallback=False,
-            sketch_params={"margin": 0.1},
-        )
-        assert estimated.keys() <= exact.keys()
-        for key in estimated:
-            assert estimated[key] == exact[key]
 
 
 class TestAppParity:
@@ -277,9 +258,9 @@ class TestAutoPairwise:
     def test_hierarchical_prunes_with_parity_or_refuses(self, monkeypatch):
         """Huge declared elements force the §7 fallback; its rounds are ordinary
         computations, so threshold pruning applies round by round with the flat
-        result — and the one combination a round cannot prune soundly (top-k
-        taus are indexed by dense id) is refused by ``_attach_pruning``, loudly,
-        never answered wrongly."""
+        result, and so does top-k pruning: each round's taus come from the
+        pairs that round requires, so the merged neighbours equal the unpruned
+        run's."""
         from repro.mapreduce import SerialEngine
 
         MB = 1024 * 1024
@@ -302,8 +283,14 @@ class TestAutoPairwise:
         # One suite per round, over that round's participants only.
         assert len(sketched) == choice.scheme.num_rounds and max(sketched) < 30
 
-        with pytest.raises(NotImplementedError, match="top-k sketch pruning"):
-            auto_pairwise(
-                dense_points(30), euclidean_distance, engine=SerialEngine(),
-                top_k=3, pruning="sketch", **huge,
-            )
+        points = dense_points(30)
+        top_k = {
+            pruning: auto_pairwise(
+                points, euclidean_distance, engine=SerialEngine(),
+                top_k=3, pruning=pruning, **huge,
+            )[0]
+            for pruning in ("off", "sketch")
+        }
+        assert {eid: e.results for eid, e in top_k["sketch"].items()} == {
+            eid: e.results for eid, e in top_k["off"].items()
+        }

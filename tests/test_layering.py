@@ -39,6 +39,10 @@ MapReduce substrate keeps only what the pairwise plans use: no combiner, no
 sort proxies, no ``Pipeline`` wrapper, no per-job split size and no
 duplicate-pair policy.
 
+A declared objective prunes one sound way: no MinHash estimate mode, no
+sketch-parameter pass-through, and no ``sound`` flag on a pruner, since
+every pruner is sound.
+
 Everything the engine persists is one SPC1 container: ``struct`` framing,
 ``os.replace`` publication and file-object pickles live in
 ``serialization.py``'s writer or nowhere.
@@ -455,6 +459,31 @@ class TestThePeripheryIsGone:
             if isinstance(node, ast.Constant) and node.value == "records_per_split"
         ]
         assert readers == []
+
+
+class TestOneWayToPrune:
+    """``pruning="sketch"`` has sound bounds only, so nothing selects or reports soundness."""
+
+    def test_no_estimate_mode_and_no_pass_through(self):
+        mentions = [
+            f"{path.relative_to(SRC)}: {word}"
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            for word in ("exact_fallback", "sketch_params", "estimated_jaccard")
+            if word in path.read_text(encoding="utf-8")
+        ]
+        assert mentions == []
+
+    def test_a_pruner_has_no_soundness_flag(self):
+        tree = ast.parse((SRC / "repro/sketches/pruners.py").read_text(encoding="utf-8"))
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        assert {"PairPruner", "ThresholdPruner", "TopKPruner"} <= set(classes)
+        flagged = [
+            f"{name}.{item.name}"
+            for name, node in classes.items()
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "sound"
+        ]
+        assert flagged == []
 
 
 class TestOneContainer:

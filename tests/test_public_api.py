@@ -101,9 +101,9 @@ class TestPinnedSignatures:
     conscious edit of this table, not a side effect of a refactor.
     """
 
-    OBJECTIVE_KNOBS = ("threshold", "top_k", "pruning", "exact_fallback", "sketch_params")
+    OBJECTIVE_KNOBS = ("threshold", "top_k", "pruning")
     PINNED = {
-        # 12 keywords: the engine object *is* the engine configuration, so the
+        # 10 keywords: the engine object *is* the engine configuration, so the
         # engine knobs live on the engines; auto_pairwise and choose_engine
         # pass on only the trace sink of the engine they build.
         "PairwiseComputation.__init__": (
@@ -133,6 +133,8 @@ class TestPinnedSignatures:
         "ClusterSimulator.__init__": (
             "self", "cluster", "network", "maxis", "task_overhead_bytes",
         ),
+        # Sound bounds only: no estimate mode, no margin.
+        "ThresholdPruner.__init__": ("self", "threshold", "keep_below"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -140,22 +142,23 @@ class TestPinnedSignatures:
         import repro.cluster
         import repro.core
         import repro.mapreduce
+        import repro.sketches
 
         head, *rest = name.split(".")
         target = next(
             getattr(package, head)
-            for package in (repro.core, repro.mapreduce, repro.cluster)
+            for package in (repro.core, repro.mapreduce, repro.cluster, repro.sketches)
             if hasattr(package, head)
         )
         for part in rest:
             target = getattr(target, part)
         assert tuple(inspect.signature(target).parameters) == self.PINNED[name]
 
-    def test_pairwise_computation_has_twelve_keywords_and_no_lifecycle(self):
+    def test_pairwise_computation_has_ten_keywords_no_lifecycle(self):
         from repro.core import PairwiseComputation
 
         parameters = inspect.signature(PairwiseComputation.__init__).parameters.values()
-        assert sum(p.kind is p.KEYWORD_ONLY for p in parameters) == 12
+        assert sum(p.kind is p.KEYWORD_ONLY for p in parameters) == 10
         # It owns no engine, so there is nothing for it to close.
         assert not any(hasattr(PairwiseComputation, name) for name in ("close", "__enter__"))
 
