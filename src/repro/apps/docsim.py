@@ -96,7 +96,6 @@ def pairwise_similarity(
     *,
     engine: Engine | None = None,
     kernel: object = "auto",
-    num_reduce_tasks: int | None = None,
     threshold: float | None = None,
     pruning: str = "off",
 ) -> dict[tuple[int, int], float]:
@@ -124,7 +123,6 @@ def pairwise_similarity(
         cosine_similarity,
         engine=engine,
         kernel=kernel,
-        num_reduce_tasks=num_reduce_tasks,
         threshold=threshold,
         pruning=pruning,
     )

@@ -567,9 +567,10 @@ class PairwiseComputation:
         and treats duplicate evaluations as errors.
     engine:
         MapReduce engine; default :class:`SerialEngine`.  The engine object
-        *is* the engine configuration — scheduling policy, trace sink, data
-        plane and journal are arguments of the engine's own constructor
-        (``engine=MultiprocessEngine(data_plane="shm")``), and whoever
+        *is* the engine configuration — task retries (``max_attempts``,
+        timeout, backoff, fault plan), trace sink, data plane and journal
+        are arguments of the engine's own constructor
+        (``engine=MultiprocessEngine(max_attempts=3)``), and whoever
         built it closes it.
     num_reduce_tasks:
         Reducer parallelism for both jobs (default: a reducer per 8 tasks,
@@ -590,16 +591,6 @@ class PairwiseComputation:
         nothing matches); a kernel name or :class:`~repro.kernels.PairKernel`
         instance forces that kernel.  Vectorized kernels match
         :meth:`run_local` within float tolerance, not bit-for-bit.
-    runtime_config:
-        Extra ``job.config`` entries merged into every job this
-        computation builds — the pass-through for the engine's
-        fault-tolerance knobs (``task_timeout_seconds``,
-        ``retry_backoff_seconds``, ``fault_plan``; see
-        :class:`~repro.mapreduce.job.Job`).  Application keys
-        (``scheme``/``comp``/``aggregator``/``symmetric``) always win.
-    max_attempts:
-        Task retry budget applied to every job built here (Hadoop's
-        ``mapred.map.max.attempts``); default 1, i.e. fail fast.
     threshold, top_k:
         Declarative objective (mutually exclusive): keep only results
         passing ``threshold``, or each element's ``top_k`` best.  The
@@ -634,8 +625,6 @@ class PairwiseComputation:
         num_reduce_tasks: int | None = None,
         symmetric: bool = True,
         kernel: Any = None,
-        runtime_config: Mapping[str, Any] | None = None,
-        max_attempts: int = 1,
         threshold: float | None = None,
         top_k: int | None = None,
         pruning: str = "off",
@@ -644,15 +633,11 @@ class PairwiseComputation:
             num_reduce_tasks = max(1, scheme.num_tasks // 8)
         if num_reduce_tasks < 1:
             raise ValueError(f"num_reduce_tasks must be >= 1, got {num_reduce_tasks}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.scheme = scheme
         self.comp = comp
         self.symmetric = symmetric
         self.kernel = kernel
         self.num_reduce_tasks = num_reduce_tasks
-        self.runtime_config = dict(runtime_config or {})
-        self.max_attempts = max_attempts
         if pruning not in PRUNING_MODES:
             raise ValueError(
                 f"pruning must be one of {PRUNING_MODES}, got {pruning!r}"
@@ -702,9 +687,8 @@ class PairwiseComputation:
         self.engine = SerialEngine() if engine is None else engine
 
     def _job_config(self) -> dict[str, Any]:
-        """Runtime knobs first, application keys on top (apps win)."""
+        """What every task of this computation reads from ``job.config``."""
         return {
-            **self.runtime_config,
             "scheme": self.scheme,
             "comp": self.comp,
             "aggregator": self.aggregator,
@@ -827,7 +811,6 @@ class PairwiseComputation:
             partitioner=_block_partition if reducer is AggregateReducer else None,
             cache={} if cache is None else cache,
             config=config,
-            max_attempts=self.max_attempts,
         )
 
     def _execute(

@@ -8,7 +8,8 @@ machinery:
 - :mod:`.attempts` — the task-lifecycle state machine
   (``PENDING → DISPATCHED → RUNNING → {SUCCEEDED, FAILED, KILLED,
   TIMED_OUT}``), global attempt numbering, the worker-side retry loop
-  with deterministic backoff, and the driver-side
+  with deterministic backoff, an engine's retry settings
+  (:class:`~repro.mapreduce.controlplane.attempts.TaskRetries`), and the driver-side
   :class:`~repro.mapreduce.controlplane.attempts.AttemptTracker` that
   owns attempt numbering and lost-attempt charging;
 - :mod:`.policy` — the one dispatch order (costliest task first) the

@@ -14,6 +14,9 @@ worker, hang kill) advance the same 1-based counter the worker-side
 retry loop uses, so ``max_attempts`` bounds the total effort per task
 and attempt-pinned injected faults never re-fire on re-dispatch.
 
+An engine's retry settings are one :class:`TaskRetries`, built and
+range-checked by the engine's constructor; nothing else sets them.
+
 Two consumers share this module:
 
 - workers run :func:`run_attempt_loop` — the in-attempt retry loop with
@@ -29,6 +32,7 @@ This module is engine-agnostic by design: it must not import
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +40,7 @@ from typing import Any, Callable, TYPE_CHECKING
 
 from ..counters import FRAMEWORK_GROUP
 from ..faults import FaultPlan, _draw
-from ..job import Job, TaskFailedError, TaskLostError, TaskTimeoutError
+from ..job import TaskFailedError, TaskLostError, TaskTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import EventBus
@@ -56,6 +60,40 @@ TASK_ATTEMPTS = "task_attempts"
 #: (attempt finished but over ``task_timeout_seconds``).  Driver-side
 #: hang kills are metered in ``EngineStats.tasks_timed_out`` instead.
 TASKS_TIMED_OUT = "tasks_timed_out"
+
+
+@dataclass(frozen=True)
+class TaskRetries:
+    """An engine's task-retry settings, checked once when it is built.
+
+    ``max_attempts`` is Hadoop's ``mapred.map.max.attempts``: a failed
+    task re-runs from scratch up to that many times (1 fails fast).
+    ``task_timeout_seconds`` is the per-attempt wall-clock budget
+    (``mapred.task.timeout``; ``None`` disables it): an attempt over it
+    fails with :class:`~repro.mapreduce.job.TaskTimeoutError`, and the
+    pooled engine kills an attempt that never returns.
+    ``retry_backoff_seconds`` is the base delay between attempts (0
+    disables it; see :func:`backoff_seconds`).  ``fault_plan`` is a
+    :class:`~repro.mapreduce.faults.FaultPlan` injected into every task.
+    """
+
+    max_attempts: int = 1
+    task_timeout_seconds: float | None = None
+    retry_backoff_seconds: float = 0.0
+    fault_plan: FaultPlan | None = None
+
+    def __post_init__(self) -> None:
+        # Comparisons with nan are false, so nan fails every range below.
+        attempts, timeout = self.max_attempts, self.task_timeout_seconds
+        backoff, real = self.retry_backoff_seconds, (int, float)
+        if not (isinstance(attempts, int) and attempts >= 1):
+            raise ValueError(f"max_attempts must be an int >= 1, got {attempts!r}")
+        if timeout is not None and not (isinstance(timeout, real) and 0 < timeout < math.inf):
+            raise ValueError(f"task_timeout_seconds must be finite and > 0, got {timeout!r}")
+        if not (isinstance(backoff, real) and 0 <= backoff < math.inf):
+            raise ValueError(f"retry_backoff_seconds must be finite and >= 0, got {backoff!r}")
+        if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
+            raise ValueError(f"fault_plan must be a FaultPlan, got {self.fault_plan!r}")
 
 
 def attempt_tag(attempt: int) -> str:
@@ -163,14 +201,14 @@ class AttemptTracker:
         self,
         kind: str,
         num_tasks: int,
-        job: Job,
+        max_attempts: int,
         *,
         bus: "EventBus | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.kind = kind
         self.num_tasks = num_tasks
-        self.max_attempts = job.max_attempts
+        self.max_attempts = max_attempts
         self._bus = bus
         self._clock = clock
         #: next 1-based attempt number to dispatch, per task index
@@ -272,7 +310,7 @@ def backoff_seconds(base: float, kind: str, task_index: int, attempt: int) -> fl
 
 def run_attempt_loop(
     kind: str,
-    job: Job,
+    retries: TaskRetries,
     attempt_fn: Callable[[int], Any],
     *,
     task_index: int = 0,
@@ -280,7 +318,7 @@ def run_attempt_loop(
     marker: Callable[[int], None] | None = None,
     in_worker: bool = False,
 ) -> Any:
-    """Hadoop's attempt loop: re-run a failed task up to job.max_attempts.
+    """Hadoop's attempt loop: re-run a failed task up to ``retries.max_attempts``.
 
     Each retry gets a completely fresh attempt (new task object, new
     context, new counters), so partial effects of a failed attempt never
@@ -293,22 +331,20 @@ def run_attempt_loop(
     (``first_attempt > 1`` means the driver already lost that many to dead
     workers, and they are charged here on success).
 
-    Per attempt, in order: optional injected faults fire
-    (``config["fault_plan"]``), the attempt runs under the post-hoc
-    wall-clock check (``config["task_timeout_seconds"]``), and failures
+    Per attempt, in order: the engine's injected faults fire
+    (``retries.fault_plan``), the attempt runs under the post-hoc
+    wall-clock check (``retries.task_timeout_seconds``), and failures
     sleep an exponentially growing, deterministically jittered backoff
-    (``config["retry_backoff_seconds"]``) before the next attempt.
+    (``retries.retry_backoff_seconds``) before the next attempt.
     """
-    plan: FaultPlan | None = job.config.get("fault_plan")
-    timeout = job.config.get("task_timeout_seconds")
-    limit = float(timeout) if timeout is not None else None
-    backoff = float(job.config.get("retry_backoff_seconds", 0.0))
+    plan, limit = retries.fault_plan, retries.task_timeout_seconds
+    max_attempts = retries.max_attempts
     failures: list[BaseException] = []
     timeouts = 0
     attempt = first_attempt
-    while attempt <= job.max_attempts:
-        if failures and backoff > 0:
-            time.sleep(backoff_seconds(backoff, kind, task_index, attempt))
+    while attempt <= max_attempts:
+        if failures and retries.retry_backoff_seconds > 0:
+            time.sleep(backoff_seconds(retries.retry_backoff_seconds, kind, task_index, attempt))
         try:
             if marker is not None:
                 marker(attempt)
@@ -348,7 +384,5 @@ def run_attempt_loop(
         return result, counters
     if not failures:  # budget consumed entirely by driver-side lost attempts
         lost_error = TaskLostError(kind, task_index, first_attempt - 1)
-        raise TaskFailedError(kind, job.max_attempts, lost_error, causes=[lost_error])
-    raise TaskFailedError(
-        kind, job.max_attempts, failures[-1], causes=failures
-    ) from failures[-1]
+        raise TaskFailedError(kind, max_attempts, lost_error, causes=[lost_error])
+    raise TaskFailedError(kind, max_attempts, failures[-1], causes=failures) from failures[-1]

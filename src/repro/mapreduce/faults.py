@@ -10,9 +10,10 @@ die, either as an explicit fault list or as seeded per-task draws, and the
 same plan produces the same failure schedule on every run and on both
 engines.
 
-A plan rides ``job.config["fault_plan"]`` (it is picklable, so it reaches
-pool workers with the job broadcast) and the engines consult it at three
-points:
+A plan is an engine setting (``SerialEngine(fault_plan=…)``,
+``MultiprocessEngine(fault_plan=…)``; it is picklable, so it reaches each
+pool worker once, when the worker starts) and applies to every task the
+engine runs.  The engines consult it at three points:
 
 - :meth:`FaultPlan.fire` — start of every task attempt: raise
   (:class:`CrashFault`), sleep (:class:`SlowFault`), or kill the hosting
@@ -64,6 +65,10 @@ class InjectedWorkerDeath(RuntimeError):
 
 class PoisonedRecordError(RuntimeError):
     """A :class:`PoisonFault` fired on its record (retryable)."""
+
+
+#: the seeded per-task (and per-segment) failure rates of a :class:`FaultPlan`
+RATES = ("crash_rate", "slow_rate", "kill_rate", "corrupt_rate", "truncate_rate")
 
 
 def _matches(selector: int | None, value: int) -> bool:
@@ -172,7 +177,7 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
-        for name in ("crash_rate", "slow_rate", "kill_rate", "corrupt_rate", "truncate_rate"):
+        for name in RATES:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
@@ -263,12 +268,11 @@ class FaultPlan:
 
     def describe(self) -> str:
         """One-line summary for logs and bench reports."""
-        rate_names = ("crash_rate", "slow_rate", "kill_rate", "corrupt_rate", "truncate_rate")
         parts = [f"{len(self.faults)} explicit fault(s)"]
-        for name in rate_names:
+        for name in RATES:
             rate = getattr(self, name)
             if rate:
                 parts.append(f"{name}={rate:g}")
-        if any(getattr(self, name) for name in rate_names):
+        if any(getattr(self, name) for name in RATES):
             parts.append(f"seed={self.seed}")
         return ", ".join(parts)

@@ -20,19 +20,20 @@ worker side (partition + spill at source, triggered by
 
 from __future__ import annotations
 
+from .faults import RATES, FaultPlan
 from .job import Job, Mapper
 
 
-def fusable(prev: Job, nxt: Job) -> bool:
+def fusable(prev: Job, nxt: Job, plan: FaultPlan | None) -> bool:
     """True when ``nxt``'s map phase can be elided at ``prev``'s reducers.
 
     Safe exactly when the next job's map phase is a pure identity
     reshuffle: the default :class:`~repro.mapreduce.job.Mapper` map
     (no subclass override, no setup/cleanup hooks) — then partitioning
     the upstream reduce output at source is observationally identical to
-    running the map tasks.  A fault
-    plan that could target the next job's (elided) map attempts also
-    blocks fusion, so injected-fault runs stay bit-identical.
+    running the map tasks.  An engine fault ``plan`` that could target
+    the next job's (elided) map attempts also blocks fusion, so
+    injected-fault runs stay bit-identical.
     """
     if prev.reducer is None or nxt.reducer is None or nxt.num_reducers < 1:
         return False
@@ -45,22 +46,7 @@ def fusable(prev: Job, nxt: Job) -> bool:
         and mapper.cleanup is Mapper.cleanup
     ):
         return False
-    plan = nxt.config.get("fault_plan")
-    if plan is not None:
-        if any(
-            getattr(plan, rate, 0.0)
-            for rate in (
-                "crash_rate",
-                "slow_rate",
-                "kill_rate",
-                "corrupt_rate",
-                "truncate_rate",
-            )
-        ):
-            return False
-        if any(
-            fault.task_kind in (None, "map")
-            for fault in getattr(plan, "faults", ())
-        ):
-            return False
-    return True
+    return plan is None or not (
+        any(getattr(plan, rate) for rate in RATES)
+        or any(fault.task_kind in (None, "map") for fault in plan.faults)
+    )

@@ -113,10 +113,9 @@ class Job:
     num_partitions) → partition overrides hash partitioning; keys within a
     partition are sorted by their natural order, so they must be mutually
     comparable; ``cache`` is the distributed cache payload, ``config`` arbitrary
-    job-wide parameters readable by every task.  ``max_attempts`` is
-    Hadoop's task-retry knob: a task raising an exception is re-executed
-    from scratch (fresh mapper/reducer instance, fresh context) up to
-    that many times before the job fails.
+    job-wide parameters readable by every task.  Task retries (attempt
+    budget, timeout, backoff, injected faults) are the engine's, set by
+    its constructor (:class:`~repro.mapreduce.controlplane.attempts.TaskRetries`).
 
     The engine itself reads this optional ``config`` key:
 
@@ -124,19 +123,6 @@ class Job:
       exceeds this go through the external merge sort instead of an
       in-memory sort (default
       :data:`~repro.mapreduce.runtime.DEFAULT_SPILL_THRESHOLD_BYTES`).
-
-    Fault-tolerance knobs (all off by default; see
-    :mod:`repro.mapreduce.faults` and the DESIGN "Fault model" section):
-
-    - ``"task_timeout_seconds"`` — per-attempt wall-clock budget (Hadoop's
-      ``mapred.task.timeout``).  An attempt that exceeds it counts as a
-      failed attempt (:class:`TaskTimeoutError`, retried under
-      ``max_attempts``); on the multiprocess engine a *hung* attempt that
-      never returns is killed with its worker pool and re-dispatched.
-    - ``"retry_backoff_seconds"`` — base delay between attempts; grows
-      exponentially per retry with deterministic jitter (0 disables).
-    - ``"fault_plan"`` — a :class:`~repro.mapreduce.faults.FaultPlan` for
-      deterministic fault injection (tests/benchmarks only).
     """
 
     name: str
@@ -146,15 +132,12 @@ class Job:
     partitioner: Callable[[Any, int], int] | None = None
     cache: dict[str, Any] = field(default_factory=dict)
     config: dict[str, Any] = field(default_factory=dict)
-    max_attempts: int = 1
 
     def __post_init__(self) -> None:
         if self.num_reducers < 0:
             raise ValueError(f"num_reducers must be >= 0, got {self.num_reducers}")
         if self.num_reducers == 0 and self.reducer is not None:
             raise ValueError("num_reducers=0 (map-only) requires reducer=None")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
 
 class TaskFailedError(RuntimeError):
@@ -199,7 +182,7 @@ class TaskFailedError(RuntimeError):
 
 
 class TaskTimeoutError(RuntimeError):
-    """A task attempt exceeded the job's ``task_timeout_seconds`` budget.
+    """A task attempt exceeded the engine's ``task_timeout_seconds`` budget.
 
     Raised *per attempt* inside the engine's retry loop — the task is
     re-executed like any other failed attempt until ``max_attempts`` runs

@@ -8,7 +8,8 @@ that gap with a write-ahead journal over the direct shuffle's durable
 spill files:
 
 - :class:`JobJournal` — an append-only, fsync'd JSONL file
-  (``journal.jsonl``) recording, per job: the pickled job spec
+  (``journal.jsonl``) recording, per job: the pickled job spec and the
+  engine's retry settings
   (``{uid}.spec.pkl``, one checksummed SPC1 segment written atomically
   and fsync'd before any task runs), every
   control-plane event the engine emits (attempt transitions, spill
@@ -27,12 +28,13 @@ spill files:
 - :func:`resume_job` — verifies and loads the spec (a damaged,
   truncated or unchecksummed spec raises
   :class:`~repro.mapreduce.serialization.SpillCorruptionError` naming it
-  before any engine is built), rebuilds the engine against the same journal
-  directory, seeds the map phase's :class:`AttemptTracker`/results with
-  the salvaged manifests, re-runs only the missing map tasks, and runs
-  the reduce phase as usual.  Outputs and job counters are bit-identical
-  to an uninterrupted run: salvaged tasks contribute their *journaled*
-  counters, replayed tasks re-execute deterministically.
+  before any engine is built), rebuilds the engine, with the same retry
+  settings, against the same journal directory, seeds the map phase's
+  :class:`AttemptTracker`/results with the salvaged manifests, re-runs
+  only the missing map tasks, and runs the reduce phase as usual.
+  Outputs and job counters are bit-identical to an uninterrupted run:
+  salvaged tasks contribute their *journaled* counters, replayed tasks
+  re-execute deterministically.
 
 The journal lives in its own directory (one per logical job lineage);
 journaled engines also place their per-job shuffle directories there, so
@@ -98,7 +100,7 @@ class JobJournal:
 
     # -- paths an engine and resume share --------------------------------------
     def spec_path(self, uid: str) -> Path:
-        """Durable SPC1-wrapped pickle of (job, splits, num_partitions) for one job uid."""
+        """Durable SPC1-wrapped pickle of (job, splits, num_partitions, retries) for one uid."""
         return self.dir / f"{uid}.spec.pkl"
 
     def shuffle_dir(self, uid: str) -> Path:
@@ -116,8 +118,12 @@ class JobJournal:
         if self._stats is not None:
             self._stats.journal_events += 1
 
-    def submit(self, uid: str, job: "Job", splits: list, num_partitions: int) -> None:
+    def submit(self, uid: str, job: "Job", splits: list, num_partitions: int, retries: Any) -> None:
         """Write-ahead record for one job: durable spec + journal line.
+
+        ``retries`` are the engine's
+        :class:`~repro.mapreduce.controlplane.attempts.TaskRetries`, stored
+        with the job so a resume rebuilds the same engine.
 
         The spec is one checksummed SPC1 segment, published atomically and
         fsync'd *before* the journal references it, so a journal that
@@ -125,7 +131,7 @@ class JobJournal:
         refuses one that no longer matches its checksum.
         """
         spec = self.spec_path(uid)
-        spec_tuple = (job, list(splits), num_partitions)
+        spec_tuple = (job, list(splits), num_partitions, retries)
         payload = pickle.dumps(spec_tuple, protocol=pickle.HIGHEST_PROTOCOL)
         write_spill_chunk(spec, payload, durable=True)
         self.append(
@@ -306,7 +312,8 @@ def resume_job(
     """Resume the most recent unfinished journaled job to completion.
 
     Rebuilds a journaled :class:`~repro.mapreduce.runtime
-    .MultiprocessEngine` over the same directory, re-attaches the dead
+    .MultiprocessEngine` over the same directory, with the dead run's
+    retry settings (the spec stores them), re-attaches the dead
     run's surviving map outputs, re-runs only the missing map tasks, and
     runs the reduce phase normally.  The result (records *and* job
     counters) is bit-identical to an uninterrupted run; the meters on the
@@ -322,9 +329,9 @@ def resume_job(
     from .runtime import MultiprocessEngine  # runtime imports journal at top level
 
     plan = plan_resume(journal_dir)
-    job, splits, _num_partitions = pickle.loads(read_spill_chunk(plan.spec_path))
+    job, splits, _num_partitions, retries = pickle.loads(read_spill_chunk(plan.spec_path))
     engine = MultiprocessEngine(
-        max_workers=max_workers, journal_dir=journal_dir, trace_sink=trace_sink
+        max_workers=max_workers, journal_dir=journal_dir, trace_sink=trace_sink, **vars(retries)
     )
     try:
         engine._pending_resume = plan

@@ -81,6 +81,7 @@ from .controlplane.attempts import (  # noqa: F401  (re-exports)
     TASK_FAILURES,
     TASK_RETRIES,
     TASKS_TIMED_OUT,
+    TaskRetries,
 )
 from .counters import (
     FRAMEWORK_GROUP,
@@ -91,6 +92,7 @@ from .counters import (
     SHUFFLE_RECORDS,
     Counters,
 )
+from .faults import FaultPlan
 from .fusion import fusable
 from .job import Job, JobResult, KeyValue, TaskFailedError
 from .journal import JobJournal
@@ -146,12 +148,27 @@ class Engine:
     ``trace_sink`` (e.g. a
     :class:`~repro.mapreduce.controlplane.JsonlTraceSink`) subscribes to
     the engine's :attr:`events` bus and is closed with the engine.
+    ``max_attempts``, ``task_timeout_seconds``, ``retry_backoff_seconds``
+    and ``fault_plan`` are the task-retry settings of every job the
+    engine runs, range-checked here and kept as :attr:`retries` (see
+    :class:`~repro.mapreduce.controlplane.attempts.TaskRetries`).
     """
 
     #: how map output reaches reduce tasks; pooled engines override
     _shuffle_mode = "memory"
 
-    def __init__(self, *, trace_sink: Any = None):
+    def __init__(
+        self,
+        *,
+        trace_sink: Any = None,
+        max_attempts: int = 1,
+        task_timeout_seconds: float | None = None,
+        retry_backoff_seconds: float = 0.0,
+        fault_plan: FaultPlan | None = None,
+    ):
+        self.retries = TaskRetries(
+            max_attempts, task_timeout_seconds, retry_backoff_seconds, fault_plan
+        )
         self.events = EventBus()
         self._trace_sink = trace_sink
         #: (job, handle, splits, num_partitions) of the current map phase
@@ -396,7 +413,7 @@ class Engine:
             for index, split in enumerate(splits)
         ]
         self._phase_marker(job, "map", len(map_specs), "started")
-        map_outputs = self._run_tasks(map_specs, job)
+        map_outputs = self._run_tasks(map_specs)
         state = self._gather(map_outputs, "map", mode, num_partitions, counters)
         self._phase_marker(job, "map", len(map_specs), "finished")
         return state
@@ -522,7 +539,7 @@ class Engine:
                 )
             )
         self._phase_marker(job, "reduce", len(reduce_specs), "started")
-        outputs = self._run_tasks(reduce_specs, job)
+        outputs = self._run_tasks(reduce_specs)
         self._phase_marker(job, "reduce", len(reduce_specs), "finished")
         return outputs
 
@@ -583,31 +600,31 @@ class Engine:
         """True when map spill files must be fsync'd before publication."""
         return False
 
-    def _run_tasks(self, specs: list[Any], job: Job) -> list[Any]:
+    def _run_tasks(self, specs: list[Any]) -> list[Any]:
         raise NotImplementedError
 
 
 class SerialEngine(Engine):
     """Run every task in-process, one after another (deterministic).
 
-    Fault-tolerance semantics are the worker-side subset: injected
+    Of the retry settings (see :class:`Engine`), injected
     crashes/poisons/slow-tasks, retry backoff and the post-hoc attempt
     timeout all apply; worker-kill faults degrade to ordinary task
     failures and hung attempts cannot be preempted (there is no second
     process to kill them from).
     """
 
-    def _run_tasks(self, specs: list[Any], job: Job) -> list[Any]:
+    def _run_tasks(self, specs: list[Any]) -> list[Any]:
         if not specs:
             return []
         kind = "map" if isinstance(specs[0], MapTaskSpec) else "reduce"
-        tracker = AttemptTracker(kind, len(specs), job, bus=self._bus())
+        tracker = AttemptTracker(kind, len(specs), self.retries.max_attempts, bus=self._bus())
         results: dict[int, Any] = {}
         for index in self._dispatch_order(specs):
             attempt = tracker.begin_dispatch(index)
             tracker.mark_running(attempt)
             try:
-                output = run_spec(specs[index])
+                output = run_spec(specs[index], self.retries)
             except Exception:
                 tracker.fail(attempt)
                 raise
@@ -691,6 +708,9 @@ class MultiprocessEngine(Engine):
     fsync'd before publication, and a driver killed mid-job can be
     resumed with :func:`repro.mapreduce.journal.resume_job` — re-running
     only the map tasks whose outputs didn't survive, bit-identically.
+    The retry settings are :class:`Engine`'s; on top of the serial
+    engine's, a worker killed by a fault is replaced and an attempt that
+    hangs past its timeout is killed with its pool.
     """
 
     def __init__(
@@ -701,6 +721,10 @@ class MultiprocessEngine(Engine):
         data_plane: str = "default",
         trace_sink: Any = None,
         journal_dir: str | Path | None = None,
+        max_attempts: int = 1,
+        task_timeout_seconds: float | None = None,
+        retry_backoff_seconds: float = 0.0,
+        fault_plan: FaultPlan | None = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -718,7 +742,10 @@ class MultiprocessEngine(Engine):
                 "resumable state is the direct plane's spill files, got "
                 f"shuffle_mode={shuffle_mode!r}"
             )
-        super().__init__(trace_sink=trace_sink)
+        super().__init__(
+            trace_sink=trace_sink, max_attempts=max_attempts, fault_plan=fault_plan,
+            task_timeout_seconds=task_timeout_seconds, retry_backoff_seconds=retry_backoff_seconds,
+        )
         self.max_workers = max_workers
         self._shuffle_mode = shuffle_mode
         if data_plane == "shm" and not shm_available():
@@ -771,7 +798,7 @@ class MultiprocessEngine(Engine):
         pool = self._resources.get("pool")
         if pool is None:
             pool = ProcessPoolExecutor(
-                max_workers=self.max_workers, initializer=worker_init
+                self.max_workers, initializer=worker_init, initargs=(self.retries,)
             )
             self._resources["pool"] = pool
             self.stats.pools_created += 1
@@ -883,7 +910,7 @@ class MultiprocessEngine(Engine):
             # replayed from a map spec; journaled chains run stage by
             # stage so every stage stays independently resumable.
             and self._journal is None
-            and fusable(prev, nxt)
+            and fusable(prev, nxt, self.retries.fault_plan)
         )
 
     def _journal_submit(
@@ -891,7 +918,7 @@ class MultiprocessEngine(Engine):
     ) -> None:
         if self._journal is not None:
             assert isinstance(handle, JobRef)
-            self._journal.submit(handle.uid, job, splits, num_partitions)
+            self._journal.submit(handle.uid, job, splits, num_partitions, self.retries)
 
     def _journal_finish(self, handle: Any) -> None:
         if self._journal is not None and isinstance(handle, JobRef):
@@ -985,7 +1012,7 @@ class MultiprocessEngine(Engine):
                 )
             )
 
-        # Attempt numbers above job.max_attempts cannot collide with any
+        # Attempt numbers above max_attempts cannot collide with any
         # worker-side attempt's files; the replay runs without fault
         # injection (spill faults fire on first attempts only).
         replay_spec = MapTaskSpec(
@@ -995,7 +1022,7 @@ class MultiprocessEngine(Engine):
             encode=True,
             spill_dir=self._shuffle_dir(handle),
             task_index=task_index,
-            first_attempt=job.max_attempts + self._replay_attempts[key],
+            first_attempt=self.retries.max_attempts + self._replay_attempts[key],
             durable_spill=self._durable_spills(),
         )
         entries, _counts, _sizes = replay_map_task(job, replay_spec)
@@ -1022,7 +1049,7 @@ class MultiprocessEngine(Engine):
                 process.terminate()
         pool.shutdown(wait=True, cancel_futures=True)
 
-    def _run_tasks(self, specs: list[Any], job: Job) -> list[Any]:
+    def _run_tasks(self, specs: list[Any]) -> list[Any]:
         """Dispatch one phase's tasks with recovery.
 
         A future-per-dispatch loop replaces ``pool.map`` so the driver can
@@ -1039,11 +1066,11 @@ class MultiprocessEngine(Engine):
         if not specs:
             return []
         kind = "map" if isinstance(specs[0], MapTaskSpec) else "reduce"
-        timeout = job.config.get("task_timeout_seconds")
-        limit = float(timeout) if timeout is not None else None
+        limit = self.retries.task_timeout_seconds
+        max_attempts = self.retries.max_attempts
 
         total = len(specs)
-        tracker = AttemptTracker(kind, total, job, bus=self._bus())
+        tracker = AttemptTracker(kind, total, max_attempts, bus=self._bus())
         order = self._dispatch_order(specs)
         results: dict[int, Any] = {}
         journal = (
@@ -1188,7 +1215,7 @@ class MultiprocessEngine(Engine):
                         for attempt in inflight.values()
                         if attempt.started_at is not None
                         and now - attempt.started_at
-                        > limit * (job.max_attempts - attempt.attempt + 1) + max(1.0, limit)
+                        > limit * (max_attempts - attempt.attempt + 1) + max(1.0, limit)
                     ]
                     if stuck:
                         self.stats.tasks_timed_out += len(stuck)

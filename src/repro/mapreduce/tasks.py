@@ -23,10 +23,13 @@ payload stores resident in a worker are bounded by the jobs in flight.
 **Attempt semantics.**  Every execution runs under the control plane's
 :func:`~repro.mapreduce.controlplane.attempts.run_attempt_loop` —
 injected faults, the post-hoc wall-clock check, and deterministic retry
-backoff all apply per attempt.  Workers touch an *attempt-began marker*
-file at the start of every attempt so the driver can tell, after a pool
-death, which tasks actually started (charged one lost attempt) and
-which were still queued (re-dispatched free).
+backoff all apply per attempt.  They are the engine's
+:class:`~repro.mapreduce.controlplane.attempts.TaskRetries`: passed to
+:func:`run_spec` in-process, handed to each pool worker once by
+:func:`worker_init`, so no job or task carries them.  Workers touch an
+*attempt-began marker* file at the start of every attempt so the driver
+can tell, after a pool death, which tasks actually started (charged one
+lost attempt) and which were still queued (re-dispatched free).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .controlplane.attempts import attempt_tag, run_attempt_loop
+from .controlplane.attempts import TaskRetries, attempt_tag, run_attempt_loop
 from .counters import (
     FRAMEWORK_GROUP,
     MAP_INPUT_RECORDS,
@@ -169,13 +172,19 @@ _WORKER_JOB_CAP = 8
 #: serial engine degrades them to ordinary task failures.
 _IS_POOL_WORKER = False
 
+#: the pool's engine retry settings (set by the initializer)
+_WORKER_RETRIES = TaskRetries()
+
 
 #: how often a pool worker checks that its driver is still alive
 _PARENT_POLL_SECONDS = 0.2
 
 
-def worker_init() -> None:
+def worker_init(retries: TaskRetries) -> None:
     """Pool initializer: start every worker with an empty job registry.
+
+    ``retries`` are the engine's settings, the same for every task the
+    worker will run.
 
     With the ``fork`` start method workers would otherwise inherit
     whatever the driver process had resident; clearing keeps the
@@ -184,8 +193,9 @@ def worker_init() -> None:
     its pool down, and the orphan would otherwise wait on its call queue
     forever.
     """
-    global _IS_POOL_WORKER
+    global _IS_POOL_WORKER, _WORKER_RETRIES
     _IS_POOL_WORKER = True
+    _WORKER_RETRIES = retries
     _WORKER_JOBS.clear()
     threading.Thread(
         target=_exit_with_parent, args=(os.getppid(),), name="parent-watch", daemon=True
@@ -290,7 +300,7 @@ def attempt_marker(handle: Any, kind: str, task_index: int):
     return mark
 
 
-def execute_map_task(spec: MapTaskSpec) -> tuple[tuple, dict, dict]:
+def execute_map_task(spec: MapTaskSpec, retries: TaskRetries) -> tuple[tuple, dict, dict]:
     """Run one map task with retries.
 
     Returns ``((partitions, partition_records, partition_bytes),
@@ -302,8 +312,8 @@ def execute_map_task(spec: MapTaskSpec) -> tuple[tuple, dict, dict]:
     job, info = resolve_job(spec.job)
     (partitions, counts, sizes), counters = run_attempt_loop(
         "map",
-        job,
-        lambda attempt: _map_attempt(job, spec, attempt),
+        retries,
+        lambda attempt: _map_attempt(job, spec, attempt, retries.fault_plan),
         task_index=spec.task_index,
         first_attempt=spec.first_attempt,
         marker=attempt_marker(spec.job, "map", spec.task_index),
@@ -317,7 +327,7 @@ def execute_map_task(spec: MapTaskSpec) -> tuple[tuple, dict, dict]:
             "map",
             spec.task_index,
             spec.first_attempt,
-            plan=job.config.get("fault_plan"),
+            plan=retries.fault_plan,
             durable=spec.durable_spill,
         )
         if damaged:
@@ -327,9 +337,10 @@ def execute_map_task(spec: MapTaskSpec) -> tuple[tuple, dict, dict]:
     return (partitions, counts, sizes), counters, _with_io_delta(info, mark)
 
 
-def _map_attempt(job: Job, spec: MapTaskSpec, attempt: int) -> tuple[tuple, dict]:
+def _map_attempt(
+    job: Job, spec: MapTaskSpec, attempt: int, plan: FaultPlan | None
+) -> tuple[tuple, dict]:
     """One attempt of a map task (fresh mapper + context)."""
-    plan: FaultPlan | None = job.config.get("fault_plan")
     counters = Counters()
     context = Context(counters, cache=job.cache, config=job.config)
     mapper = job.mapper()
@@ -361,7 +372,7 @@ def _map_attempt(job: Job, spec: MapTaskSpec, attempt: int) -> tuple[tuple, dict
     return (partitions, counts, sizes), counters.as_dict()
 
 
-def execute_reduce_task(spec: ReduceTaskSpec) -> tuple[Any, dict, dict]:
+def execute_reduce_task(spec: ReduceTaskSpec, retries: TaskRetries) -> tuple[Any, dict, dict]:
     """Run one reduce task (with retries) over its (unsorted) partition.
 
     Input comes from spill files (direct shuffle), driver-relayed chunks,
@@ -397,7 +408,7 @@ def execute_reduce_task(spec: ReduceTaskSpec) -> tuple[Any, dict, dict]:
 
     output, counters = run_attempt_loop(
         "reduce",
-        job,
+        retries,
         lambda attempt: _reduce_attempt(
             job,
             load(),
@@ -512,7 +523,7 @@ def replay_map_task(job: Job, spec: MapTaskSpec) -> tuple[list, list, list]:
 
     Returns ``(entries, counts, sizes)`` for the replayed task.
     """
-    (partitions, counts, sizes), _counters = _map_attempt(job, spec, spec.first_attempt)
+    (partitions, counts, sizes), _counters = _map_attempt(job, spec, spec.first_attempt, None)
     assert spec.spill_dir is not None
     entries, _damaged = spill_partitions(
         partitions,
@@ -526,11 +537,11 @@ def replay_map_task(job: Job, spec: MapTaskSpec) -> tuple[list, list, list]:
     return entries, counts, sizes
 
 
-def run_spec(spec: Any) -> Any:
+def run_spec(spec: Any, retries: TaskRetries) -> Any:
     """Dispatch one spec to its executor (shared by serial and workers)."""
     if isinstance(spec, MapTaskSpec):
-        return execute_map_task(spec)
-    return execute_reduce_task(spec)
+        return execute_map_task(spec, retries)
+    return execute_reduce_task(spec, retries)
 
 
 def run_pickled_spec(payload: bytes) -> Any:
@@ -540,4 +551,4 @@ def run_pickled_spec(payload: bytes) -> Any:
     it) so :class:`~repro.mapreduce.runtime.EngineStats` can meter exactly
     what crossed the process boundary at zero extra cost.
     """
-    return run_spec(pickle.loads(payload))
+    return run_spec(pickle.loads(payload), _WORKER_RETRIES)

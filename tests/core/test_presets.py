@@ -2,7 +2,9 @@
 
 Every preset must return what ``run_local`` — the scalar in-process
 reference — returns, for every scheme family the preset allows, both
-orientations, pruning off and on, on the serial engine and on a pool.
+orientations, pruning off and on, on the serial engine, on a pool, and on
+a pool whose task attempts crash and whose spill files rot (``faults``:
+retries and spill replay must not change a result or a counter).
 The families are all eight schema classes: the flat ones, a cross and a
 diagonal round of a §7 schedule, and the two §1 rectangles — the last four
 cover fewer pairs than the triangle and leave elements out, and go through
@@ -57,6 +59,7 @@ from repro.mapreduce.controlplane.events import (
     ReplicationMeasured,
     SpillWritten,
 )
+from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.counters import (
     FRAMEWORK_GROUP,
     MAP_INPUT_RECORDS,
@@ -64,7 +67,7 @@ from repro.mapreduce.counters import (
     Counters,
 )
 from repro.mapreduce.job import Context, JobResult
-from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
+from repro.mapreduce.runtime import TASK_RETRIES, MultiprocessEngine, SerialEngine
 from repro.mapreduce.serialization import SizedPayload, record_size
 from repro.mapreduce.shm import shm_available
 
@@ -124,8 +127,12 @@ def points():
 
 @pytest.fixture(scope="module")
 def engines():
-    with MultiprocessEngine(max_workers=2) as pool:
-        yield {"serial": SerialEngine(), "pool": pool}
+    plan = FaultPlan(seed=32, crash_rate=0.3, corrupt_rate=0.2)
+    with (
+        MultiprocessEngine(max_workers=2) as pool,
+        MultiprocessEngine(max_workers=2, max_attempts=3, fault_plan=plan) as faulty,
+    ):
+        yield {"serial": SerialEngine(), "pool": pool, "pool-faults": faulty}
 
 
 def computation(scheme, symmetric, pruning, engine=None):
@@ -150,7 +157,9 @@ def leg_two(result):
     return shipped, compute_tasks * aggregate.num_reduce_tasks
 
 
-@pytest.mark.parametrize("engine", ["serial", "pool"])
+@pytest.mark.parametrize(
+    "engine", ["serial", "pool", pytest.param("pool-faults", marks=pytest.mark.faults)]
+)
 @pytest.mark.parametrize("symmetric,pruning", MODES)
 @pytest.mark.parametrize("path,scheme", PRESETS)
 def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, engines):
@@ -163,6 +172,8 @@ def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, 
     assert all(merged[eid].payload is data[eid - 1] for eid in merged)
     shipped, bound = leg_two(result)
     assert 0 < shipped <= bound  # one result block per (compute task, partition) at most
+    if engine == "pool-faults":  # seed 32 crashes every job's first map and reduce attempt
+        assert result.counters.get(FRAMEWORK_GROUP, TASK_RETRIES) >= 2
     if symmetric:
         evaluations = result.counters.get(PAIRWISE_GROUP, EVALUATIONS)
         pruned = result.counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)
@@ -522,7 +533,7 @@ def test_leg_one_shuffles_at_most_a_block_per_map_task_and_working_set():
     assert leg_one.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS) <= maps * scheme.num_tasks < replicas
 
 
-@pytest.mark.parametrize("bad", [{"max_attempts": 0}, {"num_reduce_tasks": 0}])
+@pytest.mark.parametrize("bad", [{"num_reduce_tasks": 0}])
 def test_range_checks_precede_owned_engine_construction(bad, monkeypatch):
     """A rejected knob must not leave an engine behind: the default one is built last."""
     built = []

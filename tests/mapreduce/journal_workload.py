@@ -66,7 +66,7 @@ def make_records():
     return [(i, i) for i in range(NUM_RECORDS)]
 
 
-def make_job(*, sleep_per_task=0.0, gate_path=None, max_attempts=1, name="journaled"):
+def make_job(*, sleep_per_task=0.0, gate_path=None, name="journaled"):
     config = {}
     if sleep_per_task:
         config["sleep_per_task"] = sleep_per_task
@@ -77,14 +77,18 @@ def make_job(*, sleep_per_task=0.0, gate_path=None, max_attempts=1, name="journa
         mapper=SpreadMapper,
         reducer=GatedReducer if gate_path is not None else SumReducer,
         num_reducers=NUM_REDUCERS,
-        max_attempts=max_attempts,
         config=config,
     )
 
 
-def run_journaled(journal_dir, *, max_workers=2, **job_kwargs):
-    """One full journaled run; returns the JobResult."""
-    engine = MultiprocessEngine(max_workers=max_workers, journal_dir=journal_dir)
+def run_journaled(journal_dir, *, max_workers=2, retries=None, **job_kwargs):
+    """One full journaled run; returns the JobResult.
+
+    ``retries`` are the engine's retry keywords (``max_attempts=``, ...).
+    """
+    engine = MultiprocessEngine(
+        max_workers=max_workers, journal_dir=journal_dir, **(retries or {})
+    )
     try:
         return engine.run(
             make_job(**job_kwargs), make_records(), num_map_tasks=NUM_MAP_TASKS

@@ -13,7 +13,6 @@ from repro.mapreduce.controlplane import (
     attempt_tag,
 )
 from repro.mapreduce.controlplane.attempts import AttemptTracker, TaskAttempt
-from repro.mapreduce.job import Job, Mapper, Reducer
 from repro.mapreduce.spill import spill_file_path
 
 
@@ -62,23 +61,9 @@ class TestTaskAttemptStateMachine:
         assert attempt.tag == "a3"
 
 
-class IdMapper(Mapper):
-    pass
-
-
-class IdReducer(Reducer):
-    def reduce(self, key, values, context):
-        for value in values:
-            context.emit(key, value)
-
-
-def make_job(**config):
-    return Job(name="cp", mapper=IdMapper, reducer=IdReducer, config=config)
-
-
 class TestAttemptTracker:
     def test_attempt_numbers_advance_on_lost_charge(self):
-        tracker = AttemptTracker("map", 2, make_job())
+        tracker = AttemptTracker("map", 2, 1)
         first = tracker.begin_dispatch(0, now=0.0)
         assert first.attempt == 1
         tracker.kill(first, now=1.0)
@@ -86,13 +71,13 @@ class TestAttemptTracker:
         second = tracker.begin_dispatch(0, now=2.0)
         assert second.attempt == 2
         tracker.charge_lost(0)
-        assert tracker.exhausted(0)  # default max_attempts == 1
+        assert tracker.exhausted(0)  # a budget of one attempt
         from repro.mapreduce.job import TaskFailedError
 
         assert isinstance(tracker.lost_error(0, 0), TaskFailedError)
 
     def test_complete_records_duration_and_completion(self):
-        tracker = AttemptTracker("reduce", 1, make_job())
+        tracker = AttemptTracker("reduce", 1, 1)
         attempt = tracker.begin_dispatch(0, now=0.0)
         tracker.mark_running(attempt, now=1.0)
         tracker.complete(attempt, now=4.0, worker_pid=123)
@@ -101,7 +86,7 @@ class TestAttemptTracker:
         assert attempt.worker_pid == 123
 
     def test_kill_is_noop_on_terminal_attempts(self):
-        tracker = AttemptTracker("map", 1, make_job())
+        tracker = AttemptTracker("map", 1, 1)
         attempt = tracker.begin_dispatch(0, now=0.0)
         tracker.complete(attempt, now=1.0)
         tracker.kill(attempt, now=2.0)  # must not raise
@@ -111,7 +96,7 @@ class TestAttemptTracker:
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
-        tracker = AttemptTracker("map", 1, make_job(), bus=bus)
+        tracker = AttemptTracker("map", 1, 1, bus=bus)
         attempt = tracker.begin_dispatch(0, now=0.0)
         tracker.mark_running(attempt, now=0.5)
         tracker.complete(attempt, now=1.0)

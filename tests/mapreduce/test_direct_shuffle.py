@@ -206,14 +206,9 @@ class TestExternalSortOverSpillFiles:
         # re-read of the same files.
         records = [(i, SizedPayload(500, tag=i)) for i in range(80)]
         plan = FaultPlan(faults=[CrashFault(task_kind="reduce", attempts=(1,))])
-        failing = lambda: self.spill_job(  # noqa: E731 - tiny factory
-            2000,
-            config={"spill_threshold_bytes": 2000, "fault_plan": plan},
-            max_attempts=2,
-        )
         clean = SerialEngine().run(self.spill_job(2000), records, num_map_tasks=4)
-        with MultiprocessEngine(max_workers=2, shuffle_mode="direct") as engine:
-            retried = engine.run(failing(), records, num_map_tasks=4)
+        with MultiprocessEngine(max_workers=2, max_attempts=2, fault_plan=plan) as engine:
+            retried = engine.run(self.spill_job(2000), records, num_map_tasks=4)
         assert retried.records == clean.records
 
 
@@ -234,25 +229,19 @@ class TestDirectShuffleUnderWorkerDeath:
         leaks_before = len(glob.glob(leak_pattern))
         records = [(i, SizedPayload(500, tag=i)) for i in range(80)]
 
-        def job(plan=None):
-            config = {"spill_threshold_bytes": 2000}
-            if plan is not None:
-                config["fault_plan"] = plan
-            return Job(
-                name="kill-merge",
-                mapper=FanOutMapper,
-                reducer=CollectReducer,
-                num_reducers=2,
-                config=config,
-                max_attempts=2,
-            )
-
-        clean = SerialEngine().run(job(), records, num_map_tasks=4)
+        job = Job(
+            name="kill-merge",
+            mapper=FanOutMapper,
+            reducer=CollectReducer,
+            num_reducers=2,
+            config={"spill_threshold_bytes": 2000},
+        )
+        clean = SerialEngine().run(job, records, num_map_tasks=4)
         plan = FaultPlan(
             faults=[WorkerKillFault(task_kind="reduce", task_index=0, attempts=(1,))]
         )
-        with MultiprocessEngine(max_workers=2, shuffle_mode="direct") as engine:
-            survived = engine.run(job(plan), records, num_map_tasks=4)
+        with MultiprocessEngine(max_workers=2, max_attempts=2, fault_plan=plan) as engine:
+            survived = engine.run(job, records, num_map_tasks=4)
             assert engine.stats.pool_restarts >= 1
         assert survived.records == clean.records
         # Settle briefly: an orphaned worker from an earlier kill test may

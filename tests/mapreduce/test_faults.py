@@ -58,15 +58,17 @@ def product(a, b):
 RECORDS = [(i % 4, i) for i in range(16)]
 
 
-def fault_job(plan, *, max_attempts=2, **config):
-    config = {"fault_plan": plan, **config}
-    return Job(
-        name="faulty",
-        reducer=SumReducer,
-        num_reducers=2,
-        config=config,
-        max_attempts=max_attempts,
-    )
+FAULTY = Job(name="faulty", reducer=SumReducer, num_reducers=2)
+
+
+def serial(plan, *, max_attempts=2, **retries):
+    """A serial engine injecting ``plan`` under a retry budget."""
+    return SerialEngine(fault_plan=plan, max_attempts=max_attempts, **retries)
+
+
+def pooled(plan, *, max_attempts=2):
+    """The same on a two-worker pool."""
+    return MultiprocessEngine(max_workers=2, fault_plan=plan, max_attempts=max_attempts)
 
 
 def clean_run():
@@ -112,7 +114,7 @@ class TestFaultPlan:
 class TestSerialInjection:
     def test_crash_absorbed_by_retry_budget(self):
         plan = FaultPlan(faults=[CrashFault(task_kind="map", task_index=1)])
-        result = SerialEngine().run(fault_job(plan), RECORDS, num_map_tasks=4)
+        result = serial(plan).run(FAULTY, RECORDS, num_map_tasks=4)
         assert result.records == clean_run().records
         assert result.counters.get(FRAMEWORK_GROUP, TASK_RETRIES) == 1
         # 4 map + 2 reduce tasks, one of which took two attempts.
@@ -120,32 +122,32 @@ class TestSerialInjection:
 
     def test_crash_rate_absorbed(self):
         plan = FaultPlan(crash_rate=0.5, seed=11)
-        result = SerialEngine().run(fault_job(plan), RECORDS, num_map_tasks=4)
+        result = serial(plan).run(FAULTY, RECORDS, num_map_tasks=4)
         assert result.records == clean_run().records
 
     def test_poisoned_record_retryable(self):
         plan = FaultPlan(
             faults=[PoisonFault(task_kind="map", task_index=0, record_index=2)]
         )
-        result = SerialEngine().run(fault_job(plan), RECORDS, num_map_tasks=4)
+        result = serial(plan).run(FAULTY, RECORDS, num_map_tasks=4)
         assert result.records == clean_run().records
 
     def test_poison_without_retries_fails(self):
         plan = FaultPlan(faults=[PoisonFault(task_kind="map", task_index=0)])
         with pytest.raises(TaskFailedError) as info:
-            SerialEngine().run(fault_job(plan, max_attempts=1), RECORDS, num_map_tasks=4)
+            serial(plan, max_attempts=1).run(FAULTY, RECORDS, num_map_tasks=4)
         assert isinstance(info.value.cause, PoisonedRecordError)
 
     def test_worker_kill_degrades_to_failure_in_process(self):
         plan = FaultPlan(faults=[WorkerKillFault(task_kind="reduce", task_index=1)])
-        result = SerialEngine().run(fault_job(plan), RECORDS, num_map_tasks=4)
+        result = serial(plan).run(FAULTY, RECORDS, num_map_tasks=4)
         assert result.records == clean_run().records
         assert result.counters.get(FRAMEWORK_GROUP, TASK_RETRIES) == 1
 
     def test_permanent_fault_exhausts_attempts(self):
         plan = FaultPlan(faults=[CrashFault(task_kind="map", attempts=None)])
         with pytest.raises(TaskFailedError) as info:
-            SerialEngine().run(fault_job(plan), RECORDS, num_map_tasks=4)
+            serial(plan).run(FAULTY, RECORDS, num_map_tasks=4)
         assert isinstance(info.value.cause, InjectedCrash)
         assert len(info.value.causes) == 2
 
@@ -160,21 +162,16 @@ class TestTimeouts:
             config={
                 "flag": str(tmp_path / "flag"),
                 "sleep_seconds": 0.2,
-                "task_timeout_seconds": 0.05,
             },
-            max_attempts=2,
         )
-        result = SerialEngine().run(job, RECORDS[:4], num_map_tasks=1)
+        engine = SerialEngine(max_attempts=2, task_timeout_seconds=0.05)
+        result = engine.run(job, RECORDS[:4], num_map_tasks=1)
         assert result.counters.get(FRAMEWORK_GROUP, TASKS_TIMED_OUT) == 1
         assert result.counters.get(FRAMEWORK_GROUP, TASK_RETRIES) == 1
 
     def test_injected_slow_fault_counts_as_attempt_time(self):
         plan = FaultPlan(faults=[SlowFault(task_kind="map", task_index=0, seconds=0.2)])
-        result = SerialEngine().run(
-            fault_job(plan, task_timeout_seconds=0.05),
-            RECORDS,
-            num_map_tasks=4,
-        )
+        result = serial(plan, task_timeout_seconds=0.05).run(FAULTY, RECORDS, num_map_tasks=4)
         assert result.records == clean_run().records
         assert result.counters.get(FRAMEWORK_GROUP, TASKS_TIMED_OUT) == 1
 
@@ -183,11 +180,7 @@ class TestTimeouts:
             faults=[SlowFault(task_kind="map", task_index=0, seconds=0.1, attempts=None)]
         )
         with pytest.raises(TaskFailedError) as info:
-            SerialEngine().run(
-                fault_job(plan, task_timeout_seconds=0.02),
-                RECORDS,
-                num_map_tasks=4,
-            )
+            serial(plan, task_timeout_seconds=0.02).run(FAULTY, RECORDS, num_map_tasks=4)
         assert isinstance(info.value.cause, TaskTimeoutError)
 
 
@@ -201,11 +194,7 @@ class TestBackoff:
 
     def test_backoff_job_still_recovers(self):
         plan = FaultPlan(faults=[CrashFault(task_kind="map", task_index=2)])
-        result = SerialEngine().run(
-            fault_job(plan, retry_backoff_seconds=0.01),
-            RECORDS,
-            num_map_tasks=4,
-        )
+        result = serial(plan, retry_backoff_seconds=0.01).run(FAULTY, RECORDS, num_map_tasks=4)
         assert result.records == clean_run().records
 
 
@@ -224,23 +213,17 @@ class TestEngineParityUnderFaults:
         dataset = list(range(1, scheme.v + 1))
         baseline = PairwiseComputation(scheme, product).run(dataset)
         plan = FaultPlan(crash_rate=0.4, seed=5)
-        with MultiprocessEngine(max_workers=2) as engine:
-            faulty = PairwiseComputation(
-                scheme,
-                product,
-                engine=engine,
-                runtime_config={"fault_plan": plan},
-                max_attempts=3,
-            ).run(dataset)
+        with pooled(plan, max_attempts=3) as engine:
+            faulty = PairwiseComputation(scheme, product, engine=engine).run(dataset)
         assert results_matrix(faulty) == results_matrix(baseline)
 
     def test_counter_parity_between_engines_same_plan(self):
         plan = FaultPlan(faults=[CrashFault(task_kind="map", task_index=1)])
-        serial = SerialEngine().run(fault_job(plan), RECORDS, num_map_tasks=4)
-        with MultiprocessEngine(max_workers=2) as engine:
-            pooled = engine.run(fault_job(plan), RECORDS, num_map_tasks=4)
-        assert serial.records == pooled.records
-        assert serial.counters.as_dict() == pooled.counters.as_dict()
+        serial_run = serial(plan).run(FAULTY, RECORDS, num_map_tasks=4)
+        with pooled(plan) as engine:
+            pool_run = engine.run(FAULTY, RECORDS, num_map_tasks=4)
+        assert serial_run.records == pool_run.records
+        assert serial_run.counters.as_dict() == pool_run.counters.as_dict()
 
 
 @pytest.fixture
@@ -269,8 +252,8 @@ class TestWorkerDeathRecovery:
         plan = FaultPlan(faults=[WorkerKillFault(task_kind="map", task_index=1)])
         expected = clean_run().records
         one_live_attempt.clear()  # keep the pooled run's two phases only
-        with MultiprocessEngine(max_workers=2) as engine:
-            result = engine.run(fault_job(plan), RECORDS, num_map_tasks=4)
+        with pooled(plan) as engine:
+            result = engine.run(FAULTY, RECORDS, num_map_tasks=4)
             assert result.records == expected
             assert engine.stats.pool_restarts >= 1
             assert engine.stats.tasks_relaunched >= 1
@@ -289,20 +272,21 @@ class TestWorkerDeathRecovery:
 
     def test_kill_without_retry_budget_fails(self):
         plan = FaultPlan(faults=[WorkerKillFault(task_kind="map", task_index=0)])
-        with MultiprocessEngine(max_workers=2) as engine:
+        with pooled(plan, max_attempts=1) as engine:
             with pytest.raises(TaskFailedError):
-                engine.run(fault_job(plan, max_attempts=1), RECORDS, num_map_tasks=4)
+                engine.run(FAULTY, RECORDS, num_map_tasks=4)
 
     def test_pool_usable_after_recovery(self):
         plan = FaultPlan(faults=[WorkerKillFault(task_kind="map", task_index=0)])
-        with MultiprocessEngine(max_workers=2) as engine:
-            engine.run(fault_job(plan), RECORDS, num_map_tasks=4)
-            clean = engine.run(
+        with pooled(plan) as engine:
+            engine.run(FAULTY, RECORDS, num_map_tasks=4)
+            # The plan is the engine's, so the next job is injected too.
+            again = engine.run(
                 Job(name="after", reducer=SumReducer, num_reducers=2),
                 RECORDS,
                 num_map_tasks=4,
             )
-            assert clean.records == clean_run().records
+            assert again.records == clean_run().records
 
 
 @pytest.mark.faults
@@ -316,11 +300,9 @@ class TestDriverHangKill:
             config={
                 "flag": str(tmp_path / "flag"),
                 "sleep_seconds": 30.0,
-                "task_timeout_seconds": 0.2,
             },
-            max_attempts=2,
         )
-        with MultiprocessEngine(max_workers=2) as engine:
+        with MultiprocessEngine(max_workers=2, max_attempts=2, task_timeout_seconds=0.2) as engine:
             result = engine.run(job, RECORDS[:4], num_map_tasks=1)
             assert engine.stats.tasks_timed_out >= 1
             assert engine.stats.pool_restarts >= 1

@@ -39,6 +39,7 @@ from repro.mapreduce import (
     resume_job,
 )
 from repro.mapreduce import runtime
+from repro.mapreduce.faults import CrashFault, FaultPlan
 from repro.mapreduce.journal import JOURNAL_NAME, parse_jsonl_tolerant
 from repro.mapreduce.serialization import SpillCorruptionError, read_spill_chunk
 from repro.mapreduce.stats import EngineStats
@@ -157,7 +158,7 @@ class TestJournaledRun:
         assert types["job_finished"] == types["job_submitted"] >= 1
 
 
-def abandoned_run(tmp_path):
+def abandoned_run(tmp_path, retries=None):
     """A journaled run whose reduce phase fails after all maps complete.
 
     Returns (journal_dir, gate_path): touching the gate lets a resumed
@@ -166,7 +167,7 @@ def abandoned_run(tmp_path):
     journal_dir = tmp_path / "journal"
     gate = tmp_path / "gate"
     with pytest.raises(TaskFailedError):
-        workload.run_journaled(journal_dir, gate_path=gate)
+        workload.run_journaled(journal_dir, gate_path=gate, retries=retries)
     return journal_dir, gate
 
 
@@ -205,6 +206,33 @@ class TestResume:
         assert outcome.tasks_resumed == workload.NUM_MAP_TASKS - len(victims)
         assert outcome.tasks_replayed == len(victims)
         reference = reference_result()
+        assert sorted(outcome.result.records) == sorted(reference.records)
+        assert outcome.result.counters.as_dict() == reference.counters.as_dict()
+
+    def test_resume_keeps_the_engines_retry_settings(self, tmp_path):
+        # Every map task's first attempt crashes, so each one needs the
+        # second attempt of its budget.  Resume must rebuild the engine
+        # with both: without the budget the replays fail, without the plan
+        # their counters drop the retry.
+        retries = {
+            "max_attempts": 2,
+            "fault_plan": FaultPlan(faults=[CrashFault(task_kind="map")]),
+        }
+        journal_dir, gate = abandoned_run(tmp_path, retries)
+        victims = {1, 4}
+        for task in victims:
+            for path in journal_dir.glob(f"*-shuffle/map-{task:05d}-*"):
+                path.unlink()
+        gate.touch()
+        outcome = resume_job(journal_dir, max_workers=2)
+        assert outcome.tasks_replayed == len(victims)
+        with SerialEngine(**retries) as engine:
+            reference = engine.run(
+                workload.make_job(),
+                workload.make_records(),
+                num_map_tasks=workload.NUM_MAP_TASKS,
+            )
+        assert reference.counters.get("framework", "task_retries") == workload.NUM_MAP_TASKS
         assert sorted(outcome.result.records) == sorted(reference.records)
         assert outcome.result.counters.as_dict() == reference.counters.as_dict()
 
@@ -265,7 +293,7 @@ class TestResume:
         # The unchecksummed format specs used to be written in.
         journal_dir, gate = abandoned_run(tmp_path)
         spec = plan_resume(journal_dir).spec_path
-        job, splits, num_partitions = pickle.loads(read_spill_chunk(spec))
+        job, splits, num_partitions, _retries = pickle.loads(read_spill_chunk(spec))
         spec.write_bytes(pickle.dumps((job, splits, num_partitions)))
         gate.touch()
         monkeypatch.setattr(runtime, "MultiprocessEngine", self._no_engine)

@@ -258,8 +258,8 @@ class TestFusionHappens:
 
 
 class TestFusionGuards:
-    def run_fused(self, chain, **kwargs):
-        with MultiprocessEngine(max_workers=2) as engine:
+    def run_fused(self, chain, retries=None, **kwargs):
+        with MultiprocessEngine(max_workers=2, **(retries or {})) as engine:
             results = engine.run_chain(chain, records_from(LINES), **kwargs)
             return results, engine.stats.fused_stages
 
@@ -300,20 +300,19 @@ class TestFusionGuards:
     def test_map_targeting_fault_plan_blocks_fusion(self):
         # A plan that could fire on the next job's (elided) map attempts
         # must force the unfused path so the faults actually run.
-        chain = fusable_chain(
-            config={"fault_plan": FaultPlan(faults=[CrashFault(task_kind="map")])},
-            max_attempts=2,
-        )
-        _, fused_stages = self.run_fused(chain, num_map_tasks=4)
+        plan = FaultPlan(faults=[CrashFault(task_kind="map")])
+        retries = {"fault_plan": plan, "max_attempts": 2}
+        _, fused_stages = self.run_fused(fusable_chain(), retries, num_map_tasks=4)
         assert fused_stages == 0
 
     def test_reduce_only_fault_plan_still_fuses(self):
         plan = FaultPlan(faults=[CrashFault(task_kind="reduce", attempts=(1,))])
-        chain = fusable_chain(config={"fault_plan": plan}, max_attempts=2)
         baseline = SerialEngine().run_chain(
             fusable_chain(), records_from(LINES), num_map_tasks=4
         )
-        results, fused_stages = self.run_fused(chain, num_map_tasks=4)
+        results, fused_stages = self.run_fused(
+            fusable_chain(), {"fault_plan": plan, "max_attempts": 2}, num_map_tasks=4
+        )
         assert fused_stages == 1
         assert results[-1].records == baseline[-1].records
 

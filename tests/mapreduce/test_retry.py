@@ -1,9 +1,11 @@
 """Task-retry (fault tolerance) tests."""
 
+import math
 from pathlib import Path
 
 import pytest
 
+from repro.mapreduce import runtime
 from repro.mapreduce.counters import FRAMEWORK_GROUP
 from repro.mapreduce.job import Job, Mapper, Reducer, TaskFailedError
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
@@ -42,9 +44,8 @@ class TestRetries:
             name="flaky",
             mapper=FlakyMapper,
             config={"flag": str(tmp_path / "flag")},
-            max_attempts=3,
         )
-        result = SerialEngine().run(job, [(1, "a")], num_map_tasks=1)
+        result = SerialEngine(max_attempts=3).run(job, [(1, "a")], num_map_tasks=1)
         assert result.records == [(1, "a")]
         assert result.counters.get(FRAMEWORK_GROUP, "task_retries") == 1
 
@@ -53,15 +54,14 @@ class TestRetries:
             name="flaky-reduce",
             reducer=FlakyReducer,
             config={"flag": str(tmp_path / "flag")},
-            max_attempts=2,
         )
-        result = SerialEngine().run(job, [(1, 2), (1, 3)], num_map_tasks=1)
+        result = SerialEngine(max_attempts=2).run(job, [(1, 2), (1, 3)], num_map_tasks=1)
         assert result.records == [(1, 5)]
 
     def test_permanent_failure_raises_after_attempts(self, tmp_path):
-        job = Job(name="dead", mapper=AlwaysFailMapper, max_attempts=3)
+        job = Job(name="dead", mapper=AlwaysFailMapper)
         with pytest.raises(TaskFailedError) as info:
-            SerialEngine().run(job, [(1, "a")], num_map_tasks=1)
+            SerialEngine(max_attempts=3).run(job, [(1, "a")], num_map_tasks=1)
         assert info.value.attempts == 3
         assert isinstance(info.value.cause, RuntimeError)
 
@@ -89,9 +89,8 @@ class TestRetries:
             reducer=None,
             num_reducers=0,
             config={"flag": str(tmp_path / "flag")},
-            max_attempts=2,
         )
-        result = SerialEngine().run(job, [(1, "clean")], num_map_tasks=1)
+        result = SerialEngine(max_attempts=2).run(job, [(1, "clean")], num_map_tasks=1)
         # The successful attempt emits garbage+clean; the failed attempt's
         # records are gone (only one garbage record, not two).
         assert result.records == [("garbage", "from failed attempt"), (1, "clean")]
@@ -101,16 +100,51 @@ class TestRetries:
             name="flaky-mp",
             mapper=FlakyMapper,
             config={"flag": str(tmp_path / "flag")},
-            max_attempts=3,
         )
-        result = MultiprocessEngine(max_workers=2).run(
+        result = MultiprocessEngine(max_workers=2, max_attempts=3).run(
             job, [(1, "a"), (2, "b")], num_map_tasks=2
         )
         assert sorted(result.records) == [(1, "a"), (2, "b")]
 
     def test_bad_max_attempts(self):
         with pytest.raises(ValueError):
-            Job(name="bad", max_attempts=0)
+            SerialEngine(max_attempts=0)
+
+
+#: retry settings no engine accepts: each fails its range check by name
+BAD_RETRIES = [
+    ("max_attempts", 0),
+    ("task_timeout_seconds", 0),
+    ("task_timeout_seconds", -1.0),
+    ("task_timeout_seconds", math.nan),
+    ("task_timeout_seconds", math.inf),
+    ("retry_backoff_seconds", -0.5),
+    ("retry_backoff_seconds", math.nan),
+    ("retry_backoff_seconds", math.inf),
+    ("retry_backoff_seconds", "soon"),
+]
+
+
+@pytest.mark.parametrize("engine", ["serial", "pool"])
+@pytest.mark.parametrize("name,value", BAD_RETRIES)
+def test_bad_retry_settings_fail_at_construction(engine, name, value, tmp_path, monkeypatch):
+    """Checked once, when the engine is built: before any pool or directory exists.
+
+    Unchecked, a nan timeout switched the timeout off and the rest failed
+    only inside the first task.
+    """
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("an engine with bad retry settings started a pool")
+
+    monkeypatch.setattr(runtime, "ProcessPoolExecutor", no_pool)
+    journal = tmp_path / "journal"
+    with pytest.raises(ValueError, match=name):
+        if engine == "serial":
+            SerialEngine(**{name: value})
+        else:
+            MultiprocessEngine(max_workers=2, journal_dir=journal, **{name: value})
+    assert not journal.exists()
 
 
 class TestFailureAccounting:
@@ -119,9 +153,8 @@ class TestFailureAccounting:
             name="flaky",
             mapper=FlakyMapper,
             config={"flag": str(tmp_path / "flag")},
-            max_attempts=3,
         )
-        result = SerialEngine().run(job, [(1, "a")], num_map_tasks=1)
+        result = SerialEngine(max_attempts=3).run(job, [(1, "a")], num_map_tasks=1)
         assert result.counters.get(FRAMEWORK_GROUP, "task_failures") == 1
         assert result.counters.get(FRAMEWORK_GROUP, "task_retries") == 1
 
@@ -132,9 +165,9 @@ class TestFailureAccounting:
         assert result.counters.get(FRAMEWORK_GROUP, "task_retries") == 0
 
     def test_all_attempt_errors_preserved_and_chained(self):
-        job = Job(name="dead", mapper=AlwaysFailMapper, max_attempts=3)
+        job = Job(name="dead", mapper=AlwaysFailMapper)
         with pytest.raises(TaskFailedError) as info:
-            SerialEngine().run(job, [(1, "a")], num_map_tasks=1)
+            SerialEngine(max_attempts=3).run(job, [(1, "a")], num_map_tasks=1)
         error = info.value
         assert len(error.causes) == 3
         assert error.cause is error.causes[-1]
@@ -158,9 +191,9 @@ class TestFailureAccounting:
         assert len(restored.causes) == 2
 
     def test_multiprocess_permanent_failure_reports_attempts(self):
-        job = Job(name="dead-mp", mapper=AlwaysFailMapper, max_attempts=2)
+        job = Job(name="dead-mp", mapper=AlwaysFailMapper)
         with pytest.raises(TaskFailedError) as info:
-            MultiprocessEngine(max_workers=2).run(
+            MultiprocessEngine(max_workers=2, max_attempts=2).run(
                 job, [(1, "a"), (2, "b")], num_map_tasks=2
             )
         assert info.value.attempts == 2

@@ -263,12 +263,10 @@ class TestCrashRecovery:
     def test_worker_kill_recovers_and_leaves_no_segments(self):
         plan = FaultPlan(faults=[WorkerKillFault(task_kind="map", task_index=1)])
         reference = SerialEngine().run(cache_job(), RECORDS, num_map_tasks=4)
-        with MultiprocessEngine(max_workers=2, data_plane="shm") as engine:
-            result = engine.run(
-                cache_job(config={"fault_plan": plan}, max_attempts=2),
-                RECORDS,
-                num_map_tasks=4,
-            )
+        with MultiprocessEngine(
+            max_workers=2, data_plane="shm", max_attempts=2, fault_plan=plan
+        ) as engine:
+            result = engine.run(cache_job(), RECORDS, num_map_tasks=4)
             assert engine.stats.pool_restarts >= 1
             assert engine.stats.shm_segments == 1
             # engine still usable on the same plane after recovery
@@ -280,12 +278,10 @@ class TestCrashRecovery:
     def test_kill_mid_reduce_recovers(self):
         plan = FaultPlan(faults=[WorkerKillFault(task_kind="reduce", task_index=1)])
         reference = SerialEngine().run(cache_job(), RECORDS, num_map_tasks=4)
-        with MultiprocessEngine(max_workers=2, data_plane="shm") as engine:
-            result = engine.run(
-                cache_job(config={"fault_plan": plan}, max_attempts=2),
-                RECORDS,
-                num_map_tasks=4,
-            )
+        with MultiprocessEngine(
+            max_workers=2, data_plane="shm", max_attempts=2, fault_plan=plan
+        ) as engine:
+            result = engine.run(cache_job(), RECORDS, num_map_tasks=4)
         assert result.records == reference.records
         assert not leaked_segments()
 

@@ -363,9 +363,8 @@ class TestCorruptionRecovery:
             name="corrupted",
             reducer=SumReducer,
             num_reducers=2,
-            config={"fault_plan": plan},
         )
-        with MultiprocessEngine(max_workers=2) as engine:
+        with MultiprocessEngine(max_workers=2, fault_plan=plan) as engine:
             result = engine.run(job, RECORDS, num_map_tasks=4)
             reference = clean_run()
             assert result.records == reference.records
@@ -383,8 +382,8 @@ class TestCorruptionRecovery:
             name="quarantined",
             reducer=SumReducer,
             num_reducers=2,
-            config={"fault_plan": FaultPlan(corrupt_rate=1.0, seed=3)},
         )
+        plan = FaultPlan(corrupt_rate=1.0, seed=3)
         linked = []
 
         def on_event(event):
@@ -392,7 +391,7 @@ class TestCorruptionRecovery:
                 handle = f"{event.path}.p{event.partition:05d}.quarantined"
                 linked.append(os.path.samefile(event.path, handle))
 
-        with MultiprocessEngine(max_workers=2) as engine:
+        with MultiprocessEngine(max_workers=2, fault_plan=plan) as engine:
             engine.events.subscribe(on_event)
             result = engine.run(job, RECORDS, num_map_tasks=4)
             assert result.records == clean_run().records
@@ -405,9 +404,8 @@ class TestCorruptionRecovery:
             name="mixed",
             reducer=SumReducer,
             num_reducers=2,
-            config={"fault_plan": plan},
         )
-        with MultiprocessEngine(max_workers=2) as engine:
+        with MultiprocessEngine(max_workers=2, fault_plan=plan) as engine:
             result = engine.run(job, RECORDS, num_map_tasks=4)
             assert result.records == clean_run().records
             stats = engine.stats
@@ -425,13 +423,8 @@ class TestCorruptionRecovery:
         dataset = list(range(1, scheme.v + 1))
         baseline = PairwiseComputation(scheme, product).run(dataset)
         plan = FaultPlan(corrupt_rate=0.05, truncate_rate=0.05, seed=29)
-        with MultiprocessEngine(max_workers=2) as engine:
-            faulty = PairwiseComputation(
-                scheme,
-                product,
-                engine=engine,
-                runtime_config={"fault_plan": plan},
-            ).run(dataset)
+        with MultiprocessEngine(max_workers=2, fault_plan=plan) as engine:
+            faulty = PairwiseComputation(scheme, product, engine=engine).run(dataset)
             stats = engine.stats
         assert results_matrix(faulty) == results_matrix(baseline)
         # Every injected corruption was detected, quarantined, replayed.
@@ -444,10 +437,9 @@ class TestCorruptionRecovery:
             name="journaled-corrupt",
             reducer=SumReducer,
             num_reducers=2,
-            config={"fault_plan": plan},
         )
         with MultiprocessEngine(
-            max_workers=2, journal_dir=tmp_path / "journal"
+            max_workers=2, journal_dir=tmp_path / "journal", fault_plan=plan
         ) as engine:
             result = engine.run(job, RECORDS, num_map_tasks=4)
             assert result.records == clean_run().records

@@ -149,15 +149,13 @@ class TestFaultDeterminism:
         vectors = sparse_vectors()
         reference = serial_reference(vectors)
         plan = FaultPlan(crash_rate=0.05, seed=13)
-        with MultiprocessEngine(max_workers=2) as engine:
+        with MultiprocessEngine(max_workers=2, max_attempts=3, fault_plan=plan) as engine:
             computation = PairwiseComputation(
                 BlockScheme(V, 4),
                 cosine_similarity,
                 threshold=THRESHOLD,
                 pruning="sketch",
                 engine=engine,
-                runtime_config={"fault_plan": plan},
-                max_attempts=3,
             )
             merged, result = computation.run_cached(
                 list(vectors), return_pipeline=True
@@ -173,14 +171,12 @@ class TestFaultDeterminism:
         vectors = sparse_vectors()
         reference = serial_reference(vectors)
         plan = FaultPlan(crash_rate=0.3, seed=29)
-        with MultiprocessEngine(max_workers=2) as engine:
+        with MultiprocessEngine(max_workers=2, max_attempts=4, fault_plan=plan) as engine:
             merged = PairwiseComputation(
                 BlockScheme(V, 4),
                 cosine_similarity,
                 threshold=THRESHOLD,
                 pruning="sketch",
                 engine=engine,
-                runtime_config={"fault_plan": plan},
-                max_attempts=4,
             ).run_cached(list(vectors))
         assert results_matrix(merged) == reference

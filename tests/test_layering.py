@@ -435,7 +435,6 @@ class TestThePeripheryIsGone:
         job = definition("mapreduce/job.py", "Job")
         assert [n.target.id for n in job.body if isinstance(n, ast.AnnAssign)] == [
             "name", "mapper", "reducer", "num_reducers", "partitioner", "cache", "config",
-            "max_attempts",
         ]
         assert parameters(definition("core/element.py", "merge_copies")) == ["copies"]
         sorter = definition("mapreduce/extsort.py", "ExternalSorter")
@@ -484,6 +483,20 @@ class TestOneWayToPrune:
             if isinstance(item, ast.FunctionDef) and item.name == "sound"
         ]
         assert flagged == []
+
+
+class TestTheEngineOwnsRetries:
+    """Task retries are engine constructor arguments, never an open pass-through dict."""
+
+    def test_no_module_mentions_runtime_config(self):
+        paths = sorted((SRC / "repro").rglob("*.py"))
+        assert len(paths) > 20, "the walk saw nothing"
+        mentions = [
+            str(path.relative_to(SRC))
+            for path in paths
+            if "runtime_config" in path.read_text(encoding="utf-8")
+        ]
+        assert mentions == []
 
 
 class TestOneContainer:
@@ -620,7 +633,7 @@ class TestDocsFollowFiles:
         section = api.split("### Job config keys", 1)[1].split("\n### ", 1)[0]
         rows = [line for line in section.splitlines() if line.startswith("| `")]
         named = {name for row in rows for name in re.findall(r"`([\w.]+)`", row.split("|")[1])}
-        assert len(read) >= 4, "the walk saw nothing"
+        assert read, "the walk saw nothing"
         assert sorted(named ^ read) == []
 
 

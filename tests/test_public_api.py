@@ -102,14 +102,15 @@ class TestPinnedSignatures:
     """
 
     OBJECTIVE_KNOBS = ("threshold", "top_k", "pruning")
+    RETRY_KNOBS = ("max_attempts", "task_timeout_seconds", "retry_backoff_seconds", "fault_plan")
     PINNED = {
-        # 10 keywords: the engine object *is* the engine configuration, so the
-        # engine knobs live on the engines; auto_pairwise and choose_engine
-        # pass on only the trace sink of the engine they build.
+        # 8 keywords: the engine object *is* the engine configuration, so the
+        # engine knobs (task retries included) live on the engines;
+        # auto_pairwise and choose_engine pass on only the trace sink of the
+        # engine they build.
         "PairwiseComputation.__init__": (
             "self", "scheme", "comp", "aggregator", "engine", "num_reduce_tasks",
-            "symmetric", "kernel", "runtime_config", "max_attempts",
-            *OBJECTIVE_KNOBS,
+            "symmetric", "kernel", *OBJECTIVE_KNOBS,
         ),
         "PairwiseComputation.run": ("self", "dataset", "num_map_tasks", "return_pipeline"),
         "PairwiseComputation.run_cached": (
@@ -124,9 +125,10 @@ class TestPinnedSignatures:
         "Engine.run": ("self", "job", "input_records", "splits", "num_map_tasks"),
         "Engine.run_chain": ("self", "jobs", "input_records", "num_map_tasks", "fuse"),
         # The next engine knob is an edit of these five rows.
-        "SerialEngine.__init__": ("self", "trace_sink"),
+        "SerialEngine.__init__": ("self", "trace_sink", *RETRY_KNOBS),
         "MultiprocessEngine.__init__": (
             "self", "max_workers", "shuffle_mode", "data_plane", "trace_sink", "journal_dir",
+            *RETRY_KNOBS,
         ),
         "choose_engine": ("workload_hint", "max_workers", "trace_sink"),
         "resume_job": ("journal_dir", "max_workers", "trace_sink"),
@@ -154,11 +156,11 @@ class TestPinnedSignatures:
             target = getattr(target, part)
         assert tuple(inspect.signature(target).parameters) == self.PINNED[name]
 
-    def test_pairwise_computation_has_ten_keywords_no_lifecycle(self):
+    def test_pairwise_computation_has_eight_keywords_no_lifecycle(self):
         from repro.core import PairwiseComputation
 
         parameters = inspect.signature(PairwiseComputation.__init__).parameters.values()
-        assert sum(p.kind is p.KEYWORD_ONLY for p in parameters) == 10
+        assert sum(p.kind is p.KEYWORD_ONLY for p in parameters) == 8
         # It owns no engine, so there is nothing for it to close.
         assert not any(hasattr(PairwiseComputation, name) for name in ("close", "__enter__"))
 
