@@ -59,13 +59,13 @@ from repro.mapreduce.controlplane.events import (
     ReplicationMeasured,
     SpillWritten,
 )
-from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.counters import (
     FRAMEWORK_GROUP,
     MAP_INPUT_RECORDS,
     SHUFFLE_RECORDS,
     Counters,
 )
+from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.job import Context, JobResult
 from repro.mapreduce.runtime import TASK_RETRIES, MultiprocessEngine, SerialEngine
 from repro.mapreduce.serialization import SizedPayload, record_size
