@@ -533,7 +533,7 @@ def test_leg_one_shuffles_at_most_a_block_per_map_task_and_working_set():
     assert leg_one.get(FRAMEWORK_GROUP, SHUFFLE_RECORDS) <= maps * scheme.num_tasks < replicas
 
 
-@pytest.mark.parametrize("bad", [{"num_reduce_tasks": 0}])
+@pytest.mark.parametrize("bad", [{"num_reduce_tasks": 0}, {"num_reduce_tasks": -1}])
 def test_range_checks_precede_owned_engine_construction(bad, monkeypatch):
     """A rejected knob must not leave an engine behind: the default one is built last."""
     built = []
