@@ -7,11 +7,12 @@ machinery:
 
 - :mod:`.attempts` — the task-lifecycle state machine
   (``PENDING → DISPATCHED → RUNNING → {SUCCEEDED, FAILED, KILLED,
-  TIMED_OUT}``), global attempt numbering, the worker-side retry loop
-  with deterministic backoff, an engine's retry settings
-  (:class:`~repro.mapreduce.controlplane.attempts.TaskRetries`), and the driver-side
-  :class:`~repro.mapreduce.controlplane.attempts.AttemptTracker` that
-  owns attempt numbering and lost-attempt charging;
+  TIMED_OUT}``), an engine's retry settings
+  (:class:`~repro.mapreduce.controlplane.attempts.TaskRetries`), the
+  worker's single attempt (:func:`~repro.mapreduce.controlplane.attempts.run_attempt`,
+  with deterministic backoff), and the driver-side
+  :class:`~repro.mapreduce.controlplane.attempts.AttemptTracker`, the one
+  place that decides whether a task runs again;
 - :mod:`.policy` — the one dispatch order (costliest task first) the
   engines hand tasks out in and the one placement function
   (:func:`~repro.mapreduce.controlplane.policy.place`) the simulator
@@ -28,7 +29,6 @@ cluster package — the control plane is the layer both sit on.
 
 from .attempts import (
     TASK_ATTEMPTS,
-    TASK_FAILURES,
     TASK_RETRIES,
     TASKS_TIMED_OUT,
     AttemptTracker,
@@ -36,7 +36,7 @@ from .attempts import (
     TaskState,
     attempt_tag,
     backoff_seconds,
-    run_attempt_loop,
+    run_attempt,
 )
 from .events import (
     AttemptTransition,
@@ -64,7 +64,6 @@ __all__ = [
     "SpillWritten",
     "TASKS_TIMED_OUT",
     "TASK_ATTEMPTS",
-    "TASK_FAILURES",
     "TASK_RETRIES",
     "TaskAttempt",
     "TaskCost",
@@ -73,5 +72,5 @@ __all__ = [
     "backoff_seconds",
     "dispatch_order",
     "place",
-    "run_attempt_loop",
+    "run_attempt",
 ]

@@ -1,4 +1,4 @@
-"""Task-lifecycle state machine and attempt bookkeeping.
+"""Task-lifecycle state machine and the one retry decision.
 
 Every dispatch of a task is a :class:`TaskAttempt` walking the Hadoop
 attempt lifecycle::
@@ -6,25 +6,23 @@ attempt lifecycle::
     PENDING ──> DISPATCHED ──> RUNNING ──> SUCCEEDED
                     │             ├──────> FAILED
                     │             ├──────> KILLED      (pool torn down)
-                    │             └──────> TIMED_OUT   (hang budget blown)
+                    │             └──────> TIMED_OUT   (over the timeout)
                     └──(pool died before start)──> KILLED
 
-Attempt numbering is *global* per task: attempts lost driver-side (dead
-worker, hang kill) advance the same 1-based counter the worker-side
-retry loop uses, so ``max_attempts`` bounds the total effort per task
-and attempt-pinned injected faults never re-fire on re-dispatch.
+The driver decides, the worker runs.  Workers run :func:`run_attempt`:
+exactly the attempt the driver dispatched, with no loop.  Drivers (both
+engines) hold an :class:`AttemptTracker` per phase.  It is the only place
+that decides whether a task runs again: it numbers attempts, charges
+failed and lost ones against ``max_attempts``, raises the task's one
+:class:`~repro.mapreduce.job.TaskFailedError` when the budget is gone,
+writes the retry counters into the winning attempt's output, and emits
+every transition to the engine's event bus.  Attempt numbering is
+*global* per task — a failed, timed-out or lost attempt is followed by
+the next number — so attempt-pinned injected faults never re-fire.  A
+task has at most one live (non-terminal) attempt at a time.
 
 An engine's retry settings are one :class:`TaskRetries`, built and
 range-checked by the engine's constructor; nothing else sets them.
-
-Two consumers share this module:
-
-- workers run :func:`run_attempt_loop` — the in-attempt retry loop with
-  deterministic exponential backoff and the post-hoc wall-clock check;
-- drivers (both engines) hold an :class:`AttemptTracker` per phase — it
-  owns attempt numbering and lost-attempt charging, and emits every
-  transition to the engine's event bus.  A task has at most one live
-  (non-terminal) attempt at a time.
 
 This module is engine-agnostic by design: it must not import
 :mod:`repro.mapreduce.runtime` (see ``tests/test_layering.py``).
@@ -34,24 +32,20 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures.process import _RemoteTraceback
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, TYPE_CHECKING
 
 from ..counters import FRAMEWORK_GROUP
 from ..faults import FaultPlan, _draw
-from ..job import TaskFailedError, TaskLostError, TaskTimeoutError
+from ..job import TaskFailedError, TaskTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import EventBus
 
-#: Framework counter: failed attempts absorbed by retries (equals
-#: ``task_retries`` per winning task, but named so retry storms are
-#: legible in job counters).  Lost attempts (worker death, hang kill)
-#: are charged too — the winning re-dispatch reports them, so a
-#: recovered worker crash is visible in job counters even though no
-#: exception ever reached the retry loop.
-TASK_FAILURES = "task_failures"
+#: Framework counter: failed and lost attempts of winning tasks (0 per
+#: task on a clean run), so retry storms show up in job counters.
 TASK_RETRIES = "task_retries"
 #: Framework counter: total attempts used by winning tasks (1 per task
 #: on a clean run; retries and lost attempts raise it).
@@ -190,11 +184,11 @@ class AttemptTracker:
     """Driver-side attempt bookkeeping for one phase's task batch.
 
     Engine-agnostic: the engine owns futures/processes; the tracker owns
-    *decisions* — attempt numbering, lost-attempt charging against the
-    retry budget — and narrates every transition to the event bus.  Both
-    :class:`~repro.mapreduce.runtime.SerialEngine` (trivially) and
-    :class:`~repro.mapreduce.runtime.MultiprocessEngine` (fully) run
-    their phases through one of these.
+    *decisions* — attempt numbering, the retry budget, the task's one
+    failure — and narrates every transition to the event bus.  Both
+    :class:`~repro.mapreduce.runtime.SerialEngine` and
+    :class:`~repro.mapreduce.runtime.MultiprocessEngine` run their phases
+    through one of these.
     """
 
     def __init__(
@@ -213,6 +207,8 @@ class AttemptTracker:
         self._clock = clock
         #: next 1-based attempt number to dispatch, per task index
         self.next_attempt: dict[int, int] = {i: 1 for i in range(num_tasks)}
+        #: errors of each task's failed and lost attempts, oldest first
+        self.causes: dict[int, list[BaseException]] = {i: [] for i in range(num_tasks)}
         self.completed: set[int] = set()
         self.history: list[TaskAttempt] = []
 
@@ -232,41 +228,71 @@ class AttemptTracker:
                 )
             )
 
+    def _move(self, attempt: TaskAttempt, state: TaskState, now: float | None) -> None:
+        now = self._clock() if now is None else now
+        attempt.transition(state, now)
+        self._emit(attempt, now)
+
     # -- lifecycle -------------------------------------------------------------
     def begin_dispatch(self, index: int, *, now: float | None = None) -> TaskAttempt:
         """Create and dispatch the task's current attempt."""
-        now = self._clock() if now is None else now
         attempt = TaskAttempt(
             kind=self.kind, task_index=index, attempt=self.next_attempt[index]
         )
-        attempt.transition(TaskState.DISPATCHED, now)
         self.history.append(attempt)
-        self._emit(attempt, now)
+        self._move(attempt, TaskState.DISPATCHED, now)
         return attempt
 
     def mark_running(self, attempt: TaskAttempt, now: float | None = None) -> None:
-        now = self._clock() if now is None else now
-        attempt.transition(TaskState.RUNNING, now)
-        self._emit(attempt, now)
+        self._move(attempt, TaskState.RUNNING, now)
 
-    def complete(
-        self,
-        attempt: TaskAttempt,
-        *,
-        now: float | None = None,
-        worker_pid: int | None = None,
-    ) -> None:
-        """Record the task's winning attempt."""
-        now = self._clock() if now is None else now
-        attempt.worker_pid = worker_pid
-        attempt.transition(TaskState.SUCCEEDED, now)
+    def complete(self, attempt: TaskAttempt, output: Any, *, now: float | None = None) -> None:
+        """Record the task's winning attempt and its retry counters.
+
+        ``output`` is the task's ``(payload, counters, info)``: the
+        attempt's worker pid comes from ``info``, and ``task_attempts``,
+        ``task_retries`` and ``tasks_timed_out`` are written into
+        ``counters``.
+        """
+        _payload, counters, info = output
+        attempt.worker_pid = info.get("pid")
+        self._move(attempt, TaskState.SUCCEEDED, now)
         self.completed.add(attempt.task_index)
-        self._emit(attempt, now)
+        causes = self.causes[attempt.task_index]
+        framework = counters.setdefault(FRAMEWORK_GROUP, {})
+        framework[TASK_ATTEMPTS] = attempt.attempt
+        if causes:
+            framework[TASK_RETRIES] = len(causes)
+        timeouts = sum(isinstance(cause, TaskTimeoutError) for cause in causes)
+        if timeouts:
+            framework[TASKS_TIMED_OUT] = timeouts
 
-    def fail(self, attempt: TaskAttempt, now: float | None = None) -> None:
-        now = self._clock() if now is None else now
-        attempt.transition(TaskState.FAILED, now)
-        self._emit(attempt, now)
+    def fail(self, attempt: TaskAttempt, error: BaseException, *, now: float | None = None) -> None:
+        """Charge one failed or lost attempt; raise when the task may not run again.
+
+        ``error`` is what the attempt raised, or a
+        :class:`~repro.mapreduce.job.TaskLostError` for an attempt lost
+        with its worker (already KILLED or TIMED_OUT).  An error marked
+        ``task_retryable = False`` — a corrupt *input*, which re-running
+        the task cannot cure — is re-raised unchanged.  Otherwise the
+        error is chained to the task's previous one via ``__cause__`` (a
+        pooled attempt's remote traceback stays in between), the next
+        attempt number is taken, and once ``max_attempts`` are spent the
+        task's :class:`~repro.mapreduce.job.TaskFailedError` is raised.
+        """
+        if not attempt.state.terminal:
+            timed_out = isinstance(error, TaskTimeoutError)
+            self._move(attempt, TaskState.TIMED_OUT if timed_out else TaskState.FAILED, now)
+        if getattr(error, "task_retryable", True) is False:
+            raise error
+        causes = self.causes[attempt.task_index]
+        if causes:
+            remote = error.__cause__
+            (remote if isinstance(remote, _RemoteTraceback) else error).__cause__ = causes[-1]
+        causes.append(error)
+        self.next_attempt[attempt.task_index] += 1
+        if self.next_attempt[attempt.task_index] > self.max_attempts:
+            raise TaskFailedError(self.kind, self.max_attempts, error, causes=causes) from error
 
     def kill(
         self,
@@ -275,114 +301,60 @@ class AttemptTracker:
         timed_out: bool = False,
         now: float | None = None,
     ) -> None:
-        now = self._clock() if now is None else now
+        """End a live attempt the driver took away; charges nothing."""
         if not attempt.state.terminal:  # a hang-killed attempt is killed again with its pool
-            attempt.transition(
-                TaskState.TIMED_OUT if timed_out else TaskState.KILLED, now
-            )
-            self._emit(attempt, now)
-
-    # -- attempt budget --------------------------------------------------------
-    def charge_lost(self, index: int) -> None:
-        """Charge one lost attempt (worker started it, pool died)."""
-        self.next_attempt[index] += 1
-
-    def exhausted(self, index: int) -> bool:
-        """True when the task's retry budget is fully consumed."""
-        return self.next_attempt[index] > self.max_attempts
-
-    def lost_error(self, index: int, task_index: int) -> TaskFailedError:
-        """The failure raised when lost attempts alone exhaust the budget."""
-        lost = TaskLostError(self.kind, task_index, self.next_attempt[index] - 1)
-        return TaskFailedError(self.kind, self.max_attempts, lost, causes=[lost])
+            self._move(attempt, TaskState.TIMED_OUT if timed_out else TaskState.KILLED, now)
 
 
 def backoff_seconds(base: float, kind: str, task_index: int, attempt: int) -> float:
     """Exponential backoff with deterministic full jitter before ``attempt``.
 
-    The window doubles per retry (attempt 2 waits ~``base``, attempt 3
-    ~``2·base``, ...); the actual delay is a uniform draw from the upper
-    half of the window, keyed by task identity so reruns sleep the same.
+    A first attempt never waits.  The window doubles per retry (attempt 2
+    waits ~``base``, attempt 3 ~``2·base``, ...); the actual delay is a
+    uniform draw from the upper half of the window, keyed by task
+    identity so reruns sleep the same.
     """
-    window = base * (2 ** max(0, attempt - 2))
+    if attempt < 2 or base <= 0:
+        return 0.0
+    window = base * 2 ** (attempt - 2)
     return window * (0.5 + 0.5 * _draw(0, kind, task_index, f"backoff{attempt}"))
 
 
-def run_attempt_loop(
+def run_attempt(
     kind: str,
     retries: TaskRetries,
-    attempt_fn: Callable[[int], Any],
+    attempt_fn: Callable[[], Any],
     *,
-    task_index: int = 0,
-    first_attempt: int = 1,
+    task_index: int,
+    attempt: int,
     marker: Callable[[int], None] | None = None,
     in_worker: bool = False,
 ) -> Any:
-    """Hadoop's attempt loop: re-run a failed task up to ``retries.max_attempts``.
+    """Run exactly the attempt the driver dispatched; return its result.
 
-    Each retry gets a completely fresh attempt (new task object, new
-    context, new counters), so partial effects of a failed attempt never
-    leak — the engine only ever keeps a *successful* attempt's output.
-    Every failed attempt's exception is chained to the previous one via
-    ``__cause__`` (the full retry history survives in the traceback) and
-    counted: the winning attempt's counters carry ``task_retries``,
-    ``task_failures`` and ``task_attempts`` so retry storms show up in job
-    results — including attempts lost *before* this loop ran
-    (``first_attempt > 1`` means the driver already lost that many to dead
-    workers, and they are charged here on success).
-
-    Per attempt, in order: the engine's injected faults fire
-    (``retries.fault_plan``), the attempt runs under the post-hoc
-    wall-clock check (``retries.task_timeout_seconds``), and failures
-    sleep an exponentially growing, deterministically jittered backoff
-    (``retries.retry_backoff_seconds``) before the next attempt.
+    Each attempt is completely fresh (new task object, new context, new
+    counters), so a failed attempt's partial effects never leak.  In
+    order: a retry sleeps its backoff (``retries.retry_backoff_seconds``,
+    see :func:`backoff_seconds`), the began-``marker`` is touched, the
+    engine's injected faults fire (``retries.fault_plan``), and
+    ``attempt_fn`` runs under the post-hoc wall-clock check
+    (``retries.task_timeout_seconds``).  Any error propagates: whether the
+    task runs again is the driver's :class:`AttemptTracker`'s decision.
     """
-    plan, limit = retries.fault_plan, retries.task_timeout_seconds
-    max_attempts = retries.max_attempts
-    failures: list[BaseException] = []
-    timeouts = 0
-    attempt = first_attempt
-    while attempt <= max_attempts:
-        if failures and retries.retry_backoff_seconds > 0:
-            time.sleep(backoff_seconds(retries.retry_backoff_seconds, kind, task_index, attempt))
-        try:
-            if marker is not None:
-                marker(attempt)
-            # The clock starts before injected faults so a SlowFault delay
-            # counts as attempt time — injected stragglers trip the same
-            # timeout a genuinely slow attempt would.
-            started = time.monotonic()
-            if plan is not None:
-                plan.fire(kind, task_index, attempt, in_worker=in_worker)
-            result, counters = attempt_fn(attempt)
-            elapsed = time.monotonic() - started
-            if limit is not None and elapsed > limit:
-                raise TaskTimeoutError(kind, task_index, attempt, elapsed, limit)
-        except Exception as exc:  # noqa: BLE001 - task code may raise anything
-            if getattr(exc, "task_retryable", True) is False:
-                # Not this task's fault and not curable by re-running it
-                # (e.g. a corrupt *input* spill file): surface immediately
-                # without burning retry budget — the driver owns the fix.
-                raise
-            if failures:
-                exc.__cause__ = failures[-1]
-            failures.append(exc)
-            if isinstance(exc, TaskTimeoutError):
-                timeouts += 1
-            attempt += 1
-            continue
-        lost = first_attempt - 1
-        fail_count = len(failures) + lost
-        counters.setdefault(FRAMEWORK_GROUP, {})
-        framework = counters[FRAMEWORK_GROUP]
-        framework[TASK_ATTEMPTS] = framework.get(TASK_ATTEMPTS, 0) + attempt
-        if fail_count:
-            framework[TASK_RETRIES] = framework.get(TASK_RETRIES, 0) + fail_count
-            framework[TASK_FAILURES] = framework.get(TASK_FAILURES, 0) + fail_count
-        if timeouts:
-            framework[TASKS_TIMED_OUT] = framework.get(TASKS_TIMED_OUT, 0) + timeouts
-        return result, counters
-    if not failures:  # budget consumed entirely by driver-side lost attempts
-        lost_error = TaskLostError(kind, task_index, first_attempt - 1)
-        raise TaskFailedError(kind, max_attempts, lost_error, causes=[lost_error])
-    raise TaskFailedError(kind, max_attempts, failures[-1], causes=failures) from failures[-1]
+    delay = backoff_seconds(retries.retry_backoff_seconds, kind, task_index, attempt)
+    if delay:
+        time.sleep(delay)
+    if marker is not None:
+        marker(attempt)
+    # The clock starts before injected faults so a SlowFault delay counts
+    # as attempt time — injected stragglers trip the same timeout a
+    # genuinely slow attempt would.
+    started = time.monotonic()
+    if retries.fault_plan is not None:
+        retries.fault_plan.fire(kind, task_index, attempt, in_worker=in_worker)
+    result = attempt_fn()
+    elapsed = time.monotonic() - started
+    limit = retries.task_timeout_seconds
+    if limit is not None and elapsed > limit:
+        raise TaskTimeoutError(kind, task_index, attempt, elapsed, limit)
+    return result

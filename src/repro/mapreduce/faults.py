@@ -20,9 +20,10 @@ engine runs.  The engines consult it at three points:
   worker process (:class:`WorkerKillFault`);
 - :meth:`FaultPlan.poisons` — per map record: raise mid-stream
   (:class:`PoisonFault`), modelling a corrupt input record;
-- attempt numbering is **global** (driver re-dispatches after a lost
-  worker count as attempts), so a fault pinned to ``attempts=(1,)`` fires
-  exactly once even when the first attempt died with its process.
+- attempt numbering is **global**: the driver numbers every attempt it
+  dispatches (a retry after a failure and a re-dispatch after a lost
+  worker alike), so a fault pinned to ``attempts=(1,)`` fires exactly
+  once even when the first attempt died with its process.
 
 Rate-based plans draw per ``(kind, task_index)`` from a keyed blake2b
 hash — no shared RNG state, so the draw is independent of execution order
@@ -249,8 +250,10 @@ class FaultPlan:
         segment of a just-published spill file, or ``None``.
 
         Like the attempt-level rates, spill damage fires only on first
-        attempts: retries and driver-side replays model re-reading from a
-        healthy replica, so recovery always converges.
+        attempts — ``attempt`` is the one that wrote the file, so a map
+        task whose first attempt failed publishes an undamaged spill:
+        retries and driver-side replays model re-reading from a healthy
+        replica, so recovery always converges.
         Draws are keyed per partition, so each of a task's segments is
         drawn independently (a truncation also takes the segments after it).
         """

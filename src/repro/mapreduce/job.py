@@ -184,9 +184,10 @@ class TaskFailedError(RuntimeError):
 class TaskTimeoutError(RuntimeError):
     """A task attempt exceeded the engine's ``task_timeout_seconds`` budget.
 
-    Raised *per attempt* inside the engine's retry loop — the task is
-    re-executed like any other failed attempt until ``max_attempts`` runs
-    out (then it surfaces wrapped in :class:`TaskFailedError`).
+    Raised by the attempt itself, after it finished over the budget — the
+    driver re-runs the task like after any other failed attempt until
+    ``max_attempts`` runs out (then it surfaces wrapped in
+    :class:`TaskFailedError`).
     """
 
     def __init__(
@@ -210,25 +211,25 @@ class TaskTimeoutError(RuntimeError):
 
 
 class TaskLostError(RuntimeError):
-    """A task's attempts were lost with dead worker processes.
+    """A task attempt was lost with a dead worker process.
 
-    The multiprocess engine charges an attempt to every task that was
-    in flight when its pool broke (or was killed for a hang); a task whose
-    ``max_attempts`` budget is consumed entirely by lost attempts fails
-    with this as the :class:`TaskFailedError` cause.
+    The multiprocess engine charges a failed attempt, with this as its
+    error, to every started task that was in flight when its pool broke
+    (or was killed for a hang); like any failed attempt's error it is one
+    of :class:`TaskFailedError`'s ``causes`` once ``max_attempts`` runs out.
     """
 
-    def __init__(self, task_kind: str, task_index: int, attempts: int):
+    def __init__(self, task_kind: str, task_index: int, attempt: int):
         super().__init__(
-            f"{task_kind} task {task_index} lost {attempts} attempt(s) to "
-            "dead or timed-out worker processes"
+            f"{task_kind} task {task_index} attempt {attempt} was lost to a "
+            "dead or timed-out worker process"
         )
         self.task_kind = task_kind
         self.task_index = task_index
-        self.attempts = attempts
+        self.attempt = attempt
 
     def __reduce__(self):
-        return (type(self), (self.task_kind, self.task_index, self.attempts))
+        return (type(self), (self.task_kind, self.task_index, self.attempt))
 
 
 @dataclass

@@ -22,7 +22,8 @@ driver-forwarding plane).  One stage loop runs every job and chain
 (:meth:`Engine.run` is the one-stage case of :meth:`Engine.run_chain`);
 on the pooled engine's direct plane it *fuses* adjacent stages whose next
 map phase is identity-shaped (see :mod:`repro.mapreduce.fusion`).  **Fault
-tolerance** mirrors Hadoop 0.20: per-attempt wall-clock budgets,
+tolerance** mirrors Hadoop 0.20: the driver re-runs a failed task as a
+new attempt it dispatches itself, with per-attempt wall-clock budgets,
 deterministic retry backoff, transparent recovery from dead workers
 (pool respawn + lost-attempt charging via began-markers) and driver-side
 kills of hung attempts — see :mod:`repro.mapreduce.controlplane.attempts`
@@ -72,17 +73,7 @@ from .controlplane import (
     TaskCost,
     dispatch_order,
 )
-
-# Counter names, spill threshold and reduce-spill
-# counters moved out with the control-plane/worker split; re-exported
-# here because they are part of this module's long-standing surface.
-from .controlplane.attempts import (  # noqa: F401  (re-exports)
-    TASK_ATTEMPTS,
-    TASK_FAILURES,
-    TASK_RETRIES,
-    TASKS_TIMED_OUT,
-    TaskRetries,
-)
+from .controlplane.attempts import TaskRetries, backoff_seconds
 from .counters import (
     FRAMEWORK_GROUP,
     MAP_INPUT_RECORDS,
@@ -94,7 +85,7 @@ from .counters import (
 )
 from .faults import FaultPlan
 from .fusion import fusable
-from .job import Job, JobResult, KeyValue, TaskFailedError
+from .job import Job, JobResult, KeyValue, TaskFailedError, TaskLostError
 from .journal import JobJournal
 from .serialization import SpillCorruptionError
 from .shm import SegmentHost, shm_available
@@ -621,15 +612,17 @@ class SerialEngine(Engine):
         tracker = AttemptTracker(kind, len(specs), self.retries.max_attempts, bus=self._bus())
         results: dict[int, Any] = {}
         for index in self._dispatch_order(specs):
-            attempt = tracker.begin_dispatch(index)
-            tracker.mark_running(attempt)
-            try:
-                output = run_spec(specs[index], self.retries)
-            except Exception:
-                tracker.fail(attempt)
-                raise
-            tracker.complete(attempt, worker_pid=output[2].get("pid"))
-            results[index] = output
+            while index not in results:  # a failed attempt re-runs in place
+                attempt = tracker.begin_dispatch(index)
+                tracker.mark_running(attempt)
+                specs[index].attempt = attempt.attempt
+                try:
+                    output = run_spec(specs[index], self.retries)
+                except Exception as exc:  # noqa: BLE001 - task code may raise anything
+                    tracker.fail(attempt, exc)  # raises once the task may not run again
+                    continue
+                tracker.complete(attempt, output)
+                results[index] = output
         return [results[index] for index in range(len(specs))]
 
 
@@ -1013,7 +1006,7 @@ class MultiprocessEngine(Engine):
             )
 
         # Attempt numbers above max_attempts cannot collide with any
-        # worker-side attempt's files; the replay runs without fault
+        # dispatched attempt's files; the replay runs without fault
         # injection (spill faults fire on first attempts only).
         replay_spec = MapTaskSpec(
             job=handle,
@@ -1022,7 +1015,7 @@ class MultiprocessEngine(Engine):
             encode=True,
             spill_dir=self._shuffle_dir(handle),
             task_index=task_index,
-            first_attempt=self.retries.max_attempts + self._replay_attempts[key],
+            attempt=self.retries.max_attempts + self._replay_attempts[key],
             durable_spill=self._durable_spills(),
         )
         entries, _counts, _sizes = replay_map_task(job, replay_spec)
@@ -1050,27 +1043,28 @@ class MultiprocessEngine(Engine):
         pool.shutdown(wait=True, cancel_futures=True)
 
     def _run_tasks(self, specs: list[Any]) -> list[Any]:
-        """Dispatch one phase's tasks with recovery.
+        """Dispatch one phase's tasks until each has one winning attempt.
 
         A future-per-dispatch loop replaces ``pool.map`` so the driver can
-        (a) respawn a broken pool and re-run only the lost in-flight
-        tasks and (b) kill attempts that hang past the task timeout.  The
-        :class:`AttemptTracker` owns attempt numbering and lost-attempt
-        charging.  Invariant: *at most one live attempt per task* — a task
-        is re-dispatched only after its previous attempt was lost with its
-        pool or killed for a corrupt input, so a future in ``inflight``
-        always belongs to a task without a result.  Results are keyed by
-        task index, so output order — and therefore job results — is
-        identical to :class:`SerialEngine` whatever the dispatch order.
+        (a) re-dispatch a failed attempt as the task's next one, (b)
+        respawn a broken pool — whether it broke at submit or at
+        completion — and re-run only the lost tasks and (c) kill attempts
+        that hang past the task timeout.  The :class:`AttemptTracker`
+        makes every retry decision.  Invariant: *at most one live attempt
+        per task* — a task is re-dispatched only after its previous
+        attempt failed, was lost with its pool or was killed for a corrupt
+        input, so a future in ``inflight`` always belongs to a task
+        without a result.  Results are keyed by task index, so output
+        order — and therefore job results — is identical to
+        :class:`SerialEngine` whatever the dispatch order.
         """
         if not specs:
             return []
         kind = "map" if isinstance(specs[0], MapTaskSpec) else "reduce"
         limit = self.retries.task_timeout_seconds
-        max_attempts = self.retries.max_attempts
 
         total = len(specs)
-        tracker = AttemptTracker(kind, total, max_attempts, bus=self._bus())
+        tracker = AttemptTracker(kind, total, self.retries.max_attempts, bus=self._bus())
         order = self._dispatch_order(specs)
         results: dict[int, Any] = {}
         journal = (
@@ -1087,37 +1081,36 @@ class MultiprocessEngine(Engine):
 
         def dispatch(index: int) -> None:
             spec = specs[index]
-            spec.first_attempt = tracker.next_attempt[index]
+            spec.attempt = tracker.next_attempt[index]
             payload = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
             self.stats.spec_bytes += len(payload)
             self.stats.tasks_dispatched += 1
             future = self._ensure_pool().submit(run_pickled_spec, payload)
             inflight[future] = tracker.begin_dispatch(index)
 
-        def restart_pool() -> None:
-            """Respawn the pool; re-dispatch and charge unfinished tasks.
+        def hung(attempt: TaskAttempt, now: float) -> bool:
+            # The slack absorbs dispatch overhead; a retry's backoff is
+            # slept inside the attempt and is not hang time.
+            backoff = backoff_seconds(
+                self.retries.retry_backoff_seconds, kind, attempt.task_index, attempt.attempt
+            )
+            return now - attempt.started_at > limit + max(1.0, limit) + backoff
 
-            A task is charged one lost attempt iff its current attempt's
-            began-marker exists — i.e. a worker actually started it before
-            the pool died.  Queued tasks re-dispatch on the same attempt
-            number, so their attempt-pinned faults and retry budget are
-            untouched.
+        def restart_pool() -> list[int]:
+            """Respawn the pool, charge the attempts it lost; return the tasks to re-run.
+
+            An attempt is charged — failed with a :class:`TaskLostError` —
+            iff its began-marker exists, i.e. a worker actually started it
+            before the pool died.  Queued attempts re-dispatch under the
+            same number, so their attempt-pinned faults and retry budget
+            are untouched.
             """
             self.stats.pool_restarts += 1
             now = time.monotonic()
-            for attempt in inflight.values():
-                tracker.kill(attempt, now=now)
-            for index in range(total):
-                handle = specs[index].job
-                if (
-                    index not in results
-                    and isinstance(handle, JobRef)
-                    and marker_path(
-                        handle, kind, specs[index].task_index, tracker.next_attempt[index]
-                    ).exists()
-                ):
-                    tracker.charge_lost(index)
+            lost = list(inflight.values())
             inflight.clear()
+            for attempt in lost:
+                tracker.kill(attempt, now=now)
             self._teardown_pool(kill=True)
             host = self._resources.get("segments")
             if host is not None:
@@ -1126,13 +1119,17 @@ class MultiprocessEngine(Engine):
                 # names so already-pickled refs in re-dispatched specs
                 # keep resolving.
                 self.stats.shm_segments_revived += host.revive()
-            for index in order:
-                if index in results:
-                    continue
-                if tracker.exhausted(index):
-                    raise tracker.lost_error(index, specs[index].task_index)
-                self.stats.tasks_relaunched += 1
-                dispatch(index)
+            for attempt in lost:
+                spec = specs[attempt.task_index]
+                if isinstance(spec.job, JobRef) and marker_path(
+                    spec.job, kind, spec.task_index, attempt.attempt
+                ).exists():
+                    tracker.fail(
+                        attempt, TaskLostError(kind, spec.task_index, attempt.attempt), now=now
+                    )
+            unfinished = [index for index in order if index not in results]
+            self.stats.tasks_relaunched += len(unfinished)
+            return unfinished
 
         if resume is not None:
             # Re-attach the dead run's surviving map outputs: salvaged
@@ -1155,77 +1152,68 @@ class MultiprocessEngine(Engine):
                     self._journal_map_result(specs[index], output)
             self.stats.tasks_replayed += total - len(results)
 
-        for index in order:
-            if index in results:
-                continue
-            dispatch(index)
-
-        while len(results) < total:
-            if not inflight:  # pragma: no cover - defensive
-                raise RuntimeError("engine dispatch lost track of in-flight tasks")
-            done, _ = wait(
-                list(inflight), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
-            )
-            now = time.monotonic()
-            for future, attempt in inflight.items():
-                if attempt.started_at is None and future.running():
-                    tracker.mark_running(attempt, now=now)
-            broken = False
-            try:
-                for future in done:
-                    exc = future.exception()
-                    if isinstance(exc, BrokenProcessPool):
-                        broken = True  # stays in flight: restart_pool kills it
-                        continue
-                    attempt = inflight.pop(future)
-                    index = attempt.task_index
-                    if exc is None:
-                        output = future.result()
-                        results[index] = output
-                        tracker.complete(attempt, now=now, worker_pid=output[2].get("pid"))
-                        if journal is not None:
-                            self._journal_map_result(specs[index], output)
-                        continue
-                    if isinstance(
-                        exc, SpillCorruptionError
-                    ) and self._recover_spill_corruption(exc, specs[index]):
-                        # The reducer's *input* was bad, not the attempt:
-                        # the corrupt segment is quarantined, its producing
-                        # map attempt replayed, and the spec patched to
-                        # the fresh file — kill (not fail) so the
-                        # reducer's own retry budget stays untouched.
-                        tracker.kill(attempt, now=now)
+        pending = [index for index in order if index not in results]
+        try:
+            while len(results) < total:
+                broken = False
+                try:
+                    for index in pending:
                         dispatch(index)
-                        continue
-                    # The task's one attempt in flight failed for good:
-                    # fail the job like the serial engine would.
-                    tracker.fail(attempt, now=now)
-                    for straggler, other in inflight.items():
-                        straggler.cancel()
-                        tracker.kill(other, now=now)
-                    raise exc
-
-                if not broken and limit is not None:
-                    # A started attempt may legitimately consume the whole
-                    # remaining retry budget worker-side (each local retry
-                    # gets its own post-hoc window) before the driver
-                    # declares it hung; the slack absorbs dispatch overhead.
-                    stuck = [
-                        attempt
-                        for attempt in inflight.values()
-                        if attempt.started_at is not None
-                        and now - attempt.started_at
-                        > limit * (max_attempts - attempt.attempt + 1) + max(1.0, limit)
-                    ]
-                    if stuck:
+                    pending = []
+                    if not inflight:  # pragma: no cover - defensive
+                        raise RuntimeError("engine dispatch lost track of in-flight tasks")
+                    done, _ = wait(
+                        list(inflight), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
+                    )
+                    now = time.monotonic()
+                    for future, attempt in inflight.items():
+                        if attempt.started_at is None and future.running():
+                            tracker.mark_running(attempt, now=now)
+                    for future in done:
+                        exc = future.exception()
+                        if isinstance(exc, BrokenProcessPool):
+                            broken = True  # stays in flight: restart_pool charges it
+                            continue
+                        attempt = inflight.pop(future)
+                        index = attempt.task_index
+                        if exc is None:
+                            output = future.result()
+                            tracker.complete(attempt, output, now=now)
+                            results[index] = output
+                            if journal is not None:
+                                self._journal_map_result(specs[index], output)
+                        elif isinstance(
+                            exc, SpillCorruptionError
+                        ) and self._recover_spill_corruption(exc, specs[index]):
+                            # The reducer's *input* was bad, not the attempt:
+                            # the corrupt segment is quarantined, its producing
+                            # map attempt replayed, and the spec patched to the
+                            # fresh file — kill (not fail) so the reducer's own
+                            # retry budget stays untouched.
+                            tracker.kill(attempt, now=now)
+                            pending.append(index)
+                        else:
+                            tracker.fail(attempt, exc, now=now)  # raises once spent
+                            pending.append(index)
+                    if not broken and limit is not None:
+                        stuck = [
+                            attempt
+                            for attempt in inflight.values()
+                            if attempt.started_at is not None and hung(attempt, now)
+                        ]
                         self.stats.tasks_timed_out += len(stuck)
                         for attempt in stuck:
                             tracker.kill(attempt, timed_out=True, now=now)
-                        restart_pool()
-                        continue
-            except BrokenProcessPool:
-                broken = True
-            if broken:
-                restart_pool()
+                        broken = bool(stuck)
+                except BrokenProcessPool:  # a dead pool surfaces at submit too
+                    broken = True
+                if broken:
+                    pending = restart_pool()
+        finally:
+            # A phase that fails leaves nothing live: stragglers are cancelled.
+            now = time.monotonic()
+            for future, attempt in inflight.items():
+                future.cancel()
+                tracker.kill(attempt, now=now)
 
         return [results[index] for index in range(total)]

@@ -392,13 +392,14 @@ class SpillCorruptionError(RuntimeError):
     bad framing) — in a shuffle spill file, an extsort run or a job spec.
 
     Corruption of a *published* spill file is not the reading task's
-    fault and cannot be cured by re-running the reader, so the attempt
-    loop must not burn retry budget on it (``task_retryable = False``);
-    the driver instead quarantines the segment (``path`` + ``offset``
-    name it) and re-executes the upstream map attempt that produced it.
+    fault and cannot be cured by re-running the reader, so the driver's
+    attempt tracker must not burn retry budget on it
+    (``task_retryable = False``); the driver instead quarantines the
+    segment (``path`` + ``offset`` name it) and re-executes the upstream
+    map attempt that produced it.
     """
 
-    #: consumed by the attempt loop: re-raise instead of retrying
+    #: read by ``AttemptTracker.fail``: re-raise instead of retrying
     task_retryable = False
 
     def __init__(self, path: str, reason: str, offset: int = 0) -> None:

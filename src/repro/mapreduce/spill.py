@@ -6,12 +6,12 @@ directory, holding the task's non-empty partitions back to back as
 checksummed SPC1 segments — so only manifests (path, payload bytes,
 offset per partition) ever cross the driver, and a shuffle costs one file
 create per producing task, not one per (task, partition).  Files are
-*attempt-scoped*: the dispatch identity (task index, 1-based
-first-attempt number — see
+*attempt-scoped*: the dispatch identity (task index and the 1-based
+number of the attempt that did the work — see
 :func:`repro.mapreduce.controlplane.attempts.attempt_tag`) is baked into
-the name, so a re-dispatch after a lost worker can never collide with an
-earlier attempt's file.  Within one dispatch the worker writes only after
-its attempt loop succeeds, exactly once, and
+the name, so a retry or a re-dispatch after a lost worker can never
+collide with an earlier attempt's file.  The worker writes only after
+its attempt succeeds, exactly once, and
 :func:`~repro.mapreduce.serialization.write_spill_segments` publishes by
 atomic rename — a lost attempt just leaves an orphan that is removed with
 the job.
@@ -75,8 +75,8 @@ def spill_partitions(
     Empty partitions get no segment (``None`` entry) and a task with no
     output no file; manifest sizes are *payload* bytes (the SPC1 header
     is excluded, keeping byte accounting comparable across planes).  Runs
-    worker-side *after* the attempt loop succeeded, so a failed attempt
-    never writes.  ``durable=True`` fsyncs the file before publish
+    worker-side *after* the attempt succeeded, so a failed attempt never
+    writes.  ``durable=True`` fsyncs the file before publish
     (journaled engines).  ``plan`` applies post-publish ``corrupt`` /
     ``truncate`` damage, drawn per (task, partition); the count of
     segments made unreadable is reported so the driver can meter exactly

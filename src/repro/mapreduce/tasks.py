@@ -6,7 +6,7 @@ This is the code that runs *inside* an executor — in-process for
 :class:`MapTaskSpec`/:class:`ReduceTaskSpec` objects, pickles them, and
 ships them to :func:`run_pickled_spec`; everything orchestration-side
 (dispatch, recovery) stays in the engines, everything
-decision-side (attempt numbering, retry loop) in
+decision-side (attempt numbering, whether a task runs again) in
 :mod:`repro.mapreduce.controlplane`.
 
 **One-shot job broadcast.**  A job's static parts — mapper/reducer
@@ -20,10 +20,12 @@ only while the driver does: loading a new job first drops every
 registry entry whose broadcast file the driver has unlinked, so the
 payload stores resident in a worker are bounded by the jobs in flight.
 
-**Attempt semantics.**  Every execution runs under the control plane's
-:func:`~repro.mapreduce.controlplane.attempts.run_attempt_loop` —
-injected faults, the post-hoc wall-clock check, and deterministic retry
-backoff all apply per attempt.  They are the engine's
+**Attempt semantics.**  A spec runs exactly one attempt, the one the
+driver dispatched (``spec.attempt``), under the control plane's
+:func:`~repro.mapreduce.controlplane.attempts.run_attempt` — retry
+backoff, injected faults and the post-hoc wall-clock check all apply to
+it, and a failure propagates to the driver, which decides whether the
+task runs again.  The settings are the engine's
 :class:`~repro.mapreduce.controlplane.attempts.TaskRetries`: passed to
 :func:`run_spec` in-process, handed to each pool worker once by
 :func:`worker_init`, so no job or task carries them.  Workers touch an
@@ -40,9 +42,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
-from .controlplane.attempts import TaskRetries, attempt_tag, run_attempt_loop
+from .controlplane.attempts import TaskRetries, attempt_tag, run_attempt
 from .counters import (
     FRAMEWORK_GROUP,
     MAP_INPUT_RECORDS,
@@ -111,9 +113,9 @@ class MapTaskSpec:
     spill_dir: str | None = None
     #: position of this task within its phase (fault plans key on it)
     task_index: int = 0
-    #: 1-based global attempt this dispatch starts at (> 1 after the
-    #: driver lost earlier attempts to a dead/hung worker)
-    first_attempt: int = 1
+    #: the 1-based global attempt this dispatch runs; it names the spill
+    #: file and keys the fault plan
+    attempt: int = 1
     #: fsync spill files before publish (journaled engines: the journal
     #: must never promise a manifest the page cache hasn't flushed)
     durable_spill: bool = False
@@ -150,7 +152,9 @@ class ReduceTaskSpec:
     #: accounted partition size (map-reported sums) driving the spill path
     partition_bytes: int = 0
     task_index: int = 0
-    first_attempt: int = 1
+    #: the 1-based global attempt this dispatch runs; it names the fused
+    #: spill file and the external-sort scratch directory
+    attempt: int = 1
     #: when set, partition + spill this task's output for the next job
     #: (the fused reduce→map short-circuit) instead of returning records
     next_stage: NextStage | None = None
@@ -301,7 +305,7 @@ def attempt_marker(handle: Any, kind: str, task_index: int):
 
 
 def execute_map_task(spec: MapTaskSpec, retries: TaskRetries) -> tuple[tuple, dict, dict]:
-    """Run one map task with retries.
+    """Run the dispatched attempt of one map task.
 
     Returns ``((partitions, partition_records, partition_bytes),
     counters, info)`` where ``partitions`` holds manifest entries when
@@ -310,12 +314,12 @@ def execute_map_task(spec: MapTaskSpec, retries: TaskRetries) -> tuple[tuple, di
     """
     mark = io_meter.snapshot()
     job, info = resolve_job(spec.job)
-    (partitions, counts, sizes), counters = run_attempt_loop(
+    (partitions, counts, sizes), counters = run_attempt(
         "map",
         retries,
-        lambda attempt: _map_attempt(job, spec, attempt, retries.fault_plan),
+        lambda: _map_attempt(job, spec, retries.fault_plan),
         task_index=spec.task_index,
-        first_attempt=spec.first_attempt,
+        attempt=spec.attempt,
         marker=attempt_marker(spec.job, "map", spec.task_index),
         in_worker=_IS_POOL_WORKER,
     )
@@ -326,7 +330,7 @@ def execute_map_task(spec: MapTaskSpec, retries: TaskRetries) -> tuple[tuple, di
             spec.spill_dir,
             "map",
             spec.task_index,
-            spec.first_attempt,
+            spec.attempt,
             plan=retries.fault_plan,
             durable=spec.durable_spill,
         )
@@ -337,19 +341,17 @@ def execute_map_task(spec: MapTaskSpec, retries: TaskRetries) -> tuple[tuple, di
     return (partitions, counts, sizes), counters, _with_io_delta(info, mark)
 
 
-def _map_attempt(
-    job: Job, spec: MapTaskSpec, attempt: int, plan: FaultPlan | None
-) -> tuple[tuple, dict]:
+def _map_attempt(job: Job, spec: MapTaskSpec, plan: FaultPlan | None) -> tuple[tuple, dict]:
     """One attempt of a map task (fresh mapper + context)."""
     counters = Counters()
     context = Context(counters, cache=job.cache, config=job.config)
     mapper = job.mapper()
     mapper.setup(context)
     for ordinal, (key, value) in enumerate(spec.records):
-        if plan is not None and plan.poisons("map", spec.task_index, attempt, ordinal):
+        if plan is not None and plan.poisons("map", spec.task_index, spec.attempt, ordinal):
             raise PoisonedRecordError(
                 f"poisoned record {ordinal} in map task {spec.task_index} "
-                f"(attempt {attempt})"
+                f"(attempt {spec.attempt})"
             )
         counters.increment(FRAMEWORK_GROUP, MAP_INPUT_RECORDS)
         mapper.map(key, value, context)
@@ -373,13 +375,13 @@ def _map_attempt(
 
 
 def execute_reduce_task(spec: ReduceTaskSpec, retries: TaskRetries) -> tuple[Any, dict, dict]:
-    """Run one reduce task (with retries) over its (unsorted) partition.
+    """Run the dispatched attempt of one reduce task over its (unsorted) partition.
 
     Input comes from spill files (direct shuffle), driver-relayed chunks,
-    or raw records (serial).  The spill-file stream is rebuilt from disk
-    for every attempt, so an attempt that died mid-merge retries against
-    a fresh, complete read of its input.  With ``spec.next_stage`` set
-    (fused chaining) the winning attempt's output is partitioned for the
+    or raw records (serial).  Every attempt reads its input afresh, so a
+    retry of an attempt that died mid-merge sees a complete read of it.
+    With ``spec.next_stage`` set
+    (fused chaining) the attempt's output is partitioned for the
     next job and spilled at source; the ``(entries, counts, sizes)``
     manifest a direct-shuffle map task returns comes back instead of the
     records.
@@ -387,37 +389,27 @@ def execute_reduce_task(spec: ReduceTaskSpec, retries: TaskRetries) -> tuple[Any
     mark = io_meter.snapshot()
     job, info = resolve_job(spec.job)
     if spec.spill_paths is not None:
-        segments = spec.spill_paths
-
-        def load() -> Iterable[KeyValue]:
-            return iter_spill_records(segments)
-
+        records: Iterable[KeyValue] = iter_spill_records(spec.spill_paths)
+    elif spec.chunks is not None:
+        # Relayed chunks crossed the driver and arrived as private
+        # bytes inside this spec's pickle — copied by definition.
+        io_meter.bytes_copied += sum(len(chunk) for chunk in spec.chunks)
+        records = [record for chunk in spec.chunks for record in decode_records(chunk)]
     else:
-        if spec.chunks is not None:
-            # Relayed chunks crossed the driver and arrived as private
-            # bytes inside this spec's pickle — copied by definition.
-            io_meter.bytes_copied += sum(len(chunk) for chunk in spec.chunks)
-        records = (
-            [record for chunk in spec.chunks for record in decode_records(chunk)]
-            if spec.chunks is not None
-            else spec.records or []
-        )
+        records = spec.records or []
 
-        def load() -> Iterable[KeyValue]:
-            return records
-
-    output, counters = run_attempt_loop(
+    output, counters = run_attempt(
         "reduce",
         retries,
-        lambda attempt: _reduce_attempt(
+        lambda: _reduce_attempt(
             job,
-            load(),
+            records,
             spec.num_records,
             spec.partition_bytes,
-            scratch=_attempt_scratch(spec, attempt),
+            scratch=_attempt_scratch(spec),
         ),
         task_index=spec.task_index,
-        first_attempt=spec.first_attempt,
+        attempt=spec.attempt,
         marker=attempt_marker(spec.job, "reduce", spec.task_index),
         in_worker=_IS_POOL_WORKER,
     )
@@ -434,7 +426,7 @@ def execute_reduce_task(spec: ReduceTaskSpec, retries: TaskRetries) -> tuple[Any
             stage.spill_dir,
             "fuse",
             spec.task_index,
-            spec.first_attempt,
+            spec.attempt,
         )
         if next_info["loaded"]:
             info = {**info, "extra_loads": info.get("extra_loads", 0) + 1}
@@ -442,7 +434,7 @@ def execute_reduce_task(spec: ReduceTaskSpec, retries: TaskRetries) -> tuple[Any
     return output, counters, _with_io_delta(info, mark)
 
 
-def _attempt_scratch(spec: ReduceTaskSpec, attempt: int) -> str | None:
+def _attempt_scratch(spec: ReduceTaskSpec) -> str | None:
     """Per-attempt external-sort directory under the engine's scratch dir.
 
     Attempt-scoped (same tag discipline as spill files) so a retried
@@ -451,7 +443,7 @@ def _attempt_scratch(spec: ReduceTaskSpec, attempt: int) -> str | None:
     if spec.scratch_dir is None:
         return None
     return os.path.join(
-        spec.scratch_dir, f"extsort-reduce-{spec.task_index:05d}-{attempt_tag(attempt)}"
+        spec.scratch_dir, f"extsort-reduce-{spec.task_index:05d}-{attempt_tag(spec.attempt)}"
     )
 
 
@@ -515,15 +507,15 @@ def replay_map_task(job: Job, spec: MapTaskSpec) -> tuple[list, list, list]:
     runs a single clean attempt in the driver process, outside the retry
     budget (recovery work is not charged to the task) and outside fault
     injection (the replay models re-reading from a healthy replica), and
-    republishes the spill file under ``spec.first_attempt`` — an attempt
-    number past any the worker loop could have used, so the fresh file
+    republishes the spill file under ``spec.attempt`` — an attempt
+    number past any the retry budget could have used, so the fresh file
     never collides with the damaged one.  The attempt's counters are
     discarded: the original successful attempt's were already merged, and
     recovery must leave job counters bit-identical.
 
     Returns ``(entries, counts, sizes)`` for the replayed task.
     """
-    (partitions, counts, sizes), _counters = _map_attempt(job, spec, spec.first_attempt, None)
+    (partitions, counts, sizes), _counters = _map_attempt(job, spec, None)
     assert spec.spill_dir is not None
     entries, _damaged = spill_partitions(
         partitions,
@@ -531,7 +523,7 @@ def replay_map_task(job: Job, spec: MapTaskSpec) -> tuple[list, list, list]:
         spec.spill_dir,
         "map",
         spec.task_index,
-        spec.first_attempt,
+        spec.attempt,
         durable=spec.durable_spill,
     )
     return entries, counts, sizes

@@ -54,6 +54,7 @@ from repro.core.pairwise import (
 )
 from repro.core.quorum import QuorumScheme
 from repro.core.runner import auto_pairwise
+from repro.mapreduce.controlplane import TASK_RETRIES
 from repro.mapreduce.controlplane.events import (
     PhaseMarker,
     ReplicationMeasured,
@@ -65,9 +66,9 @@ from repro.mapreduce.counters import (
     SHUFFLE_RECORDS,
     Counters,
 )
-from repro.mapreduce.faults import FaultPlan
+from repro.mapreduce.faults import CrashFault, FaultPlan
 from repro.mapreduce.job import Context, JobResult
-from repro.mapreduce.runtime import TASK_RETRIES, MultiprocessEngine, SerialEngine
+from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 from repro.mapreduce.serialization import SizedPayload, record_size
 from repro.mapreduce.shm import shm_available
 
@@ -127,7 +128,11 @@ def points():
 
 @pytest.fixture(scope="module")
 def engines():
-    plan = FaultPlan(seed=32, crash_rate=0.3, corrupt_rate=0.2)
+    # Reducers crash twice and read map spills damaged at rate 0.2; maps
+    # never crash, so their first attempts publish the damaged files.
+    plan = FaultPlan(
+        faults=[CrashFault(task_kind="reduce", attempts=(1, 2))], seed=32, corrupt_rate=0.2
+    )
     with (
         MultiprocessEngine(max_workers=2) as pool,
         MultiprocessEngine(max_workers=2, max_attempts=3, fault_plan=plan) as faulty,
@@ -166,14 +171,16 @@ def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, 
     data = points()
     flag = "return_result" if path == "run_broadcast_job" else "return_pipeline"
     runner = computation(scheme, symmetric, pruning, engines[engine])
+    replayed = engines["pool-faults"].stats.spill_corruptions
     merged, result = getattr(runner, path)(data, **{flag: True})
     assert sorted(merged) == list(runner.scheme.participants())
     assert result_maps(merged) == result_maps(runner.run_local(data))
     assert all(merged[eid].payload is data[eid - 1] for eid in merged)
     shipped, bound = leg_two(result)
     assert 0 < shipped <= bound  # one result block per (compute task, partition) at most
-    if engine == "pool-faults":  # seed 32 crashes every job's first map and reduce attempt
+    if engine == "pool-faults":  # every reducer crashes twice; a damaged spill is replayed
         assert result.counters.get(FRAMEWORK_GROUP, TASK_RETRIES) >= 2
+        assert engines["pool-faults"].stats.spill_corruptions > replayed
     if symmetric:
         evaluations = result.counters.get(PAIRWISE_GROUP, EVALUATIONS)
         pruned = result.counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)

@@ -12,7 +12,9 @@ from repro.mapreduce.controlplane import (
     TaskState,
     attempt_tag,
 )
-from repro.mapreduce.controlplane.attempts import AttemptTracker, TaskAttempt
+from repro.mapreduce.controlplane.attempts import TASK_ATTEMPTS, AttemptTracker, TaskAttempt
+from repro.mapreduce.counters import FRAMEWORK_GROUP
+from repro.mapreduce.job import TaskFailedError, TaskLostError
 from repro.mapreduce.spill import spill_file_path
 
 
@@ -63,32 +65,36 @@ class TestTaskAttemptStateMachine:
 
 class TestAttemptTracker:
     def test_attempt_numbers_advance_on_lost_charge(self):
-        tracker = AttemptTracker("map", 2, 1)
+        tracker = AttemptTracker("map", 2, 2)
         first = tracker.begin_dispatch(0, now=0.0)
         assert first.attempt == 1
         tracker.kill(first, now=1.0)
-        tracker.charge_lost(0)
+        tracker.fail(first, TaskLostError("map", 0, 1), now=1.0)
+        assert first.state is TaskState.KILLED  # charged, not re-ended
         second = tracker.begin_dispatch(0, now=2.0)
         assert second.attempt == 2
-        tracker.charge_lost(0)
-        assert tracker.exhausted(0)  # a budget of one attempt
-        from repro.mapreduce.job import TaskFailedError
-
-        assert isinstance(tracker.lost_error(0, 0), TaskFailedError)
+        tracker.kill(second, now=3.0)
+        # The budget of two is spent: lost attempts end in the task's one failure.
+        with pytest.raises(TaskFailedError) as info:
+            tracker.fail(second, TaskLostError("map", 0, 2), now=3.0)
+        assert [cause.attempt for cause in info.value.causes] == [1, 2]
+        assert info.value.causes[1].__cause__ is info.value.causes[0]
 
     def test_complete_records_duration_and_completion(self):
         tracker = AttemptTracker("reduce", 1, 1)
         attempt = tracker.begin_dispatch(0, now=0.0)
         tracker.mark_running(attempt, now=1.0)
-        tracker.complete(attempt, now=4.0, worker_pid=123)
+        counters = {}
+        tracker.complete(attempt, (None, counters, {"pid": 123}), now=4.0)
         assert 0 in tracker.completed
         assert attempt.duration == pytest.approx(3.0)
         assert attempt.worker_pid == 123
+        assert counters == {FRAMEWORK_GROUP: {TASK_ATTEMPTS: 1}}
 
     def test_kill_is_noop_on_terminal_attempts(self):
         tracker = AttemptTracker("map", 1, 1)
         attempt = tracker.begin_dispatch(0, now=0.0)
-        tracker.complete(attempt, now=1.0)
+        tracker.complete(attempt, (None, {}, {}), now=1.0)
         tracker.kill(attempt, now=2.0)  # must not raise
         assert attempt.state is TaskState.SUCCEEDED
 
@@ -99,7 +105,7 @@ class TestAttemptTracker:
         tracker = AttemptTracker("map", 1, 1, bus=bus)
         attempt = tracker.begin_dispatch(0, now=0.0)
         tracker.mark_running(attempt, now=0.5)
-        tracker.complete(attempt, now=1.0)
+        tracker.complete(attempt, (None, {}, {}), now=1.0)
         states = [event.state for event in seen]
         assert states == ["DISPATCHED", "RUNNING", "SUCCEEDED"]
         assert all(isinstance(event, AttemptTransition) for event in seen)

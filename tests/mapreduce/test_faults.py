@@ -5,7 +5,11 @@ absorbable :class:`FaultPlan`, the :class:`MultiprocessEngine`'s results
 are bit-identical to a fault-free :class:`SerialEngine` run.
 """
 
+import json
 import time
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,14 @@ from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
 from repro.core.element import results_matrix
 from repro.core.pairwise import PairwiseComputation
-from repro.mapreduce.controlplane.attempts import AttemptTracker, backoff_seconds
+from repro.mapreduce.controlplane import (
+    TASK_ATTEMPTS,
+    TASK_RETRIES,
+    TASKS_TIMED_OUT,
+    AttemptTracker,
+    JsonlTraceSink,
+    backoff_seconds,
+)
 from repro.mapreduce.counters import FRAMEWORK_GROUP
 from repro.mapreduce.faults import (
     CrashFault,
@@ -28,16 +39,12 @@ from repro.mapreduce.faults import (
     WorkerKillFault,
     _draw,
 )
-from repro.mapreduce.job import Job, Mapper, TaskFailedError, TaskTimeoutError
-from repro.mapreduce.runtime import (
-    TASK_ATTEMPTS,
-    TASK_RETRIES,
-    TASKS_TIMED_OUT,
-    MultiprocessEngine,
-    SerialEngine,
-)
+from repro.mapreduce import runtime
+from repro.mapreduce.job import Job, Mapper, TaskFailedError, TaskTimeoutError, records_from
+from repro.mapreduce.journal import JOURNAL_NAME, read_journal
+from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 
-from .wordcount import SumReducer
+from .wordcount import EXPECTED_COUNTS, LINES, SumReducer, wordcount_job
 
 
 class SleepOnceMapper(Mapper):
@@ -226,6 +233,63 @@ class TestEngineParityUnderFaults:
         assert serial_run.counters.as_dict() == pool_run.counters.as_dict()
 
 
+#: map 0 crashes once and reduce 1 twice: five tasks take eight attempts
+TRACED_PLAN = FaultPlan(
+    faults=[
+        CrashFault(task_kind="map", task_index=0),
+        CrashFault(task_kind="reduce", task_index=1, attempts=(1, 2)),
+    ]
+)
+
+
+def attempt_lines(records):
+    """The AttemptTransition records of a trace or journal, without times."""
+    return [
+        {key: value for key, value in record.items() if key not in ("type", "time")}
+        for record in records
+        if record.get("type") == "AttemptTransition"
+    ]
+
+
+class TestTheTraceShowsEveryAttempt:
+    """One retry loop, the driver's: every attempt is dispatched and ended on the bus."""
+
+    @pytest.mark.parametrize("engine", ["serial", "pool"])
+    def test_transitions_match_the_retry_counters(self, engine, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        settings = dict(
+            fault_plan=TRACED_PLAN, max_attempts=3, trace_sink=JsonlTraceSink(trace)
+        )
+        if engine == "serial":
+            built = SerialEngine(**settings)
+        else:
+            built = MultiprocessEngine(
+                max_workers=2, journal_dir=tmp_path / "journal", **settings
+            )
+        with built:
+            result = built.run(wordcount_job(), records_from(LINES), num_map_tasks=2)
+        assert result.as_dict() == EXPECTED_COUNTS
+        lines = attempt_lines(
+            json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()
+        )
+        states = Counter(line["state"] for line in lines)
+        assert states["DISPATCHED"] == result.counters.get(FRAMEWORK_GROUP, TASK_ATTEMPTS) == 8
+        assert (
+            states["FAILED"] + states["TIMED_OUT"]
+            == result.counters.get(FRAMEWORK_GROUP, TASK_RETRIES)
+            == 3
+        )
+        won = [
+            line["attempt"]
+            for line in lines
+            if (line["kind"], line["task_index"], line["state"]) == ("reduce", 1, "SUCCEEDED")
+        ]
+        assert won == [3]
+        if engine == "pool":
+            journaled = read_journal(tmp_path / "journal" / JOURNAL_NAME)
+            assert attempt_lines(journaled) == lines
+
+
 @pytest.fixture
 def one_live_attempt(monkeypatch):
     """Fail any dispatch of a task that still has a non-terminal attempt.
@@ -244,6 +308,18 @@ def one_live_attempt(monkeypatch):
 
     monkeypatch.setattr(AttemptTracker, "begin_dispatch", checked)
     return trackers
+
+
+class BreaksOnThirdSubmit(ProcessPoolExecutor):
+    """A pool whose third submit, counted across pools, finds it broken."""
+
+    submits = 0
+
+    def submit(self, *args, **kwargs):
+        type(self).submits += 1
+        if type(self).submits == 3:
+            raise BrokenProcessPool("a worker died while the driver was submitting")
+        return super().submit(*args, **kwargs)
 
 
 @pytest.mark.faults
@@ -269,6 +345,21 @@ class TestWorkerDeathRecovery:
         # The lost attempt is charged in job counters like a worker-side
         # retry would be (same counter parity as the serial degradation).
         assert result.counters.get(FRAMEWORK_GROUP, TASK_RETRIES) >= 1
+
+    def test_pool_broken_at_submit_is_restarted(self, monkeypatch, one_live_attempt):
+        """A worker that dies while the driver still submits breaks ``submit``.
+
+        That pool is restarted like one that breaks at completion, and the
+        began-markers decide which attempts it cost.
+        """
+        monkeypatch.setattr(BreaksOnThirdSubmit, "submits", 0)
+        monkeypatch.setattr(runtime, "ProcessPoolExecutor", BreaksOnThirdSubmit)
+        with MultiprocessEngine(max_workers=2, max_attempts=2) as engine:
+            result = engine.run(FAULTY, RECORDS, num_map_tasks=4)
+            assert engine.stats.pool_restarts >= 1
+        assert result.records == SerialEngine().run(FAULTY, RECORDS, num_map_tasks=4).records
+        for tracker in one_live_attempt:
+            assert all(attempt.state.terminal for attempt in tracker.history)
 
     def test_kill_without_retry_budget_fails(self):
         plan = FaultPlan(faults=[WorkerKillFault(task_kind="map", task_index=0)])

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.design import DesignScheme
 from repro.core.pairwise import PairwiseComputation
-from repro.mapreduce.controlplane.attempts import TASK_ATTEMPTS
+from repro.mapreduce.controlplane import TASK_ATTEMPTS
 from repro.mapreduce.counters import (
     FRAMEWORK_GROUP,
     MAP_INPUT_RECORDS,

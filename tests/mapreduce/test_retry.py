@@ -155,13 +155,11 @@ class TestFailureAccounting:
             config={"flag": str(tmp_path / "flag")},
         )
         result = SerialEngine(max_attempts=3).run(job, [(1, "a")], num_map_tasks=1)
-        assert result.counters.get(FRAMEWORK_GROUP, "task_failures") == 1
         assert result.counters.get(FRAMEWORK_GROUP, "task_retries") == 1
 
     def test_no_failure_counters_on_clean_run(self):
         job = Job(name="clean", mapper=Mapper, reducer=None, num_reducers=0)
         result = SerialEngine().run(job, [(1, "a")], num_map_tasks=1)
-        assert result.counters.get(FRAMEWORK_GROUP, "task_failures") == 0
         assert result.counters.get(FRAMEWORK_GROUP, "task_retries") == 0
 
     def test_all_attempt_errors_preserved_and_chained(self):

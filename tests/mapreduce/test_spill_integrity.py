@@ -26,8 +26,9 @@ from repro.core.element import results_matrix
 from repro.core.pairwise import PairwiseComputation
 from repro.mapreduce.controlplane.events import SpillQuarantined
 from repro.mapreduce.extsort import ExternalSorter
-from repro.mapreduce.faults import FaultPlan
+from repro.mapreduce.faults import CrashFault, FaultPlan
 from repro.mapreduce.job import Job
+from repro.mapreduce.journal import JOURNAL_NAME, MAP_RESULT, read_journal
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 from repro.mapreduce.serialization import (
     SPILL_HEADER_BYTES,
@@ -259,6 +260,29 @@ class TestSpillInjection:
         for p, reason in ((0, "CRC mismatch"), (2, "truncated"), (3, "truncated")):
             with pytest.raises(SpillCorruptionError, match=reason):
                 read_spill_chunk(*entries[p])
+
+    def test_a_retried_map_publishes_its_own_attempt_undamaged(self, tmp_path):
+        """The spill tag and the damage draw use the attempt that did the work.
+
+        Every map task's attempt 1 crashes, so attempt 2 writes the spill:
+        ``a2`` names it and first-attempt-only damage leaves it whole.
+        """
+        plan = FaultPlan(faults=[CrashFault(task_kind="map")], corrupt_rate=1.0)
+        journal = tmp_path / "journal"
+        job = Job(name="retried", reducer=SumReducer, num_reducers=2)
+        with MultiprocessEngine(
+            max_workers=2, max_attempts=2, fault_plan=plan, journal_dir=journal
+        ) as engine:
+            assert engine.run(job, RECORDS, num_map_tasks=4).records == clean_run().records
+            assert engine.stats.spill_files_damaged == engine.stats.spill_corruptions == 0
+        names = {
+            os.path.basename(entry[0])
+            for record in read_journal(journal / JOURNAL_NAME)
+            if record["type"] == MAP_RESULT
+            for entry in record["entries"]
+            if entry is not None
+        }
+        assert names == {f"map-{task:05d}-a2.spill" for task in range(4)}
 
     def test_file_name_parses_back(self, tmp_path):
         entries, _ = spill_partitions(

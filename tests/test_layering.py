@@ -22,7 +22,8 @@ schedule's simulation through ``simulate``.
 The control plane offers no menu: one dispatch order, one placement
 function, one attempt of a task in flight — the policy classes, the
 ``schedule_*`` wrappers, speculative execution and the switches nobody set
-stay deleted.
+stay deleted.  It has one retry loop, the driver's: a worker runs exactly
+the attempt it was dispatched.
 
 A pair relation is an int64 array from scheme to kernel: every scheme
 implements ``pair_array``, ``get_pairs`` is the base class's list view, and
@@ -486,17 +487,25 @@ class TestOneWayToPrune:
 
 
 class TestTheEngineOwnsRetries:
-    """Task retries are engine constructor arguments, never an open pass-through dict."""
+    """Task retries are engine constructor arguments, never an open pass-through dict,
+    and the driver decides every attempt: a worker runs exactly one."""
 
-    def test_no_module_mentions_runtime_config(self):
+    @staticmethod
+    def mentions(*words: str) -> list[str]:
         paths = sorted((SRC / "repro").rglob("*.py"))
         assert len(paths) > 20, "the walk saw nothing"
-        mentions = [
-            str(path.relative_to(SRC))
+        return [
+            f"{path.relative_to(SRC)}: {word}"
             for path in paths
-            if "runtime_config" in path.read_text(encoding="utf-8")
+            for word in words
+            if word in path.read_text(encoding="utf-8")
         ]
-        assert mentions == []
+
+    def test_no_module_mentions_runtime_config(self):
+        assert self.mentions("runtime_config") == []
+
+    def test_one_retry_loop_in_the_driver(self):
+        assert self.mentions("run_attempt_loop", "first_attempt", "lost_error") == []
 
 
 class TestOneContainer:
