@@ -19,6 +19,7 @@ from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
 from repro.core.element import results_matrix
 from repro.core.pairwise import PairwiseComputation
+from repro.mapreduce import runtime
 from repro.mapreduce.controlplane import (
     TASK_ATTEMPTS,
     TASK_RETRIES,
@@ -39,7 +40,6 @@ from repro.mapreduce.faults import (
     WorkerKillFault,
     _draw,
 )
-from repro.mapreduce import runtime
 from repro.mapreduce.job import Job, Mapper, TaskFailedError, TaskTimeoutError, records_from
 from repro.mapreduce.journal import JOURNAL_NAME, read_journal
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
