@@ -39,7 +39,7 @@ import numpy as np
 from .._util import ceil_div
 from .element import results_matrix
 from .pairwise import PairwiseComputation
-from .scheme import DistributionScheme, Pair, SchemeMetrics, pairs_across
+from .scheme import Cross, DistributionScheme, Pair, SchemeMetrics, Tile, tile_rows
 
 CrossPair = tuple[int, int]  #: (r_id, s_id), each 1-based within its side
 
@@ -185,9 +185,14 @@ class BipartiteBlockScheme(BipartiteScheme):
         self._check_subset_id(subset_id)
         return divmod(subset_id, self.hs)
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+    def pair_tiles(
+        self, subset_id: int, members: Sequence[int] | None = None
+    ) -> tuple[Tile, ...]:
         a, b = self.task_position(subset_id)
-        return pairs_across(self._chunk("r", a), self._chunk("s", b))
+        return (Cross(self._chunk("r", a), self._chunk("s", b)),)
+
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+        return tile_rows(self.pair_tiles(subset_id))
 
     def get_subsets(self, element_id: int) -> list[int]:
         self._check_element_id(element_id)

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .._util import ceil_div
-from .scheme import DistributionScheme, SchemeMetrics, pairs_across, pairs_within
+from .scheme import Cross, DistributionScheme, SchemeMetrics, Tile, Triangle, tile_rows
 
 
 class BlockScheme(DistributionScheme):
@@ -120,14 +120,14 @@ class BlockScheme(DistributionScheme):
             return self.group_members(I)
         return self.group_members(J) + self.group_members(I)
 
-    def block_pairs(self, block: int) -> np.ndarray:
-        """Pair relation P_p of one block as rows: cross pairs, or the diagonal half."""
+    def block_tile(self, block: int) -> Tile:
+        """Pair relation P_p of one block: cross pairs, or the diagonal half."""
         I, J = self.block_position(block)
         if I == J:
-            return pairs_within(self._group_range(I))
+            return Triangle(self._group_range(I))
         # Column ids are strictly greater than row ids (I > J), so (c, r)
         # is already in canonical i > j orientation.
-        return pairs_across(self._group_range(I), self._group_range(J))
+        return Cross(self._group_range(I), self._group_range(J))
 
     # -- task fusion for paired diagonals ---------------------------------------
     def _build_paired_tasks(self) -> None:
@@ -167,12 +167,17 @@ class BlockScheme(DistributionScheme):
             return list(seen)
         return [block - 1 for block in blocks]  # 0-indexed task ids
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
-        """Pairs of the task; derived from grid math, ``members`` unused."""
+    def pair_tiles(
+        self, subset_id: int, members: Sequence[int] | None = None
+    ) -> tuple[Tile, ...]:
+        """The task's blocks; derived from grid math, ``members`` unused."""
         self._check_subset_id(subset_id)
         if self.pair_diagonals:
-            return np.concatenate([self.block_pairs(block) for block in self._tasks[subset_id]])
-        return self.block_pairs(subset_id + 1)
+            return tuple(self.block_tile(block) for block in self._tasks[subset_id])
+        return (self.block_tile(subset_id + 1),)
+
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+        return tile_rows(self.pair_tiles(subset_id))
 
     def subset_members(self, subset_id: int) -> list[int]:
         self._check_subset_id(subset_id)

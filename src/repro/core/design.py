@@ -30,7 +30,7 @@ import numpy as np
 
 from ..designs import plane_order_for, plane_size, projective_plane, truncate_design
 from ..designs.difference_sets import singer_difference_set
-from .scheme import DistributionScheme, SchemeMetrics, pairs_within
+from .scheme import DistributionScheme, SchemeMetrics, Tile, Triangle, tile_rows
 
 
 class DesignScheme(DistributionScheme):
@@ -93,8 +93,10 @@ class DesignScheme(DistributionScheme):
         # excluded by the base class).
         return list(self._subsets_of.get(element_id, []))
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
-        """Full pair relation within the working set (paper §5.3's P_l).
+    def pair_tiles(
+        self, subset_id: int, members: Sequence[int] | None = None
+    ) -> tuple[Tile, ...]:
+        """Full pair relation within the working set (paper §5.3's P_l): one triangle.
 
         Uses the reducer-provided ``members`` when given (mirroring
         Algorithm 1's ``getPairs(D, [element])``), falling back to the
@@ -109,7 +111,10 @@ class DesignScheme(DistributionScheme):
                     f"task {subset_id} received members {sorted(members)} "
                     f"but the design block is {block}"
                 )
-        return pairs_within(block)
+        return (Triangle(block),)
+
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+        return tile_rows(self.pair_tiles(subset_id, members))
 
     def subset_members(self, subset_id: int) -> list[int]:
         self._check_subset_id(subset_id)
@@ -236,14 +241,19 @@ class CyclicDesignScheme(DistributionScheme):
                 tasks.append(task)
         return sorted(tasks)
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+    def pair_tiles(
+        self, subset_id: int, members: Sequence[int] | None = None
+    ) -> tuple[Tile, ...]:
         block = self.subset_members(subset_id)
         if members is not None and len(members) > 0 and sorted(members) != block:
             raise ValueError(
                 f"task {subset_id} received members {sorted(members)} "
                 f"but the cyclic block is {block}"
             )
-        return pairs_within(block)
+        return (Triangle(block),)
+
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+        return tile_rows(self.pair_tiles(subset_id, members))
 
     def task_profile(self, subset_id: int):
         from .scheme import TaskProfile

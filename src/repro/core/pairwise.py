@@ -85,16 +85,20 @@ standing assumption) and picklable for the multiprocess engine.
 the two compute reducers admit a working set's payloads as one
 :class:`~repro.kernels.WorkingSetStore` (a ``dict`` that stacks its rows
 once for the kernels that want a matrix); its pair relation comes from
-the scheme as an ``(n, 2)`` int64 array
-(:meth:`~repro.core.scheme.DistributionScheme.pair_array`, no Python
-tuple per pair) and
-stays an array through pruner → :class:`~repro.kernels.PairKernel`
+the scheme as tiles of the pair matrix
+(:meth:`~repro.core.scheme.DistributionScheme.pair_tiles`: triangles,
+cross products, or plain ``(n, 2)`` int64 rows — no Python tuple per
+pair).  A kernel with a tile form evaluates a triangle or a cross tile as
+one matrix product and scatters it as row and column slices
+(:func:`_evaluate_tiles`).  Otherwise the tiles' rows stay an array
+through pruner → :class:`~repro.kernels.PairKernel`
 (``config["kernel"]``; ``None`` → the scalar kernel, bit-identical to the
 historical loop; ``"auto"`` → registry selection from the pair function
-and payload type) → :func:`scatter_results`, which groups the results by
-element for the task's result blocks; the aggregate reducer hands every
-element all of them in one bulk ``addResult``.  ``run_local`` always evaluates scalar,
-pair by pair — the reference the block paths are parity-tested against.
+and payload type) → :func:`scatter_results`.  Either way the results are
+grouped by element for the task's result blocks; the aggregate reducer
+hands every element all of them in one bulk ``addResult``.  ``run_local``
+always evaluates scalar, pair by pair — the reference the block paths are
+parity-tested against.
 """
 
 from __future__ import annotations
@@ -114,6 +118,7 @@ from ..mapreduce.pipeline import PipelineResult
 from ..mapreduce.runtime import Engine, SerialEngine
 from ..mapreduce.serialization import estimate_element_size, record_size
 from ..mapreduce.shuffle import hash_partition
+from ..mapreduce.tasks import use_one_blas_thread
 from ..sketches import (
     DISTANCE_KINDS,
     PRUNING_MODES,
@@ -132,7 +137,7 @@ from .aggregate import (
 )
 from .broadcast import BroadcastScheme
 from .element import Element, results_matrix
-from .scheme import DistributionScheme
+from .scheme import DistributionScheme, Rows, Tile, Triangle, tile_rows
 
 PairFunction = Callable[[Any, Any], Any]
 
@@ -305,12 +310,92 @@ def scatter_results(
 
 
 def _compute_block(
-    pairs: np.ndarray, payloads: Mapping[int, Any], context: Context
+    tiles: Sequence[Tile], payloads: Mapping[int, Any], context: Context
 ) -> Iterator[tuple[int, list[int], list[Any]]]:
-    """One working set, block-granular: the scheme's pair array → prune → kernel → scatter."""
-    block = _apply_pruner(pairs, context)
+    """One working set, block-granular: the scheme's tiles → kernel → scatter.
+
+    A kernel with an ``evaluate_tile`` takes each :class:`Triangle` /
+    :class:`Cross` tile as one matrix product (:func:`_evaluate_tiles`).
+    Everything else walks the tiles' rows — prune → kernel →
+    :func:`scatter_results`: a configured pruner (its survivors are rows),
+    ``symmetric=False`` (two orientations per row), a relation with no tile
+    shape (:class:`Rows`) and a kernel with no tile form (scalar, CSR).
+    """
+    config = context.config
+    if (
+        config.get("pruner") is None
+        and config.get("symmetric", True)
+        and not any(isinstance(tile, Rows) for tile in tiles)
+    ):
+        sample = next(iter(payloads.values()))
+        kernel = resolve_kernel(config.get("kernel"), config["comp"], sample)
+        if hasattr(kernel, "evaluate_tile"):
+            yield from _evaluate_tiles(tiles, payloads, kernel, context)
+            return
+    block = _apply_pruner(tile_rows(tiles), context)
     if len(block):
         yield from scatter_results(block, *_evaluate_pairs(block, payloads, context))
+
+
+def _evaluate_tiles(
+    tiles: Sequence[Tile], store: WorkingSetStore, kernel: Any, context: Context
+) -> Iterator[tuple[int, list[int], list[Any]]]:
+    """Evaluate and scatter a working set tile by tile: no gather, no argsort.
+
+    A cross tile's ``(|H|, |L|)`` result gives each high member its row
+    and each low member its column.  A triangle's ``(n, n)`` result is
+    read below the diagonal only: member ``k`` takes row ``k`` left of it
+    and column ``k`` below it, so both elements of a pair hold the one
+    entry computed for it, bit for bit (a BLAS ``X @ X.T`` need not be
+    symmetric).  Either way both elements share one result object, as
+    they do on the rows path.  Each element's partners are in the order
+    :func:`scatter_results` gives the tiles' rows — ascending within a
+    tile, tile after tile.  Meters ``EVALUATIONS`` as the rows path does:
+    one per pair.
+    """
+    use_one_blas_thread()
+    found: dict[int, tuple[list[int], list[Any]]] = {}
+
+    def file(eid: int, partners: list[int], values: list[Any]) -> None:
+        if eid in found:
+            had_partners, had_values = found[eid]
+            partners, values = had_partners + partners, had_values + values
+        found[eid] = (partners, values)
+
+    for tile in tiles:
+        if isinstance(tile, Triangle):
+            points = np.asarray(tile.points, dtype=np.int64).tolist()
+            if len(points) < 2:
+                continue
+            operand = _tile_operand(store, points)
+            lower = kernel.evaluate_tile(operand, operand).tolist()
+            for k, (eid, column) in enumerate(zip(points, zip(*lower))):
+                file(eid, points[:k] + points[k + 1 :], lower[k][:k] + list(column[k + 1 :]))
+            evaluations = len(points) * (len(points) - 1) // 2
+        else:
+            high = np.asarray(tile.high, dtype=np.int64).tolist()
+            low = np.asarray(tile.low, dtype=np.int64).tolist()
+            if not high or not low:
+                continue
+            rows = kernel.evaluate_tile(_tile_operand(store, high), _tile_operand(store, low))
+            rows = rows.tolist()
+            for eid, values in zip(high, rows):
+                file(eid, low, values)
+            for eid, values in zip(low, zip(*rows)):
+                file(eid, high, list(values))
+            evaluations = len(high) * len(low)
+        context.counters.increment(PAIRWISE_GROUP, EVALUATIONS, evaluations)
+    for eid, (partners, values) in found.items():
+        yield eid, partners, values
+
+
+def _tile_operand(store: WorkingSetStore, points: Sequence[int]) -> np.ndarray:
+    """The matrix rows of ascending member ids: a slice when they are consecutive members."""
+    lo = int(np.searchsorted(store.ids, points[0]))
+    hi = lo + len(points)
+    if hi <= len(store.ids) and store.ids[hi - 1] == points[-1]:
+        return store.matrix[lo:hi]
+    return store.matrix[np.searchsorted(store.ids, points)]
 
 
 def _admit_working_set(
@@ -433,8 +518,8 @@ class ComputeReducer(_ResultBlocks, Reducer):
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
         payloads = _admit_working_set(key, values, context)
-        pairs = scheme.pair_array(key, list(payloads))
-        self._keep(_compute_block(pairs, payloads, context), payloads)
+        tiles = scheme.pair_tiles(key, list(payloads))
+        self._keep(_compute_block(tiles, payloads, context), payloads)
 
 
 class CachedComputeReducer(_ResultBlocks, Reducer):
@@ -448,8 +533,8 @@ class CachedComputeReducer(_ResultBlocks, Reducer):
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
         payloads = _admit_working_set(key, values, context, context.cache_file("dataset"))
-        pairs = scheme.pair_array(key, list(payloads))
-        self._keep(_compute_block(pairs, payloads, context), payloads)
+        tiles = scheme.pair_tiles(key, list(payloads))
+        self._keep(_compute_block(tiles, payloads, context), payloads)
 
 
 class BroadcastPairMapper(_ResultBlocks, Mapper):
@@ -464,7 +549,7 @@ class BroadcastPairMapper(_ResultBlocks, Mapper):
     def map(self, key: int, value: Any, context: Context) -> None:
         scheme: BroadcastScheme = context.config["scheme"]
         payloads: Mapping[int, Any] = context.cache_file("dataset")
-        self._keep(_compute_block(scheme.pair_array(key), payloads, context))
+        self._keep(_compute_block(scheme.pair_tiles(key), payloads, context))
 
 
 class AggregateReducer(Reducer):

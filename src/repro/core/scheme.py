@@ -9,7 +9,10 @@ algorithm needs (paper §4):
    (drives the reduce phase).  A scheme answers it as one ``(n, 2)``
    int64 array, :meth:`DistributionScheme.pair_array`, built from its
    closed form; :meth:`DistributionScheme.get_pairs` is the list-of-tuples
-   view of that array.
+   view of that array.  :meth:`DistributionScheme.pair_tiles` gives the
+   same relation as the tiles of the ``v × v`` pair matrix it covers —
+   :class:`Triangle`, :class:`Cross` or plain :class:`Rows` — and the
+   tile-shaped schemes build ``pair_array`` as the tiles' rows.
 
 Together they define the systems ``D`` (working sets) and ``P`` (pair
 relations) of §5's formal problem, subject to:
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +60,45 @@ def pairs_across(high: Sequence[int], low: Sequence[int]) -> np.ndarray:
     high = np.asarray(high, dtype=np.int64)
     low = np.asarray(low, dtype=np.int64)
     return np.column_stack((np.repeat(high, len(low)), np.tile(low, len(high))))
+
+
+class Triangle(NamedTuple):
+    """Every pair of the ascending ``points``: the rows of :func:`pairs_within`."""
+
+    points: Sequence[int]
+
+    def rows(self) -> np.ndarray:
+        return pairs_within(self.points)
+
+
+class Cross(NamedTuple):
+    """Every ``(h, l)``, h ∈ ``high``, l ∈ ``low``: the rows of :func:`pairs_across`.
+
+    Both sides are ascending, and every ``high`` id exceeds every ``low`` id.
+    """
+
+    high: Sequence[int]
+    low: Sequence[int]
+
+    def rows(self) -> np.ndarray:
+        return pairs_across(self.high, self.low)
+
+
+class Rows(NamedTuple):
+    """A relation with no tile shape: the ``(n, 2)`` rows themselves."""
+
+    array: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        return self.array
+
+
+Tile = Triangle | Cross | Rows
+
+
+def tile_rows(tiles: Sequence[Tile]) -> np.ndarray:
+    """The ``(n, 2)`` rows of ``tiles``, tile after tile."""
+    return np.concatenate([tile.rows() for tile in tiles])
 
 
 @dataclass(frozen=True)
@@ -240,8 +282,23 @@ class DistributionScheme(abc.ABC):
         reducer for this working set; schemes may check it (design) or
         ignore it in favour of closed-form index math (broadcast, block).
         A task with no pairs returns shape ``(0, 2)``.  This is the form
-        the compute steps hand to pruner, kernel and scatter.
+        the compute steps hand to pruner, kernel and scatter when they do
+        not evaluate the task as tiles (:meth:`pair_tiles`).
         """
+
+    def pair_tiles(
+        self, subset_id: int, members: Sequence[int] | None = None
+    ) -> tuple[Tile, ...]:
+        """:meth:`pair_array` as tiles of the pair matrix, in row order.
+
+        The default has no tile shape: one :class:`Rows`.  Schemes whose
+        tasks are blocks of the matrix (block, design, bipartite block)
+        return :class:`Triangle` / :class:`Cross` tiles, and their
+        ``pair_array`` is :func:`tile_rows` of them — so a kernel that
+        evaluates a whole tile at once and one that walks the rows see the
+        same pairs in the same order.
+        """
+        return (Rows(self.pair_array(subset_id, members)),)
 
     def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
         """:meth:`pair_array` as a list of ``(i, j)`` tuples of Python ints."""

@@ -11,10 +11,10 @@ Built-ins (registered here, selectable by name in ``config["kernel"]``):
 
 ==================  ========================================================
 ``scalar``          wrap any ``comp``; bit-identical to the per-pair loop
-``dense-dot``       inner products of dense vectors (einsum gather)
+``dense-dot``       inner products of dense vectors (einsum gather, BLAS tile)
 ``dense-cosine``    cosine of dense vectors, zero-norm safe
 ``dense-euclidean`` L2 distance (the kNN/DBSCAN pair function)
-``covariance``      centered-row inner products; BLAS Gram fast path
+``covariance``      centered-row inner products (``dense-dot`` under its own name)
 ``csr-cosine``      tf-idf dict vectors → one CSR matrix per working set
 ==================  ========================================================
 

@@ -132,6 +132,16 @@ class PairKernel(abc.ABC):
         two compute reducers it is a :class:`WorkingSetStore`, whose
         ``ids`` / ``matrix`` save an array kernel its own stacking.
 
+        This is the **gather** form: it serves any relation, as rows.  A
+        kernel may also offer the **tile** form, ``evaluate_tile(left,
+        right)`` → the ``(|L|, |R|)`` array of ``comp(left[a], right[b])``
+        over two row blocks of the working set's matrix (the dense kernels
+        do: one BLAS product, :mod:`repro.kernels.dense`).  The compute
+        steps call it for the :class:`~repro.core.scheme.Triangle` and
+        :class:`~repro.core.scheme.Cross` tiles a scheme's ``pair_tiles``
+        returns, with no pruner and ``symmetric=True``; otherwise, and for
+        a kernel without it, they call this method on the tiles' rows.
+
         Payload arrays may be **read-only zero-copy views** over a shared
         data plane (a shared-memory segment or an mmapped spill file —
         see :mod:`repro.mapreduce.shm`): kernels must never write to a

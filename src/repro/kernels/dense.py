@@ -1,17 +1,25 @@
 """NumPy kernels for dense vector payloads (rows, points, centered rows).
 
-All four kernels share one strategy: take the working set's payloads as a
-``(k, m)`` matrix — the one a :class:`~repro.kernels.base.WorkingSetStore`
-already holds, or a stack of the referenced rows of a plain store —
-gather the left/right rows of the pairs with fancy indexing, a fixed-size
-tile at a time, and reduce each tile along the feature axis with a single
-vectorized expression — ``n`` pair evaluations for the price of a few
-NumPy calls instead of ``n`` Python calls.
+A working set's payloads are one ``(k, m)`` matrix — the one a
+:class:`~repro.kernels.base.WorkingSetStore` already holds, or a stack of
+the referenced rows of a plain store — and the kernels read a pair
+relation off it in one of two forms:
 
-:class:`CovarianceKernel` additionally switches to one BLAS Gram-matrix
-product (``X @ X.T``) when the pair block covers most of the working
-set's triangle — the shape of the paper's §1 covariance workload, where
-every working set evaluates *all* its pairs.
+- **gather** (:meth:`~repro.kernels.base.PairKernel.evaluate_block`): a
+  relation given as ``(n, 2)`` pair rows — a pruned block, a broadcast
+  label chunk, a quorum task — gathers the left/right rows with fancy
+  indexing, a fixed-size chunk at a time, and reduces each chunk along
+  the feature axis with one vectorized expression: ``n`` pair evaluations
+  for the price of a few NumPy calls instead of ``n`` Python calls;
+- **tile** (:meth:`_DenseVectorKernel.evaluate_tile`): a relation that is
+  a tile of the pair matrix — a block scheme's cross product, a diagonal
+  or design block's triangle
+  (:meth:`~repro.core.scheme.DistributionScheme.pair_tiles`) — is one
+  BLAS matrix product ``L @ R.T`` over two row slices of that matrix,
+  with no gather at all.  The compute step chooses the form
+  (:func:`repro.core.pairwise._compute_block`); the two agree within
+  1e-9 relative, and each is exact where it matters — the tile keeps
+  a clean zero for a duplicate point (:class:`DenseEuclideanKernel`).
 """
 
 from __future__ import annotations
@@ -36,9 +44,9 @@ def _is_dense_vector(payload: Any) -> bool:
     return False
 
 
-#: bytes of one gathered operand per tile: the left / right / difference
-#: temporaries of a tile stay cache-sized whatever the pair block's length
-_TILE_BYTES = 2**20
+#: bytes of one gathered operand per chunk: the left / right / difference
+#: temporaries of a chunk stay cache-sized whatever the pair block's length
+_CHUNK_BYTES = 2**20
 
 
 class _DenseVectorKernel(PairKernel):
@@ -59,19 +67,25 @@ class _DenseVectorKernel(PairKernel):
             matrix = stack_rows(payloads[eid] for eid in ids.tolist())
         rows = np.searchsorted(ids, pairs[:, 0])
         cols = np.searchsorted(ids, pairs[:, 1])
-        return self._evaluate(matrix, rows, cols).tolist()
+        return self._evaluate(matrix, matrix, rows, cols).tolist()
 
-    def _evaluate(self, matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``_reduce`` over the pairs ``(matrix[rows], matrix[cols])``, tile by tile.
+    def evaluate_tile(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The ``(|L|, |R|)`` matrix of ``comp(left[a], right[b])``, BLAS-shaped."""
+        raise NotImplementedError
 
-        Every ``_reduce`` works row by row, so cutting the block into
-        tiles changes no result bit — only the size of the temporaries.
+    def _evaluate(
+        self, left: np.ndarray, right: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """``_reduce`` over the pairs ``(left[rows], right[cols])``, chunk by chunk.
+
+        Every ``_reduce`` works row by row, so cutting the pairs into
+        chunks changes no result bit — only the size of the temporaries.
         """
         out = np.empty(len(rows), dtype=float)
-        step = max(1, _TILE_BYTES // max(1, matrix.shape[1] * matrix.itemsize))
+        step = max(1, _CHUNK_BYTES // max(1, left.shape[1] * left.itemsize))
         for lo in range(0, len(rows), step):
-            tile = slice(lo, lo + step)
-            out[tile] = self._reduce(matrix[rows[tile]], matrix[cols[tile]])
+            chunk = slice(lo, lo + step)
+            out[chunk] = self._reduce(left[rows[chunk]], right[cols[chunk]])
         return out
 
     def _reduce(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -83,6 +97,9 @@ class DenseDotKernel(_DenseVectorKernel):
 
     name = "dense-dot"
 
+    def evaluate_tile(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return left @ right.T
+
     def _reduce(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", left, right)
 
@@ -92,44 +109,68 @@ class DenseCosineKernel(_DenseVectorKernel):
 
     name = "dense-cosine"
 
+    def evaluate_tile(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        norms = np.outer(np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1))
+        return _cosine(left @ right.T, norms)
+
     def _reduce(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        dots = np.einsum("ij,ij->i", left, right)
         norms = np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=1)
-        out = np.zeros_like(dots)
-        np.divide(dots, norms, out=out, where=norms > 0)
-        return out
+        return _cosine(np.einsum("ij,ij->i", left, right), norms)
+
+
+def _cosine(dots: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(dots)
+    np.divide(dots, norms, out=out, where=norms > 0)
+    return out
 
 
 class DenseEuclideanKernel(_DenseVectorKernel):
-    """L2 distances of dense vectors (the kNN/DBSCAN pair function)."""
+    """L2 distances of dense vectors (the kNN/DBSCAN pair function).
+
+    A tile takes the Gram form ``d² = ‖a‖² + ‖b‖² − 2a·b``, which cancels
+    when ``a`` and ``b`` are close: two identical 512-dim rows read
+    1.35e-6 instead of 0.  So every entry whose Gram ``d²`` falls below
+    ``κ·S``, ``S = ‖a‖² + ‖b‖²``, is recomputed in the difference form
+    ``‖a − b‖`` the gather path uses — a duplicate point reads exactly 0.0.
+
+    The cutoff, for rows of ``m`` features and unit roundoff ``u``: each of
+    ``‖a‖²``, ``‖b‖²`` and ``a·b`` is an ``m``-term sum, off by at most
+    ``γ_m = mu/(1 − mu)`` times its terms' absolute sum, and
+    ``|a·b| ≤ ‖a‖‖b‖ ≤ S/2``; the two subtractions add ``2u`` of at most
+    ``2S``.  So the Gram ``d²`` is off by at most
+    ``2γ_m·S + 4u·S ≈ 2(m + 2)u·S``, and ``d = √d²`` by half that
+    relative to ``d²``: ``(m + 2)u·S / d²``.  Keeping it within
+    ``τ = 1e-10`` — a tenth of the 1e-9 relative tolerance the kernel
+    parity tests hold every kernel to — needs ``d² ≥ (m + 2)u·S / τ``:
+    ``κ = (m + 2)u / τ``, 5.7e-4 for ``m = 512``.  A negative Gram ``d²``
+    is below the cutoff too, so no clamp is ever read.
+    """
 
     name = "dense-euclidean"
+
+    #: the relative error a Gram-form tile entry may carry (class docstring)
+    TILE_REL_ERROR = 1e-10
+
+    def evaluate_tile(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        scale = np.einsum("ij,ij->i", left, left)[:, None] + np.einsum("ij,ij->i", right, right)
+        squared = scale - 2.0 * (left @ right.T)
+        cutoff = (left.shape[1] + 2) * (np.finfo(float).eps / 2) / self.TILE_REL_ERROR
+        rows, cols = np.nonzero(squared <= cutoff * scale)
+        out = np.sqrt(np.maximum(squared, 0.0, out=squared), out=squared)
+        out[rows, cols] = self._evaluate(left, right, rows, cols)
+        return out
 
     def _reduce(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         diff = left - right
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-class CovarianceKernel(_DenseVectorKernel):
+class CovarianceKernel(DenseDotKernel):
     """Inner products of (centered) rows for the covariance workload.
 
-    Same results as :class:`DenseDotKernel`; when the pair block covers at
-    least a quarter of the working set's triangle the kernel computes one
-    ``X @ X.T`` Gram matrix (a single BLAS call over the whole working
-    set) and gathers pair entries from it, which beats the row-gather path
-    for the all-pairs blocks the covariance application produces.
+    The same results as :class:`DenseDotKernel`, under the name the
+    covariance application binds its pair function to: a tile is the
+    ``L @ R.T`` of exactly that tile, a row block the gathered einsum.
     """
 
     name = "covariance"
-
-    #: Gram path when ``n_pairs >= GRAM_COVERAGE * k(k-1)/2``
-    GRAM_COVERAGE = 0.25
-
-    def _evaluate(self, matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        triangle = len(matrix) * (len(matrix) - 1) // 2
-        if triangle == 0 or len(rows) < self.GRAM_COVERAGE * triangle:
-            return super()._evaluate(matrix, rows, cols)
-        return (matrix @ matrix.T)[rows, cols]
-
-    def _reduce(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", left, right)

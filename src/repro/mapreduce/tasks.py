@@ -36,13 +36,14 @@ lost attempt) and which were still queued (re-dispatched free).
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .controlplane.attempts import TaskRetries, attempt_tag, run_attempt
 from .counters import (
@@ -211,6 +212,59 @@ def _exit_with_parent(parent: int) -> None:
     while os.getppid() == parent:
         time.sleep(_PARENT_POLL_SECONDS)
     os._exit(1)
+
+
+#: whether this worker has pinned BLAS to one thread (:func:`use_one_blas_thread`)
+_ONE_BLAS_THREAD = False
+
+#: an OpenBLAS entry point's exported names: numpy's bundled ILP64 build first
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}")
+
+
+def use_one_blas_thread() -> None:
+    """In a pool worker, run BLAS on one thread from now on; elsewhere a no-op.
+
+    The pool's slots are already the parallelism: every worker running
+    OpenBLAS's own thread team oversubscribes the CPUs the slots share.
+    The compute step calls this before its first matrix product, not
+    :func:`worker_init`: a worker that never calls BLAS then never
+    touches its thread machinery.  The driver and the serial engine keep
+    BLAS's own threading.  No loaded OpenBLAS setter, nothing happens.
+    """
+    global _ONE_BLAS_THREAD
+    if _IS_POOL_WORKER and not _ONE_BLAS_THREAD:
+        _ONE_BLAS_THREAD = True
+        for set_num_threads in openblas_functions("set_num_threads"):
+            set_num_threads(1)
+
+
+def openblas_functions(name: str) -> list[Callable[..., Any]]:
+    """OpenBLAS's ``*_{name}`` in every OpenBLAS library this process has loaded.
+
+    Libraries are found in ``/proc/self/maps``; where that does not exist,
+    or a library exports none of :data:`_OPENBLAS_SYMBOLS`, the list is
+    shorter — possibly empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({
+                parts[5] for parts in (line.rstrip("\n").split(maxsplit=5) for line in maps)
+                if len(parts) == 6 and "openblas" in os.path.basename(parts[5])
+            })
+    except OSError:
+        return []
+    functions = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            function = getattr(library, symbol.format(name), None)
+            if function is not None:
+                functions.append(function)
+                break
+    return functions
 
 
 def resolve_job(handle: Any) -> tuple[Job, dict]:

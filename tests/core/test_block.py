@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.block import BlockScheme
+from repro.core.scheme import Cross, Triangle
 from repro.core.validate import assert_valid_scheme, balance_report
 
 
@@ -89,13 +90,17 @@ class TestReplication:
 class TestPairs:
     def test_diagonal_block_is_half_triangle(self):
         s = BlockScheme(15, 3)
-        pairs = s.block_pairs(1)  # block (1,1) over elements 1..5
+        tile = s.block_tile(1)  # block (1,1) over elements 1..5
+        assert isinstance(tile, Triangle)
+        pairs = tile.rows()
         assert len(pairs) == 10  # 5·4/2
         assert all(1 <= j < i <= 5 for i, j in pairs)
 
     def test_cross_block_is_full_rectangle(self):
         s = BlockScheme(15, 3)
-        pairs = s.block_pairs(2)  # rows 1..5 × cols 6..10
+        tile = s.block_tile(2)  # rows 1..5 × cols 6..10
+        assert isinstance(tile, Cross)
+        pairs = tile.rows()
         assert len(pairs) == 25
         assert all(6 <= i <= 10 and 1 <= j <= 5 for i, j in pairs)
 

@@ -26,7 +26,8 @@ stay deleted.  It has one retry loop, the driver's: a worker runs exactly
 the attempt it was dispatched.
 
 A pair relation is an int64 array from scheme to kernel: every scheme
-implements ``pair_array``, ``get_pairs`` is the base class's list view, and
+implements ``pair_array``, ``get_pairs`` is the base class's list view, the
+compute steps take the relation as the scheme's tiles (``pair_tiles``), and
 only ``run_local`` reads tuples in ``pairwise.py``.
 
 Leg 2 ships result blocks: the pairwise producers emit once per task, from
@@ -212,7 +213,7 @@ class TestOneSchemaInterfaceOneExecutor:
 
 
 class TestPairsAreArrays:
-    """A scheme implements ``pair_array``; the compute steps take its array as is."""
+    """A scheme implements ``pair_array``; the compute steps take it as the scheme's tiles."""
 
     COMPUTE_STEPS = {"ComputeReducer": "reduce", "CachedComputeReducer": "reduce",
                      "BroadcastPairMapper": "map"}
@@ -227,11 +228,11 @@ class TestPairsAreArrays:
         )
         assert definers == ["scheme.py: DistributionScheme"]
 
-    def test_the_compute_steps_call_pair_array(self):
+    def test_the_compute_steps_call_pair_tiles(self):
         tree = core_trees()["pairwise.py"]
         classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
         callers = {
-            name: bool(calls_of(method, "pair_array"))
+            name: bool(calls_of(method, "pair_tiles"))
             for name, step in self.COMPUTE_STEPS.items()
             for method in classes[name].body
             if isinstance(method, ast.FunctionDef) and method.name == step
