@@ -110,7 +110,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from ..kernels import WorkingSetStore, resolve_kernel
+from ..kernels import PairKernel, WorkingSetStore, resolve_kernel
 from ..mapreduce.controlplane.events import ReplicationMeasured
 from ..mapreduce.counters import FRAMEWORK_GROUP, SHUFFLE_BYTES
 from ..mapreduce.job import Context, IdentityMapper, Job, Mapper, Reducer
@@ -338,7 +338,7 @@ def _compute_block(
 
 
 def _evaluate_tiles(
-    tiles: Sequence[Tile], store: WorkingSetStore, kernel: Any, context: Context
+    tiles: Sequence[Tile], store: WorkingSetStore, kernel: PairKernel, context: Context
 ) -> Iterator[tuple[int, list[int], list[Any]]]:
     """Evaluate and scatter a working set tile by tile: no gather, no argsort.
 
@@ -365,8 +365,6 @@ def _evaluate_tiles(
     for tile in tiles:
         if isinstance(tile, Triangle):
             points = np.asarray(tile.points, dtype=np.int64).tolist()
-            if len(points) < 2:
-                continue
             operand = _tile_operand(store, points)
             lower = kernel.evaluate_tile(operand, operand).tolist()
             for k, (eid, column) in enumerate(zip(points, zip(*lower))):
@@ -375,10 +373,8 @@ def _evaluate_tiles(
         else:
             high = np.asarray(tile.high, dtype=np.int64).tolist()
             low = np.asarray(tile.low, dtype=np.int64).tolist()
-            if not high or not low:
-                continue
-            rows = kernel.evaluate_tile(_tile_operand(store, high), _tile_operand(store, low))
-            rows = rows.tolist()
+            operands = _tile_operand(store, high), _tile_operand(store, low)
+            rows = kernel.evaluate_tile(*operands).tolist()
             for eid, values in zip(high, rows):
                 file(eid, low, values)
             for eid, values in zip(low, zip(*rows)):

@@ -50,7 +50,11 @@ _CHUNK_BYTES = 2**20
 
 
 class _DenseVectorKernel(PairKernel):
-    """Shared stack/gather machinery for dense 1-D payloads."""
+    """Shared stack/gather machinery for dense 1-D payloads.
+
+    Each subclass adds ``evaluate_tile(left, right)``: the ``(|L|, |R|)``
+    array of ``comp(left[a], right[b])`` over two row blocks, BLAS-shaped.
+    """
 
     def supports(self, payload: Any) -> bool:
         return _is_dense_vector(payload)
@@ -68,10 +72,6 @@ class _DenseVectorKernel(PairKernel):
         rows = np.searchsorted(ids, pairs[:, 0])
         cols = np.searchsorted(ids, pairs[:, 1])
         return self._evaluate(matrix, matrix, rows, cols).tolist()
-
-    def evaluate_tile(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """The ``(|L|, |R|)`` matrix of ``comp(left[a], right[b])``, BLAS-shaped."""
-        raise NotImplementedError
 
     def _evaluate(
         self, left: np.ndarray, right: np.ndarray, rows: np.ndarray, cols: np.ndarray
@@ -128,22 +128,23 @@ class DenseEuclideanKernel(_DenseVectorKernel):
     """L2 distances of dense vectors (the kNN/DBSCAN pair function).
 
     A tile takes the Gram form ``d² = ‖a‖² + ‖b‖² − 2a·b``, which cancels
-    when ``a`` and ``b`` are close: two identical 512-dim rows read
-    1.35e-6 instead of 0.  So every entry whose Gram ``d²`` falls below
+    when ``a`` and ``b`` are close: two identical 512-dim rows read about
+    1e-6 instead of 0.  So every entry whose Gram ``d²`` falls below
     ``κ·S``, ``S = ‖a‖² + ‖b‖²``, is recomputed in the difference form
     ``‖a − b‖`` the gather path uses — a duplicate point reads exactly 0.0.
 
     The cutoff, for rows of ``m`` features and unit roundoff ``u``: each of
     ``‖a‖²``, ``‖b‖²`` and ``a·b`` is an ``m``-term sum, off by at most
-    ``γ_m = mu/(1 − mu)`` times its terms' absolute sum, and
-    ``|a·b| ≤ ‖a‖‖b‖ ≤ S/2``; the two subtractions add ``2u`` of at most
-    ``2S``.  So the Gram ``d²`` is off by at most
-    ``2γ_m·S + 4u·S ≈ 2(m + 2)u·S``, and ``d = √d²`` by half that
-    relative to ``d²``: ``(m + 2)u·S / d²``.  Keeping it within
-    ``τ = 1e-10`` — a tenth of the 1e-9 relative tolerance the kernel
-    parity tests hold every kernel to — needs ``d² ≥ (m + 2)u·S / τ``:
-    ``κ = (m + 2)u / τ``, 5.7e-4 for ``m = 512``.  A negative Gram ``d²``
-    is below the cutoff too, so no clamp is ever read.
+    ``γ_m = mu/(1 − mu)`` times the sum of its terms' magnitudes, and
+    ``Σ|a_k b_k| ≤ ‖a‖‖b‖ ≤ S/2``, so the three sums put at most
+    ``2γ_m·S`` into ``d²``; the addition and the subtraction add at most
+    ``3u·S``.  The Gram ``d²`` is thus off by at most ``2(m + 2)u·S``, and
+    ``d = √d²`` by half that relative to ``d²``: ``(m + 2)u·S / d²``.
+    Keeping that within ``τ = 1e-10`` — a tenth of the 1e-9 relative
+    tolerance the kernel parity tests hold every kernel to — needs
+    ``d² ≥ (m + 2)u·S / τ``: ``κ = (m + 2)u / τ``, 5.7e-4 for ``m = 512``.
+    A negative Gram ``d²`` is below the cutoff too, so the clamp at 0 only
+    keeps the square root quiet: every clamped entry is recomputed.
     """
 
     name = "dense-euclidean"

@@ -227,8 +227,8 @@ def use_one_blas_thread() -> None:
     The pool's slots are already the parallelism: every worker running
     OpenBLAS's own thread team oversubscribes the CPUs the slots share.
     The compute step calls this before its first matrix product, not
-    :func:`worker_init`: a worker that never calls BLAS then never
-    touches its thread machinery.  The driver and the serial engine keep
+    :func:`worker_init`: a worker that never calls BLAS never pays for
+    the call.  The driver and the serial engine keep
     BLAS's own threading.  No loaded OpenBLAS setter, nothing happens.
     """
     global _ONE_BLAS_THREAD

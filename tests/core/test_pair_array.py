@@ -5,7 +5,10 @@ int64 array in closed form; ``get_pairs`` is the base class's list view
 of it.  ``DIGESTS`` pins every task's rows, in order, to what the
 tuple-building ``get_pairs`` of the commit before returned (through
 ``pair_index_array``), so a vectorised construction that reorders,
-drops or duplicates a row fails here before any engine runs.
+drops or duplicates a row fails here before any engine runs.  Block,
+design, cyclic design and bipartite block build that array as the rows of
+their ``pair_tiles`` (triangles and cross products), so the digests pin
+the tiles' pairs too.
 """
 
 import hashlib
@@ -19,6 +22,7 @@ from repro.core.broadcast import BroadcastScheme
 from repro.core.design import CyclicDesignScheme, DesignScheme
 from repro.core.hierarchical import HierarchicalBlockScheme, SequentialDesignSchedule
 from repro.core.quorum import QuorumScheme
+from repro.core.scheme import Cross, Rows, Triangle, tile_rows
 
 
 def heavy_tailed(v):
@@ -182,3 +186,20 @@ def test_task_ids_out_of_range_raise(case):
                 scheme.pair_array(bad)
             with pytest.raises(ValueError, match="out of range"):
                 scheme.get_pairs(bad)
+
+
+#: the classes whose tasks are tiles of the pair matrix; the rest are rows
+TILED = {"BlockScheme", "DesignScheme", "CyclicDesignScheme", "BipartiteBlockScheme"}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pair_array_is_the_rows_of_the_tiles(case):
+    """One construction: tile-shaped schemes build ``pair_array`` from ``pair_tiles``."""
+    for scheme, task, members in tasks(case):
+        tiles = scheme.pair_tiles(task, members)
+        shapes = {type(tile) for tile in tiles}
+        assert shapes <= ({Triangle, Cross} if type(scheme).__name__ in TILED else {Rows})
+        assert np.array_equal(tile_rows(tiles), scheme.pair_array(task, members))
+        for tile in tiles:  # ascending, and members of the task: a tile reads matrix slices
+            for side in tile if isinstance(tile, (Triangle, Cross)) else ():
+                assert list(side) == sorted(side) and set(side) <= set(members)

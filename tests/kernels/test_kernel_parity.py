@@ -18,11 +18,15 @@ import pytest
 from repro.apps.covariance import row_inner_product
 from repro.apps.dbscan import euclidean_distance
 from repro.apps.docsim import build_tfidf, cosine_similarity
+from repro.core.bipartite import BipartiteBlockScheme
+from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
+from repro.core.design import CyclicDesignScheme, DesignScheme
 from repro.core.element import ordered_results, results_matrix
 from repro.core.pairwise import EVALUATIONS, PAIRWISE_GROUP, PairwiseComputation
+from repro.core.quorum import QuorumScheme
 from repro.core.scheme import DistributionScheme, SchemeMetrics
-from repro.kernels import pair_index_array
+from repro.kernels import DenseEuclideanKernel, pair_index_array
 from repro.mapreduce import MultiprocessEngine
 from repro.workloads.generator import make_documents
 
@@ -234,3 +238,53 @@ def test_kernel_dispatch_across_processes():
     finally:
         engine.close()
     assert_close_maps(results_matrix(merged), reference)
+
+
+# -- which cells take the tile path ----------------------------------------------
+
+#: scheme → whether its tasks are tiles (``pair_tiles`` other than ``Rows``)
+TILE_PATH_SCHEMES = {
+    "block": (lambda: BlockScheme(V, 4), True),
+    "block-paired": (lambda: BlockScheme(V, 4, pair_diagonals=True), True),
+    "design": (lambda: DesignScheme(V), True),
+    "cyclic-design": (lambda: CyclicDesignScheme(V), True),
+    "bipartite-block": (lambda: BipartiteBlockScheme(9, V - 9, 2, 3), True),
+    "broadcast": (lambda: BroadcastScheme(V, num_tasks=5), False),
+    "quorum": (lambda: QuorumScheme(V), False),
+}
+
+#: run settings → whether they allow the tile path
+TILE_PATH_MODES = {
+    "tiles": ({"kernel": "dense-euclidean"}, True),
+    "pruned": ({"kernel": "dense-euclidean", "top_k": 3, "pruning": "sketch"}, False),
+    "asym": ({"kernel": "dense-euclidean", "symmetric": False}, False),
+    "scalar": ({"kernel": None}, False),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TILE_PATH_MODES))
+@pytest.mark.parametrize("scheme_name", sorted(TILE_PATH_SCHEMES))
+def test_tile_path_is_taken_exactly_where_it_applies(scheme_name, mode, monkeypatch):
+    """A spy on ``evaluate_tile``; ``EVALUATIONS`` equals the rows path's in every cell."""
+    build, tiled_scheme = TILE_PATH_SCHEMES[scheme_name]
+    settings, tiled_mode = TILE_PATH_MODES[mode]
+    calls = []
+    evaluate_tile = DenseEuclideanKernel.evaluate_tile
+
+    def spy(self, left, right):
+        calls.append((len(left), len(right)))
+        return evaluate_tile(self, left, right)
+
+    monkeypatch.setattr(DenseEuclideanKernel, "evaluate_tile", spy)
+    dataset = make_dense(V)
+
+    def evaluations(**overrides):
+        computation = PairwiseComputation(build(), euclidean_distance, **{**settings, **overrides})
+        _merged, pipeline = computation.run(dataset, return_pipeline=True)
+        return pipeline.counters.get(PAIRWISE_GROUP, EVALUATIONS)
+
+    counted = evaluations()
+    assert bool(calls) == (tiled_scheme and tiled_mode)
+    calls.clear()
+    assert counted == evaluations(kernel=None)  # the scalar kernel walks rows
+    assert not calls

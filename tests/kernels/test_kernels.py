@@ -121,27 +121,30 @@ class TestDenseKernels:
         zero_row = got[block.tolist().index([4, 1])]
         assert zero_row == 0.0
 
-    def test_covariance_gram_and_gather_paths_agree(self, payloads):
+    def test_covariance_tile_and_rows_paths_agree(self, payloads):
         kernel = CovarianceKernel()
-        full = pair_index_array(all_pairs(10))  # 100% coverage → gram
-        sparse_block = pair_index_array([(2, 1), (9, 3)])  # 4% → gather
+        full = pair_index_array(all_pairs(10))
         reference = self._scalar(row_inner_product, payloads, full)
         close(kernel.evaluate_block(payloads, full), reference)
-        sparse_ref = self._scalar(row_inner_product, payloads, sparse_block)
-        close(kernel.evaluate_block(payloads, sparse_block), sparse_ref)
+        matrix = np.stack(list(payloads.values()))
+        tile = kernel.evaluate_tile(matrix, matrix)
+        close([tile[i - 1, j - 1] for i, j in full.tolist()], reference)
+        cross = kernel.evaluate_tile(matrix[6:], matrix[:3])  # ids 7..10 × 1..3
+        rows = pair_index_array([(i, j) for i in range(7, 11) for j in range(1, 4)])
+        close(cross.ravel(), self._scalar(row_inner_product, payloads, rows))
 
     @pytest.mark.parametrize(
         "kernel", [DenseDotKernel(), DenseCosineKernel(), DenseEuclideanKernel(), CovarianceKernel()]
     )
     @pytest.mark.parametrize("num_pairs", [10, 400])
     def test_tiled_evaluation_is_bit_identical_to_one_gather(self, kernel, num_pairs):
-        """The untiled gather — the whole block's operands at once — is the reference.
+        """The unchunked gather — the whole block's operands at once — is the reference.
 
-        Rows of 16 KiB make a tile 64 pairs: 400 pairs span seven tiles
-        (the last one short), 10 pairs fit inside one.  400 of v = 60's
-        1 770 pairs stay under the Gram coverage, so the covariance kernel
-        takes its gather path too.  A plain store and an admitted working
-        set must give the same bits.
+        Rows of 16 KiB make a gather chunk 64 pairs: 400 pairs span seven
+        chunks (the last one short), 10 pairs fit inside one.  Every kernel
+        gathers a row block, covariance included — a BLAS product is only
+        ever taken over a tile (``evaluate_tile``).  A plain store and an
+        admitted working set must give the same bits.
         """
         rng = np.random.default_rng(11)
         v = 60
