@@ -228,8 +228,8 @@ def use_one_blas_thread() -> None:
     OpenBLAS's own thread team oversubscribes the CPUs the slots share.
     The compute step calls this before its first matrix product, not
     :func:`worker_init`: a worker that never calls BLAS never pays for
-    the call.  The driver and the serial engine keep
-    BLAS's own threading.  No loaded OpenBLAS setter, nothing happens.
+    the call.  The driver and the serial engine keep BLAS's own
+    threading.  No loaded OpenBLAS setter, nothing happens.
     """
     global _ONE_BLAS_THREAD
     if _IS_POOL_WORKER and not _ONE_BLAS_THREAD:
@@ -246,7 +246,7 @@ def openblas_functions(name: str) -> list[Callable[..., Any]]:
     shorter — possibly empty.
     """
     try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
             paths = sorted({
                 parts[5] for parts in (line.rstrip("\n").split(maxsplit=5) for line in maps)
                 if len(parts) == 6 and "openblas" in os.path.basename(parts[5])
