@@ -104,18 +104,17 @@ def covariance_via_pairwise(
 
     Centers the rows, runs the two-job pipeline under ``scheme`` with the
     covariance kernel selected by default (batched BLAS inner products),
-    and assembles the full matrix row by row from the merged elements'
-    dense result view.  ``kernel=None`` forces the scalar
-    per-pair dot product.
+    and assembles the full matrix from the run's dense result view
+    (:meth:`~repro.core.element.PairResults.dense`).  ``kernel=None``
+    forces the scalar per-pair dot product.
     """
-    from ..core.element import results_dense
     from ..core.pairwise import PairwiseComputation
 
     rows = center_rows(matrix)
     computation = PairwiseComputation(
         scheme, row_inner_product, engine=engine, kernel=kernel
     )
-    return _covariance_from_products(results_dense(computation.run(list(rows))), rows)
+    return _covariance_from_products(computation.run(list(rows)).dense(), rows)
 
 
 @dataclass(frozen=True)

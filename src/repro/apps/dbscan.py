@@ -25,7 +25,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core.element import Element
 from ..core.pairwise import PairwiseComputation
 from ..core.scheme import DistributionScheme
 from ..kernels import register_comp
@@ -131,7 +130,6 @@ def dbscan_pairwise(
         pruning=pruning,
         engine=engine,
     )
-    merged: dict[int, Element]
     if use_local:
         merged = computation.run_local(list(points))
     else:

@@ -115,7 +115,6 @@ def pairwise_similarity(
     sound bound, so the result is identical to the unpruned join
     (DESIGN.md §3.1.7).
     """
-    from ..core.element import results_matrix
     from ..core.pairwise import PairwiseComputation
 
     computation = PairwiseComputation(
@@ -126,7 +125,7 @@ def pairwise_similarity(
         threshold=threshold,
         pruning=pruning,
     )
-    return results_matrix(computation.run_cached(list(vectors)))
+    return computation.run_cached(list(vectors)).pairs()
 
 
 # ---------------------------------------------------------------------------

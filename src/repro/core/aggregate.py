@@ -31,6 +31,8 @@ import heapq
 import operator
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from .element import Element, merge_copies
 
 Aggregator = Callable[[Sequence[Element]], Element]
@@ -87,7 +89,9 @@ class TopKAggregator:
 
     ``smallest=True`` keeps the k smallest values (nearest neighbours by
     distance); ``False`` the k largest (highest similarity).  Ties break on
-    partner id for determinism.
+    partner id for determinism (the lower id among the smallest, the
+    higher among the largest), and a NaN ranks after every number either
+    way, so the kept partners never depend on the results' order.
     """
 
     needs_payload = False
@@ -108,16 +112,17 @@ class TopKAggregator:
     def __call__(self, copies: Sequence[Element]) -> Element:
         merged = merge_copies(copies)
         extract = self.key or (lambda value: value)
+
+        def rank(item: tuple[int, Any]) -> tuple[bool, Any, int]:
+            value = extract(item[1])
+            number = value == value  # NaN is unordered: rank it past the numbers
+            return number != self.smallest, value if number else 0.0, item[0]
+
         # Heap selection is O(v log k) instead of O(v log v); nsmallest /
         # nlargest under the (value, id) key keep exactly the pairs the
         # historical full sort kept, ties included.
         select = heapq.nsmallest if self.smallest else heapq.nlargest
-        ranked = select(
-            self.k,
-            merged.results.items(),
-            key=lambda item: (extract(item[1]), item[0]),
-        )
-        merged.results = dict(ranked)
+        merged.results = dict(select(self.k, merged.results.items(), key=rank))
         return merged
 
 
@@ -170,3 +175,34 @@ def count_neighbors(copies: Sequence[Element]) -> Element:
 
 
 count_neighbors.needs_payload = False
+
+
+def fold_columns(
+    aggregator: Aggregator, owners: np.ndarray, partners: np.ndarray, results: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``aggregator`` applied to result columns grouped by owner; ``None`` if it has no column form.
+
+    The built-in aggregators without a ``key=`` fold whole columns, with
+    exactly what their ``__call__`` keeps, in the same order: concat is
+    the identity, threshold one mask, top-k a sort per owner by (NaN last,
+    value, partner id) cut at k (float64 results only).  Anything else
+    goes element by element.
+    """
+    kind = type(aggregator)
+    if getattr(aggregator, "key", None) is not None:
+        return None
+    if kind is ConcatAggregator:
+        return owners, partners, results
+    if kind is ThresholdAggregator:
+        compare = operator.lt if aggregator.keep_below else operator.gt
+        keep = np.asarray(compare(results, aggregator.threshold), dtype=bool)
+        return owners[keep], partners[keep], results[keep]
+    if kind is not TopKAggregator or results.dtype != np.float64:
+        return None
+    unordered = np.isnan(results)
+    sign = 1 if aggregator.smallest else -1
+    ranked = sign * np.where(unordered, 0.0, results)
+    order = np.lexsort((sign * partners, ranked, unordered, owners))
+    owners = owners[order]
+    keep = np.arange(len(owners)) - np.searchsorted(owners, owners) < aggregator.k
+    return owners[keep], partners[order][keep], results[order][keep]

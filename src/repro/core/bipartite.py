@@ -37,7 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from .._util import ceil_div
-from .element import results_matrix
 from .pairwise import PairwiseComputation
 from .scheme import Cross, DistributionScheme, Pair, SchemeMetrics, Tile, tile_rows
 
@@ -245,7 +244,7 @@ def run_bipartite(
     computation = PairwiseComputation(scheme, comp, engine=engine)
     dataset = [*s_payloads, *r_payloads]
     merged = computation.run_local(dataset) if engine is None else computation.run(dataset)
-    return {(i - scheme.vs, j): result for (i, j), result in results_matrix(merged).items()}
+    return {(i - scheme.vs, j): result for (i, j), result in merged.pairs().items()}
 
 
 def brute_force_bipartite(r_payloads: Sequence, s_payloads: Sequence, comp):

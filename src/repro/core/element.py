@@ -13,11 +13,16 @@ them back into one element.  A partner id appearing in two copies signals a
 pair evaluated twice — a violation of the schemes' exactly-once guarantee —
 and always raises :class:`DuplicatePairError`.
 
-The compute phases write results a working set at a time
-(:meth:`Element.add_results`), and the flattened views
-(:func:`results_matrix`, :func:`ordered_results`, :func:`results_dense`)
-read them an element at a time; the single-pair :meth:`Element.add_result`
-is the public per-pair API and the path that names a bad pair.
+A run's results travel as *result blocks* — columns of owner ids, result
+counts, partner ids and results (:func:`encode_block`, the wire form) —
+and reach the caller as :class:`PairResults`, a ``{eid: Element}``
+mapping over those columns that builds an element only when it is looked
+up.  The flattened views (:meth:`PairResults.dense`,
+:meth:`PairResults.pairs`, and the adapters :func:`results_matrix`,
+:func:`ordered_results`, :func:`results_dense` that also take plain
+elements) read the columns.  :func:`check_pairs` is the columns' self-pair
+and duplicate check, worded like the single-pair
+:meth:`Element.add_result`, the public per-pair API.
 
 :func:`element_size_bytes` reproduces the §3 storage arithmetic (the
 "10,000 × 500 KB elements → 6.5 GB, not 50 TB" example).
@@ -26,8 +31,8 @@ is the public per-pair API and the path that names a bad pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -68,10 +73,9 @@ class Element:
 
         ``partners`` and ``values`` are aligned and must hold Python ints
         and plain result objects (what ``ndarray.tolist()`` yields, never
-        numpy scalars — the map is pickled into shuffle records).  The
-        same checks as the single-pair call apply to the whole block; a
-        block that fails one is replayed pair by pair so the exception
-        names the offending pair.
+        numpy scalars).  The same checks as the single-pair call apply to
+        the whole block; a block that fails one is replayed pair by pair
+        so the exception names the offending pair.
         """
         new = dict(zip(partners, values, strict=True))
         if (
@@ -183,85 +187,197 @@ def _elements_by_id(dataset: Sequence[Any]) -> dict[int, Element]:
     return {element.eid: element for element in make_elements(dataset)}
 
 
-def _as_list(elements: Mapping[int, Element] | Iterable[Element]) -> list[Element]:
-    return list(elements.values()) if isinstance(elements, Mapping) else list(elements)
-
 
 def _same_result(a: Any, b: Any) -> bool:
     """Equality under which NaN agrees with NaN (a pair's two orientations)."""
     return a == b or (a != a and b != b)
 
 
+#: a partner column's dtype by item size: unsigned up to 4 B, else int64
+_PARTNER_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.int64}
+
+
+def encode_block(ids: list[int], counts: list[int], partners: np.ndarray, results: Any,
+                 top: int, payloads: list[Any] | None = None) -> tuple:
+    """One result block in its wire form ``(ids, counts, partners, results, payloads)``.
+
+    ``partners`` leaves as ``bytes`` of the narrowest unsigned dtype that
+    holds ``top`` (the scheme's ``v``, no smaller than any partner id;
+    ``-1`` asks for int64); ``results`` as float64 ``bytes`` when it is a float64
+    column, else as a list of objects.  ``ids`` and ``counts`` are Python
+    int lists.  ``bytes``, not ndarrays: a pickled array costs about 127 B
+    of reduce overhead per column, and blocks compare with ``==``.
+    """
+    if isinstance(results, np.ndarray):
+        results = results.tobytes() if results.dtype == np.float64 else results.tolist()
+    size = next((size for size in (1, 2, 4) if 0 <= top < 256**size), 8)
+    return ids, counts, partners.astype(_PARTNER_DTYPES[size]).tobytes(), results, payloads
+
+
+def element_block(elements: Sequence[Element], top: int = 0) -> tuple:
+    """Elements' result maps flattened into one payload-free result block."""
+    counts = [len(element.results) for element in elements]
+    partners = np.fromiter(chain.from_iterable(element.results for element in elements), np.int64)
+    results = list(chain.from_iterable(element.results.values() for element in elements))
+    top = -1 if partners.min(initial=0) < 0 else max(top, int(partners.max(initial=0)))
+    return encode_block([element.eid for element in elements], counts, partners, results, top)
+
+
+def join_results(chunks: Sequence[np.ndarray]) -> np.ndarray:
+    """One result column from chunks: float64 when every non-empty chunk is, else objects."""
+    chunks = [chunk for chunk in chunks if len(chunk)] or [np.empty(0)]
+    floats = all(chunk.dtype == np.float64 for chunk in chunks)
+    return np.concatenate(chunks, dtype=None if floats else object)
+
+
+def decode_blocks(blocks: Sequence[tuple]) -> tuple[np.ndarray, ...]:
+    """``(ids, counts, partners, results)`` columns of result blocks, in block order.
+
+    The partner dtype is read off each column's length (bytes per entry).
+    """
+    ids = np.fromiter(chain.from_iterable(block[0] for block in blocks), dtype=np.int64)
+    counts = np.fromiter(chain.from_iterable(block[1] for block in blocks), np.int64, len(ids))
+    partners, results = [np.empty(0, np.int64)], []
+    for _ids, block_counts, raw, values, _payloads in blocks:
+        n = sum(block_counts)
+        partners.append(np.frombuffer(raw, _PARTNER_DTYPES[len(raw) // n] if n else np.uint8))
+        floats = isinstance(values, bytes)
+        results.append(np.frombuffer(values) if floats else np.fromiter(values, object, n))
+    return ids, counts, np.concatenate(partners, dtype=np.int64), join_results(results)
+
+
+def check_pairs(owners: np.ndarray, partners: np.ndarray) -> None:
+    """Raise on a self pair or a pair filed twice, as :meth:`Element.add_result` would.
+
+    ``owners`` must be grouped by owner ascending; the message names the
+    first offending entry of the lowest offending owner.
+    """
+    keys = owners * (int(max(owners.max(initial=0), partners.max(initial=0))) + 1) + partners
+    ordered = np.sort(keys)
+    if not (owners == partners).any() and not (ordered[1:] == ordered[:-1]).any():
+        return
+    element = Element(int(owners[0]))
+    for eid, partner in zip(owners.tolist(), partners.tolist()):
+        if eid != element.eid:
+            element = Element(eid)
+        element.add_result(partner, None)  # raises, naming the pair
+
+
+class PairResults(Mapping[int, Element]):
+    """A run's results as columns: ``{eid: Element}`` to a reader, numbers underneath.
+
+    What every :class:`~repro.core.pairwise.PairwiseComputation` run
+    returns.  It holds the result blocks' columns — owner ids, partner ids,
+    results — and builds an element (the caller's payload, a result dict
+    of Python ints and objects) the first time it is looked up; the bulk
+    views read the columns without building any: :meth:`dense` (the
+    ``v × v`` float matrix, ``v`` the scheme's) and :meth:`pairs` (the
+    canonical ``{(i, j): result}``, i > j).  Elements iterate in block
+    order.  The columns are the record: editing a built element changes
+    neither view.
+    """
+
+    def __init__(self, blocks: Sequence[tuple], *, v: int, payloads: Mapping | None = None):
+        ids, counts, self._partners, self._results = decode_blocks(blocks)
+        self.v, self._ids = v, ids
+        self._owners = np.repeat(ids, counts)
+        self._index = dict(zip(ids.tolist(), range(len(ids))))
+        self._offsets = [0, *np.cumsum(counts).tolist()]
+        self._payloads = payloads or {}
+        self._built: dict[int, Element] = {}
+
+    @classmethod
+    def of(cls, elements: Mapping[int, Element] | Iterable[Element]) -> "PairResults":
+        """``elements`` as columns (as is when they already are), ``v`` = how many."""
+        if isinstance(elements, PairResults):
+            return elements
+        items = list(elements.values() if isinstance(elements, Mapping) else elements)
+        return cls([element_block(items)], v=len(items), payloads={e.eid: e.payload for e in items})
+
+    def __getitem__(self, eid: int) -> Element:
+        element = self._built.get(eid)
+        if element is None:
+            run = self._index[eid]
+            lo, hi = self._offsets[run], self._offsets[run + 1]
+            results = dict(zip(self._partners[lo:hi].tolist(), self._results[lo:hi].tolist()))
+            element = self._built[eid] = Element(eid, self._payloads.get(eid), results)
+        return element
+
+    def __contains__(self, eid: object) -> bool:
+        return eid in self._index
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def pairs(self) -> dict[tuple[int, int], Any]:
+        """``{(i, j): result}`` with i > j; a pair stored twice keeps its first value."""
+        owners, partners, results = self._owners, self._partners, self._results
+        high, low = np.maximum(owners, partners), np.minimum(owners, partners)
+        keys = high * (int(high.max(initial=0)) + 1) + low
+        order = np.argsort(keys, kind="stable")
+        twin = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+        first, again = order[twin], order[twin + 1]
+        clash = np.flatnonzero(_disagree(results[first], results[again]))
+        if len(clash):
+            at = first[clash[0]]
+            stored = results[[at, again[clash[0]]]].tolist()
+            raise _asymmetric((int(high[at]), int(low[at])), *stored)
+        keep = np.ones(len(keys), dtype=bool)
+        keep[again] = False
+        return dict(zip(zip(high[keep].tolist(), low[keep].tolist()), results[keep].tolist()))
+
+    def dense(self) -> np.ndarray:
+        """The ``v × v`` float matrix: ``out[i-1, j-1]`` is pair (i, j), 0 where none is stored.
+
+        A pair stored in one orientation is mirrored; stored in both, each
+        cell holds its own (they agree).
+        """
+        v, owners, partners = self.v, self._owners, self._partners
+        strays = self._ids[(self._ids < 1) | (self._ids > v)].tolist()
+        outside = np.flatnonzero((partners < 1) | (partners > v))
+        if strays or len(outside):
+            at = outside[0] if len(outside) else None
+            key = (strays[0], None) if strays else (int(owners[at]), int(partners[at]))
+            raise ValueError(f"pair key {key} out of range for v={v}")
+        cells = (owners - 1) * v + partners - 1
+        out, stored = np.zeros(v * v), np.zeros(v * v, dtype=bool)
+        out[cells], stored[cells] = self._results, True
+        out, stored = out.reshape(v, v), stored.reshape(v, v)
+        clash = np.flatnonzero(np.tril(stored & stored.T & _disagree(out.T, out), -1))
+        if len(clash):
+            i, j = divmod(int(clash[0]), v)
+            raise _asymmetric((i + 1, j + 1), float(out[j, i]), float(out[i, j]))
+        return np.where(stored, out, out.T)
+
+
+def _disagree(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The one symmetry check: where a pair's two stored results differ (NaN agrees with NaN)."""
+    if old.dtype == new.dtype == np.float64:
+        return (old != new) & ~(np.isnan(old) & np.isnan(new))
+    return ~np.fromiter(map(_same_result, old, new), dtype=bool, count=len(old))
+
+
+def _asymmetric(pair: tuple[int, int], old: Any, new: Any) -> ValueError:
+    return ValueError(f"asymmetric results for pair {pair}: {old!r} vs {new!r}")
+
+
 def ordered_results(
     elements: Mapping[int, Element] | Iterable[Element],
 ) -> dict[tuple[int, int], Any]:
-    """Flatten result maps keeping orientation: ``(i, j) → i's result for j``.
-
-    The non-symmetric counterpart of :func:`results_matrix` — no symmetry
-    check, both orientations kept as distinct keys.
-    """
-    out: dict[tuple[int, int], Any] = {}
-    for element in _as_list(elements):
-        results = element.results
-        out.update(zip(zip(repeat(element.eid), results), results.values()))
-    return out
+    """Flatten result maps keeping orientation: ``(i, j) → i's result for j``, unchecked."""
+    results = PairResults.of(elements)
+    keys = zip(results._owners.tolist(), results._partners.tolist())
+    return dict(zip(keys, results._results.tolist()))
 
 
 def results_matrix(elements: Mapping[int, Element] | Iterable[Element]) -> dict[tuple[int, int], Any]:
-    """Flatten per-element result maps into one canonical (i>j) pair map.
-
-    Verifies symmetry on the way: if both orientations of a pair are stored
-    they must agree (NaN agrees with NaN); the first value seen for a pair
-    is the one kept.  Each element's entries go in with one C-level
-    ``map(out.setdefault, …)``; keys reuse the stored id objects, which
-    measured faster than building them from id arrays (fresh ints per key).
-    """
-    out: dict[tuple[int, int], Any] = {}
-    for element in _as_list(elements):
-        eid, results = element.eid, element.results
-        keys = [(eid, partner) if eid > partner else (partner, eid) for partner in results]
-        values = list(results.values())
-        kept = list(map(out.setdefault, keys, values))
-        if kept != values:  # list equality short-cuts on identity, so NaN may land here
-            for key, old, value in zip(keys, kept, values):
-                if not _same_result(old, value):
-                    raise ValueError(
-                        f"asymmetric results for pair {key}: {old!r} vs {value!r}"
-                    )
-    return out
+    """:meth:`PairResults.pairs` of ``elements`` (a run's results, or Elements)."""
+    return PairResults.of(elements).pairs()
 
 
 def results_dense(elements: Mapping[int, Element] | Iterable[Element]) -> np.ndarray:
-    """Dense symmetric view of float results: ``out[i-1, j-1]`` is pair (i, j).
-
-    The array counterpart of :func:`results_matrix` over elements ``1..v``
-    (``v`` = number of elements): one row write per element instead of one
-    dict entry per pair.  A pair stored in one orientation only is
-    mirrored; stored in both, the orientations must agree (NaN agrees with
-    NaN); stored in neither — and the diagonal — reads 0.  Ids outside
-    ``1..v`` raise ``ValueError``.
-    """
-    items = _as_list(elements)
-    v = len(items)
-    out = np.zeros((v, v), dtype=float)
-    stored = np.zeros((v, v), dtype=bool)
-    for element in items:
-        results = element.results
-        partners = np.fromiter(results, dtype=np.int64, count=len(results))
-        outside = partners[(partners < 1) | (partners > v)]
-        if outside.size or not 1 <= element.eid <= v:
-            partner = int(outside[0]) if outside.size else None
-            raise ValueError(f"pair key {(element.eid, partner)} out of range for v={v}")
-        row, cols = element.eid - 1, partners - 1
-        out[row, cols] = np.fromiter(results.values(), dtype=float, count=len(results))
-        stored[row, cols] = True
-    mirrored = out.T
-    agree = (out == mirrored) | (np.isnan(out) & np.isnan(mirrored))
-    clash = stored & stored.T & ~agree
-    if clash.any():
-        i, j = np.argwhere(clash)[-1].tolist()  # last in row-major order: i > j
-        raise ValueError(
-            f"asymmetric results for pair {(i + 1, j + 1)}: "
-            f"{float(out[j, i])!r} vs {float(out[i, j])!r}"
-        )
-    return np.where(stored, out, mirrored)
+    """:meth:`PairResults.dense` of ``elements``; plain Elements count ``v`` as how many."""
+    return PairResults.of(elements).dense()

@@ -5,17 +5,18 @@ driven through *distribute → compute → aggregate* — and one executor,
 :meth:`PairwiseComputation._execute`, that runs it.  The public run
 methods are presets: each names a plan row and nothing else.
 
-===================== ========================================== ======== ================== =================== ==== =========
-preset                stages (map → reduce)                      payloads leg 1 carries      leg 2 carries       legs routing
-===================== ========================================== ======== ================== =================== ==== =========
-``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  blocks of ids +    result blocks (+    2    shuffle
-                      identity → ``AggregateReducer``                     payload references payload references)
-``run_cached``        ``DistributeMapper`` →                     cache    blocks of ids      result blocks       2    cache
-                      ``CachedComputeReducer``; identity →
+===================== ========================================== ======== ================== ==================== ==== =========
+preset                stages (map → reduce)                      payloads leg 1 carries      leg 2 carries        legs routing
+===================== ========================================== ======== ================== ==================== ==== =========
+``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  blocks of ids +    result blocks:       2    shuffle
+                      identity → ``AggregateReducer``                     payload references ``bytes`` columns
+                                                                                             (+ payload refs)
+``run_cached``        ``DistributeMapper`` →                     cache    blocks of ids      result blocks:       2    cache
+                      ``CachedComputeReducer``; identity →                                   ``bytes`` columns
                       ``AggregateReducer``
-``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    result blocks      —                   1    one-job
+``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    result blocks      —                    1    one-job
                       ``AggregateReducer``                                (its only leg)
-===================== ========================================== ======== ================== =================== ==== =========
+===================== ========================================== ======== ================== ==================== ==== =========
 
 *Stages* are the plan's MR jobs in chain order (``;`` separates jobs; the
 job ``name`` strings are in :data:`_SHUFFLE_PLAN`, :data:`_CACHED_PLAN` and
@@ -31,13 +32,18 @@ is what crosses into the one :class:`AggregateReducer`: results, not
 records — one result block per (compute task, aggregate partition), keyed
 by the partition index (:class:`_ResultBlocks`) — so it counts at most
 ``compute tasks × aggregate partitions`` records, not one copy per
-membership; the one-job plan's map tasks are its compute tasks, and their
-blocks cross its only leg.  *Legs* is the number of shuffles crossed.
-*Routing* is the :attr:`~repro.core.chooser.SchemeChoice.routing` value
-under which :func:`~repro.core.runner.auto_pairwise` picks the row.
+membership; a block's partner ids are one ``bytes`` column of the
+narrowest unsigned dtype holding ``v`` and its results float64 ``bytes``
+whenever the kernel returned a float64 array
+(:func:`~repro.core.element.encode_block`).  The one-job plan's map
+tasks are its compute tasks, and their blocks cross its only leg.
+*Legs* is the number of shuffles crossed.  *Routing* is the
+:attr:`~repro.core.chooser.SchemeChoice.routing` value under which
+:func:`~repro.core.runner.auto_pairwise` picks the row.
 Everything else — dataset normalisation, job construction, pruner /
 sketch attach, the :meth:`~repro.mapreduce.runtime.Engine.run_chain` call,
-replication metering and the result map — happens once, in the executor.
+replication metering and the :class:`~repro.core.element.PairResults`
+every preset returns — happens once, in the executor.
 
 **Payloads travel once.**  Whatever the row, an aggregator that declares
 ``needs_payload = False`` (every built-in one) never sees a payload, so
@@ -94,11 +100,14 @@ one matrix product and scatters it as row and column slices
 through pruner → :class:`~repro.kernels.PairKernel`
 (``config["kernel"]``; ``None`` → the scalar kernel, bit-identical to the
 historical loop; ``"auto"`` → registry selection from the pair function
-and payload type) → :func:`scatter_results`.  Either way the results are
-grouped by element for the task's result blocks; the aggregate reducer
-hands every element all of them in one bulk ``addResult``.  ``run_local``
-always evaluates scalar, pair by pair — the reference the block paths are
-parity-tested against.
+and payload type) → :func:`scatter_results`.  Either way the results
+leave as :data:`Columns` grouped by element — a vectorized kernel's
+float64 array is never boxed — for the task's result blocks; the
+aggregate reducer folds each partition's columns (a built-in aggregator)
+or rebuilds its elements (any other), and the caller's
+:class:`~repro.core.element.PairResults` builds an element only when one
+is looked up.  ``run_local`` always evaluates scalar, pair by pair — the
+reference the block paths are parity-tested against.
 """
 
 from __future__ import annotations
@@ -106,6 +115,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -134,9 +144,18 @@ from .aggregate import (
     ConcatAggregator,
     ThresholdAggregator,
     TopKAggregator,
+    fold_columns,
 )
 from .broadcast import BroadcastScheme
-from .element import Element, results_matrix
+from .element import (
+    Element,
+    PairResults,
+    check_pairs,
+    decode_blocks,
+    element_block,
+    encode_block,
+    join_results,
+)
 from .scheme import DistributionScheme, Rows, Tile, Triangle, tile_rows
 
 PairFunction = Callable[[Any, Any], Any]
@@ -257,23 +276,23 @@ def _meter_false_positives(forward: Sequence[Any], context: Context) -> None:
 
 def _evaluate_pairs(
     block: np.ndarray, payloads: Mapping[int, Any], context: Context
-) -> tuple[list[Any], list[Any]]:
+) -> tuple[Any, Any]:
     """Evaluate one non-empty pair block through the configured kernel.
 
-    Returns ``(forward, backward)`` lists of plain Python results aligned
-    with the rows: ``forward[k] = comp(s_i, s_j)`` for row ``(i, j)``; with
-    ``symmetric=True`` (the paper's standing assumption) ``backward`` *is*
-    ``forward``, otherwise it is ``comp(s_j, s_i)`` (§1's "marginal
-    modification").  Meters ``EVALUATIONS`` like the historical per-pair
-    loop: one per pair, two when both orientations are computed.
+    Returns ``(forward, backward)`` as the kernel returned them — an
+    ndarray or a list — aligned with the rows: ``forward[k] = comp(s_i,
+    s_j)`` for row ``(i, j)``; with ``symmetric=True`` (the paper's
+    standing assumption) ``backward`` *is* ``forward``, otherwise it is
+    ``comp(s_j, s_i)`` (§1's "marginal modification").  Meters
+    ``EVALUATIONS`` like the historical per-pair loop: one per pair, two
+    when both orientations are computed.
     """
     sample = payloads[int(block[0, 0])]
     kernel = resolve_kernel(context.config.get("kernel"), context.config["comp"], sample)
 
-    def evaluate(oriented: np.ndarray) -> list[Any]:
-        values = kernel.evaluate_block(payloads, oriented)
+    def evaluate(oriented: np.ndarray) -> Any:
         context.counters.increment(PAIRWISE_GROUP, EVALUATIONS, len(oriented))
-        return values.tolist() if isinstance(values, np.ndarray) else values
+        return kernel.evaluate_block(payloads, oriented)
 
     forward = evaluate(block)
     _meter_false_positives(forward, context)
@@ -282,36 +301,34 @@ def _evaluate_pairs(
     return forward, evaluate(block[:, ::-1])
 
 
-def scatter_results(
-    block: np.ndarray, forward: Sequence[Any], backward: Sequence[Any]
-) -> Iterator[tuple[int, list[int], list[Any]]]:
+#: one working set's results, grouped by owner ascending: ``(owners,
+#: partners, results)`` — two int64 columns and a float64 or object one
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def scatter_results(block: np.ndarray, forward: Any, backward: Any) -> Columns:
     """Group a pair block's results by owning element (bulk ``addResult``).
 
     Row k = ``(i, j)`` gives ``i`` the entry ``j → forward[k]`` and ``j``
-    the entry ``i → backward[k]``.  Yields ``(eid, partners, values)`` once
-    per element, for :meth:`Element.add_results`; the stable sort keeps an
-    element's entries in row order — the order the per-pair loop stored
-    them.  Values travel as objects, so tuple results scatter like floats.
+    the entry ``i → backward[k]``.  Returns the :data:`Columns` of the
+    block; the stable sort keeps an element's entries in row order — the
+    order the per-pair loop stored them.  A kernel's float64 array stays
+    one; list results (the scalar kernel's) become an object column, so
+    tuple results scatter like floats.
     """
-    n = len(block)
-    if n == 0:
-        return
-    values = np.empty(2 * n, dtype=object)
-    values[0::2] = np.fromiter(forward, dtype=object, count=n)
-    values[1::2] = np.fromiter(backward, dtype=object, count=n)
+    forward, backward = (
+        out if isinstance(out, np.ndarray) else np.fromiter(out, object, len(out))
+        for out in (forward, backward)
+    )
+    results = np.empty(2 * len(block), dtype=np.result_type(forward, backward))
+    results[0::2], results[1::2] = forward, backward
     order = np.argsort(block.ravel(), kind="stable")  # owners: i0, j0, i1, j1, …
-    owners = block.ravel()[order]
-    cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
-    starts = [0, *cuts]
-    partners = block[:, ::-1].ravel()[order].tolist()
-    values = values[order].tolist()
-    for eid, lo, hi in zip(owners[starts].tolist(), starts, [*cuts, 2 * n]):
-        yield eid, partners[lo:hi], values[lo:hi]
+    return block.ravel()[order], block[:, ::-1].ravel()[order], results[order]
 
 
 def _compute_block(
     tiles: Sequence[Tile], payloads: Mapping[int, Any], context: Context
-) -> Iterator[tuple[int, list[int], list[Any]]]:
+) -> Columns:
     """One working set, block-granular: the scheme's tiles → kernel → scatter.
 
     A kernel with an ``evaluate_tile`` takes each :class:`Triangle` /
@@ -330,62 +347,56 @@ def _compute_block(
         sample = next(iter(payloads.values()))
         kernel = resolve_kernel(config.get("kernel"), config["comp"], sample)
         if hasattr(kernel, "evaluate_tile"):
-            yield from _evaluate_tiles(tiles, payloads, kernel, context)
-            return
+            return _evaluate_tiles(tiles, payloads, kernel, context)
     block = _apply_pruner(tile_rows(tiles), context)
-    if len(block):
-        yield from scatter_results(block, *_evaluate_pairs(block, payloads, context))
+    if len(block) == 0:
+        return block[:, 0], block[:, 1], np.empty(0)
+    return scatter_results(block, *_evaluate_pairs(block, payloads, context))
 
 
 def _evaluate_tiles(
     tiles: Sequence[Tile], store: WorkingSetStore, kernel: PairKernel, context: Context
-) -> Iterator[tuple[int, list[int], list[Any]]]:
-    """Evaluate and scatter a working set tile by tile: no gather, no argsort.
+) -> Columns:
+    """Evaluate a working set tile by tile into :data:`Columns`: no gather.
 
-    A cross tile's ``(|H|, |L|)`` result gives each high member its row
-    and each low member its column.  A triangle's ``(n, n)`` result is
-    read below the diagonal only: member ``k`` takes row ``k`` left of it
-    and column ``k`` below it, so both elements of a pair hold the one
-    entry computed for it, bit for bit (a BLAS ``X @ X.T`` need not be
-    symmetric).  Either way both elements share one result object, as
-    they do on the rows path.  Each element's partners are in the order
+    A cross tile's ``(|H|, |L|)`` result ``M`` gives each high member its
+    row and each low member its column: ``M.ravel()`` then
+    ``M.T.ravel()``.  A triangle's ``(n, n)`` result ``T`` is read below
+    the diagonal only — ``np.where(lower, T, T.T)`` off the diagonal — so
+    both elements of a pair hold the one entry computed for it, bit for
+    bit (a BLAS ``X @ X.T`` need not be symmetric).  One stable sort by
+    owner then puts each element's partners in the order
     :func:`scatter_results` gives the tiles' rows — ascending within a
     tile, tile after tile.  Meters ``EVALUATIONS`` as the rows path does:
     one per pair.
     """
     use_one_blas_thread()
-    found: dict[int, tuple[list[int], list[Any]]] = {}
-
-    def file(eid: int, partners: list[int], values: list[Any]) -> None:
-        if eid in found:
-            had_partners, had_values = found[eid]
-            partners, values = had_partners + partners, had_values + values
-        found[eid] = (partners, values)
-
+    owners, partners, results = [], [], []
     for tile in tiles:
         if isinstance(tile, Triangle):
-            points = np.asarray(tile.points, dtype=np.int64).tolist()
+            points = np.asarray(tile.points, dtype=np.int64)
+            n = len(points)
             operand = _tile_operand(store, points)
-            lower = kernel.evaluate_tile(operand, operand).tolist()
-            for k, (eid, column) in enumerate(zip(points, zip(*lower))):
-                file(eid, points[:k] + points[k + 1 :], lower[k][:k] + list(column[k + 1 :]))
-            evaluations = len(points) * (len(points) - 1) // 2
+            full = kernel.evaluate_tile(operand, operand)
+            off = ~np.eye(n, dtype=bool)
+            owners.append(np.repeat(points, n - 1))
+            partners.append(np.broadcast_to(points, (n, n))[off])
+            results.append(np.where(np.tri(n, k=-1, dtype=bool), full, full.T)[off])
+            evaluations = n * (n - 1) // 2
         else:
-            high = np.asarray(tile.high, dtype=np.int64).tolist()
-            low = np.asarray(tile.low, dtype=np.int64).tolist()
-            operands = _tile_operand(store, high), _tile_operand(store, low)
-            rows = kernel.evaluate_tile(*operands).tolist()
-            for eid, values in zip(high, rows):
-                file(eid, low, values)
-            for eid, values in zip(low, zip(*rows)):
-                file(eid, high, list(values))
-            evaluations = len(high) * len(low)
+            high, low = (np.asarray(side, dtype=np.int64) for side in (tile.high, tile.low))
+            grid = kernel.evaluate_tile(_tile_operand(store, high), _tile_operand(store, low))
+            owners += [np.repeat(high, len(low)), np.repeat(low, len(high))]
+            partners += [np.tile(low, len(high)), np.tile(high, len(low))]
+            results += [grid.ravel(), grid.T.ravel()]
+            evaluations = grid.size
         context.counters.increment(PAIRWISE_GROUP, EVALUATIONS, evaluations)
-    for eid, (partners, values) in found.items():
-        yield eid, partners, values
+    owners = np.concatenate(owners)
+    order = np.argsort(owners, kind="stable")
+    return owners[order], np.concatenate(partners)[order], join_results(results)[order]
 
 
-def _tile_operand(store: WorkingSetStore, points: Sequence[int]) -> np.ndarray:
+def _tile_operand(store: WorkingSetStore, points: np.ndarray) -> np.ndarray:
     """The matrix rows of ascending member ids: a slice when they are consecutive members."""
     lo = int(np.searchsorted(store.ids, points[0]))
     hi = lo + len(points)
@@ -444,19 +455,20 @@ class _ResultBlocks:
 
     Mixed into the three compute steps (:class:`ComputeReducer`,
     :class:`CachedComputeReducer`, :class:`BroadcastPairMapper`).  Each
-    working set's :func:`scatter_results` output joins the columns of its
-    members' aggregate partition — the hash partition of the id among
-    ``config["aggregate_partitions"]``, where a per-element record would
-    have gone — and ``cleanup`` emits one block per partition reached,
-    keyed by the partition index, which the aggregate job's
-    :func:`_block_partition` routes as is.  A block is the plain tuple
-    ``(ids, counts, partners, values, payloads)`` — no class path or field
-    names to pickle into every block: every member once per working set,
-    with or without results; ``counts[k]`` of ``ids[k]``'s results in the
-    flat ``partners`` / ``values`` columns (Python ints and floats, one
-    pickle sizes the block); ``payloads`` referencing the members'
-    payloads on the shuffle plan when the aggregator may read them, else
-    ``None``.
+    working set's :data:`Columns` are buffered as they are; ``cleanup``
+    splits the task's columns by their owner's aggregate partition — the
+    hash partition of the id among ``config["aggregate_partitions"]``,
+    where a per-element record would have gone — and emits one block per
+    partition reached, keyed by the partition index, which the aggregate
+    job's :func:`_block_partition` routes as is.  A block is the plain
+    tuple ``(ids, counts, partners, results, payloads)`` of
+    :func:`~repro.core.element.encode_block` — every member once per
+    working set, with or without results; ``counts[k]`` of ``ids[k]``'s
+    results in the flat ``partners`` (``bytes``, the narrowest unsigned
+    dtype holding ``v``) and ``results`` (float64 ``bytes`` when every
+    chunk is float64, else a list of objects) columns; ``payloads``
+    referencing the members' payloads on the shuffle plan when the
+    aggregator may read them, else ``None``.
     """
 
     #: whether the members' payloads arrive on the shuffle (and may leave on it)
@@ -465,32 +477,34 @@ class _ResultBlocks:
     def setup(self, context: Context) -> None:
         self._partitions = context.config["aggregate_partitions"]
         self._carry = self.ships_payloads and not context.config.get("results_only", False)
-        self._blocks: dict[int, tuple[list, list, list, list, list | None]] = {}
+        self._runs: list[tuple] = []  # per working set: ids, counts, partners, results, payloads
 
-    def _keep(
-        self,
-        results: Iterable[tuple[int, list[int], list[Any]]],
-        members: Mapping[int, Any] | None = None,
-    ) -> None:
+    def _keep(self, columns: Columns, members: WorkingSetStore | None = None) -> None:
         """Buffer one working set's results; ``members`` is its admitted store."""
-        found = {eid: (partners, values) for eid, partners, values in results}
-        for eid in found if members is None else members:
-            partition = _partition_of(eid, self._partitions)
-            block = self._blocks.get(partition)
-            if block is None:
-                block = self._blocks[partition] = ([], [], [], [], [] if self._carry else None)
-            ids, counts, partners, values, payloads = block
-            got_partners, got_values = found.get(eid, ((), ()))
-            ids.append(eid)
-            counts.append(len(got_partners))
-            partners += got_partners
-            values += got_values
-            if payloads is not None:
-                payloads.append(members[eid])
+        owners, partners, results = columns
+        if members is None:  # owners ascending: each one's first entry
+            ids = np.concatenate((owners[:1], owners[1:][owners[1:] != owners[:-1]]))
+        else:
+            ids = members.ids
+        counts = np.searchsorted(owners, ids, side="right") - np.searchsorted(owners, ids)
+        carried = [members[eid] for eid in ids.tolist()] if self._carry else []
+        self._runs.append((ids, counts, partners, results, carried))
 
     def cleanup(self, context: Context) -> None:
-        for partition, block in self._blocks.items():
-            context.emit(partition, block)
+        """Emit the task's results as one block per aggregate partition, working-set order kept."""
+        if not self._runs:
+            return
+        ids, counts, partners, results, carried = zip(*self._runs)
+        ids, counts, carried = np.concatenate(ids), np.concatenate(counts), [*chain(*carried)]
+        partners, results = np.concatenate(partners), join_results(results)
+        where = np.array([_partition_of(eid, self._partitions) for eid in ids.tolist()])
+        v = context.config["scheme"].v
+        for partition in sorted(set(where.tolist())):
+            mine = where == partition
+            entries = np.repeat(mine, counts)
+            payloads = [p for p, m in zip(carried, mine.tolist()) if m] if self._carry else None
+            columns = ids[mine].tolist(), counts[mine].tolist(), partners[entries], results[entries]
+            context.emit(partition, encode_block(*columns, v, payloads))
 
 
 class ComputeReducer(_ResultBlocks, Reducer):
@@ -549,45 +563,45 @@ class BroadcastPairMapper(_ResultBlocks, Mapper):
 
 
 class AggregateReducer(Reducer):
-    """Algorithm 2's reduce: fold a partition's result blocks per element, aggregate.
+    """Algorithm 2's reduce: fold a partition's result blocks, emit one block.
 
-    The blocks arrive in producing-task order.  Elements are rebuilt in
-    ascending id, each from its slices in arrival order — the order its
-    copies arrived in when leg 2 carried one record per membership — with
-    one :meth:`Element.add_results`, so a self pair or a pair delivered
-    twice still raises, naming the pair.  The payload is the block's when
-    it carries one, else the cached store's, else (``results_only``)
-    none.  Then ``aggregator([element])``: the aggregator contract is
-    unchanged.
+    The blocks arrive in producing-task order.  Their columns are decoded
+    once and their runs — one per (block, member) — ordered by owner with
+    a stable sort, so each element's entries stand in ascending id, each
+    element's in arrival order: the order its copies arrived in when leg 2
+    carried one record per membership.  :func:`check_pairs` then refuses a
+    self pair or a pair delivered twice, naming it.  A built-in aggregator
+    folds the columns as they are
+    (:func:`~repro.core.aggregate.fold_columns`); any other gets each
+    element rebuilt — the block's payload when it carries one, else the
+    cached store's, else (``results_only``) none — and ``aggregator([element])``,
+    so its contract is unchanged, and its output is flattened back into
+    columns.  Emits one payload-free result block for the partition.
     """
 
     def reduce(self, key: int, values: Iterable[tuple], context: Context) -> None:
         aggregator: Aggregator = context.config["aggregator"]
         blocks = list(values)
-        slices: dict[int, list[tuple[int, int, int, int]]] = {}
-        for number, (ids, counts, *_columns) in enumerate(blocks):
-            hi = 0
-            for at, (eid, count) in enumerate(zip(ids, counts)):
-                lo, hi = hi, hi + count
-                slices.setdefault(eid, []).append((number, at, lo, hi))
-        carried = blocks[0][4] is not None
-        store = None
-        if not carried and not context.config.get("results_only", False):
-            store = context.cache_file("dataset")
-        for eid in sorted(slices):
-            spans = slices[eid]
-            if carried:
-                payload = blocks[spans[0][0]][4][spans[0][1]]
-            else:
-                payload = None if store is None else store[eid]
-            partners: list[int] = []
-            results: list[Any] = []
-            for number, _at, lo, hi in spans:
-                partners += blocks[number][2][lo:hi]
-                results += blocks[number][3][lo:hi]
-            element = Element(eid, payload)
-            element.add_results(partners, results)
-            context.emit(eid, aggregator([element]))
+        ids, counts, partners, results = decode_blocks(blocks)
+        order = np.argsort(ids, kind="stable")  # runs by owner, then their entries
+        sizes, ends = counts[order], np.cumsum(counts[order])
+        gather = np.repeat(np.cumsum(counts)[order] - ends, sizes) + np.arange(len(partners))
+        owners = np.repeat(ids[order], sizes)
+        partners, results = partners[gather], results[gather]
+        check_pairs(owners, partners)
+        eids, v = np.unique(ids), context.config["scheme"].v
+        folded = fold_columns(aggregator, owners, partners, results)
+        owners, partners, results = (owners, partners, results) if folded is None else folded
+        counts = np.searchsorted(owners, eids, side="right") - np.searchsorted(owners, eids)
+        block = encode_block(eids.tolist(), counts.tolist(), partners, results, v)
+        if folded is None:
+            carried = [(sent[0], sent[4]) for sent in blocks if sent[4] is not None]
+            payloads = {eid: payload for got, sent in carried for eid, payload in zip(got, sent)}
+            if not payloads and not context.config.get("results_only", False):
+                payloads = context.cache_file("dataset")
+            elements = PairResults([block], v=v, payloads=payloads).values()
+            block = element_block([aggregator([element]) for element in elements], v)
+        context.emit(key, block)
 
 
 #: one MR job of a plan: ``(job name, mapper, reducer)``
@@ -904,8 +918,9 @@ class PairwiseComputation:
     ):
         """Run ``plan`` over ``dataset``: the one path behind every preset.
 
-        Returns ``{eid: Element}`` over the scheme's participants (the
-        only elements shipped, stored and re-attached); with
+        Returns the :class:`PairResults` of the scheme's participants (the
+        only elements shipped, stored and re-attached), which attaches the
+        caller's payloads; with
         ``return_result`` additionally
         the engine's account of the run — the :class:`PipelineResult` of a
         job chain, the bare :class:`~repro.mapreduce.job.JobResult` of a
@@ -943,15 +958,15 @@ class PairwiseComputation:
         )
         payload_legs = 1 if on_shuffle and results_only else len(jobs)
         self._meter_replication(result.counters, elements, legs=payload_legs)
-        merged = dict(result.records)
-        for element in elements:
-            # An element whose every pair was pruned is emitted by no map
-            # task of the one-job plan; give it what run_local gives an
-            # element that received no copies.
-            if element.eid not in merged:
-                merged[element.eid] = self.aggregator([element.copy_without_results()])
-            elif results_only:
-                merged[element.eid].payload = element.payload
+        blocks = [block for _partition, block in result.records]
+        reached = set(chain.from_iterable(block[0] for block in blocks))
+        # An element whose every pair was pruned is emitted by no map task
+        # of the one-job plan; give it what run_local gives an element that
+        # received no copies.
+        unreached = [self.aggregator([element.copy_without_results()])
+                     for element in elements if element.eid not in reached]
+        blocks.append(element_block(unreached, self.scheme.v))
+        merged = PairResults(blocks, v=self.scheme.v, payloads=payloads)
         if not return_result:
             return merged
         return merged, (result if len(jobs) > 1 else result.stages[0])
@@ -962,8 +977,8 @@ class PairwiseComputation:
         *,
         num_map_tasks: int | None = None,
         return_pipeline: bool = False,
-    ) -> dict[int, Element] | tuple[dict[int, Element], PipelineResult]:
-        """Run the faithful two-job pipeline; returns ``{eid: Element}``.
+    ) -> PairResults | tuple[PairResults, PipelineResult]:
+        """Run the faithful two-job pipeline; returns its :class:`PairResults`.
 
         ``return_pipeline=True`` additionally returns the
         :class:`PipelineResult` with per-stage counters (shuffle volume,
@@ -983,7 +998,7 @@ class PairwiseComputation:
         *,
         num_map_tasks: int | None = None,
         return_pipeline: bool = False,
-    ) -> dict[int, Element] | tuple[dict[int, Element], PipelineResult]:
+    ) -> PairResults | tuple[PairResults, PipelineResult]:
         """Two-job pipeline with the payload store in the distributed cache.
 
         Semantically identical to :meth:`run` (same pair relation, same
@@ -1016,7 +1031,7 @@ class PairwiseComputation:
             )
         return self._execute(_ONE_JOB_PLAN, dataset, return_result=return_result)
 
-    def run_local(self, dataset: Sequence[Any]) -> dict[int, Element]:
+    def run_local(self, dataset: Sequence[Any]) -> PairResults:
         """In-process reference: same three steps, no MR framework.
 
         Step 1 builds the working sets, step 2 evaluates each pair relation
@@ -1042,13 +1057,14 @@ class PairwiseComputation:
             for eid, copy in local.items():
                 copies[eid].append(copy)
 
-        merged: dict[int, Element] = {}
-        for eid, element_copies in copies.items():
-            if element_copies:
-                merged[eid] = self.aggregator(element_copies)
-            else:  # element in no working set (can't happen for valid schemes)
-                merged[eid] = self.aggregator([by_id[eid].copy_without_results()])
-        return merged
+        merged = [
+            # an element in no working set can't happen for valid schemes
+            self.aggregator(element_copies or [by_id[eid].copy_without_results()])
+            for eid, element_copies in copies.items()
+        ]
+        payloads = {eid: element.payload for eid, element in by_id.items()}
+        v = self.scheme.v
+        return PairResults([element_block(merged, v)], v=v, payloads=payloads)
 
 
 def pairwise_results(
@@ -1061,9 +1077,7 @@ def pairwise_results(
 
     Returns ``{(i, j): comp(s_i, s_j)}`` with i > j, 1-indexed ids.
     """
-    computation = PairwiseComputation(scheme, comp, **kwargs)
-    merged = computation.run(dataset)
-    return results_matrix(merged)
+    return PairwiseComputation(scheme, comp, **kwargs).run(dataset).pairs()
 
 
 def brute_force_results(

@@ -122,11 +122,12 @@ class PairKernel(abc.ABC):
         ``pairs`` is an ``(n, 2)`` int64 array of element ids (a scheme's
         ``pair_array``, possibly pruned); the return value is a list or a
         1-D ndarray of exactly ``n`` results, aligned with the rows.  The
-        reducers scatter the block as a whole and store plain Python
-        objects: an ndarray is converted with ``.tolist()`` (the built-in
-        kernels do that themselves), so numpy scalars never reach the
-        pickled result maps.  ``payloads`` is any ``{eid: payload}``
-        mapping and may contain more ids than the pairs reference (the
+        reducers scatter the block as a whole, as a column: a float64
+        ndarray (what the built-in vectorized kernels return) stays one
+        all the way to the caller's :class:`~repro.core.element.PairResults`,
+        a list becomes a column of its objects, and elements are only ever
+        built with Python scalars (``.tolist()``).  ``payloads`` is any
+        ``{eid: payload}`` mapping and may contain more ids than the pairs reference (the
         one-job map hands the whole cached store); kernels must only
         touch referenced ids and never write to the mapping.  From the
         two compute reducers it is a :class:`WorkingSetStore`, whose

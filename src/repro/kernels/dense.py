@@ -59,11 +59,9 @@ class _DenseVectorKernel(PairKernel):
     def supports(self, payload: Any) -> bool:
         return _is_dense_vector(payload)
 
-    def evaluate_block(
-        self, payloads: Mapping[int, Any], pairs: np.ndarray
-    ) -> list[Any]:
+    def evaluate_block(self, payloads: Mapping[int, Any], pairs: np.ndarray) -> np.ndarray:
         if len(pairs) == 0:
-            return []
+            return np.empty(0)
         if isinstance(payloads, WorkingSetStore):  # stacked once per working set
             ids, matrix = payloads.ids, payloads.matrix
         else:
@@ -71,7 +69,7 @@ class _DenseVectorKernel(PairKernel):
             matrix = stack_rows(payloads[eid] for eid in ids.tolist())
         rows = np.searchsorted(ids, pairs[:, 0])
         cols = np.searchsorted(ids, pairs[:, 1])
-        return self._evaluate(matrix, matrix, rows, cols).tolist()
+        return self._evaluate(matrix, matrix, rows, cols)
 
     def _evaluate(
         self, left: np.ndarray, right: np.ndarray, rows: np.ndarray, cols: np.ndarray

@@ -61,11 +61,9 @@ class CsrCosineKernel(PairKernel):
             return isinstance(term, str) and isinstance(weight, (int, float))
         return True  # the empty vector is a valid (zero) document
 
-    def evaluate_block(
-        self, payloads: Mapping[int, Any], pairs: np.ndarray
-    ) -> list[Any]:
+    def evaluate_block(self, payloads: Mapping[int, Any], pairs: np.ndarray) -> np.ndarray:
         if len(pairs) == 0:
-            return []
+            return np.empty(0)
         ids = np.unique(pairs)
         vectors = [payloads[int(eid)] for eid in ids]
         data, cols, indptr, num_terms = self._to_csr_arrays(vectors)
@@ -94,7 +92,7 @@ class CsrCosineKernel(PairKernel):
                 out = gram[rows_l, rows_r]
             else:
                 out = np.einsum("ij,ij->i", dense[rows_l], dense[rows_r])
-        return out.tolist()
+        return out
 
     @staticmethod
     def _to_csr_arrays(

@@ -38,7 +38,13 @@ from repro.core.bipartite import BipartiteBlockScheme, BipartiteBroadcastScheme
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
-from repro.core.element import DuplicatePairError, Element, merge_copies
+from repro.core.element import (
+    DuplicatePairError,
+    Element,
+    PairResults,
+    encode_block,
+    merge_copies,
+)
 from repro.core.hierarchical import HierarchicalBlockScheme
 from repro.core.pairwise import (
     EVALUATIONS,
@@ -443,35 +449,43 @@ def test_member_delivered_twice_raises(reducer, values):
         task.reduce(3, iter(values), context)
 
 
+def result_block(ids, counts, partners, values):
+    """One compute task's result block for partition 0 of a v = 9 run, in its wire form."""
+    return encode_block(ids, counts, np.array(partners), np.array(values), 9)
+
+
 def aggregate(blocks):
     """Run the one aggregate reducer over one partition's result blocks."""
     context = Context(
-        Counters(), config={"aggregator": ConcatAggregator(), "results_only": True}
+        Counters(),
+        config={"aggregator": ConcatAggregator(), "results_only": True, "scheme": BlockScheme(9, 3)},
     )
     task = AggregateReducer()
     task.setup(context)
     task.reduce(0, iter(blocks), context)
-    return dict(context.drain())
+    ((partition, block),) = context.drain()
+    assert partition == 0
+    return PairResults([block], v=9)
 
 
 def test_aggregate_reducer_folds_blocks_in_arrival_order():
-    first = ([3, 5], [2, 1], [5, 7, 3], [0.5, 0.7, 0.5], None)
-    second = ([7, 3], [1, 1], [3, 9], [0.7, 0.9], None)
+    first = result_block([3, 5], [2, 1], [5, 7, 3], [0.5, 0.7, 0.5])
+    second = result_block([7, 3], [1, 1], [3, 9], [0.7, 0.9])
     merged = aggregate([first, second])
-    assert sorted(merged) == [3, 5, 7]
+    assert list(merged) == [3, 5, 7]  # one output block, ids ascending
     assert list(merged[3].results.items()) == [(5, 0.5), (7, 0.7), (9, 0.9)]
 
 
 def test_aggregate_reducer_refuses_a_pair_two_tasks_delivered():
-    first = ([3, 5], [1, 1], [5, 3], [0.5, 0.5], None)
-    second = ([3], [1], [5], [0.25], None)  # another compute task sent (3, 5) again
+    first = result_block([3, 5], [1, 1], [5, 3], [0.5, 0.5])
+    second = result_block([3], [1], [5], [0.25])  # another compute task sent (3, 5) again
     with pytest.raises(DuplicatePairError, match=r"^pair \(3, 5\) evaluated more than once$"):
         aggregate([first, second])
 
 
 def test_aggregate_reducer_refuses_a_self_pair():
     with pytest.raises(ValueError, match="^element 4 paired with itself$"):
-        aggregate([([6, 4], [0, 1], [4], [0.0], None)])
+        aggregate([result_block([6, 4], [0, 1], [4], [0.0])])
 
 
 # -- leg 1 ships blocks: held to the per-record emit loop they replaced ----------

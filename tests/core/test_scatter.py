@@ -1,6 +1,7 @@
 """Bulk result path vs the historical per-pair ``addResult`` loop.
 
-``scatter_results`` + ``Element.add_results`` replaced three copies of::
+``scatter_results`` → result block → ``check_pairs`` → ``PairResults``
+replaced three copies of::
 
     for (i, j), fwd, bwd in zip(pairs, forward, backward):
         elements[i].add_result(j, fwd)
@@ -16,8 +17,10 @@ one-job map started emitting partial maps, leg 1's records, bytes and
 working-set gauge, re-recorded once when the distribute map started
 shipping one block per working set, and leg 2's records, groups and bytes,
 re-recorded once when the compute tasks started shipping one result block
-per aggregate partition (see ``PARENT``; every result, the digest, the
-evaluations and the replica count are the original ones).
+per aggregate partition, and the bytes and the aggregate output records
+once more when result blocks became columns — ``bytes`` partner ids, one
+output block per aggregate partition (see ``PARENT``; every result, the
+digest, the evaluations and the replica count are the original ones).
 """
 
 import hashlib
@@ -30,7 +33,14 @@ from hypothesis import strategies as st
 
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
-from repro.core.element import DuplicatePairError, Element, merge_copies
+from repro.core.element import (
+    DuplicatePairError,
+    Element,
+    PairResults,
+    check_pairs,
+    encode_block,
+    merge_copies,
+)
 from repro.core.pairwise import AggregateReducer, PairwiseComputation, scatter_results
 from repro.kernels import pair_index_array
 from repro.mapreduce.runtime import SerialEngine
@@ -68,10 +78,11 @@ def per_pair_loop(pairs, forward, backward):
 
 
 def bulk(pairs, forward, backward):
-    elements = {eid: Element(eid) for pair in pairs for eid in pair}
-    for eid, partners, values in scatter_results(pair_index_array(pairs), forward, backward):
-        elements[eid].add_results(partners, values)
-    return elements
+    owners, partners, values = scatter_results(pair_index_array(pairs), forward, backward)
+    check_pairs(owners, partners)
+    ids, counts = np.unique(owners, return_counts=True)
+    block = encode_block(ids.tolist(), counts.tolist(), partners, values, 12)
+    return dict(PairResults([block], v=12))
 
 
 @given(block=pair_blocks())
@@ -86,16 +97,19 @@ def test_bulk_scatter_equals_per_pair_loop(block):
 
 
 def test_empty_block_scatters_nothing():
-    assert list(scatter_results(pair_index_array([]), [], [])) == []
+    assert [len(column) for column in scatter_results(pair_index_array([]), [], [])] == [0, 0, 0]
 
 
 def test_scattered_values_are_plain_python_objects():
-    """ndarray.tolist() floats in, the very same objects out — never numpy scalars."""
-    forward = np.array([0.5, 1.5]).tolist()
+    """A float64 column stays one; list results become a column of the very same objects."""
     block = pair_index_array([(2, 1), (3, 1)])
-    groups = {eid: values for eid, _, values in scatter_results(block, forward, forward)}
-    assert groups[1] == [0.5, 1.5] and groups[1][0] is forward[0]
-    assert groups[2][0] is forward[0] and groups[3][0] is forward[1]
+    owners, partners, values = scatter_results(block, np.array([0.5, 1.5]), np.array([0.5, 1.5]))
+    assert owners.tolist() == [1, 1, 2, 3] and partners.tolist() == [2, 3, 1, 1]
+    assert values.dtype == np.float64 and values.tolist() == [0.5, 1.5, 0.5, 1.5]
+    forward = [("a",), ("b",)]
+    *_, values = scatter_results(block, forward, forward)
+    assert values.dtype == object and values.shape == (4,)
+    assert values[0] is forward[0] and values[2] is forward[0] and values[3] is forward[1]
 
 
 @given(block=pair_blocks().filter(lambda b: len(b[0]) > 0), data=st.data())
@@ -163,25 +177,29 @@ def _counters(records, groups, shuffle_bytes, attempts, **pairwise):
 
 #: ``run``'s bytes with payloads still on leg 2 — what the row read before
 #: results came home payload-free, and what an aggregator that may read
-#: payloads still costs (``test_unknown_aggregator_keeps_payloads_on_leg_two``)
-RUN_BYTES_WITH_PAYLOADS = 18781
+#: payloads still costs (``test_unknown_aggregator_keeps_payloads_on_leg_two``);
+#: 18 781 before partner ids became one ``bytes`` column
+RUN_BYTES_WITH_PAYLOADS = 17913
 
 PARENT = {
     # leg 1 is one block per working set (one map task, six working sets);
     # leg 2 one result block (one compute task, one aggregate partition):
-    # 90 records, 30 groups and 18 030 (run) / 11 730 (run_cached) bytes before
+    # 90 records, 30 groups and 18 030 (run) / 11 730 (run_cached) bytes before.
+    # Partner ids as one uint8 ``bytes`` column took the bytes from 16 948 /
+    # 10 738 to these, and the aggregate reducer's one block per partition
+    # took its output records from 30 to 1 (31 → 2 over both jobs).
     "run": _counters(
-        (31, 7, 31), 7, 16948, 4,
+        (31, 7, 2), 7, 16080, 4,
         max_working_set_bytes=1540, max_working_set_records=20, replicas_emitted=90,
     ),
     "run_cached": _counters(
-        (31, 7, 31), 7, 10738, 4,
+        (31, 7, 2), 7, 9870, 4,
         max_working_set_bytes=160, max_working_set_records=20, replicas_emitted=90,
     ),
     # one result block per map task; 95 partial result maps over 30 groups
     # and 11 850 bytes before (870 (partner, result) records, 28 710 bytes
-    # before that)
-    "run_broadcast_job": _counters((4, 4, 30), 1, 10110, 5),
+    # before that); 10 110 bytes and 30 output records before the columns
+    "run_broadcast_job": _counters((4, 4, 1), 1, 9236, 5),
 }
 
 
@@ -204,28 +222,54 @@ def test_records_and_counters_identical_to_parent(path):
         assert all(type(p) is int and type(r) is float for p, r in element.results.items())
 
 
-@pytest.mark.parametrize("path", sorted(PARENT))
-def test_result_blocks_hold_plain_python_objects(path, monkeypatch):
-    """Pickle-size identity on leg 2: block columns hold ``int``s, ``float``s, ``None``."""
-    blocks = []
+def check_result_blocks(path, kernel, monkeypatch):
+    """Leg 2 and the aggregate output: int-list ids and counts, ``bytes`` partners, no payloads.
+
+    Partners are uint8 (v = 30); results are float64 ``bytes`` exactly when
+    the kernel returned a float64 array (``dense-dot``), else the scalar
+    kernel's list of Python floats.  The elements a run hands back hold
+    Python ints and floats either way, and the same digest.
+    """
+    arrived = []
     fold = AggregateReducer.reduce
 
     def watched(self, key, values, context):
         values = list(values)
-        blocks.extend(values)
+        arrived.extend(values)
         return fold(self, key, iter(values), context)
 
     monkeypatch.setattr(AggregateReducer, "reduce", watched)
     scheme = BroadcastScheme(30, 4) if path == "run_broadcast_job" else BlockScheme(30, 3)
-    getattr(PairwiseComputation(scheme, exact_dot, engine=SerialEngine()), path)(golden_data())
-    assert blocks
-    for block in blocks:
+    computation = PairwiseComputation(scheme, exact_dot, engine=SerialEngine(), kernel=kernel)
+    flag = "return_result" if path == "run_broadcast_job" else "return_pipeline"
+    merged, result = getattr(computation, path)(golden_data(), **{flag: True})
+    emitted = [block for _partition, block in result.records]
+    assert arrived and emitted
+    for block in [*arrived, *emitted]:
         assert type(block) is tuple
         ids, counts, partners, values, payloads = block
-        assert all(type(item) is int for item in [*ids, *counts, *partners])
-        assert all(type(value) is float for value in values)
+        assert all(type(item) is int for item in [*ids, *counts])
+        assert type(partners) is bytes and len(partners) == sum(counts)  # one byte per id
+        if kernel is None:
+            assert type(values) is list and all(type(value) is float for value in values)
+        else:
+            assert type(values) is bytes and len(values) == 8 * sum(counts)
         assert payloads is None  # results come home payload-free
-        assert sum(counts) == len(partners) == len(values)
+    assert _digest(merged) == RECORDS_DIGEST
+    for element in merged.values():
+        assert all(type(p) is int and type(r) is float for p, r in element.results.items())
+
+
+@pytest.mark.parametrize("path", sorted(PARENT))
+def test_result_blocks_hold_plain_python_objects(path, monkeypatch):
+    """The scalar kernel's results cross as a list of Python floats (:func:`check_result_blocks`)."""
+    check_result_blocks(path, None, monkeypatch)
+
+
+@pytest.mark.parametrize("path", sorted(PARENT))
+def test_float_kernel_results_cross_as_float64_bytes(path, monkeypatch):
+    """A kernel's float64 array crosses as float64 ``bytes`` (:func:`check_result_blocks`)."""
+    check_result_blocks(path, "dense-dot", monkeypatch)
 
 
 def plain_concat(copies):

@@ -153,12 +153,13 @@ class TestDenseKernels:
         chosen = rng.choice(v * (v - 1) // 2, size=num_pairs, replace=False)
         block = pair_index_array([all_pairs(v)[k] for k in sorted(chosen.tolist())])
         matrix = np.stack([store[eid] for eid in range(1, v + 1)])
-        untiled = kernel._reduce(matrix[block[:, 0] - 1], matrix[block[:, 1] - 1]).tolist()
-        assert kernel.evaluate_block(store, block) == untiled
+        untiled = kernel._reduce(matrix[block[:, 0] - 1], matrix[block[:, 1] - 1])
+        assert np.array_equal(kernel.evaluate_block(store, block), untiled)
         admitted = WorkingSetStore(np.arange(1, v + 1), store.values())
-        assert kernel.evaluate_block(admitted, block) == untiled
-        assert kernel.evaluate_block(admitted, block[:, ::-1]) == kernel.evaluate_block(
-            store, block[:, ::-1]
+        assert np.array_equal(kernel.evaluate_block(admitted, block), untiled)
+        assert np.array_equal(
+            kernel.evaluate_block(admitted, block[:, ::-1]),
+            kernel.evaluate_block(store, block[:, ::-1]),
         )
 
     def test_working_set_store_stacks_once_and_read_only(self, payloads):
@@ -171,7 +172,8 @@ class TestDenseKernels:
             admitted.matrix[0, 0] = 1.0
 
     def test_empty_block(self, payloads):
-        assert DenseDotKernel().evaluate_block(payloads, pair_index_array([])) == []
+        empty = DenseDotKernel().evaluate_block(payloads, pair_index_array([]))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
 
     def test_supports_dense_only(self):
         kernel = DenseDotKernel()
@@ -211,7 +213,7 @@ class TestCsrCosineKernel:
     def test_all_empty_vectors(self):
         payloads = {1: {}, 2: {}, 3: {}}
         block = pair_index_array(all_pairs(3))
-        assert CsrCosineKernel().evaluate_block(payloads, block) == [0.0, 0.0, 0.0]
+        assert np.array_equal(CsrCosineKernel().evaluate_block(payloads, block), [0.0, 0.0, 0.0])
 
     def test_dense_fallback_matches(self, payloads, monkeypatch):
         import repro.kernels.sparse as sparse_module

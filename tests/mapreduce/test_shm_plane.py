@@ -147,7 +147,7 @@ class TestKernelOverSharedSegments:
             pairs = np.array([(i, j) for i in range(6) for j in range(i + 1, 6)])
             results = DenseDotKernel().evaluate_block(attached, pairs)
             expected = [float(np.dot(store[i], store[j])) for i, j in pairs]
-            assert results == expected
+            assert np.array_equal(results, expected)
         finally:
             detach_all()
             host.close()

@@ -114,7 +114,7 @@ class TestKernelZeroCopy:
         pairs = np.array([(i, j) for i in range(6) for j in range(i + 1, 6)])
         results = DenseDotKernel().evaluate_block(payloads, pairs)
         expected = [float(np.dot(payloads[i], payloads[j])) for i, j in pairs]
-        assert results == expected
+        assert np.array_equal(results, expected)
 
     def test_csr_kernel_shares_conversion_buffers(self):
         sparse = pytest.importorskip("scipy.sparse")

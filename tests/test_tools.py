@@ -90,3 +90,30 @@ class TestFailedShare:
 
     def test_nothing_attempted_is_no_failure(self):
         assert ab_pairs.failed_share([{"failed": 0, "attempted": 0}]) == 0.0
+
+
+def traced(**spans):
+    """One ``--trace 1`` run's JSON object with the given per-layer values."""
+    return {"metrics": {name: {"value": value, "unit": "s"} for name, value in spans.items()}}
+
+
+class TestLayerTable:
+    def test_one_row_per_layer_with_both_medians_and_the_change(self):
+        parent = [traced(**{"runtime.job1_reduce_s": value}) for value in (0.10, 0.30, 0.20)]
+        change = [traced(**{"runtime.job1_reduce_s": value}) for value in (0.05, 0.15, 0.10)]
+        header, *rows = ab_pairs.layer_table(parent, change)
+        assert "parent median" in header and "change median" in header
+        assert [row.split()[0] for row in rows] == list(ab_pairs.LAYERS)
+        reduce_row = rows[ab_pairs.LAYERS.index("runtime.job1_reduce_s")].split()
+        assert reduce_row[1:] == ["0.2", "0.1", "-50.0%"]
+
+    def test_a_span_no_run_has_or_that_reads_zero_prints_dashes(self):
+        parent = [traced(**{"runtime.job2_map_s": 0.0}), traced()]
+        rows = ab_pairs.layer_table(parent, parent)[1:]
+        assert rows[ab_pairs.LAYERS.index("runtime.job2_map_s")].split()[1:] == ["-", "-", "-"]
+
+    def test_zero_reads_drop_out_of_one_sides_median_only(self):
+        parent = [traced(**{"runtime.task_busy_s": value}) for value in (1.0, 2.0, 3.0)]
+        change = [traced(**{"runtime.task_busy_s": value}) for value in (0.0, 1.0, 3.0)]
+        row = ab_pairs.layer_table(parent, change)[1 + ab_pairs.LAYERS.index("runtime.task_busy_s")]
+        assert row.split()[1:] == ["2", "2", "+0.0%"]

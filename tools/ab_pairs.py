@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of benchmark workloads, summarised per metric.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR (--workload W [--workload W2 ...] | --all)
-                              [--pairs 10] [--seed0 300]
+                              [--pairs 10] [--seed0 300] [--layers]
 
 ``--all`` takes every workload the change's ``BENCHMARK.json`` declares — the "nothing
 got worse on any workload" half of a claim in one command.
@@ -23,6 +23,11 @@ larger share of the change's operations failed than of the parent's (failed / at
 over all of a side's runs: runs last a fixed time, so a slower side attempts fewer
 operations and equal failure counts can hide a higher share): a gain does not count
 then.  It runs the ruler and is not a second benchmark: it measures nothing itself.
+
+``--layers`` attributes the difference to the engine's phases: every pair also runs
+``run.py ... --trace 1`` once per side (same seed, same alternation), and a second
+table per workload prints both sides' medians of the :data:`LAYERS` spans — each job's
+map and reduce phase, and the tasks' summed busy time.
 """
 
 from __future__ import annotations
@@ -34,11 +39,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+#: the traced per-layer metrics ``--layers`` summarises, in print order
+LAYERS = (
+    "runtime.job1_map_s",
+    "runtime.job1_reduce_s",
+    "runtime.job2_map_s",
+    "runtime.job2_reduce_s",
+    "runtime.task_busy_s",
+)
 
-def measure(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+
+def measure(checkout: Path, workload: str, seed: int, seconds: float, trace: str = "0") -> dict:
     """One ruler run in ``checkout``; returns its last-line JSON object."""
     command = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", trace]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0 or not done.stdout.strip():
         sys.exit(f"{checkout}: run.py exited {done.returncode}\n{done.stderr[-2000:]}")
@@ -82,6 +96,27 @@ def bound_verdict(parent: list[float], change: list[float], sign: int, bound: fl
     return "ok"
 
 
+def layer_table(parent: list[dict], change: list[dict]) -> list[str]:
+    """Rows of the ``--layers`` table: each :data:`LAYERS` span's median per side.
+
+    ``parent`` and ``change`` are the ``--trace 1`` runs' JSON objects.  A
+    span a run lacks or reads 0 (the workload has no such phase) is left
+    out of that side's median; ``-`` when no run has it.
+    """
+    rows = [f"{'layer (--trace 1)':<26}{'parent median':>16}{'change median':>16}{'change':>9}"]
+    for name in LAYERS:
+        medians = []
+        for runs in (parent, change):
+            values = [run["metrics"].get(name, {}).get("value") for run in runs]
+            values = [value for value in values if value]
+            medians.append(statistics.median(values) if values else None)
+        base, new = medians
+        relative = f"{(new - base) / base:+9.1%}" if base and new is not None else f"{'-':>9}"
+        shown = [f"{value:>16.4g}" if value is not None else f"{'-':>16}" for value in medians]
+        rows.append(f"{name:<26}{shown[0]}{shown[1]}{relative}")
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -91,6 +126,8 @@ def main() -> int:
     which.add_argument("--all", action="store_true", help="every workload in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=300)
+    parser.add_argument("--layers", action="store_true",
+                        help="also run --trace 1 per side per pair; print phase medians")
     args = parser.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -104,12 +141,16 @@ def main() -> int:
 def compare(args: argparse.Namespace, spec: dict, workload: str) -> list[str]:
     """Run and print one workload's pairs; returns what rejects the change there."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    traced: dict[str, list[dict]] = {"parent": [], "change": []}
     sides = {"parent": args.parent, "change": args.change}
     for pair in range(1, args.pairs + 1):
         for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-            runs[side].append(
-                measure(sides[side], workload, args.seed0 + pair, spec["run_seconds"])
-            )
+            seed = args.seed0 + pair
+            runs[side].append(measure(sides[side], workload, seed, spec["run_seconds"]))
+            if args.layers:
+                traced[side].append(
+                    measure(sides[side], workload, seed, spec["run_seconds"], trace="1")
+                )
         print(f"{workload}: pair {pair}/{args.pairs} done", file=sys.stderr)
 
     failed, attempted = (
@@ -139,6 +180,9 @@ def compare(args: argparse.Namespace, spec: dict, workload: str) -> list[str]:
             problems.append(f"{workload}: {name} worse than its bound {metric['bound']:.0%}")
         print(f"{name:<22}{spread(parent):<34}{spread(change):<34}{relative:>+9.1%}  "
               f"{f'{wins}/{args.pairs}':<7}{claim:<7}{verdict}")
+    if args.layers:
+        print()
+        print("\n".join(layer_table(traced["parent"], traced["change"])))
     print(flush=True)
     return problems
 
