@@ -89,9 +89,11 @@ standing assumption) and picklable for the multiprocess engine.
 
 **Kernels.**  The compute phases work one *block* at a time, not one pair:
 the two compute reducers admit a working set's payloads as one
-:class:`~repro.kernels.WorkingSetStore` (a ``dict`` that stacks its rows
-once for the kernels that want a matrix); its pair relation comes from
-the scheme as tiles of the pair matrix
+:class:`~repro.kernels.WorkingSetStore`, a ``dict`` that builds a
+kernel's matrix form once — per working set on the shuffle plan; on the
+cached plans the cache holds one root store of every participant, a
+working set is a view of it, and the form is built once per process per
+job.  Its pair relation comes from the scheme as tiles of the pair matrix
 (:meth:`~repro.core.scheme.DistributionScheme.pair_tiles`: triangles,
 cross products, or plain ``(n, 2)`` int64 rows — no Python tuple per
 pair).  A kernel with a tile form evaluates a triangle or a cross tile as
@@ -156,7 +158,7 @@ from .element import (
     encode_block,
     join_results,
 )
-from .scheme import DistributionScheme, Rows, Tile, Triangle, tile_rows
+from .scheme import Cross, DistributionScheme, Rows, Tile, Triangle, tile_rows
 
 PairFunction = Callable[[Any, Any], Any]
 
@@ -238,27 +240,49 @@ class DistributeMapper(Mapper):
             context.emit(subset_id, block)
 
 
-def _apply_pruner(block: np.ndarray, context: Context) -> np.ndarray:
-    """Intersect a working set's pair block with the configured pruner.
+def _apply_pruner(tiles: Sequence[Tile], context: Context) -> np.ndarray:
+    """A working set's pair rows that survive the configured pruner, in :func:`tile_rows` order.
 
-    No-op without a ``config["pruner"]``.  The pruner and the sketch
+    No pruning without a ``config["pruner"]``.  The pruner and the sketch
     suite (``cache["sketches"]``) are both built driver-side before job
-    submission, so the surviving rows are a pure function of the pair
-    block — identical across workers and retries.
-    Meters ``PAIRS_PRUNED`` (the skipped evaluations) and the
+    submission, so the surviving rows are a pure function of the tiles —
+    identical across workers and retries.  A :class:`Triangle` or
+    :class:`Cross` tile is bounded as one matrix when the pruner has a tile
+    form (:meth:`~repro.sketches.PairPruner.keep_tile`), its survivors read
+    off the mask in row order; anything else through ``keep_mask`` on the
+    tile's rows.  Meters ``PAIRS_PRUNED`` (the skipped evaluations) and the
     ``SKETCH_BYTES`` footprint gauge.
     """
     pruner: PairPruner | None = context.config.get("pruner")
-    if pruner is None or len(block) == 0:
-        return block
+    if pruner is None:
+        return tile_rows(tiles)
     suite = context.cache_file("sketches")
-    context.counters.set_max(PAIRWISE_GROUP, SKETCH_BYTES, suite.nbytes)
-    keep = pruner.keep_mask(suite, block)
-    pruned = len(block) - int(np.count_nonzero(keep))
-    if pruned:
-        context.counters.increment(PAIRWISE_GROUP, PAIRS_PRUNED, pruned)
-        block = block[keep]
-    return block
+    kept, considered = zip(*(_prune_tile(tile, pruner, suite) for tile in tiles))
+    if sum(considered):
+        context.counters.set_max(PAIRWISE_GROUP, SKETCH_BYTES, suite.nbytes)
+        pruned = sum(considered) - sum(map(len, kept))
+        if pruned:
+            context.counters.increment(PAIRWISE_GROUP, PAIRS_PRUNED, pruned)
+    return np.concatenate(kept)
+
+
+def _prune_tile(tile: Tile, pruner: PairPruner, suite: Any) -> tuple[np.ndarray, int]:
+    """``(surviving rows, pairs considered)`` of one tile."""
+    keep = None
+    if isinstance(tile, Triangle):
+        high = low = np.asarray(tile.points, dtype=np.int64)
+        keep = pruner.keep_tile(suite, high, low)
+        if keep is not None:
+            keep, considered = np.tril(keep, -1), len(high) * (len(high) - 1) // 2
+    elif isinstance(tile, Cross):
+        high, low = (np.asarray(side, dtype=np.int64) for side in tile)
+        keep = pruner.keep_tile(suite, high, low)
+        considered = len(high) * len(low)
+    if keep is None:
+        rows = tile.rows()
+        return rows[pruner.keep_mask(suite, rows)], len(rows)
+    a, b = np.nonzero(keep)  # row-major: the order of the tile's rows
+    return np.column_stack((high[a], low[b])), considered
 
 
 def _meter_false_positives(forward: Sequence[Any], context: Context) -> None:
@@ -334,9 +358,11 @@ def _compute_block(
     A kernel with an ``evaluate_tile`` takes each :class:`Triangle` /
     :class:`Cross` tile as one matrix product (:func:`_evaluate_tiles`).
     Everything else walks the tiles' rows — prune → kernel →
-    :func:`scatter_results`: a configured pruner (its survivors are rows),
-    ``symmetric=False`` (two orientations per row), a relation with no tile
-    shape (:class:`Rows`) and a kernel with no tile form (scalar, CSR).
+    :func:`scatter_results`: a configured pruner (its survivors are rows;
+    a threshold on a similarity bounds each tile as one matrix,
+    :func:`_apply_pruner`), ``symmetric=False`` (two orientations per row),
+    a relation with no tile shape (:class:`Rows`) and a kernel with no tile
+    form (scalar).
     """
     config = context.config
     if (
@@ -348,7 +374,7 @@ def _compute_block(
         kernel = resolve_kernel(config.get("kernel"), config["comp"], sample)
         if hasattr(kernel, "evaluate_tile"):
             return _evaluate_tiles(tiles, payloads, kernel, context)
-    block = _apply_pruner(tile_rows(tiles), context)
+    block = _apply_pruner(tiles, context)
     if len(block) == 0:
         return block[:, 0], block[:, 1], np.empty(0)
     return scatter_results(block, *_evaluate_pairs(block, payloads, context))
@@ -371,12 +397,13 @@ def _evaluate_tiles(
     one per pair.
     """
     use_one_blas_thread()
+    matrix = store.form(kernel.to_matrix)
     owners, partners, results = [], [], []
     for tile in tiles:
         if isinstance(tile, Triangle):
             points = np.asarray(tile.points, dtype=np.int64)
             n = len(points)
-            operand = _tile_operand(store, points)
+            operand = _tile_operand(matrix, store, points)
             full = kernel.evaluate_tile(operand, operand)
             off = ~np.eye(n, dtype=bool)
             owners.append(np.repeat(points, n - 1))
@@ -385,7 +412,8 @@ def _evaluate_tiles(
             evaluations = n * (n - 1) // 2
         else:
             high, low = (np.asarray(side, dtype=np.int64) for side in (tile.high, tile.low))
-            grid = kernel.evaluate_tile(_tile_operand(store, high), _tile_operand(store, low))
+            left, right = (_tile_operand(matrix, store, side) for side in (high, low))
+            grid = kernel.evaluate_tile(left, right)
             owners += [np.repeat(high, len(low)), np.repeat(low, len(high))]
             partners += [np.tile(low, len(high)), np.tile(high, len(low))]
             results += [grid.ravel(), grid.T.ravel()]
@@ -396,26 +424,26 @@ def _evaluate_tiles(
     return owners[order], np.concatenate(partners)[order], join_results(results)[order]
 
 
-def _tile_operand(store: WorkingSetStore, points: np.ndarray) -> np.ndarray:
-    """The matrix rows of ascending member ids: a slice when they are consecutive members."""
-    lo = int(np.searchsorted(store.ids, points[0]))
-    hi = lo + len(points)
-    if hi <= len(store.ids) and store.ids[hi - 1] == points[-1]:
-        return store.matrix[lo:hi]
-    return store.matrix[np.searchsorted(store.ids, points)]
+def _tile_operand(matrix: Any, store: WorkingSetStore, points: np.ndarray) -> Any:
+    """The rows of ascending member ids in the store's matrix form: a slice when consecutive."""
+    first, last = store.rows(points[[0, -1]]).tolist()
+    if last - first + 1 == len(points):
+        return matrix[first : last + 1]
+    return matrix[store.rows(points)]
 
 
 def _admit_working_set(
     key: int,
     blocks: Iterable[WorkingSetBlock],
     context: Context,
-    store: Mapping[int, Any] | None = None,
+    store: WorkingSetStore | None = None,
 ) -> WorkingSetStore:
     """Take delivery of one working set; returns its payloads by ascending id.
 
     ``blocks`` are the map tasks' shares of working set ``key``; their
-    members' payloads come with them, or from the cached ``store`` when
-    the blocks carry ids only.  A member delivered twice is a scheme or
+    members' payloads come with them — the working set is then a store of
+    its own — or from the cached ``store`` when the blocks carry ids only,
+    and it is a view of that store.  A member delivered twice is a scheme or
     shuffle bug and raises.  Meters §6's measured quantity — the peak
     working set actually delivered to a reduce task, records and the
     blocks' accounted bytes — as max-gauges.  Payload arrays decoded by a
@@ -429,16 +457,14 @@ def _admit_working_set(
     twice = np.flatnonzero(ids[1:] == ids[:-1])
     if len(twice):
         raise ValueError(f"working set {key} received element {int(ids[twice[0]])} twice")
-    if store is None:
-        arrived = [payload for block in blocks for payload in block.payloads]
-        payloads = [arrived[index] for index in order.tolist()]
-    else:
-        payloads = [store[eid] for eid in ids.tolist()]
     context.counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_RECORDS, len(ids))
     context.counters.set_max(
         PAIRWISE_GROUP, MAX_WORKING_SET_BYTES, sum(block.size_bytes for block in blocks)
     )
-    return WorkingSetStore(ids, payloads)
+    if store is not None:
+        return store.view(ids)
+    arrived = [payload for block in blocks for payload in block.payloads]
+    return WorkingSetStore(ids, [arrived[index] for index in order.tolist()])
 
 
 #: an element's aggregate partition: the hash partition of its id, memoised
@@ -935,8 +961,10 @@ class PairwiseComputation:
         config = {**self._job_config(), "results_only": results_only}
         on_shuffle = plan.inputs == "elements"
         # Jobs that read the payload store share one cache dict → one
-        # broadcast / shm segment; under results_only only the compute job reads it.
-        store = None if on_shuffle else {"dataset": payloads}
+        # broadcast / shm segment; under results_only only the compute job
+        # reads it.  The store is a root WorkingSetStore, pickled as a dict:
+        # each process's copy builds a kernel's matrix form at most once.
+        store = None if on_shuffle else {"dataset": WorkingSetStore(payloads=payloads)}
         jobs = [
             self._job(stage, config, None if results_only and index else store)
             for index, stage in enumerate(plan.stages)

@@ -15,7 +15,7 @@ Built-ins (registered here, selectable by name in ``config["kernel"]``):
 ``dense-cosine``    cosine of dense vectors, zero-norm safe
 ``dense-euclidean`` L2 distance (the kNN/DBSCAN pair function)
 ``covariance``      centered-row inner products (``dense-dot`` under its own name)
-``csr-cosine``      tf-idf dict vectors → one CSR matrix per working set
+``csr-cosine``      tf-idf dict vectors → one CSR matrix per store (sparse tile)
 ==================  ========================================================
 
 Applications bind their pair functions via :func:`register_comp` so that

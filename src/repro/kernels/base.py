@@ -18,9 +18,10 @@ it is the default and its results are bit-identical to the historical
 per-pair loop.
 
 Kernel instances travel inside ``job.config`` to worker processes, so
-they must be picklable and stateless across calls (any conversion state
-is built per :meth:`~PairKernel.evaluate_block` invocation, i.e. once per
-working set).
+they must be picklable and stateless across calls.  Conversion state
+lives on the payload store, not the kernel: an array kernel names its
+matrix form (``to_matrix``) and a :class:`WorkingSetStore` builds and
+keeps it — once per process per job for the cached plans' store.
 """
 
 from __future__ import annotations
@@ -53,32 +54,92 @@ def pair_index_array(pairs: Iterable[Sequence[int]] | np.ndarray) -> np.ndarray:
 
 
 class WorkingSetStore(dict):
-    """``{eid: payload}`` of one admitted working set, ids ascending.
+    """``{eid: payload}`` plus the matrix forms the array kernels read.
 
-    What the compute reducers hand :meth:`PairKernel.evaluate_block`
-    after taking delivery of a working set: a ``dict`` (so every kernel
-    written against a plain payload store works on it unchanged) that
-    also knows its members' stacked form.  ``ids`` is the sorted int64 id
-    array; ``matrix`` is the ``(k, m)`` float matrix whose row ``r`` is
-    the payload of ``ids[r]`` — built the first time a kernel asks for
-    it, kept for the working set's remaining calls (the second
-    orientation of a non-symmetric run), and never built for kernels
-    that read payloads one at a time.  Both are read-only.
+    A ``dict`` — so every kernel written against a plain payload store works
+    on it unchanged — that is either a **root** or a **view** of one:
+
+    - the cached plans' payload store of every participant is a root, and
+      so is a working set admitted on the shuffle plan (its payloads came
+      with it);
+    - a working set admitted against the cached store is a view
+      (:meth:`view`): its members' ids and payloads, reading the root's
+      matrix forms through :meth:`rows`.
+
+    :meth:`form` is a kernel's matrix form of the root — row ``r`` is the
+    payload of ``root.ids[r]``, the ``r``-th item — built the first time a kernel asks for it
+    with its ``to_matrix`` and kept for the root's lifetime: once per
+    process per job for the cached store, once per working set on the
+    shuffle plan, never for kernels that read payloads one at a time.
+    ``ids`` is the sorted int64 id array.  All of it is read-only.  A store
+    pickles as the plain dict it holds — no ids, no forms — so the cache
+    costs on the wire what a dict costs.
     """
 
-    __slots__ = ("ids", "_matrix")
+    __slots__ = ("_ids", "_root", "_forms")
 
-    def __init__(self, ids: np.ndarray, payloads: Iterable[Any]):
-        super().__init__(zip(ids.tolist(), payloads))
-        self.ids = ids
-        self._matrix: np.ndarray | None = None
+    def __init__(self, ids: np.ndarray | None = None, payloads: Iterable[Any] = ()):
+        """``payloads`` in the order of the ascending ``ids``; without ``ids``, a mapping.
+
+        Either way the store holds its items in ascending id order — the
+        order of its matrix forms' rows, kept through a pickle.
+        """
+        if ids is None:
+            super().__init__({eid: payloads[eid] for eid in sorted(payloads)})
+        else:
+            super().__init__(zip(ids.tolist(), payloads))
+        self._ids = ids
+        self._root: WorkingSetStore | None = None
+        self._forms: dict[Callable, Any] = {}
+
+    def __reduce__(self):
+        return type(self), (), None, None, iter(self.items())
 
     @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = stack_rows(self.values())
-            self._matrix.flags.writeable = False
-        return self._matrix
+    def ids(self) -> np.ndarray:
+        if self._ids is None:
+            self._ids = np.fromiter(self, np.int64, len(self))
+        return self._ids
+
+    @property
+    def root(self) -> WorkingSetStore:
+        return self if self._root is None else self._root
+
+    def view(self, ids: np.ndarray) -> WorkingSetStore:
+        """The members ``ids`` (ascending) of this store, sharing its root's forms."""
+        view = WorkingSetStore(ids, map(self.__getitem__, ids.tolist()))
+        view._root = self.root
+        return view
+
+    def rows(self, eids: np.ndarray) -> np.ndarray:
+        """The root's matrix rows of ``eids``."""
+        return np.searchsorted(self.root.ids, eids)
+
+    def form(self, to_matrix: Callable[[list[Any]], Any]) -> Any:
+        """The root's matrix form under ``to_matrix``, built on first ask."""
+        root = self.root
+        matrix = root._forms.get(to_matrix)
+        if matrix is None:
+            matrix = to_matrix(list(root.values()))
+            if isinstance(matrix, np.ndarray):
+                matrix.flags.writeable = False
+            root._forms[to_matrix] = matrix
+        return matrix
+
+
+def matrix_rows(
+    payloads: Mapping[int, Any], pairs: np.ndarray, to_matrix: Callable[[list[Any]], Any]
+) -> tuple[Any, np.ndarray, np.ndarray]:
+    """A kernel's matrix form of ``payloads`` and the rows of each pair's two ends.
+
+    From a :class:`WorkingSetStore` the form is its root's, built once; from
+    any other mapping it is a fresh one over the referenced ids only.
+    """
+    if isinstance(payloads, WorkingSetStore):
+        return payloads.form(to_matrix), payloads.rows(pairs[:, 0]), payloads.rows(pairs[:, 1])
+    ids = np.unique(pairs)
+    matrix = to_matrix([payloads[eid] for eid in ids.tolist()])
+    return matrix, np.searchsorted(ids, pairs[:, 0]), np.searchsorted(ids, pairs[:, 1])
 
 
 def stack_rows(rows: Iterable[Any]) -> np.ndarray:
@@ -87,7 +148,7 @@ def stack_rows(rows: Iterable[Any]) -> np.ndarray:
     ``np.asarray(..., dtype=float)`` on a float64 row is a zero-copy
     pass-through — rows living in a shared-memory segment or an mmapped
     spill file are read (never copied) straight from the shared buffer;
-    the stack is the working set's single gather copy.
+    the stack is the store's single gather copy.
     """
     return np.stack([np.asarray(row, dtype=float) for row in rows])
 
@@ -130,15 +191,18 @@ class PairKernel(abc.ABC):
         ``{eid: payload}`` mapping and may contain more ids than the pairs reference (the
         one-job map hands the whole cached store); kernels must only
         touch referenced ids and never write to the mapping.  From the
-        two compute reducers it is a :class:`WorkingSetStore`, whose
-        ``ids`` / ``matrix`` save an array kernel its own stacking.
+        compute steps it is a :class:`WorkingSetStore`: an array kernel
+        reads its rows off the store's :meth:`~WorkingSetStore.form`
+        (:func:`matrix_rows`) and never writes to it.
 
         This is the **gather** form: it serves any relation, as rows.  A
         kernel may also offer the **tile** form, ``evaluate_tile(left,
         right)`` → the ``(|L|, |R|)`` array of ``comp(left[a], right[b])``
-        over two row blocks of the working set's matrix (the dense kernels
-        do: one BLAS product, :mod:`repro.kernels.dense`).  The compute
-        steps call it for the :class:`~repro.core.scheme.Triangle` and
+        over two row blocks of its matrix form — the static
+        ``to_matrix(payloads)`` it also names (the dense kernels: one BLAS
+        product, :mod:`repro.kernels.dense`; the CSR kernel: one sparse
+        product).  The compute steps call it for the
+        :class:`~repro.core.scheme.Triangle` and
         :class:`~repro.core.scheme.Cross` tiles a scheme's ``pair_tiles``
         returns, with no pruner and ``symmetric=True``; otherwise, and for
         a kernel without it, they call this method on the tiles' rows.

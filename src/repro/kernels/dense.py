@@ -1,9 +1,9 @@
 """NumPy kernels for dense vector payloads (rows, points, centered rows).
 
-A working set's payloads are one ``(k, m)`` matrix — the one a
-:class:`~repro.kernels.base.WorkingSetStore` already holds, or a stack of
-the referenced rows of a plain store — and the kernels read a pair
-relation off it in one of two forms:
+The payloads are one ``(k, m)`` float64 matrix — a
+:class:`~repro.kernels.base.WorkingSetStore`'s dense form (its root's rows,
+stacked once), or a stack of the referenced rows of a plain store — and
+the kernels read a pair relation off it in one of two forms:
 
 - **gather** (:meth:`~repro.kernels.base.PairKernel.evaluate_block`): a
   relation given as ``(n, 2)`` pair rows — a pruned block, a broadcast
@@ -28,7 +28,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .base import PairKernel, WorkingSetStore, stack_rows
+from .base import PairKernel, matrix_rows, stack_rows
 
 
 def _is_dense_vector(payload: Any) -> bool:
@@ -56,19 +56,15 @@ class _DenseVectorKernel(PairKernel):
     array of ``comp(left[a], right[b])`` over two row blocks, BLAS-shaped.
     """
 
+    to_matrix = staticmethod(stack_rows)
+
     def supports(self, payload: Any) -> bool:
         return _is_dense_vector(payload)
 
     def evaluate_block(self, payloads: Mapping[int, Any], pairs: np.ndarray) -> np.ndarray:
         if len(pairs) == 0:
             return np.empty(0)
-        if isinstance(payloads, WorkingSetStore):  # stacked once per working set
-            ids, matrix = payloads.ids, payloads.matrix
-        else:
-            ids = np.unique(pairs)
-            matrix = stack_rows(payloads[eid] for eid in ids.tolist())
-        rows = np.searchsorted(ids, pairs[:, 0])
-        cols = np.searchsorted(ids, pairs[:, 1])
+        matrix, rows, cols = matrix_rows(payloads, pairs, self.to_matrix)
         return self._evaluate(matrix, matrix, rows, cols)
 
     def _evaluate(

@@ -2,36 +2,38 @@
 
 The docsim pair function evaluates one cosine per Python call over
 ``dict[str, float]`` payloads — the slowest possible realization of the
-paper's §1 cross-referencing workload.  This kernel converts a working
-set's dict vectors into one CSR matrix (a per-working-set vocabulary maps
-terms to columns), then evaluates the whole pair block with sparse matrix
-algebra:
+paper's §1 cross-referencing workload.  This kernel's matrix form
+(:meth:`CsrCosineKernel.to_matrix`) is one CSR matrix over the dict
+vectors (a vocabulary maps terms to columns); a
+:class:`~repro.kernels.base.WorkingSetStore` builds it once for its root —
+on the cached plans the store of every participant, so once per process
+per job, not once per working set.  The kernel then reads a pair relation
+off that matrix with sparse algebra:
 
-- **Gram path** (pair block covers most of the triangle, e.g. broadcast
-  tasks): one ``A @ A.T`` product and a fancy-indexed gather — the cost
-  of the block no longer depends on the number of Python-level pairs.
-- **Gather path** (sparse blocks): row-gather the pair's left/right CSR
-  slices and reduce with an element-wise multiply + row sum, so work
+- **tile** (:meth:`CsrCosineKernel.evaluate_tile`): a block scheme's cross
+  product or a triangle is one product ``A[L] @ A[R].T`` of two row
+  blocks;
+- **Gram** (a row block covering most of its triangle, e.g. a broadcast
+  task): one product over the rows the block touches and a fancy-indexed
+  gather;
+- **gather** (sparse blocks, e.g. a pruner's survivors): the pairs'
+  left/right rows multiplied element-wise and summed per row, so work
   stays proportional to the block's own nonzeros.
 
-The conversion happens once per working set, so the kernel wins when the
-pair count per working set is large relative to its member count (the
-broadcast/block regime); with tiny design-scheme working sets the scalar
-loop can be competitive — the kernel benchmark sweeps exactly this.
-
-SciPy accelerates both paths when importable; otherwise the kernel falls
-back to an equivalent dense-matrix realization (same vocabulary mapping,
-same results) so the subsystem works on a NumPy-only install.
+SciPy accelerates all three when importable; otherwise the matrix form is
+the equivalent dense ``(k, terms)`` array (same vocabulary mapping, same
+results) so the subsystem works on a NumPy-only install.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import Any, Mapping
 
 import numpy as np
 
-from .base import PairKernel
+from .base import PairKernel, matrix_rows
 
 try:  # gated: scipy is optional, the dense fallback below covers its absence
     from scipy import sparse as _sparse
@@ -58,47 +60,45 @@ class CsrCosineKernel(PairKernel):
         if not isinstance(payload, Mapping):
             return False
         for term, weight in payload.items():
-            return isinstance(term, str) and isinstance(weight, (int, float))
+            real = isinstance(weight, numbers.Real) and not isinstance(weight, bool)
+            return isinstance(term, str) and real
         return True  # the empty vector is a valid (zero) document
+
+    @staticmethod
+    def to_matrix(vectors: list[Mapping[str, float]]) -> Any:
+        """The ``(k, terms)`` CSR matrix of ``vectors`` (dense without SciPy)."""
+        data, cols, indptr, num_terms = CsrCosineKernel._to_csr_arrays(vectors)
+        shape = (len(vectors), num_terms)
+        if _sparse is not None:
+            return _sparse.csr_matrix((data, cols, indptr), shape=shape, copy=False)
+        dense = np.zeros(shape)
+        dense[np.repeat(np.arange(len(vectors)), np.diff(indptr)), cols] = data
+        return dense
+
+    def evaluate_tile(self, left: Any, right: Any) -> np.ndarray:
+        product = left @ right.T
+        return product if isinstance(product, np.ndarray) else product.toarray()
 
     def evaluate_block(self, payloads: Mapping[int, Any], pairs: np.ndarray) -> np.ndarray:
         if len(pairs) == 0:
             return np.empty(0)
-        ids = np.unique(pairs)
-        vectors = [payloads[int(eid)] for eid in ids]
-        data, cols, indptr, num_terms = self._to_csr_arrays(vectors)
-        rows_l = np.searchsorted(ids, pairs[:, 0])
-        rows_r = np.searchsorted(ids, pairs[:, 1])
-        k = len(ids)
-        use_gram = len(pairs) >= self.GRAM_COVERAGE * (k * (k - 1) / 2)
-        if _sparse is not None:
-            matrix = _sparse.csr_matrix(
-                (data, cols, indptr), shape=(k, num_terms), copy=False
-            )
-            if use_gram:
-                gram = (matrix @ matrix.T).toarray()
-                out = gram[rows_l, rows_r]
-            else:
-                left = matrix[rows_l]
-                right = matrix[rows_r]
-                out = np.asarray(left.multiply(right).sum(axis=1)).ravel()
-        else:
-            dense = np.zeros((k, num_terms))
-            for row in range(k):
-                lo, hi = indptr[row], indptr[row + 1]
-                dense[row, cols[lo:hi]] = data[lo:hi]
-            if use_gram:
-                gram = dense @ dense.T
-                out = gram[rows_l, rows_r]
-            else:
-                out = np.einsum("ij,ij->i", dense[rows_l], dense[rows_r])
-        return out
+        matrix, rows_l, rows_r = matrix_rows(payloads, pairs, self.to_matrix)
+        used = np.unique(np.concatenate((rows_l, rows_r)))
+        k = len(used)
+        if len(pairs) >= self.GRAM_COVERAGE * (k * (k - 1) / 2):
+            block = matrix[used]
+            gram = self.evaluate_tile(block, block)
+            return gram[np.searchsorted(used, rows_l), np.searchsorted(used, rows_r)]
+        left, right = matrix[rows_l], matrix[rows_r]
+        if isinstance(left, np.ndarray):
+            return np.einsum("ij,ij->i", left, right)
+        return np.asarray(left.multiply(right).sum(axis=1)).ravel()
 
     @staticmethod
     def _to_csr_arrays(
         vectors: list[Mapping[str, float]],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """One CSR conversion per working set, over its union vocabulary.
+        """The CSR arrays of ``vectors``, over their union vocabulary.
 
         Term→column mapping is built with C-speed set/dict operations and
         the per-vector column lookup with a single ``itemgetter`` call —

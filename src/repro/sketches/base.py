@@ -52,7 +52,9 @@ class SketchSuite:
 
     ``norms`` (the full L2 norm per element) is always present.  The
     bound methods take an (n, 2) block of pair ids and return one float64
-    per pair; their soundness is the whole point — see each docstring.
+    per pair (:meth:`similarity_upper` also has a tile form, one bound
+    matrix per tile of ids); their soundness is the whole point — see each
+    docstring.
     """
 
     kind: str
@@ -90,23 +92,32 @@ class SketchSuite:
           projector, ``⟨a, b⟩ = ⟨Pa, Pb⟩ + ⟨a−Pa, b−Pb⟩`` and the
           residual term is at most ``ρ_i·ρ_j`` by Cauchy–Schwarz.
         """
-        i = block[:, 0]
-        j = block[:, 1]
+        return self._similarity_upper(
+            block[:, 0], block[:, 1], lambda a, b: np.einsum("ij,ij->i", a, b), np.multiply
+        )
+
+    def similarity_upper_tile(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """:meth:`similarity_upper` of every ``(left[a], right[b])``: one product per tile.
+
+        Returns the ``(|L|, |R|)`` bound matrix — ``bucket_norms[L] @
+        bucket_norms[R].T`` for sparse cosine, the ``coords`` product plus
+        the residuals' outer product for the dense kinds — the same bound
+        as the rows form, summed by BLAS instead of row by row.
+        """
+        return self._similarity_upper(left, right, lambda a, b: a @ b.T, np.multiply.outer)
+
+    def _similarity_upper(self, i, j, dot, times) -> np.ndarray:
+        """The bound over ids ``i`` and ``j``: ``dot`` pairs their rows, ``times`` their scalars."""
         if self.kind == "sparse-cosine":
-            return np.einsum(
-                "ij,ij->i", self.bucket_norms[i], self.bucket_norms[j]
-            )
+            return dot(self.bucket_norms[i], self.bucket_norms[j])
         if self.kind in ("dense-cosine", "dense-dot"):
-            dot_upper = (
-                np.einsum("ij,ij->i", self.coords[i], self.coords[j])
-                + self.residuals[i] * self.residuals[j]
-            )
+            residual = times(self.residuals[i], self.residuals[j])
+            dot_upper = dot(self.coords[i], self.coords[j]) + residual
             if self.kind == "dense-dot":
                 return dot_upper
-            denom = self.norms[i] * self.norms[j]
-            out = np.zeros(len(block), dtype=np.float64)
-            nonzero = denom > 0
-            out[nonzero] = dot_upper[nonzero] / denom[nonzero]
+            denom = times(self.norms[i], self.norms[j])
+            out = np.zeros_like(dot_upper)
+            np.divide(dot_upper, denom, out=out, where=denom > 0)
             return out
         raise ValueError(
             f"sketch kind {self.kind!r} has no similarity upper bound"

@@ -124,7 +124,7 @@ def build_sparse_cosine_sketch(
             )
     np.add.at(
         squared,
-        (np.asarray(row_idx), np.asarray(col_idx)),
+        (np.asarray(row_idx, dtype=np.intp), np.asarray(col_idx, dtype=np.intp)),
         np.square(np.asarray(weights, dtype=np.float64)),
     )
     norms = np.sqrt(squared.sum(axis=1))

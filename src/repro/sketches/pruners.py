@@ -3,7 +3,10 @@
 A :class:`PairPruner` is the object the compute reducers consult: given
 the :class:`~repro.sketches.base.SketchSuite` and an (n, 2) block of
 candidate pair ids, :meth:`~PairPruner.keep_mask` marks the pairs whose
-true score could still pass the objective.  Pruners are small picklable
+true score could still pass the objective; :meth:`~PairPruner.keep_tile`
+marks every pair of a tile of ids at once, one bound matrix per tile, when
+the pruner has that form (a threshold on a similarity bound; distance
+bounds stay on rows, where their Gram form would cancel).  Pruners are small picklable
 value objects built driver-side once per run — every task and every
 retry sees the same frozen decisions.
 
@@ -41,6 +44,16 @@ class PairPruner(abc.ABC):
     def keep_mask(self, suite: SketchSuite, block: np.ndarray) -> np.ndarray:
         """Boolean mask over ``block`` rows; True = evaluate the pair."""
 
+    def keep_tile(
+        self, suite: SketchSuite, left: np.ndarray, right: np.ndarray
+    ) -> np.ndarray | None:
+        """``keep_mask`` of every ``(left[a], right[b])`` as one ``(|L|, |R|)`` matrix.
+
+        ``None`` when the pruner has no tile form: the caller then asks
+        :meth:`keep_mask` for the tile's rows.
+        """
+        return None
+
 
 class ThresholdPruner(PairPruner):
     """Prune pairs that provably cannot pass a threshold objective.
@@ -57,10 +70,21 @@ class ThresholdPruner(PairPruner):
         self.keep_below = keep_below
 
     def keep_mask(self, suite: SketchSuite, block: np.ndarray) -> np.ndarray:
-        guard = BOUND_GUARD * (1.0 + abs(self.threshold))
         if self.keep_below:
-            return suite.distance_lower(block) < self.threshold + guard
-        return suite.similarity_upper(block) > self.threshold - guard
+            return suite.distance_lower(block) < self.threshold + self._guard
+        return suite.similarity_upper(block) > self.threshold - self._guard
+
+    def keep_tile(
+        self, suite: SketchSuite, left: np.ndarray, right: np.ndarray
+    ) -> np.ndarray | None:
+        """The similarity bound's tile form; distances stay on rows (their Gram form cancels)."""
+        if self.keep_below:
+            return None
+        return suite.similarity_upper_tile(left, right) > self.threshold - self._guard
+
+    @property
+    def _guard(self) -> float:
+        return BOUND_GUARD * (1.0 + abs(self.threshold))
 
 
 class TopKPruner(PairPruner):

@@ -29,6 +29,7 @@ from repro.kernels import (
     resolve_kernel,
     select_kernel,
 )
+from repro.kernels.base import stack_rows
 
 
 def close(got, want, rel=1e-9):
@@ -166,10 +167,11 @@ class TestDenseKernels:
         admitted = WorkingSetStore(np.arange(1, 11), payloads.values())
         assert dict(admitted) == payloads and admitted.ids.tolist() == list(payloads)
         assert all(admitted[eid] is payloads[eid] for eid in payloads)
-        assert admitted.matrix is admitted.matrix
-        assert np.array_equal(admitted.matrix, np.stack(list(payloads.values())))
+        matrix = admitted.form(stack_rows)
+        assert admitted.form(stack_rows) is matrix
+        assert np.array_equal(matrix, np.stack(list(payloads.values())))
         with pytest.raises(ValueError, match="read-only"):
-            admitted.matrix[0, 0] = 1.0
+            matrix[0, 0] = 1.0
 
     def test_empty_block(self, payloads):
         empty = DenseDotKernel().evaluate_block(payloads, pair_index_array([]))
@@ -219,12 +221,31 @@ class TestCsrCosineKernel:
         import repro.kernels.sparse as sparse_module
 
         monkeypatch.setattr(sparse_module, "_sparse", None)
-        block = pair_index_array(all_pairs(12))
-        got = CsrCosineKernel().evaluate_block(payloads, block)
-        close(got, ScalarKernel(cosine_similarity).evaluate_block(payloads, block))
-        gather = pair_index_array([(2, 1), (9, 5)])
-        got = CsrCosineKernel().evaluate_block(payloads, gather)
-        close(got, ScalarKernel(cosine_similarity).evaluate_block(payloads, gather))
+        self.check_every_path(payloads, dense=True)
+
+    def test_scipy_matches_on_every_path(self, payloads):
+        pytest.importorskip("scipy.sparse")
+        self.check_every_path(payloads, dense=False)
+
+    @staticmethod
+    def check_every_path(payloads, dense):
+        """Plain store, root and view; Gram, gather and tile, against the scalar cosine."""
+        kernel, scalar = CsrCosineKernel(), ScalarKernel(cosine_similarity)
+        root = WorkingSetStore(payloads=payloads)
+        view = root.view(np.array([2, 5, 9, 12]))
+        for store in (payloads, root, view):
+            for block in (all_pairs(12), [(2, 1), (9, 5)], [(12, 9), (5, 2)]):
+                block = pair_index_array(block)
+                if store is view and not set(block.ravel().tolist()) <= set(view):
+                    continue
+                close(kernel.evaluate_block(store, block), scalar.evaluate_block(payloads, block))
+        matrix = root.form(kernel.to_matrix)
+        assert isinstance(matrix, np.ndarray) == dense
+        high, low = np.array([9, 10, 11, 12]), np.array([1, 2, 5])
+        tile = kernel.evaluate_tile(matrix[root.rows(high)], matrix[root.rows(low)])
+        assert isinstance(tile, np.ndarray) and tile.shape == (4, 3)
+        rows = np.column_stack((np.repeat(high, 3), np.tile(low, 4)))
+        close(tile.ravel(), scalar.evaluate_block(payloads, rows))
 
     def test_supports(self):
         kernel = CsrCosineKernel()
@@ -233,6 +254,18 @@ class TestCsrCosineKernel:
         assert not kernel.supports({1: 0.5})
         assert not kernel.supports(np.zeros(3))
         assert not kernel.supports([0.5])
+
+    @pytest.mark.parametrize(
+        "weight", [0.5, np.float32(0.5), np.float64(0.5), 2, np.int64(2)], ids=repr
+    )
+    def test_auto_takes_any_real_weight(self, weight):
+        resolved = resolve_kernel("auto", cosine_similarity, {"a": weight})
+        assert isinstance(resolved, CsrCosineKernel)
+
+    @pytest.mark.parametrize("weight", [True, np.True_, "0.5", None, 1j], ids=repr)
+    def test_auto_falls_back_for_non_real_weights(self, weight):
+        resolved = resolve_kernel("auto", cosine_similarity, {"a": weight})
+        assert isinstance(resolved, ScalarKernel)
 
 
 class TestRegistry:

@@ -130,8 +130,8 @@ class TestKernelZeroCopy:
         matrix = sparse.csr_matrix(
             (data, cols, indptr), shape=(len(vectors), num_terms), copy=False
         )
-        # The CSR build the kernel performs per working set reuses the
-        # conversion arrays — no second copy of the nonzeros.
+        # The CSR build the kernel performs once per store (to_matrix)
+        # reuses the conversion arrays — no second copy of the nonzeros.
         assert np.shares_memory(matrix.data, data)
         assert np.shares_memory(matrix.indices, cols)
         payloads = dict(enumerate(vectors))
