@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 #: Decimal size units, as used throughout the paper's arithmetic.
@@ -87,3 +89,18 @@ def stdev(values: Iterable[float]) -> float:
         raise ValueError("stdev of empty sequence")
     mu = sum(vals) / len(vals)
     return math.sqrt(sum((x - mu) ** 2 for x in vals) / len(vals))
+
+
+def kth_smallest(keys: np.ndarray, starts: np.ndarray, lengths: np.ndarray, k: int) -> np.ndarray:
+    """The k-th smallest of each segment ``keys[start : start + length]``; +inf if shorter than k.
+
+    Segments of one length are partitioned together as the rows of one
+    matrix, so the work is linear in the entries and the Python loop runs
+    once per distinct length.  NaN counts as the largest key, as in a sort.
+    """
+    kth = np.full(len(starts), np.inf)
+    for length in np.unique(lengths[lengths >= k]):
+        rows = np.flatnonzero(lengths == length)
+        segments = keys[starts[rows, None] + np.arange(length)]
+        kth[rows] = np.partition(segments, k - 1, axis=1)[:, k - 1]
+    return kth

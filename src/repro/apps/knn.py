@@ -15,7 +15,6 @@ each endpoint is in the other's top-k) and an exact brute-force oracle.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,7 +30,8 @@ class KnnGraph:
     """Directed kNN graph: ``neighbors[i]`` = i's k closest, ascending.
 
     Each neighbour entry is ``(partner_id, distance)``; ties break on
-    partner id (the TopKAggregator's deterministic rule).
+    partner id and a NaN distance ranks last (the TopKAggregator's
+    deterministic rule).
     """
 
     k: int
@@ -110,14 +110,8 @@ def knn_graph(
         if use_local
         else computation.run(list(points))
     )
-    # O(k' log k) selection; the aggregator already capped results at k,
-    # and nsmallest sorts ties exactly like the historical full sort.
-    neighbors = {
-        eid: tuple(
-            heapq.nsmallest(k, element.results.items(), key=lambda kv: (kv[1], kv[0]))
-        )
-        for eid, element in merged.items()
-    }
+    # The aggregator kept at most k partners per element, in rank order.
+    neighbors = {eid: tuple(element.results.items()) for eid, element in merged.items()}
     return KnnGraph(k=k, neighbors=neighbors)
 
 

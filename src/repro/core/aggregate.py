@@ -33,6 +33,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from .._util import kth_smallest
 from .element import Element, merge_copies
 
 Aggregator = Callable[[Sequence[Element]], Element]
@@ -184,9 +185,18 @@ def fold_columns(
 
     The built-in aggregators without a ``key=`` fold whole columns, with
     exactly what their ``__call__`` keeps, in the same order: concat is
-    the identity, threshold one mask, top-k a sort per owner by (NaN last,
-    value, partner id) cut at k (float64 results only).  Anything else
-    goes element by element.
+    the identity, threshold one mask, top-k (float64 results only) a
+    selection, then a sort.  Each owner's run of entries longer than 2k
+    is cut at its k-th best value (:func:`~repro._util.kth_smallest`,
+    with NaN as ``+inf``, a key monotone in the rank); the entries no
+    worse than the cut, ties included, and every entry of a shorter run
+    are the candidates.  Each owner's candidates are sorted by (NaN last,
+    value, partner id) — the runs of one length as the rows of one
+    matrix, one row-wise ``lexsort`` — and the first k kept: what one
+    sort of every entry by (owner, NaN last, value, partner id) kept, so
+    a fold keeping k of an owner's n entries does O(n) work, not
+    O(n log n).  Top-k needs the owners' runs in ascending order, as the
+    aggregate reducer passes them.  Anything else goes element by element.
     """
     kind = type(aggregator)
     if getattr(aggregator, "key", None) is not None:
@@ -199,10 +209,30 @@ def fold_columns(
         return owners[keep], partners[keep], results[keep]
     if kind is not TopKAggregator or results.dtype != np.float64:
         return None
-    unordered = np.isnan(results)
+    k, unordered = aggregator.k, np.isnan(results)
     sign = 1 if aggregator.smallest else -1
     ranked = sign * np.where(unordered, 0.0, results)
-    order = np.lexsort((sign * partners, ranked, unordered, owners))
-    owners = owners[order]
-    keep = np.arange(len(owners)) - np.searchsorted(owners, owners) < aggregator.k
-    return owners[keep], partners[order][keep], results[order][keep]
+    starts, lengths = _runs(owners)
+    long = lengths > 2 * k  # a shorter run would gain little from the partition
+    if long.any():
+        keys, cut = np.where(unordered, np.inf, ranked), np.full(len(starts), np.inf)
+        cut[long] = kth_smallest(keys, starts[long], lengths[long], k)
+        candidate = keys <= np.repeat(cut, lengths)
+        owners, partners, results, ranked, unordered = (
+            column[candidate] for column in (owners, partners, results, ranked, unordered)
+        )
+        starts, lengths = _runs(owners)
+    kept = np.minimum(lengths, k)
+    slots, order = np.cumsum(kept) - kept, np.empty(kept.sum(), np.int64)
+    for length in np.unique(lengths):  # the runs of one length are the rows of one matrix
+        rows = np.flatnonzero(lengths == length)
+        run = starts[rows, None] + np.arange(length)
+        ranks = np.lexsort((sign * partners[run], ranked[run], unordered[run]), axis=-1)[:, :k]
+        order[slots[rows, None] + np.arange(ranks.shape[1])] = np.take_along_axis(run, ranks, 1)
+    return owners[order], partners[order], results[order]
+
+
+def _runs(owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each owner's run starts in ``owners`` (grouped), and its length."""
+    starts = np.r_[0, np.flatnonzero(owners[1:] != owners[:-1]) + 1]
+    return starts, np.diff(starts, append=len(owners))

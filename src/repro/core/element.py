@@ -234,15 +234,25 @@ def decode_blocks(blocks: Sequence[tuple]) -> tuple[np.ndarray, ...]:
     """``(ids, counts, partners, results)`` columns of result blocks, in block order.
 
     The partner dtype is read off each column's length (bytes per entry).
+    A block whose columns do not line up — as many ids as counts, ``n``
+    (the counts' sum) partners of 1, 2, 4 or 8 bytes, ``n`` results —
+    raises ``ValueError`` naming its index.
     """
+    partners, results = [np.empty(0, np.int64)], []
+    for number, (block_ids, block_counts, raw, values, _payloads) in enumerate(blocks):
+        n, floats = sum(block_counts), isinstance(values, bytes)
+        size, odd = divmod(len(raw), n) if n else (1, len(raw))
+        aligned = len(block_ids) == len(block_counts) and len(values) == n * (8 if floats else 1)
+        if odd or size not in _PARTNER_DTYPES or not aligned:
+            raise ValueError(
+                f"result block {number} is malformed: {len(block_ids)} ids, {len(block_counts)} "
+                f"counts summing to {n}, {len(raw)} partner bytes, {len(values)} result "
+                f"{'bytes' if floats else 'objects'}"
+            )
+        partners.append(np.frombuffer(raw, _PARTNER_DTYPES[size]))
+        results.append(np.frombuffer(values) if floats else np.fromiter(values, object, n))
     ids = np.fromiter(chain.from_iterable(block[0] for block in blocks), dtype=np.int64)
     counts = np.fromiter(chain.from_iterable(block[1] for block in blocks), np.int64, len(ids))
-    partners, results = [np.empty(0, np.int64)], []
-    for _ids, block_counts, raw, values, _payloads in blocks:
-        n = sum(block_counts)
-        partners.append(np.frombuffer(raw, _PARTNER_DTYPES[len(raw) // n] if n else np.uint8))
-        floats = isinstance(values, bytes)
-        results.append(np.frombuffer(values) if floats else np.fromiter(values, object, n))
     return ids, counts, np.concatenate(partners, dtype=np.int64), join_results(results)
 
 

@@ -28,6 +28,7 @@ import abc
 
 import numpy as np
 
+from .._util import kth_smallest
 from .base import SketchSuite
 
 #: relative slack applied to every bound-vs-threshold comparison
@@ -142,14 +143,9 @@ def build_topk_taus(
             raise ValueError(f"k must be >= 1, got {k}")
         upper = suite.distance_upper(pairs)
         owners = pairs.T.ravel()
-        values = np.concatenate([upper, upper])
-        order = np.lexsort((values, owners))
         counts = np.bincount(owners, minlength=len(suite.coords))
-        starts = np.cumsum(counts) - counts
-        taus = np.full(len(counts), np.inf)
-        full = counts >= k
-        taus[full] = values[order][starts[full] + k - 1]
-        return taus
+        grouped = np.concatenate([upper, upper])[np.argsort(owners)]
+        return kth_smallest(grouped, np.cumsum(counts) - counts, counts, k)
     v = suite.v
     if not 1 <= k <= v - 1:
         raise ValueError(f"need 1 <= k <= v-1, got k={k}, v={v}")

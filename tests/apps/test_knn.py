@@ -32,7 +32,7 @@ class TestConstruction:
         assert got.neighbors == ref.neighbors
 
     def test_tied_distances_match_reference(self):
-        # Symmetric 1-D points produce exact distance ties; the heap
+        # Symmetric 1-D points produce exact distance ties; the top-k
         # selection must break them like the reference's full sort
         # (ascending partner id).
         import numpy as np
@@ -41,6 +41,25 @@ class TestConstruction:
         ref = knn_reference(tied, k=3)
         got = knn_graph(tied, 3, BlockScheme(len(tied), 2))
         assert got.neighbors == ref.neighbors
+
+    @pytest.mark.parametrize("kernel", [None, "dense-euclidean"])
+    def test_a_nan_distance_ranks_last_on_every_path(self, points, kernel):
+        import numpy as np
+
+        points = [np.array(point, dtype=float) for point in points]
+        points[4][0] = np.nan  # element 5: every distance to it is NaN
+        scheme = BlockScheme(30, 4)
+        local = knn_graph(points, 3, scheme, use_local=True)
+        piped = knn_graph(points, 3, scheme, kernel=kernel)  # the dense kernel: a float64 fold
+        assert [list(dict(p)) for p in piped.neighbors.values()] == [
+            list(dict(p)) for p in local.neighbors.values()
+        ]
+        distances = [[d for _, d in p] for g in (piped, local) for p in g.neighbors.values()]
+        np.testing.assert_allclose(distances[:30], distances[30:], rtol=1e-12)  # NaN == NaN
+        if kernel is None:
+            assert repr(piped.neighbors) == repr(local.neighbors)
+        assert [partner for partner, _ in local.neighbors[5]] == [1, 2, 3]
+        assert all(5 not in dict(partners) for partners in local.neighbors.values())
 
     def test_every_node_has_k_neighbors(self, points):
         graph = knn_reference(points, k=5)

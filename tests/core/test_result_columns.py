@@ -6,7 +6,10 @@ from its slices in arrival order with one ``add_results``, then
 ``aggregator([element])``.  On any partition the two must give the same
 elements — the same partners, the same result objects (compared by
 ``repr``, so ``-0.0`` and NaN count), in the same order — and fail on the
-same blocks with the same message.
+same blocks with the same message.  The top-k fold selects before it
+sorts, and sorts each owner's candidates apart; the one ``lexsort`` of
+every entry it replaced is kept here as its oracle.  ``decode_blocks``
+refuses a block whose columns do not line up, whatever length changed.
 """
 
 import itertools
@@ -14,9 +17,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro._util import kth_smallest
 from repro.core.aggregate import (
     ConcatAggregator,
     ThresholdAggregator,
@@ -29,6 +33,7 @@ from repro.core.element import (
     DuplicatePairError,
     Element,
     PairResults,
+    decode_blocks,
     encode_block,
     results_dense,
 )
@@ -183,6 +188,138 @@ def test_top_k_ranks_nan_after_every_number_in_any_order(k, smallest, kept):
         partners = np.array(order, dtype=np.int64)
         folded = fold_columns(aggregator, owners, partners, np.array([results[p] for p in order]))
         assert folded[1].tolist() == kept, order
+
+
+# -- top-k selects, then sorts the candidates: the full sort is the oracle ---------
+
+
+def sorted_fold(aggregator, owners, partners, results):
+    """The top-k column fold before selection: one lexsort of every entry, cut at k per owner."""
+    unordered = np.isnan(results)
+    sign = 1 if aggregator.smallest else -1
+    ranked = sign * np.where(unordered, 0.0, results)
+    order = np.lexsort((sign * partners, ranked, unordered, owners))
+    owners = owners[order]
+    keep = np.arange(len(owners)) - np.searchsorted(owners, owners) < aggregator.k
+    return owners[keep], partners[order][keep], results[order][keep]
+
+
+#: a small pool, so ties at the k-th value are common
+POOL = np.array([0.0, -0.0, 0.5, 1.0, -1.0, math.inf, -math.inf, NAN])
+
+
+def columns(lengths, values):
+    """Owners 1, 2, ... with ``lengths`` entries each (partners shuffled), then ``values``."""
+    rng = np.random.default_rng(len(values))
+    owners = np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    partners = np.concatenate([rng.permutation(n) + 100 for n in lengths] or [np.empty(0, int)])
+    return owners.astype(np.int64), partners.astype(np.int64), np.asarray(values, dtype=float)
+
+
+def shown_columns(folded):
+    return repr([column.tolist() for column in folded])
+
+
+@given(
+    lengths=st.lists(st.integers(0, 200), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, len(POOL)),
+    k=st.one_of(st.integers(1, 12), st.integers(1, 205)),  # mostly runs past 2k: partitioned
+    smallest=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_top_k_selection_equals_the_full_sort(lengths, seed, width, k, smallest):
+    rng = np.random.default_rng(seed)
+    values = rng.choice(rng.choice(POOL, width, replace=False), sum(lengths))
+    aggregator = TopKAggregator(k, smallest=smallest)
+    owners, partners, results = columns(lengths, values)
+    expected = sorted_fold(aggregator, owners, partners, results)
+    got = fold_columns(aggregator, owners, partners, results)
+    assert shown_columns(got) == shown_columns(expected)
+
+
+FILLS = {
+    "ties": lambda n: [0.5] * n,
+    "nan": lambda n: [NAN] * n,
+    "distinct": lambda n: np.linspace(1, 0, n).tolist(),
+    "mixed": lambda n: [(1.0, NAN, -0.0, math.inf)[i % 4] for i in range(n)],
+}
+
+
+@pytest.mark.parametrize("smallest", [True, False])
+@pytest.mark.parametrize("fill", sorted(FILLS))
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("over", ["0", "1", "k + 1", "2k"])  # entries past k in owner 1's run
+def test_top_k_at_and_past_the_cut(over, k, fill, smallest):
+    n = k + {"0": 0, "1": 1, "k + 1": k + 1, "2k": 2 * k}[over]
+    aggregator = TopKAggregator(k, smallest=smallest)
+    owners, partners, results = columns([n, 3], [*FILLS[fill](n), 0.5, NAN, -0.0])
+    got = fold_columns(aggregator, owners, partners, results)
+    assert shown_columns(got) == shown_columns(sorted_fold(aggregator, owners, partners, results))
+    assert np.bincount(got[0], minlength=3).tolist() == [0, k, min(k, 3)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 6])
+def test_kth_smallest_reads_a_sort_off_every_segment(k):
+    keys = np.array([3.0, NAN, 1.0, 1.0, 2.0, NAN, 0.0, -0.0, math.inf, 5.0, 4.0])
+    starts, lengths = np.array([0, 2, 6, 6, 11]), np.array([2, 4, 5, 0, 0])
+    expected = [
+        np.sort(keys[a : a + n])[k - 1] if n >= k else math.inf for a, n in zip(starts, lengths)
+    ]
+    np.testing.assert_array_equal(kth_smallest(keys, starts, lengths, k), expected)  # NaN == NaN
+
+
+# -- decode_blocks refuses columns that do not line up ----------------------------
+
+MUTATIONS = ("partner byte added", "partner byte dropped", "result added", "result dropped",
+             "count bumped", "count dropped", "id dropped")
+
+
+def mutate(block, mutation):
+    """``block`` with one column's length changed by ``mutation``; falsy if nothing to drop."""
+    ids, counts, raw, values, payloads = block
+    one = b"\x00" if isinstance(values, bytes) else [0.0]
+    changed = {
+        "partner byte added": lambda: (ids, counts, raw + b"\x01", values),
+        "partner byte dropped": lambda: raw and (ids, counts, raw[:-1], values),
+        "result added": lambda: (ids, counts, raw, values + one),
+        "result dropped": lambda: values and (ids, counts, raw, values[:-1]),
+        "count bumped": lambda: (ids, [counts[0] + 1, *counts[1:]], raw, values),
+        "count dropped": lambda: (ids, counts[:-1], raw, values),
+        "id dropped": lambda: (ids[:-1], counts, raw, values),
+    }[mutation]()
+    return changed and (*changed, payloads)
+
+
+@given(partition=partitions(), mutation=st.sampled_from(MUTATIONS), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_block_whose_columns_do_not_line_up_raises(partition, mutation, data):
+    floats, blocks = partition
+    blocks = wire(blocks, floats)
+    decode_blocks(blocks)
+    number = data.draw(st.integers(0, len(blocks) - 1))
+    mutated = mutate(blocks[number], mutation)
+    assume(mutated)
+    blocks[number] = mutated
+    if mutation == "partner byte added" and len(mutated[2]) == 2:
+        # One uint8 partner and a byte more are one well-formed uint16 partner.
+        assert len(decode_blocks(blocks)[2]) == sum(sum(block[1]) for block in blocks)
+        return
+    with pytest.raises(ValueError, match=f"result block {number} is malformed"):
+        decode_blocks(blocks)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        ([1, 2], [1, 1], b"\x01\x02\x03", b"\x00" * 16, None),  # 3 partner bytes for 2 entries
+        ([1], [0], b"\x05", b"", None),  # a partner for no entry
+        ([1, 2], [1, 1], b"\x01\x02", b"\x00" * 8, None),  # 1 result for 2 entries
+    ],
+)
+def test_malformed_blocks_that_used_to_decode_raise(block):
+    with pytest.raises(ValueError, match="result block 1 is malformed"):
+        decode_blocks([([3], [1], b"\x01", b"\x00" * 8, None), block])
 
 
 # -- PairResults ------------------------------------------------------------------

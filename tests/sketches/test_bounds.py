@@ -22,6 +22,7 @@ import pytest
 
 from repro.apps.dbscan import euclidean_distance
 from repro.apps.docsim import build_tfidf, cosine_similarity
+from repro.core.bipartite import BipartiteBlockScheme
 from repro.sketches import (
     BOUND_GUARD,
     CountMinSketch,
@@ -186,6 +187,24 @@ class TestTopKTaus:
         np.testing.assert_allclose(
             build_topk_taus(suite, k, all_pairs(v))[1:], build_topk_taus(suite, k)[1:]
         )
+
+    @pytest.mark.parametrize("k", [1, 4, 5])
+    def test_taus_over_a_bipartite_blocks_pairs_equal_a_per_owner_sort(self, k):
+        """Each owner's k-th smallest bound, as a sort of its pairs reads it; < k pairs → +inf."""
+        scheme = BipartiteBlockScheme(4, 20, 2, 4)  # S is 1..20 (4 partners each), R 21..24 (20)
+        payloads = dense_payloads(scheme.v)
+        payloads[7] = payloads[6].copy()  # equal bounds: ties at the k-th value
+        suite = build_dense_sketch(payloads, "dense-euclidean", proj_dim=6)
+        pairs = np.random.default_rng(k).permutation(np.array(sorted(scheme.required_pairs())))
+        upper = suite.distance_upper(pairs)
+        expected = np.full(scheme.v + 1, np.inf)
+        for owner in range(1, scheme.v + 1):
+            mine = np.sort(upper[(pairs == owner).any(axis=1)])
+            if len(mine) >= k:
+                expected[owner] = mine[k - 1]
+        taus = build_topk_taus(suite, k, pairs)
+        np.testing.assert_array_equal(taus, expected)
+        assert np.isinf(taus[1:21]).all() == (k > 4) and np.isfinite(taus[21:]).all()
 
     def test_validation(self):
         payloads = dense_payloads(10)

@@ -27,7 +27,8 @@ then.  It runs the ruler and is not a second benchmark: it measures nothing itse
 ``--layers`` attributes the difference to the engine's phases: every pair also runs
 ``run.py ... --trace 1`` once per side (same seed, same alternation), and a second
 table per workload prints both sides' medians of the :data:`LAYERS` spans — each job's
-map and reduce phase, and the tasks' summed busy time.
+map and reduce phase, and the tasks' summed busy time — and of the pair evaluations and
+shuffle bytes, so the same table shows whether both sides computed and shipped the same.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ LAYERS = (
     "runtime.job2_map_s",
     "runtime.job2_reduce_s",
     "runtime.task_busy_s",
+    "runtime.evaluations",
+    "runtime.shuffle_bytes",
 )
 
 
@@ -101,7 +104,8 @@ def layer_table(parent: list[dict], change: list[dict]) -> list[str]:
 
     ``parent`` and ``change`` are the ``--trace 1`` runs' JSON objects.  A
     span a run lacks or reads 0 (the workload has no such phase) is left
-    out of that side's median; ``-`` when no run has it.
+    out of that side's median; ``-`` when no run has it.  Spans print to
+    four significant digits, counts in full.
     """
     rows = [f"{'layer (--trace 1)':<26}{'parent median':>16}{'change median':>16}{'change':>9}"]
     for name in LAYERS:
@@ -112,7 +116,8 @@ def layer_table(parent: list[dict], change: list[dict]) -> list[str]:
             medians.append(statistics.median(values) if values else None)
         base, new = medians
         relative = f"{(new - base) / base:+9.1%}" if base and new is not None else f"{'-':>9}"
-        shown = [f"{value:>16.4g}" if value is not None else f"{'-':>16}" for value in medians]
+        form = ">16.4g" if name.endswith("_s") else ">16.15g"
+        shown = [format(value, form) if value is not None else f"{'-':>16}" for value in medians]
         rows.append(f"{name:<26}{shown[0]}{shown[1]}{relative}")
     return rows
 
