@@ -4,8 +4,8 @@
 Demonstrates that the aggregation step (Algorithm 2) controls what is
 *stored*, not what is *computed*: the scheme still evaluates every pair
 exactly once, but each element keeps only its k closest partners — the
-kNN graph many §1-adjacent algorithms start from.  Uses the O(√v)-memory
-cyclic design scheme.
+kNN graph many §1-adjacent algorithms start from.  Uses the design scheme
+on the order-9 plane over GF(9), the smallest plane that holds 90 points.
 
 Run:  python examples/knn_graph.py
 """
@@ -17,7 +17,7 @@ from repro.apps import (
     knn_reference,
     recall_at_k,
 )
-from repro.core import CyclicDesignScheme
+from repro.core import DesignScheme
 from repro.workloads import make_blobs
 
 V = 90
@@ -27,7 +27,7 @@ K = 5
 def main() -> None:
     points = make_blobs(V, dim=2, num_clusters=4, spread=0.4, seed=33)
 
-    scheme = CyclicDesignScheme(V)
+    scheme = DesignScheme(V, allow_prime_powers=True)
     graph = knn_graph(points, K, scheme)
     reference = knn_reference(points, K)
 

@@ -27,7 +27,6 @@ from .core import (
     BlockScheme,
     BroadcastScheme,
     ConcatAggregator,
-    CyclicDesignScheme,
     DesignScheme,
     DistributionScheme,
     Element,
@@ -55,7 +54,6 @@ __all__ = [
     "ClusterSimulator",
     "ClusterSpec",
     "ConcatAggregator",
-    "CyclicDesignScheme",
     "DesignScheme",
     "DistributionScheme",
     "Element",

@@ -284,7 +284,7 @@ class SequentialDesignSchedule(Schedule):
             tasks = []
             for task_index, subset_id in enumerate(range(lo, hi)):
                 members = tuple(self.design.subset_members(subset_id))
-                pairs = tuple(self.design.get_pairs(subset_id, members))
+                pairs = tuple(map(tuple, self.design.pair_array(subset_id, members).tolist()))
                 tasks.append(ScheduledTask(round_index, task_index, members, pairs))
             # A design block owes every pair among its own points.
             yield Round(self.v, round_index, tasks, [(t.members, t.members) for t in tasks])

@@ -4,16 +4,14 @@ A *perfect difference set* ``D = {d₁ … d_{q+1}}`` modulo ``q̂ = q²+q+1``
 has the property that every non-zero residue mod q̂ arises exactly once
 as a difference ``dᵢ − dⱼ``.  Its translates ``D + t (mod q̂)`` are then
 the lines of a projective plane of order q — the *Singer cycle*
-construction.  For the design distribution scheme this is gold: instead
-of materializing all ``q̂`` blocks (O(v·√v) memory), a node needs only
-the q+1 numbers of D to answer both
-
-- ``getSubsets(e)``:  element e (0-indexed point p = e−1) lies on blocks
-  ``{(p − d) mod q̂ : d ∈ D}``, and
-- block t's members: ``{(t + d) mod q̂ : d ∈ D}``,
-
-in O(q) time — the same closed-form flavour the broadcast and block
-schemes enjoy.
+construction: point p (0-indexed) lies on lines ``{(p − d) mod q̂}`` and
+line t holds points ``{(t + d) mod q̂}``, d ∈ D.  A translate of D is
+the perfect difference cover :class:`~repro.core.quorum.QuorumScheme`
+uses at ``v = q̂``, and :func:`cyclic_plane` is a third plane construction the
+tests cross-check against Lee and GF(q).  The design scheme does not use
+it: truncated below q̂, the Singer labelling keeps more tasks and a
+higher replication than the stored Lee / GF plane at most v
+(EXPERIMENTS.md P23).
 
 Construction (classical Singer): PG(2, q)'s points are the 1-dimensional
 GF(q)-subspaces of GF(q³); a primitive element g of GF(q³) acts on them

@@ -109,13 +109,6 @@ def gf_plane(q: int) -> list[Block]:
     return blocks
 
 
-def projective_plane(q: int, *, prefer_lee: bool = True) -> list[Block]:
-    """Plane of order ``q``: Lee construction for primes, GF(q) otherwise.
-
-    ``prefer_lee=False`` forces the GF construction even for prime q (useful
-    for cross-validation — both must be valid ``(q²+q+1, q+1, 1)`` designs,
-    though the block orderings differ).
-    """
-    if prefer_lee and is_prime(q):
-        return lee_plane(q)
-    return gf_plane(q)
+def projective_plane(q: int) -> list[Block]:
+    """Plane of order ``q``: Lee construction for primes, GF(q) otherwise."""
+    return lee_plane(q) if is_prime(q) else gf_plane(q)

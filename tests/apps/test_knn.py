@@ -10,7 +10,7 @@ from repro.apps.knn import (
     recall_at_k,
 )
 from repro.core.block import BlockScheme
-from repro.core.design import CyclicDesignScheme
+from repro.core.design import DesignScheme
 from repro.workloads import make_blobs
 
 
@@ -26,9 +26,10 @@ class TestConstruction:
         assert got.neighbors == ref.neighbors
         assert recall_at_k(got, ref) == 1.0
 
-    def test_cyclic_design_scheme(self, points):
+    def test_prime_power_design_scheme(self):
+        points = make_blobs(70, num_clusters=3, spread=0.4, seed=17)  # truncated GF(8) plane
         ref = knn_reference(points, k=3)
-        got = knn_graph(points, 3, CyclicDesignScheme(30), use_local=True)
+        got = knn_graph(points, 3, DesignScheme(70, allow_prime_powers=True), use_local=True)
         assert got.neighbors == ref.neighbors
 
     def test_tied_distances_match_reference(self):

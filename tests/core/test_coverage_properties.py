@@ -4,7 +4,7 @@ These are the paper's formal demands (§5) tested as universal properties:
 for *any* admissible (v, parameters), every scheme must cover each pair
 of its declared universe exactly once, keep all pairs locally servable, and
 agree between its map-side (get_subsets) and reduce-side (subset_members)
-views.  One validator, ``check_exactly_once``, holds all eight classes to it:
+views.  One validator, ``check_exactly_once``, holds every scheme class to it:
 a schedule is valid iff each round passes and the rounds' universes tile the
 triangle (``check_schedule_exactly_once`` is that loop).
 """

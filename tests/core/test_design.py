@@ -5,7 +5,10 @@ import math
 import pytest
 
 from repro.core.design import DesignScheme
+from repro.core.runner import auto_pairwise
 from repro.core.validate import assert_valid_scheme, balance_report
+
+from ..conftest import abs_diff
 
 
 class TestConstruction:
@@ -33,10 +36,15 @@ class TestConstruction:
         assert s.q == 4
         assert DesignScheme(21).q == 5
 
-    def test_gf_construction_for_primes(self):
-        s = DesignScheme(31, prefer_lee=False)
-        assert s.q == 5
-        assert_valid_scheme(s)
+    @pytest.mark.parametrize("num_nodes", [0, -3])
+    def test_num_nodes_must_be_positive(self, num_nodes):
+        # A cluster of no nodes would cap the communication metric at 2vn <= 0.
+        with pytest.raises(ValueError, match="num_nodes"):
+            DesignScheme(30, num_nodes=num_nodes)
+        with pytest.raises(ValueError, match="num_nodes"):
+            DesignScheme.approx_metrics(30, num_nodes=num_nodes)
+        with pytest.raises(ValueError, match="num_nodes"):  # a forced scheme skips the chooser
+            auto_pairwise(list(range(30)), abs_diff, scheme="design", num_nodes=num_nodes)
 
 
 class TestSubsets:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.core.aggregate import ConcatAggregator
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
-from repro.core.design import CyclicDesignScheme, DesignScheme
+from repro.core.design import DesignScheme
 from repro.core.element import Element, merge_copies
 from repro.core.pairwise import PairwiseComputation, brute_force_results
 from repro.core.validate import balance_report
@@ -22,7 +22,7 @@ SMALL_V = st.integers(min_value=2, max_value=30)
 
 
 def _random_scheme(draw, v):
-    kind = draw(st.sampled_from(["broadcast", "block", "block-diag", "design", "cyclic"]))
+    kind = draw(st.sampled_from(["broadcast", "block", "block-diag", "design", "design-gf"]))
     if kind == "broadcast":
         return BroadcastScheme(v, draw(st.integers(min_value=1, max_value=12)))
     if kind == "block":
@@ -33,7 +33,7 @@ def _random_scheme(draw, v):
         )
     if kind == "design":
         return DesignScheme(v)
-    return CyclicDesignScheme(v)
+    return DesignScheme(v, allow_prime_powers=True)
 
 
 @given(v=SMALL_V, data=st.data())

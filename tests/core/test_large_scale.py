@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
-from repro.core.design import CyclicDesignScheme, DesignScheme
+from repro.core.design import DesignScheme
 from repro.core.validate import assert_valid_scheme, balance_report
 
 
@@ -22,9 +22,9 @@ from repro.core.validate import assert_valid_scheme, balance_report
         lambda: BlockScheme(256, 16, pair_diagonals=True),
         lambda: DesignScheme(211),               # deep truncation of q=17 plane
         lambda: DesignScheme(183),               # exact plane (13²+13+1)
-        lambda: CyclicDesignScheme(211),
+        lambda: DesignScheme(211, allow_prime_powers=True),  # truncated q=16 GF plane
     ],
-    ids=["broadcast", "block", "block-paired", "design-trunc", "design-exact", "cyclic"],
+    ids=["broadcast", "block", "block-paired", "design-trunc", "design-exact", "design-gf"],
 )
 def test_exactly_once_at_scale(scheme_factory):
     scheme = scheme_factory()
@@ -51,6 +51,6 @@ def test_pipeline_at_scale():
     def distance(a, b):
         return abs(a - b)
 
-    computation = PairwiseComputation(CyclicDesignScheme(211), distance)
+    computation = PairwiseComputation(DesignScheme(211, allow_prime_powers=True), distance)
     merged = computation.run(data)
     assert results_matrix(merged) == brute_force_results(data, distance)

@@ -1,14 +1,16 @@
 """The pair relation as an array: ``pair_array`` is what every scheme implements.
 
-Each of the eight scheme classes builds a task's pairs as one ``(n, 2)``
+Each of the seven scheme classes builds a task's pairs as one ``(n, 2)``
 int64 array in closed form; ``get_pairs`` is the base class's list view
 of it.  ``DIGESTS`` pins every task's rows, in order, to what the
 tuple-building ``get_pairs`` of the commit before returned (through
 ``pair_index_array``), so a vectorised construction that reorders,
 drops or duplicates a row fails here before any engine runs.  Block,
-design, cyclic design and bipartite block build that array as the rows of
-their ``pair_tiles`` (triangles and cross products), so the digests pin
-the tiles' pairs too.
+design and bipartite block build that array as the rows of their
+``pair_tiles`` (triangles and cross products), so the digests pin the
+tiles' pairs too.  The ``design-gf`` rows (planes of non-prime order,
+built over GF(q)) came later: their digests were recorded from the
+``get_pairs`` list view.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ import pytest
 from repro.core.bipartite import BipartiteBlockScheme, BipartiteBroadcastScheme
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
-from repro.core.design import CyclicDesignScheme, DesignScheme
+from repro.core.design import DesignScheme
 from repro.core.hierarchical import HierarchicalBlockScheme, SequentialDesignSchedule
 from repro.core.quorum import QuorumScheme
 from repro.core.scheme import Cross, Rows, Triangle, tile_rows
@@ -49,10 +51,8 @@ CASES = {
     "design-13": lambda: [DesignScheme(13)],
     "design-20-truncated": lambda: [DesignScheme(20)],
     "design-31": lambda: [DesignScheme(31)],
-    "cyclic-8-truncated-empty": lambda: [CyclicDesignScheme(8, allow_prime_powers=False)],
-    "cyclic-13": lambda: [CyclicDesignScheme(13)],
-    "cyclic-23-truncated": lambda: [CyclicDesignScheme(23)],
-    "cyclic-40-truncated": lambda: [CyclicDesignScheme(40)],
+    "design-gf-21": lambda: [DesignScheme(21, allow_prime_powers=True)],
+    "design-gf-70-truncated": lambda: [DesignScheme(70, allow_prime_powers=True)],
     "bipartite-broadcast-1-1-1-one-pair": lambda: [BipartiteBroadcastScheme(1, 1, 1)],
     "bipartite-broadcast-1-1-3-empty-tasks": lambda: [BipartiteBroadcastScheme(1, 1, 3)],
     "bipartite-broadcast-3-4-5": lambda: [BipartiteBroadcastScheme(3, 4, 5)],
@@ -69,9 +69,9 @@ CASES = {
     ),
 }
 
-#: the eight classes the cases must reach, each at three or more sizes
+#: the seven classes the cases must reach, each at three or more sizes
 CLASSES = {
-    "BlockScheme", "BroadcastScheme", "QuorumScheme", "DesignScheme", "CyclicDesignScheme",
+    "BlockScheme", "BroadcastScheme", "QuorumScheme", "DesignScheme",
     "BipartiteBroadcastScheme", "BipartiteBlockScheme", "Round",
 }
 
@@ -114,10 +114,8 @@ DIGESTS = {
     "design-13": "ec29bf40d2b675d2",
     "design-20-truncated": "96353f8c7e5f9ead",
     "design-31": "5293e1cb29e435cc",
-    "cyclic-8-truncated-empty": "7547984c7240d527",
-    "cyclic-13": "00ab1206a4206028",
-    "cyclic-23-truncated": "d67848d8c2ae9eae",
-    "cyclic-40-truncated": "7b6ae80be3a26138",
+    "design-gf-21": "7c6bef7cedbe6793",
+    "design-gf-70-truncated": "1bdc30a50d4554bd",
     "bipartite-broadcast-1-1-1-one-pair": "b71e37be3795359e",
     "bipartite-broadcast-1-1-3-empty-tasks": "c4bd7aa48b6e95b5",
     "bipartite-broadcast-3-4-5": "d860418c052908a0",
@@ -189,7 +187,7 @@ def test_task_ids_out_of_range_raise(case):
 
 
 #: the classes whose tasks are tiles of the pair matrix; the rest are rows
-TILED = {"BlockScheme", "DesignScheme", "CyclicDesignScheme", "BipartiteBlockScheme"}
+TILED = {"BlockScheme", "DesignScheme", "BipartiteBlockScheme"}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -88,5 +88,4 @@ class TestCrossValidation:
 
     def test_dispatch_prefers_lee_for_primes(self):
         assert projective_plane(5) == lee_plane(5)
-        assert projective_plane(5, prefer_lee=False) == gf_plane(5)
         assert projective_plane(4) == gf_plane(4)

@@ -15,7 +15,7 @@ from repro.apps import (
 from repro.cluster import ClusterSimulator, ClusterSpec, NodeSpec, TaskCost, build_trace
 from repro.core import (
     BlockScheme,
-    CyclicDesignScheme,
+    DesignScheme,
     PairwiseComputation,
     ThresholdAggregator,
     results_matrix,
@@ -103,13 +103,15 @@ class TestDbscanMultiprocess:
         assert pipeline.counters.get(PAIRWISE_GROUP, REPLICAS_EMITTED) == 40 * 5
 
 
-class TestDocsimCyclicDesign:
-    """Document similarity through the O(√v)-memory cyclic design scheme."""
+class TestDocsimPrimePowerDesign:
+    """Document similarity through the design scheme on the GF(4) plane."""
 
     def test_topical_documents_most_similar_within_topic(self):
-        docs = make_documents(24, num_topics=3, topic_strength=0.9, seed=31)
+        docs = make_documents(21, num_topics=3, topic_strength=0.9, seed=31)
         vectors = build_tfidf(docs)
-        computation = PairwiseComputation(CyclicDesignScheme(24), cosine_similarity)
+        scheme = DesignScheme(21, allow_prime_powers=True)
+        assert scheme.q == 4
+        computation = PairwiseComputation(scheme, cosine_similarity)
         merged = computation.run(vectors)
         sims = results_matrix(merged)
         # Mean same-topic similarity must dominate cross-topic similarity.

@@ -21,7 +21,7 @@ from repro.apps.docsim import build_tfidf, cosine_similarity
 from repro.core.bipartite import BipartiteBlockScheme
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
-from repro.core.design import CyclicDesignScheme, DesignScheme
+from repro.core.design import DesignScheme
 from repro.core.element import ordered_results, results_matrix
 from repro.core.pairwise import EVALUATIONS, PAIRWISE_GROUP, PairwiseComputation
 from repro.core.quorum import QuorumScheme
@@ -247,7 +247,7 @@ TILE_PATH_SCHEMES = {
     "block": (lambda: BlockScheme(V, 4), True),
     "block-paired": (lambda: BlockScheme(V, 4, pair_diagonals=True), True),
     "design": (lambda: DesignScheme(V), True),
-    "cyclic-design": (lambda: CyclicDesignScheme(V), True),
+    "design-gf": (lambda: DesignScheme(21, allow_prime_powers=True), True),  # q = 4 plane
     "bipartite-block": (lambda: BipartiteBlockScheme(9, V - 9, 2, 3), True),
     "broadcast": (lambda: BroadcastScheme(V, num_tasks=5), False),
     "quorum": (lambda: QuorumScheme(V), False),
@@ -276,7 +276,7 @@ def test_tile_path_is_taken_exactly_where_it_applies(scheme_name, mode, monkeypa
         return evaluate_tile(self, left, right)
 
     monkeypatch.setattr(DenseEuclideanKernel, "evaluate_tile", spy)
-    dataset = make_dense(V)
+    dataset = make_dense(build().v)
 
     def evaluations(**overrides):
         computation = PairwiseComputation(build(), euclidean_distance, **{**settings, **overrides})

@@ -1,6 +1,6 @@
 """Tile evaluation: a block of the pair matrix as one BLAS product.
 
-Block, design, cyclic design and bipartite block describe each task as
+Block, design and bipartite block describe each task as
 triangle / cross tiles (``pair_tiles``); the dense kernels evaluate a whole
 tile with ``evaluate_tile`` and the compute step scatters it as row and
 column slices.  Held here:
@@ -31,7 +31,7 @@ from repro.apps.dbscan import euclidean_distance
 from repro.apps.knn import knn_graph, knn_reference
 from repro.core.bipartite import BipartiteBlockScheme
 from repro.core.block import BlockScheme
-from repro.core.design import CyclicDesignScheme, DesignScheme
+from repro.core.design import DesignScheme
 from repro.core.element import results_dense, results_matrix
 from repro.core.pairwise import PairwiseComputation
 from repro.kernels import (
@@ -85,7 +85,7 @@ TILE_SCHEMES = {
     "block": lambda: BlockScheme(150, 2),
     "block-paired": lambda: BlockScheme(150, 3, pair_diagonals=True),
     "design": lambda: DesignScheme(40),
-    "cyclic-design": lambda: CyclicDesignScheme(40),
+    "design-gf": lambda: DesignScheme(70, allow_prime_powers=True),  # truncated q = 8
     "bipartite-block": lambda: BipartiteBlockScheme(50, 100, 2, 3),
     "block-singletons": lambda: BlockScheme(6, 6),  # one-point triangles, 1 × 1 crosses
 }
