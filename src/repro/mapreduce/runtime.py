@@ -87,7 +87,7 @@ from .faults import FaultPlan
 from .fusion import fusable
 from .job import Job, JobResult, KeyValue, TaskFailedError, TaskLostError
 from .journal import JobJournal
-from .serialization import SpillCorruptionError
+from .serialization import SpillCorruptionError, write_encoded
 from .shm import SegmentHost, shm_available
 from .spill import parse_spill_file_name
 from .splits import Split, split_by_count
@@ -128,8 +128,9 @@ SHUFFLE_MODES = ("direct", "relay")
 
 #: broadcast data planes a :class:`MultiprocessEngine` supports:
 #: ``"default"`` ships the distributed cache inside the per-job broadcast
-#: pickle (each worker unpickles its own copy); ``"shm"`` materializes it
-#: once per machine in POSIX shared memory and workers attach read-only
+#: file (NPB1-framed; workers map it and read ndarray payloads as
+#: read-only views over the page cache); ``"shm"`` materializes it once
+#: per machine in POSIX shared memory and workers attach read-only
 #: zero-copy views (see :mod:`repro.mapreduce.shm`).
 DATA_PLANES = ("default", "shm")
 
@@ -685,11 +686,14 @@ class MultiprocessEngine(Engine):
     driver; ``"relay"`` is the legacy plane where the driver gathers and
     forwards encoded chunks.  Outputs and job counters are bit-identical
     either way.  ``data_plane`` picks the broadcast data plane:
-    ``"default"`` ships the distributed cache inside every job broadcast
-    (each worker unpickles its own copy), ``"shm"`` materializes it once
-    per machine in POSIX shared memory (workers attach read-only
-    zero-copy views — see :mod:`repro.mapreduce.shm`); where shared
-    memory is unavailable the engine silently downgrades to ``"default"``
+    ``"default"`` ships the distributed cache inside every job's
+    NPB1-framed broadcast file, which workers map (ndarray payloads are
+    read-only views over the one page-cached file), ``"shm"``
+    materializes it once per machine in POSIX shared memory (workers
+    attach read-only zero-copy views — see :mod:`repro.mapreduce.shm`).
+    Either way a pair function or kernel must not write into a cached
+    payload: writing into a contiguous ndarray payload raises.  Where
+    shared memory is unavailable the engine silently downgrades to ``"default"``
     (check :attr:`data_plane` after construction).  Outputs are
     bit-identical across data planes too.  ``trace_sink`` receives the
     run's structured events (see :class:`Engine`).
@@ -815,11 +819,14 @@ class MultiprocessEngine(Engine):
     def _job_handle(self, job: Job) -> JobRef:
         """Broadcast the job's static parts once; tasks carry a tiny ref.
 
-        On the shm plane a job with a distributed cache is split: the
-        cache goes to a per-machine shared segment (one per distinct
-        cache object — jobs sharing a cache dict share the segment) and
-        the broadcast pickle ships only the cache-less head plus the
-        :class:`~repro.mapreduce.shm.SegmentRef`.  If materialization
+        The file is NPB1-framed straight from the job's buffers
+        (:func:`~repro.mapreduce.serialization.write_encoded`), so
+        ndarray payloads are neither joined here nor copied by the
+        workers that map it.  On the shm plane a job with a distributed
+        cache is split: the cache goes to a per-machine shared segment
+        (one per distinct cache object — jobs sharing a cache dict share
+        the segment) and the broadcast file ships only the cache-less
+        head plus the :class:`~repro.mapreduce.shm.SegmentRef`.  If materialization
         fails (e.g. ``/dev/shm`` filled up mid-run) the job falls back to
         the default plane on its own.
         """
@@ -843,11 +850,10 @@ class MultiprocessEngine(Engine):
                     self.stats.shm_bytes += created
                 job = dataclasses.replace(job, cache={})
         path = self._broadcast_dir() / f"{uid}.pkl"
-        data = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
-        path.write_bytes(data)
+        written = write_encoded(path, job)
         path.with_suffix(".began").mkdir()  # attempt-began markers (tasks.marker_path)
         self.stats.jobs_broadcast += 1
-        self.stats.broadcast_bytes += len(data)
+        self.stats.broadcast_bytes += written
         return JobRef(uid=uid, path=str(path), cache_ref=cache_ref)
 
     def _release_job(self, handle: Any) -> None:

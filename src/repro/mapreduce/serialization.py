@@ -31,11 +31,12 @@ file, never as different records.
 **Zero-copy chunk reads.**  The decoder accepts ``bytes`` or any buffer
 (``memoryview``), so callers never need an intermediate ``bytes`` copy of
 a chunk that already lives somewhere — an ``mmap``'d file
-(:func:`read_chunk_view`) or a shared-memory segment
+(:func:`read_chunk_view`: spill files, extsort runs, the per-job
+broadcast file :func:`write_encoded` wrote) or a shared-memory segment
 (:mod:`repro.mapreduce.shm`).  The process-local :data:`io_meter` counts
 what the read path actually did: ``mmap_reads`` for views served without
 copying, ``bytes_copied`` for payload bytes slurped into process-private
-buffers (unmappable files, broadcast localizations, relayed chunks).
+buffers (unmappable files, relayed chunks).
 Task executors snapshot it around each task so the driver can aggregate
 per-engine totals without touching job counters.
 """
@@ -70,10 +71,10 @@ class IoMeter:
     ``mmap_reads`` counts chunk reads served as zero-copy views over an
     ``mmap`` (or other pre-existing buffer); ``bytes_copied`` counts
     payload bytes materialized into process-private memory on the read
-    path — eager whole-file reads, broadcast-cache localizations,
-    driver-relayed chunks.  Decoding object *heads* (pickle metadata) is
-    not counted; the meter answers "how many payload bytes were copied",
-    the quantity the zero-copy data plane drives toward zero.
+    path — eager whole-file reads, driver-relayed chunks.  Decoding
+    object *heads* (pickle metadata) is not counted; the meter answers
+    "how many payload bytes were copied", the quantity the zero-copy
+    data plane drives toward zero.
 
     Workers snapshot the meter around each task and report the delta in
     their task info, which the driver folds into
@@ -260,31 +261,36 @@ def estimate_element_size(dataset: Sequence[Any], sample: int = 8) -> int:
     return max(1, sum(sizes) // len(sizes))
 
 
-def _encode_with_buffers(obj: Any) -> bytes:
-    """Protocol-5 encode with ndarray buffers framed out-of-band.
+def _frame_parts(obj: Any) -> list[Any]:
+    """Protocol-5 encode with ndarray buffers framed out-of-band, as parts.
 
     Objects without out-of-band buffers keep the plain pickle layout
-    byte-for-byte; anything contributing :class:`pickle.PickleBuffer`
-    payloads (ndarrays, mainly) gets the framed layout so raw data is
-    joined into the wire bytes exactly once, never copied through the
-    pickle stream itself.
+    byte-for-byte (one part); anything contributing
+    :class:`pickle.PickleBuffer` payloads (ndarrays, mainly) gets the
+    framed layout, whose raw-buffer parts are memoryviews over the
+    arrays themselves — never copied through the pickle stream.
     """
     buffers: list[pickle.PickleBuffer] = []
     head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
     if not buffers:
-        return head
+        return [head]
     try:
         raws = [buffer.raw() for buffer in buffers]
     except BufferError:
         # A non-contiguous buffer cannot be framed raw; fall back to the
         # in-band layout (pickle copies, correctness unaffected).
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        return [pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)]
     parts: list[Any] = [_BUFFER_MAGIC, struct.pack("<I", len(raws))]
     for raw in raws:
         parts.append(struct.pack("<Q", raw.nbytes))
         parts.append(raw)
     parts.append(head)
-    return b"".join(parts)
+    return parts
+
+
+def _encode_with_buffers(obj: Any) -> bytes:
+    """The wire bytes of :func:`_frame_parts`: raw data joined in exactly once."""
+    return b"".join(_frame_parts(obj))
 
 
 def _decode_with_buffers(data: bytes | memoryview) -> Any:
@@ -314,6 +320,19 @@ def encode_records(records: list[tuple[Any, Any]]) -> bytes:
     docstring); anything else stays plain pickle.
     """
     return _encode_with_buffers(records)
+
+
+def write_encoded(path: str | Path, obj: Any) -> int:
+    """Write ``obj`` to ``path`` in :func:`encode_records`'s layout; returns the bytes written.
+
+    The frame's parts go through one buffered handle, so raw ndarray
+    buffers reach the file from where they already are instead of being
+    joined into one ``bytes`` first.  :func:`decode_records` over
+    :func:`read_chunk_view` reads it back as views of one mapping.
+    """
+    with open(path, "wb") as handle:
+        handle.writelines(_frame_parts(obj))
+        return handle.tell()
 
 
 def decode_records(data: bytes | memoryview) -> list[tuple[Any, Any]]:

@@ -3,10 +3,9 @@
 The paper's cost model is dominated by replicating the working set to
 the tasks that evaluate it; PR 4 took the driver out of the payload
 path, and this module removes the remaining single-box waste — *copies*.
-On the default data plane every pool worker localizes its own copy of a
-job's distributed cache (the broadcast working set): ``w`` workers ×
-``j`` jobs unpickle the same payload store ``w·j`` times.  The shared
-data plane (``MultiprocessEngine(data_plane="shm")``) materializes each
+The default data plane already shares ndarray payloads: workers map the
+job's NPB1-framed broadcast file and read them as views over the page
+cache.  The shared data plane (``MultiprocessEngine(data_plane="shm")``) materializes each
 distinct cache object **once per machine** into a
 ``multiprocessing.shared_memory`` segment and ships only a tiny
 :class:`SegmentRef` in the job broadcast; workers attach on demand and

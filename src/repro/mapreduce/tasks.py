@@ -11,9 +11,10 @@ decision-side (attempt numbering, whether a task runs again) in
 
 **One-shot job broadcast.**  A job's static parts — mapper/reducer
 factories, config, and the distributed cache holding the dataset — are
-pickled *once per job* to a broadcast file; each pool worker loads and
-caches it on first touch (once per worker, like Hadoop's
-DistributedCache localization).  Task specs carry a tiny :class:`JobRef`
+written *once per job* to an NPB1-framed broadcast file; each pool worker
+maps and decodes it on first touch (once per worker, like Hadoop's
+DistributedCache localization, but the cache's ndarray payloads stay one
+page-cached copy per machine).  Task specs carry a tiny :class:`JobRef`
 instead of the job, which is what keeps per-task pickling proportional
 to the records alone.  A worker keeps a loaded job — cache included —
 only while the driver does: loading a new job first drops every
@@ -63,6 +64,7 @@ from .serialization import (
     decode_records,
     encode_records,
     io_meter,
+    read_chunk_view,
     record_size,
 )
 from .shm import attach_object, detach_object
@@ -90,7 +92,7 @@ class JobRef:
     path: str
     #: shm data plane: the job's distributed cache lives in this shared
     #: segment (a :class:`~repro.mapreduce.shm.SegmentRef`) instead of the
-    #: broadcast pickle; ``None`` on the default plane
+    #: broadcast file; ``None`` on the default plane
     cache_ref: Any | None = None
 
 
@@ -276,11 +278,13 @@ def resolve_job(handle: Any) -> tuple[Job, dict]:
     :class:`~repro.mapreduce.runtime.EngineStats`, never into job
     counters.
 
-    On the shm data plane the ref carries a ``cache_ref`` and the
-    broadcast pickle ships *without* the cache; the cache is attached
-    from the shared segment here — its ndarray payloads come back as
-    read-only views over the one per-machine copy, so only the (small)
-    broadcast head counts as copied bytes.
+    The broadcast file is NPB1-framed (:func:`write_encoded`) and decoded
+    from one ``mmap`` of it: the cache's ndarray payloads come back as
+    read-only views over the page-cached file, shared by every worker on
+    the machine, and the load counts as one ``mmap_reads``, not as copied
+    bytes.  On the shm data plane the ref carries a ``cache_ref`` and the
+    broadcast file ships *without* the cache; the cache is attached from
+    the shared segment here, as read-only views over that segment.
     """
     if isinstance(handle, Job):
         return handle, {"pid": os.getpid(), "loaded": False}
@@ -288,10 +292,7 @@ def resolve_job(handle: Any) -> tuple[Job, dict]:
     if entry is not None:
         return entry[1], {"pid": os.getpid(), "loaded": False}
     _forget_released_jobs()  # before the load: never two stores where one will do
-    with open(handle.path, "rb") as fh:
-        data = fh.read()
-    io_meter.bytes_copied += len(data)
-    job = pickle.loads(data)
+    job = decode_records(read_chunk_view(handle.path))
     if handle.cache_ref is not None:
         job.cache = attach_object(handle.cache_ref)
     _WORKER_JOBS[handle.uid] = (handle, job)

@@ -1,19 +1,27 @@
-"""Zero-copy read path: mmap-backed chunk views, view-accepting codecs."""
+"""Zero-copy read path: mmap-backed chunk views, view-accepting codecs, the mapped job broadcast."""
 
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
+from repro.core.block import BlockScheme
+from repro.core.pairwise import PairwiseComputation
 from repro.mapreduce.extsort import ExternalSorter
+from repro.mapreduce.job import TaskFailedError, records_from
+from repro.mapreduce.runtime import MultiprocessEngine
 from repro.mapreduce.serialization import (
     decode_records,
     encode_records,
     io_meter,
     read_chunk_view,
+    write_encoded,
     write_spill_chunk,
 )
 from repro.mapreduce.shuffle import iter_spill_records
+
+from .wordcount import LINES, wordcount_job
 
 
 def _records(n=16, dim=8):
@@ -160,3 +168,65 @@ class TestExtsortMmapMerge:
             by_key.setdefault(key, []).append(float(value[0]))
         for key, ordinals in by_key.items():
             assert ordinals == sorted(ordinals)
+
+
+def row_dot(a, b):
+    return float(np.dot(a, b))
+
+
+def scale_in_place(a, b):
+    a *= 2.0  # the contract forbids this: cached payloads are shared
+    return float(np.dot(a, b))
+
+
+def results_of(merged):
+    return {eid: element.results for eid, element in merged.items()}
+
+
+class TestMappedBroadcast:
+    """The per-job broadcast file is NPB1-framed and workers map it."""
+
+    def test_cached_arrays_are_read_from_one_mapping_not_copied(self):
+        rows = list(np.random.default_rng(3).random((24, 8192)))  # 64 KiB each
+        dataset_bytes = sum(row.nbytes for row in rows)
+        with MultiprocessEngine(max_workers=2) as engine:
+            runner = PairwiseComputation(BlockScheme(24, 3), row_dot, engine=engine)
+            merged = runner.run_cached(rows)
+            stats = engine.stats
+        assert results_of(merged) == results_of(runner.run_local(rows))
+        # A private unpickle per worker per job would read workers × dataset here.
+        assert stats.broadcast_bytes > dataset_bytes
+        assert stats.bytes_copied < dataset_bytes
+        assert stats.broadcast_loads > 0
+        assert stats.mmap_reads >= stats.broadcast_loads
+
+    def test_non_contiguous_arrays_fall_back_to_the_in_band_layout(self, tmp_path):
+        columns = list(np.arange(12 * 40, dtype=float).reshape(40, 12).T[:, ::2])
+        assert not columns[0].flags.contiguous
+        path = tmp_path / "job.pkl"
+        write_encoded(path, {"dataset": columns})
+        assert path.read_bytes() == pickle.dumps(
+            {"dataset": columns}, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        with MultiprocessEngine(max_workers=2) as engine:
+            runner = PairwiseComputation(BlockScheme(12, 3), row_dot, engine=engine)
+            merged = runner.run_cached(columns)
+        assert results_of(merged) == results_of(runner.run_local(columns))
+
+    def test_a_job_without_arrays_is_written_as_before(self, tmp_path):
+        job = wordcount_job(name="plain", cache={"words": LINES})
+        before = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
+        path = tmp_path / "job.pkl"
+        assert write_encoded(path, job) == len(before)
+        assert path.read_bytes() == before
+        with MultiprocessEngine(max_workers=2) as engine:
+            engine.run(job, records_from(LINES), num_map_tasks=2)
+            assert engine.stats.broadcast_bytes == len(before)
+
+    def test_a_pair_function_writing_into_a_cached_payload_raises(self):
+        rows = list(np.ones((6, 16)))
+        with MultiprocessEngine(max_workers=2) as engine:
+            runner = PairwiseComputation(BlockScheme(6, 2), scale_in_place, engine=engine)
+            with pytest.raises(TaskFailedError, match="read-only"):
+                runner.run_cached(rows)
+        assert all((row == 1.0).all() for row in rows)

@@ -99,23 +99,32 @@ def traced(**spans):
 
 class TestLayerTable:
     def test_one_row_per_layer_with_both_medians_and_the_change(self):
-        counts = {"runtime.evaluations": 319_600, "runtime.shuffle_bytes": 12_345_678}
-        parent = [traced(**{"runtime.job1_reduce_s": v}, **counts) for v in (0.10, 0.30, 0.20)]
-        change = [traced(**{"runtime.job1_reduce_s": v}, **counts) for v in (0.05, 0.15, 0.10)]
+        counts = {"runtime.evaluations": 319_600, "runtime.shuffle_bytes": 12_345_678,
+                  "runtime.broadcast_bytes": 35_793_712}
+        parent = [traced(**{"runtime.job1_reduce_s": v, "runtime.bytes_copied": 71_592_868},
+                         **counts) for v in (0.10, 0.30, 0.20)]
+        change = [traced(**{"runtime.job1_reduce_s": v, "runtime.bytes_copied": 0},
+                         **counts) for v in (0.05, 0.15, 0.10)]
         header, *rows = ab_pairs.layer_table(parent, change)
         assert "parent median" in header and "change median" in header
         assert [row.split()[0] for row in rows] == list(ab_pairs.LAYERS)
-        assert {"runtime.evaluations", "runtime.shuffle_bytes"} <= set(ab_pairs.LAYERS)
+        assert {"runtime.evaluations", "runtime.shuffle_bytes", "runtime.broadcast_bytes",
+                "runtime.bytes_copied"} <= set(ab_pairs.LAYERS)
         reduce_row = rows[ab_pairs.LAYERS.index("runtime.job1_reduce_s")].split()
         assert reduce_row[1:] == ["0.2", "0.1", "-50.0%"]
         for name, count in counts.items():  # counts print in full, so equal reads as equal
             row = rows[ab_pairs.LAYERS.index(name)].split()
             assert row[1:] == [str(count), str(count), "+0.0%"]
+        # a count that reads 0 is a reading, not a missing phase
+        copied_row = rows[ab_pairs.LAYERS.index("runtime.bytes_copied")].split()
+        assert copied_row[1:] == ["71592868", "0", "-100.0%"]
 
     def test_a_span_no_run_has_or_that_reads_zero_prints_dashes(self):
-        parent = [traced(**{"runtime.job2_map_s": 0.0}), traced()]
+        parent = [traced(**{"runtime.job2_map_s": 0.0, "runtime.bytes_copied": 0}), traced()]
         rows = ab_pairs.layer_table(parent, parent)[1:]
         assert rows[ab_pairs.LAYERS.index("runtime.job2_map_s")].split()[1:] == ["-", "-", "-"]
+        assert rows[ab_pairs.LAYERS.index("runtime.bytes_copied")].split()[1:] == ["0", "0", "-"]
+        assert rows[ab_pairs.LAYERS.index("runtime.shuffle_bytes")].split()[1:] == ["-", "-", "-"]
 
     def test_zero_reads_drop_out_of_one_sides_median_only(self):
         parent = [traced(**{"runtime.task_busy_s": value}) for value in (1.0, 2.0, 3.0)]

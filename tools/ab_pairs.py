@@ -27,8 +27,9 @@ then.  It runs the ruler and is not a second benchmark: it measures nothing itse
 ``--layers`` attributes the difference to the engine's phases: every pair also runs
 ``run.py ... --trace 1`` once per side (same seed, same alternation), and a second
 table per workload prints both sides' medians of the :data:`LAYERS` spans — each job's
-map and reduce phase, and the tasks' summed busy time — and of the pair evaluations and
-shuffle bytes, so the same table shows whether both sides computed and shipped the same.
+map and reduce phase, and the tasks' summed busy time — and of the pair evaluations,
+shuffle and broadcast bytes, so the same table shows whether both sides computed and
+shipped the same, and of the read-path bytes copied into private memory.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ LAYERS = (
     "runtime.task_busy_s",
     "runtime.evaluations",
     "runtime.shuffle_bytes",
+    "runtime.broadcast_bytes",
+    "runtime.bytes_copied",
 )
 
 
@@ -104,19 +107,21 @@ def layer_table(parent: list[dict], change: list[dict]) -> list[str]:
 
     ``parent`` and ``change`` are the ``--trace 1`` runs' JSON objects.  A
     span a run lacks or reads 0 (the workload has no such phase) is left
-    out of that side's median; ``-`` when no run has it.  Spans print to
+    out of that side's median, a count only when the run lacks it (0
+    copied bytes is a reading); ``-`` when no run has it.  Spans print to
     four significant digits, counts in full.
     """
     rows = [f"{'layer (--trace 1)':<26}{'parent median':>16}{'change median':>16}{'change':>9}"]
     for name in LAYERS:
+        span = name.endswith("_s")
         medians = []
         for runs in (parent, change):
             values = [run["metrics"].get(name, {}).get("value") for run in runs]
-            values = [value for value in values if value]
+            values = [value for value in values if value is not None and (value or not span)]
             medians.append(statistics.median(values) if values else None)
         base, new = medians
         relative = f"{(new - base) / base:+9.1%}" if base and new is not None else f"{'-':>9}"
-        form = ">16.4g" if name.endswith("_s") else ">16.15g"
+        form = ">16.4g" if span else ">16.15g"
         shown = [format(value, form) if value is not None else f"{'-':>16}" for value in medians]
         rows.append(f"{name:<26}{shown[0]}{shown[1]}{relative}")
     return rows
