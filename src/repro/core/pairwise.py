@@ -825,7 +825,7 @@ class PairwiseComputation:
         Built driver-side exactly once per run and shipped through the
         distributed cache / job config, so every task attempt — retries
         included — prunes against the same frozen state.  The suite joins the job's cache dict in place, so
-        beside a payload store it stays one broadcast / shm segment.
+        beside a payload store it stays one broadcast file.
         """
         if self.pruning != "sketch":
             return
@@ -960,10 +960,10 @@ class PairwiseComputation:
         results_only = not getattr(self.aggregator, "needs_payload", True)
         config = {**self._job_config(), "results_only": results_only}
         on_shuffle = plan.inputs == "elements"
-        # Jobs that read the payload store share one cache dict → one
-        # broadcast / shm segment; under results_only only the compute job
-        # reads it.  The store is a root WorkingSetStore, pickled as a dict:
-        # each process's copy builds a kernel's matrix form at most once.
+        # Jobs that read the payload store share one cache dict; under
+        # results_only only the compute job reads it.  The store is a root
+        # WorkingSetStore, pickled as a dict: each process's copy builds a
+        # kernel's matrix form at most once.
         store = None if on_shuffle else {"dataset": WorkingSetStore(payloads=payloads)}
         jobs = [
             self._job(stage, config, None if results_only and index else store)

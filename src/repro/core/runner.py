@@ -119,7 +119,7 @@ def auto_pairwise(
     multiprocess engine is selected.  ``trace_sink`` goes to the engine
     this call builds (a serial one when ``auto_engine`` is off); pass it to
     your own ``engine`` instead when supplying one.  Any other engine
-    knob — a shared-memory data plane, a journal — is the engine's own:
+    knob — the ``/dev/shm`` data plane, a journal — is the engine's own:
     build ``MultiprocessEngine(...)`` and pass it as ``engine``.  The
     built engine is closed before returning, whichever branch ran.
 

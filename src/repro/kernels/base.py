@@ -146,8 +146,8 @@ def stack_rows(rows: Iterable[Any]) -> np.ndarray:
     """Dense 1-D payloads stacked into one ``(k, m)`` float64 matrix.
 
     ``np.asarray(..., dtype=float)`` on a float64 row is a zero-copy
-    pass-through — rows living in a shared-memory segment or an mmapped
-    spill file are read (never copied) straight from the shared buffer;
+    pass-through — rows living in an mmapped broadcast or spill file are
+    read (never copied) straight from the shared buffer;
     the stack is the store's single gather copy.
     """
     return np.stack([np.asarray(row, dtype=float) for row in rows])
@@ -207,9 +207,9 @@ class PairKernel(abc.ABC):
         returns, with no pruner and ``symmetric=True``; otherwise, and for
         a kernel without it, they call this method on the tiles' rows.
 
-        Payload arrays may be **read-only zero-copy views** over a shared
-        data plane (a shared-memory segment or an mmapped spill file —
-        see :mod:`repro.mapreduce.shm`): kernels must never write to a
+        Payload arrays may be **read-only zero-copy views** over an
+        mmapped broadcast or spill file (see
+        :mod:`repro.mapreduce.serialization`): kernels must never write to a
         payload buffer, and their ingest conversions must pass matching
         dtypes through as views (``np.asarray`` on a float64 row shares
         memory) rather than forcing private copies.

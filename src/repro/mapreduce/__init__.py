@@ -63,13 +63,13 @@ from .runtime import (
     MultiprocessEngine,
     SerialEngine,
     choose_engine,
+    shm_available,
 )
 from .serialization import (
     SizedPayload,
     SpillCorruptionError,
     record_size,
 )
-from .shm import SegmentRef, shm_available
 from .shuffle import hash_partition, sort_and_group, stable_hash
 from .splits import Split, split_by_count
 
@@ -110,7 +110,6 @@ __all__ = [
     "SHUFFLE_BYTES",
     "SHUFFLE_MODES",
     "SHUFFLE_RECORDS",
-    "SegmentRef",
     "SerialEngine",
     "SizedPayload",
     "SlowFault",

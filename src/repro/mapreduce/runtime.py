@@ -50,7 +50,6 @@ job counters so serial and pooled runs stay bit-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import shutil
@@ -88,7 +87,6 @@ from .fusion import fusable
 from .job import Job, JobResult, KeyValue, TaskFailedError, TaskLostError
 from .journal import JobJournal
 from .serialization import SpillCorruptionError, write_encoded
-from .shm import SegmentHost, shm_available
 from .spill import parse_spill_file_name
 from .splits import Split, split_by_count
 from .stats import EngineStats, ShuffleState
@@ -126,13 +124,26 @@ _POLL_SECONDS = 0.05
 #: shuffle data planes a :class:`MultiprocessEngine` supports
 SHUFFLE_MODES = ("direct", "relay")
 
-#: broadcast data planes a :class:`MultiprocessEngine` supports:
-#: ``"default"`` ships the distributed cache inside the per-job broadcast
-#: file (NPB1-framed; workers map it and read ndarray payloads as
-#: read-only views over the page cache); ``"shm"`` materializes it once
-#: per machine in POSIX shared memory and workers attach read-only
-#: zero-copy views (see :mod:`repro.mapreduce.shm`).
+#: broadcast data planes a :class:`MultiprocessEngine` supports.  Both
+#: ship the distributed cache inside the per-job broadcast file
+#: (NPB1-framed; workers map it and read ndarray payloads as read-only
+#: views over the page cache); they differ only in where that file lives:
+#: the engine's disk temp dir (``"default"``) or :data:`SHM_DIR`
+#: (``"shm"``).
 DATA_PLANES = ("default", "shm")
+
+#: the tmpfs the ``"shm"`` plane writes its broadcast files to
+SHM_DIR = "/dev/shm"
+
+
+def shm_available() -> bool:
+    """Whether :data:`SHM_DIR` is a writable directory (the ``"shm"`` plane's home).
+
+    Some containers mount no ``/dev/shm``; the engine then downgrades to
+    the default data plane instead of failing the first job.
+    """
+    return os.path.isdir(SHM_DIR) and os.access(SHM_DIR, os.W_OK)
+
 
 class Engine:
     """Shared orchestration: split planning, shuffle accounting, result.
@@ -657,18 +668,15 @@ def choose_engine(
 def _dispose(resources: dict) -> None:
     """Shut down a pooled engine's externals (idempotent; GC-safe).
 
-    Order matters: workers go first so nothing is attached to a shared
-    segment when the host unlinks it.
+    Workers go first, then the directories they read and wrote.
     """
     pool = resources.pop("pool", None)
     if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
-    segments = resources.pop("segments", None)
-    if segments is not None:
-        segments.close()
-    tmpdir = resources.pop("tmpdir", None)
-    if tmpdir is not None:
-        tmpdir.cleanup()
+    for key in ("shmdir", "tmpdir"):
+        tmpdir = resources.pop(key, None)
+        if tmpdir is not None:
+            tmpdir.cleanup()
 
 
 class MultiprocessEngine(Engine):
@@ -688,15 +696,16 @@ class MultiprocessEngine(Engine):
     either way.  ``data_plane`` picks the broadcast data plane:
     ``"default"`` ships the distributed cache inside every job's
     NPB1-framed broadcast file, which workers map (ndarray payloads are
-    read-only views over the one page-cached file), ``"shm"``
-    materializes it once per machine in POSIX shared memory (workers
-    attach read-only zero-copy views — see :mod:`repro.mapreduce.shm`).
-    Either way a pair function or kernel must not write into a cached
+    read-only views over the one page-cached file), ``"shm"`` writes
+    that same file to ``/dev/shm`` instead of the engine's disk temp dir
+    (a job whose file does not fit there falls back to disk).  Either
+    way a pair function or kernel must not write into a cached
     payload: writing into a contiguous ndarray payload raises.  Where
-    shared memory is unavailable the engine silently downgrades to ``"default"``
-    (check :attr:`data_plane` after construction).  Outputs are
-    bit-identical across data planes too.  ``trace_sink`` receives the
-    run's structured events (see :class:`Engine`).
+    ``/dev/shm`` is not a writable directory the engine silently
+    downgrades to ``"default"`` (check :attr:`data_plane` after
+    construction).  Outputs are bit-identical across data planes too.
+    ``trace_sink`` receives the run's structured events (see
+    :class:`Engine`).
 
     ``journal_dir`` (direct mode only) attaches a durable
     :class:`~repro.mapreduce.journal.JobJournal`: job specs, attempt
@@ -746,7 +755,7 @@ class MultiprocessEngine(Engine):
         self.max_workers = max_workers
         self._shuffle_mode = shuffle_mode
         if data_plane == "shm" and not shm_available():
-            data_plane = "default"  # no POSIX shm here: degrade, don't fail
+            data_plane = "default"  # no /dev/shm here: degrade, don't fail
         self._data_plane = data_plane
         self.stats = EngineStats()
         self._job_seq = 0
@@ -771,7 +780,7 @@ class MultiprocessEngine(Engine):
         """The engine's broadcast data plane (``"default"`` or ``"shm"``).
 
         Reflects the *effective* plane: an engine built with
-        ``data_plane="shm"`` on a box without working POSIX shared memory
+        ``data_plane="shm"`` on a box without a writable ``/dev/shm``
         reports ``"default"`` here.
         """
         return self._data_plane
@@ -801,19 +810,21 @@ class MultiprocessEngine(Engine):
             self.stats.pools_created += 1
         return pool
 
-    def _broadcast_dir(self) -> Path:
-        tmpdir = self._resources.get("tmpdir")
+    def _temp_dir(self, key: str = "tmpdir", **where: str) -> Path:
+        """The engine-owned temp dir under ``key``, made on first use.
+
+        ``"tmpdir"`` (on disk) holds broadcast files, spill files and
+        extsort scratch; ``"shmdir"`` (on ``/dev/shm``) the shm plane's
+        broadcast files.  Both are removed with the pool (:func:`_dispose`).
+        """
+        tmpdir = self._resources.get(key)
         if tmpdir is None:
-            tmpdir = tempfile.TemporaryDirectory(prefix="repro-engine-")
-            self._resources["tmpdir"] = tmpdir
+            tmpdir = tempfile.TemporaryDirectory(**where)
+            self._resources[key] = tmpdir
         return Path(tmpdir.name)
 
-    def _segment_host(self) -> SegmentHost:
-        host = self._resources.get("segments")
-        if host is None:
-            host = SegmentHost()
-            self._resources["segments"] = host
-        return host
+    def _scratch_dir(self) -> Path:
+        return self._temp_dir(prefix="repro-engine-")
 
     # -- engine hooks ----------------------------------------------------------
     def _job_handle(self, job: Job) -> JobRef:
@@ -822,13 +833,10 @@ class MultiprocessEngine(Engine):
         The file is NPB1-framed straight from the job's buffers
         (:func:`~repro.mapreduce.serialization.write_encoded`), so
         ndarray payloads are neither joined here nor copied by the
-        workers that map it.  On the shm plane a job with a distributed
-        cache is split: the cache goes to a per-machine shared segment
-        (one per distinct cache object — jobs sharing a cache dict share
-        the segment) and the broadcast file ships only the cache-less
-        head plus the :class:`~repro.mapreduce.shm.SegmentRef`.  If materialization
-        fails (e.g. ``/dev/shm`` filled up mid-run) the job falls back to
-        the default plane on its own.
+        workers that map it.  On the shm plane the file (and its
+        began-marker directory) is written to ``/dev/shm``; if that
+        write fails (e.g. ``/dev/shm`` filled up mid-run) the partial
+        file is removed and this job's file goes to disk instead.
         """
         self._job_seq += 1
         # Journaled uids must not collide across driver processes: the
@@ -838,28 +846,25 @@ class MultiprocessEngine(Engine):
             if self._journal is not None
             else f"job-{self._job_seq}"
         )
-        cache_ref = None
-        if self._data_plane == "shm" and job.cache:
+        name, path = f"{uid}.pkl", None
+        if self._data_plane == "shm":
             try:
-                cache_ref, created = self._segment_host().materialize(uid, job.cache)
+                path = self._temp_dir("shmdir", prefix="repro-shm-", dir=SHM_DIR) / name
+                written = write_encoded(path, job)
             except OSError:
-                cache_ref = None
-            else:
-                if created:
-                    self.stats.shm_segments += 1
-                    self.stats.shm_bytes += created
-                job = dataclasses.replace(job, cache={})
-        path = self._broadcast_dir() / f"{uid}.pkl"
-        written = write_encoded(path, job)
+                if path is not None:
+                    path.unlink(missing_ok=True)
+                path = None
+        if path is None:
+            path = self._scratch_dir() / name
+            written = write_encoded(path, job)
         path.with_suffix(".began").mkdir()  # attempt-began markers (tasks.marker_path)
         self.stats.jobs_broadcast += 1
         self.stats.broadcast_bytes += written
-        return JobRef(uid=uid, path=str(path), cache_ref=cache_ref)
+        return JobRef(uid=uid, path=str(path))
 
     def _release_job(self, handle: Any) -> None:
         if isinstance(handle, JobRef):
-            if handle.cache_ref is not None:
-                self._segment_host().release(handle.uid)
             base = Path(handle.path)
             base.unlink(missing_ok=True)
             # A straggler may still touch its attempt-began marker.  Moving
@@ -874,7 +879,7 @@ class MultiprocessEngine(Engine):
             shutil.rmtree(tombstone, ignore_errors=True)
             # The job's spill files go with it — including orphans left by
             # lost attempts.
-            shutil.rmtree(base.parent / f"{handle.uid}-shuffle", ignore_errors=True)
+            shutil.rmtree(self._scratch_dir() / f"{handle.uid}-shuffle", ignore_errors=True)
 
     def _shuffle_dir(self, handle: Any) -> str:
         assert isinstance(handle, JobRef)
@@ -883,7 +888,7 @@ class MultiprocessEngine(Engine):
             # on storage that outlives this driver process.
             path = self._journal.shuffle_dir(handle.uid)
         else:
-            path = Path(handle.path).parent / f"{handle.uid}-shuffle"
+            path = self._scratch_dir() / f"{handle.uid}-shuffle"
         path.mkdir(exist_ok=True)
         return str(path)
 
@@ -1118,13 +1123,6 @@ class MultiprocessEngine(Engine):
             for attempt in lost:
                 tracker.kill(attempt, now=now)
             self._teardown_pool(kill=True)
-            host = self._resources.get("segments")
-            if host is not None:
-                # A crashed worker's resource tracker may have swept
-                # segments it attached; rebuild them under their original
-                # names so already-pickled refs in re-dispatched specs
-                # keep resolving.
-                self.stats.shm_segments_revived += host.revive()
             for attempt in lost:
                 spec = specs[attempt.task_index]
                 if isinstance(spec.job, JobRef) and marker_path(

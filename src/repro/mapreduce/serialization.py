@@ -30,11 +30,10 @@ file, never as different records.
 
 **Zero-copy chunk reads.**  The decoder accepts ``bytes`` or any buffer
 (``memoryview``), so callers never need an intermediate ``bytes`` copy of
-a chunk that already lives somewhere — an ``mmap``'d file
-(:func:`read_chunk_view`: spill files, extsort runs, the per-job
-broadcast file :func:`write_encoded` wrote) or a shared-memory segment
-(:mod:`repro.mapreduce.shm`).  The process-local :data:`io_meter` counts
-what the read path actually did: ``mmap_reads`` for views served without
+a chunk that already lives in an ``mmap``'d file (:func:`read_chunk_view`:
+spill files, extsort runs, the per-job broadcast file :func:`write_encoded`
+wrote).  The process-local :data:`io_meter` counts what the read path
+actually did: ``mmap_reads`` for views served without
 copying, ``bytes_copied`` for payload bytes slurped into process-private
 buffers (unmappable files, relayed chunks).
 Task executors snapshot it around each task so the driver can aggregate
@@ -288,28 +287,6 @@ def _frame_parts(obj: Any) -> list[Any]:
     return parts
 
 
-def _encode_with_buffers(obj: Any) -> bytes:
-    """The wire bytes of :func:`_frame_parts`: raw data joined in exactly once."""
-    return b"".join(_frame_parts(obj))
-
-
-def _decode_with_buffers(data: bytes | memoryview) -> Any:
-    """Decode either wire layout; framed buffers are zero-copy views."""
-    view = memoryview(data)
-    if bytes(view[: len(_BUFFER_MAGIC)]) != _BUFFER_MAGIC:
-        return pickle.loads(view)
-    offset = len(_BUFFER_MAGIC)
-    (count,) = struct.unpack_from("<I", view, offset)
-    offset += 4
-    buffers: list[memoryview] = []
-    for _ in range(count):
-        (length,) = struct.unpack_from("<Q", view, offset)
-        offset += 8
-        buffers.append(view[offset : offset + length])
-        offset += length
-    return pickle.loads(view[offset:], buffers=buffers)
-
-
 def encode_records(records: list[tuple[Any, Any]]) -> bytes:
     """Encode one shuffle partition chunk (a record list) to wire bytes.
 
@@ -317,9 +294,10 @@ def encode_records(records: list[tuple[Any, Any]]) -> bytes:
     forward chunks to reduce tasks *without ever decoding them* — the
     streaming-shuffle half of the persistent-pool engine.  Chunks carrying
     ndarray payloads use the framed out-of-band buffer layout (see module
-    docstring); anything else stays plain pickle.
+    docstring), raw data joined in exactly once; anything else stays
+    plain pickle.
     """
-    return _encode_with_buffers(records)
+    return b"".join(_frame_parts(records))
 
 
 def write_encoded(path: str | Path, obj: Any) -> int:
@@ -339,10 +317,23 @@ def decode_records(data: bytes | memoryview) -> list[tuple[Any, Any]]:
     """Decode a partition chunk produced by :func:`encode_records`.
 
     Accepts the wire ``bytes`` or a view over them (an ``mmap``'d spill
-    file, a shared-memory segment); framed ndarray payloads come back as
-    zero-copy views over whatever buffer ``data`` wraps.
+    or broadcast file); either layout decodes, and framed ndarray
+    payloads come back as zero-copy views over whatever buffer ``data``
+    wraps.
     """
-    return _decode_with_buffers(data)
+    view = memoryview(data)
+    if bytes(view[: len(_BUFFER_MAGIC)]) != _BUFFER_MAGIC:
+        return pickle.loads(view)
+    offset = len(_BUFFER_MAGIC)
+    (count,) = struct.unpack_from("<I", view, offset)
+    offset += 4
+    buffers: list[memoryview] = []
+    for _ in range(count):
+        (length,) = struct.unpack_from("<Q", view, offset)
+        offset += 8
+        buffers.append(view[offset : offset + length])
+        offset += length
+    return pickle.loads(view[offset:], buffers=buffers)
 
 
 def read_chunk_view(path: str | Path) -> memoryview:

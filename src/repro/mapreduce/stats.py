@@ -33,17 +33,14 @@ class EngineStats:
     ``spill_bytes_written`` their payload bytes; ``fused_stages`` the
     reduce→map short-circuits taken by fused chaining.
 
-    The zero-copy meters quantify the ``data_plane="shm"`` payoff:
-    ``shm_segments``/``shm_bytes`` count the shared-memory segments the
-    driver materialized and their payload bytes (one per distinct cache
-    object per machine — jobs sharing a cache share a segment);
-    ``shm_segments_revived`` segments rebuilt after a pool crash.
-    ``mmap_reads`` and ``bytes_copied`` aggregate the workers'
-    :data:`~repro.mapreduce.serialization.io_meter` deltas: chunk files
-    mapped instead of slurped, and payload bytes that *were* copied into
-    private process memory on the read path (eager file reads, broadcast
-    localizations, driver-relayed chunks — shm attaches and mmap reads
-    count zero).
+    The zero-copy meters ``mmap_reads`` and ``bytes_copied`` aggregate
+    the workers' :data:`~repro.mapreduce.serialization.io_meter` deltas:
+    chunk files mapped instead of slurped (broadcast files on either data
+    plane, spill files, extsort runs), and payload bytes that *were*
+    copied into private process memory on the read path (eager reads of
+    unmappable files, driver-relayed chunks — mmap reads count zero).
+    ``broadcast_bytes`` counts the broadcast files written on either
+    plane, the distributed cache included.
 
     The durability meters track journaling and integrity recovery:
     ``journal_events`` counts fsync'd journal appends; ``tasks_resumed``
@@ -81,9 +78,6 @@ class EngineStats:
     spill_files_written: int = 0
     spill_bytes_written: int = 0
     fused_stages: int = 0
-    shm_segments: int = 0
-    shm_bytes: int = 0
-    shm_segments_revived: int = 0
     mmap_reads: int = 0
     bytes_copied: int = 0
     journal_events: int = 0

@@ -67,7 +67,6 @@ from .serialization import (
     read_chunk_view,
     record_size,
 )
-from .shm import attach_object, detach_object
 from .shuffle import iter_spill_records, partition_with_sizes, sort_and_group
 from .spill import spill_partitions
 
@@ -90,10 +89,6 @@ class JobRef:
 
     uid: str
     path: str
-    #: shm data plane: the job's distributed cache lives in this shared
-    #: segment (a :class:`~repro.mapreduce.shm.SegmentRef`) instead of the
-    #: broadcast file; ``None`` on the default plane
-    cache_ref: Any | None = None
 
 
 @dataclass
@@ -282,9 +277,8 @@ def resolve_job(handle: Any) -> tuple[Job, dict]:
     from one ``mmap`` of it: the cache's ndarray payloads come back as
     read-only views over the page-cached file, shared by every worker on
     the machine, and the load counts as one ``mmap_reads``, not as copied
-    bytes.  On the shm data plane the ref carries a ``cache_ref`` and the
-    broadcast file ships *without* the cache; the cache is attached from
-    the shared segment here, as read-only views over that segment.
+    bytes.  Both data planes take this path; the shm plane's file just
+    lives on ``/dev/shm``.
     """
     if isinstance(handle, Job):
         return handle, {"pid": os.getpid(), "loaded": False}
@@ -293,8 +287,6 @@ def resolve_job(handle: Any) -> tuple[Job, dict]:
         return entry[1], {"pid": os.getpid(), "loaded": False}
     _forget_released_jobs()  # before the load: never two stores where one will do
     job = decode_records(read_chunk_view(handle.path))
-    if handle.cache_ref is not None:
-        job.cache = attach_object(handle.cache_ref)
     _WORKER_JOBS[handle.uid] = (handle, job)
     return job, {"pid": os.getpid(), "loaded": True}
 
@@ -307,17 +299,11 @@ def _forget_released_jobs() -> None:
     be asked for again.  The cap only bounds what is genuinely in
     flight (a long chain: its jobs are released together when it ends).
     """
-
-    def forget(uid: str) -> None:
-        ref, _job = _WORKER_JOBS.pop(uid)
-        if ref.cache_ref is not None:
-            detach_object(ref.cache_ref)
-
     for uid, (ref, _job) in list(_WORKER_JOBS.items()):
         if not os.path.exists(ref.path):
-            forget(uid)
+            del _WORKER_JOBS[uid]
     while len(_WORKER_JOBS) >= _WORKER_JOB_CAP:
-        forget(next(iter(_WORKER_JOBS)))
+        del _WORKER_JOBS[next(iter(_WORKER_JOBS))]
 
 
 def _with_io_delta(info: dict, mark: tuple[int, int]) -> dict:

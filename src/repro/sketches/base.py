@@ -4,8 +4,8 @@ Everything a pruner needs travels in one :class:`SketchSuite`: plain
 metadata plus contiguous ndarrays indexed by element id (row 0 unused —
 elements are 1-indexed like the rest of the pairwise layer).  The suite
 is a picklable dataclass of ndarrays, so it rides the distributed cache
-like any other cache object and the shm data plane shares its buffers
-zero-copy (pickle protocol 5 out-of-band buffers).
+like any other cache object and pool workers read its buffers zero-copy
+from the mapped broadcast file (pickle protocol 5 out-of-band buffers).
 
 Term hashing goes through blake2b, **not** ``hash(str)``: Python string
 hashing is salted per process (PYTHONHASHSEED), and pruning decisions

@@ -76,7 +76,7 @@ from repro.mapreduce.faults import CrashFault, FaultPlan
 from repro.mapreduce.job import Context, JobResult
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 from repro.mapreduce.serialization import SizedPayload, record_size
-from repro.mapreduce.shm import shm_available
+from repro.mapreduce.runtime import shm_available
 
 V = 20
 THRESHOLD = 5.0
@@ -250,7 +250,7 @@ def test_preset_carries_every_payload_kind(path, scheme, kind, engine, engines):
             id="shm",
             marks=[
                 pytest.mark.shm,
-                pytest.mark.skipif(not shm_available(), reason="POSIX shared memory unavailable"),
+                pytest.mark.skipif(not shm_available(), reason="/dev/shm is not a writable directory"),
             ],
         ),
     ],

@@ -27,6 +27,7 @@ from repro.core.runner import auto_pairwise
 from repro.core.validate import balance_report, check_exactly_once
 from repro.designs.difference_covers import difference_cover
 from repro.mapreduce import MultiprocessEngine, SerialEngine
+from repro.mapreduce.runtime import shm_available
 from repro.mapreduce.serialization import estimate_element_size
 
 
@@ -266,8 +267,8 @@ class TestEngineParity:
         )
 
     @pytest.mark.shm
+    @pytest.mark.skipif(not shm_available(), reason="/dev/shm is not a writable directory")
     def test_shm_plane_parity(self):
-        pytest.importorskip("multiprocessing.shared_memory")
         with MultiprocessEngine(max_workers=2, data_plane="shm") as engine:
             pooled = PairwiseComputation(QuorumScheme(V), abs_diff, engine=engine)
             merged = pooled.run_cached(DATA)

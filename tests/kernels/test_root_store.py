@@ -33,7 +33,7 @@ from repro.core.pairwise import PairwiseComputation
 from repro.kernels import CsrCosineKernel, DenseDotKernel, WorkingSetStore
 from repro.kernels.base import stack_rows
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
-from repro.mapreduce.shm import shm_available
+from repro.mapreduce.runtime import shm_available
 from repro.workloads.generator import make_documents
 
 V = 24
@@ -97,7 +97,7 @@ ENGINES = [
         id="pool-shm",
         marks=[
             pytest.mark.shm,
-            pytest.mark.skipif(not shm_available(), reason="POSIX shared memory unavailable"),
+            pytest.mark.skipif(not shm_available(), reason="/dev/shm is not a writable directory"),
         ],
     ),
 ]

@@ -17,7 +17,7 @@ from repro.mapreduce.runtime import (
     SerialEngine,
 )
 from repro.mapreduce.serialization import SizedPayload
-from repro.mapreduce.shm import shm_available
+from repro.mapreduce.runtime import shm_available
 
 from . import wordcount
 from .wordcount import wordcount_job
@@ -95,12 +95,12 @@ class TestBroadcastOncePerWorker:
 
 
 class ResidentJobsMapper(Mapper):
-    """Probe: how many jobs (and shm attachments) this worker still holds."""
+    """Probe: how many jobs this worker still holds."""
 
     def map(self, key, value, context):
-        from repro.mapreduce import shm, tasks
+        from repro.mapreduce import tasks
 
-        context.emit(len(tasks._WORKER_JOBS), len(shm._ATTACHED))
+        context.emit("jobs", len(tasks._WORKER_JOBS))
 
 
 @pytest.mark.parametrize(
@@ -111,7 +111,7 @@ class ResidentJobsMapper(Mapper):
             "shm",
             marks=[
                 pytest.mark.shm,
-                pytest.mark.skipif(not shm_available(), reason="POSIX shared memory unavailable"),
+                pytest.mark.skipif(not shm_available(), reason="/dev/shm is not a writable directory"),
             ],
         ),
     ],
@@ -124,7 +124,7 @@ def test_workers_let_go_of_released_jobs(plane):
             engine.run(job, records_from(LINES), num_map_tasks=4)
         probe = Job(name="probe", mapper=ResidentJobsMapper, reducer=None)
         resident = engine.run(probe, records_from(LINES), num_map_tasks=4).records
-    assert resident and all(jobs <= 2 and segments <= 2 for jobs, segments in resident)
+    assert resident and all(jobs <= 2 for _key, jobs in resident)
 
 
 class TestStreamingShuffleAccounting:

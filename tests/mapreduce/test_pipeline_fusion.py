@@ -115,10 +115,10 @@ def fused_so_far(engine):
 
 
 def leftovers(engine):
-    """Job artifacts still in the engine's broadcast dir (serial has none)."""
+    """Job artifacts still in the engine's disk temp dir (serial has none)."""
     if engine.kind == "serial":
         return []
-    root = engine._broadcast_dir()
+    root = engine._scratch_dir()
     return sorted(
         path.name
         for pattern in ("*.pkl", "*.began", "*.released", "*-shuffle")
@@ -196,7 +196,7 @@ def test_a_straggler_touching_its_marker_during_release_leaves_nothing(monkeypat
         monkeypatch.setattr(os, "rmdir", rmdir_racing_the_straggler)
         engine._release_job(handle)
         monkeypatch.undo()
-        assert sorted(path.name for path in engine._broadcast_dir().iterdir()) == []
+        assert sorted(path.name for path in engine._scratch_dir().iterdir()) == []
 
 
 class TestFusionHappens:

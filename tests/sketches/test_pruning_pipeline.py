@@ -28,7 +28,7 @@ from repro.core.pairwise import (
 )
 from repro.mapreduce import MultiprocessEngine
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.shm import shm_available
+from repro.mapreduce.runtime import shm_available
 from repro.workloads.generator import make_documents
 
 V = 23
@@ -62,7 +62,7 @@ class TestDataPlaneParity:
                 "shm",
                 marks=pytest.mark.skipif(
                     not shm_available(),
-                    reason="POSIX shared memory unavailable",
+                    reason="/dev/shm is not a writable directory",
                 ),
             ),
         ],

@@ -359,6 +359,9 @@ class TestThePeripheryIsGone:
         "mapreduce/streaming.py": ("StreamingMapper", "StreamingProtocolError", "StreamingReducer"),
         "mapreduce/partitioners.py": ("RangePartitioner", "is_globally_sorted"),
         "core/incremental.py": ("BatchReport", "IncrementalPairwise"),
+        "mapreduce/shm.py": (
+            "SegmentHost", "SegmentRef", "attach_object", "detach_all", "detach_object",
+        ),
     }
 
     def test_the_six_files_are_absent(self):
