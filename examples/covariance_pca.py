@@ -13,7 +13,7 @@ Run:  python examples/covariance_pca.py
 
 import numpy as np
 
-from repro import BlockScheme, PairwiseComputation, results_matrix
+from repro import BlockScheme, PairwiseComputation
 from repro.apps import (
     assemble_covariance,
     center_rows,
@@ -35,7 +35,7 @@ def main() -> None:
     scheme = BlockScheme(ROWS, h=5)
     computation = PairwiseComputation(scheme, row_inner_product)
     merged = computation.run(rows)
-    products = results_matrix(merged)
+    products = merged.pairs()
 
     cov = assemble_covariance(products, rows)
     expected = covariance_reference(A)

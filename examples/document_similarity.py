@@ -14,7 +14,7 @@ Prints agreement plus the work each method did.
 Run:  python examples/document_similarity.py
 """
 
-from repro import DesignScheme, PairwiseComputation, results_matrix
+from repro import DesignScheme, PairwiseComputation
 from repro.apps import build_tfidf, cosine_similarity, elsayed_similarity, most_similar
 from repro.core.pairwise import EVALUATIONS, PAIRWISE_GROUP
 from repro.workloads import make_documents
@@ -31,7 +31,7 @@ def main() -> None:
     # Route 1: generic pairwise under the design scheme.
     computation = PairwiseComputation(DesignScheme(V), cosine_similarity)
     merged, pipeline = computation.run(vectors, return_pipeline=True)
-    generic = results_matrix(merged)
+    generic = merged.pairs()
     generic_evals = pipeline.counters.get(PAIRWISE_GROUP, EVALUATIONS)
 
     # Route 2: the §2 baseline (term postings → per-term pair products).

@@ -11,7 +11,7 @@ relevance network, and checks the planted edges are recovered.
 Run:  python examples/gene_network.py
 """
 
-from repro import BroadcastScheme, PairwiseComputation, results_matrix
+from repro import BroadcastScheme, PairwiseComputation
 from repro.apps import MutualInformationComp, build_relevance_network
 from repro.workloads import make_expression_matrix
 
@@ -32,7 +32,7 @@ def main() -> None:
     scheme = BroadcastScheme(GENES, num_tasks=8)
     computation = PairwiseComputation(scheme, MutualInformationComp(bins=8))
     merged = computation.run_broadcast_job(profiles)
-    mi = results_matrix(merged)
+    mi = merged.pairs()
 
     network = build_relevance_network(mi, GENES, THRESHOLD)
     planted = {(2 * k + 2, 2 * k + 1) for k in range(PLANTED)}

@@ -16,8 +16,8 @@ from repro.cluster import ClusterSimulator, ClusterSpec, NodeSpec
 from repro.core import (
     BlockScheme,
     HierarchicalBlockScheme,
+    PairResults,
     brute_force_results,
-    results_matrix,
     run_rounds,
 )
 
@@ -56,7 +56,7 @@ def main() -> None:
     # of the same schedule shape).
     small = [float((x * 13 + 7) % 101) for x in range(60)]
     out = run_rounds(small, distance, HierarchicalBlockScheme(60, 6, 4))
-    assert results_matrix(out) == brute_force_results(small, distance)
+    assert PairResults.of(out).pairs() == brute_force_results(small, distance)
     print("\nround-by-round execution matches brute force ✓")
 
 

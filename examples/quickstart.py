@@ -14,7 +14,6 @@ from repro import (
     BroadcastScheme,
     DesignScheme,
     PairwiseComputation,
-    results_matrix,
 )
 
 
@@ -41,7 +40,7 @@ def main() -> None:
         # then aggregate. The result maps element id -> Element with the
         # pairwise results against every other element.
         elements = computation.run(data)
-        pairs = results_matrix(elements)
+        pairs = elements.pairs()
 
         if reference is None:
             reference = pairs

@@ -5,20 +5,31 @@ limits (maxws, maxis, node count), pick the distribution scheme the
 paper's own analysis recommends:
 
 1. **broadcast** when the whole dataset fits a task slot (``v·s ≤ maxws``)
-   — cheapest structure, one-job execution;
+   and its p-fold replication fits ``maxis`` — cheapest structure, one-job
+   execution;
 2. otherwise **block** when a valid blocking factor exists
    (``v·s ≤ sqrt(maxws·maxis/2)``), choosing h inside the Fig 9a
    interval (minimal h ⇒ minimal replication/communication by Table 1,
    optionally balanced against a minimum task count for parallelism);
-3. otherwise **quorum** when v is *not* an exact plane size — the design
-   scheme would pad v up to the next prime plane and replicate ``q + 1``
-   times, while a difference cover of Z_v exists for the exact v at
-   ``|D| ≈ √v``; chosen when the cover fits both limits and strictly
-   beats the padded design replication;
-4. otherwise **design** when its working set and intermediate storage
-   both fit;
-5. otherwise a **hierarchical** two-level block schedule with the
+3. otherwise the **√v step**: build the two √v schemes — the design
+   scheme on the smallest GF(q) plane (prime-power orders, truncated to
+   v) and the difference-cover quorum — and keep those whose own
+   :meth:`~repro.core.scheme.DistributionScheme.metrics` fit both
+   limits; the lowest replication wins, then the smaller working set,
+   then design.  Replication at a fixed reducer size is the cost to
+   minimise ("Upper and Lower Bounds on the Cost of a Map-Reduce
+   Computation"), and the quorum is the plane wherever v is a plane size
+   (Kleinheksel & Somani), so the two compete on their real Table-1
+   rows, not on the ``√v`` approximation.  A candidate whose floor
+   cannot fit is not built: a truncated plane keeps a line of at least
+   q points and replicates at least ``(v−1)/q`` times, a cover has
+   ``|D|(|D|−1) ≥ v−1`` and replicates ``|D|`` times;
+4. otherwise a **hierarchical** two-level block schedule with the
    smallest coarse factor H whose per-round requirements fit (§7).
+
+Every flat scheme returned fits: its own ``metrics()`` working set is at
+most ``maxws`` and its intermediate bytes at most ``maxis``
+(:meth:`~repro.core.scheme.SchemeMetrics.fits`).
 
 The returned :class:`SchemeChoice` carries the configured scheme (or
 schedule) plus a rationale trail suitable for logging.
@@ -49,14 +60,11 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .._util import ceil_div, format_bytes
+from ..designs.difference_covers import cover_size_lower_bound
+from ..designs.primes import plane_order_for
 from .block import BlockScheme
 from .broadcast import BroadcastScheme
-from .cost_model import (
-    block_h_bounds,
-    max_v_broadcast,
-    max_v_design_memory,
-    max_v_design_storage,
-)
+from .cost_model import block_h_bounds
 from .design import DesignScheme
 from .hierarchical import HierarchicalBlockScheme
 from .quorum import QuorumScheme
@@ -137,7 +145,6 @@ def choose_scheme(
     num_nodes: int = 8,
     min_tasks: int | None = None,
     max_rounds: int = 10_000,
-    allow_prime_powers: bool = False,
 ) -> SchemeChoice:
     """Pick and configure the scheme the paper's analysis recommends.
 
@@ -154,9 +161,7 @@ def choose_scheme(
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
     if min_tasks is None:
         min_tasks = 2 * num_nodes
-    choice = _select_scheme(
-        v, element_size, maxws, maxis, num_nodes, min_tasks, max_rounds, allow_prime_powers
-    )
+    choice = _select_scheme(v, element_size, maxws, maxis, num_nodes, min_tasks, max_rounds)
     return route_payloads(choice, element_size, maxws=maxws, num_nodes=num_nodes)
 
 
@@ -168,9 +173,8 @@ def _select_scheme(
     num_nodes: int,
     min_tasks: int,
     max_rounds: int,
-    allow_prime_powers: bool,
 ) -> SchemeChoice:
-    """Steps 1–5 of the module docstring over validated arguments."""
+    """Steps 1–4 of the module docstring over validated arguments."""
     rationale: list[str] = [
         f"workload: v={v}, s={format_bytes(element_size)} "
         f"(dataset {format_bytes(v * element_size)}); "
@@ -178,25 +182,25 @@ def _select_scheme(
         f"n={num_nodes}"
     ]
     dataset_bytes = v * element_size
+    limits = dict(maxws=maxws, maxis=maxis)
 
-    # 1. Broadcast: dataset fits one task slot.
-    if v <= max_v_broadcast(element_size, maxws):
-        tasks = max(min_tasks, num_nodes)
-        # Replication = tasks; keep intermediate storage honest too.
-        if dataset_bytes * tasks <= maxis:
-            rationale.append(
-                f"broadcast: dataset fits a slot ({format_bytes(dataset_bytes)} "
-                f"<= {format_bytes(maxws)}); p={tasks} tasks"
-            )
-            return SchemeChoice(BroadcastScheme(v, tasks), rationale)
+    # 1. Broadcast: the dataset fits one task slot, its p copies fit maxis.
+    broadcast = BroadcastScheme(v, max(min_tasks, num_nodes))
+    if broadcast.metrics().fits(element_size, **limits):
         rationale.append(
-            "broadcast working set fits but p-fold intermediate storage "
-            "would exceed maxis; falling through to block"
+            f"broadcast: dataset fits a slot ({format_bytes(dataset_bytes)} "
+            f"<= {format_bytes(maxws)}); p={broadcast.num_tasks} tasks"
         )
-    else:
+        return SchemeChoice(broadcast, rationale)
+    if dataset_bytes > maxws:
         rationale.append(
             f"broadcast infeasible: working set {format_bytes(dataset_bytes)} "
             f"> maxws {format_bytes(maxws)}"
+        )
+    else:
+        rationale.append(
+            "broadcast working set fits but p-fold intermediate storage "
+            "would exceed maxis; falling through to block"
         )
 
     # 2. Block: valid h interval (Fig 9a), pick the smallest h that also
@@ -209,83 +213,75 @@ def _select_scheme(
             h += 1
         # The analytic lower bound uses the continuous 2vs/h; the real
         # working set is 2⌈v/h⌉·s, which can exceed maxws by one group's
-        # rounding — bump h until the discrete working set fits too.
-        while h < min(bounds.h_max, v) and 2 * ceil_div(v, h) * element_size > maxws:
+        # rounding — bump h until the scheme's own working set fits too
+        # (raising h only raises replication, so maxis is judged once, below).
+        h, h_top = min(h, v), min(bounds.h_max, v)
+        while h < h_top and BlockScheme(v, h).metrics().working_set_bytes(element_size) > maxws:
             h += 1
-        h = min(h, v)  # a factor beyond v is meaningless
-        if 2 * ceil_div(v, h) * element_size <= maxws:
+        block = BlockScheme(v, h)
+        if block.metrics().fits(element_size, **limits):
             rationale.append(
                 f"block: h ∈ [{bounds.h_min}, {bounds.h_max}] valid; chose h={h} "
                 f"({h * (h + 1) // 2} tasks, replication {h})"
             )
-            return SchemeChoice(BlockScheme(v, h), rationale)
+            return SchemeChoice(block, rationale)
         rationale.append(
-            "block: analytic h interval exists but the discrete working set "
-            "2⌈v/h⌉·s never fits; falling through"
+            f"block: analytic h interval exists but no h <= {h_top} has a row "
+            "that fits both maxws and maxis; falling through"
         )
     rationale.append(
         f"block infeasible: no valid h (needs vs <= "
         f"{format_bytes(int((maxws * maxis / 2) ** 0.5))})"
     )
 
-    # 3. Quorum: exact-v difference-cover working sets, preferred over a
-    #    padded design when the cover replicates strictly less.
-    from ..designs.difference_covers import difference_cover
-    from ..designs.primes import plane_order_for, plane_size
-
-    q = plane_order_for(v, allow_prime_powers=allow_prime_powers)
-    if plane_size(q) == v:
+    # 3. The √v step: the GF plane and the cover's quorum, each built and
+    #    judged by its own metrics; lowest replication, then smaller
+    #    working set, then design (listed first) wins.  A candidate whose
+    #    floor cannot fit is not built.  A truncated plane keeps a line of
+    #    >= q points, and a point meets its v−1 partners on lines of <= q
+    #    others, so it replicates >= (v−1)/q times; a cover has
+    #    k(k−1) >= v−1 and every element replicates k times.
+    q = plane_order_for(v, allow_prime_powers=True)
+    k = cover_size_lower_bound(v)
+    builders = [
+        (
+            "design", q, dataset_bytes * (v - 1) // q,
+            lambda: DesignScheme(v, allow_prime_powers=True, num_nodes=num_nodes),
+        ),
+        ("quorum", k, dataset_bytes * k, lambda: QuorumScheme(v)),
+    ]
+    feasible = []
+    for name, ws_floor, is_floor, build in builders:
+        if ws_floor * element_size > maxws or is_floor > maxis:
+            rationale.append(
+                f"{name} not built: even its floor ({ws_floor} elements per task = "
+                f"{format_bytes(ws_floor * element_size)}, "
+                f"{format_bytes(is_floor)} intermediate) exceeds a limit"
+            )
+            continue
+        scheme = build()
+        m = scheme.metrics()
+        ok = m.fits(element_size, **limits)
         rationale.append(
-            f"quorum not needed: v={v} is exactly the q={q} plane, "
-            "design pays no padding"
+            f"{scheme.describe()}: replication {m.replication_factor:.4g}, working set "
+            f"{format_bytes(m.working_set_bytes(element_size))}, intermediate "
+            f"{format_bytes(m.intermediate_bytes(element_size))} — "
+            + ("fits" if ok else "exceeds a limit")
         )
-    else:
-        cover = difference_cover(v)
-        k = cover.size
-        if k >= q + 1:
-            rationale.append(
-                f"quorum not competitive: |D|={k} ({cover.kind} cover) vs "
-                f"padded design replication {q + 1}"
-            )
-        elif k * element_size > maxws:
-            rationale.append(
-                f"quorum infeasible: working set |D|·s = "
-                f"{format_bytes(k * element_size)} > maxws"
-            )
-        elif v * k * element_size > maxis:
-            rationale.append(
-                f"quorum infeasible: intermediate v·|D|·s = "
-                f"{format_bytes(v * k * element_size)} > maxis"
-            )
-        else:
-            rationale.append(
-                f"quorum: design would pad v={v} to the q={q} plane "
-                f"(replication {q + 1}); {cover.kind} difference cover of "
-                f"Z_{v} replicates only |D|={k} — {v} tasks, working set "
-                f"{format_bytes(k * element_size)}"
-            )
-            return SchemeChoice(QuorumScheme(v, cover=cover), rationale)
+        if ok:
+            feasible.append((m.replication_factor, m.working_set_elements, scheme))
+    if feasible:
+        best = min(feasible, key=lambda row: row[:2])[2]
+        rationale.append(f"{best.name}: lowest replication among the √v schemes that fit")
+        return SchemeChoice(best, rationale)
 
-    # 4. Design: both its limits must hold.
-    if v <= max_v_design_storage(element_size, maxis) and v <= max_v_design_memory(
-        element_size, maxws
-    ):
-        rationale.append(
-            "design: √v working set and v√v·s intermediate both fit"
-        )
-        return SchemeChoice(
-            DesignScheme(v, allow_prime_powers=allow_prime_powers, num_nodes=num_nodes),
-            rationale,
-        )
-    rationale.append("design infeasible: √v·s or v^{3/2}·s exceeds a limit")
-
-    # 5. Hierarchical fallback: smallest H whose rounds fit both limits.
-    for H in range(2, v + 1):
+    # 4. Hierarchical fallback: smallest H whose rounds fit both limits.
+    #    A task holds two fine chunks of ⌈E/f⌉ elements, so a chunk takes at
+    #    most maxws // 2s of them...
+    chunk = maxws // (2 * element_size)
+    for H in range(2, v + 1) if chunk else ():
         E = ceil_div(v, H)  # coarse group size
-        # Fine factor must shrink 2E elements under maxws...
-        f_min = max(1, ceil_div(2 * E * element_size, maxws))
-        if f_min > E:
-            continue  # cannot tile finely enough
+        f_min = ceil_div(E, chunk)
         # ...while one round's replicas (≈ 2E·f) stay under maxis.
         if 2 * E * f_min * element_size > maxis:
             continue

@@ -18,9 +18,8 @@ counts, partner ids and results (:func:`encode_block`, the wire form) —
 and reach the caller as :class:`PairResults`, a ``{eid: Element}``
 mapping over those columns that builds an element only when it is looked
 up.  The flattened views (:meth:`PairResults.dense`,
-:meth:`PairResults.pairs`, and the adapters :func:`results_matrix`,
-:func:`ordered_results`, :func:`results_dense` that also take plain
-elements) read the columns.  :func:`check_pairs` is the columns' self-pair
+:meth:`PairResults.pairs`, and the adapters :func:`results_matrix` and
+:func:`ordered_results` that also take plain elements) read the columns.  :func:`check_pairs` is the columns' self-pair
 and duplicate check, worded like the single-pair
 :meth:`Element.add_result`, the public per-pair API.
 
@@ -386,8 +385,3 @@ def ordered_results(
 def results_matrix(elements: Mapping[int, Element] | Iterable[Element]) -> dict[tuple[int, int], Any]:
     """:meth:`PairResults.pairs` of ``elements`` (a run's results, or Elements)."""
     return PairResults.of(elements).pairs()
-
-
-def results_dense(elements: Mapping[int, Element] | Iterable[Element]) -> np.ndarray:
-    """:meth:`PairResults.dense` of ``elements``; plain Elements count ``v`` as how many."""
-    return PairResults.of(elements).dense()

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,25 +45,31 @@ from .._util import ceil_div, chunked, triangle_count
 from .design import DesignScheme
 from .element import Element, _elements_by_id
 from .pairwise import PairwiseComputation
-from .scheme import DistributionScheme, Pair, SchemeMetrics, TaskProfile
+from .scheme import (
+    Cross, DistributionScheme, Pair, SchemeMetrics, TaskProfile, Tile, Triangle, tile_rows,
+)
 from .validate import check_exactly_once
 
 
 @dataclass(frozen=True)
 class ScheduledTask:
-    """One parallel task within a round."""
+    """One parallel task within a round: its members and the tiles of its pairs."""
 
     round_index: int
     task_index: int
     members: tuple[int, ...]
-    pairs: tuple[Pair, ...]
+    tiles: tuple[Tile, ...]
+
+    @property
+    def evaluations(self) -> int:
+        return sum(tile.size() for tile in self.tiles)
 
 
 class Round(DistributionScheme):
     """One sequential round: tasks that may run in parallel together.
 
     A schema over the global ids ``1..v`` built from the round's explicit
-    task list, so ``get_subsets`` / ``pair_array`` are exact.  ``blocks`` is
+    task list, so ``get_subsets`` / ``pair_tiles`` are exact.  ``blocks`` is
     what the round must cover — ``(high, low)`` id groups, each standing
     for the pairs ``(i, j)``, i ∈ high, j ∈ low, i > j (a coarse block, or
     a design block against itself) — stated apart from how ``tasks`` tile
@@ -82,11 +89,19 @@ class Round(DistributionScheme):
         self.index = index
         self.tasks = tuple(tasks)
         self.blocks = tuple(blocks)
-        self._subsets_of: dict[int, list[int]] = {}
+
+    @cached_property
+    def _subsets_of(self) -> dict[int, list[int]]:
+        """Element id → the tasks holding it; built on the first map-side question."""
+        subsets_of: dict[int, list[int]] = {}
         for task in self.tasks:
             for eid in task.members:
-                self._subsets_of.setdefault(eid, []).append(task.task_index)
-        self._participants = sorted(self._subsets_of)
+                subsets_of.setdefault(eid, []).append(task.task_index)
+        return subsets_of
+
+    @cached_property
+    def _participants(self) -> list[int]:
+        return sorted(self._subsets_of)
 
     @property
     def replicas(self) -> int:
@@ -99,7 +114,7 @@ class Round(DistributionScheme):
 
     @property
     def evaluations(self) -> int:
-        return sum(len(task.pairs) for task in self.tasks)
+        return sum(task.evaluations for task in self.tasks)
 
     @property
     def num_tasks(self) -> int:
@@ -108,9 +123,14 @@ class Round(DistributionScheme):
     def get_subsets(self, element_id: int) -> list[int]:
         return list(self._subsets_of.get(element_id, ()))
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+    def pair_tiles(
+        self, subset_id: int, members: Sequence[int] | None = None
+    ) -> tuple[Tile, ...]:
         self._check_subset_id(subset_id)
-        return np.array(self.tasks[subset_id].pairs, dtype=np.int64).reshape(-1, 2)
+        return self.tasks[subset_id].tiles
+
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+        return tile_rows(self.pair_tiles(subset_id))
 
     def subset_members(self, subset_id: int) -> list[int]:
         self._check_subset_id(subset_id)
@@ -127,7 +147,7 @@ class Round(DistributionScheme):
     def task_profile(self, subset_id: int) -> TaskProfile:
         self._check_subset_id(subset_id)
         task = self.tasks[subset_id]
-        return TaskProfile(subset_id, len(task.members), len(task.pairs))
+        return TaskProfile(subset_id, len(task.members), task.evaluations)
 
     def metrics(self) -> SchemeMetrics:
         """The round's Table-1 row; replication counts the elements sitting out as 0."""
@@ -204,9 +224,9 @@ class HierarchicalBlockScheme(Schedule):
         hi = min(g * self.E, self.v)
         return list(range(lo, hi + 1))
 
-    def _fine_chunks(self, members: Sequence[int]) -> list[Sequence[int]]:
+    def _fine_chunks(self, members: Sequence[int]) -> list[tuple[int, ...]]:
         size = ceil_div(len(members), self.fine_h)
-        return list(chunked(list(members), size))
+        return list(chunked(tuple(members), size))
 
     def rounds(self) -> Iterator[Round]:
         round_index = 0
@@ -223,38 +243,24 @@ class HierarchicalBlockScheme(Schedule):
         members = self._coarse_group(g)
         chunks = self._fine_chunks(members)
         tasks: list[ScheduledTask] = []
-        task_index = 0
         for a in range(len(chunks)):
             for b in range(a + 1):
                 if a == b:
-                    chunk = list(chunks[a])
-                    pairs = tuple(
-                        (chunk[x], chunk[y])
-                        for x in range(len(chunk))
-                        for y in range(x)
-                    )
-                    task_members = tuple(chunk)
+                    task_members, tile = chunks[a], Triangle(chunks[a])
                 else:
-                    hi, lo = list(chunks[a]), list(chunks[b])
-                    pairs = tuple((i, j) for i in hi for j in lo)
-                    task_members = tuple(lo + hi)
-                tasks.append(
-                    ScheduledTask(round_index, task_index, task_members, pairs)
-                )
-                task_index += 1
+                    task_members, tile = chunks[b] + chunks[a], Cross(chunks[a], chunks[b])
+                tasks.append(ScheduledTask(round_index, len(tasks), task_members, (tile,)))
         return Round(self.v, round_index, tasks, [(members, members)])
 
     def _cross_round(self, round_index: int, I: int, J: int) -> Round:
         """All cross pairs between coarse groups I > J, tiled f × f."""
         high, low = self._coarse_group(I), self._coarse_group(J)
+        row_chunks = self._fine_chunks(low)
         tasks: list[ScheduledTask] = []
-        task_index = 0
         for col_chunk in self._fine_chunks(high):
-            for row_chunk in self._fine_chunks(low):
-                pairs = tuple((c, r) for c in col_chunk for r in row_chunk)
-                members = tuple(list(row_chunk) + list(col_chunk))
-                tasks.append(ScheduledTask(round_index, task_index, members, pairs))
-                task_index += 1
+            for row_chunk in row_chunks:
+                tile = Cross(col_chunk, row_chunk)
+                tasks.append(ScheduledTask(round_index, len(tasks), row_chunk + col_chunk, (tile,)))
         return Round(self.v, round_index, tasks, [(high, low)])
 
 
@@ -284,8 +290,8 @@ class SequentialDesignSchedule(Schedule):
             tasks = []
             for task_index, subset_id in enumerate(range(lo, hi)):
                 members = tuple(self.design.subset_members(subset_id))
-                pairs = tuple(map(tuple, self.design.pair_array(subset_id, members).tolist()))
-                tasks.append(ScheduledTask(round_index, task_index, members, pairs))
+                tiles = self.design.pair_tiles(subset_id, members)
+                tasks.append(ScheduledTask(round_index, task_index, members, tiles))
             # A design block owes every pair among its own points.
             yield Round(self.v, round_index, tasks, [(t.members, t.members) for t in tasks])
 

@@ -409,7 +409,6 @@ def _evaluate_tiles(
             owners.append(np.repeat(points, n - 1))
             partners.append(np.broadcast_to(points, (n, n))[off])
             results.append(np.where(np.tri(n, k=-1, dtype=bool), full, full.T)[off])
-            evaluations = n * (n - 1) // 2
         else:
             high, low = (np.asarray(side, dtype=np.int64) for side in (tile.high, tile.low))
             left, right = (_tile_operand(matrix, store, side) for side in (high, low))
@@ -417,8 +416,7 @@ def _evaluate_tiles(
             owners += [np.repeat(high, len(low)), np.repeat(low, len(high))]
             partners += [np.tile(low, len(high)), np.tile(high, len(low))]
             results += [grid.ravel(), grid.T.ravel()]
-            evaluations = grid.size
-        context.counters.increment(PAIRWISE_GROUP, EVALUATIONS, evaluations)
+        context.counters.increment(PAIRWISE_GROUP, EVALUATIONS, tile.size())
     owners = np.concatenate(owners)
     order = np.argsort(owners, kind="stable")
     return owners[order], np.concatenate(partners)[order], join_results(results)[order]

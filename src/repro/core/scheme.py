@@ -70,6 +70,10 @@ class Triangle(NamedTuple):
     def rows(self) -> np.ndarray:
         return pairs_within(self.points)
 
+    def size(self) -> int:
+        """How many pairs the tile holds, from its shape alone."""
+        return len(self.points) * (len(self.points) - 1) // 2
+
 
 class Cross(NamedTuple):
     """Every ``(h, l)``, h ∈ ``high``, l ∈ ``low``: the rows of :func:`pairs_across`.
@@ -83,6 +87,9 @@ class Cross(NamedTuple):
     def rows(self) -> np.ndarray:
         return pairs_across(self.high, self.low)
 
+    def size(self) -> int:
+        return len(self.high) * len(self.low)
+
 
 class Rows(NamedTuple):
     """A relation with no tile shape: the ``(n, 2)`` rows themselves."""
@@ -91,6 +98,9 @@ class Rows(NamedTuple):
 
     def rows(self) -> np.ndarray:
         return self.array
+
+    def size(self) -> int:
+        return len(self.array)
 
 
 Tile = Triangle | Cross | Rows
@@ -138,6 +148,13 @@ class SchemeMetrics:
         dataset written between the two jobs, ``v · s · replication``.
         """
         return int(self.v * element_size * self.replication_factor)
+
+    def fits(self, element_size: int, *, maxws: int, maxis: int) -> bool:
+        """Both limits hold: working set ≤ ``maxws`` and intermediate bytes ≤ ``maxis``."""
+        return (
+            self.working_set_bytes(element_size) <= maxws
+            and self.intermediate_bytes(element_size) <= maxis
+        )
 
     def summary(self, element_size: int | None = None) -> str:
         """One-line human-readable report (used by the bench harness)."""

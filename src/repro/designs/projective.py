@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from .gf import GF
 from .primes import is_prime, is_prime_power, plane_size
 
@@ -82,30 +84,41 @@ def _normalized_points(field: GF) -> list[tuple[int, int, int]]:
     return points
 
 
+def _field_tables(field: GF) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """GF(q)'s addition and multiplication tables, negation and inverse, as arrays of codes."""
+    add, mul = (np.array([[op(a, b) for b in field.elements()] for a in field.elements()])
+                for op in (field.add, field.mul))
+    neg = np.argmax(add == 0, axis=1)
+    inv = np.argmax(mul == 1, axis=1)  # inv[0] is meaningless and never read
+    return add, mul, neg, inv
+
+
 def gf_plane(q: int) -> list[Block]:
     """Construct a projective plane of prime-power order ``q`` over GF(q).
 
     Points and lines are both indexed by :func:`_normalized_points`; block
     ``i`` collects the (1-indexed) ids of the points incident to line ``i``
-    (dot product zero in GF(q)).
+    (dot product zero in GF(q)), ascending.  Each line is solved for its
+    q+1 points directly — O(q) per line over the field's tables, not a
+    test of every point.
     """
     if not is_prime_power(q):
         raise ValueError(f"plane order must be a prime power, got {q}")
     field = GF(q)
-    points = _normalized_points(field)
-    index_of = {pt: i + 1 for i, pt in enumerate(points)}  # 1-indexed
-    add, mul = field.add, field.mul
-
+    add, mul, neg, inv = _field_tables(field)
+    # Point ids: (1, y, z) → qy + z + 1, (0, 1, z) → q² + z + 1, (0, 0, 1) → q² + q + 1.
+    ys = np.arange(q)
+    infinity = q * q + 1
     blocks: list[Block] = []
-    for line in points:  # lines are the same normalized triples (duality)
-        a, b, c = line
-        members: Block = []
-        for pt in points:
-            x, y, z = pt
-            s = add(add(mul(a, x), mul(b, y)), mul(c, z))
-            if s == 0:
-                members.append(index_of[pt])
-        blocks.append(members)
+    for a, b, c in _normalized_points(field):  # lines are the same triples (duality)
+        if c:  # one point per y: z = −(a + by)/c; one at infinity: z = −b/c
+            zs = mul[neg[add[a, mul[b, ys]]], inv[c]]
+            members = np.append(q * ys + zs + 1, infinity + mul[neg[b], inv[c]])
+        elif b:  # y = −a/b with every z, and (0, 0, 1)
+            members = np.append(q * mul[neg[a], inv[b]] + ys + 1, infinity + q)
+        else:  # x = 0: the q + 1 points at infinity
+            members = infinity + np.arange(q + 1)
+        blocks.append(members.tolist())
     return blocks
 
 

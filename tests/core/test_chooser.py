@@ -9,6 +9,7 @@ from repro.core.chooser import ROUTINGS, InfeasibleWorkloadError, choose_scheme
 from repro.core.cost_model import block_h_bounds
 from repro.core.design import DesignScheme
 from repro.core.hierarchical import HierarchicalBlockScheme
+from repro.core.quorum import QuorumScheme
 from repro.core.runner import _forced_choice
 
 LIMITS = dict(maxws=200 * MB, maxis=1 * TB)
@@ -33,10 +34,11 @@ class TestDecisions:
 
     def test_design_when_block_infeasible(self):
         # vs = 2500 × 1 MB = 2.5 GB; block needs vs ≤ sqrt(maxws·maxis/2)
-        # = sqrt(50 MB · 200 GB / 2) ≈ 2.24 GB → infeasible.  Design:
-        # storage v^{3/2}·s = 125 GB ≤ 200 GB and ws √v·s = 50 MB ≤ maxws.
+        # = sqrt(60 MB · 200 GB / 2) ≈ 2.45 GB → infeasible.  Design on the
+        # q = 53 plane: lines of 54 elements (54 MB ≤ maxws), replication
+        # ≈ 53 (≈ 133 GB ≤ maxis); the cover's 70 MB working set does not fit.
         choice = choose_scheme(
-            2_500, 1 * MB, maxws=50 * MB, maxis=200 * GB, num_nodes=8
+            2_500, 1 * MB, maxws=60 * MB, maxis=200 * GB, num_nodes=8
         )
         assert isinstance(choice.scheme, DesignScheme)
 
@@ -46,14 +48,8 @@ class TestDecisions:
             choice = choose_scheme(v, s, **LIMITS)
             if isinstance(choice.scheme, HierarchicalBlockScheme):
                 assert choice.scheme.max_working_set() * s <= LIMITS["maxws"]
-            elif isinstance(choice.scheme, DesignScheme):
-                m = choice.scheme.metrics()
-                assert m.working_set_bytes(s) <= LIMITS["maxws"]
-                assert m.intermediate_bytes(s) <= LIMITS["maxis"] * 1.05
             else:
-                m = choice.scheme.metrics()
-                assert m.working_set_bytes(s) <= LIMITS["maxws"]
-                assert m.intermediate_bytes(s) <= LIMITS["maxis"]
+                assert choice.scheme.metrics().fits(s, **LIMITS)
 
     def test_min_tasks_raises_parallelism(self):
         low = choose_scheme(2_000, 500 * KB, min_tasks=4, **LIMITS)
@@ -143,8 +139,84 @@ class TestValidation:
             choose_scheme(10, 100, num_nodes=0, **LIMITS)
 
     def test_prime_power_passthrough(self):
-        choice = choose_scheme(
-            21, 1 * MB, maxws=6 * MB, maxis=100 * TB, allow_prime_powers=True
-        )
-        if isinstance(choice.scheme, DesignScheme):
-            assert choice.scheme.q == 4
+        """The √v step builds the GF plane: v = 21 is the q = 4 plane, not a truncated q = 5."""
+        choice = choose_scheme(21, 1 * MB, maxws=5 * MB, maxis=150 * MB)
+        assert isinstance(choice.scheme, DesignScheme)
+        assert choice.scheme.q == 4
+
+
+def sqrt_v_limits(v, s=1 * MB):
+    """Limits that send the chooser to the √v step with every √v scheme fitting.
+
+    ``maxws`` is the largest working set of the GF plane, the prime plane and
+    the cover; ``maxis`` is ``v·s`` times the largest replication, plus one.
+    """
+    rows = [
+        DesignScheme(v, allow_prime_powers=True).metrics(),
+        DesignScheme(v).metrics(),
+        QuorumScheme(v).metrics(),
+    ]
+    return dict(
+        maxws=max(m.working_set_elements for m in rows) * s,
+        maxis=int(v * s * max(m.replication_factor for m in rows)) + 1,
+    )
+
+
+class TestTheSqrtVStep:
+    """Design (GF plane) and quorum are built and judged by their own metrics()."""
+
+    def test_the_returned_scheme_fits_at_v5000(self):
+        # √5000 · 1 MB ≈ 70.7 MB fits 71 MB, but the q = 71 plane's lines
+        # hold 72 elements: its own working set is 72 MB.
+        maxws, maxis = 71 * MB, 500 * GB
+        # The cover's |D| is 99 (99 MB): neither √v scheme fits, so the
+        # chooser falls back to the hierarchical schedule.
+        choice = choose_scheme(5_000, 1 * MB, maxws=maxws, maxis=maxis)
+        assert choice.is_hierarchical
+        assert choice.scheme.max_working_set() * MB <= maxws
+
+    @pytest.mark.parametrize("v", [21, 35, 57, 70, 85, 120, 200, 570])
+    def test_every_flat_pick_fits_its_own_metrics(self, v):
+        limits = sqrt_v_limits(v)
+        choice = choose_scheme(v, 1 * MB, **limits)
+        assert any(line.startswith("block infeasible") for line in choice.rationale)
+        assert choice.scheme.metrics().fits(1 * MB, **limits)
+
+    @pytest.mark.parametrize(
+        "v, kind, q, replication",
+        [
+            (35, QuorumScheme, None, 7),  # no plane of order 6: the cover wins
+            (70, DesignScheme, 8, 9),  # the q = 8 GF plane (the cover replicates 11)
+            (85, DesignScheme, 9, 10),  # the q = 9 GF plane (the prime plane: 11.95)
+        ],
+    )
+    def test_lowest_replication_wins(self, v, kind, q, replication):
+        choice = choose_scheme(v, 1 * MB, **sqrt_v_limits(v))
+        assert type(choice.scheme) is kind
+        assert getattr(choice.scheme, "q", None) == q
+        assert choice.scheme.metrics().replication_factor == pytest.approx(replication, abs=0.01)
+        assert f"{kind.name}: lowest replication" in choice.explain()
+
+    def test_a_plane_that_cannot_fit_is_not_built(self, monkeypatch):
+        import repro.core.chooser as chooser
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the plane was built")
+
+        monkeypatch.setattr(chooser, "DesignScheme", refuse)
+        choice = choose_scheme(5_000, 10 * MB, **LIMITS)  # q = 71 lines: >= 710 MB
+        assert choice.is_hierarchical
+        assert "design not built" in choice.explain()
+
+    def test_a_plane_that_cannot_fit_maxis_is_not_built(self, monkeypatch):
+        import repro.core.chooser as chooser
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the plane was built")
+
+        monkeypatch.setattr(chooser, "DesignScheme", refuse)
+        # The q = 149 plane's 150 MB lines fit maxws = 200 MB, but each point
+        # replicates >= 19 999 / 149 times: >= 2.6 TB intermediate > 1 TB.
+        choice = choose_scheme(20_000, 1 * MB, **LIMITS)
+        assert "design not built" in choice.explain()
+        assert "quorum not built" in choice.explain()

@@ -9,6 +9,7 @@ a schedule is valid iff each round passes and the rounds' universes tile the
 triangle (``check_schedule_exactly_once`` is that loop).
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from repro.core.hierarchical import (
     SequentialDesignSchedule,
     check_schedule_exactly_once,
 )
+from repro.core.scheme import Rows, tile_rows
 from repro.core.validate import balance_report, check_exactly_once
 
 # Keep v modest: the checker is O(v²) and hypothesis runs many examples.
@@ -95,11 +97,13 @@ def test_round_that_drops_a_required_pair_is_caught(v, data):
     coarse = data.draw(st.integers(min_value=1, max_value=v // 2))
     schedule = HierarchicalBlockScheme(v, coarse, data.draw(st.integers(1, 4)))
     whole = data.draw(st.sampled_from([r for r in schedule.rounds() if r.evaluations]))
-    victim = data.draw(st.sampled_from([t for t in whole.tasks if t.pairs]))
-    hole = data.draw(st.sampled_from(victim.pairs))
+    victim = data.draw(st.sampled_from([t for t in whole.tasks if t.evaluations]))
+    rows = tile_rows(victim.tiles)
+    cut = data.draw(st.integers(0, len(rows) - 1))
+    hole = tuple(rows[cut].tolist())
     tasks = [
-        ScheduledTask(t.round_index, t.task_index, t.members,
-                      tuple(p for p in t.pairs if t is not victim or p != hole))
+        t if t is not victim else
+        ScheduledTask(t.round_index, t.task_index, t.members, (Rows(np.delete(rows, cut, 0)),))
         for t in whole.tasks
     ]
     report = check_exactly_once(Round(v, whole.index, tasks, whole.blocks))

@@ -7,12 +7,12 @@ from repro._util import GB, KB
 from repro.core.element import (
     DuplicatePairError,
     Element,
+    PairResults,
     dataset_size_bytes,
     element_size_bytes,
     make_elements,
     merge_copies,
     ordered_results,
-    results_dense,
     results_matrix,
 )
 
@@ -202,7 +202,7 @@ class TestResultsDense:
         return a, b, c
 
     def test_matches_results_matrix(self):
-        dense = results_dense(self._elements())
+        dense = PairResults.of(self._elements()).dense()
         assert dense.shape == (3, 3)
         assert dense[0, 1] == dense[1, 0] == 0.5
         assert np.isnan(dense[0, 2]) and np.isnan(dense[2, 0])  # NaN agrees with NaN
@@ -212,22 +212,22 @@ class TestResultsDense:
     def test_one_sided_pair_is_mirrored(self):
         a, b, c = self._elements()
         del b.results[1]
-        dense = results_dense({1: a, 2: b, 3: c})
+        dense = PairResults.of({1: a, 2: b, 3: c}).dense()
         assert dense[1, 0] == dense[0, 1] == 0.5
 
     def test_detects_asymmetry(self):
         a, b, c = self._elements()
         b.results[1] = 0.6
         with pytest.raises(ValueError, match=r"asymmetric results for pair \(2, 1\)"):
-            results_dense([a, b, c])
+            PairResults.of([a, b, c]).dense()
 
     @pytest.mark.parametrize("partner", [0, 4, -1])
     def test_out_of_range_partner_rejected(self, partner):
         a, b, c = self._elements()
         c.results[partner] = 1.0
         with pytest.raises(ValueError, match="out of range for v=3"):
-            results_dense([a, b, c])
+            PairResults.of([a, b, c]).dense()
 
     def test_out_of_range_element_rejected(self):
         with pytest.raises(ValueError, match="out of range for v=1"):
-            results_dense([Element(2)])
+            PairResults.of([Element(2)]).dense()

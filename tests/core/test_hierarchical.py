@@ -21,7 +21,7 @@ from repro.core.pairwise import (
     brute_force_asymmetric,
     brute_force_results,
 )
-from repro.core.scheme import DistributionScheme
+from repro.core.scheme import DistributionScheme, Rows, tile_rows
 from repro.core.validate import check_exactly_once
 from repro.mapreduce import MultiprocessEngine, SerialEngine
 from repro.mapreduce.controlplane.events import ReplicationMeasured
@@ -68,8 +68,9 @@ class TestHierarchicalBlock:
     def test_round_missing_a_required_pair_fails_the_one_validator(self):
         whole = next(HierarchicalBlockScheme(20, 2, 2).rounds())
         first, *rest = whole.tasks
-        dropped = first.pairs[0]
-        short = type(first)(first.round_index, first.task_index, first.members, first.pairs[1:])
+        rows = tile_rows(first.tiles)
+        dropped = tuple(rows[0].tolist())
+        short = type(first)(first.round_index, first.task_index, first.members, (Rows(rows[1:]),))
         report = check_exactly_once(Round(20, whole.index, [short, *rest], whole.blocks))
         assert report.ok is False
         assert report.missing == (dropped,)

@@ -6,9 +6,9 @@ of it.  ``DIGESTS`` pins every task's rows, in order, to what the
 tuple-building ``get_pairs`` of the commit before returned (through
 ``pair_index_array``), so a vectorised construction that reorders,
 drops or duplicates a row fails here before any engine runs.  Block,
-design and bipartite block build that array as the rows of their
-``pair_tiles`` (triangles and cross products), so the digests pin the
-tiles' pairs too.  The ``design-gf`` rows (planes of non-prime order,
+design, bipartite block and a schedule's round build that array as the
+rows of their ``pair_tiles`` (triangles and cross products), so the
+digests pin the tiles' pairs too.  The ``design-gf`` rows (planes of non-prime order,
 built over GF(q)) came later: their digests were recorded from the
 ``get_pairs`` list view.
 """
@@ -187,7 +187,7 @@ def test_task_ids_out_of_range_raise(case):
 
 
 #: the classes whose tasks are tiles of the pair matrix; the rest are rows
-TILED = {"BlockScheme", "DesignScheme", "BipartiteBlockScheme"}
+TILED = {"BlockScheme", "DesignScheme", "BipartiteBlockScheme", "Round"}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

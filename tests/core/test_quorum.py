@@ -350,28 +350,38 @@ class TestMetering:
 
 
 class TestChooserCrossover:
+    """The √v step builds the GF plane and the cover's quorum; lowest replication wins."""
+
+    # v = 35: no plane of order 6; block needs vs <= sqrt(8 MB · 300 MB / 2) ≈ 34.6 MB.
+    OFF_PLANE = dict(maxws=8 * MB, maxis=300 * MB)
+
     def test_quorum_chosen_off_plane_when_block_infeasible(self):
-        choice = choose_scheme(58, 1 * MB, maxws=10 * MB, maxis=600 * MB)
+        choice = choose_scheme(35, 1 * MB, **self.OFF_PLANE)
         assert isinstance(choice.scheme, QuorumScheme)
-        assert "difference cover" in choice.explain()
+        assert "quorum: lowest replication" in choice.explain()
 
     def test_design_kept_on_exact_plane(self):
-        # v=57 is the q=7 plane: design pays no padding, quorum is skipped.
+        # v=57 is the q=7 plane: the perfect cover ties it (8 and 8), design wins the tie.
         choice = choose_scheme(57, 1 * MB, maxws=10 * MB, maxis=600 * MB)
         assert isinstance(choice.scheme, DesignScheme)
-        assert "quorum not needed" in choice.explain()
+        assert choice.scheme.metrics().replication_factor == 8
+        assert "quorum(v=57, |D|=8" in choice.explain()
 
     def test_design_kept_when_cover_not_competitive(self):
-        # v=2500: structured cover |D|=70 ≥ padded design's q+1=54.
-        choice = choose_scheme(2_500, 1 * MB, maxws=50 * MB, maxis=200 * GB)
+        # v=2500: both fit (54 MB and 70 MB working sets), the cover's |D|=70
+        # replicates more than the q=53 plane's ≈ 53.
+        choice = choose_scheme(2_500, 1 * MB, maxws=70 * MB, maxis=178 * GB)
         assert isinstance(choice.scheme, DesignScheme)
-        assert "not competitive" in choice.explain()
+        assert any(
+            line.startswith("quorum(v=2500, |D|=70") and line.endswith("fits")
+            for line in choice.rationale
+        )
 
     def test_quorum_replication_strictly_below_design(self):
-        choice = choose_scheme(58, 1 * MB, maxws=10 * MB, maxis=600 * MB)
+        choice = choose_scheme(35, 1 * MB, **self.OFF_PLANE)
         assert (
             choice.scheme.metrics().replication_factor
-            < DesignScheme(58).metrics().replication_factor
+            < DesignScheme(35, allow_prime_powers=True).metrics().replication_factor
         )
 
 

@@ -35,7 +35,6 @@ from repro.core.element import (
     PairResults,
     decode_blocks,
     encode_block,
-    results_dense,
 )
 from repro.core.hierarchical import HierarchicalBlockScheme
 from repro.core.pairwise import AggregateReducer, PairwiseComputation, brute_force_results
@@ -357,7 +356,7 @@ def test_dense_view_is_sized_by_the_schemes_v_on_a_round():
     for i in range(21, 41):
         for j in range(21, i):
             assert dense[i - 1, j - 1] == dense[j - 1, i - 1] == expected[(i, j)]
-    assert np.array_equal(results_dense(merged), dense)
+    assert np.array_equal(PairResults.of(merged).dense(), dense)
 
 
 def test_dense_view_is_sized_by_the_schemes_v_on_a_bipartite_run():

@@ -8,7 +8,7 @@ column slices.  Held here:
 - a triangle gives both orientations of a pair the same bits, on every
   tile-shaped scheme and every dense kernel (a BLAS ``X @ X.T`` is not
   exactly symmetric, so a tile that read both halves would fail
-  ``results_dense``'s symmetry check);
+  ``PairResults.dense``'s symmetry check);
 - the euclidean tile's Gram form never shows its cancellation: a duplicate
   point reads exactly 0.0, a near-duplicate matches the rows path within
   the parity tolerance, and a kNN over tied or duplicate points orders its
@@ -32,7 +32,7 @@ from repro.apps.knn import knn_graph, knn_reference
 from repro.core.bipartite import BipartiteBlockScheme
 from repro.core.block import BlockScheme
 from repro.core.design import DesignScheme
-from repro.core.element import results_dense, results_matrix
+from repro.core.element import PairResults, results_matrix
 from repro.core.pairwise import PairwiseComputation
 from repro.kernels import (
     CovarianceKernel,
@@ -113,7 +113,7 @@ def test_both_orientations_hold_the_same_bits(scheme_name, kernel_name):
     for eid, element in merged.items():
         for partner, value in element.results.items():
             assert bits(value) == bits(merged[partner].results[eid]), (eid, partner)
-    results_dense(merged)  # raises on the first asymmetric pair
+    PairResults.of(merged).dense()  # raises on the first asymmetric pair
     reference = results_matrix(PairwiseComputation(scheme, comp).run_local(dataset))
     got = results_matrix(merged)
     assert set(got) == set(reference)

@@ -204,6 +204,17 @@ class TestOneSchemaInterfaceOneExecutor:
         ) == 0
         assert len(calls_of(runner, "PairwiseComputation")) == 1  # one keyword set, one place
 
+    def test_the_chooser_takes_no_plane_order_knob(self):
+        """The √v step always builds the GF plane: no function of the chooser has the switch."""
+        parameters = {
+            arg.arg
+            for node in ast.walk(core_trees()["chooser.py"])
+            if isinstance(node, ast.FunctionDef)
+            for arg in node.args.args + node.args.kwonlyargs
+        }
+        assert "v" in parameters, "the walk saw nothing"
+        assert "allow_prime_powers" not in parameters
+
     def test_a_schedule_is_simulated_as_its_rounds(self):
         simulator = ast.parse((SRC / "repro/cluster/simulator.py").read_text(encoding="utf-8"))
         (fold,) = [

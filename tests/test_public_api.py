@@ -131,6 +131,10 @@ class TestPinnedSignatures:
             *RETRY_KNOBS,
         ),
         "choose_engine": ("workload_hint", "max_workers", "trace_sink"),
+        # The √v step always builds the GF plane: no plane-order knob.
+        "choose_scheme": (
+            "v", "element_size", "maxws", "maxis", "num_nodes", "min_tasks", "max_rounds",
+        ),
         "resume_job": ("journal_dir", "max_workers", "trace_sink"),
         "ClusterSimulator.__init__": (
             "self", "cluster", "network", "maxis", "task_overhead_bytes",
