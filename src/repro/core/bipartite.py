@@ -71,6 +71,9 @@ class BipartiteScheme(DistributionScheme):
         r_ids = range(self.vs + 1, self.v + 1)
         return frozenset((r, s) for r in r_ids for s in range(1, self.vs + 1))
 
+    def required_pair_count(self) -> int:
+        return self.vr * self.vs
+
     def describe(self) -> str:
         return f"{self.name}(vr={self.vr}, vs={self.vs}, tasks={self.num_tasks})"
 

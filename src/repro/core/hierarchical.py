@@ -144,6 +144,10 @@ class Round(DistributionScheme):
             (i, j) for high, low in self.blocks for i in high for j in low if i > j
         )
 
+    def required_pair_count(self) -> int:
+        """The tiles' sizes: a round covers its blocks exactly once (:func:`check_exactly_once`)."""
+        return self.evaluations
+
     def task_profile(self, subset_id: int) -> TaskProfile:
         self._check_subset_id(subset_id)
         task = self.tasks[subset_id]

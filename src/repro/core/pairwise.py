@@ -692,9 +692,12 @@ class PairwiseComputation:
         (``engine=MultiprocessEngine(max_attempts=3)``), and whoever
         built it closes it.
     num_reduce_tasks:
-        Reducer parallelism for both jobs (default: a reducer per 8 tasks,
-        at least 1 — working sets are spread over reducers like Hadoop
-        spreads partitions over reduce slots).
+        Reducer parallelism for both jobs.  Default: a reducer per 8
+        tasks, at least 1, and at most the engine's
+        :attr:`~repro.mapreduce.runtime.Engine.reduce_slots` — one wave,
+        as Hadoop sizes its reduce tasks from the cluster's reduce slots
+        (a pool's two per worker; the serial engine has no cap).  An
+        explicit value always wins.
     symmetric:
         ``True`` (the paper's standing assumption): one evaluation serves
         both elements of a pair.  ``False``: ``comp`` is order-sensitive
@@ -750,6 +753,10 @@ class PairwiseComputation:
     ):
         if num_reduce_tasks is None:
             num_reduce_tasks = max(1, scheme.num_tasks // 8)
+            # the default engine is serial: no slot cap
+            slots = getattr(engine, "reduce_slots", None)
+            if slots is not None:
+                num_reduce_tasks = min(num_reduce_tasks, slots)
         if num_reduce_tasks < 1:
             raise ValueError(f"num_reduce_tasks must be >= 1, got {num_reduce_tasks}")
         self.scheme = scheme

@@ -337,6 +337,11 @@ class DistributionScheme(abc.ABC):
         """The pairs ``(i, j)``, i > j, to cover exactly once; ``None`` ≡ all of them."""
         return None
 
+    def required_pair_count(self) -> int | None:
+        """``len(required_pairs())`` without building the set; ``None`` ≡ the triangle."""
+        required = self.required_pairs()
+        return None if required is None else len(required)
+
     def participants(self) -> Sequence[int]:
         """Ascending ids of the elements in some working set — O(1), a stored fact."""
         return range(1, self.v + 1)
@@ -390,7 +395,7 @@ class DistributionScheme(abc.ABC):
         """
         m = self.metrics()
         capacity = max(2, m.working_set_elements)
-        required = self.required_pairs()
+        required = self.required_pair_count()
         return ReplicationReport(
             scheme=self.name,
             v=self.v,
@@ -399,7 +404,7 @@ class DistributionScheme(abc.ABC):
             replication_lower_bound=(
                 replication_lower_bound(self.v, capacity)
                 if required is None
-                else 2 * len(required) / ((capacity - 1) * self.v)
+                else 2 * required / ((capacity - 1) * self.v)
             ),
         )
 

@@ -160,6 +160,10 @@ class Engine:
     #: how map output reaches reduce tasks; pooled engines override
     _shuffle_mode = "memory"
 
+    #: reduce tasks one wave can hold; ``None`` = no cap (tasks run one
+    #: after another, so a partition count costs no slot)
+    reduce_slots: int | None = None
+
     def __init__(
         self,
         *,
@@ -769,6 +773,21 @@ class MultiprocessEngine(Engine):
             self.events.subscribe(self._journal.record_event)
         self._resources: dict = {}
         self._finalizer = weakref.finalize(self, _dispose, self._resources)
+
+    @property
+    def reduce_slots(self) -> int:
+        """Reduce tasks one wave holds: two per worker.
+
+        Workers are ``max_workers`` or the executor's default (the usable
+        CPU count).  :class:`~repro.core.pairwise.PairwiseComputation`
+        caps its default reducer count here: every extra aggregate
+        partition adds a spill segment per (compute task, partition), so
+        past the slots more partitions cost dispatches and segment reads
+        without adding parallelism.  Two per worker, not one, keeps the
+        largest partition small enough that peak memory does not rise.
+        """
+        workers = self.max_workers or getattr(os, "process_cpu_count", os.cpu_count)() or 1
+        return 2 * workers
 
     @property
     def shuffle_mode(self) -> str:

@@ -72,9 +72,11 @@ class TestBroadcastScheme:
 
     @pytest.mark.parametrize("vr,vs,p", [(3, 5, 2), (7, 2, 4), (5, 5, 30), (2, 2, 1)])
     def test_exactly_once(self, vr, vs, p):
-        report = check_exactly_once(BipartiteBroadcastScheme(vr, vs, p))
+        scheme = BipartiteBroadcastScheme(vr, vs, p)
+        report = check_exactly_once(scheme)
         assert report.ok, report
         assert report.total_pairs_expected == vr * vs
+        assert scheme.required_pair_count() == len(scheme.required_pairs()) == vr * vs
 
 
 class TestBlockScheme:
@@ -116,9 +118,11 @@ class TestBlockScheme:
         "vr,vs,hr,hs", [(6, 9, 2, 3), (5, 5, 5, 5), (8, 3, 4, 1), (2, 2, 1, 1)]
     )
     def test_exactly_once(self, vr, vs, hr, hs):
-        report = check_exactly_once(BipartiteBlockScheme(vr, vs, hr, hs))
+        scheme = BipartiteBlockScheme(vr, vs, hr, hs)
+        report = check_exactly_once(scheme)
         assert report.ok, report
         assert report.total_pairs_expected == vr * vs
+        assert scheme.required_pair_count() == len(scheme.required_pairs()) == vr * vs
 
     def test_same_side_pair_fails_the_one_validator(self):
         """A rectangle task may only emit cross pairs: (s₂, s₁) is outside the universe."""

@@ -52,6 +52,26 @@ class TestHierarchicalBlock:
         ok, msg = check_schedule_exactly_once(HierarchicalBlockScheme(v, H, f))
         assert ok, msg
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda: HierarchicalBlockScheme(23, 3, 2),
+            lambda: HierarchicalBlockScheme(30, 5, 3),
+            lambda: HierarchicalBlockScheme(9, 3, 3),
+            lambda: SequentialDesignSchedule(DesignScheme(23), 5),
+        ],
+        ids=["block-23-3-2", "block-30-5-3", "block-9-3-3", "design-23-5"],
+    )
+    def test_a_rounds_pair_count_is_its_required_set_size(self, schedule):
+        """The replication report counts a round's universe without building it."""
+        for round_ in schedule().rounds():
+            required = len(round_.required_pairs())
+            assert round_.required_pair_count() == required
+            capacity = max(2, round_.metrics().working_set_elements)
+            assert round_.replication_report().replication_lower_bound == (
+                2 * required / ((capacity - 1) * round_.v)
+            )
+
     def test_every_round_is_a_scheme_over_its_coarse_block(self):
         """One interface: a round passes the flat schemes' validator on its own universe."""
         schedule = HierarchicalBlockScheme(23, 3, 2)

@@ -27,9 +27,10 @@ then.  It runs the ruler and is not a second benchmark: it measures nothing itse
 ``--layers`` attributes the difference to the engine's phases: every pair also runs
 ``run.py ... --trace 1`` once per side (same seed, same alternation), and a second
 table per workload prints both sides' medians of the :data:`LAYERS` spans — each job's
-map and reduce phase, and the tasks' summed busy time — and of the pair evaluations,
-shuffle and broadcast bytes, so the same table shows whether both sides computed and
-shipped the same, and of the read-path bytes copied into private memory.
+map and reduce phase, and the tasks' summed busy time — and of the tasks dispatched,
+the pair evaluations, shuffle, spill and broadcast bytes, so the same table shows whether
+both sides computed and shipped the same, and of the read-path bytes copied into private
+memory.
 """
 
 from __future__ import annotations
@@ -48,8 +49,10 @@ LAYERS = (
     "runtime.job2_map_s",
     "runtime.job2_reduce_s",
     "runtime.task_busy_s",
+    "runtime.tasks_dispatched",
     "runtime.evaluations",
     "runtime.shuffle_bytes",
+    "runtime.spill_bytes_written",
     "runtime.broadcast_bytes",
     "runtime.bytes_copied",
 )
