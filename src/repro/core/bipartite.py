@@ -25,7 +25,7 @@ first — S's k-th element is id ``k``, R's k-th is ``vs + k``
 ``(vs + r, s)``, larger id first, evaluates ``comp(r, s)`` like any other
 pair.  A two-set scheme is then an ordinary
 :class:`~repro.core.scheme.DistributionScheme` whose declared universe
-(:meth:`~repro.core.scheme.DistributionScheme.required_pairs`) is the
+(:meth:`~repro.core.scheme.DistributionScheme.required_tiles`) is the
 rectangle instead of the triangle: the one validator, executor and
 simulator take it as they take a flat scheme.
 """
@@ -38,7 +38,7 @@ import numpy as np
 
 from .._util import ceil_div
 from .pairwise import PairwiseComputation
-from .scheme import Cross, DistributionScheme, Pair, SchemeMetrics, Tile, tile_rows
+from .scheme import Cross, DistributionScheme, Rows, SchemeMetrics, Tile
 
 CrossPair = tuple[int, int]  #: (r_id, s_id), each 1-based within its side
 
@@ -66,13 +66,9 @@ class BipartiteScheme(DistributionScheme):
             )
         return element_id + self.vs if side == "r" else element_id
 
-    def required_pairs(self) -> frozenset[Pair]:
+    def required_tiles(self) -> tuple[Tile, ...]:
         """The rectangle: every R element against every S element."""
-        r_ids = range(self.vs + 1, self.v + 1)
-        return frozenset((r, s) for r in r_ids for s in range(1, self.vs + 1))
-
-    def required_pair_count(self) -> int:
-        return self.vr * self.vs
+        return (Cross(range(self.vs + 1, self.v + 1), range(1, self.vs + 1)),)
 
     def describe(self) -> str:
         return f"{self.name}(vr={self.vr}, vs={self.vs}, tasks={self.num_tasks})"
@@ -116,10 +112,10 @@ class BipartiteBroadcastScheme(BipartiteScheme):
         r_id = (p - 1) % self.vr + 1
         return (r_id, s_id)
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+    def pair_tiles(self, subset_id: int, members: Sequence[int] | None = None) -> tuple[Tile, ...]:
         labels = self.task_labels(subset_id)
         offsets = np.arange(labels.start - 1, labels.stop - 1, dtype=np.int64)
-        return np.column_stack((self.vs + offsets % self.vr + 1, offsets // self.vr + 1))
+        return (Rows(np.column_stack((self.vs + offsets % self.vr + 1, offsets // self.vr + 1))),)
 
     def get_subsets(self, element_id: int) -> list[int]:
         self._check_element_id(element_id)
@@ -192,9 +188,6 @@ class BipartiteBlockScheme(BipartiteScheme):
     ) -> tuple[Tile, ...]:
         a, b = self.task_position(subset_id)
         return (Cross(self._chunk("r", a), self._chunk("s", b)),)
-
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
-        return tile_rows(self.pair_tiles(subset_id))
 
     def get_subsets(self, element_id: int) -> list[int]:
         self._check_element_id(element_id)

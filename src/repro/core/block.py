@@ -26,10 +26,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .._util import ceil_div
-from .scheme import Cross, DistributionScheme, SchemeMetrics, Tile, Triangle, tile_rows
+from .scheme import Cross, DistributionScheme, SchemeMetrics, Tile, Triangle
 
 
 class BlockScheme(DistributionScheme):
@@ -175,9 +173,6 @@ class BlockScheme(DistributionScheme):
         if self.pair_diagonals:
             return tuple(self.block_tile(block) for block in self._tasks[subset_id])
         return (self.block_tile(subset_id + 1),)
-
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
-        return tile_rows(self.pair_tiles(subset_id))
 
     def subset_members(self, subset_id: int) -> list[int]:
         self._check_subset_id(subset_id)

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .._util import ceil_div, triangle_count
-from .scheme import DistributionScheme, SchemeMetrics
+from .scheme import DistributionScheme, Rows, SchemeMetrics, Tile
 from .triangle import elements_in_labels, label_pair_array, labels_for_task
 
 
@@ -60,14 +58,14 @@ class BroadcastScheme(DistributionScheme):
         self._check_element_id(element_id)
         return list(range(self._num_tasks))
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+    def pair_tiles(self, subset_id: int, members: Sequence[int] | None = None) -> tuple[Tile, ...]:
         """The label chunk of task ``subset_id``; ``members`` is ignored.
 
         The pair relation depends only on (v, p, subset_id) — the reducer
         holds the full dataset anyway, so there is nothing to look up in
         ``members``.
         """
-        return label_pair_array(self.task_labels(subset_id))
+        return (Rows(label_pair_array(self.task_labels(subset_id))),)
 
     def task_labels(self, subset_id: int) -> range:
         """Contiguous label range (Fig. 5 enumeration) of one task."""

@@ -26,10 +26,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from ..designs import plane_order_for, plane_size, projective_plane, truncate_design
-from .scheme import DistributionScheme, SchemeMetrics, Tile, Triangle, tile_rows
+from .scheme import DistributionScheme, SchemeMetrics, Tile, Triangle
 
 
 def _communication_cap(v: int, num_nodes: int | None) -> float:
@@ -117,9 +115,6 @@ class DesignScheme(DistributionScheme):
                     f"but the design block is {block}"
                 )
         return (Triangle(block),)
-
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
-        return tile_rows(self.pair_tiles(subset_id, members))
 
     def subset_members(self, subset_id: int) -> list[int]:
         self._check_subset_id(subset_id)

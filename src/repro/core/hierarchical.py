@@ -23,9 +23,9 @@ Two schedules are provided:
 
 Both are ordered sequences of :class:`Round` objects, and a round is an ordinary
 :class:`~repro.core.scheme.DistributionScheme` over the global ids — explicit
-:class:`ScheduledTask` lists, a declared universe (the round's coarse blocks)
-and the elements that sit the round out — so the flat schemes' validator,
-executor and simulator run it unchanged: :func:`run_rounds` is a loop of
+:class:`ScheduledTask` lists, a declared universe (tiles: the round's coarse
+block, or its design blocks) and the elements that sit the round out — so the
+flat schemes' validator, executor and simulator run it unchanged: :func:`run_rounds` is a loop of
 :class:`~repro.core.pairwise.PairwiseComputation`, and
 :func:`check_schedule_exactly_once` asks
 :func:`~repro.core.validate.check_exactly_once` about every round.
@@ -34,21 +34,20 @@ executor and simulator run it unchanged: :func:`run_rounds` is a loop of
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .._util import ceil_div, chunked, triangle_count
+from .._util import ceil_div, chunked
 from .design import DesignScheme
 from .element import Element, _elements_by_id
 from .pairwise import PairwiseComputation
 from .scheme import (
-    Cross, DistributionScheme, Pair, SchemeMetrics, TaskProfile, Tile, Triangle, tile_rows,
+    Cross, DistributionScheme, SchemeMetrics, TaskProfile, Tile, Triangle, tile_rows,
 )
-from .validate import check_exactly_once
+from .validate import check_exactly_once, pair_keys
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,11 @@ class Round(DistributionScheme):
     """One sequential round: tasks that may run in parallel together.
 
     A schema over the global ids ``1..v`` built from the round's explicit
-    task list, so ``get_subsets`` / ``pair_tiles`` are exact.  ``blocks`` is
-    what the round must cover — ``(high, low)`` id groups, each standing
-    for the pairs ``(i, j)``, i ∈ high, j ∈ low, i > j (a coarse block, or
-    a design block against itself) — stated apart from how ``tasks`` tile
-    it.  Elements of no task sit the round out.
+    task list, so ``get_subsets`` / ``pair_tiles`` are exact.  ``universe``
+    is what the round must cover, as tiles — a coarse block's
+    :class:`Triangle` or :class:`Cross`, or one :class:`Triangle` per design
+    block — stated apart from how ``tasks`` tile it.  Elements of no task
+    sit the round out.
     """
 
     name = "schedule-round"
@@ -83,12 +82,12 @@ class Round(DistributionScheme):
         v: int,
         index: int,
         tasks: Iterable[ScheduledTask],
-        blocks: Iterable[tuple[Sequence[int], Sequence[int]]],
+        universe: Iterable[Tile],
     ):
         super().__init__(v)
         self.index = index
         self.tasks = tuple(tasks)
-        self.blocks = tuple(blocks)
+        self.universe = tuple(universe)
 
     @cached_property
     def _subsets_of(self) -> dict[int, list[int]]:
@@ -129,9 +128,6 @@ class Round(DistributionScheme):
         self._check_subset_id(subset_id)
         return self.tasks[subset_id].tiles
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
-        return tile_rows(self.pair_tiles(subset_id))
-
     def subset_members(self, subset_id: int) -> list[int]:
         self._check_subset_id(subset_id)
         return sorted(self.tasks[subset_id].members)
@@ -139,14 +135,8 @@ class Round(DistributionScheme):
     def participants(self) -> list[int]:
         return self._participants
 
-    def required_pairs(self) -> frozenset[Pair]:
-        return frozenset(
-            (i, j) for high, low in self.blocks for i in high for j in low if i > j
-        )
-
-    def required_pair_count(self) -> int:
-        """The tiles' sizes: a round covers its blocks exactly once (:func:`check_exactly_once`)."""
-        return self.evaluations
+    def required_tiles(self) -> tuple[Tile, ...]:
+        return self.universe
 
     def task_profile(self, subset_id: int) -> TaskProfile:
         self._check_subset_id(subset_id)
@@ -254,7 +244,7 @@ class HierarchicalBlockScheme(Schedule):
                 else:
                     task_members, tile = chunks[b] + chunks[a], Cross(chunks[a], chunks[b])
                 tasks.append(ScheduledTask(round_index, len(tasks), task_members, (tile,)))
-        return Round(self.v, round_index, tasks, [(members, members)])
+        return Round(self.v, round_index, tasks, (Triangle(members),))
 
     def _cross_round(self, round_index: int, I: int, J: int) -> Round:
         """All cross pairs between coarse groups I > J, tiled f × f."""
@@ -265,7 +255,7 @@ class HierarchicalBlockScheme(Schedule):
             for row_chunk in row_chunks:
                 tile = Cross(col_chunk, row_chunk)
                 tasks.append(ScheduledTask(round_index, len(tasks), row_chunk + col_chunk, (tile,)))
-        return Round(self.v, round_index, tasks, [(high, low)])
+        return Round(self.v, round_index, tasks, (Cross(high, low),))
 
 
 class SequentialDesignSchedule(Schedule):
@@ -297,7 +287,7 @@ class SequentialDesignSchedule(Schedule):
                 tiles = self.design.pair_tiles(subset_id, members)
                 tasks.append(ScheduledTask(round_index, task_index, members, tiles))
             # A design block owes every pair among its own points.
-            yield Round(self.v, round_index, tasks, [(t.members, t.members) for t in tasks])
+            yield Round(self.v, round_index, tasks, [Triangle(t.members) for t in tasks])
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +337,18 @@ def run_rounds(
 
 def check_schedule_exactly_once(schedule: Schedule) -> tuple[bool, str]:
     """Every round covers its own universe exactly once; the universes tile the triangle."""
-    universes: Counter = Counter()
+    universes: list[Tile] = []
     for round_ in schedule.rounds():
         report = check_exactly_once(round_)
         if not report.ok:
             return False, f"round {round_.index} violates exactly-once coverage: {report}"
-        universes.update(round_.required_pairs())
-    expected = triangle_count(schedule.v)
-    inside = sum(1 for i, j in universes if 1 <= j < i <= schedule.v)
-    if inside != expected or sum(universes.values()) != expected:
+        universes.extend(round_.required_tiles())
+    keys = np.sort(pair_keys(tile_rows(universes), schedule.v))
+    triangle = pair_keys(tile_rows((Triangle(range(1, schedule.v + 1)),)), schedule.v)
+    if not np.array_equal(keys, triangle):  # the triangle's keys ascend
         return False, (
-            f"rounds declare {sum(universes.values())} pairs, {inside} distinct "
-            f"ones inside the triangle of {expected}"
+            f"rounds declare {len(keys)} pairs, {len(np.intersect1d(keys, triangle))} distinct "
+            f"ones inside the triangle of {len(triangle)}"
         )
     return True, "ok"
 

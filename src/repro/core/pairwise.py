@@ -169,7 +169,7 @@ REPLICAS_EMITTED = "replicas_emitted"
 MAX_WORKING_SET_RECORDS = "max_working_set_records"
 MAX_WORKING_SET_BYTES = "max_working_set_bytes"
 #: pairs dropped by the sketch pruner before kernel dispatch; EVALUATIONS +
-#: PAIRS_PRUNED == |the scheme's required pairs| on every symmetric pruned run
+#: PAIRS_PRUNED == the size of the scheme's required tiles on every symmetric pruned run
 PAIRS_PRUNED = "pairs_pruned"
 #: sketch-suite footprint gauge (max across tasks; it is one shared object)
 SKETCH_BYTES = "max_sketch_bytes"
@@ -734,7 +734,7 @@ class PairwiseComputation:
         pair evaluated, the objective applied in aggregation only.  The
         bounds are sound, so the two return the same output on every
         schema (DESIGN.md §3.1.7): top-k taus come from the schema's
-        required pairs, not from the triangle.
+        required tiles, not from the triangle.
     """
 
     def __init__(
@@ -836,11 +836,10 @@ class PairwiseComputation:
             return
         suite = build_sketches(payloads, self._sketch_kind)
         if self.top_k is not None:
-            # Taus over the pairs this schema evaluates: a rectangle's or a
+            # Taus over the tiles this schema must cover: a rectangle's or a
             # round's elements rank only their required partners.
-            required = self.scheme.required_pairs()
-            pairs = None if required is None else np.array(list(required), np.int64).reshape(-1, 2)
-            pruner: PairPruner = TopKPruner(self.top_k, build_topk_taus(suite, self.top_k, pairs))
+            taus = build_topk_taus(suite, self.top_k, self.scheme.required_tiles())
+            pruner: PairPruner = TopKPruner(self.top_k, taus)
         else:
             pruner = ThresholdPruner(self.threshold, keep_below=self._sketch_kind in DISTANCE_KINDS)
         compute.cache["sketches"] = suite

@@ -46,8 +46,10 @@ from .scheme import (
     DistributionScheme,
     Pair,
     ReplicationReport,
+    Rows,
     SchemeMetrics,
     TaskProfile,
+    Tile,
     replication_lower_bound,
 )
 
@@ -202,7 +204,7 @@ class QuorumScheme(DistributionScheme):
         v = self.v
         return sorted({(p - d) % v for d in self.residues})
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+    def pair_tiles(self, subset_id: int, members: Sequence[int] | None = None) -> tuple[Tile, ...]:
         """One pair per difference class, owned by translate ``subset_id``.
 
         Closed-form like broadcast/block: ``members`` is ignored (the
@@ -219,7 +221,7 @@ class QuorumScheme(DistributionScheme):
             ends += 1
         else:
             ends = np.asarray(self._element_at, dtype=np.int64)[ends]
-        return np.column_stack((ends.max(axis=1), ends.min(axis=1)))
+        return (Rows(np.column_stack((ends.max(axis=1), ends.min(axis=1)))),)
 
     # -- structure -------------------------------------------------------------
     @property

@@ -6,13 +6,12 @@ algorithm needs (paper §4):
 1. **getSubsets** — which working sets does element ``s_i`` belong to?
    (drives the map phase of the distribution job), and
 2. **getPairs** — which pairs does working set ``D_l`` evaluate?
-   (drives the reduce phase).  A scheme answers it as one ``(n, 2)``
-   int64 array, :meth:`DistributionScheme.pair_array`, built from its
-   closed form; :meth:`DistributionScheme.get_pairs` is the list-of-tuples
-   view of that array.  :meth:`DistributionScheme.pair_tiles` gives the
-   same relation as the tiles of the ``v × v`` pair matrix it covers —
-   :class:`Triangle`, :class:`Cross` or plain :class:`Rows` — and the
-   tile-shaped schemes build ``pair_array`` as the tiles' rows.
+   (drives the reduce phase).  A scheme answers it as tiles of the
+   ``v × v`` pair matrix, :meth:`DistributionScheme.pair_tiles` —
+   :class:`Triangle`, :class:`Cross` or plain :class:`Rows` — and every
+   other form is derived from them here: :meth:`DistributionScheme.pair_array`
+   is their ``(n, 2)`` int64 rows (:func:`tile_rows`), and
+   :meth:`DistributionScheme.get_pairs` the list-of-tuples view of those.
 
 Together they define the systems ``D`` (working sets) and ``P`` (pair
 relations) of §5's formal problem, subject to:
@@ -24,10 +23,10 @@ This is the only schema interface: the flat schemes, a two-set rectangle
 (:mod:`~repro.core.bipartite`) and one round of a sequential schedule
 (:mod:`~repro.core.hierarchical`) all implement it.  The last two cover
 fewer pairs than the full triangle and say so through two read-only facts,
-:meth:`DistributionScheme.required_pairs` (the pairs demand (b) is about)
-and :meth:`DistributionScheme.participants` (the elements in some working
-set); validation, execution and simulation read those instead of assuming
-``v(v−1)/2`` pairs over ids ``1..v``.
+:meth:`DistributionScheme.required_tiles` (the universe demand (b) is
+about, as tiles too) and :meth:`DistributionScheme.participants` (the
+elements in some working set); validation, execution and simulation read
+those instead of assuming ``v(v−1)/2`` pairs over ids ``1..v``.
 
 Task/working-set ids are 0-indexed ints in ``[0, num_tasks)``; element ids
 are 1-indexed (``s1 … sv``) as in the paper.  :class:`SchemeMetrics`
@@ -107,8 +106,8 @@ Tile = Triangle | Cross | Rows
 
 
 def tile_rows(tiles: Sequence[Tile]) -> np.ndarray:
-    """The ``(n, 2)`` rows of ``tiles``, tile after tile."""
-    return np.concatenate([tile.rows() for tile in tiles])
+    """The ``(n, 2)`` int64 rows of ``tiles``, tile after tile; ``(0, 2)`` for no tiles."""
+    return np.concatenate([np.empty((0, 2), np.int64), *(tile.rows() for tile in tiles)])
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,7 @@ class DistributionScheme(abc.ABC):
 
     Subclasses must be deterministic: the same ``(v, parameters)`` must
     always produce the same working sets and pair relations, because the
-    map phase (get_subsets) and the reduce phase (pair_array) run on
+    map phase (get_subsets) and the reduce phase (pair_tiles) run on
     different nodes and must agree on the partitioning.
     """
 
@@ -290,32 +289,23 @@ class DistributionScheme(abc.ABC):
         """Working-set ids (0-indexed tasks) that element ``element_id`` joins."""
 
     @abc.abstractmethod
-    def pair_array(
+    def pair_tiles(
         self, subset_id: int, members: Sequence[int] | None = None
-    ) -> np.ndarray:
-        """getPairs: the ``(n, 2)`` int64 rows ``(i, j)``, i > j, task ``subset_id`` evaluates.
+    ) -> tuple[Tile, ...]:
+        """getPairs: the tiles of the pair matrix task ``subset_id`` evaluates, in row order.
 
         ``members`` is the sorted list of element ids that arrived at the
         reducer for this working set; schemes may check it (design) or
         ignore it in favour of closed-form index math (broadcast, block).
-        A task with no pairs returns shape ``(0, 2)``.  This is the form
-        the compute steps hand to pruner, kernel and scatter when they do
-        not evaluate the task as tiles (:meth:`pair_tiles`).
+        Schemes whose tasks are blocks of the matrix (block, design,
+        bipartite block, a schedule's round) return :class:`Triangle` /
+        :class:`Cross` tiles, the label-range schemes one :class:`Rows`;
+        every pair is ``(i, j)``, i > j.
         """
 
-    def pair_tiles(
-        self, subset_id: int, members: Sequence[int] | None = None
-    ) -> tuple[Tile, ...]:
-        """:meth:`pair_array` as tiles of the pair matrix, in row order.
-
-        The default has no tile shape: one :class:`Rows`.  Schemes whose
-        tasks are blocks of the matrix (block, design, bipartite block)
-        return :class:`Triangle` / :class:`Cross` tiles, and their
-        ``pair_array`` is :func:`tile_rows` of them — so a kernel that
-        evaluates a whole tile at once and one that walks the rows see the
-        same pairs in the same order.
-        """
-        return (Rows(self.pair_array(subset_id, members)),)
+    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
+        """:meth:`pair_tiles` as ``(n, 2)`` int64 rows; ``(0, 2)`` for a task with no pairs."""
+        return tile_rows(self.pair_tiles(subset_id, members))
 
     def get_pairs(self, subset_id: int, members: Sequence[int] | None = None) -> list[Pair]:
         """:meth:`pair_array` as a list of ``(i, j)`` tuples of Python ints."""
@@ -333,14 +323,9 @@ class DistributionScheme(abc.ABC):
         """The analytic Table-1 row for this scheme instance."""
 
     # -- what the schema covers ------------------------------------------------
-    def required_pairs(self) -> frozenset[Pair] | None:
-        """The pairs ``(i, j)``, i > j, to cover exactly once; ``None`` ≡ all of them."""
+    def required_tiles(self) -> tuple[Tile, ...] | None:
+        """The pairs ``(i, j)``, i > j, to cover exactly once, as tiles; ``None`` ≡ the triangle."""
         return None
-
-    def required_pair_count(self) -> int | None:
-        """``len(required_pairs())`` without building the set; ``None`` ≡ the triangle."""
-        required = self.required_pairs()
-        return None if required is None else len(required)
 
     def participants(self) -> Sequence[int]:
         """Ascending ids of the elements in some working set — O(1), a stored fact."""
@@ -350,15 +335,15 @@ class DistributionScheme(abc.ABC):
     def task_profile(self, subset_id: int) -> "TaskProfile":
         """Size profile of one task: member count and evaluation count.
 
-        The default materializes the members and the pair array; every
-        concrete scheme overrides this with closed-form O(1) math so the
-        cluster simulator can profile millions of tasks cheaply.
+        The default materializes the members and counts the tiles' pairs;
+        every concrete scheme overrides this with closed-form O(1) math so
+        the cluster simulator can profile millions of tasks cheaply.
         """
         members = self.subset_members(subset_id)
         return TaskProfile(
             subset_id=subset_id,
             num_members=len(members),
-            num_evaluations=len(self.pair_array(subset_id, members)),
+            num_evaluations=sum(tile.size() for tile in self.pair_tiles(subset_id, members)),
         )
 
     def subset_members(self, subset_id: int) -> list[int]:
@@ -378,11 +363,6 @@ class DistributionScheme(abc.ABC):
         for subset_id in range(self.num_tasks):
             yield subset_id, self.subset_members(subset_id)
 
-    def all_pairs(self) -> Iterator[Pair]:
-        """Every pair the scheme evaluates, across all tasks (for validation)."""
-        for subset_id, members in self.iter_subsets():
-            yield from self.get_pairs(subset_id, members)
-
     def replication_report(self) -> ReplicationReport:
         """Achieved replication vs the lower bound at this scheme's capacity.
 
@@ -395,7 +375,7 @@ class DistributionScheme(abc.ABC):
         """
         m = self.metrics()
         capacity = max(2, m.working_set_elements)
-        required = self.required_pair_count()
+        universe = self.required_tiles()
         return ReplicationReport(
             scheme=self.name,
             v=self.v,
@@ -403,8 +383,8 @@ class DistributionScheme(abc.ABC):
             replication_achieved=m.replication_factor,
             replication_lower_bound=(
                 replication_lower_bound(self.v, capacity)
-                if required is None
-                else 2 * required / ((capacity - 1) * self.v)
+                if universe is None
+                else 2 * sum(tile.size() for tile in universe) / ((capacity - 1) * self.v)
             ),
         )
 

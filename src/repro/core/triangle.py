@@ -9,8 +9,8 @@ column by column:
 so that pair (2,1) gets label 1, (3,1) label 2, (3,2) label 3, (4,1) label
 4, … (the paper's Figure 5).  Labels run 1 … T where T = v(v−1)/2.
 
-This module provides the labelling, its exact integer inverse, and range
-iterators used to carve the triangle into per-task chunks.  The scalar
+This module provides the labelling, its exact integer inverse, and the
+label ranges that carve the triangle into per-task chunks.  The scalar
 inverse uses ``math.isqrt``, so it is exact for arbitrarily large v (no
 float round-off at the billion-pair scale the paper's datasets imply); the
 vectorised one, :func:`label_pair_array`, corrects its float square root
@@ -20,7 +20,6 @@ in integer arithmetic and is exact over the int64 label range.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -91,17 +90,6 @@ def label_pair_array(labels: range) -> np.ndarray:
     i -= (i - 1) * (i - 2) // 2 >= p
     i += i * (i - 1) // 2 < p
     return np.column_stack((i, p - (i - 1) * (i - 2) // 2))
-
-
-def pairs_in_labels(labels: range) -> Iterator[Pair]:
-    """Yield the (i, j) pairs for a contiguous label range."""
-    for i, j in label_pair_array(labels).tolist():
-        yield (i, j)
-
-
-def pairs_for_task(task: int, num_tasks: int, v: int) -> Iterator[Pair]:
-    """All pairs assigned to a broadcast task, in label order."""
-    yield from pairs_in_labels(labels_for_task(task, num_tasks, v))
 
 
 def elements_in_labels(labels: range) -> set[int]:

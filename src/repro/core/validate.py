@@ -11,7 +11,7 @@ The formal demands of paper §5 are checked exhaustively here:
     model of §3).
 
 "Any two elements" is the scheme's declared universe
-(:meth:`~repro.core.scheme.DistributionScheme.required_pairs`): the full
+(:meth:`~repro.core.scheme.DistributionScheme.required_tiles`): the full
 triangle for a flat scheme, the rectangle for a two-set scheme, a coarse
 block for one round of a schedule.  :func:`check_exactly_once` is the only
 function that walks pair coverage; every schema goes through it.
@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
-from .._util import mean, stdev, triangle_count
-from .scheme import DistributionScheme
+import numpy as np
+
+from .._util import mean, stdev
+from .scheme import DistributionScheme, Tile, Triangle, tile_rows
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,33 @@ class BalanceReport:
         return self.evals_max / self.evals_mean if self.evals_mean else 1.0
 
 
+def pair_keys(rows: np.ndarray, v: int) -> np.ndarray:
+    """One int64 per ``(i, j)`` row, ``i·(v+1) + j``: one key per pair of ids ``1..v``."""
+    return rows[:, 0] * (v + 1) + rows[:, 1]
+
+
+def _key_pairs(keys: np.ndarray, v: int) -> tuple[tuple[int, int], ...]:
+    """Invert :func:`pair_keys`."""
+    return tuple(zip((keys // (v + 1)).tolist(), (keys % (v + 1)).tolist()))
+
+
 def check_exactly_once(
     scheme: DistributionScheme, *, max_reported: int = 20
 ) -> CoverageReport:
     """Verify paper demand (b): every required pair evaluated exactly once, locally.
 
     Walks every working set exactly as the MR reduce phase would (members
-    from :meth:`subset_members`, pairs from :meth:`get_pairs`) and
+    from :meth:`subset_members`, pairs from :meth:`pair_tiles`) and
     cross-checks against :meth:`get_subsets` — the map-side view — since
-    both sides must agree for the two-job implementation to work.  A pair
-    evaluated outside the declared universe fails the total.
+    both sides must agree for the two-job implementation to work.  Pairs
+    are compared as :func:`pair_keys`: duplicates are repeated keys, and
+    missing pairs the universe's keys (:meth:`required_tiles`) that no task
+    evaluated.  A pair evaluated outside the declared universe fails the total.
     """
     v = scheme.v
-    coverage: Counter = Counter()
-    unservable: list[tuple[int, int]] = []
+    evaluated: list[Tile] = []
+    sizes: list[int] = []
+    held: list[list[int]] = []
     membership_mismatches: list[str] = []
 
     # Map-side view: element -> subsets.
@@ -89,7 +104,6 @@ def check_exactly_once(
     }
 
     for subset_id, members in scheme.iter_subsets():
-        member_set = set(members)
         # Reduce-side membership must match the map-side emission exactly.
         for eid in members:
             if subset_id not in map_side.get(eid, ()):
@@ -98,18 +112,13 @@ def check_exactly_once(
                         f"element {eid} in subset {subset_id} per subset_members "
                         "but not per get_subsets"
                     )
-        for i, j in scheme.get_pairs(subset_id, members):
-            if i <= j:
-                raise AssertionError(
-                    f"scheme emitted non-canonical pair ({i}, {j}) in subset {subset_id}"
-                )
-            if i not in member_set or j not in member_set:
-                if len(unservable) < max_reported:
-                    unservable.append((i, j))
-            coverage[(i, j)] += 1
+        tiles = scheme.pair_tiles(subset_id, members)
+        evaluated.extend(tiles)
+        sizes.append(sum(tile.size() for tile in tiles))
+        held.append(members)
 
     # Reverse check: every subset claimed by get_subsets must list the element.
-    members_cache = {sid: set(scheme.subset_members(sid)) for sid in range(scheme.num_tasks)}
+    members_cache = [set(members) for members in held]
     for eid, subsets in map_side.items():
         for sid in subsets:
             if eid not in members_cache[sid]:
@@ -119,30 +128,40 @@ def check_exactly_once(
                         "but subset_members omits the element"
                     )
 
-    required = scheme.required_pairs()
-    if required is None:
-        expected = triangle_count(v)
-        universe = ((i, j) for i in range(2, v + 1) for j in range(1, i))
-    else:
-        expected = len(required)
-        universe = sorted(required)
-    missing = list(islice((pair for pair in universe if pair not in coverage), max_reported))
-    duplicated = [pair for pair, count in coverage.items() if count > 1][:max_reported]
+    rows = tile_rows(evaluated)
+    task_of = np.repeat(np.arange(len(held)), sizes)
+    swapped = np.flatnonzero(rows[:, 0] <= rows[:, 1])
+    if len(swapped):
+        i, j = rows[swapped[0]].tolist()
+        raise AssertionError(
+            f"scheme emitted non-canonical pair ({i}, {j}) in subset {task_of[swapped[0]]}"
+        )
+    # A pair is servable when its task holds both ends: one (task, id) table.
+    flat = np.fromiter(chain.from_iterable(held), np.int64)
+    holds = np.zeros((len(held), max(v, rows.max(initial=0), flat.max(initial=0)) + 1), bool)
+    holds[np.repeat(np.arange(len(held)), [len(m) for m in held]), flat] = True
+    served = holds[task_of, rows[:, 0]] & holds[task_of, rows[:, 1]]
+    unservable = tuple(map(tuple, rows[~served][:max_reported].tolist()))
 
-    ok = (
-        not missing
-        and not duplicated
-        and not unservable
-        and not membership_mismatches
-        and sum(coverage.values()) == expected
-    )
+    universe = scheme.required_tiles()
+    if universe is None:
+        universe = (Triangle(range(1, v + 1)),)
+    required = np.sort(pair_keys(tile_rows(universe), v))
+    seen = np.sort(pair_keys(rows, v))
+    missing = duplicated = ()
+    if not np.array_equal(seen, required):
+        missing = _key_pairs(required[~np.isin(required, seen)][:max_reported], v)
+        repeated = seen[1:][seen[1:] == seen[:-1]]
+        duplicated = _key_pairs(np.unique(repeated)[:max_reported], v)
+
     return CoverageReport(
-        ok=ok,
-        total_pairs_expected=expected,
-        total_pairs_seen=sum(coverage.values()),
-        missing=tuple(missing),
-        duplicated=tuple(duplicated),
-        unservable=tuple(unservable),
+        ok=not (missing or duplicated or unservable or membership_mismatches)
+        and len(rows) == len(required),
+        total_pairs_expected=len(required),
+        total_pairs_seen=len(rows),
+        missing=missing,
+        duplicated=duplicated,
+        unservable=unservable,
         membership_mismatches=tuple(membership_mismatches),
     )
 
@@ -153,7 +172,7 @@ def balance_report(scheme: DistributionScheme) -> BalanceReport:
     ws: list[int] = []
     replication: Counter = Counter()
     for subset_id, members in scheme.iter_subsets():
-        evals.append(len(scheme.pair_array(subset_id, members)))
+        evals.append(sum(tile.size() for tile in scheme.pair_tiles(subset_id, members)))
         ws.append(len(members))
         for eid in members:
             replication[eid] += 1

@@ -26,6 +26,7 @@ imports) so both layers can sit on it — see ``tests/test_layering.py``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,18 +107,51 @@ def place(costs: Sequence[TaskCost], slots: Sequence[Slot]) -> Assignment:
     so loads are wall-clock seconds.  On equal speeds this is classic LPT
     list scheduling; on mixed speeds the MET/LPT heuristic for uniformly
     related machines.  Ties go to the lowest ``(node, slot)``.
+
+    The slots of one speed are one heap of their distinct loads, each load
+    holding a heap of the slot keys at it, so the top load's first key
+    finishes a task first — up to rounding: distinct loads can round to the
+    same ``load + seconds``, and the lowest key over all of them wins.
     """
     if not slots:
         raise ValueError("cannot schedule onto zero slots")
     seconds = {task.task_id: task.seconds for task in costs}
     if len(seconds) != len(costs):
         raise ValueError("task ids must be unique within a batch")
-    loads = {slot.key: 0.0 for slot in slots}
+    groups: dict[float, tuple[list[float], dict[float, list[tuple[int, int]]]]] = {}
+    for slot in slots:
+        heapq.heappush(groups.setdefault(slot.speed, ([0.0], {0.0: []}))[1][0.0], slot.key)
+
+    def earliest(loads: list[float], keys_at: dict, cost: float) -> tuple:
+        """``(finish, key, index in loads, loads, keys_at)`` of the group's first finisher.
+
+        Float addition is monotone, so a subtree of the load heap whose
+        root finishes later than the top holds no rounding tie.
+        """
+        finish, best, stack = loads[0] + cost, 0, [1, 2]
+        while stack:
+            at = stack.pop()
+            if at < len(loads) and loads[at] + cost == finish:
+                best = min(best, at, key=lambda i: keys_at[loads[i]][0])
+                stack += (2 * at + 1, 2 * at + 2)
+        return finish, keys_at[loads[best]][0], best, loads, keys_at
+
     placement: dict[int, tuple[int, int]] = {}
     for task_id in dispatch_order(costs):
-        finish, best = min(
-            (loads[slot.key] + seconds[task_id] / slot.speed, slot.key) for slot in slots
+        finish, key, at, loads, keys_at = min(
+            earliest(*group, seconds[task_id] / speed) for speed, group in groups.items()
         )
-        placement[task_id] = best
-        loads[best] = finish
-    return Assignment(placement=placement, slot_loads=loads)
+        placement[task_id] = key
+        heapq.heappop(keys_at[loads[at]])
+        if not keys_at[loads[at]]:  # no slot left at this load
+            del keys_at[loads[at]]
+            loads[at] = loads[-1]
+            loads.pop()
+            heapq.heapify(loads)
+        if finish not in keys_at:
+            heapq.heappush(loads, finish)
+        heapq.heappush(keys_at.setdefault(finish, []), key)
+    slot_loads = {slot.key: 0.0 for slot in slots}
+    for _loads, keys_at in groups.values():
+        slot_loads.update((key, load) for load, keys in keys_at.items() for key in keys)
+    return Assignment(placement=placement, slot_loads=slot_loads)

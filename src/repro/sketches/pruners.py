@@ -14,7 +14,7 @@ Every pruner is sound: it never drops a pair whose true score could
 clear the objective, so the pruned run's output equals the unpruned
 run's.  :class:`ThresholdPruner` compares one bound with the threshold;
 :class:`TopKPruner` compares a lower bound with per-element taus taken
-over the pairs the schema requires (:func:`build_topk_taus`).
+over the tiles the schema requires (:func:`build_topk_taus`).
 
 Bound comparisons carry a relative float guard (``BOUND_GUARD``): a
 pair is only dropped when its bound fails the threshold by more than
@@ -25,10 +25,10 @@ never flip a keep decision into a drop.
 from __future__ import annotations
 
 import abc
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .._util import kth_smallest
 from .base import SketchSuite
 
 #: relative slack applied to every bound-vs-threshold comparison
@@ -116,7 +116,7 @@ class TopKPruner(PairPruner):
 def build_topk_taus(
     suite: SketchSuite,
     k: int,
-    pairs: np.ndarray | None = None,
+    tiles: Sequence[Any] | None = None,
     *,
     chunk_size: int = 256,
 ) -> np.ndarray:
@@ -126,43 +126,57 @@ def build_topk_taus(
     partners: at least k partners have true distance at most that value,
     so the true k-th nearest distance cannot exceed it.
 
-    ``pairs=None`` takes the partners from the whole triangle over ids
-    ``1..v``, in row chunks against all columns — O(v²) bound arithmetic,
-    but pure vectorized float work, orders of magnitude cheaper than the
-    kernels plus shuffle it lets the run skip.  An ``(n, 2)`` array of
-    pairs takes each element's partners from those rows only (a schema's
-    required pairs); an element with fewer than k of them gets ``+inf``,
-    so none of its pairs is pruned.
+    The partners are the ones ``tiles`` — a schema's universe,
+    :meth:`~repro.core.scheme.DistributionScheme.required_tiles` — pairs
+    an element with: a :class:`~repro.core.scheme.Triangle` gives each of
+    its points the other points, a :class:`~repro.core.scheme.Cross` each
+    side the other side; ``None`` is the triangle over ids ``1..v``.  Each
+    (owners, partners) block is one bound matrix, in row chunks — O(pairs)
+    bound arithmetic, but pure vectorized float work, orders of magnitude
+    cheaper than the kernels plus shuffle it lets the run skip.  An element
+    in several tiles takes the k-th smallest over all of its partners; one
+    with fewer than k of them gets ``+inf``, so none of its pairs is pruned.
     """
     if suite.coords is None:
-        raise ValueError(
-            f"top-k taus need a dense distance suite, got kind={suite.kind!r}"
-        )
-    if pairs is not None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        upper = suite.distance_upper(pairs)
-        owners = pairs.T.ravel()
-        counts = np.bincount(owners, minlength=len(suite.coords))
-        grouped = np.concatenate([upper, upper])[np.argsort(owners)]
-        return kth_smallest(grouped, np.cumsum(counts) - counts, counts, k)
-    v = suite.v
-    if not 1 <= k <= v - 1:
-        raise ValueError(f"need 1 <= k <= v-1, got k={k}, v={v}")
-    coords = suite.coords[1 : v + 1]
-    residuals = suite.residuals[1 : v + 1]
+        raise ValueError(f"top-k taus need a dense distance suite, got kind={suite.kind!r}")
+    if k < 1 or (tiles is None and k > suite.v - 1):
+        raise ValueError(f"need 1 <= k (<= v-1 on the triangle), got k={k}, v={suite.v}")
+    coords, residuals = suite.coords, suite.residuals
     sq = np.einsum("ij,ij->i", coords, coords)
-    taus = np.zeros(v + 1, dtype=np.float64)
-    for start in range(0, v, chunk_size):
-        stop = min(start + chunk_size, v)
-        gap = sq[start:stop, None] + sq[None, :] - 2.0 * (
-            coords[start:stop] @ coords.T
-        )
-        np.maximum(gap, 0.0, out=gap)
-        upper = np.sqrt(
-            gap + (residuals[start:stop, None] + residuals[None, :]) ** 2
-        )
-        # An element is not its own partner.
-        upper[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        taus[start + 1 : stop + 1] = np.partition(upper, k - 1, axis=1)[:, k - 1]
-    return taus
+    # Each element's k smallest bounds so far, over every block it owns rows in.
+    best = np.full((len(coords), k), np.inf)
+    for owners, partners, diagonal in _partner_blocks(tiles, suite.v):
+        owners = np.asarray(owners, dtype=np.int64)
+        partners = np.asarray(partners, dtype=np.int64)
+        across = coords[partners].T
+        for start in range(0, len(owners), chunk_size):
+            rows = owners[start : start + chunk_size]
+            gap = sq[rows, None] + sq[None, partners] - 2.0 * (coords[rows] @ across)
+            np.maximum(gap, 0.0, out=gap)
+            upper = np.sqrt(gap + (residuals[rows, None] + residuals[None, partners]) ** 2)
+            if diagonal:  # an element is not its own partner
+                upper[np.arange(len(rows)), np.arange(start, start + len(rows))] = np.inf
+            both = np.concatenate([best[rows], upper], axis=1)
+            best[rows] = np.partition(both, k - 1, axis=1)[:, :k]
+    return best[:, k - 1]
+
+
+def _partner_blocks(
+    tiles: Sequence[Any] | None, v: int
+) -> Iterator[tuple[Sequence[int], Sequence[int], bool]]:
+    """``(owners, partners, diagonal)`` per side of each tile; ``diagonal``: owner a is partner a.
+
+    Tiles are told apart by their fields, ``points`` or ``high`` / ``low``,
+    so this layer imports nothing from :mod:`repro.core`.
+    """
+    if tiles is None:
+        yield range(1, v + 1), range(1, v + 1), True
+        return
+    for tile in tiles:
+        if hasattr(tile, "points"):
+            yield tile.points, tile.points, True
+        elif hasattr(tile, "high"):
+            yield tile.high, tile.low, False
+            yield tile.low, tile.high, False
+        else:
+            raise TypeError(f"top-k taus take Triangle and Cross tiles, got {type(tile).__name__}")

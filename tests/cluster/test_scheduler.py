@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.node import ClusterSpec, NodeSpec
 from repro.cluster.scheduler import Slot, TaskCost, cluster_slots, place
@@ -154,3 +156,47 @@ class TestHeterogeneousLPT:
         a = schedule(tasks, self._mixed_cluster())
         b = schedule(tasks, self._mixed_cluster())
         assert a.placement == b.placement
+
+
+def scan_place(costs, slots):
+    """``place`` as the commit before the per-speed heaps wrote it: a ``min`` over every slot."""
+    seconds = {task.task_id: task.seconds for task in costs}
+    loads = {slot.key: 0.0 for slot in slots}
+    placement = {}
+    for task_id in dispatch_order(costs):
+        finish, best = min(
+            (loads[slot.key] + seconds[task_id] / slot.speed, slot.key) for slot in slots
+        )
+        placement[task_id] = best
+        loads[best] = finish
+    return placement, loads
+
+
+#: costs that make equal loads, and loads that differ yet round to the same finish
+COSTS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.75, 1 - 2**-53, 1.0, 1e16])
+SPEEDS = st.sampled_from([1.0, 0.5, 2.0, 1 / 3, 0.7])
+
+
+class TestHeapsAreTheScan:
+    @given(
+        costs=st.lists(COSTS, max_size=30),
+        speeds=st.lists(SPEEDS, min_size=1, max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_placements_and_loads_equal_the_min_scan(self, costs, speeds, data):
+        keys = data.draw(st.permutations([(node, slot) for node in range(5) for slot in range(2)]))
+        slots = [Slot(node, index, speed) for (node, index), speed in zip(keys, speeds)]
+        tasks = [TaskCost(task_id, cost) for task_id, cost in enumerate(costs)]
+        got = place(tasks, slots)
+        placement, loads = scan_place(tasks, slots)
+        assert got.placement == placement
+        assert list(got.slot_loads.items()) == list(loads.items())
+
+    def test_a_rounding_tie_goes_to_the_lower_key(self):
+        """Loads 1 − 2⁻⁵³ < 1 both finish a 0.75-second task at 1.75: slot (0, 0) wins."""
+        slots = [Slot(0, 0), Slot(0, 1)]
+        tasks = [TaskCost(0, 1.0), TaskCost(1, 1 - 2**-53), TaskCost(2, 0.75)]
+        got = place(tasks, slots)
+        assert got.placement == {0: (0, 0), 1: (0, 1), 2: (0, 0)}
+        assert (got.placement, got.slot_loads) == scan_place(tasks, slots)

@@ -1,6 +1,5 @@
 """Two-set (bipartite) pairwise computation tests (§1's generalization)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +10,7 @@ from repro.core.bipartite import (
     brute_force_bipartite,
     run_bipartite,
 )
-from repro.core.scheme import DistributionScheme
+from repro.core.scheme import DistributionScheme, Rows, tile_rows
 from repro.core.validate import check_exactly_once
 from repro.kernels import pair_index_array
 from repro.mapreduce import MultiprocessEngine, SerialEngine
@@ -19,6 +18,17 @@ from repro.mapreduce import MultiprocessEngine, SerialEngine
 
 def cross(a, b):
     return a * 100 + b
+
+
+def assert_universe_is_the_rectangle(scheme):
+    """The declared tiles hold every (R, S) pair once, and their sizes count them."""
+    r_ids, s_ids = range(scheme.vs + 1, scheme.v + 1), range(1, scheme.vs + 1)
+    rectangle = {(r, s) for r in r_ids for s in s_ids}
+    tiles = scheme.required_tiles()
+    rows = tile_rows(tiles)
+    assert sum(tile.size() for tile in tiles) == len(rows) == len(rectangle)
+    assert len(rectangle) == scheme.vr * scheme.vs
+    assert set(map(tuple, rows.tolist())) == rectangle
 
 
 class TestBroadcastScheme:
@@ -76,7 +86,7 @@ class TestBroadcastScheme:
         report = check_exactly_once(scheme)
         assert report.ok, report
         assert report.total_pairs_expected == vr * vs
-        assert scheme.required_pair_count() == len(scheme.required_pairs()) == vr * vs
+        assert_universe_is_the_rectangle(scheme)
 
 
 class TestBlockScheme:
@@ -122,15 +132,15 @@ class TestBlockScheme:
         report = check_exactly_once(scheme)
         assert report.ok, report
         assert report.total_pairs_expected == vr * vs
-        assert scheme.required_pair_count() == len(scheme.required_pairs()) == vr * vs
+        assert_universe_is_the_rectangle(scheme)
 
     def test_same_side_pair_fails_the_one_validator(self):
         """A rectangle task may only emit cross pairs: (s₂, s₁) is outside the universe."""
 
         class Leaky(BipartiteBlockScheme):
-            def pair_array(self, subset_id, members=None):
+            def pair_tiles(self, subset_id, members=None):
                 extra = pair_index_array([(2, 1)] if subset_id == 0 else [])
-                return np.concatenate([super().pair_array(subset_id, members), extra])
+                return (*super().pair_tiles(subset_id, members), Rows(extra))
 
         report = check_exactly_once(Leaky(6, 9, 2, 3))
         assert report.ok is False

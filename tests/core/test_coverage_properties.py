@@ -63,15 +63,14 @@ def test_design_exactly_once(v, prime_powers):
 
 def assert_rounds_tile_the_triangle(schedule):
     """Every round through the one validator; universes disjoint, v(v−1)/2 in all."""
-    declared = set()
+    declared = []
     for round_ in schedule.rounds():
         report = check_exactly_once(round_)
         assert report.ok, report
-        required = round_.required_pairs()
-        assert report.total_pairs_expected == len(required) == round_.evaluations
-        assert declared.isdisjoint(required)
-        declared |= required
-    assert len(declared) == schedule.v * (schedule.v - 1) // 2
+        universe = round_.required_tiles()
+        assert report.total_pairs_expected == sum(t.size() for t in universe) == round_.evaluations
+        declared.extend(map(tuple, tile_rows(universe).tolist()))
+    assert len(set(declared)) == len(declared) == schedule.v * (schedule.v - 1) // 2
     ok, msg = check_schedule_exactly_once(schedule)
     assert ok, msg
 
@@ -106,7 +105,7 @@ def test_round_that_drops_a_required_pair_is_caught(v, data):
         ScheduledTask(t.round_index, t.task_index, t.members, (Rows(np.delete(rows, cut, 0)),))
         for t in whole.tasks
     ]
-    report = check_exactly_once(Round(v, whole.index, tasks, whole.blocks))
+    report = check_exactly_once(Round(v, whole.index, tasks, whole.universe))
     assert report.ok is False and report.missing == (hole,)
 
 

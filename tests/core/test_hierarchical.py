@@ -21,7 +21,7 @@ from repro.core.pairwise import (
     brute_force_asymmetric,
     brute_force_results,
 )
-from repro.core.scheme import DistributionScheme, Rows, tile_rows
+from repro.core.scheme import DistributionScheme, Rows, Triangle, tile_rows
 from repro.core.validate import check_exactly_once
 from repro.mapreduce import MultiprocessEngine, SerialEngine
 from repro.mapreduce.controlplane.events import ReplicationMeasured
@@ -63,10 +63,13 @@ class TestHierarchicalBlock:
         ids=["block-23-3-2", "block-30-5-3", "block-9-3-3", "design-23-5"],
     )
     def test_a_rounds_pair_count_is_its_required_set_size(self, schedule):
-        """The replication report counts a round's universe without building it."""
+        """The universe's tile sizes count the set the groups stand for; the report reads them."""
         for round_ in schedule().rounds():
-            required = len(round_.required_pairs())
-            assert round_.required_pair_count() == required
+            tiles = round_.required_tiles()
+            # The (high, low) groups each tile is made of, read as a set of pairs.
+            groups = [(t.points, t.points) if isinstance(t, Triangle) else t for t in tiles]
+            required = len({(i, j) for high, low in groups for i in high for j in low if i > j})
+            assert sum(tile.size() for tile in tiles) == required == round_.evaluations
             capacity = max(2, round_.metrics().working_set_elements)
             assert round_.replication_report().replication_lower_bound == (
                 2 * required / ((capacity - 1) * round_.v)
@@ -82,7 +85,7 @@ class TestHierarchicalBlock:
             assert report.ok, report
             assert report.total_pairs_expected == round_.evaluations
             assert set(round_.participants()) == {e for t in round_.tasks for e in t.members}
-            declared += len(round_.required_pairs())
+            declared += sum(tile.size() for tile in round_.required_tiles())
         assert declared == 23 * 22 // 2
 
     def test_round_missing_a_required_pair_fails_the_one_validator(self):
@@ -91,7 +94,7 @@ class TestHierarchicalBlock:
         rows = tile_rows(first.tiles)
         dropped = tuple(rows[0].tolist())
         short = type(first)(first.round_index, first.task_index, first.members, (Rows(rows[1:]),))
-        report = check_exactly_once(Round(20, whole.index, [short, *rest], whole.blocks))
+        report = check_exactly_once(Round(20, whole.index, [short, *rest], whole.universe))
         assert report.ok is False
         assert report.missing == (dropped,)
         assert report.total_pairs_seen == report.total_pairs_expected - 1

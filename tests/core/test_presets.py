@@ -190,8 +190,9 @@ def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, 
     if symmetric:
         evaluations = result.counters.get(PAIRWISE_GROUP, EVALUATIONS)
         pruned = result.counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)
-        required = runner.scheme.required_pairs()
-        assert evaluations + pruned == (V * (V - 1) // 2 if required is None else len(required))
+        universe = runner.scheme.required_tiles()
+        required = V * (V - 1) // 2 if universe is None else sum(t.size() for t in universe)
+        assert evaluations + pruned == required
         assert (pruned > 0) == (pruning != "off")
 
 

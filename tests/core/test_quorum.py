@@ -24,7 +24,8 @@ from repro.core.element import results_matrix
 from repro.core.pairwise import PairwiseComputation, brute_force_results
 from repro.core.quorum import QuorumScheme, measure_task_bytes
 from repro.core.runner import auto_pairwise
-from repro.core.validate import balance_report, check_exactly_once
+from repro.core.scheme import Triangle, tile_rows
+from repro.core.validate import balance_report, check_exactly_once, pair_keys
 from repro.designs.difference_covers import difference_cover
 from repro.mapreduce import MultiprocessEngine, SerialEngine
 from repro.mapreduce.runtime import shm_available
@@ -32,16 +33,10 @@ from repro.mapreduce.serialization import estimate_element_size
 
 
 def closed_form_coverage_ok(scheme: QuorumScheme) -> bool:
-    """Cheap full-coverage check: every pair from get_pairs, exactly once."""
-    v = scheme.v
-    seen = set()
-    for t in range(scheme.num_tasks):
-        for pair in scheme.get_pairs(t, ()):
-            if pair in seen:
-                return False
-            seen.add(pair)
-    expected = {(i, j) for i in range(2, v + 1) for j in range(1, i)}
-    return seen == expected
+    """Cheap full-coverage check: the tiles' pair keys, sorted, are the triangle's, each once."""
+    tiles = [tile for t in range(scheme.num_tasks) for tile in scheme.pair_tiles(t, ())]
+    keys = np.sort(pair_keys(tile_rows(tiles), scheme.v))
+    return np.array_equal(keys, pair_keys(Triangle(range(1, scheme.v + 1)).rows(), scheme.v))
 
 
 class TestExactlyOnce:

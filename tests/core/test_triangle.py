@@ -1,18 +1,23 @@
 """Triangle enumeration tests (the Fig. 5 labelling and its inverse)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.triangle import (
     elements_in_labels,
+    label_pair_array,
     label_to_pair,
     labels_for_task,
     pair_label,
-    pairs_for_task,
-    pairs_in_labels,
     total_pairs,
 )
+
+
+def task_pairs(task: int, num_tasks: int, v: int) -> list[tuple[int, int]]:
+    """A broadcast task's pairs, in label order."""
+    return [tuple(row) for row in label_pair_array(labels_for_task(task, num_tasks, v)).tolist()]
 
 
 class TestPairLabel:
@@ -99,16 +104,18 @@ class TestTaskRanges:
 class TestPairsIteration:
     def test_incremental_matches_inverse(self):
         labels = range(37, 61)
-        assert list(pairs_in_labels(labels)) == [label_to_pair(p) for p in labels]
+        rows = label_pair_array(labels)
+        assert rows.dtype == np.int64
+        assert [tuple(row) for row in rows.tolist()] == [label_to_pair(p) for p in labels]
 
     def test_empty_range(self):
-        assert list(pairs_in_labels(range(5, 5))) == []
+        assert label_pair_array(range(5, 5)).shape == (0, 2)
 
     def test_pairs_for_task_cover_triangle(self):
         v, n = 11, 4
         seen = set()
         for task in range(n):
-            for pair in pairs_for_task(task, n, v):
+            for pair in task_pairs(task, n, v):
                 assert pair not in seen
                 seen.add(pair)
         assert len(seen) == total_pairs(v)
@@ -123,6 +130,6 @@ class TestPairsIteration:
         """Tasks always partition the label space exactly."""
         all_pairs = []
         for task in range(n):
-            all_pairs.extend(pairs_for_task(task, n, v))
+            all_pairs.extend(task_pairs(task, n, v))
         assert len(all_pairs) == total_pairs(v)
         assert len(set(all_pairs)) == total_pairs(v)

@@ -2,11 +2,10 @@
 
 from typing import Sequence
 
-import numpy as np
 import pytest
 
 from repro.core.block import BlockScheme
-from repro.core.scheme import DistributionScheme, Pair, SchemeMetrics
+from repro.core.scheme import DistributionScheme, Pair, Rows, SchemeMetrics
 from repro.core.validate import assert_valid_scheme, balance_report, check_exactly_once
 from repro.kernels import pair_index_array
 
@@ -36,8 +35,8 @@ class _BrokenScheme(DistributionScheme):
             )
         return list(range(1, self.v + 1))
 
-    def pair_array(self, subset_id: int, members: Sequence[int] | None = None) -> np.ndarray:
-        return pair_index_array(self.pair_list(subset_id))
+    def pair_tiles(self, subset_id: int, members: Sequence[int] | None = None) -> tuple[Rows]:
+        return (Rows(pair_index_array(self.pair_list(subset_id))),)
 
     def pair_list(self, subset_id: int) -> list[Pair]:
         full = [(i, j) for i in range(2, self.v + 1) for j in range(1, i)]
@@ -62,22 +61,29 @@ class TestCatchesViolations:
     def test_duplicates_detected(self):
         report = check_exactly_once(_BrokenScheme(6, "duplicate"))
         assert not report.ok
-        assert report.duplicated
+        assert report.duplicated == ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1),
+                                     (5, 2), (5, 3), (5, 4), (6, 1), (6, 2), (6, 3), (6, 4), (6, 5))
+        assert report.total_pairs_seen == 2 * report.total_pairs_expected == 30
 
     def test_missing_detected(self):
         report = check_exactly_once(_BrokenScheme(6, "missing"))
         assert not report.ok
-        assert report.missing
+        assert report.missing == ((6, 5),) and report.duplicated == ()
 
     def test_unservable_detected(self):
         report = check_exactly_once(_BrokenScheme(6, "unservable"))
         assert not report.ok
-        assert report.unservable
+        assert report.unservable == ((7, 1),)
+        assert report.missing == () and report.duplicated == ()
 
     def test_membership_mismatch_detected(self):
         report = check_exactly_once(_BrokenScheme(6, "membership-mismatch"))
         assert not report.ok
-        assert report.membership_mismatches
+        assert report.membership_mismatches == (
+            "element 1 in subset 0 per subset_members but not per get_subsets",
+            "get_subsets(1) includes subset 1 but subset_members omits the element",
+        )
+        assert report.missing == report.duplicated == report.unservable == ()
 
     def test_valid_trivial_scheme_passes(self):
         report = check_exactly_once(_BrokenScheme(6, "valid"))

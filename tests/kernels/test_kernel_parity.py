@@ -25,7 +25,7 @@ from repro.core.design import DesignScheme
 from repro.core.element import ordered_results, results_matrix
 from repro.core.pairwise import EVALUATIONS, PAIRWISE_GROUP, PairwiseComputation
 from repro.core.quorum import QuorumScheme
-from repro.core.scheme import DistributionScheme, SchemeMetrics
+from repro.core.scheme import DistributionScheme, Rows, SchemeMetrics
 from repro.kernels import DenseEuclideanKernel, pair_index_array
 from repro.mapreduce import MultiprocessEngine
 from repro.workloads.generator import make_documents
@@ -171,11 +171,11 @@ class SingletonScheme(DistributionScheme):
         self._check_element_id(element_id)
         return [0, 1] if element_id == 1 else [0]
 
-    def pair_array(self, subset_id, members=None):
+    def pair_tiles(self, subset_id, members=None):
         self._check_subset_id(subset_id)
         if subset_id == 1:
-            return pair_index_array([])
-        return pair_index_array([(i, j) for i in members for j in members if i > j])
+            return (Rows(pair_index_array([])),)
+        return (Rows(pair_index_array([(i, j) for i in members for j in members if i > j])),)
 
     @property
     def num_tasks(self) -> int:

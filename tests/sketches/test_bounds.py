@@ -20,9 +20,14 @@ import pickle
 import numpy as np
 import pytest
 
+from repro._util import kth_smallest
 from repro.apps.dbscan import euclidean_distance
 from repro.apps.docsim import build_tfidf, cosine_similarity
 from repro.core.bipartite import BipartiteBlockScheme
+from repro.core.design import DesignScheme
+from repro.core.hierarchical import HierarchicalBlockScheme, SequentialDesignSchedule, run_rounds
+from repro.core.scheme import Cross, Rows, Triangle, tile_rows
+from repro.mapreduce import SerialEngine
 from repro.sketches import (
     BOUND_GUARD,
     CountMinSketch,
@@ -177,16 +182,14 @@ class TestTopKTaus:
         payloads = dense_payloads(v)
         suite = build_dense_sketch(payloads, "dense-euclidean", proj_dim=6)
         # ids 3..30 against ids 1..2: the low side has 28 partners, the high side 2.
-        pairs = np.asarray([(i, j) for i in range(3, v + 1) for j in (1, 2)], dtype=np.int64)
-        taus = build_topk_taus(suite, k, pairs)
+        taus = build_topk_taus(suite, k, (Cross(range(3, v + 1), (1, 2)),))
         assert len(taus) == v + 1 and np.isinf(taus[3:]).all()
         for i in (1, 2):
             distances = sorted(euclidean_distance(payloads[i], payloads[j]) for j in range(3, v + 1))
             assert taus[i] >= distances[k - 1] - BOUND_GUARD
-        # The whole triangle as given pairs is the default, up to float rounding.
-        np.testing.assert_allclose(
-            build_topk_taus(suite, k, all_pairs(v))[1:], build_topk_taus(suite, k)[1:]
-        )
+        # The whole triangle as a tile is the default.
+        whole = build_topk_taus(suite, k, (Triangle(range(1, v + 1)),))
+        np.testing.assert_array_equal(whole[1:], build_topk_taus(suite, k)[1:])
 
     @pytest.mark.parametrize("k", [1, 4, 5])
     def test_taus_over_a_bipartite_blocks_pairs_equal_a_per_owner_sort(self, k):
@@ -195,16 +198,21 @@ class TestTopKTaus:
         payloads = dense_payloads(scheme.v)
         payloads[7] = payloads[6].copy()  # equal bounds: ties at the k-th value
         suite = build_dense_sketch(payloads, "dense-euclidean", proj_dim=6)
-        pairs = np.random.default_rng(k).permutation(np.array(sorted(scheme.required_pairs())))
+        pairs = np.random.default_rng(k).permutation(tile_rows(scheme.required_tiles()))
         upper = suite.distance_upper(pairs)
         expected = np.full(scheme.v + 1, np.inf)
         for owner in range(1, scheme.v + 1):
             mine = np.sort(upper[(pairs == owner).any(axis=1)])
             if len(mine) >= k:
                 expected[owner] = mine[k - 1]
-        taus = build_topk_taus(suite, k, pairs)
-        np.testing.assert_array_equal(taus, expected)
+        taus = build_topk_taus(suite, k, scheme.required_tiles())
+        np.testing.assert_allclose(taus, expected, rtol=1e-12)
         assert np.isinf(taus[1:21]).all() == (k > 4) and np.isfinite(taus[21:]).all()
+
+    def test_rows_have_no_partner_structure(self):
+        suite = build_dense_sketch(dense_payloads(10), "dense-euclidean")
+        with pytest.raises(TypeError, match="Triangle and Cross"):
+            build_topk_taus(suite, 2, (Rows(all_pairs(10)),))
 
     def test_validation(self):
         payloads = dense_payloads(10)
@@ -216,6 +224,63 @@ class TestTopKTaus:
         sparse = build_sparse_cosine_sketch(sparse_payloads(10))
         with pytest.raises(ValueError):
             build_topk_taus(sparse, 2)
+
+
+def gather_taus(suite, k: int, pairs: np.ndarray) -> np.ndarray:
+    """Each owner's k-th smallest ``distance_upper`` over the rows it is in; +inf below k rows."""
+    upper = suite.distance_upper(pairs)
+    owners = pairs.T.ravel()
+    counts = np.bincount(owners, minlength=len(suite.coords))
+    grouped = np.concatenate([upper, upper])[np.argsort(owners, kind="stable")]
+    return kth_smallest(grouped, np.cumsum(counts) - counts, counts, k)
+
+
+def schedule_round(schedule, index: int):
+    return next(round_ for round_ in schedule.rounds() if round_.index == index)
+
+
+class TestTausFromTiles:
+    """The bound matrix over a universe's tiles is the gather over its rows, to float rounding."""
+
+    UNIVERSES = {
+        "diagonal-round": lambda: schedule_round(HierarchicalBlockScheme(60, 3, 2), 0),
+        "cross-round": lambda: schedule_round(HierarchicalBlockScheme(60, 3, 2), 1),
+        # each point sits in several design blocks: several triangles per owner
+        "design-round": lambda: schedule_round(SequentialDesignSchedule(DesignScheme(57), 2), 0),
+        "rectangle": lambda: BipartiteBlockScheme(23, 31, 2, 3),
+    }
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("name", sorted(UNIVERSES))
+    def test_taus_equal_a_gather_over_the_rows(self, name, k):
+        scheme = self.UNIVERSES[name]()
+        suite = build_dense_sketch(dense_payloads(scheme.v), "dense-euclidean", proj_dim=6)
+        tiles = scheme.required_tiles()
+        expected = gather_taus(suite, k, tile_rows(tiles))
+        taus = build_topk_taus(suite, k, tiles)
+        assert np.array_equal(np.isinf(taus), np.isinf(expected))
+        np.testing.assert_allclose(taus, expected, rtol=1e-12, atol=1e-12)
+        if name == "design-round":
+            owners = np.concatenate([np.asarray(t.points) for t in tiles])
+            assert np.bincount(owners).max() > 1
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda: HierarchicalBlockScheme(40, 3, 2),
+            lambda: SequentialDesignSchedule(DesignScheme(31), 3),
+        ],
+        ids=["hierarchical", "sequential-design"],
+    )
+    def test_a_pruned_schedule_returns_the_references_pairs(self, schedule):
+        points = list(make_vectors(schedule().v, 16, seed=5))
+        reference = run_rounds(points, euclidean_distance, schedule(), top_k=3)
+        pruned = run_rounds(
+            points, euclidean_distance, schedule(), engine=SerialEngine(), top_k=3, pruning="sketch"
+        )
+        assert {eid: e.results for eid, e in pruned.items()} == {
+            eid: e.results for eid, e in reference.items()
+        }
 
 
 class TestThresholdPruner:

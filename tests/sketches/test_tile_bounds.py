@@ -170,11 +170,11 @@ def test_pruned_threshold_join_is_brute_force(scheme, preset):
         scheme, cosine_similarity, kernel="auto", threshold=threshold, pruning="sketch"
     )
     got = getattr(runner, preset)(docs).pairs()
-    required = scheme.required_pairs()
+    universe = scheme.required_tiles()
     pairs = (
         [(i, j) for i in range(2, scheme.v + 1) for j in range(1, i)]
-        if required is None
-        else [(max(pair), min(pair)) for pair in required]
+        if universe is None
+        else tile_rows(universe).tolist()
     )
     want = {
         (i, j) for i, j in pairs if cosine_similarity(docs[i - 1], docs[j - 1]) > threshold

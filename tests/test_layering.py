@@ -14,7 +14,7 @@ These are enforced over the import *statements* of every module in each
 package, with relative imports resolved to absolute module paths.
 
 ``repro.core`` has one mapping-schema interface and one executor: whatever
-answers ``get_subsets`` / ``pair_array`` is a ``DistributionScheme``, and the
+answers ``get_subsets`` / ``pair_tiles`` is a ``DistributionScheme``, and the
 pair function is called by ``pairwise.py`` and the brute-force oracles only —
 rounds and rectangles go through ``PairwiseComputation``, and a
 schedule's simulation through ``simulate``.
@@ -25,10 +25,11 @@ function, one attempt of a task in flight — the policy classes, the
 stay deleted.  It has one retry loop, the driver's: a worker runs exactly
 the attempt it was dispatched.
 
-A pair relation is an int64 array from scheme to kernel: every scheme
-implements ``pair_array``, ``get_pairs`` is the base class's list view, the
-compute steps take the relation as the scheme's tiles (``pair_tiles``), and
-only ``run_local`` reads tuples in ``pairwise.py``.
+A scheme is its tiles: every scheme implements ``pair_tiles``, and
+``pair_array`` (their int64 rows) and ``get_pairs`` (the list view) are the
+base class's; the universe to cover is tiles too (``required_tiles``), the
+compute steps take the relation as tiles, and only ``run_local`` reads
+tuples.
 
 Leg 2 ships result blocks: the pairwise producers emit once per task, from
 ``cleanup``, never one record per element.
@@ -56,6 +57,7 @@ job-config table lists exactly the keys the runtime reads.
 """
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -137,6 +139,25 @@ def core_trees() -> dict[str, ast.Module]:
     }
 
 
+@functools.cache
+def repro_sources() -> dict[str, str]:
+    """Every module of ``src/repro``, by path relative to the package."""
+    root = SRC / "repro"
+    return {
+        path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
+def trees_mentioning(*names: str) -> dict[str, ast.Module]:
+    """The parsed modules of ``src/repro`` whose text contains one of ``names``."""
+    return {
+        path: ast.parse(text)
+        for path, text in repro_sources().items()
+        if any(name in text for name in names)
+    }
+
+
 def calls_of(tree: ast.AST, *names: str) -> list[int]:
     """Line numbers of calls ``name(...)`` / ``anything.name(...)`` under ``tree``."""
     return [
@@ -163,7 +184,7 @@ class TestOneSchemaInterfaceOneExecutor:
         schemas = [
             name
             for name, node in classes.items()
-            if {"get_subsets", "pair_array"}
+            if {"get_subsets", "pair_tiles"}
             & {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
         ]
         assert len(schemas) >= 8  # the interface and its seven concrete classes
@@ -227,20 +248,13 @@ class TestOneSchemaInterfaceOneExecutor:
 
 
 class TestPairsAreArrays:
-    """A scheme implements ``pair_array``; the compute steps take it as the scheme's tiles."""
+    """A scheme implements ``pair_tiles``; the compute steps take the relation as those tiles."""
 
     COMPUTE_STEPS = {"ComputeReducer": "reduce", "CachedComputeReducer": "reduce",
                      "BroadcastPairMapper": "map"}
 
     def test_no_scheme_overrides_the_list_view(self):
-        definers = sorted(
-            f"{path.name}: {node.name}"
-            for path in sorted((SRC / "repro").rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.ClassDef)
-            and "get_pairs" in {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
-        )
-        assert definers == ["scheme.py: DistributionScheme"]
+        assert self.definers("get_pairs") == ["scheme.py: DistributionScheme.get_pairs"]
 
     def test_the_compute_steps_call_pair_tiles(self):
         tree = core_trees()["pairwise.py"]
@@ -262,6 +276,44 @@ class TestPairsAreArrays:
         tuple_calls = ("get_pairs", "pair_index_array")
         assert calls_of(run_local, *tuple_calls), "run_local moved: this check reads nothing"
         assert calls_of(tree, *tuple_calls) == calls_of(run_local, *tuple_calls)
+
+    @staticmethod
+    def definers(*names: str) -> list[str]:
+        """``module: Class.method`` of every method named one of ``names`` in ``src/repro``."""
+        return sorted(
+            f"{path.rsplit('/', 1)[-1]}: {node.name}.{item.name}"
+            for path, tree in trees_mentioning(*names).items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name in names
+        )
+
+    def test_only_the_base_class_builds_rows_from_tiles(self):
+        assert self.definers("pair_array") == ["scheme.py: DistributionScheme.pair_array"]
+        assert len(self.definers("pair_tiles")) >= 8  # the interface and its seven classes
+
+    def test_the_universe_is_tiles(self):
+        assert self.definers("required_pairs", "required_pair_count") == []
+        assert self.definers("required_tiles") == [
+            "bipartite.py: BipartiteScheme.required_tiles",
+            "hierarchical.py: Round.required_tiles",
+            "scheme.py: DistributionScheme.required_tiles",
+        ]
+
+    def test_only_run_local_calls_get_pairs_outside_the_scheme_module(self):
+        callers = {
+            path: len(calls_of(tree, "get_pairs"))
+            for path, tree in trees_mentioning("get_pairs").items()
+            if path != "core/scheme.py" and calls_of(tree, "get_pairs")
+        }
+        (run_local,) = [
+            node for node in ast.walk(core_trees()["pairwise.py"])
+            if isinstance(node, ast.FunctionDef) and node.name == "run_local"
+        ]
+        assert callers == {"core/pairwise.py": len(calls_of(run_local, "get_pairs"))} == {
+            "core/pairwise.py": 1
+        }
 
 
 class TestLegTwoShipsBlocks:

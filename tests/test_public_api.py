@@ -141,6 +141,9 @@ class TestPinnedSignatures:
         ),
         # Sound bounds only: no estimate mode, no margin.
         "ThresholdPruner.__init__": ("self", "threshold", "keep_below"),
+        # A universe is tiles: a round states its own, top-k taus read one.
+        "Round.__init__": ("self", "v", "index", "tasks", "universe"),
+        "build_topk_taus": ("suite", "k", "tiles", "chunk_size"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
