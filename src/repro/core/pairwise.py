@@ -122,6 +122,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Seque
 
 import numpy as np
 
+from .._util import distinct_sorted
 from ..kernels import PairKernel, WorkingSetStore, resolve_kernel
 from ..mapreduce.controlplane.events import ReplicationMeasured
 from ..mapreduce.counters import FRAMEWORK_GROUP, SHUFFLE_BYTES
@@ -613,7 +614,7 @@ class AggregateReducer(Reducer):
         owners = np.repeat(ids[order], sizes)
         partners, results = partners[gather], results[gather]
         check_pairs(owners, partners)
-        eids, v = np.unique(ids), context.config["scheme"].v
+        eids, v = distinct_sorted(ids[order]), context.config["scheme"].v
         folded = fold_columns(aggregator, owners, partners, results)
         owners, partners, results = (owners, partners, results) if folded is None else folded
         counts = np.searchsorted(owners, eids, side="right") - np.searchsorted(owners, eids)

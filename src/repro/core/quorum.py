@@ -124,6 +124,33 @@ class QuorumScheme(DistributionScheme):
             self._residue_of: list[int] | None = None
         else:
             self._element_at, self._residue_of = self._pack_by_size(self.element_sizes)
+        self._build_tile_arrays()
+
+    def _build_tile_arrays(self) -> None:
+        """:meth:`pair_tiles`' arrays, built once per process, never pickled.
+
+        ``_rep_rows[t >= v/2]`` holds the class representatives of translate
+        ``t`` (of an even v, the t + v/2 translate generates class v/2's
+        pair, so those translates drop it); ``_element_ids[r]`` is the
+        element at residue ``r``.
+        """
+        v = self.v
+        reps = np.array(self._reps, dtype=np.int64).reshape(-1, 2)
+        self._rep_rows = (reps, reps[:-1] if v % 2 == 0 else reps)
+        if self._element_at is None:
+            self._element_ids = np.arange(1, v + 1, dtype=np.int64)
+        else:
+            self._element_ids = np.asarray(self._element_at, dtype=np.int64)
+
+    def __getstate__(self) -> dict:
+        # the job's broadcast pickles the scheme: ship the lists, not their arrays
+        state = self.__dict__.copy()
+        del state["_rep_rows"], state["_element_ids"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_tile_arrays()
 
     # -- construction helpers -------------------------------------------------
     def _canonical_reps(self) -> list[Pair]:
@@ -213,14 +240,7 @@ class QuorumScheme(DistributionScheme):
         """
         self._check_subset_id(subset_id)
         v = self.v
-        reps = np.array(self._reps, dtype=np.int64).reshape(-1, 2)
-        if v % 2 == 0 and subset_id >= v // 2:
-            reps = reps[:-1]  # the t + v/2 translate generates class v/2's pair
-        ends = (subset_id + reps) % v
-        if self._element_at is None:
-            ends += 1
-        else:
-            ends = np.asarray(self._element_at, dtype=np.int64)[ends]
+        ends = self._element_ids[(subset_id + self._rep_rows[subset_id >= v // 2]) % v]
         return (Rows(np.column_stack((ends.max(axis=1), ends.min(axis=1)))),)
 
     # -- structure -------------------------------------------------------------

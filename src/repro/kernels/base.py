@@ -31,6 +31,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .._util import distinct_sorted
+
 PairFunction = Callable[[Any, Any], Any]
 
 
@@ -137,7 +139,7 @@ def matrix_rows(
     """
     if isinstance(payloads, WorkingSetStore):
         return payloads.form(to_matrix), payloads.rows(pairs[:, 0]), payloads.rows(pairs[:, 1])
-    ids = np.unique(pairs)
+    ids = distinct_sorted(np.sort(pairs, axis=None))
     matrix = to_matrix([payloads[eid] for eid in ids.tolist()])
     return matrix, np.searchsorted(ids, pairs[:, 0]), np.searchsorted(ids, pairs[:, 1])
 

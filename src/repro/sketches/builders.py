@@ -10,11 +10,12 @@ task — including retries — prunes against the same frozen summaries.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Any, Mapping
 
 import numpy as np
 
-from .base import SketchSuite, stable_term_hash, stable_term_hashes
+from .base import SketchSuite, stable_term_hashes
 from .countmin import CountMinSketch
 from .minhash import minhash_signatures
 
@@ -68,19 +69,26 @@ def build_sparse_cosine_sketch(
             f"{type(sample).__name__}"
         )
 
-    # Pass 1: count-min document frequencies → heavy-hitter terms.  Per-
-    # document occurrences are pre-aggregated combiner-style (the sketch
-    # is linear, so bulk-adding a term's df is state-identical to
-    # streaming each document's increment) and the candidate set is the
-    # terms whose final estimate clears the cut.
+    # The documents flattened once, in (document, term) order: one column
+    # per distinct term, its rank in the sorted vocabulary.
+    vectors = [payloads[eid] for eid in eids]
+    lengths = [len(vector) for vector in vectors]
+    terms = sorted(set().union(*[vector.keys() for vector in vectors]))
+    column = dict(zip(terms, range(len(terms))))
+    cols = np.fromiter(
+        map(column.__getitem__, chain.from_iterable(vectors)), np.intp, sum(lengths)
+    )
+    weights = np.fromiter(
+        chain.from_iterable(vector.values() for vector in vectors), np.float64, len(cols)
+    )
+
+    # Pass 1: count-min document frequencies → heavy-hitter terms.  A
+    # document holds a term once, so a column's count is its document
+    # frequency; the sketch is linear, so bulk-adding each term's df is
+    # state-identical to streaming each document's increment.  The
+    # candidate set is the terms whose final estimate clears the cut.
     df_sketch = CountMinSketch(width=cm_width, depth=cm_depth, seed=seed)
-    df_counts: dict[str, int] = {}
-    for eid in eids:
-        for term in payloads[eid]:
-            df_counts[term] = df_counts.get(term, 0) + 1
-    terms = sorted(df_counts)
-    df_sketch.add_bulk(terms, [df_counts[term] for term in terms])
-    estimates = df_sketch.estimate_bulk(terms)
+    estimates = df_sketch.add_bulk(terms, np.bincount(cols, minlength=len(terms)))
     cut = max(2, math.ceil(heavy_fraction * v))
     candidates = {
         term: int(estimate)
@@ -94,43 +102,23 @@ def build_sparse_cosine_sketch(
     num_heavy = len(heavy)
     shared = num_buckets - num_heavy
 
-    # One bucket (and one stable hash) per vocabulary term, then a single
+    # Pass 2: one bucket (and one stable hash) per column, then a single
     # scatter-add over every (document, term) incidence.
-    term_hash = {term: stable_term_hash(term) for term in terms}
-    bucket_of = {
-        term: num_heavy + term_hash[term] % shared for term in terms
-    }
-    for index, term in enumerate(heavy):
-        bucket_of[term] = index
+    term_hash = stable_term_hashes(terms)
+    bucket_of = (num_heavy + term_hash % shared).astype(np.intp)
+    bucket_of[[column[term] for term in heavy]] = np.arange(num_heavy)
 
     size = eids[-1] + 1
     squared = np.zeros((size, num_buckets), dtype=np.float64)
-    row_idx: list[int] = []
-    col_idx: list[int] = []
-    weights: list[float] = []
-    hash_rows: list[np.ndarray] = []
-    for eid in eids:
-        vector = payloads[eid]
-        row_idx.extend([eid] * len(vector))
-        col_idx.extend(bucket_of[term] for term in vector)
-        weights.extend(vector.values())
-        if num_hashes:
-            hash_rows.append(
-                np.fromiter(
-                    (term_hash[term] for term in sorted(vector)),
-                    dtype=np.uint64,
-                    count=len(vector),
-                )
-            )
-    np.add.at(
-        squared,
-        (np.asarray(row_idx, dtype=np.intp), np.asarray(col_idx, dtype=np.intp)),
-        np.square(np.asarray(weights, dtype=np.float64)),
-    )
+    rows = np.repeat(np.asarray(eids, dtype=np.intp), lengths)
+    np.add.at(squared, (rows, bucket_of[cols]), np.square(weights))
     norms = np.sqrt(squared.sum(axis=1))
 
     signatures = None
     if num_hashes:
+        # each document's term hashes in term order: columns sorted per row
+        by_term = cols[np.lexsort((cols, rows))]
+        hash_rows = np.split(term_hash[by_term], np.cumsum(lengths)[:-1])
         packed = minhash_signatures(hash_rows, num_hashes, seed=seed)
         signatures = np.zeros((size, num_hashes), dtype=np.uint64)
         signatures[eids] = packed

@@ -8,6 +8,7 @@ engine parity against broadcast, and the chooser crossover.
 """
 
 import json
+import pickle
 import random
 
 import numpy as np
@@ -119,6 +120,15 @@ class TestStructure:
         assert m.working_set_elements == k
         assert m.communication_records == 2 * 58 * k
         assert scheme.replication_of(1) == k
+
+    def test_pickles_without_its_tile_arrays_and_rebuilds_them(self):
+        # the job's broadcast pickles the scheme; its per-task arrays stay out
+        for scheme in (QuorumScheme(30), QuorumScheme(31, element_sizes=range(31, 0, -1))):
+            state = scheme.__getstate__()
+            assert not any(isinstance(value, np.ndarray) for value in state.values())
+            copy = pickle.loads(pickle.dumps(scheme))
+            for t in range(scheme.num_tasks):
+                np.testing.assert_array_equal(copy.pair_array(t), scheme.pair_array(t))
 
     def test_replication_matches_balance_report(self):
         scheme = QuorumScheme(31)

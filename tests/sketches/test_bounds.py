@@ -335,9 +335,9 @@ class TestCountMin:
     def test_estimate_bulk_matches_scalar(self):
         sketch = CountMinSketch(width=64, depth=4)
         keys = [f"w{i}" for i in range(30)]
-        sketch.add_bulk(keys, list(range(1, 31)))
+        added = sketch.add_bulk(keys, list(range(1, 31)))
         bulk = sketch.estimate_bulk(keys)
-        assert bulk.tolist() == [sketch.estimate(key) for key in keys]
+        assert bulk.tolist() == [sketch.estimate(key) for key in keys] == added.tolist()
 
     def test_merge_is_linear(self):
         a = CountMinSketch(width=32, depth=2, seed=3)

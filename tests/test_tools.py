@@ -110,7 +110,8 @@ class TestLayerTable:
         assert [row.split()[0] for row in rows] == list(ab_pairs.LAYERS)
         assert {"runtime.evaluations", "runtime.shuffle_bytes", "runtime.broadcast_bytes",
                 "runtime.bytes_copied", "runtime.tasks_dispatched",
-                "runtime.spill_bytes_written"} <= set(ab_pairs.LAYERS)
+                "runtime.spill_bytes_written", "sketches.build_s",
+                "sketches.pairs_pruned"} <= set(ab_pairs.LAYERS)
         reduce_row = rows[ab_pairs.LAYERS.index("runtime.job1_reduce_s")].split()
         assert reduce_row[1:] == ["0.2", "0.1", "-50.0%"]
         for name, count in counts.items():  # counts print in full, so equal reads as equal

@@ -29,8 +29,8 @@ then.  It runs the ruler and is not a second benchmark: it measures nothing itse
 table per workload prints both sides' medians of the :data:`LAYERS` spans — each job's
 map and reduce phase, and the tasks' summed busy time — and of the tasks dispatched,
 the pair evaluations, shuffle, spill and broadcast bytes, so the same table shows whether
-both sides computed and shipped the same, and of the read-path bytes copied into private
-memory.
+both sides computed and shipped the same, of the read-path bytes copied into private
+memory, and of the driver's sketch pass and the pairs it pruned.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ LAYERS = (
     "runtime.spill_bytes_written",
     "runtime.broadcast_bytes",
     "runtime.bytes_copied",
+    "sketches.build_s",
+    "sketches.pairs_pruned",
 )
 
 
