@@ -21,7 +21,8 @@ off that matrix with sparse algebra:
   ``indices`` / ``data`` — one sort of the entries keyed by (pair,
   column) brings each shared term's two weights together — so work and
   memory stay proportional to the block's own nonzeros, with a fixed
-  handful of NumPy calls and no SciPy object per block.
+  handful of NumPy calls per chunk of :data:`_CHUNK_ENTRIES` entries (one
+  chunk for a pruned docsim block) and no SciPy object per block.
 
 SciPy backs the matrix form and the two products when importable;
 otherwise the matrix form is the equivalent dense ``(k, terms)`` array
