@@ -34,7 +34,7 @@ flat schemes' validator, executor and simulator run it unchanged: :func:`run_rou
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -58,10 +58,10 @@ class ScheduledTask:
     task_index: int
     members: tuple[int, ...]
     tiles: tuple[Tile, ...]
-    evaluations: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "evaluations", sum(tile.size() for tile in self.tiles))
+    @property
+    def evaluations(self) -> int:
+        return sum(tile.size() for tile in self.tiles)
 
 
 class Round(DistributionScheme):

@@ -240,7 +240,7 @@ class QuorumScheme(DistributionScheme):
         """
         self._check_subset_id(subset_id)
         v = self.v
-        ends = self._element_ids[(subset_id + self._rep_rows[subset_id >= v // 2]) % v]
+        ends = self._element_ids[(subset_id + self._rep_rows[int(subset_id >= v // 2)]) % v]
         return (Rows(np.column_stack((ends.max(axis=1), ends.min(axis=1)))),)
 
     # -- structure -------------------------------------------------------------

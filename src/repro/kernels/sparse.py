@@ -21,8 +21,11 @@ off that matrix with sparse algebra:
   ``indices`` / ``data`` — one sort of the entries keyed by (pair,
   column) brings each shared term's two weights together — so work and
   memory stay proportional to the block's own nonzeros, with a fixed
-  handful of NumPy calls per chunk of :data:`_CHUNK_ENTRIES` entries (one
-  chunk for a pruned docsim block) and no SciPy object per block.
+  handful of NumPy calls and no SciPy object per block.  A block whose
+  rows hold more than :attr:`CsrCosineKernel.ROW_DOTS_ENTRIES` stored
+  entries takes SciPy's row gather and element-wise product instead,
+  which is faster once the sort's temporaries outgrow the allocator's
+  small-block pool.
 
 SciPy backs the matrix form and the two products when importable;
 otherwise the matrix form is the equivalent dense ``(k, terms)`` array
@@ -61,6 +64,9 @@ class CsrCosineKernel(PairKernel):
 
     #: Gram path when ``n_pairs >= GRAM_COVERAGE * k(k-1)/2``
     GRAM_COVERAGE = 0.25
+    #: :func:`row_dots` while the pairs' rows hold at most this many stored
+    #: entries, SciPy's row gather past it (where :func:`row_dots` is slower)
+    ROW_DOTS_ENTRIES = 16 * 1024
 
     def supports(self, payload: Any) -> bool:
         if not isinstance(payload, Mapping):
@@ -97,7 +103,11 @@ class CsrCosineKernel(PairKernel):
             return gram[np.searchsorted(used, rows_l), np.searchsorted(used, rows_r)]
         if isinstance(matrix, np.ndarray):
             return np.einsum("ij,ij->i", matrix[rows_l], matrix[rows_r])
-        return row_dots(matrix.indptr, matrix.indices, matrix.data, matrix.shape[1], rows_l, rows_r)
+        indptr = matrix.indptr
+        lengths = indptr[rows_l + 1] - indptr[rows_l] + indptr[rows_r + 1] - indptr[rows_r]
+        if lengths.sum() <= self.ROW_DOTS_ENTRIES:
+            return row_dots(indptr, matrix.indices, matrix.data, matrix.shape[1], rows_l, rows_r)
+        return np.asarray(matrix[rows_l].multiply(matrix[rows_r]).sum(axis=1)).ravel()
 
     @staticmethod
     def _to_csr_arrays(
@@ -146,13 +156,6 @@ class CsrCosineKernel(PairKernel):
         return data, cols, indptr, len(vocabulary)
 
 
-#: stored entries :func:`row_dots` lays out per pass: its int64 temporaries
-#: stay at 96 KiB, under the allocator's 128 KiB mmap threshold, past which
-#: every fresh temporary page-faults (a block of 2 000 pairs over 91 000
-#: entries took about 1.9x as long in one pass as in chunks)
-_CHUNK_ENTRIES = 12 * 1024
-
-
 def row_dots(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -163,40 +166,15 @@ def row_dots(
 ) -> np.ndarray:
     """``row a · row b`` of a CSR matrix for every pair of rows ``(a, b)``.
 
-    Read straight off the matrix's arrays; ``width`` exceeds every column
-    index (the matrix's column count).  Pairs go a chunk of about
-    :data:`_CHUNK_ENTRIES` stored entries at a time — a pair's dot does not
-    depend on its chunk — through :func:`_shared_term_dots`.
-    """
-    n = len(rows_l)
-    rows = np.concatenate((rows_l, rows_r))
-    touched = int((indptr[rows + 1] - indptr[rows]).sum())
-    step = max(1, n * _CHUNK_ENTRIES // max(1, touched))
-    out = np.empty(n)
-    for lo in range(0, n, step):
-        chunk = slice(lo, lo + step)
-        out[chunk] = _shared_term_dots(indptr, indices, data, width, rows_l[chunk], rows_r[chunk])
-    return out
-
-
-def _shared_term_dots(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    width: int,
-    rows_l: np.ndarray,
-    rows_r: np.ndarray,
-) -> np.ndarray:
-    """:func:`row_dots` of one chunk, in a fixed number of NumPy calls.
-
-    Both ends' stored entries are laid out in one go and keyed ``pair ·
-    width + column``; one sort puts the terms a pair shares side by side (a
-    row stores a column once, so an equal neighbour is the other end's
-    entry), and their products are summed per pair in column order.
-    Memory is linear in the entries of the rows the pairs touch, whatever
-    ``width`` is, and the matrix is read as stored.  The sort is of the
-    keys alone, each entry's position packed into their low bits, unless
-    that would overflow int64; then it is an ``argsort``.
+    Read straight off the matrix's arrays, in a fixed number of NumPy
+    calls; ``width`` exceeds every column index (the matrix's column
+    count).  Both ends' stored entries are laid out in one go and keyed
+    ``pair · width + column``, each entry's position packed into the key's
+    low bits; one sort puts the terms a pair shares side by side (a row
+    stores a column once, so an equal neighbour is the other end's entry),
+    and their products are summed per pair in column order.  Memory is
+    linear in the entries of the rows the pairs touch, whatever ``width``
+    is, and the matrix is read as stored.
     """
     n = len(rows_l)
     rows = np.concatenate((rows_l, rows_r))
@@ -204,20 +182,19 @@ def _shared_term_dots(
     lengths = indptr[rows + 1] - starts
     ends = np.cumsum(lengths)
     position = np.arange(lengths.sum())
+    bits = len(position).bit_length()
+    if (n * width) << bits > np.iinfo(np.int64).max:
+        raise ValueError(f"{n} pairs over {width} columns overflow row_dots' int64 keys")
     entries = np.repeat(starts - ends + lengths, lengths)
     entries += position
     keys = np.repeat(np.tile(np.arange(n) * width, 2), lengths)
     keys += indices[entries]
-    bits = len(keys).bit_length()
-    if (n * width) << bits <= np.iinfo(np.int64).max:
-        keys <<= bits
-        keys |= position
-        order = np.sort(keys)  # an entry's position is its low bits
-        keys = order >> bits
-    else:
-        order = np.argsort(keys)
-        keys = keys[order]
+    keys <<= bits
+    keys |= position
+    order = np.sort(keys)  # an entry's position is its low bits
+    keys = order >> bits
     shared = np.flatnonzero(keys[1:] == keys[:-1])
     mask = (1 << bits) - 1
     left, right = entries[order[shared] & mask], entries[order[shared + 1] & mask]
-    return np.bincount(keys[shared] // width, weights=data[left] * data[right], minlength=n)
+    dots = np.bincount(keys[shared] // width, weights=data[left] * data[right], minlength=n)
+    return dots.astype(np.float64, copy=False)  # no shared term at all bincounts to int64

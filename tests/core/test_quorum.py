@@ -130,6 +130,12 @@ class TestStructure:
             for t in range(scheme.num_tasks):
                 np.testing.assert_array_equal(copy.pair_array(t), scheme.pair_array(t))
 
+    def test_numpy_integer_task_ids_read_the_same_tiles(self):
+        # an even v's upper translates drop a class: picked by the id's half
+        scheme = QuorumScheme(30)
+        for t in np.arange(scheme.num_tasks):
+            np.testing.assert_array_equal(scheme.pair_array(t), scheme.pair_array(int(t)))
+
     def test_replication_matches_balance_report(self):
         scheme = QuorumScheme(31)
         report = balance_report(scheme)

@@ -2,8 +2,9 @@
 
 ``row_dots`` dots pairs of rows straight off a CSR matrix's arrays; it is
 checked against the scalar pair function over the dict payloads, for
-both of its sort paths, and for memory that does not grow with the
-vocabulary width.  The sketch pass's bucket norms are pinned by digest.
+memory that does not grow with the vocabulary width, and the kernel's
+SciPy gather for large blocks against ``row_dots``.  The sketch pass's
+bucket norms are pinned by digest.
 """
 
 from __future__ import annotations
@@ -49,49 +50,41 @@ def csr(payloads: list[dict[str, float]], index_dtype) -> object:
     payloads=st.lists(vectors, min_size=1, max_size=8),
     picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=12),
     index_dtype=st.sampled_from([np.int32, np.int64]),
-    packed=st.booleans(),
 )
-def test_row_dots_is_the_scalar_cosine(payloads, picks, index_dtype, packed):
-    # empty documents, disjoint pairs, repeats and both orientations all come
-    # up; a 2**58 width leaves the keys no room for a packed entry position,
-    # so all but the tiniest blocks take the argsort path
+def test_row_dots_is_the_scalar_cosine(payloads, picks, index_dtype):
+    # empty documents, disjoint pairs, repeats and both orientations all come up
     k = len(payloads)
     rows = np.array([(a % k, b % k) for a, b in picks], dtype=np.int64)
     matrix = csr(payloads, index_dtype)
-    width = matrix.shape[1] if packed else 2**58
-    got = row_dots(matrix.indptr, matrix.indices, matrix.data, width, rows[:, 0], rows[:, 1])
+    arrays = (matrix.indptr, matrix.indices, matrix.data, matrix.shape[1])
+    got = row_dots(*arrays, rows[:, 0], rows[:, 1])
     want = [cosine_similarity(payloads[a], payloads[b]) for a, b in rows.tolist()]
     assert got.dtype == np.float64 and got.shape == (len(rows),)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got, row_dots(*arrays, rows[:, 1], rows[:, 0]))
 
 
 @needs_scipy
-def test_both_sort_paths_agree_bit_for_bit_and_orientation_does_not_matter():
-    rng = np.random.default_rng(3)
-    payloads = [
-        {term: float(rng.normal()) for term in rng.choice(TERMS, size=rng.integers(0, 9), replace=False)}
-        for _ in range(20)
-    ]
-    matrix = csr(payloads, np.int32)
-    rows_l, rows_r = rng.integers(0, 20, size=(2, 30))
-    arrays = (matrix.indptr, matrix.indices, matrix.data)
-    packed = row_dots(*arrays, matrix.shape[1], rows_l, rows_r)
-    np.testing.assert_array_equal(packed, row_dots(*arrays, 2**58, rows_l, rows_r))
-    np.testing.assert_array_equal(packed, row_dots(*arrays, matrix.shape[1], rows_r, rows_l))
+def test_keys_that_would_overflow_int64_raise():
+    matrix = CsrCosineKernel.to_matrix([{"a": 1.0}, {"a": 1.0}])
+    rows = np.array([0, 1])
+    with pytest.raises(ValueError, match="overflow"):
+        row_dots(matrix.indptr, matrix.indices, matrix.data, 2**62, rows, rows[::-1])
 
 
 @needs_scipy
-def test_chunks_change_no_bit():
+def test_blocks_past_the_row_dots_budget_take_the_scipy_gather():
     rng = np.random.default_rng(5)
-    payloads = [{f"t{j}": float(rng.normal()) for j in rng.choice(300, 40, replace=False)}
-                for _ in range(60)]
-    matrix = CsrCosineKernel.to_matrix(payloads)
-    rows_l, rows_r = rng.integers(0, 60, size=(2, 1000))  # ~80 000 entries: several chunks
-    arrays = (matrix.indptr, matrix.indices, matrix.data, matrix.shape[1])
-    assert 80_000 > 4 * sparse._CHUNK_ENTRIES
-    np.testing.assert_array_equal(
-        row_dots(*arrays, rows_l, rows_r), sparse._shared_term_dots(*arrays, rows_l, rows_r)
-    )
+    payloads = {eid: {f"t{j}": float(rng.normal()) for j in rng.choice(300, 40, replace=False)}
+                for eid in range(1, 101)}
+    pairs = np.unique(rng.integers(1, 101, size=(400, 2)), axis=0)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    kernel = CsrCosineKernel()
+    assert len(pairs) < kernel.GRAM_COVERAGE * 100 * 99 / 2  # not the Gram form
+    assert 80 * len(pairs) > kernel.ROW_DOTS_ENTRIES  # 40 stored entries a row
+    got = kernel.evaluate_block(payloads, pairs)
+    want = [cosine_similarity(payloads[a], payloads[b]) for a, b in pairs.tolist()]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @needs_scipy
@@ -99,7 +92,8 @@ def test_a_single_pair_and_a_pair_sharing_no_term():
     matrix = CsrCosineKernel.to_matrix([{"a": 0.6, "b": 0.8}, {"b": 1.0}, {"c": 1.0}, {}])
     arrays = (matrix.indptr, matrix.indices, matrix.data, matrix.shape[1])
     assert row_dots(*arrays, np.array([1]), np.array([0])).tolist() == [0.8]
-    assert row_dots(*arrays, np.array([2, 3]), np.array([0, 0])).tolist() == [0.0, 0.0]
+    disjoint = row_dots(*arrays, np.array([2, 3]), np.array([0, 0]))
+    assert disjoint.dtype == np.float64 and disjoint.tolist() == [0.0, 0.0]
 
 
 class WideVocabulary(CsrCosineKernel):
