@@ -102,19 +102,22 @@ def covariance_via_pairwise(
 ) -> np.ndarray:
     """End-to-end §1 example: A·Aᵀ as a pairwise computation, assembled.
 
-    Centers the rows, runs the two-job pipeline under ``scheme`` with the
-    covariance kernel selected by default (batched BLAS inner products),
-    and assembles the full matrix from the run's dense result view
-    (:meth:`~repro.core.element.PairResults.dense`).  ``kernel=None``
+    Centers the rows, runs them through
+    :func:`~repro.core.runner.auto_pairwise` under ``scheme`` — on the
+    payload route :func:`~repro.core.chooser.route_payloads` prices for it
+    — with the covariance kernel selected by default (batched BLAS inner
+    products), and assembles the full matrix from the run's dense result
+    view (:meth:`~repro.core.element.PairResults.dense`).  ``kernel=None``
     forces the scalar per-pair dot product.
     """
-    from ..core.pairwise import PairwiseComputation
+    from ..core.element import PairResults
+    from ..core.runner import auto_pairwise
 
     rows = center_rows(matrix)
-    computation = PairwiseComputation(
-        scheme, row_inner_product, engine=engine, kernel=kernel
+    merged, _choice = auto_pairwise(
+        rows, row_inner_product, scheme=scheme, engine=engine, kernel=kernel
     )
-    return _covariance_from_products(computation.run(list(rows)).dense(), rows)
+    return _covariance_from_products(PairResults.of(merged).dense(), rows)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ that "applications (like DBSCAN) may also allow to prune some results ...
 e.g., a distance to be less than a threshold").  The split here mirrors
 that:
 
-1. the *distance phase* runs through :class:`PairwiseComputation` with a
-   :class:`ThresholdAggregator` keeping only partners within ε, under any
-   distribution scheme;
+1. the *distance phase* runs through
+   :func:`~repro.core.runner.auto_pairwise` with a threshold objective
+   keeping only partners within ε, under any distribution scheme;
 2. the *clustering phase* is classic DBSCAN over the pruned neighbour
    lists: core points (≥ min_pts points in their ε-ball, themselves
    included), clusters as connected components of core points, border
@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.pairwise import PairwiseComputation
+from ..core.runner import auto_pairwise
 from ..core.scheme import DistributionScheme
 from ..kernels import register_comp
 from ..sketches import register_sketch
@@ -114,8 +115,10 @@ def dbscan_pairwise(
     """Full DBSCAN via the parallel pairwise pipeline under ``scheme``.
 
     ``use_local=True`` skips the MR machinery (same semantics, faster for
-    big in-process runs); otherwise the two-job pipeline runs on
-    ``engine`` (default serial).
+    big in-process runs); otherwise the distance phase runs on ``engine``
+    (default serial) through :func:`~repro.core.runner.auto_pairwise`, on
+    the payload route :func:`~repro.core.chooser.route_payloads` prices
+    for ``scheme`` (cache, shuffle, or one job for a broadcast scheme).
 
     ``pruning="sketch"`` skips pairs whose projection-sketch distance
     lower bound already reaches ε — a sound bound, so the clustering is
@@ -123,17 +126,11 @@ def dbscan_pairwise(
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    computation = PairwiseComputation(
-        scheme,
-        euclidean_distance,
-        threshold=eps,
-        pruning=pruning,
-        engine=engine,
-    )
+    options = dict(threshold=eps, pruning=pruning, engine=engine)
     if use_local:
-        merged = computation.run_local(list(points))
+        merged = PairwiseComputation(scheme, euclidean_distance, **options).run_local(list(points))
     else:
-        merged = computation.run(list(points))
+        merged, _choice = auto_pairwise(points, euclidean_distance, scheme=scheme, **options)
     neighbors = {eid: sorted(element.results) for eid, element in merged.items()}
     return cluster_from_neighbors(neighbors, min_pts)
 

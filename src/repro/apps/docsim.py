@@ -101,9 +101,12 @@ def pairwise_similarity(
 ) -> dict[tuple[int, int], float]:
     """All-pairs cosine through the generic pairwise pipeline, vectorized.
 
-    Runs the cached two-job pipeline (payload store in the distributed
-    cache) under any :class:`~repro.core.scheme.DistributionScheme` with
-    the CSR cosine kernel selected by default; returns the canonical
+    Runs through :func:`~repro.core.runner.auto_pairwise` under any
+    :class:`~repro.core.scheme.DistributionScheme`, on the payload route
+    :func:`~repro.core.chooser.route_payloads` prices for it (the
+    distributed cache when the scheme replicates more than the node count,
+    the shuffle otherwise, one job for a broadcast scheme), with the CSR
+    cosine kernel selected by default; returns the canonical
     ``(i, j) → cosine`` map (i > j, 1-indexed), directly comparable to
     :func:`elsayed_similarity` and :func:`brute_force_similarity`.  Pass
     ``kernel=None`` to force the scalar pair loop.
@@ -115,17 +118,19 @@ def pairwise_similarity(
     sound bound, so the result is identical to the unpruned join
     (DESIGN.md §3.1.7).
     """
-    from ..core.pairwise import PairwiseComputation
+    from ..core.element import PairResults
+    from ..core.runner import auto_pairwise
 
-    computation = PairwiseComputation(
-        scheme,
+    merged, _choice = auto_pairwise(
+        vectors,
         cosine_similarity,
+        scheme=scheme,
         engine=engine,
         kernel=kernel,
         threshold=threshold,
         pruning=pruning,
     )
-    return computation.run_cached(list(vectors)).pairs()
+    return PairResults.of(merged).pairs()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.pairwise import PairwiseComputation
+from ..core.runner import auto_pairwise
 from ..core.scheme import DistributionScheme
 from .dbscan import euclidean_distance
 
@@ -82,6 +83,12 @@ def knn_graph(
 ) -> KnnGraph:
     """Build the kNN graph through the pairwise pipeline under ``scheme``.
 
+    The run goes through :func:`~repro.core.runner.auto_pairwise`, so the
+    payloads take the route :func:`~repro.core.chooser.route_payloads`
+    prices for ``scheme``: the distributed cache when its replication
+    exceeds the node count, the shuffle otherwise, one job for a
+    :class:`~repro.core.broadcast.BroadcastScheme`.
+
     ``kernel`` is forwarded to :class:`PairwiseComputation`; pass
     ``"auto"`` (or ``"dense-euclidean"``) to batch distance evaluation
     through the vectorized kernel instead of one call per pair.
@@ -97,19 +104,11 @@ def knn_graph(
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= len(points):
         raise ValueError(f"k={k} needs at least k+1={k + 1} points, got {len(points)}")
-    computation = PairwiseComputation(
-        scheme,
-        euclidean_distance,
-        top_k=k,
-        pruning=pruning,
-        engine=engine,
-        kernel=kernel,
-    )
-    merged = (
-        computation.run_local(list(points))
-        if use_local
-        else computation.run(list(points))
-    )
+    options = dict(top_k=k, pruning=pruning, engine=engine, kernel=kernel)
+    if use_local:
+        merged = PairwiseComputation(scheme, euclidean_distance, **options).run_local(list(points))
+    else:
+        merged, _choice = auto_pairwise(points, euclidean_distance, scheme=scheme, **options)
     # The aggregator kept at most k partners per element, in rank order.
     neighbors = {eid: tuple(element.results.items()) for eid, element in merged.items()}
     return KnnGraph(k=k, neighbors=neighbors)

@@ -15,7 +15,7 @@ so callers can log the decision trail.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .._util import GB, MB, TB, ceil_div
 from ..mapreduce.runtime import choose_engine
@@ -88,14 +88,20 @@ def auto_pairwise(
     aggregator=None,
     engine=None,
     symmetric: bool = True,
+    kernel=None,
     auto_engine: bool = False,
     trace_sink=None,
     threshold: float | None = None,
     top_k: int | None = None,
     pruning: str = "off",
     scheme: str | Any = None,
-) -> tuple[dict[int, Element], SchemeChoice]:
+) -> tuple[Mapping[int, Element], SchemeChoice]:
     """Evaluate all pairs of ``dataset`` under an auto-chosen scheme.
+
+    Returns ``(merged, choice)``.  A flat scheme's ``merged`` is the run's
+    :class:`~repro.core.element.PairResults`; a hierarchical schedule's is
+    the ``{eid: Element}`` dict :func:`~repro.core.hierarchical.run_rounds`
+    folds round by round.
 
     ``element_size`` defaults to a pickled-size estimate of the payloads;
     pass the real deployment size when simulating capacity decisions for
@@ -123,7 +129,7 @@ def auto_pairwise(
     build ``MultiprocessEngine(...)`` and pass it as ``engine``.  The
     built engine is closed before returning, whichever branch ran.
 
-    ``aggregator`` / ``symmetric`` / ``threshold`` / ``top_k`` /
+    ``aggregator`` / ``symmetric`` / ``kernel`` / ``threshold`` / ``top_k`` /
     ``pruning`` forward to :class:`PairwiseComputation` — the declarative
     objective plus sketch-based candidate pruning (DESIGN.md §3.1.7) — for
     a flat scheme and for every round of a schedule alike.  Without any engine a
@@ -160,6 +166,7 @@ def auto_pairwise(
         aggregator=aggregator,
         engine=engine,
         symmetric=symmetric,
+        kernel=kernel,
         threshold=threshold,
         top_k=top_k,
         pruning=pruning,

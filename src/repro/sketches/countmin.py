@@ -40,17 +40,23 @@ class CountMinSketch:
         self.seed = seed
         self.table = np.zeros((depth, width), dtype=np.int64)
 
-    def _indices(self, key: str) -> np.ndarray:
-        digest = hashlib.blake2b(
-            key.encode("utf-8"),
-            digest_size=8 * self.depth,
-            salt=self.seed.to_bytes(8, "little"),
-        ).digest()
-        return np.frombuffer(digest, dtype=np.uint64) % np.uint64(self.width)
+    def _indices(self, keys: Sequence[str]) -> np.ndarray:
+        """Every key's ``depth`` row indices as one ``(n, depth)`` array.
+
+        The digests are joined into one buffer and reduced with one
+        ``frombuffer``, not one array per key.
+        """
+        size, salt = 8 * self.depth, self.seed.to_bytes(8, "little")
+        digests = b"".join(
+            hashlib.blake2b(key.encode("utf-8"), digest_size=size, salt=salt).digest()
+            for key in keys
+        )
+        flat = np.frombuffer(digests, dtype=np.uint64) % np.uint64(self.width)
+        return flat.reshape(len(keys), self.depth)
 
     def add(self, key: str, count: int = 1) -> int:
         """Count ``key``; returns the post-update estimate (for HH tracking)."""
-        idx = self._indices(key)
+        idx = self._indices((key,))[0]
         rows = np.arange(self.depth)
         self.table[rows, idx] += count
         return int(self.table[rows, idx].min())
@@ -72,21 +78,21 @@ class CountMinSketch:
             raise ValueError("keys and counts must have equal length")
         if not keys:
             return np.zeros(0, dtype=np.int64)
-        idx = np.stack([self._indices(key) for key in keys])  # (n, depth)
+        idx = self._indices(keys)  # (n, depth)
         amounts = np.asarray(counts, dtype=np.int64)
         rows = np.broadcast_to(np.arange(self.depth), idx.shape)
         np.add.at(self.table, (rows.ravel(), idx.ravel()), np.repeat(amounts, self.depth))
         return self.table[np.arange(self.depth), idx].min(axis=1)
 
     def estimate(self, key: str) -> int:
-        idx = self._indices(key)
+        idx = self._indices((key,))[0]
         return int(self.table[np.arange(self.depth), idx].min())
 
     def estimate_bulk(self, keys: Sequence[str]) -> np.ndarray:
         """Vectorized :meth:`estimate` over many keys."""
         if not keys:
             return np.zeros(0, dtype=np.int64)
-        idx = np.stack([self._indices(key) for key in keys])
+        idx = self._indices(keys)
         return self.table[np.arange(self.depth), idx].min(axis=1)
 
     def merge(self, other: "CountMinSketch") -> None:

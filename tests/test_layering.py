@@ -31,6 +31,11 @@ base class's; the universe to cover is tiles too (``required_tiles``), the
 compute steps take the relation as tiles, and only ``run_local`` reads
 tuples.
 
+The apps route like everyone else: a module under ``repro.apps`` that takes
+a scheme hands it to ``auto_pairwise``, and calls no plan preset (``run``,
+``run_cached``, ``run_broadcast_job``) itself; ``run_local``, the reference,
+is the one method it may call.
+
 Leg 2 ships result blocks: the pairwise producers emit once per task, from
 ``cleanup``, never one record per element.
 
@@ -245,6 +250,30 @@ class TestOneSchemaInterfaceOneExecutor:
         ]
         assert calls_of(fold, "TaskCost", "_task_seconds", "_place") == []
         assert len(calls_of(fold, "simulate")) == 1
+
+
+class TestTheAppsAreRouted:
+    """An app runs a caller's scheme through ``auto_pairwise``, never a hand-picked preset."""
+
+    @staticmethod
+    def app_trees() -> dict[str, ast.Module]:
+        return {
+            path: ast.parse(text)
+            for path, text in repro_sources().items()
+            if path.startswith("apps/")
+        }
+
+    def test_no_app_calls_a_preset(self):
+        presets = {
+            f"{path}:{line}"
+            for path, tree in self.app_trees().items()
+            for line in calls_of(tree, "run", "run_cached", "run_broadcast_job")
+        }
+        assert presets == set()
+
+    def test_the_scheme_taking_apps_call_auto_pairwise(self):
+        routed = {path for path, tree in self.app_trees().items() if calls_of(tree, "auto_pairwise")}
+        assert routed == {"apps/covariance.py", "apps/dbscan.py", "apps/docsim.py", "apps/knn.py"}
 
 
 class TestPairsAreArrays:

@@ -119,7 +119,7 @@ class TestPinnedSignatures:
         "PairwiseComputation.run_broadcast_job": ("self", "dataset", "return_result"),
         "auto_pairwise": (
             "dataset", "comp", "element_size", "maxws", "maxis", "num_nodes",
-            "aggregator", "engine", "symmetric", "auto_engine",
+            "aggregator", "engine", "symmetric", "kernel", "auto_engine",
             "trace_sink", *OBJECTIVE_KNOBS, "scheme",
         ),
         "Engine.run": ("self", "job", "input_records", "splits", "num_map_tasks"),
