@@ -4,7 +4,7 @@
 
 Plants dependent gene pairs in a synthetic expression matrix, computes
 all-pairs mutual information through the pairwise pipeline (broadcast
-scheme with its one-job optimization — the dataset is small, the function
+scheme on the one-job cached plan — the dataset is small, the function
 comparatively expensive, exactly §5.1's target regime), thresholds into a
 relevance network, and checks the planted edges are recovered.
 
@@ -27,11 +27,11 @@ def main() -> None:
     )
     profiles = [matrix[i] for i in range(GENES)]
 
-    # Broadcast one-job form: dataset via distributed cache, map tasks
+    # The one-job form: dataset via distributed cache, map tasks
     # evaluate their label chunk, reducers aggregate per gene.
     scheme = BroadcastScheme(GENES, num_tasks=8)
     computation = PairwiseComputation(scheme, MutualInformationComp(bins=8))
-    merged = computation.run_broadcast_job(profiles)
+    merged = computation.run_cached(profiles)
     mi = merged.pairs()
 
     network = build_relevance_network(mi, GENES, THRESHOLD)

@@ -5,8 +5,8 @@ limits (maxws, maxis, node count), pick the distribution scheme the
 paper's own analysis recommends:
 
 1. **broadcast** when the whole dataset fits a task slot (``v·s ≤ maxws``)
-   and its p-fold replication fits ``maxis`` — cheapest structure, one-job
-   execution;
+   and its p-fold replication fits ``maxis`` — cheapest structure, its
+   store in the distributed cache (one MR job, §5.1);
 2. otherwise **block** when a valid blocking factor exists
    (``v·s ≤ sqrt(maxws·maxis/2)``), choosing h inside the Fig 9a
    interval (minimal h ⇒ minimal replication/communication by Table 1,
@@ -43,7 +43,7 @@ Computation":
 
 - ``"shuffle"`` when ``v·s > maxws``: the payload store cannot sit in a
   task's memory (the paper's premise), so replicas ride the shuffle;
-- else ``"one-job"`` for a broadcast scheme (§5.1: the store in the
+- else ``"cache"`` for a broadcast scheme (§5.1: the store in the
   distributed cache, one MR job);
 - else ``"cache"`` when ``num_nodes < replication`` — ``n`` store
   localisations move fewer bytes than ``r`` shuffled replicas of every
@@ -76,7 +76,7 @@ class InfeasibleWorkloadError(RuntimeError):
 
 
 #: how payloads reach the tasks (see :func:`route_payloads`)
-ROUTINGS = ("one-job", "cache", "shuffle")
+ROUTINGS = ("cache", "shuffle")
 
 
 @dataclass
@@ -121,7 +121,7 @@ def route_payloads(
         choice.routing = "shuffle"
         why = f"store {format_bytes(dataset_bytes)} > maxws {format_bytes(maxws)}"
     elif isinstance(scheme, BroadcastScheme):
-        choice.routing = "one-job"
+        choice.routing = "cache"
         why = "broadcast scheme, store fits a slot (§5.1)"
     elif num_nodes < replication:
         choice.routing = "cache"

@@ -5,38 +5,35 @@ driven through *distribute → compute → aggregate* — and one executor,
 :meth:`PairwiseComputation._execute`, that runs it.  The public run
 methods are presets: each names a plan row and nothing else.
 
-===================== ========================================== ======== ================== ==================== ==== =========
-preset                stages (map → reduce)                      payloads leg 1 carries      leg 2 carries        legs routing
-===================== ========================================== ======== ================== ==================== ==== =========
-``run``               ``DistributeMapper`` → ``ComputeReducer``; shuffle  blocks of ids +    result blocks:       2    shuffle
-                      identity → ``AggregateReducer``                     payload references ``bytes`` columns
-                                                                                             (+ payload refs)
-``run_cached``        ``DistributeMapper`` →                     cache    blocks of ids      result blocks:       2    cache
-                      ``CachedComputeReducer``; identity →                                   ``bytes`` columns
-                      ``AggregateReducer``
-``run_broadcast_job`` ``BroadcastPairMapper`` →                  cache    result blocks      —                    1    one-job
-                      ``AggregateReducer``                                (its only leg)
-===================== ========================================== ======== ================== ==================== ==== =========
+============== ============================================== ======== ================== ==================== ==== =======
+preset         stages (map → reduce)                          payloads leg 1 carries      leg 2 carries        legs routing
+============== ============================================== ======== ================== ==================== ==== =======
+``run``        ``DistributeMapper`` → ``ComputeReducer``;     shuffle  blocks of ids +    result blocks:       2    shuffle
+               identity → ``AggregateReducer``                         payload references ``bytes`` columns
+                                                                                          (+ payload refs)
+``run_cached`` ``CachedComputeMapper`` → ``AggregateReducer`` cache    result blocks      —                    1    cache
+                                                                       (its only leg)
+============== ============================================== ======== ================== ==================== ==== =======
 
 *Stages* are the plan's MR jobs in chain order (``;`` separates jobs; the
-job ``name`` strings are in :data:`_SHUFFLE_PLAN`, :data:`_CACHED_PLAN` and
-:data:`_ONE_JOB_PLAN`).  *Payloads* says whether element payloads travel in
-the shuffle or sit in the distributed cache as ``{eid: payload}``.  *Leg 1
-carries* is what crosses the first shuffle: the distribute map ships
-working sets, not records — one :class:`WorkingSetBlock` per (map task,
-working set), keyed by subset id — so leg 1 counts ``map tasks × working
-sets reached`` records while ``REPLICAS_EMITTED`` still counts the ``v·r``
-memberships; the input records are ``(eid, Element)``, ``(eid, None)`` and
-one ``(task, None)`` descriptor per task (a split each).  *Leg 2 carries*
-is what crosses into the one :class:`AggregateReducer`: results, not
-records — one result block per (compute task, aggregate partition), keyed
-by the partition index (:class:`_ResultBlocks`) — so it counts at most
-``compute tasks × aggregate partitions`` records, not one copy per
-membership; a block's partner ids are one ``bytes`` column of the
-narrowest unsigned dtype holding ``v`` and its results float64 ``bytes``
-whenever the kernel returned a float64 array
-(:func:`~repro.core.element.encode_block`).  The one-job plan's map
-tasks are its compute tasks, and their blocks cross its only leg.
+job ``name`` strings are in :data:`_SHUFFLE_PLAN` and :data:`_CACHED_PLAN`).
+*Payloads* says whether element payloads travel in the shuffle or sit in
+the distributed cache as ``{eid: payload}``.  *Leg 1 carries* is what
+crosses the first shuffle.  On ``run`` the distribute map ships working
+sets, not records — one :class:`WorkingSetBlock` per (map task, working
+set), keyed by subset id — so leg 1 counts ``map tasks × working sets
+reached`` records while ``REPLICAS_EMITTED`` still counts the ``v·r``
+memberships; its input records are ``(eid, Element)``.  ``run_cached``'s
+input records are one ``(task, None)`` descriptor per task, batched into
+``num_reduce_tasks`` map splits, and its map tasks are its compute tasks.
+*Leg 2 carries* (leg 1 on ``run_cached``) is what crosses into the one
+:class:`AggregateReducer`: results, not records — one result block per
+(compute task, aggregate partition), keyed by the partition index
+(:class:`_ResultBlocks`) — so it counts at most ``compute tasks ×
+aggregate partitions`` records, not one copy per membership; a block's
+partner ids are one ``bytes`` column of the narrowest unsigned dtype
+holding ``v`` and its results float64 ``bytes`` whenever the kernel
+returned a float64 array (:func:`~repro.core.element.encode_block`).
 *Legs* is the number of shuffles crossed.  *Routing* is the
 :attr:`~repro.core.chooser.SchemeChoice.routing` value under which
 :func:`~repro.core.runner.auto_pairwise` picks the row.
@@ -48,13 +45,12 @@ every preset returns — happens once, in the executor.
 **Payloads travel once.**  Whatever the row, an aggregator that declares
 ``needs_payload = False`` (every built-in one) never sees a payload, so
 the executor sets ``config["results_only"]``: the result blocks carry no
-payload column, only the compute job gets the payload store, and the
-driver re-attaches the payloads it already holds — leg 2, the fused
-hand-over and the pool → driver result pickle carry results only.  An
-aggregator that may read payloads gets them from the block on the
-shuffle row, where a block references its members' payloads and pickle
-writes each one once per block however many of the task's working sets
-hold it, and from the store on the cached rows.
+payload column and the driver re-attaches the payloads it already holds —
+the aggregate leg, the fused hand-over and the pool → driver result
+pickle carry results only.  An aggregator that may read payloads gets
+them from the block on the shuffle row, where a block references its
+members' payloads and pickle writes each one once per block however many
+of the task's working sets hold it, and from the store on the cached row.
 
 - ``run`` is the faithful **two-MR-job** pipeline.  *Job 1* (Algorithm 1):
   the map phase calls ``getSubsets`` per element and emits, per working
@@ -69,16 +65,14 @@ hold it, and from the store on the cached rows.
   blocks; the reducer rebuilds each element from its slices — the
   partial result lists of all its copies — and applies
   ``aggregateResults``.
-- ``run_cached`` is the same two jobs with the payload store
-  ``{eid: payload}`` in the **distributed cache**: the shuffle routes
-  id blocks and result blocks only, and a pooled engine broadcasts
-  the store once per worker instead of once per task.  Works with *any*
-  scheme (it generalizes the broadcast optimization's cache usage).
-- ``run_broadcast_job`` is the paper's optimized **one-job** form for the
-  broadcast scheme (§5.1) — the same steps folded into a single job: map
-  tasks evaluate their label chunk against the cached store and emit the
-  result blocks ``run_cached``'s compute phase emits; the single reduce
-  phase aggregates per element.
+- ``run_cached`` is the paper's **one-job** form (§5.1), for every scheme:
+  with the payload store ``{eid: payload}`` in the **distributed cache**
+  (a pooled engine broadcasts it once per worker, not once per task) a
+  working set needs no shuffle — a compute task reads its members in
+  closed form (:meth:`~repro.core.scheme.DistributionScheme.subset_members`)
+  as a view of the store, evaluates them and emits the result blocks
+  ``run``'s compute reducers emit; the single reduce phase aggregates per
+  element.
 
 :meth:`PairwiseComputation.run_local` is not a plan: it is the same three
 abstract steps without the MR machinery (fast in-process reference; tests
@@ -88,10 +82,10 @@ The pair function ``comp(payload_i, payload_j)`` must be symmetric (§1's
 standing assumption) and picklable for the multiprocess engine.
 
 **Kernels.**  The compute phases work one *block* at a time, not one pair:
-the two compute reducers admit a working set's payloads as one
+a compute task holds a working set's payloads as one
 :class:`~repro.kernels.WorkingSetStore`, a ``dict`` that builds a
 kernel's matrix form once — per working set on the shuffle plan; on the
-cached plans the cache holds one root store of every participant, a
+cached plan the cache holds one root store of every participant, a
 working set is a view of it, and the form is built once per process per
 job.  Its pair relation comes from the scheme as tiles of the pair matrix
 (:meth:`~repro.core.scheme.DistributionScheme.pair_tiles`: triangles,
@@ -118,7 +112,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -149,7 +143,6 @@ from .aggregate import (
     TopKAggregator,
     fold_columns,
 )
-from .broadcast import BroadcastScheme
 from .element import (
     Element,
     PairResults,
@@ -185,60 +178,48 @@ class WorkingSetBlock:
 
     ``ids`` lists the members this map task saw, in input order, as
     Python ``int``s (two or three pickled bytes each — an id array's
-    out-of-band frame costs more than that per block); ``payloads`` holds *references* to their payload objects in the
-    same order (``None`` on the cached plan, where the shuffle routes ids
-    only) — references, not a stacked copy, so a payload that lands in
-    several blocks of one spill chunk is still written once (pickle's
-    memo).  ``size_bytes`` is the block's accounted size, which
+    out-of-band frame costs more than that per block); ``payloads`` holds
+    *references* to their payload objects in the same order — references,
+    not a stacked copy, so a payload that lands in several blocks of one
+    spill chunk is still written once (pickle's memo).  ``size_bytes`` is
+    the block's accounted size, which
     :func:`~repro.mapreduce.serialization.record_size` takes as stated:
     8 B per id plus each payload's own size, never more than the
     per-member records the block stands for.
     """
 
     ids: list[int]
-    payloads: list[Any] | None
+    payloads: list[Any]
     size_bytes: int
 
 
 class DistributeMapper(Mapper):
     """Algorithm 1's map: one :class:`WorkingSetBlock` per working set reached.
 
-    ``getSubsets`` is called per input record and the memberships are
-    buffered; ``cleanup`` emits, per working set, what this map task has
-    for it.  An ``(eid, Element)`` record carries its payload through the
-    shuffle, sized once per map task however many working sets it joins;
-    an ``(eid, None)`` record says the payload rides the distributed cache
-    (broadcast once per worker by a pooled engine), so the shuffle only
-    routes the bare *id* — the replication cost drops from ``b·k`` payload
-    copies to ``b·k`` integers.  ``REPLICAS_EMITTED`` counts memberships
-    either way.
+    ``getSubsets`` is called per ``(eid, Element)`` input record and the
+    memberships are buffered; ``cleanup`` emits, per working set, what this
+    map task has for it.  A payload crosses the shuffle once per working
+    set it joins, sized once per map task.  ``REPLICAS_EMITTED`` counts the
+    memberships.
     """
 
     def setup(self, context: Context) -> None:
         self._members: dict[int, list[int]] = {}  # subset id → member ids, input order
         self._payloads: dict[int, tuple[Any, int]] = {}  # eid → (payload, accounted bytes)
 
-    def map(self, key: int, value: Element | None, context: Context) -> None:
+    def map(self, key: int, value: Element, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
-        if value is None:
-            eid = key
-        else:
-            eid = value.eid
-            self._payloads[eid] = (value.payload, record_size(eid, value.payload))
+        eid = value.eid
+        self._payloads[eid] = (value.payload, record_size(eid, value.payload))
         subsets = scheme.get_subsets(eid)
         for subset_id in subsets:
             self._members.setdefault(subset_id, []).append(eid)
         context.counters.increment(PAIRWISE_GROUP, REPLICAS_EMITTED, len(subsets))
 
     def cleanup(self, context: Context) -> None:
-        carried = self._payloads
         for subset_id, members in self._members.items():
-            if carried:
-                payloads, sizes = zip(*(carried[eid] for eid in members))
-                block = WorkingSetBlock(members, list(payloads), sum(sizes))
-            else:
-                block = WorkingSetBlock(members, None, 8 * len(members))
-            context.emit(subset_id, block)
+            payloads, sizes = zip(*(self._payloads[eid] for eid in members))
+            context.emit(subset_id, WorkingSetBlock(members, list(payloads), sum(sizes)))
 
 
 def _apply_pruner(tiles: Sequence[Tile], context: Context) -> np.ndarray:
@@ -432,21 +413,17 @@ def _tile_operand(matrix: Any, store: WorkingSetStore, points: np.ndarray) -> An
 
 
 def _admit_working_set(
-    key: int,
-    blocks: Iterable[WorkingSetBlock],
-    context: Context,
-    store: WorkingSetStore | None = None,
+    key: int, blocks: Iterable[WorkingSetBlock], context: Context
 ) -> WorkingSetStore:
     """Take delivery of one working set; returns its payloads by ascending id.
 
     ``blocks`` are the map tasks' shares of working set ``key``; their
-    members' payloads come with them — the working set is then a store of
-    its own — or from the cached ``store`` when the blocks carry ids only,
-    and it is a view of that store.  A member delivered twice is a scheme or
-    shuffle bug and raises.  Meters §6's measured quantity — the peak
-    working set actually delivered to a reduce task, records and the
-    blocks' accounted bytes — as max-gauges.  Payload arrays decoded by a
-    pooled engine are read-only views over the spill file: nothing here
+    members' payloads come with them, and the working set is a store of
+    its own.  A member delivered twice is a scheme or shuffle bug and
+    raises.  Meters §6's measured quantity — the peak working set actually
+    delivered to a reduce task, records and the blocks' accounted bytes —
+    as max-gauges.  Payload arrays decoded by
+    a pooled engine are read-only views over the spill file: nothing here
     writes to them.
     """
     blocks = list(blocks)
@@ -460,8 +437,6 @@ def _admit_working_set(
     context.counters.set_max(
         PAIRWISE_GROUP, MAX_WORKING_SET_BYTES, sum(block.size_bytes for block in blocks)
     )
-    if store is not None:
-        return store.view(ids)
     arrived = [payload for block in blocks for payload in block.payloads]
     return WorkingSetStore(ids, [arrived[index] for index in order.tolist()])
 
@@ -478,9 +453,9 @@ def _block_partition(key: int, num_partitions: int) -> int:
 class _ResultBlocks:
     """Leg 2's producer side: one result block per (task, aggregate partition).
 
-    Mixed into the three compute steps (:class:`ComputeReducer`,
-    :class:`CachedComputeReducer`, :class:`BroadcastPairMapper`).  Each
-    working set's :data:`Columns` are buffered as they are; ``cleanup``
+    Mixed into the two compute steps (:class:`ComputeReducer`,
+    :class:`CachedComputeMapper`).  Each working set's :data:`Columns` are
+    buffered as they are; ``cleanup``
     splits the task's columns by their owner's aggregate partition — the
     hash partition of the id among ``config["aggregate_partitions"]``,
     where a per-element record would have gone — and emits one block per
@@ -504,13 +479,10 @@ class _ResultBlocks:
         self._carry = self.ships_payloads and not context.config.get("results_only", False)
         self._runs: list[tuple] = []  # per working set: ids, counts, partners, results, payloads
 
-    def _keep(self, columns: Columns, members: WorkingSetStore | None = None) -> None:
-        """Buffer one working set's results; ``members`` is its admitted store."""
+    def _keep(self, columns: Columns, members: WorkingSetStore) -> None:
+        """Buffer one working set's results; ``members`` is its store."""
         owners, partners, results = columns
-        if members is None:  # owners ascending: each one's first entry
-            ids = np.concatenate((owners[:1], owners[1:][owners[1:] != owners[:-1]]))
-        else:
-            ids = members.ids
+        ids = members.ids
         counts = np.searchsorted(owners, ids, side="right") - np.searchsorted(owners, ids)
         carried = [members[eid] for eid in ids.tolist()] if self._carry else []
         self._runs.append((ids, counts, partners, results, carried))
@@ -557,34 +529,30 @@ class ComputeReducer(_ResultBlocks, Reducer):
         self._keep(_compute_block(tiles, payloads, context), payloads)
 
 
-class CachedComputeReducer(_ResultBlocks, Reducer):
-    """Algorithm 1's reduce against the cached payload store.
+class CachedComputeMapper(_ResultBlocks, Mapper):
+    """The cached plan's map: Algorithm 1's compute step, no shuffle before it.
 
-    Same pair relation, orientation semantics and result blocks as
-    :class:`ComputeReducer`; receives id-only blocks, and its result
-    blocks never carry payloads: the aggregate side reads the same store.
+    Input records are ``(task, None)`` descriptors.  The task's working set
+    is the view of the cached root store (``{eid: payload}``) at
+    :meth:`~DistributionScheme.subset_members` — the scheme's closed form,
+    where :class:`ComputeReducer` takes delivery of shuffled blocks — and
+    the same pair relation, orientation semantics and result blocks follow.
+    Meters what the shuffle plan meters: ``REPLICAS_EMITTED`` (summed over
+    the tasks, ``Σ|D_l| = v·r``) and the working-set gauges, 8 B per id.
+    Its result blocks never carry payloads: the aggregate side reads the
+    same store.
     """
 
-    def reduce(self, key: int, values: Any, context: Context) -> None:
+    def map(self, key: int, value: None, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
-        payloads = _admit_working_set(key, values, context, context.cache_file("dataset"))
-        tiles = scheme.pair_tiles(key, list(payloads))
+        members = scheme.subset_members(key)
+        counters = context.counters
+        counters.increment(PAIRWISE_GROUP, REPLICAS_EMITTED, len(members))
+        counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_RECORDS, len(members))
+        counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_BYTES, 8 * len(members))
+        payloads = context.cache_file("dataset").view(np.array(members, dtype=np.int64))
+        tiles = scheme.pair_tiles(key, members)
         self._keep(_compute_block(tiles, payloads, context), payloads)
-
-
-class BroadcastPairMapper(_ResultBlocks, Mapper):
-    """One-job broadcast map: evaluate a task's label chunk from the cache.
-
-    Input records are ``(task_id, None)`` descriptors; the dataset comes
-    from the distributed cache as ``{eid: payload}``.  Every element with
-    results in the task joins the map task's result blocks — both
-    orientations, like addResult; the wire format of the compute reducers.
-    """
-
-    def map(self, key: int, value: Any, context: Context) -> None:
-        scheme: BroadcastScheme = context.config["scheme"]
-        payloads: Mapping[int, Any] = context.cache_file("dataset")
-        self._keep(_compute_block(scheme.pair_tiles(key), payloads, context))
 
 
 class AggregateReducer(Reducer):
@@ -632,40 +600,12 @@ class AggregateReducer(Reducer):
 #: one MR job of a plan: ``(job name, mapper, reducer)``
 _Stage = tuple[str, type[Mapper], type[Reducer]]
 
-
-class _Plan(NamedTuple):
-    """One row of the module docstring's plan table.
-
-    ``stages`` is one :data:`_Stage` per MR job, in chain order; the
-    compute phase is always in the first.  ``inputs`` names the first
-    job's input records and thereby how payloads travel: ``"elements"`` —
-    ``(eid, Element)``, payloads ride the shuffle; ``"ids"`` —
-    ``(eid, None)``, and ``"tasks"`` — one ``(task, None)`` descriptor per
-    task: payloads ride the distributed cache.
-    """
-
-    stages: tuple[_Stage, ...]
-    inputs: str
-
-
-_SHUFFLE_PLAN = _Plan(
-    (
-        ("pairwise-distribute-compute", DistributeMapper, ComputeReducer),
-        ("pairwise-aggregate", IdentityMapper, AggregateReducer),
-    ),
-    "elements",
+#: the rows of the module docstring's plan table: one stage per MR job, in chain order
+_SHUFFLE_PLAN: tuple[_Stage, ...] = (
+    ("pairwise-distribute-compute", DistributeMapper, ComputeReducer),
+    ("pairwise-aggregate", IdentityMapper, AggregateReducer),
 )
-_CACHED_PLAN = _Plan(
-    (
-        ("pairwise-distribute-compute-cached", DistributeMapper, CachedComputeReducer),
-        ("pairwise-aggregate-cached", IdentityMapper, AggregateReducer),
-    ),
-    "ids",
-)
-_ONE_JOB_PLAN = _Plan(
-    (("pairwise-broadcast", BroadcastPairMapper, AggregateReducer),),
-    "tasks",
-)
+_CACHED_PLAN: tuple[_Stage, ...] = (("pairwise-cached", CachedComputeMapper, AggregateReducer),)
 
 
 class PairwiseComputation:
@@ -693,8 +633,9 @@ class PairwiseComputation:
         (``engine=MultiprocessEngine(max_attempts=3)``), and whoever
         built it closes it.
     num_reduce_tasks:
-        Reducer parallelism for both jobs.  Default: a reducer per 8
-        tasks, at least 1, and at most the engine's
+        Reducer parallelism of every job, and :meth:`run_cached`'s default
+        count of compute (map) tasks.  Default: a reducer per 8 tasks, at
+        least 1, and at most the engine's
         :attr:`~repro.mapreduce.runtime.Engine.reduce_slots` — one wave,
         as Hadoop sizes its reduce tasks from the cluster's reduce slots
         (a pool's two per worker; the serial engine has no cap).  An
@@ -859,11 +800,10 @@ class PairwiseComputation:
         like every other event.  ``legs`` is how many shuffle legs of the
         executed path the byte floor prices: the ones that carry payloads
         on the shuffle plan (1 when results come home payload-free, else
-        2), every leg of a cached plan (2, or 1 for the one-job form).
-        Cached runs shuffle ids instead of payloads, so their
-        ``shuffle_bytes_vs_bound`` dropping far below 1.0 is the meter
-        showing the cache optimization beating the naive payload-shuffle
-        floor.
+        2), the one leg of the cached plan (1).  Cached runs shuffle results
+        only, so their ``shuffle_bytes_vs_bound`` dropping far below 1.0 is
+        the meter showing the cache optimization beating the naive
+        payload-shuffle floor.
         """
         report = self.scheme.replication_report()
         v = self.scheme.v
@@ -924,9 +864,7 @@ class PairwiseComputation:
         return [Element(eid, dataset[eid - 1]) for eid in participants]
 
     # -- execution paths --------------------------------------------------------
-    def _job(
-        self, stage: _Stage, config: dict[str, Any], cache: dict[str, Any] | None = None
-    ) -> Job:
+    def _job(self, stage: _Stage, config: dict[str, Any], cache: dict[str, Any]) -> Job:
         """Every MR job this computation builds is built here."""
         name, mapper, reducer = stage
         return Job(
@@ -935,28 +873,25 @@ class PairwiseComputation:
             reducer=reducer,
             num_reducers=self.num_reduce_tasks,
             partitioner=_block_partition if reducer is AggregateReducer else None,
-            cache={} if cache is None else cache,
+            cache=cache,
             config=config,
         )
 
     def _execute(
         self,
-        plan: _Plan,
+        plan: tuple[_Stage, ...],
         dataset: Sequence[Any],
-        *,
-        num_map_tasks: int | None = None,
-        return_result: bool = False,
-    ):
+        num_map_tasks: int | None,
+        return_pipeline: bool,
+    ) -> PairResults | tuple[PairResults, PipelineResult]:
         """Run ``plan`` over ``dataset``: the one path behind every preset.
 
         Returns the :class:`PairResults` of the scheme's participants (the
         only elements shipped, stored and re-attached), which attaches the
-        caller's payloads; with
-        ``return_result`` additionally
-        the engine's account of the run — the :class:`PipelineResult` of a
-        job chain, the bare :class:`~repro.mapreduce.job.JobResult` of a
-        one-job plan — and stage fusion is disabled so every stage's
-        records are materialized for inspection.
+        caller's payloads; with ``return_pipeline`` additionally the
+        engine's account of the run, a :class:`PipelineResult` of one stage
+        per job, and stage fusion is disabled so every stage's records are
+        materialized for inspection.
         """
         elements = self._as_elements(dataset)
         payloads = {element.eid: element.payload for element in elements}
@@ -964,45 +899,33 @@ class PairwiseComputation:
         # phase emits results only and the payloads are re-attached below.
         results_only = not getattr(self.aggregator, "needs_payload", True)
         config = {**self._job_config(), "results_only": results_only}
-        on_shuffle = plan.inputs == "elements"
-        # Jobs that read the payload store share one cache dict; under
-        # results_only only the compute job reads it.  The store is a root
-        # WorkingSetStore, pickled as a dict: each process's copy builds a
-        # kernel's matrix form at most once.
-        store = None if on_shuffle else {"dataset": WorkingSetStore(payloads=payloads)}
-        jobs = [
-            self._job(stage, config, None if results_only and index else store)
-            for index, stage in enumerate(plan.stages)
-        ]
-        self._attach_pruning(jobs[0], payloads)
-        if plan.inputs == "tasks":
-            # One input record per task; one split per task mirrors Hadoop's
-            # one-mapper-per-task launch of the paper's implementation.
+        cached = plan is _CACHED_PLAN
+        if cached:
+            # The store is a root WorkingSetStore, pickled as a dict: each
+            # process's copy builds a kernel's matrix form at most once.
+            # One descriptor per task, batched into as many compute tasks as
+            # the shuffle plan runs.
+            cache = {"dataset": WorkingSetStore(payloads=payloads)}
             input_records = [(task, None) for task in range(self.scheme.num_tasks)]
-            num_map_tasks = self.scheme.num_tasks
+            if num_map_tasks is None:
+                num_map_tasks = self.num_reduce_tasks
         else:
-            input_records = [
-                (element.eid, element if on_shuffle else None) for element in elements
-            ]
+            cache = {}
+            input_records = [(element.eid, element) for element in elements]
+        # Only the first job reads the store and the sketches: the shuffle
+        # plan's aggregate job takes any payloads it reads from the blocks.
+        jobs = [self._job(stage, config, {} if i else cache) for i, stage in enumerate(plan)]
+        self._attach_pruning(jobs[0], payloads)
         result = PipelineResult(
             self.engine.run_chain(
-                jobs, input_records, num_map_tasks=num_map_tasks, fuse=not return_result
+                jobs, input_records, num_map_tasks=num_map_tasks, fuse=not return_pipeline
             )
         )
-        payload_legs = 1 if on_shuffle and results_only else len(jobs)
+        payload_legs = 1 if cached or results_only else 2
         self._meter_replication(result.counters, elements, legs=payload_legs)
         blocks = [block for _partition, block in result.records]
-        reached = set(chain.from_iterable(block[0] for block in blocks))
-        # An element whose every pair was pruned is emitted by no map task
-        # of the one-job plan; give it what run_local gives an element that
-        # received no copies.
-        unreached = [self.aggregator([element.copy_without_results()])
-                     for element in elements if element.eid not in reached]
-        blocks.append(element_block(unreached, self.scheme.v))
         merged = PairResults(blocks, v=self.scheme.v, payloads=payloads)
-        if not return_result:
-            return merged
-        return merged, (result if len(jobs) > 1 else result.stages[0])
+        return (merged, result) if return_pipeline else merged
 
     def run(
         self,
@@ -1021,9 +944,7 @@ class PairwiseComputation:
         reduce into Job 2's (identity) map — same merged elements, no
         driver round-trip for the intermediate copies.
         """
-        return self._execute(
-            _SHUFFLE_PLAN, dataset, num_map_tasks=num_map_tasks, return_result=return_pipeline
-        )
+        return self._execute(_SHUFFLE_PLAN, dataset, num_map_tasks, return_pipeline)
 
     def run_cached(
         self,
@@ -1032,37 +953,20 @@ class PairwiseComputation:
         num_map_tasks: int | None = None,
         return_pipeline: bool = False,
     ) -> PairResults | tuple[PairResults, PipelineResult]:
-        """Two-job pipeline with the payload store in the distributed cache.
+        """One job with the payload store in the distributed cache (paper §5.1, any scheme).
 
         Semantically identical to :meth:`run` (same pair relation, same
         merged elements), but element payloads never flow through the
-        shuffle: both jobs attach ``{eid: payload}`` to the distributed
-        cache, Job 1 shuffles id blocks into working sets and emits partial
-        result maps, Job 2 rebuilds each element from the store.  On a
+        shuffle: the job attaches ``{eid: payload}`` to the distributed
+        cache, its map tasks read their working sets from it and emit
+        result blocks, and its reduce phase aggregates per element.  On a
         :class:`~repro.mapreduce.runtime.MultiprocessEngine` the store is
-        broadcast **once per worker per job** instead of once per task.
+        broadcast **once per worker** instead of once per task.  The task
+        descriptors are carved into ``num_map_tasks`` splits, by default
+        ``num_reduce_tasks``.  ``return_pipeline=True`` additionally
+        returns the one-stage :class:`PipelineResult`.
         """
-        return self._execute(
-            _CACHED_PLAN, dataset, num_map_tasks=num_map_tasks, return_result=return_pipeline
-        )
-
-    def run_broadcast_job(
-        self,
-        dataset: Sequence[Any],
-        *,
-        return_result: bool = False,
-    ):
-        """The broadcast scheme's one-job optimization (paper §5.1).
-
-        Requires a :class:`BroadcastScheme`; the dataset is attached to the
-        distributed cache and map tasks do the evaluations directly.
-        """
-        if not isinstance(self.scheme, BroadcastScheme):
-            raise TypeError(
-                "run_broadcast_job requires a BroadcastScheme, got "
-                f"{type(self.scheme).__name__}"
-            )
-        return self._execute(_ONE_JOB_PLAN, dataset, return_result=return_result)
+        return self._execute(_CACHED_PLAN, dataset, num_map_tasks, return_pipeline)
 
     def run_local(self, dataset: Sequence[Any]) -> PairResults:
         """In-process reference: same three steps, no MR framework.

@@ -5,7 +5,7 @@ hand: estimate the element size, let :func:`repro.core.chooser.choose_scheme`
 pick the scheme the paper's analysis recommends for the environment and
 the payload route it prices cheapest, and run it — a flat scheme through
 the plan its :attr:`~repro.core.chooser.SchemeChoice.routing` names
-(one-job broadcast, cached, or the two-job shuffle pipeline), a
+(the one-job cached plan or the two-job shuffle pipeline), a
 hierarchical schedule round by round (:func:`~repro.core.hierarchical.run_rounds`).
 Either way it is one :class:`~repro.core.pairwise.PairwiseComputation`
 keyword set on one engine, both built before the branch.  Returns the
@@ -74,7 +74,7 @@ def _forced_choice(
 
 
 #: ``SchemeChoice.routing`` → the :class:`PairwiseComputation` preset that runs it
-_PRESETS = {"one-job": "run_broadcast_job", "cache": "run_cached", "shuffle": "run"}
+_PRESETS = {"cache": "run_cached", "shuffle": "run"}
 
 
 def auto_pairwise(

@@ -21,7 +21,7 @@ Kernel instances travel inside ``job.config`` to worker processes, so
 they must be picklable and stateless across calls.  Conversion state
 lives on the payload store, not the kernel: an array kernel names its
 matrix form (``to_matrix``) and a :class:`WorkingSetStore` builds and
-keeps it — once per process per job for the cached plans' store.
+keeps it — once per process per job for the cached plan's store.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ class WorkingSetStore(dict):
     A ``dict`` — so every kernel written against a plain payload store works
     on it unchanged — that is either a **root** or a **view** of one:
 
-    - the cached plans' payload store of every participant is a root, and
+    - the cached plan's payload store of every participant is a root, and
       so is a working set admitted on the shuffle plan (its payloads came
       with it);
-    - a working set admitted against the cached store is a view
+    - a working set read from the cached store is a view
       (:meth:`view`): its members' ids and payloads, reading the root's
       matrix forms through :meth:`rows`.
 
@@ -190,8 +190,8 @@ class PairKernel(abc.ABC):
         all the way to the caller's :class:`~repro.core.element.PairResults`,
         a list becomes a column of its objects, and elements are only ever
         built with Python scalars (``.tolist()``).  ``payloads`` is any
-        ``{eid: payload}`` mapping and may contain more ids than the pairs reference (the
-        one-job map hands the whole cached store); kernels must only
+        ``{eid: payload}`` mapping and may contain more ids than the pairs reference (a
+        broadcast task's working set is the whole cached store); kernels must only
         touch referenced ids and never write to the mapping.  From the
         compute steps it is a :class:`WorkingSetStore`: an array kernel
         reads its rows off the store's :meth:`~WorkingSetStore.form`

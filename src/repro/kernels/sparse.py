@@ -6,7 +6,7 @@ paper's §1 cross-referencing workload.  This kernel's matrix form
 (:meth:`CsrCosineKernel.to_matrix`) is one CSR matrix over the dict
 vectors (a vocabulary maps terms to columns); a
 :class:`~repro.kernels.base.WorkingSetStore` builds it once for its root —
-on the cached plans the store of every participant, so once per process
+on the cached plan the store of every participant, so once per process
 per job, not once per working set.  The kernel then reads a pair relation
 off that matrix with sparse algebra:
 

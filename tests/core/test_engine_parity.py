@@ -1,8 +1,8 @@
 """Serial vs. pooled engine: bit-identical pairwise runs per scheme.
 
 The acceptance bar for the persistent-pool engine: for every distribution
-scheme and every execution path (two-job chain through ``pipeline.py``,
-cache-resident chain, one-job broadcast), records *and* counters must be
+scheme and every execution path (the two-job shuffle chain, the one-job
+cached plan, broadcast included), records *and* counters must be
 exactly equal between :class:`SerialEngine` and
 :class:`MultiprocessEngine` — stage by stage, in order.
 """
@@ -76,14 +76,11 @@ class TestBroadcastOneJobParity:
     def test_one_job_broadcast_bit_identical(self):
         scheme = BroadcastScheme(V, 4)
         serial = computation(scheme, SerialEngine())
-        merged_serial, result_serial = serial.run_broadcast_job(DATA, return_result=True)
+        merged_serial, result_serial = serial.run_cached(DATA, return_pipeline=True)
         with MultiprocessEngine(max_workers=2) as engine:
             pooled = computation(BroadcastScheme(V, 4), engine)
-            merged_pooled, result_pooled = pooled.run_broadcast_job(
-                DATA, return_result=True
-            )
-        assert result_serial.records == result_pooled.records
-        assert result_serial.counters.as_dict() == result_pooled.counters.as_dict()
+            merged_pooled, result_pooled = pooled.run_cached(DATA, return_pipeline=True)
+        assert_stages_identical(result_serial, result_pooled)
         assert results_matrix(merged_serial) == results_matrix(merged_pooled)
 
 

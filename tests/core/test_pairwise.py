@@ -90,21 +90,17 @@ class TestBroadcastOneJob:
     def test_matches_brute_force(self, small_dataset):
         scheme = BroadcastScheme(23, 6)
         computation = PairwiseComputation(scheme, abs_diff)
-        merged = computation.run_broadcast_job(small_dataset)
+        merged = computation.run_cached(small_dataset)
         assert results_matrix(merged) == brute_force_results(small_dataset, abs_diff)
-
-    def test_rejects_other_schemes(self, small_dataset):
-        computation = PairwiseComputation(BlockScheme(23, 3), abs_diff)
-        with pytest.raises(TypeError):
-            computation.run_broadcast_job(small_dataset)
 
     def test_counter_evaluations(self, small_dataset):
         scheme = BroadcastScheme(23, 4)
         computation = PairwiseComputation(scheme, abs_diff)
-        _merged, result = computation.run_broadcast_job(small_dataset, return_result=True)
+        _merged, result = computation.run_cached(small_dataset, return_pipeline=True)
         assert result.counters.get(PAIRWISE_GROUP, EVALUATIONS) == 253
-        # One-job form: one map task per pairwise task.
-        assert result.num_map_tasks == scheme.num_tasks
+        # One-job form: the map tasks compute, as many as there are reducers.
+        (job,) = result.stages
+        assert job.num_map_tasks == computation.num_reduce_tasks
 
 
 class TestAggregatorIntegration:
@@ -146,7 +142,7 @@ class TestEngines:
         computation = PairwiseComputation(
             scheme, abs_diff, engine=MultiprocessEngine(2)
         )
-        merged = computation.run_broadcast_job(small_dataset)
+        merged = computation.run_cached(small_dataset)
         assert results_matrix(merged) == brute_force_results(small_dataset, abs_diff)
 
 

@@ -1,4 +1,4 @@
-"""``run`` / ``run_cached`` / ``run_broadcast_job`` are presets of one executor.
+"""``run`` / ``run_cached`` are presets of one executor.
 
 Every preset must return what ``run_local`` — the scalar in-process
 reference — returns, for every scheme family the preset allows, both
@@ -13,19 +13,18 @@ the same executor on the universe and participants they declare.
 routing outcome is held to the same reference, and to handing back the
 caller's own payload objects.
 
-Leg 1 ships working sets, not records: one ``WorkingSetBlock`` per (map
-task, working set).  The per-record ``emit`` loop it replaced is kept here
-as the reference the blocks are held to — same deliveries, same payload
-objects, never more accounted bytes — and the presets run over three
+``run``'s leg 1 ships working sets, not records: one ``WorkingSetBlock``
+per (map task, working set).  The per-record ``emit`` loop it replaced is
+kept here as the reference the blocks are held to — same deliveries, same
+payload objects, never more accounted bytes — and the presets run over three
 payload kinds, so both the stacked and the one-at-a-time reading of an
-admitted working set cross both engines.  Leg 2 ships result blocks: at
-most one per (compute task, aggregate partition) on every preset, and the
-one aggregate reducer still refuses a pair delivered twice.
+admitted working set cross both engines.  The aggregate leg ships result
+blocks: at most one per (compute task, aggregate partition) on every
+preset, and the one aggregate reducer still refuses a pair delivered twice.
 """
 
 from collections import Counter
 from contextlib import contextmanager
-from itertools import repeat
 
 import numpy as np
 import pytest
@@ -52,7 +51,6 @@ from repro.core.pairwise import (
     PAIRWISE_GROUP,
     REPLICAS_EMITTED,
     AggregateReducer,
-    CachedComputeReducer,
     ComputeReducer,
     DistributeMapper,
     PairwiseComputation,
@@ -73,7 +71,7 @@ from repro.mapreduce.counters import (
     Counters,
 )
 from repro.mapreduce.faults import CrashFault, FaultPlan
-from repro.mapreduce.job import Context, JobResult
+from repro.mapreduce.job import Context
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 from repro.mapreduce.serialization import SizedPayload, record_size
 from repro.mapreduce.runtime import shm_available
@@ -100,12 +98,7 @@ SCHEMES = {
     "bipartite-block": lambda: BipartiteBlockScheme(12, 8, 3, 2),
     "bipartite-broadcast": lambda: BipartiteBroadcastScheme(12, 8, 5),
 }
-PRESETS = [
-    (path, scheme)
-    for path in ("run", "run_cached", "run_broadcast_job")
-    for scheme in SCHEMES
-    if path != "run_broadcast_job" or scheme == "broadcast"
-]
+PRESETS = [(path, scheme) for path in ("run", "run_cached") for scheme in SCHEMES]
 #: (symmetric, pruning); sketch pruning is symmetric-only by construction
 MODES = [(True, "off"), (False, "off"), (True, "sketch"), (True, "topk-sketch")]
 #: pruning mode -> the objective it declares; top-k taus come from the schema's own pairs
@@ -158,9 +151,10 @@ def result_maps(merged):
 
 
 def leg_two(result):
-    """A preset run's leg-2 shuffle records, and compute tasks × aggregate partitions."""
-    if isinstance(result, JobResult):  # the one-job plan: its only leg carries results
-        compute_tasks, aggregate = result.num_map_tasks, result
+    """A preset run's aggregate-leg shuffle records, and compute tasks × aggregate partitions."""
+    if len(result.stages) == 1:  # the cached plan: its map tasks compute, its only leg aggregates
+        (aggregate,) = result.stages
+        compute_tasks = aggregate.num_map_tasks
     else:
         compute, aggregate = result.stages
         compute_tasks = compute.num_reduce_tasks
@@ -175,10 +169,9 @@ def leg_two(result):
 @pytest.mark.parametrize("path,scheme", PRESETS)
 def test_preset_agrees_with_run_local(path, scheme, symmetric, pruning, engine, engines):
     data = points()
-    flag = "return_result" if path == "run_broadcast_job" else "return_pipeline"
     runner = computation(scheme, symmetric, pruning, engines[engine])
     replayed = engines["pool-faults"].stats.spill_corruptions
-    merged, result = getattr(runner, path)(data, **{flag: True})
+    merged, result = getattr(runner, path)(data, return_pipeline=True)
     assert sorted(merged) == list(runner.scheme.participants())
     assert result_maps(merged) == result_maps(runner.run_local(data))
     assert all(merged[eid].payload is data[eid - 1] for eid in merged)
@@ -275,14 +268,26 @@ def test_blocks_cross_the_other_planes_bit_identically(knobs):
                 assert outcomes[0] == outcomes[1], (kind, path)
 
 
-def test_a_round_ships_and_returns_its_participants_only(engines):
-    """Ids 1..10 sit the (2,2) round out: not an input record, not in the output."""
-    data = points()
-    for path in ("run", "run_cached"):
-        runner = PairwiseComputation(schedule_round(2), euclidean_distance, engine=engines["pool"])
-        merged, result = getattr(runner, path)(data, return_pipeline=True)
-        assert sorted(merged) == list(range(11, V + 1))
-        assert result.stages[0].counters.get(FRAMEWORK_GROUP, MAP_INPUT_RECORDS) == 10
+def test_a_round_ships_and_returns_its_participants_only(engines, monkeypatch):
+    """Ids 1..10 sit the (2,2) round out: not shipped, not in the output.
+
+    ``run`` ships the participants as its input records, ``run_cached`` as
+    the cached store its task descriptors read.
+    """
+    pool, participants, stores = engines["pool"], list(range(11, V + 1)), []
+    run_chain = pool.run_chain
+
+    def watched(jobs, input_records, **kwargs):
+        stores.append(jobs[0].cache.get("dataset"))
+        return run_chain(jobs, input_records, **kwargs)
+
+    monkeypatch.setattr(pool, "run_chain", watched)
+    runner = PairwiseComputation(schedule_round(2), euclidean_distance, engine=pool)
+    merged, result = runner.run(points(), return_pipeline=True)
+    assert sorted(merged) == participants
+    assert result.stages[0].counters.get(FRAMEWORK_GROUP, MAP_INPUT_RECORDS) == 10
+    assert sorted(runner.run_cached(points())) == participants
+    assert stores[0] is None and list(stores[1]) == participants
 
 
 def test_shuffle_publishes_one_spill_file_per_producing_task(engines):
@@ -338,9 +343,9 @@ def test_shuffle_publishes_one_spill_file_per_producing_task(engines):
     assert fused_shuffle == unfused_shuffle == serial_shuffle
 
 
-@pytest.mark.parametrize("path", ["run", "run_cached", "run_broadcast_job"])
+@pytest.mark.parametrize("path", ["run", "run_cached"])
 def test_fully_pruned_element_is_still_returned(path):
-    """Regression: the one-job path dropped an element all of whose pairs were pruned."""
+    """Regression: the one-job path once dropped an element all of whose pairs were pruned."""
     merged = getattr(computation("broadcast", True, "sketch"), path)(points())
     assert sorted(merged) == list(range(1, V + 1))
     assert merged[V].results == {}
@@ -351,13 +356,8 @@ def test_fully_pruned_element_is_still_returned(path):
 
 #: routing outcome -> (auto_pairwise arguments that produce it, the MR jobs it runs)
 ROUTES = {
-    # the chooser's own pick at this size: broadcast, store in the cache, one job
-    "one-job": ({}, ["pairwise-broadcast"]),
     # a difference cover of Z_20 replicates 6-fold; two nodes localise the store twice
-    "cache": (
-        {"scheme": "quorum", "num_nodes": 2},
-        ["pairwise-distribute-compute-cached", "pairwise-aggregate-cached"],
-    ),
+    "cache": ({"scheme": "quorum", "num_nodes": 2}, ["pairwise-cached"]),
     # three replicas against eight localisations
     "shuffle": (
         {"scheme": BlockScheme(V, 3)},
@@ -427,23 +427,15 @@ def test_aggregator_that_reads_payloads_gets_them_on_every_route(routing, engine
     }
 
 
-def block(ids, payloads=None):
+def block(ids, payloads):
     return WorkingSetBlock(ids, payloads, 8 * len(ids))
 
 
 @pytest.mark.parametrize(
-    "reducer,values",
-    [
-        (ComputeReducer, [block([1, 2], [0.5, 1.5]), block([2], [1.5])]),
-        (CachedComputeReducer, [block([1, 2]), block([2])]),
-    ],
+    "reducer,values", [(ComputeReducer, [block([1, 2], [0.5, 1.5]), block([2], [1.5])])]
 )
 def test_member_delivered_twice_raises(reducer, values):
-    context = Context(
-        Counters(),
-        cache={"dataset": {1: 0.5, 2: 1.5}},
-        config={"scheme": BlockScheme(4, 2), "aggregate_partitions": 1},
-    )
+    context = Context(Counters(), config={"scheme": BlockScheme(4, 2), "aggregate_partitions": 1})
     task = reducer()
     task.setup(context)
     with pytest.raises(ValueError, match="^working set 3 received element 2 twice$"):
@@ -493,11 +485,10 @@ def test_aggregate_reducer_refuses_a_self_pair():
 
 
 def per_record_emit(scheme, records):
-    """The map phase before blocks: one ``(subset, copy or bare id)`` per membership."""
-    for key, value in records:
-        bare = value is None
-        for subset_id in scheme.get_subsets(key if bare else value.eid):
-            yield subset_id, key if bare else value.copy_without_results()
+    """The map phase before blocks: one ``(subset, copy)`` per membership."""
+    for _key, value in records:
+        for subset_id in scheme.get_subsets(value.eid):
+            yield subset_id, value.copy_without_results()
 
 
 def map_task_output(scheme, records):
@@ -513,16 +504,13 @@ def map_task_output(scheme, records):
 
 @given(
     scheme=st.sampled_from(sorted(SCHEMES)),
-    bare=st.booleans(),
     cuts=st.sets(st.integers(min_value=0, max_value=V), max_size=6),
 )
 @settings(max_examples=120, deadline=None)
-def test_blocks_deliver_what_the_per_record_loop_delivered(scheme, bare, cuts):
+def test_blocks_deliver_what_the_per_record_loop_delivered(scheme, cuts):
     scheme = SCHEMES[scheme]()
     data = mixed_objects()
-    records = [
-        (eid, None if bare else Element(eid, data[eid - 1])) for eid in scheme.participants()
-    ]
+    records = [(eid, Element(eid, data[eid - 1])) for eid in scheme.participants()]
     bounds = sorted({0, len(records), *(cut for cut in cuts if cut < len(records))})
     delivered, delivered_bytes, replicas = Counter(), 0, 0
     for lo, hi in zip(bounds, bounds[1:]):
@@ -532,15 +520,10 @@ def test_blocks_deliver_what_the_per_record_loop_delivered(scheme, bare, cuts):
         for key, shipped in output:
             ids = shipped.ids
             assert type(key) is int and all(type(eid) is int for eid in ids)
-            assert (shipped.payloads is None) == bare
-            payloads = repeat(None) if bare else shipped.payloads
-            delivered.update((key, eid, id(payload)) for eid, payload in zip(ids, payloads))
+            delivered.update((key, eid, id(p)) for eid, p in zip(ids, shipped.payloads))
             delivered_bytes += record_size(key, shipped)
     reference = list(per_record_emit(scheme, records))
-    assert delivered == Counter(
-        (key, value, id(None)) if bare else (key, value.eid, id(value.payload))
-        for key, value in reference
-    )
+    assert delivered == Counter((key, value.eid, id(value.payload)) for key, value in reference)
     assert replicas == len(reference)
     assert delivered_bytes <= sum(record_size(key, value) for key, value in reference)
 

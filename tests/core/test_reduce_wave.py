@@ -6,6 +6,10 @@
 count moves only how result blocks are partitioned, so a pooled run under
 the capped default returns what it returns under the uncapped rule, and
 the ledger ``evaluations + pairs_pruned == v(v−1)/2`` holds under both.
+
+The same count sizes ``run_cached``'s compute wave: its one job carves the
+task descriptors into ``num_reduce_tasks`` map splits, the compute tasks
+the two-job plan ran, unless the caller passes ``num_map_tasks``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import pytest
 from repro.apps.dbscan import euclidean_distance
 from repro.apps.docsim import build_tfidf, cosine_similarity
 from repro.core.block import BlockScheme
+from repro.core.design import DesignScheme
 from repro.core.pairwise import EVALUATIONS, PAIRS_PRUNED, PAIRWISE_GROUP, PairwiseComputation
+from repro.core.quorum import QuorumScheme
 from repro.mapreduce.controlplane.events import PhaseMarker
 from repro.mapreduce.runtime import MultiprocessEngine, SerialEngine
 from repro.workloads.generator import make_blobs, make_documents
@@ -95,9 +101,10 @@ def test_the_capped_wave_returns_what_the_uncapped_rule_returns(workload, pool):
         runner, path, data = workload(pool, **knobs)
         merged = getattr(runner, path)(data)  # fused, as a default run goes
         _unfused, pipeline = getattr(runner, path)(data, return_pipeline=True)
+        jobs = {"run": 2, "run_cached": 1}[path]
         assert [stage.num_reduce_tasks for stage in pipeline.stages] == [
             runner.num_reduce_tasks
-        ] * 2
+        ] * jobs
         counters = pipeline.counters
         evaluated = counters.get(PAIRWISE_GROUP, EVALUATIONS)
         pruned = counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)
@@ -126,3 +133,30 @@ def test_a_wide_fused_fan_in_past_the_slots(pool):
     assert reduce_waves == [9, 9]
     serial, _path, _data = knn_topk(SerialEngine(), num_reduce_tasks=9)
     assert merged.pairs() == getattr(serial, path)(data).pairs()
+
+
+@pytest.mark.parametrize("engine", ["serial", "pool"])
+@pytest.mark.parametrize(
+    "scheme",
+    [BlockScheme(V, H), DesignScheme(V), QuorumScheme(V)],
+    ids=("block", "design", "quorum"),
+)
+def test_the_cached_plan_computes_in_a_map_task_per_reducer(scheme, engine, pool):
+    """Default: a map task per reducer (4 on the pool, 5 or 6 serial); an explicit 3 wins."""
+    engine = pool if engine == "pool" else SerialEngine()
+    data = make_blobs(V, dim=3, num_clusters=3, spread=0.7, seed=11)
+    runner = PairwiseComputation(scheme, euclidean_distance, engine=engine)
+    reference = runner.run_local(data).pairs()
+    for knobs, expected in (({}, runner.num_reduce_tasks), ({"num_map_tasks": 3}, 3)):
+        seen = []
+        engine.events.subscribe(seen.append)
+        try:
+            merged = runner.run_cached(data, **knobs)
+        finally:
+            engine.events.unsubscribe(seen.append)
+        map_waves = [
+            event.num_tasks for event in seen
+            if isinstance(event, PhaseMarker) and event.kind == "map" and event.state == "started"
+        ]
+        assert map_waves == [expected] and expected < scheme.num_tasks
+        assert merged.pairs() == reference

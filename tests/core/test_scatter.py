@@ -10,17 +10,20 @@ replaced three copies of::
 The loop is kept here as the reference: on any block the bulk path must
 leave every element with the same result map, filled in the same order,
 and must fail on the same blocks with the same exception type.  The parity
-test pins all three MR paths' records and counters to values recorded on
+test pins the MR paths' records and counters to values recorded on
 the commit before the bulk path existed — except the bytes and the one-job
 record count, re-recorded once when payloads stopped riding leg 2 and the
 one-job map started emitting partial maps, leg 1's records, bytes and
 working-set gauge, re-recorded once when the distribute map started
 shipping one block per working set, and leg 2's records, groups and bytes,
 re-recorded once when the compute tasks started shipping one result block
-per aggregate partition, and the bytes and the aggregate output records
+per aggregate partition, the bytes and the aggregate output records
 once more when result blocks became columns — ``bytes`` partner ids, one
-output block per aggregate partition (see ``PARENT``; every result, the
-digest, the evaluations and the replica count are the original ones).
+output block per aggregate partition — and ``run_cached``'s records,
+groups, bytes and attempts once more when the cached plan became one job
+whose map tasks read their working sets from the cache (see ``PARENT``;
+every result, the digest, the evaluations and the replica count are the
+original ones).
 """
 
 import hashlib
@@ -32,7 +35,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.block import BlockScheme
-from repro.core.broadcast import BroadcastScheme
 from repro.core.element import (
     DuplicatePairError,
     Element,
@@ -192,14 +194,15 @@ PARENT = {
         (31, 7, 2), 7, 16080, 4,
         max_working_set_bytes=1540, max_working_set_records=20, replicas_emitted=90,
     ),
+    # One job: six task descriptors in one split (one compute map task, one
+    # aggregate reducer), one result block and no id leg.  Two jobs read
+    # (31, 7, 2) records, 7 groups, 9 870 bytes and 4 attempts before; the
+    # working-set gauges and the replica count are metered from the cached
+    # view (8 B per id) and kept their values.
     "run_cached": _counters(
-        (31, 7, 2), 7, 9870, 4,
+        (6, 1, 1), 1, 9102, 2,
         max_working_set_bytes=160, max_working_set_records=20, replicas_emitted=90,
     ),
-    # one result block per map task; 95 partial result maps over 30 groups
-    # and 11 850 bytes before (870 (partner, result) records, 28 710 bytes
-    # before that); 10 110 bytes and 30 output records before the columns
-    "run_broadcast_job": _counters((4, 4, 1), 1, 9236, 5),
 }
 
 
@@ -211,10 +214,8 @@ def golden_data():
 @pytest.mark.parametrize("path", sorted(PARENT))
 def test_records_and_counters_identical_to_parent(path):
     data = golden_data()
-    scheme = BroadcastScheme(30, 4) if path == "run_broadcast_job" else BlockScheme(30, 3)
-    computation = PairwiseComputation(scheme, exact_dot, engine=SerialEngine())
-    flag = "return_result" if path == "run_broadcast_job" else "return_pipeline"
-    merged, result = getattr(computation, path)(data, **{flag: True})
+    computation = PairwiseComputation(BlockScheme(30, 3), exact_dot, engine=SerialEngine())
+    merged, result = getattr(computation, path)(data, return_pipeline=True)
     assert _digest(merged) == RECORDS_DIGEST
     assert result.counters.as_dict() == PARENT[path]
     # Pickle-size identity: Python ints and floats, never numpy scalars.
@@ -239,10 +240,10 @@ def check_result_blocks(path, kernel, monkeypatch):
         return fold(self, key, iter(values), context)
 
     monkeypatch.setattr(AggregateReducer, "reduce", watched)
-    scheme = BroadcastScheme(30, 4) if path == "run_broadcast_job" else BlockScheme(30, 3)
-    computation = PairwiseComputation(scheme, exact_dot, engine=SerialEngine(), kernel=kernel)
-    flag = "return_result" if path == "run_broadcast_job" else "return_pipeline"
-    merged, result = getattr(computation, path)(golden_data(), **{flag: True})
+    computation = PairwiseComputation(
+        BlockScheme(30, 3), exact_dot, engine=SerialEngine(), kernel=kernel
+    )
+    merged, result = getattr(computation, path)(golden_data(), return_pipeline=True)
     emitted = [block for _partition, block in result.records]
     assert arrived and emitted
     for block in [*arrived, *emitted]:

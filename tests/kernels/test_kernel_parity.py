@@ -4,8 +4,9 @@ For each registered kernel, across every scheme family and both
 ``symmetric`` settings, the vectorized pipeline must reproduce the
 in-process reference within 1e-9 relative tolerance, and the scalar
 (default) pipeline must reproduce it *exactly*.  Also covers the cached
-variant, the broadcast one-job path, empty and singleton working sets,
-counter semantics, and kernel dispatch across process boundaries.
+variant on a broadcast scheme (the one-job form), empty and singleton
+working sets, counter semantics, and kernel dispatch across process
+boundaries.
 """
 
 from __future__ import annotations
@@ -132,9 +133,7 @@ def test_broadcast_one_job_parity(kernel_name):
     reference = results_matrix(
         PairwiseComputation(scheme, comp).run_local(dataset)
     )
-    merged = PairwiseComputation(scheme, comp, kernel=kernel_name).run_broadcast_job(
-        dataset
-    )
+    merged = PairwiseComputation(scheme, comp, kernel=kernel_name).run_cached(dataset)
     assert_close_maps(results_matrix(merged), reference)
 
 

@@ -1,8 +1,8 @@
-"""The cached plans' payload store converts once per process per job.
+"""The cached plan's payload store converts once per process per job.
 
-On ``run_cached`` and ``run_broadcast_job`` the distributed cache holds one
-root :class:`~repro.kernels.WorkingSetStore` of every participant; an
-admitted working set is a view of it, and a kernel's matrix form
+On ``run_cached`` the distributed cache holds one root
+:class:`~repro.kernels.WorkingSetStore` of every participant; a task's
+working set is a view of it, and a kernel's matrix form
 (``to_matrix``) is built on the root the first time a kernel asks — once per
 process per job, whatever the number of working sets.  The store pickles as
 the dict it holds, so the cache costs on the wire what it cost before.
@@ -113,32 +113,32 @@ def assert_close(got: dict, want: dict) -> None:
 def test_cached_presets_convert_once_per_process_and_match_run_local(knobs, kind, tmp_path):
     """Tiles, pruned rows and broadcast rows: at most one conversion per process per run.
 
-    Each run has one compute job (the aggregate reads no payloads), so a
-    pid logged twice in one run is a second conversion in one job.  The
+    Each run is one job, so a pid logged twice in one run is a second
+    conversion in one job.  The
     pool is forked inside the test, so its workers run the realisation
     under test.
     """
     counting, comp, data = kind
     log = tmp_path / "conversions"
     runs = [
-        (BlockScheme(V, 3), {}, "run_cached"),  # Triangle + Cross tiles
-        (BlockScheme(V, 3), {"threshold": 0.2, "pruning": "sketch"}, "run_cached"),  # rows
-        (BroadcastScheme(V, 4), {}, "run_broadcast_job"),  # the store itself, rows
+        (BlockScheme(V, 3), {}),  # Triangle + Cross tiles
+        (BlockScheme(V, 3), {"threshold": 0.2, "pruning": "sketch"}),  # rows
+        (BroadcastScheme(V, 4), {}),  # a view of every participant, rows
     ]
     if not knobs:
-        runs.append((DesignScheme(V), {}, "run_cached"))  # Triangle tiles only
+        runs.append((DesignScheme(V), {}))  # Triangle tiles only
     engine = MultiprocessEngine(**knobs) if knobs else SerialEngine()
     with engine:
-        for scheme, objective, preset in runs:
+        for scheme, objective in runs:
             log.write_text("")
             computation = PairwiseComputation(
                 scheme, comp, engine=engine, kernel=counting(log), **objective
             )
-            got = getattr(computation, preset)(data).pairs()
+            got = computation.run_cached(data).pairs()
             want = PairwiseComputation(scheme, comp, **objective).run_local(data).pairs()
             assert_close(got, want)
             conversions = Counter(log.read_text().split())
-            assert conversions and max(conversions.values()) == 1, (preset, conversions)
+            assert conversions and max(conversions.values()) == 1, (scheme, conversions)
             if knobs:  # converted in the workers, never in the driver
                 assert str(os.getpid()) not in conversions
             else:

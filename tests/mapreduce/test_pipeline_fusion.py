@@ -345,16 +345,6 @@ class TestPipelineIntegration:
         assert result.stages[0].records
         assert merged == PairwiseComputation(scheme, abs_distance).run(dataset)
 
-    def test_pairwise_run_cached_fuses(self):
-        scheme = DesignScheme(13)
-        dataset = list(range(100, 100 + scheme.v))
-        serial = PairwiseComputation(scheme, abs_distance).run_cached(dataset)
-        with MultiprocessEngine(max_workers=2) as engine:
-            computation = PairwiseComputation(scheme, abs_distance, engine=engine)
-            fused = computation.run_cached(dataset)
-            assert engine.stats.fused_stages == 1
-        assert fused == serial
-
 
 def abs_distance(a, b):
     return abs(a - b)

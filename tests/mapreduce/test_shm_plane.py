@@ -109,7 +109,7 @@ class TestBroadcastFile:
                 stats[plane] = engine.stats
                 assert len(shm_entries() - before) == (plane == "shm")
             assert shm_entries() == before
-        assert stats["shm"].jobs_broadcast == stats["default"].jobs_broadcast == 2
+        assert stats["shm"].jobs_broadcast == stats["default"].jobs_broadcast == 1
         assert stats["shm"].broadcast_bytes == stats["default"].broadcast_bytes
         assert stats["shm"].broadcast_bytes > sum(row.nbytes for row in DATA)
 

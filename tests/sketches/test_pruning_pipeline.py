@@ -4,7 +4,7 @@ The sketch suite is built once driver-side and shipped through the
 distributed cache, and every pruning input (blake2b hashing, frozen
 arrays, seeded builders) is process-independent — so pruned output must
 be identical across SerialEngine, MultiprocessEngine, both broadcast
-data planes, the broadcast one-job path, and under injected faults
+data planes, the broadcast scheme's one-job form, and under injected faults
 (retries prune against the same frozen state).
 """
 
@@ -125,9 +125,7 @@ class TestBroadcastOneJob:
             threshold=THRESHOLD,
             pruning="sketch",
         )
-        merged, result = computation.run_broadcast_job(
-            list(vectors), return_result=True
-        )
+        merged, result = computation.run_cached(list(vectors), return_pipeline=True)
         want = brute_force_similarity(vectors, threshold=THRESHOLD)
         assert results_matrix(merged).keys() == want.keys()
         evaluations = result.counters.get(PAIRWISE_GROUP, EVALUATIONS)

@@ -81,7 +81,7 @@ class TestPlan:
         assert main(["plan", "--v", "1000", "--element-size", "50KB", "--nodes", "8"]) == 0
         out = capsys.readouterr().out
         # 16 broadcast tasks replicate the 50 MB store 16-fold; 8 nodes localise it 8 times
-        assert "routing: one-job" in out
+        assert "routing: cache (broadcast scheme" in out
         assert "shuffle 800MB, cache 400MB" in out
 
     def test_infeasible_exit_one(self, capsys):

@@ -33,8 +33,8 @@ tuples.
 
 The apps route like everyone else: a module under ``repro.apps`` that takes
 a scheme hands it to ``auto_pairwise``, and calls no plan preset (``run``,
-``run_cached``, ``run_broadcast_job``) itself; ``run_local``, the reference,
-is the one method it may call.
+``run_cached``) itself; ``run_local``, the reference, is the one method it
+may call.
 
 Leg 2 ships result blocks: the pairwise producers emit once per task, from
 ``cleanup``, never one record per element.
@@ -267,7 +267,7 @@ class TestTheAppsAreRouted:
         presets = {
             f"{path}:{line}"
             for path, tree in self.app_trees().items()
-            for line in calls_of(tree, "run", "run_cached", "run_broadcast_job")
+            for line in calls_of(tree, "run", "run_cached")
         }
         assert presets == set()
 
@@ -279,8 +279,7 @@ class TestTheAppsAreRouted:
 class TestPairsAreArrays:
     """A scheme implements ``pair_tiles``; the compute steps take the relation as those tiles."""
 
-    COMPUTE_STEPS = {"ComputeReducer": "reduce", "CachedComputeReducer": "reduce",
-                     "BroadcastPairMapper": "map"}
+    COMPUTE_STEPS = {"ComputeReducer": "reduce", "CachedComputeMapper": "map"}
 
     def test_no_scheme_overrides_the_list_view(self):
         assert self.definers("get_pairs") == ["scheme.py: DistributionScheme.get_pairs"]
@@ -346,7 +345,7 @@ class TestPairsAreArrays:
 
 
 class TestLegTwoShipsBlocks:
-    PRODUCERS = ("ComputeReducer", "CachedComputeReducer", "BroadcastPairMapper")
+    PRODUCERS = ("ComputeReducer", "CachedComputeMapper")
 
     def test_producers_emit_only_in_cleanup(self):
         """A return to per-element emission emits from ``reduce`` / ``map`` and fails here."""

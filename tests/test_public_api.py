@@ -116,7 +116,6 @@ class TestPinnedSignatures:
         "PairwiseComputation.run_cached": (
             "self", "dataset", "num_map_tasks", "return_pipeline",
         ),
-        "PairwiseComputation.run_broadcast_job": ("self", "dataset", "return_result"),
         "auto_pairwise": (
             "dataset", "comp", "element_size", "maxws", "maxis", "num_nodes",
             "aggregator", "engine", "symmetric", "kernel", "auto_engine",
@@ -181,4 +180,4 @@ class TestPinnedSignatures:
         fields = {field.name: field.default for field in dataclasses.fields(SchemeChoice)}
         assert tuple(fields) == ("scheme", "rationale", "routing")
         assert fields["routing"] == "shuffle"
-        assert ROUTINGS == ("one-job", "cache", "shuffle")
+        assert ROUTINGS == ("cache", "shuffle")
