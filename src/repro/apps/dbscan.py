@@ -25,7 +25,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core.pairwise import PairwiseComputation
 from ..core.runner import auto_pairwise
 from ..core.scheme import DistributionScheme
 from ..kernels import register_comp
@@ -109,28 +108,24 @@ def dbscan_pairwise(
     scheme: DistributionScheme,
     *,
     engine=None,
-    use_local: bool = False,
     pruning: str = "off",
 ) -> DBSCANResult:
     """Full DBSCAN via the parallel pairwise pipeline under ``scheme``.
 
-    ``use_local=True`` skips the MR machinery (same semantics, faster for
-    big in-process runs); otherwise the distance phase runs on ``engine``
-    (default serial) through :func:`~repro.core.runner.auto_pairwise`, on
-    the payload route :func:`~repro.core.chooser.route_payloads` prices
-    for ``scheme`` (cache, shuffle, or one job for a broadcast scheme).
+    The distance phase runs on ``engine`` (default serial) through
+    :func:`~repro.core.runner.auto_pairwise`, on the payload route
+    :func:`~repro.core.chooser.route_payloads` prices for ``scheme``: the
+    one-job cached plan or the two-job shuffle.
 
     ``pruning="sketch"`` skips pairs whose projection-sketch distance
     lower bound already reaches ε — a sound bound, so the clustering is
-    identical to the unpruned run (``use_local=True`` never prunes).
+    identical to the unpruned run.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    options = dict(threshold=eps, pruning=pruning, engine=engine)
-    if use_local:
-        merged = PairwiseComputation(scheme, euclidean_distance, **options).run_local(list(points))
-    else:
-        merged, _choice = auto_pairwise(points, euclidean_distance, scheme=scheme, **options)
+    merged, _choice = auto_pairwise(
+        points, euclidean_distance, scheme=scheme, threshold=eps, pruning=pruning, engine=engine
+    )
     neighbors = {eid: sorted(element.results) for eid, element in merged.items()}
     return cluster_from_neighbors(neighbors, min_pts)
 

@@ -103,9 +103,9 @@ def pairwise_similarity(
 
     Runs through :func:`~repro.core.runner.auto_pairwise` under any
     :class:`~repro.core.scheme.DistributionScheme`, on the payload route
-    :func:`~repro.core.chooser.route_payloads` prices for it (the
-    distributed cache when the scheme replicates more than the node count,
-    the shuffle otherwise, one job for a broadcast scheme), with the CSR
+    :func:`~repro.core.chooser.route_payloads` prices for it (the one-job
+    cached plan when the scheme replicates more than the node count or
+    broadcasts, the two-job shuffle otherwise), with the CSR
     cosine kernel selected by default; returns the canonical
     ``(i, j) → cosine`` map (i > j, 1-indexed), directly comparable to
     :func:`elsayed_similarity` and :func:`brute_force_similarity`.  Pass

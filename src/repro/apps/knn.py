@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core.pairwise import PairwiseComputation
 from ..core.runner import auto_pairwise
 from ..core.scheme import DistributionScheme
 from .dbscan import euclidean_distance
@@ -78,18 +77,18 @@ def knn_graph(
     *,
     engine=None,
     kernel=None,
-    use_local: bool = False,
     pruning: str = "off",
 ) -> KnnGraph:
     """Build the kNN graph through the pairwise pipeline under ``scheme``.
 
     The run goes through :func:`~repro.core.runner.auto_pairwise`, so the
     payloads take the route :func:`~repro.core.chooser.route_payloads`
-    prices for ``scheme``: the distributed cache when its replication
-    exceeds the node count, the shuffle otherwise, one job for a
-    :class:`~repro.core.broadcast.BroadcastScheme`.
+    prices for ``scheme``: the one-job cached plan when its replication
+    exceeds the node count or it is a
+    :class:`~repro.core.broadcast.BroadcastScheme`, the shuffle otherwise.
 
-    ``kernel`` is forwarded to :class:`PairwiseComputation`; pass
+    ``kernel`` is forwarded to
+    :class:`~repro.core.pairwise.PairwiseComputation`; pass
     ``"auto"`` (or ``"dense-euclidean"``) to batch distance evaluation
     through the vectorized kernel instead of one call per pair.
 
@@ -98,17 +97,16 @@ def knn_graph(
     k-th-best upper bound are skipped before kernel dispatch.  Each
     element's k-th-best bound is taken over the partners ``scheme``
     requires, so the graph is identical to the unpruned one on every
-    schema (``use_local=True`` never prunes — it is the reference).
+    schema.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= len(points):
         raise ValueError(f"k={k} needs at least k+1={k + 1} points, got {len(points)}")
-    options = dict(top_k=k, pruning=pruning, engine=engine, kernel=kernel)
-    if use_local:
-        merged = PairwiseComputation(scheme, euclidean_distance, **options).run_local(list(points))
-    else:
-        merged, _choice = auto_pairwise(points, euclidean_distance, scheme=scheme, **options)
+    merged, _choice = auto_pairwise(
+        points, euclidean_distance, scheme=scheme,
+        top_k=k, pruning=pruning, engine=engine, kernel=kernel,
+    )
     # The aggregator kept at most k partners per element, in rank order.
     neighbors = {eid: tuple(element.results.items()) for eid, element in merged.items()}
     return KnnGraph(k=k, neighbors=neighbors)

@@ -52,7 +52,8 @@ class SimulationReport:
     measured: MeasuredMetrics
     assignment: Assignment
     limit_checks: list[LimitCheck] = field(default_factory=list)
-    #: the task costs a flat :meth:`ClusterSimulator.simulate` placed, which
+    #: the task costs a flat :meth:`ClusterSimulator.simulate` or
+    #: :meth:`~ClusterSimulator.simulate_cached` placed, which
     #: :func:`~repro.cluster.trace.build_trace` turns into its timeline
     costs: list[TaskCost] = field(default_factory=list)
 
@@ -163,8 +164,8 @@ class ClusterSimulator:
             costs=costs,
         )
 
-    # -- the broadcast one-job form (§5.1) -------------------------------------------
-    def simulate_broadcast_one_job(
+    # -- the cached one-job plan (§5.1, any scheme) -----------------------------------
+    def simulate_cached(
         self,
         scheme,
         element_size: int,
@@ -172,21 +173,15 @@ class ClusterSimulator:
         eval_seconds: float | None = None,
         result_bytes: int = 16,
     ) -> SimulationReport:
-        """Simulate the distributed-cache one-job broadcast variant.
+        """Simulate the one-job cached plan of any scheme (it mirrors ``run_cached``).
 
-        Differences from the generic two-job path: the dataset is
-        *broadcast once per node* (pipelined tree) instead of shuffled
-        per task, and the only shuffled records are the 16-byte pair
-        results (§3's id+value) — so intermediate storage is the cached
-        dataset per node plus the result stream, not element replicas.
+        Differences from the two-job path :meth:`simulate` models: the
+        dataset is *broadcast once per node* (pipelined tree) instead of
+        shuffled per task, every task reads its working set from that local
+        copy, and the only shuffled records are the 16-byte pair results
+        (§3's id+value) — so intermediate storage is the cached dataset per
+        node plus the result stream, not element replicas.
         """
-        from ..core.broadcast import BroadcastScheme
-
-        if not isinstance(scheme, BroadcastScheme):
-            raise TypeError(
-                "one-job simulation requires a BroadcastScheme, got "
-                f"{type(scheme).__name__}"
-            )
         if element_size < 1:
             raise ValueError(f"element_size must be >= 1, got {element_size}")
         node = self.cluster.nodes[0]
@@ -215,7 +210,7 @@ class ClusterSimulator:
         )
         max_task_memory = dataset_bytes + self.task_overhead_bytes
         measured = MeasuredMetrics(
-            scheme=f"{scheme.name}(one-job)",
+            scheme=f"{scheme.name}(cached)",
             v=scheme.v,
             num_tasks=scheme.num_tasks,
             replicas=scheme.v * self.cluster.num_nodes,
@@ -232,6 +227,7 @@ class ClusterSimulator:
             measured=measured,
             assignment=assignment,
             limit_checks=self._limits(max_task_memory, intermediate),
+            costs=costs,
         )
 
     # -- hierarchical schedules ----------------------------------------------------

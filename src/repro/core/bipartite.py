@@ -81,8 +81,7 @@ class BipartiteBroadcastScheme(BipartiteScheme):
     column-by-column (all of R against s₁, then against s₂, …); task l
     takes labels ``l·h+1 … (l+1)·h`` with ``h = ⌈vr·vs / p⌉``.  Like the
     §5.1 triangle form, every task needs all of R but only the S-slice
-    its chunk touches — and R travels once via the distributed cache in
-    the one-job implementation.
+    its chunk touches; :func:`run_bipartite` shuffles R to every task.
     """
 
     name = "bipartite-broadcast"
@@ -229,17 +228,15 @@ def run_bipartite(
     """Evaluate ``comp(r, s)`` on every cross pair under the scheme.
 
     One :class:`~repro.core.pairwise.PairwiseComputation` over S's payloads
-    followed by R's: the in-process reference without an ``engine``, the
-    two-job pipeline on it with one.  Returns ``{(r_id, s_id): result}``.
+    followed by R's, run as the two-job pipeline on ``engine`` (the serial
+    engine when none is given).  Returns ``{(r_id, s_id): result}``.
     """
     if len(r_payloads) != scheme.vr or len(s_payloads) != scheme.vs:
         raise ValueError(
             f"payload sizes ({len(r_payloads)}, {len(s_payloads)}) do not "
             f"match scheme ({scheme.vr}, {scheme.vs})"
         )
-    computation = PairwiseComputation(scheme, comp, engine=engine)
-    dataset = [*s_payloads, *r_payloads]
-    merged = computation.run_local(dataset) if engine is None else computation.run(dataset)
+    merged = PairwiseComputation(scheme, comp, engine=engine).run([*s_payloads, *r_payloads])
     return {(i - scheme.vs, j): result for (i, j), result in merged.pairs().items()}
 
 

@@ -12,9 +12,10 @@ Table-1 characteristics: tasks ``p`` (arbitrary — the scheme's strength),
 communication ``2vp`` records, replication ``p``, working set ``v``
 elements (its weakness — see Fig. 8a), ``≈ T/p`` evaluations per task.
 
-Because the working sets are trivial, Hadoop's *distributed cache* can ship
-the dataset instead of the shuffle, collapsing the two MR jobs into one
-(see :mod:`repro.core.pairwise`'s broadcast fast path).
+Because the working sets are trivial, the paper ships the dataset through
+Hadoop's *distributed cache* instead of the shuffle, in one MR job; here that
+is the cached plan of every scheme
+(:meth:`~repro.core.pairwise.PairwiseComputation.run_cached`).
 """
 
 from __future__ import annotations

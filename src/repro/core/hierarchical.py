@@ -26,7 +26,7 @@ Both are ordered sequences of :class:`Round` objects, and a round is an ordinary
 :class:`ScheduledTask` lists, a declared universe (tiles: the round's coarse
 block, or its design blocks) and the elements that sit the round out — so the
 flat schemes' validator, executor and simulator run it unchanged: :func:`run_rounds` is a loop of
-:class:`~repro.core.pairwise.PairwiseComputation`, and
+:meth:`~repro.core.pairwise.PairwiseComputation.run`, and
 :func:`check_schedule_exactly_once` asks
 :func:`~repro.core.validate.check_exactly_once` about every round.
 """
@@ -42,7 +42,8 @@ import numpy as np
 
 from .._util import ceil_div, chunked
 from .design import DesignScheme
-from .element import Element, _elements_by_id
+from .aggregate import ReduceAggregator, count_neighbors
+from .element import Element, PairResults, _elements_by_id
 from .pairwise import PairwiseComputation
 from .scheme import (
     Cross, DistributionScheme, SchemeMetrics, TaskProfile, Tile, Triangle, tile_rows,
@@ -302,21 +303,25 @@ def run_rounds(
     aggregator: Callable[[Sequence[Element]], Element] | None = None,
     engine=None,
     **options: Any,
-) -> dict[int, Element]:
+) -> PairResults:
     """Execute a schedule round by round, aggregating between rounds (§7).
 
     Every round is one :class:`~repro.core.pairwise.PairwiseComputation`
-    over the round's schema — the in-process reference without an
-    ``engine``, the two-MR-job pipeline on it with one (a persistent pool
-    keeps its workers across rounds); ``options`` are that class's other
-    keywords (``symmetric``, ``threshold``, ``pruning``, …).  Only a round's
-    participants are shipped, and the computation's own aggregator folds
-    what they bring back into the running elements — "each block is
-    aggregated before the next one is processed" — so at no time do more
-    than one round's replicas exist.  The aggregator therefore has to be
-    one that can be applied again to its own output (concat, threshold and
-    top-k can; a fold to a single value per element cannot).
+    over the round's schema, run as its two-MR-job pipeline on ``engine``
+    (the serial engine when none is given; a persistent pool keeps its
+    workers across rounds); ``options`` are that class's other keywords
+    (``symmetric``, ``kernel``, ``threshold``, ``top_k``, ``pruning``, …),
+    honoured by every round as by a flat run.  Only a round's participants
+    are shipped, and the computation's own aggregator folds what they bring
+    back into the running elements — "each block is aggregated before the
+    next one is processed" — so at no time do more than one round's
+    replicas exist.  The aggregator therefore has to be one that can be
+    applied again to its own output (concat, threshold and top-k can; a
+    fold to a single value per element cannot, see
+    :func:`check_refoldable`).  Returns the folded elements as a
+    :class:`~repro.core.element.PairResults`.
     """
+    check_refoldable(aggregator)
     if len(dataset) != schedule.v:
         raise ValueError(
             f"dataset has {len(dataset)} elements, schedule expects {schedule.v}"
@@ -329,10 +334,27 @@ def run_rounds(
         computation = PairwiseComputation(
             round_, comp, aggregator=aggregator, engine=engine, **options
         )
-        run = computation.run_local if engine is None else computation.run
-        for eid, contribution in run(payloads).items():
+        for eid, contribution in computation.run(payloads).items():
             current[eid] = computation.aggregator([current[eid], contribution])
-    return current
+    return PairResults.of(current)
+
+
+def check_refoldable(aggregator: Any) -> None:
+    """Refuse a built-in fold to one value per element as a schedule's aggregator.
+
+    :func:`run_rounds` applies the aggregator again to its own output
+    after every round; :class:`~repro.core.aggregate.ReduceAggregator` and
+    :func:`~repro.core.aggregate.count_neighbors` replace an element's
+    results by ``{0: folded}``, so the second round would meet partner 0
+    twice.
+    """
+    if aggregator is count_neighbors or isinstance(aggregator, ReduceAggregator):
+        name = getattr(aggregator, "__name__", type(aggregator).__name__)
+        raise ValueError(
+            f"a schedule's aggregator must be one that can be applied again to its "
+            f"own output; {name} folds each element's results to one value, so "
+            "run a flat scheme or fold the schedule's results afterwards"
+        )
 
 
 def check_schedule_exactly_once(schedule: Schedule) -> tuple[bool, str]:

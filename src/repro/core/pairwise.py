@@ -75,8 +75,8 @@ of the task's working sets hold it, and from the store on the cached row.
   element.
 
 :meth:`PairwiseComputation.run_local` is not a plan: it is the same three
-abstract steps without the MR machinery (fast in-process reference; tests
-compare every preset against it).
+abstract steps without the MR machinery, the in-process reference the tests
+compare every preset against; no entry point of the package falls back to it.
 
 The pair function ``comp(payload_i, payload_j)`` must be symmetric (§1's
 standing assumption) and picklable for the multiprocess engine.

@@ -6,23 +6,24 @@ pick the scheme the paper's analysis recommends for the environment and
 the payload route it prices cheapest, and run it — a flat scheme through
 the plan its :attr:`~repro.core.chooser.SchemeChoice.routing` names
 (the one-job cached plan or the two-job shuffle pipeline), a
-hierarchical schedule round by round (:func:`~repro.core.hierarchical.run_rounds`).
-Either way it is one :class:`~repro.core.pairwise.PairwiseComputation`
-keyword set on one engine, both built before the branch.  Returns the
-merged elements together with the :class:`~repro.core.chooser.SchemeChoice`
-so callers can log the decision trail.
+hierarchical schedule round by round (:func:`~repro.core.hierarchical.run_rounds`,
+the shuffle plan per round).  Either way it is one
+:class:`~repro.core.pairwise.PairwiseComputation` keyword set on one engine,
+both built before the branch.  Returns the run's
+:class:`~repro.core.element.PairResults` together with the
+:class:`~repro.core.chooser.SchemeChoice` so callers can log the decision trail.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .._util import GB, MB, TB, ceil_div
 from ..mapreduce.runtime import choose_engine
 from ..mapreduce.serialization import estimate_element_size
 from .chooser import SchemeChoice, choose_scheme, route_payloads
-from .element import Element
-from .hierarchical import run_rounds
+from .element import PairResults
+from .hierarchical import check_refoldable, run_rounds
 from .pairwise import PairwiseComputation
 from .scheme import DistributionScheme
 
@@ -95,13 +96,13 @@ def auto_pairwise(
     top_k: int | None = None,
     pruning: str = "off",
     scheme: str | Any = None,
-) -> tuple[Mapping[int, Element], SchemeChoice]:
+) -> tuple[PairResults, SchemeChoice]:
     """Evaluate all pairs of ``dataset`` under an auto-chosen scheme.
 
-    Returns ``(merged, choice)``.  A flat scheme's ``merged`` is the run's
-    :class:`~repro.core.element.PairResults`; a hierarchical schedule's is
-    the ``{eid: Element}`` dict :func:`~repro.core.hierarchical.run_rounds`
-    folds round by round.
+    Returns ``(merged, choice)``: ``merged`` is the run's
+    :class:`~repro.core.element.PairResults`, for a hierarchical schedule
+    the elements :func:`~repro.core.hierarchical.run_rounds` folds round
+    by round.
 
     ``element_size`` defaults to a pickled-size estimate of the payloads;
     pass the real deployment size when simulating capacity decisions for
@@ -132,9 +133,11 @@ def auto_pairwise(
     ``aggregator`` / ``symmetric`` / ``kernel`` / ``threshold`` / ``top_k`` /
     ``pruning`` forward to :class:`PairwiseComputation` — the declarative
     objective plus sketch-based candidate pruning (DESIGN.md §3.1.7) — for
-    a flat scheme and for every round of a schedule alike.  Without any engine a
-    schedule runs in-process (``run_local`` per round: the objective
-    applies, nothing is pruned).
+    a flat scheme and for every round of a schedule alike, on the engine
+    given or built (the serial one without either).  A schedule folds each
+    round into the running elements with the aggregator, so one that folds
+    an element's results to a single value raises ``ValueError`` before any
+    engine is built (:func:`~repro.core.hierarchical.check_refoldable`).
     """
     if len(dataset) < 2:
         raise ValueError("pairwise computation needs at least two elements")
@@ -154,6 +157,8 @@ def auto_pairwise(
             maxws=maxws,
             num_nodes=num_nodes,
         )
+    if choice.is_hierarchical:
+        check_refoldable(aggregator)
     owned_engine = None
     if engine is None and (auto_engine or trace_sink is not None):
         records = None  # unknown workload: the serial engine, carrying the sink

@@ -72,12 +72,6 @@ class TestEndToEnd:
         assert got.labels == ref.labels
         assert got.core == ref.core
 
-    def test_use_local_fast_path(self):
-        points = make_blobs(25, num_clusters=2, seed=3)
-        ref = dbscan_reference(points, eps=2.0, min_pts=3)
-        got = dbscan_pairwise(points, 2.0, 3, BlockScheme(25, 3), use_local=True)
-        assert got.labels == ref.labels
-
     def test_recovers_planted_clusters(self):
         points = make_blobs(60, num_clusters=3, spread=0.2, box=20.0, seed=5)
         result = dbscan_reference(points, eps=1.5, min_pts=4)

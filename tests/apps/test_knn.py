@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.apps.dbscan import euclidean_distance
 from repro.apps.knn import (
+    KnnGraph,
     average_neighbor_distance,
     degree_histogram,
     knn_graph,
@@ -11,6 +13,7 @@ from repro.apps.knn import (
 )
 from repro.core.block import BlockScheme
 from repro.core.design import DesignScheme
+from repro.core.pairwise import PairwiseComputation
 from repro.workloads import make_blobs
 
 
@@ -29,7 +32,7 @@ class TestConstruction:
     def test_prime_power_design_scheme(self):
         points = make_blobs(70, num_clusters=3, spread=0.4, seed=17)  # truncated GF(8) plane
         ref = knn_reference(points, k=3)
-        got = knn_graph(points, 3, DesignScheme(70, allow_prime_powers=True), use_local=True)
+        got = knn_graph(points, 3, DesignScheme(70, allow_prime_powers=True))
         assert got.neighbors == ref.neighbors
 
     def test_tied_distances_match_reference(self):
@@ -50,7 +53,8 @@ class TestConstruction:
         points = [np.array(point, dtype=float) for point in points]
         points[4][0] = np.nan  # element 5: every distance to it is NaN
         scheme = BlockScheme(30, 4)
-        local = knn_graph(points, 3, scheme, use_local=True)
+        reference = PairwiseComputation(scheme, euclidean_distance, top_k=3).run_local(points)
+        local = KnnGraph(3, {eid: tuple(e.results.items()) for eid, e in reference.items()})
         piped = knn_graph(points, 3, scheme, kernel=kernel)  # the dense kernel: a float64 fold
         assert [list(dict(p)) for p in piped.neighbors.values()] == [
             list(dict(p)) for p in local.neighbors.values()

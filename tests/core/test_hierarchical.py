@@ -1,9 +1,18 @@
 """Hierarchical schedule tests (§7 extensions)."""
 
+import operator
+
 import numpy as np
 import pytest
 
 from repro.apps.dbscan import euclidean_distance
+from repro.core.aggregate import ReduceAggregator, count_neighbors
+from repro.core.bipartite import (
+    BipartiteBlockScheme,
+    BipartiteBroadcastScheme,
+    brute_force_bipartite,
+    run_bipartite,
+)
 from repro.core.block import BlockScheme
 from repro.core.design import DesignScheme
 from repro.core.element import ordered_results, results_matrix
@@ -199,7 +208,7 @@ class TestRunRoundsMR:
     def test_matches_in_process_rounds(self, small_dataset):
         schedule = HierarchicalBlockScheme(23, 4, 2)
         mr = run_rounds(small_dataset, abs_diff, schedule, engine=SerialEngine())
-        local = run_rounds(small_dataset, abs_diff, schedule)
+        local = PairwiseComputation(BlockScheme(23, 4), abs_diff).run_local(small_dataset)
         assert results_matrix(mr) == results_matrix(local)
 
     def test_multiprocess_engine(self, small_dataset):
@@ -241,6 +250,7 @@ class TestRoundsTakeTheComputationsOptions:
     @pytest.fixture(scope="class")
     def engines(self):
         with MultiprocessEngine(2) as pool:
+            # "local": no engine, so every round builds the serial one
             yield {"local": None, "serial": SerialEngine(), "pool": pool}
 
     @pytest.mark.parametrize("engine", ["local", "serial", "pool"])
@@ -278,6 +288,86 @@ class TestRoundsTakeTheComputationsOptions:
         assert {eid: e.results for eid, e in out.items()} == {
             eid: e.results for eid, e in want.items()
         }
+
+
+class TestNoEngineRunsTheExecutor:
+    """With no engine a schedule or a rectangle runs on the serial one, never the reference."""
+
+    POINTS = [np.asarray(p) for p in np.random.default_rng(3).random((23, 2))]
+
+    @pytest.fixture(autouse=True)
+    def no_reference(self, monkeypatch):
+        def refuse(self, dataset):
+            raise AssertionError("an entry point fell back to run_local")
+
+        monkeypatch.setattr(PairwiseComputation, "run_local", refuse)
+
+    def test_a_schedule_prunes_per_round_and_reaches_the_kernel(self, monkeypatch):
+        from repro.kernels.dense import DenseEuclideanKernel
+
+        sketched, tiles = [], []
+        attach = PairwiseComputation._attach_pruning
+        evaluate_tile = DenseEuclideanKernel.evaluate_tile
+
+        def watched(self, compute, payloads):
+            sketched.append(len(payloads))
+            return attach(self, compute, payloads)
+
+        def spy(self, left, right):
+            tiles.append((len(left), len(right)))
+            return evaluate_tile(self, left, right)
+
+        monkeypatch.setattr(PairwiseComputation, "_attach_pruning", watched)
+        monkeypatch.setattr(DenseEuclideanKernel, "evaluate_tile", spy)
+        schedule = HierarchicalBlockScheme(23, 3, 2)
+        want = brute_force_results(self.POINTS, euclidean_distance)
+
+        pruned = run_rounds(
+            self.POINTS, euclidean_distance, schedule, threshold=0.4, pruning="sketch"
+        )
+        # One suite per round, over that round's participants only.
+        assert len(sketched) == schedule.num_rounds and max(sketched) < 23
+        assert results_matrix(pruned) == {pair: d for pair, d in want.items() if d < 0.4}
+
+        assert not tiles
+        vectorised = run_rounds(self.POINTS, euclidean_distance, schedule, kernel="auto")
+        # Every task's tile was one product of the vectorised kernel.
+        assert len(tiles) == sum(round_.num_tasks for round_ in schedule.rounds())
+        got = results_matrix(vectorised)
+        assert got.keys() == want.keys()
+        assert list(got.values()) == pytest.approx([want[pair] for pair in got], rel=1e-9)
+
+    def test_a_rectangle_runs_the_pipeline(self):
+        r, s = [1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0]
+        want = brute_force_bipartite(r, s, signed_diff)
+        for scheme in (BipartiteBroadcastScheme(5, 3, 4), BipartiteBlockScheme(5, 3, 2, 2)):
+            assert run_bipartite(r, s, signed_diff, scheme) == want
+
+
+class TestAFoldCannotBeRefolded:
+    """A schedule folds every round into the running elements with the aggregator."""
+
+    FOLDS = [ReduceAggregator(operator.add, 0.0), count_neighbors]
+
+    @pytest.mark.parametrize("fold", FOLDS, ids=["reduce", "count_neighbors"])
+    def test_run_rounds_refuses_before_the_first_round(self, fold, monkeypatch):
+        monkeypatch.setattr(PairwiseComputation, "run", None)  # a round would call it
+        with pytest.raises(ValueError, match="applied again to its own output"):
+            run_rounds(range(23), abs_diff, HierarchicalBlockScheme(23, 3, 2), aggregator=fold)
+
+    @pytest.mark.parametrize("fold", FOLDS, ids=["reduce", "count_neighbors"])
+    def test_auto_pairwise_refuses_before_building_an_engine(self, fold, monkeypatch):
+        from repro.core import runner
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(runner, "choose_engine", no_engine)
+        huge = {"element_size": 40 * MB, "maxws": 100 * MB, "maxis": 600 * MB}
+        with pytest.raises(ValueError, match="applied again to its own output"):
+            runner.auto_pairwise(
+                [float(i) for i in range(30)], abs_diff, aggregator=fold, auto_engine=True, **huge
+            )
 
 
 class TestLimitModel:

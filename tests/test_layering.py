@@ -33,8 +33,8 @@ tuples.
 
 The apps route like everyone else: a module under ``repro.apps`` that takes
 a scheme hands it to ``auto_pairwise``, and calls no plan preset (``run``,
-``run_cached``) itself; ``run_local``, the reference, is the one method it
-may call.
+``run_cached``) itself.  ``run_local`` is the tests' reference, not a route:
+no module under ``src/repro`` calls it.
 
 Leg 2 ships result blocks: the pairwise producers emit once per task, from
 ``cleanup``, never one record per element.
@@ -78,12 +78,18 @@ ENGINE_MODULES = (
 )
 
 
+@functools.cache
+def parsed(path: Path) -> ast.Module:
+    """The module at ``path``, parsed once per session (callers only walk it)."""
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def imported_modules(path: Path) -> set[str]:
     """Absolute module names imported anywhere in ``path`` (incl. lazily)."""
     package_parts = path.relative_to(SRC).with_suffix("").parts
     if package_parts[-1] == "__init__":
         package_parts = package_parts[:-1]
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = parsed(path)
     out: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -140,7 +146,7 @@ class TestCoreLayer:
 def core_trees() -> dict[str, ast.Module]:
     root = SRC / "repro" / "core"
     return {
-        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(root.glob("*.py"))
+        path.name: parsed(path) for path in sorted(root.glob("*.py"))
     }
 
 
@@ -157,7 +163,7 @@ def repro_sources() -> dict[str, str]:
 def trees_mentioning(*names: str) -> dict[str, ast.Module]:
     """The parsed modules of ``src/repro`` whose text contains one of ``names``."""
     return {
-        path: ast.parse(text)
+        path: parsed(SRC / "repro" / path)
         for path, text in repro_sources().items()
         if any(name in text for name in names)
     }
@@ -230,6 +236,18 @@ class TestOneSchemaInterfaceOneExecutor:
         ) == 0
         assert len(calls_of(runner, "PairwiseComputation")) == 1  # one keyword set, one place
 
+    def test_nothing_runs_the_reference(self):
+        """Every entry point runs the executor: no module calls or picks ``run_local``."""
+        trees = trees_mentioning("run_local")
+        assert "core/pairwise.py" in trees, "run_local moved: this check reads nothing"
+        uses = [
+            f"{path}:{node.lineno}"
+            for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if getattr(node, "attr", getattr(node, "id", None)) == "run_local"
+        ]
+        assert uses == []
+
     def test_the_chooser_takes_no_plane_order_knob(self):
         """The √v step always builds the GF plane: no function of the chooser has the switch."""
         parameters = {
@@ -242,7 +260,7 @@ class TestOneSchemaInterfaceOneExecutor:
         assert "allow_prime_powers" not in parameters
 
     def test_a_schedule_is_simulated_as_its_rounds(self):
-        simulator = ast.parse((SRC / "repro/cluster/simulator.py").read_text(encoding="utf-8"))
+        simulator = parsed(SRC / "repro/cluster/simulator.py")
         (fold,) = [
             node
             for node in ast.walk(simulator)
@@ -258,8 +276,8 @@ class TestTheAppsAreRouted:
     @staticmethod
     def app_trees() -> dict[str, ast.Module]:
         return {
-            path: ast.parse(text)
-            for path, text in repro_sources().items()
+            path: parsed(SRC / "repro" / path)
+            for path in repro_sources()
             if path.startswith("apps/")
         }
 
@@ -377,7 +395,7 @@ class TestTheMenuIsGone:
     def test_no_policy_class_no_wrapper_no_backup_attempt_no_dead_switch(self):
         policy_classes, names, strings = [], set(), set()
         for path in sorted((SRC / "repro").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(parsed(path)):
                 if isinstance(node, ast.ClassDef) and node.name.endswith("Policy"):
                     policy_classes.append(f"{path.name}: {node.name}")
                 for field in ("name", "id", "attr", "arg"):  # defs, names, attributes, params
@@ -407,15 +425,13 @@ class TestTheMenuIsGone:
 
     def test_one_function_places_and_one_orders(self):
         """``place`` alone writes a placement; ``dispatch_order`` alone sorts tasks by cost."""
-        policy = ast.parse(
-            (SRC / "repro/mapreduce/controlplane/policy.py").read_text(encoding="utf-8")
-        )
+        policy = parsed(SRC / "repro/mapreduce/controlplane/policy.py")
         functions = [node.name for node in policy.body if isinstance(node, ast.FunctionDef)]
         assert functions == ["dispatch_order", "place"]
         writers = {
             path.name
             for path in sorted((SRC / "repro").rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for node in ast.walk(parsed(path))
             if isinstance(node, ast.Assign)
             for target in node.targets
             if isinstance(target, ast.Subscript) and getattr(target.value, "id", "") == "placement"
@@ -423,14 +439,14 @@ class TestTheMenuIsGone:
         assert writers == {"policy.py"}
         cluster = SRC / "repro" / "cluster"
         placers = {
-            path.name: len(calls_of(ast.parse(path.read_text(encoding="utf-8")), "place"))
+            path.name: len(calls_of(parsed(path), "place"))
             for path in sorted(cluster.glob("*.py"))
         }
         assert {name: count for name, count in placers.items() if count} == {
             "simulator.py": 1,  # ClusterSimulator._place
             "trace.py": 1,  # build_trace
         }
-        runtime = ast.parse((SRC / "repro/mapreduce/runtime.py").read_text(encoding="utf-8"))
+        runtime = parsed(SRC / "repro/mapreduce/runtime.py")
         assert len(calls_of(runtime, "dispatch_order")) == 1  # Engine._dispatch_order
         assert len(calls_of(runtime, "_dispatch_order")) == 2  # one per engine
 
@@ -462,7 +478,7 @@ class TestThePeripheryIsGone:
         forbidden = {Path(name).stem for name in self.MODULES}.union(*self.MODULES.values())
         exported = []
         for init in sorted((SRC / "repro").rglob("__init__.py")):
-            for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            for node in parsed(init).body:
                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__":
                     names = {element.value for element in node.value.elts}
                     exported += [f"{init.parent.name}: {n}" for n in sorted(names & forbidden)]
@@ -470,7 +486,7 @@ class TestThePeripheryIsGone:
 
     def test_the_methods_that_served_them_are_gone(self):
         def methods(path: str, cls: str) -> set[str]:
-            tree = ast.parse((SRC / "repro" / path).read_text(encoding="utf-8"))
+            tree = parsed(SRC / "repro" / path)
             (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
             return {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
 
@@ -483,7 +499,7 @@ class TestThePeripheryIsGone:
     def test_the_simulator_keeps_only_what_its_callers_read(self):
         """No failure model, no blacklist, no relay plane, one JSONL reader."""
         trees = {
-            path.name: ast.parse(path.read_text(encoding="utf-8"))
+            path.name: parsed(path)
             for path in sorted((SRC / "repro" / "cluster").glob("*.py"))
         }
 
@@ -519,7 +535,7 @@ class TestThePeripheryIsGone:
     def test_the_substrate_keeps_only_what_the_plans_use(self):
         """No combiner, no sort proxies, no Pipeline, no split-size key, no duplicate policy."""
         trees = {
-            str(path.relative_to(SRC / "repro")): ast.parse(path.read_text(encoding="utf-8"))
+            str(path.relative_to(SRC / "repro")): parsed(path)
             for path in sorted((SRC / "repro").rglob("*.py"))
         }
 
@@ -572,7 +588,7 @@ class TestOneWayToPrune:
         assert mentions == []
 
     def test_a_pruner_has_no_soundness_flag(self):
-        tree = ast.parse((SRC / "repro/sketches/pruners.py").read_text(encoding="utf-8"))
+        tree = parsed(SRC / "repro/sketches/pruners.py")
         classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
         assert {"PairPruner", "ThresholdPruner", "TopKPruner"} <= set(classes)
         flagged = [
@@ -618,7 +634,7 @@ class TestOneContainer:
     @staticmethod
     def trees() -> dict[str, ast.Module]:
         return {
-            str(path.relative_to(SRC / "repro")): ast.parse(path.read_text(encoding="utf-8"))
+            str(path.relative_to(SRC / "repro")): parsed(path)
             for path in sorted((SRC / "repro").rglob("*.py"))
         }
 
@@ -690,7 +706,7 @@ class TestDocsFollowFiles:
 
     def test_engine_stats_table_names_real_fields(self):
         """First column of ``docs/API.md``'s EngineStats table vs the dataclass."""
-        stats = ast.parse((SRC / "repro/mapreduce/stats.py").read_text(encoding="utf-8"))
+        stats = parsed(SRC / "repro/mapreduce/stats.py")
         (cls,) = [
             node
             for node in stats.body
@@ -722,7 +738,7 @@ class TestDocsFollowFiles:
 
         read = set()
         for path in sorted((SRC / "repro" / "mapreduce").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(parsed(path)):
                 key = None
                 if isinstance(node, ast.Subscript) and is_config(node.value):
                     key = node.slice

@@ -138,6 +138,16 @@ class TestPinnedSignatures:
         "ClusterSimulator.__init__": (
             "self", "cluster", "network", "maxis", "task_overhead_bytes",
         ),
+        # The cached plan of any scheme, as run_cached runs it.
+        "ClusterSimulator.simulate_cached": (
+            "self", "scheme", "element_size", "eval_seconds", "result_bytes",
+        ),
+        # Every entry point runs the executor: no in-process switch, no
+        # engine-less fork; run_local is the tests' reference only.
+        "knn_graph": ("points", "k", "scheme", "engine", "kernel", "pruning"),
+        "dbscan_pairwise": ("points", "eps", "min_pts", "scheme", "engine", "pruning"),
+        "run_rounds": ("dataset", "comp", "schedule", "aggregator", "engine", "options"),
+        "run_bipartite": ("r_payloads", "s_payloads", "comp", "scheme", "engine"),
         # Sound bounds only: no estimate mode, no margin.
         "ThresholdPruner.__init__": ("self", "threshold", "keep_below"),
         # A universe is tiles: a round states its own, top-k taus read one.
@@ -147,6 +157,7 @@ class TestPinnedSignatures:
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_parameter_names(self, name):
+        import repro.apps
         import repro.cluster
         import repro.core
         import repro.mapreduce
@@ -155,7 +166,7 @@ class TestPinnedSignatures:
         head, *rest = name.split(".")
         target = next(
             getattr(package, head)
-            for package in (repro.core, repro.mapreduce, repro.cluster, repro.sketches)
+            for package in (repro.core, repro.mapreduce, repro.cluster, repro.sketches, repro.apps)
             if hasattr(package, head)
         )
         for part in rest:
