@@ -40,6 +40,10 @@ class DuplicatePairError(RuntimeError):
     """A pair was evaluated in more than one working set."""
 
 
+class PairCoverageError(RuntimeError):
+    """A run's compute tasks were not given the schema's required pairs, each exactly once."""
+
+
 @dataclass
 class Element:
     """One dataset element: identity, payload, and accumulated pair results.

@@ -8,11 +8,15 @@ methods are presets: each names a plan row and nothing else.
 ============== ============================================== ======== ================== ==================== ==== =======
 preset         stages (map → reduce)                          payloads leg 1 carries      leg 2 carries        legs routing
 ============== ============================================== ======== ================== ==================== ==== =======
-``run``        ``DistributeMapper`` → ``ComputeReducer``;     shuffle  blocks of ids +    result blocks:       2    shuffle
-               identity → ``AggregateReducer``                         payload references ``bytes`` columns
-                                                                                          (+ payload refs)
+``run``        ``DistributeMapper`` → ``ComputeReducer``;     shuffle  blocks of ids +    result blocks        2    shuffle
+               identity → ``AggregateReducer``                         payload references folded by the
+                                                                                          objective: ``bytes``
+                                                                                          columns (+ payload
+                                                                                          refs)
 ``run_cached`` ``CachedComputeMapper`` → ``AggregateReducer`` cache    result blocks      —                    1    cache
-                                                                       (its only leg)
+                                                                       folded by the
+                                                                       objective (its
+                                                                       only leg)
 ============== ============================================== ======== ================== ==================== ==== =======
 
 *Stages* are the plan's MR jobs in chain order (``;`` separates jobs; the
@@ -34,6 +38,12 @@ aggregate partitions`` records, not one copy per membership; a block's
 partner ids are one ``bytes`` column of the narrowest unsigned dtype
 holding ``v`` and its results float64 ``bytes`` whenever the kernel
 returned a float64 array (:func:`~repro.core.element.encode_block`).
+*Folded by the objective*: under a built-in threshold or top-k aggregator
+(no ``key=``) a compute task keeps only the entries that can survive the
+aggregate's fold — a threshold's passing ones, each member's k best per
+task — so the leg scales with the output, not with ``r·q``; such a run
+also sums each compute task's pair fingerprint and checks it against the
+required tiles before returning (:func:`_check_fingerprint`).
 *Legs* is the number of shuffles crossed.  *Routing* is the
 :attr:`~repro.core.chooser.SchemeChoice.routing` value under which
 :func:`~repro.core.runner.auto_pairwise` picks the row.
@@ -145,6 +155,7 @@ from .aggregate import (
 )
 from .element import (
     Element,
+    PairCoverageError,
     PairResults,
     check_pairs,
     decode_blocks,
@@ -170,6 +181,9 @@ SKETCH_BYTES = "max_sketch_bytes"
 #: survivors of a threshold pruner whose true score then failed the
 #: threshold anyway — the bound's looseness, measured
 PRUNE_FALSE_POSITIVES = "prune_false_positives"
+#: the pair fingerprints of the tiles every compute task was given, summed
+#: (mod 2⁶⁴ it equals the required tiles' own; metered on folding runs only)
+PAIR_FINGERPRINT = "pair_fingerprint"
 
 
 @dataclass(slots=True, eq=False)
@@ -444,6 +458,77 @@ def _admit_working_set(
 #: an element's aggregate partition: the hash partition of its id, memoised
 _partition_of = lru_cache(maxsize=1 << 16)(hash_partition)
 
+_MASK = (1 << 64) - 1
+
+
+def _folds(aggregator: Aggregator) -> bool:
+    """Whether compute tasks fold ``aggregator`` before leg 2: a built-in threshold or top-k, no ``key=``."""
+    return type(aggregator) in (ThresholdAggregator, TopKAggregator) and aggregator.key is None
+
+
+@lru_cache(maxsize=4)
+def _fingerprint_keys(v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element uint64 keys — rows ``a``, ``b``, ``a·b``, column = element id — and their prefix sums.
+
+    Drawn from a seed fixed per ``v``, so every process and attempt of a
+    run — and every run at that ``v`` — meters the same fingerprints.
+    uint64 array arithmetic wraps mod 2⁶⁴ without a warning.
+    """
+    a, b = np.random.default_rng(v).integers(0, 1 << 64, size=(2, v + 1), dtype=np.uint64)
+    a[0] = b[0] = 0
+    keys = np.stack((a, b, a * b))
+    prefix = np.cumsum(keys, axis=1, dtype=np.uint64)
+    keys.flags.writeable = prefix.flags.writeable = False  # shared by every caller in the process
+    return keys, prefix
+
+
+def _side_sums(points: Sequence[int], v: int) -> list[int]:
+    """``[Σa, Σb, Σa·b]`` mod 2⁶⁴ over ascending ``points``: two prefix reads when consecutive."""
+    if not len(points):
+        return [0, 0, 0]
+    keys, prefix = _fingerprint_keys(v)
+    first, last = int(points[0]), int(points[-1])
+    if last - first + 1 == len(points):
+        return (prefix[:, last] - prefix[:, first - 1]).tolist()
+    return keys[:, np.asarray(points, dtype=np.int64)].sum(axis=1).tolist()
+
+
+def _fingerprint(tiles: Iterable[Tile], v: int) -> int:
+    """The sum mod 2⁶⁴ of ``a_i·b_j + a_j·b_i`` over every pair of ``tiles``, in closed form.
+
+    A :class:`Cross` ``H × L`` is ``A_H·B_L + A_L·B_H``, a :class:`Triangle`
+    over ``P`` is ``A_P·B_P − Σ_P a·b`` (each a few prefix reads, or a
+    gather over the sides), and :class:`Rows` a gathered sum over the rows.
+    Products are taken as Python ints: NumPy's scalar uint64 arithmetic
+    warns on overflow.
+    """
+    total = 0
+    for tile in tiles:
+        if isinstance(tile, Triangle):
+            a, b, ab = _side_sums(tile.points, v)
+            total += a * b - ab
+        elif isinstance(tile, Cross):
+            (a_high, b_high, _), (a_low, b_low, _) = (_side_sums(side, v) for side in tile)
+            total += a_high * b_low + a_low * b_high
+        else:
+            a, b, _ = _fingerprint_keys(v)[0]
+            i, j = tile.array[:, 0], tile.array[:, 1]
+            total += int((a[i] * b[j] + a[j] * b[i]).sum())
+    return total & _MASK
+
+
+def _check_fingerprint(scheme: DistributionScheme, counters: Any, stage: str) -> None:
+    """Raise :class:`PairCoverageError` unless the compute tasks' tiles were the required ones, once each."""
+    universe = scheme.required_tiles() or (Triangle(range(1, scheme.v + 1)),)
+    expected = _fingerprint(universe, scheme.v)
+    metered = counters.get(PAIRWISE_GROUP, PAIR_FINGERPRINT) & _MASK
+    if metered != expected:
+        raise PairCoverageError(
+            f"{scheme.describe()}: the tiles the compute tasks of stage {stage!r} were given "
+            f"do not cover the required pairs exactly once (pair fingerprint {metered:#018x}, "
+            f"required {expected:#018x})"
+        )
+
 
 def _block_partition(key: int, num_partitions: int) -> int:
     """The aggregate job's partitioner: a result block's key *is* its partition."""
@@ -455,7 +540,16 @@ class _ResultBlocks:
 
     Mixed into the two compute steps (:class:`ComputeReducer`,
     :class:`CachedComputeMapper`).  Each working set's :data:`Columns` are
-    buffered as they are; ``cleanup``
+    buffered folded by the objective — :func:`~repro.core.aggregate.fold_columns`
+    under a built-in threshold or top-k aggregator with no ``key=``, as is
+    otherwise.  The fold is sound because the aggregate applies the same
+    fold again: a threshold is a per-entry mask, and an element's global
+    top-k lies in the union of its copies' top-k under the one total order
+    (NaN last, value, partner id).  On such a run each working set's tiles
+    add their pair fingerprint (:func:`_fingerprint`, pruned pairs
+    included) to ``PAIR_FINGERPRINT``: the fold may drop both copies
+    of a pair delivered twice, which the aggregate's check would no longer
+    see, and the driver's sum check does.  ``cleanup``
     splits the task's columns by their owner's aggregate partition — the
     hash partition of the id among ``config["aggregate_partitions"]``,
     where a per-element record would have gone — and emits one block per
@@ -463,7 +557,8 @@ class _ResultBlocks:
     job's :func:`_block_partition` routes as is.  A block is the plain
     tuple ``(ids, counts, partners, results, payloads)`` of
     :func:`~repro.core.element.encode_block` — every member once per
-    working set, with or without results; ``counts[k]`` of ``ids[k]``'s
+    working set (once per task under top-k, whose ``cleanup`` folds the
+    task's runs again), with or without results; ``counts[k]`` of ``ids[k]``'s
     results in the flat ``partners`` (``bytes``, the narrowest unsigned
     dtype holding ``v``) and ``results`` (float64 ``bytes`` when every
     chunk is float64, else a list of objects) columns; ``payloads``
@@ -477,23 +572,47 @@ class _ResultBlocks:
     def setup(self, context: Context) -> None:
         self._partitions = context.config["aggregate_partitions"]
         self._carry = self.ships_payloads and not context.config.get("results_only", False)
+        aggregator = context.config.get("aggregator")
+        self._fold = aggregator if _folds(aggregator) else None
         self._runs: list[tuple] = []  # per working set: ids, counts, partners, results, payloads
 
-    def _keep(self, columns: Columns, members: WorkingSetStore) -> None:
-        """Buffer one working set's results; ``members`` is its store."""
-        owners, partners, results = columns
+    def _compute(self, tiles: Sequence[Tile], members: WorkingSetStore, context: Context) -> None:
+        """Evaluate one working set's tiles and buffer its results; ``members`` is its store.
+
+        On a folding run the tiles' pair fingerprint joins ``PAIR_FINGERPRINT``
+        — pruned pairs included — and the working set's columns (grouped by
+        owner, ascending) are folded by the objective.
+        """
+        owners, partners, results = _compute_block(tiles, members, context)
+        if self._fold is not None:
+            v = context.config["scheme"].v
+            context.counters.increment(PAIRWISE_GROUP, PAIR_FINGERPRINT, _fingerprint(tiles, v))
+            folded = fold_columns(self._fold, owners, partners, results)
+            owners, partners, results = (owners, partners, results) if folded is None else folded
         ids = members.ids
         counts = np.searchsorted(owners, ids, side="right") - np.searchsorted(owners, ids)
         carried = [members[eid] for eid in ids.tolist()] if self._carry else []
         self._runs.append((ids, counts, partners, results, carried))
 
     def cleanup(self, context: Context) -> None:
-        """Emit the task's results as one block per aggregate partition, working-set order kept."""
+        """Emit the task's results as one block per aggregate partition, working-set order kept.
+
+        Top-k folds the task's runs once more, so each member leaves with
+        one run of at most k entries (ascending ids, then).
+        """
         if not self._runs:
             return
         ids, counts, partners, results, carried = zip(*self._runs)
         ids, counts, carried = np.concatenate(ids), np.concatenate(counts), [*chain(*carried)]
         partners, results = np.concatenate(partners), join_results(results)
+        if isinstance(self._fold, TopKAggregator) and len(self._runs) > 1:
+            owners = np.repeat(ids, counts)
+            order = np.argsort(owners, kind="stable")
+            folded = fold_columns(self._fold, owners[order], partners[order], results[order])
+            if folded is not None:
+                owners, partners, results = folded
+                ids = distinct_sorted(np.sort(ids))
+                counts = np.searchsorted(owners, ids, side="right") - np.searchsorted(owners, ids)
         where = np.array([_partition_of(eid, self._partitions) for eid in ids.tolist()])
         v = context.config["scheme"].v
         for partition in sorted(set(where.tolist())):
@@ -525,8 +644,7 @@ class ComputeReducer(_ResultBlocks, Reducer):
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
         payloads = _admit_working_set(key, values, context)
-        tiles = scheme.pair_tiles(key, list(payloads))
-        self._keep(_compute_block(tiles, payloads, context), payloads)
+        self._compute(scheme.pair_tiles(key, list(payloads)), payloads, context)
 
 
 class CachedComputeMapper(_ResultBlocks, Mapper):
@@ -551,8 +669,7 @@ class CachedComputeMapper(_ResultBlocks, Mapper):
         counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_RECORDS, len(members))
         counters.set_max(PAIRWISE_GROUP, MAX_WORKING_SET_BYTES, 8 * len(members))
         payloads = context.cache_file("dataset").view(np.array(members, dtype=np.int64))
-        tiles = scheme.pair_tiles(key, members)
-        self._keep(_compute_block(tiles, payloads, context), payloads)
+        self._compute(scheme.pair_tiles(key, members), payloads, context)
 
 
 class AggregateReducer(Reducer):
@@ -563,7 +680,10 @@ class AggregateReducer(Reducer):
     a stable sort, so each element's entries stand in ascending id, each
     element's in arrival order: the order its copies arrived in when leg 2
     carried one record per membership.  :func:`check_pairs` then refuses a
-    self pair or a pair delivered twice, naming it.  A built-in aggregator
+    self pair or a pair delivered twice, naming it — among the entries that
+    arrived: under a threshold or top-k the blocks are result blocks folded
+    by the objective (:class:`_ResultBlocks`), and a pair whose copies were
+    all folded away is the fingerprint's to catch.  A built-in aggregator
     folds the columns as they are
     (:func:`~repro.core.aggregate.fold_columns`); any other gets each
     element rebuilt — the block's payload when it carries one, else the
@@ -673,7 +793,7 @@ class PairwiseComputation:
         cannot pass the objective *before* kernel dispatch (requires
         ``symmetric=True`` and a sketch-registered comp).  The reference
         arm for ``"sketch"`` is ``"off"`` with the same objective: every
-        pair evaluated, the objective applied in aggregation only.  The
+        pair evaluated, the objective applied after evaluation only.  The
         bounds are sound, so the two return the same output on every
         schema (DESIGN.md §3.1.7): top-k taus come from the schema's
         required tiles, not from the triangle.
@@ -921,6 +1041,8 @@ class PairwiseComputation:
                 jobs, input_records, num_map_tasks=num_map_tasks, fuse=not return_pipeline
             )
         )
+        if _folds(self.aggregator):
+            _check_fingerprint(self.scheme, result.counters, plan[0][0])
         payload_legs = 1 if cached or results_only else 2
         self._meter_replication(result.counters, elements, legs=payload_legs)
         blocks = [block for _partition, block in result.records]

@@ -149,18 +149,11 @@ class TestBlockScheme:
 
 
 class TestExecution:
-    def test_matches_brute_force(self):
-        r = [1, 2, 3, 4, 5]
-        s = [6, 7, 8]
-        ref = brute_force_bipartite(r, s, cross)
-        for scheme in (
-            BipartiteBroadcastScheme(5, 3, 4),
-            BipartiteBlockScheme(5, 3, 2, 2),
-        ):
-            assert run_bipartite(r, s, cross, scheme) == ref
-
     def test_matches_brute_force_on_both_engines(self):
-        """The asymmetric ``cross`` pins the orientation: comp(r, s), never comp(s, r)."""
+        """The asymmetric ``cross`` pins the orientation: comp(r, s), never comp(s, r).
+
+        No engine is the serial one (``test_hierarchical.TestNoEngineRunsTheExecutor``).
+        """
         r = [1, 2, 3, 4, 5]
         s = [6, 7, 8]
         ref = brute_force_bipartite(r, s, cross)

@@ -166,18 +166,6 @@ class TestSequentialDesign:
 
 
 class TestRunRounds:
-    @pytest.mark.parametrize(
-        "schedule_factory",
-        [
-            lambda: HierarchicalBlockScheme(23, 3, 2),
-            lambda: HierarchicalBlockScheme(23, 4, 4),
-            lambda: SequentialDesignSchedule(DesignScheme(23), 5),
-        ],
-    )
-    def test_matches_brute_force(self, small_dataset, schedule_factory):
-        out = run_rounds(small_dataset, abs_diff, schedule_factory())
-        assert results_matrix(out) == brute_force_results(small_dataset, abs_diff)
-
     def test_accepts_elements(self, small_dataset):
         from repro.core.element import Element
 
@@ -191,7 +179,11 @@ class TestRunRounds:
 
 
 class TestRunRoundsMR:
-    """§7 rounds executed as real two-MR-job runs per round (``engine=``)."""
+    """§7 rounds executed as real two-MR-job runs per round (``engine=``).
+
+    With no engine a schedule runs on the serial one too: the same path
+    (``TestNoEngineRunsTheExecutor`` pins that it is taken).
+    """
 
     @pytest.mark.parametrize(
         "schedule_factory",
@@ -199,6 +191,7 @@ class TestRunRoundsMR:
             lambda: HierarchicalBlockScheme(23, 3, 2),
             lambda: HierarchicalBlockScheme(23, 5, 3),
             lambda: SequentialDesignSchedule(DesignScheme(23), 4),
+            lambda: HierarchicalBlockScheme(23, 4, 4),
         ],
     )
     def test_matches_brute_force(self, small_dataset, schedule_factory):
@@ -249,11 +242,11 @@ class TestRoundsTakeTheComputationsOptions:
 
     @pytest.fixture(scope="class")
     def engines(self):
+        # no engine is the serial one (TestNoEngineRunsTheExecutor)
         with MultiprocessEngine(2) as pool:
-            # "local": no engine, so every round builds the serial one
-            yield {"local": None, "serial": SerialEngine(), "pool": pool}
+            yield {"serial": SerialEngine(), "pool": pool}
 
-    @pytest.mark.parametrize("engine", ["local", "serial", "pool"])
+    @pytest.mark.parametrize("engine", ["serial", "pool"])
     @pytest.mark.parametrize("schedule_factory", SCHEDULES)
     def test_asymmetric_matches_brute_force(
         self, small_dataset, schedule_factory, engine, engines
@@ -264,7 +257,7 @@ class TestRoundsTakeTheComputationsOptions:
         )
         assert ordered_results(out) == brute_force_asymmetric(small_dataset, signed_diff)
 
-    @pytest.mark.parametrize("engine", ["local", "serial", "pool"])
+    @pytest.mark.parametrize("engine", ["serial", "pool"])
     @pytest.mark.parametrize("schedule_factory", SCHEDULES)
     @pytest.mark.parametrize(
         "objective",

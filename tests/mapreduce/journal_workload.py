@@ -11,15 +11,20 @@ runs one journaled job to completion and prints the sorted result.  The
 parent kills it mid-map (watching the journal for progress), then calls
 ``resume_job`` on the same directory in-process.  ``hold_pool`` is the
 driver the orphan-worker test kills: it keeps a live pool and nothing else.
+``ReduceGate`` abandons a journaled run of any job — a pairwise plan's
+included — after its map phase, as ``GatedReducer`` does for this one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
+from dataclasses import dataclass
 
 from repro.mapreduce import Job, Mapper, MultiprocessEngine, Reducer
+from repro.mapreduce.faults import FaultPlan, InjectedCrash
 
 NUM_RECORDS = 96
 NUM_MAP_TASKS = 8
@@ -60,6 +65,22 @@ class GatedReducer(SumReducer):
         if gate and not os.path.exists(gate):
             raise RuntimeError(f"gate closed: {gate}")
         super().reduce(key, values, context)
+
+
+@dataclass(frozen=True)
+class ReduceGate(FaultPlan):
+    """A fault plan that crashes every reduce attempt until the file ``gate`` exists.
+
+    The journal stores it with the engine's retry settings, so the resumed
+    engine gets it too and runs its reducers once the gate is open.
+    """
+
+    gate: str = ""
+
+    def fire(self, kind, task_index, attempt, *, in_worker=False):
+        if kind == "reduce" and not os.path.exists(self.gate):
+            raise InjectedCrash(f"gate closed: {self.gate}")
+        super().fire(kind, task_index, attempt, in_worker=in_worker)
 
 
 def make_records():

@@ -73,6 +73,7 @@ class TestStableSurface:
         "check_exactly_once", "balance_report", "choose_scheme",
         "HierarchicalBlockScheme", "SequentialDesignSchedule", "run_rounds",
         "auto_pairwise", "Element", "results_matrix",
+        "DuplicatePairError", "PairCoverageError",
     }
 
     def test_core_surface_present(self):
