@@ -149,11 +149,19 @@ class TestBlockScheme:
 
 
 class TestExecution:
-    def test_matches_brute_force_on_both_engines(self):
-        """The asymmetric ``cross`` pins the orientation: comp(r, s), never comp(s, r).
+    def test_matches_brute_force(self):
+        """No engine is the serial one (``test_hierarchical.TestNoEngineRunsTheExecutor``)."""
+        r = [1, 2, 3, 4, 5]
+        s = [6, 7, 8]
+        ref = brute_force_bipartite(r, s, cross)
+        for scheme in (
+            BipartiteBroadcastScheme(5, 3, 4),
+            BipartiteBlockScheme(5, 3, 2, 2),
+        ):
+            assert run_bipartite(r, s, cross, scheme) == ref
 
-        No engine is the serial one (``test_hierarchical.TestNoEngineRunsTheExecutor``).
-        """
+    def test_matches_brute_force_on_both_engines(self):
+        """The asymmetric ``cross`` pins the orientation: comp(r, s), never comp(s, r)."""
         r = [1, 2, 3, 4, 5]
         s = [6, 7, 8]
         ref = brute_force_bipartite(r, s, cross)

@@ -166,6 +166,20 @@ class TestSequentialDesign:
 
 
 class TestRunRounds:
+    """With no engine a schedule runs on the serial one (``TestNoEngineRunsTheExecutor``)."""
+
+    @pytest.mark.parametrize(
+        "schedule_factory",
+        [
+            lambda: HierarchicalBlockScheme(23, 3, 2),
+            lambda: HierarchicalBlockScheme(23, 4, 4),
+            lambda: SequentialDesignSchedule(DesignScheme(23), 5),
+        ],
+    )
+    def test_matches_brute_force(self, small_dataset, schedule_factory):
+        out = run_rounds(small_dataset, abs_diff, schedule_factory())
+        assert results_matrix(out) == brute_force_results(small_dataset, abs_diff)
+
     def test_accepts_elements(self, small_dataset):
         from repro.core.element import Element
 
@@ -179,11 +193,7 @@ class TestRunRounds:
 
 
 class TestRunRoundsMR:
-    """§7 rounds executed as real two-MR-job runs per round (``engine=``).
-
-    With no engine a schedule runs on the serial one too: the same path
-    (``TestNoEngineRunsTheExecutor`` pins that it is taken).
-    """
+    """§7 rounds executed as real two-MR-job runs per round (``engine=``)."""
 
     @pytest.mark.parametrize(
         "schedule_factory",
@@ -191,7 +201,6 @@ class TestRunRoundsMR:
             lambda: HierarchicalBlockScheme(23, 3, 2),
             lambda: HierarchicalBlockScheme(23, 5, 3),
             lambda: SequentialDesignSchedule(DesignScheme(23), 4),
-            lambda: HierarchicalBlockScheme(23, 4, 4),
         ],
     )
     def test_matches_brute_force(self, small_dataset, schedule_factory):
