@@ -11,25 +11,22 @@ applications the paper motivates:
   e.g. DBSCAN's "distance below ε" pruning (§3's note that some
   applications prune uninteresting evaluations);
 - :class:`TopKAggregator` — keep each element's k best partners (nearest
-  neighbours, most-similar documents);
-- :class:`ReduceAggregator` — fold all results into a single value per
-  element (e.g. row of a covariance matrix reduced to a norm).
+  neighbours, most-similar documents).
 
 All are plain classes with data-only attributes so they cross process
 boundaries intact.
 
-**``needs_payload``.**  An aggregator that never reads ``copy.payload``
-declares ``needs_payload = False``; the executor then ships result maps
-only on the way home and re-attaches the caller's payloads driver-side
-(docs/API.md, "Payload routing").  Everything here declares it; a callable
-without the attribute is assumed to read payloads and gets them.
+An aggregator folds results and never reads a payload, which is the same
+in every copy: the copies an MR run hands it carry ``payload=None``, and
+the caller's :class:`~repro.core.element.PairResults` re-attaches the
+payloads on the driver.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -46,8 +43,6 @@ class ConcatAggregator:
     :class:`~repro.core.element.DuplicatePairError` naming it.
     """
 
-    needs_payload = False
-
     def __call__(self, copies: Sequence[Element]) -> Element:
         return merge_copies(copies)
 
@@ -56,31 +51,20 @@ class ThresholdAggregator:
     """Keep only results that compare favourably against a threshold.
 
     ``keep_below=True`` keeps results ``< threshold`` (distances),
-    ``False`` keeps ``> threshold`` (similarities).  ``key`` extracts the
-    comparable magnitude from a result value (identity by default).
+    ``False`` keeps ``> threshold`` (similarities).
     """
 
-    needs_payload = False
-
-    def __init__(
-        self,
-        threshold: float,
-        *,
-        keep_below: bool = True,
-        key: Callable[[Any], float] | None = None,
-    ):
+    def __init__(self, threshold: float, *, keep_below: bool = True):
         self.threshold = threshold
         self.keep_below = keep_below
-        self.key = key
 
     def __call__(self, copies: Sequence[Element]) -> Element:
         merged = merge_copies(copies)
         compare = operator.lt if self.keep_below else operator.gt
-        extract = self.key or (lambda value: value)
         merged.results = {
             partner: value
             for partner, value in merged.results.items()
-            if compare(extract(value), self.threshold)
+            if compare(value, self.threshold)
         }
         return merged
 
@@ -95,27 +79,17 @@ class TopKAggregator:
     way, so the kept partners never depend on the results' order.
     """
 
-    needs_payload = False
-
-    def __init__(
-        self,
-        k: int,
-        *,
-        smallest: bool = True,
-        key: Callable[[Any], float] | None = None,
-    ):
+    def __init__(self, k: int, *, smallest: bool = True):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.smallest = smallest
-        self.key = key
 
     def __call__(self, copies: Sequence[Element]) -> Element:
         merged = merge_copies(copies)
-        extract = self.key or (lambda value: value)
 
         def rank(item: tuple[int, Any]) -> tuple[bool, Any, int]:
-            value = extract(item[1])
+            value = item[1]
             number = value == value  # NaN is unordered: rank it past the numbers
             return number != self.smallest, value if number else 0.0, item[0]
 
@@ -127,63 +101,12 @@ class TopKAggregator:
         return merged
 
 
-class ReduceAggregator:
-    """Fold all of an element's results into one value under key ``name``.
-
-    After merging, ``results`` is replaced by ``{0: folded}`` where
-    ``folded = reduce(fn, values, initial)`` — partner identity is
-    discarded, which suits per-element summaries (counts, sums, extremes).
-    Partner id 0 never collides with real 1-indexed elements.
-
-    ``needs_payload`` declares whether the fold reads the element's
-    payload.  It defaults to False — a pure fold over result values.
-    Pass True when ``fn`` inspects payloads.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[Any, Any], Any],
-        initial: Any = None,
-        *,
-        needs_payload: bool = False,
-    ):
-        self.fn = fn
-        self.initial = initial
-        self.needs_payload = needs_payload
-
-    def __call__(self, copies: Sequence[Element]) -> Element:
-        merged = merge_copies(copies)
-        values: Iterable[Any] = (
-            value for _partner, value in sorted(merged.results.items())
-        )
-        folded = self.initial
-        first = folded is None
-        for value in values:
-            if first:
-                folded = value
-                first = False
-            else:
-                folded = self.fn(folded, value)
-        merged.results = {0: folded}
-        return merged
-
-
-def count_neighbors(copies: Sequence[Element]) -> Element:
-    """Tiny ready-made aggregator: result map → ``{0: partner count}``."""
-    merged = merge_copies(copies)
-    merged.results = {0: len(merged.results)}
-    return merged
-
-
-count_neighbors.needs_payload = False
-
-
 def fold_columns(
     aggregator: Aggregator, owners: np.ndarray, partners: np.ndarray, results: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """``aggregator`` applied to result columns grouped by owner; ``None`` if it has no column form.
 
-    The built-in aggregators without a ``key=`` fold whole columns, with
+    The built-in aggregators fold whole columns, with
     exactly what their ``__call__`` keeps, in the same order: concat is
     the identity, threshold one mask, top-k (float64 results only) a
     selection, then a sort.  Each owner's run of entries longer than 2k
@@ -199,8 +122,6 @@ def fold_columns(
     aggregate reducer passes them.  Anything else goes element by element.
     """
     kind = type(aggregator)
-    if getattr(aggregator, "key", None) is not None:
-        return None
     if kind is ConcatAggregator:
         return owners, partners, results
     if kind is ThresholdAggregator:

@@ -13,13 +13,17 @@ them back into one element.  A partner id appearing in two copies signals a
 pair evaluated twice — a violation of the schemes' exactly-once guarantee —
 and always raises :class:`DuplicatePairError`.
 
-A run's results travel as *result blocks* — columns of owner ids, result
-counts, partner ids and results (:func:`encode_block`, the wire form) —
-and reach the caller as :class:`PairResults`, a ``{eid: Element}``
-mapping over those columns that builds an element only when it is looked
-up.  The flattened views (:meth:`PairResults.dense`,
-:meth:`PairResults.pairs`, and the adapters :func:`results_matrix` and
-:func:`ordered_results` that also take plain elements) read the columns.  :func:`check_pairs` is the columns' self-pair
+A run's results travel as *result blocks* — the four columns owner ids,
+result counts, partner ids and results (:func:`encode_block`, the wire
+form), never a payload — and reach the caller as :class:`PairResults`, a
+``{eid: Element}`` mapping over those columns that builds an element, with
+the caller's payload, only when it is looked up.  A run's input is
+payloads, not elements: an element is otherwise built only by the
+in-process reference (``run_local``), by ``run_rounds``' running fold, and
+for an aggregator that is not built in.  The flattened views
+(:meth:`PairResults.dense`, :meth:`PairResults.pairs`, and the adapters
+:func:`results_matrix` and :func:`ordered_results` that also take plain
+elements) read the columns.  :func:`check_pairs` is the columns' self-pair
 and duplicate check, worded like the single-pair
 :meth:`Element.add_result`, the public per-pair API.
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -71,31 +75,11 @@ class Element:
             )
         self.results[partner] = value
 
-    def add_results(self, partners: Collection[int], values: Collection[Any]) -> None:
-        """Bulk :meth:`add_result`: one ``dict(zip(...))`` + ``update``.
-
-        ``partners`` and ``values`` are aligned and must hold Python ints
-        and plain result objects (what ``ndarray.tolist()`` yields, never
-        numpy scalars).  The same checks as the single-pair call apply to
-        the whole block; a block that fails one is replayed pair by pair
-        so the exception names the offending pair.
-        """
-        new = dict(zip(partners, values, strict=True))
-        if (
-            len(new) == len(partners)
-            and self.eid not in new
-            and new.keys().isdisjoint(self.results)
-        ):
-            self.results.update(new)
-            return
-        for partner, value in zip(partners, values):
-            self.add_result(partner, value)  # raises, naming the pair
-
     def copy_without_results(self) -> "Element":
         """A fresh copy sharing the payload but with an empty result map.
 
-        This is what the distribution map phase emits: each working set gets
-        its own copy so that parallel reducers never share mutable state.
+        What the reference run's distribution step hands each working set,
+        so that no two working sets share a result map.
         """
         return Element(self.eid, self.payload)
 
@@ -178,19 +162,6 @@ def dataset_size_bytes(
     return v * per_element
 
 
-def make_elements(payloads: Iterable[Any]) -> list[Element]:
-    """Wrap raw payloads into elements with ids 1, 2, 3, …"""
-    return [Element(i + 1, payload) for i, payload in enumerate(payloads)]
-
-
-def _elements_by_id(dataset: Sequence[Any]) -> dict[int, Element]:
-    """``{eid: Element}`` from elements (copied, results kept) or raw payloads."""
-    if dataset and isinstance(dataset[0], Element):
-        return {e.eid: Element(e.eid, e.payload, dict(e.results)) for e in dataset}
-    return {element.eid: element for element in make_elements(dataset)}
-
-
-
 def _same_result(a: Any, b: Any) -> bool:
     """Equality under which NaN agrees with NaN (a pair's two orientations)."""
     return a == b or (a != a and b != b)
@@ -201,8 +172,8 @@ _PARTNER_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.int64}
 
 
 def encode_block(ids: list[int], counts: list[int], partners: np.ndarray, results: Any,
-                 top: int, payloads: list[Any] | None = None) -> tuple:
-    """One result block in its wire form ``(ids, counts, partners, results, payloads)``.
+                 top: int) -> tuple:
+    """One result block in its wire form ``(ids, counts, partners, results)``: results only.
 
     ``partners`` leaves as ``bytes`` of the narrowest unsigned dtype that
     holds ``top`` (the scheme's ``v``, no smaller than any partner id;
@@ -214,11 +185,11 @@ def encode_block(ids: list[int], counts: list[int], partners: np.ndarray, result
     if isinstance(results, np.ndarray):
         results = results.tobytes() if results.dtype == np.float64 else results.tolist()
     size = next((size for size in (1, 2, 4) if 0 <= top < 256**size), 8)
-    return ids, counts, partners.astype(_PARTNER_DTYPES[size]).tobytes(), results, payloads
+    return ids, counts, partners.astype(_PARTNER_DTYPES[size]).tobytes(), results
 
 
 def element_block(elements: Sequence[Element], top: int = 0) -> tuple:
-    """Elements' result maps flattened into one payload-free result block."""
+    """Elements' result maps flattened into one result block."""
     counts = [len(element.results) for element in elements]
     partners = np.fromiter(chain.from_iterable(element.results for element in elements), np.int64)
     results = list(chain.from_iterable(element.results.values() for element in elements))
@@ -242,7 +213,7 @@ def decode_blocks(blocks: Sequence[tuple]) -> tuple[np.ndarray, ...]:
     raises ``ValueError`` naming its index.
     """
     partners, results = [np.empty(0, np.int64)], []
-    for number, (block_ids, block_counts, raw, values, _payloads) in enumerate(blocks):
+    for number, (block_ids, block_counts, raw, values) in enumerate(blocks):
         n, floats = sum(block_counts), isinstance(values, bytes)
         size, odd = divmod(len(raw), n) if n else (1, len(raw))
         aligned = len(block_ids) == len(block_counts) and len(values) == n * (8 if floats else 1)

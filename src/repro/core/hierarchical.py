@@ -42,8 +42,7 @@ import numpy as np
 
 from .._util import ceil_div, chunked
 from .design import DesignScheme
-from .aggregate import ReduceAggregator, count_neighbors
-from .element import Element, PairResults, _elements_by_id
+from .element import Element, PairResults
 from .pairwise import PairwiseComputation
 from .scheme import (
     Cross, DistributionScheme, SchemeMetrics, TaskProfile, Tile, Triangle, tile_rows,
@@ -316,18 +315,16 @@ def run_rounds(
     back into the running elements — "each block is aggregated before the
     next one is processed" — so at no time do more than one round's
     replicas exist.  The aggregator therefore has to be one that can be
-    applied again to its own output (concat, threshold and top-k can; a
-    fold to a single value per element cannot, see
-    :func:`check_refoldable`).  Returns the folded elements as a
+    applied again to its own output, as concat, threshold and top-k can.
+    Element ``i`` is ``dataset[i-1]``.  Returns the folded elements as a
     :class:`~repro.core.element.PairResults`.
     """
-    check_refoldable(aggregator)
     if len(dataset) != schedule.v:
         raise ValueError(
             f"dataset has {len(dataset)} elements, schedule expects {schedule.v}"
         )
-    current = _elements_by_id(dataset)
-    payloads = [current[eid].payload for eid in range(1, schedule.v + 1)]
+    payloads = list(dataset)
+    current = {eid: Element(eid, payload) for eid, payload in enumerate(payloads, start=1)}
     for round_ in schedule.rounds():
         if not round_.evaluations:
             continue  # nothing to evaluate: no jobs, nothing shipped
@@ -337,24 +334,6 @@ def run_rounds(
         for eid, contribution in computation.run(payloads).items():
             current[eid] = computation.aggregator([current[eid], contribution])
     return PairResults.of(current)
-
-
-def check_refoldable(aggregator: Any) -> None:
-    """Refuse a built-in fold to one value per element as a schedule's aggregator.
-
-    :func:`run_rounds` applies the aggregator again to its own output
-    after every round; :class:`~repro.core.aggregate.ReduceAggregator` and
-    :func:`~repro.core.aggregate.count_neighbors` replace an element's
-    results by ``{0: folded}``, so the second round would meet partner 0
-    twice.
-    """
-    if aggregator is count_neighbors or isinstance(aggregator, ReduceAggregator):
-        name = getattr(aggregator, "__name__", type(aggregator).__name__)
-        raise ValueError(
-            f"a schedule's aggregator must be one that can be applied again to its "
-            f"own output; {name} folds each element's results to one value, so "
-            "run a flat scheme or fold the schedule's results afterwards"
-        )
 
 
 def check_schedule_exactly_once(schedule: Schedule) -> tuple[bool, str]:

@@ -11,8 +11,7 @@ preset         stages (map → reduce)                          payloads leg 1 c
 ``run``        ``DistributeMapper`` → ``ComputeReducer``;     shuffle  blocks of ids +    result blocks        2    shuffle
                identity → ``AggregateReducer``                         payload references folded by the
                                                                                           objective: ``bytes``
-                                                                                          columns (+ payload
-                                                                                          refs)
+                                                                                          columns, no payload
 ``run_cached`` ``CachedComputeMapper`` → ``AggregateReducer`` cache    result blocks      —                    1    cache
                                                                        folded by the
                                                                        objective (its
@@ -27,7 +26,7 @@ crosses the first shuffle.  On ``run`` the distribute map ships working
 sets, not records — one :class:`WorkingSetBlock` per (map task, working
 set), keyed by subset id — so leg 1 counts ``map tasks × working sets
 reached`` records while ``REPLICAS_EMITTED`` still counts the ``v·r``
-memberships; its input records are ``(eid, Element)``.  ``run_cached``'s
+memberships; its input records are ``(eid, payload)``.  ``run_cached``'s
 input records are one ``(task, None)`` descriptor per task, batched into
 ``num_reduce_tasks`` map splits, and its map tasks are its compute tasks.
 *Leg 2 carries* (leg 1 on ``run_cached``) is what crosses into the one
@@ -39,11 +38,13 @@ partner ids are one ``bytes`` column of the narrowest unsigned dtype
 holding ``v`` and its results float64 ``bytes`` whenever the kernel
 returned a float64 array (:func:`~repro.core.element.encode_block`).
 *Folded by the objective*: under a built-in threshold or top-k aggregator
-(no ``key=``) a compute task keeps only the entries that can survive the
-aggregate's fold — a threshold's passing ones, each member's k best per
-task — so the leg scales with the output, not with ``r·q``; such a run
-also sums each compute task's pair fingerprint and checks it against the
-required tiles before returning (:func:`_check_fingerprint`).
+a compute task keeps only the entries that can survive the aggregate's
+fold — a threshold's passing ones, each member's k best per task — so the
+leg scales with the output, not with ``r·q``.  Every run checks, before
+returning, that its compute tasks evaluated or pruned as many pairs as the
+required tiles hold; a folding run also sums each compute task's pair
+fingerprint and checks it against the required tiles
+(:func:`_check_coverage`).
 *Legs* is the number of shuffles crossed.  *Routing* is the
 :attr:`~repro.core.chooser.SchemeChoice.routing` value under which
 :func:`~repro.core.runner.auto_pairwise` picks the row.
@@ -52,15 +53,13 @@ sketch attach, the :meth:`~repro.mapreduce.runtime.Engine.run_chain` call,
 replication metering and the :class:`~repro.core.element.PairResults`
 every preset returns — happens once, in the executor.
 
-**Payloads travel once.**  Whatever the row, an aggregator that declares
-``needs_payload = False`` (every built-in one) never sees a payload, so
-the executor sets ``config["results_only"]``: the result blocks carry no
-payload column and the driver re-attaches the payloads it already holds —
+**Payloads travel once.**  Whatever the row, only the way in carries
+payloads — leg 1 of ``run``, the cache of ``run_cached``.  An aggregator
+folds results and never sees a payload (Algorithm 2's merge does not need
+it: it is the same in every copy), so the result blocks carry none, and
 the aggregate leg, the fused hand-over and the pool → driver result
-pickle carry results only.  An aggregator that may read payloads gets
-them from the block on the shuffle row, where a block references its
-members' payloads and pickle writes each one once per block however many
-of the task's working sets hold it, and from the store on the cached row.
+pickle carry results only; the driver re-attaches the payloads it already
+holds.
 
 - ``run`` is the faithful **two-MR-job** pipeline.  *Job 1* (Algorithm 1):
   the map phase calls ``getSubsets`` per element and emits, per working
@@ -72,9 +71,8 @@ of the task's working sets hold it, and from the store on the cached row.
   member's aggregate partition; at task end it emits one result block per
   partition reached.
   *Job 2* (Algorithm 2): identity map; the shuffle groups a partition's
-  blocks; the reducer rebuilds each element from its slices — the
-  partial result lists of all its copies — and applies
-  ``aggregateResults``.
+  blocks; the reducer folds each element's slices — the partial result
+  lists of all its copies — by ``aggregateResults``.
 - ``run_cached`` is the paper's **one-job** form (§5.1), for every scheme:
   with the payload store ``{eid: payload}`` in the **distributed cache**
   (a pooled engine broadcasts it once per worker, not once per task) a
@@ -121,7 +119,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -210,7 +207,7 @@ class WorkingSetBlock:
 class DistributeMapper(Mapper):
     """Algorithm 1's map: one :class:`WorkingSetBlock` per working set reached.
 
-    ``getSubsets`` is called per ``(eid, Element)`` input record and the
+    ``getSubsets`` is called per ``(eid, payload)`` input record and the
     memberships are buffered; ``cleanup`` emits, per working set, what this
     map task has for it.  A payload crosses the shuffle once per working
     set it joins, sized once per map task.  ``REPLICAS_EMITTED`` counts the
@@ -221,13 +218,12 @@ class DistributeMapper(Mapper):
         self._members: dict[int, list[int]] = {}  # subset id → member ids, input order
         self._payloads: dict[int, tuple[Any, int]] = {}  # eid → (payload, accounted bytes)
 
-    def map(self, key: int, value: Element, context: Context) -> None:
+    def map(self, key: int, value: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
-        eid = value.eid
-        self._payloads[eid] = (value.payload, record_size(eid, value.payload))
-        subsets = scheme.get_subsets(eid)
+        self._payloads[key] = (value, record_size(key, value))
+        subsets = scheme.get_subsets(key)
         for subset_id in subsets:
-            self._members.setdefault(subset_id, []).append(eid)
+            self._members.setdefault(subset_id, []).append(key)
         context.counters.increment(PAIRWISE_GROUP, REPLICAS_EMITTED, len(subsets))
 
     def cleanup(self, context: Context) -> None:
@@ -462,8 +458,8 @@ _MASK = (1 << 64) - 1
 
 
 def _folds(aggregator: Aggregator) -> bool:
-    """Whether compute tasks fold ``aggregator`` before leg 2: a built-in threshold or top-k, no ``key=``."""
-    return type(aggregator) in (ThresholdAggregator, TopKAggregator) and aggregator.key is None
+    """Whether compute tasks fold ``aggregator`` before leg 2: a built-in threshold or top-k."""
+    return type(aggregator) in (ThresholdAggregator, TopKAggregator)
 
 
 @lru_cache(maxsize=4)
@@ -517,9 +513,30 @@ def _fingerprint(tiles: Iterable[Tile], v: int) -> int:
     return total & _MASK
 
 
-def _check_fingerprint(scheme: DistributionScheme, counters: Any, stage: str) -> None:
-    """Raise :class:`PairCoverageError` unless the compute tasks' tiles were the required ones, once each."""
+def _check_coverage(
+    scheme: DistributionScheme, counters: Any, stage: str, *, orientations: int, fingerprinted: bool
+) -> None:
+    """Raise :class:`PairCoverageError` unless the compute tasks covered the required pairs once each.
+
+    Every run: ``EVALUATIONS + PAIRS_PRUNED`` must equal the required
+    tiles' pair count (times ``orientations``, 2 when both orientations
+    are evaluated) — a task that drops a pair leaves no other trace when
+    no objective folds.  A folding run also checks ``PAIR_FINGERPRINT``
+    against the tiles' own, which a pair dropped once and repeated once
+    cannot pass.  The universe is the scheme's required tiles, else the
+    triangle over ``1..v``.
+    """
     universe = scheme.required_tiles() or (Triangle(range(1, scheme.v + 1)),)
+    required = orientations * sum(tile.size() for tile in universe)
+    counted = counters.get(PAIRWISE_GROUP, EVALUATIONS) + counters.get(PAIRWISE_GROUP, PAIRS_PRUNED)
+    if counted != required:
+        raise PairCoverageError(
+            f"{scheme.describe()}: the compute tasks of stage {stage!r} did not cover the "
+            f"required pairs exactly once ({counted} evaluations and pruned pairs, "
+            f"required {required})"
+        )
+    if not fingerprinted:
+        return
     expected = _fingerprint(universe, scheme.v)
     metered = counters.get(PAIRWISE_GROUP, PAIR_FINGERPRINT) & _MASK
     if metered != expected:
@@ -541,8 +558,7 @@ class _ResultBlocks:
     Mixed into the two compute steps (:class:`ComputeReducer`,
     :class:`CachedComputeMapper`).  Each working set's :data:`Columns` are
     buffered folded by the objective — :func:`~repro.core.aggregate.fold_columns`
-    under a built-in threshold or top-k aggregator with no ``key=``, as is
-    otherwise.  The fold is sound because the aggregate applies the same
+    under a built-in threshold or top-k aggregator, as is otherwise.  The fold is sound because the aggregate applies the same
     fold again: a threshold is a per-entry mask, and an element's global
     top-k lies in the union of its copies' top-k under the one total order
     (NaN last, value, partner id).  On such a run each working set's tiles
@@ -555,26 +571,21 @@ class _ResultBlocks:
     where a per-element record would have gone — and emits one block per
     partition reached, keyed by the partition index, which the aggregate
     job's :func:`_block_partition` routes as is.  A block is the plain
-    tuple ``(ids, counts, partners, results, payloads)`` of
+    tuple ``(ids, counts, partners, results)`` of
     :func:`~repro.core.element.encode_block` — every member once per
     working set (once per task under top-k, whose ``cleanup`` folds the
     task's runs again), with or without results; ``counts[k]`` of ``ids[k]``'s
     results in the flat ``partners`` (``bytes``, the narrowest unsigned
     dtype holding ``v``) and ``results`` (float64 ``bytes`` when every
-    chunk is float64, else a list of objects) columns; ``payloads``
-    referencing the members' payloads on the shuffle plan when the
-    aggregator may read them, else ``None``.
+    chunk is float64, else a list of objects) columns.  A block carries
+    results only, never a payload.
     """
-
-    #: whether the members' payloads arrive on the shuffle (and may leave on it)
-    ships_payloads = False
 
     def setup(self, context: Context) -> None:
         self._partitions = context.config["aggregate_partitions"]
-        self._carry = self.ships_payloads and not context.config.get("results_only", False)
         aggregator = context.config.get("aggregator")
         self._fold = aggregator if _folds(aggregator) else None
-        self._runs: list[tuple] = []  # per working set: ids, counts, partners, results, payloads
+        self._runs: list[tuple] = []  # per working set: ids, counts, partners, results
 
     def _compute(self, tiles: Sequence[Tile], members: WorkingSetStore, context: Context) -> None:
         """Evaluate one working set's tiles and buffer its results; ``members`` is its store.
@@ -591,8 +602,7 @@ class _ResultBlocks:
             owners, partners, results = (owners, partners, results) if folded is None else folded
         ids = members.ids
         counts = np.searchsorted(owners, ids, side="right") - np.searchsorted(owners, ids)
-        carried = [members[eid] for eid in ids.tolist()] if self._carry else []
-        self._runs.append((ids, counts, partners, results, carried))
+        self._runs.append((ids, counts, partners, results))
 
     def cleanup(self, context: Context) -> None:
         """Emit the task's results as one block per aggregate partition, working-set order kept.
@@ -602,8 +612,8 @@ class _ResultBlocks:
         """
         if not self._runs:
             return
-        ids, counts, partners, results, carried = zip(*self._runs)
-        ids, counts, carried = np.concatenate(ids), np.concatenate(counts), [*chain(*carried)]
+        ids, counts, partners, results = zip(*self._runs)
+        ids, counts = np.concatenate(ids), np.concatenate(counts)
         partners, results = np.concatenate(partners), join_results(results)
         if isinstance(self._fold, TopKAggregator) and len(self._runs) > 1:
             owners = np.repeat(ids, counts)
@@ -618,9 +628,8 @@ class _ResultBlocks:
         for partition in sorted(set(where.tolist())):
             mine = where == partition
             entries = np.repeat(mine, counts)
-            payloads = [p for p, m in zip(carried, mine.tolist()) if m] if self._carry else None
             columns = ids[mine].tolist(), counts[mine].tolist(), partners[entries], results[entries]
-            context.emit(partition, encode_block(*columns, v, payloads))
+            context.emit(partition, encode_block(*columns, v))
 
 
 class ComputeReducer(_ResultBlocks, Reducer):
@@ -634,12 +643,9 @@ class ComputeReducer(_ResultBlocks, Reducer):
     guarantee that — but both orientations are computed: element i stores
     ``comp(sᵢ, sⱼ)`` and element j stores ``comp(sⱼ, sᵢ)``.
 
-    The results leave in the task's result blocks (:class:`_ResultBlocks`),
-    with the members' payloads unless ``config["results_only"]`` says
-    nothing downstream reads them (module docstring).
+    The results leave in the task's result blocks (:class:`_ResultBlocks`):
+    the payloads that arrived on leg 1 go no further.
     """
-
-    ships_payloads = True
 
     def reduce(self, key: int, values: Any, context: Context) -> None:
         scheme: DistributionScheme = context.config["scheme"]
@@ -657,8 +663,6 @@ class CachedComputeMapper(_ResultBlocks, Mapper):
     the same pair relation, orientation semantics and result blocks follow.
     Meters what the shuffle plan meters: ``REPLICAS_EMITTED`` (summed over
     the tasks, ``Σ|D_l| = v·r``) and the working-set gauges, 8 B per id.
-    Its result blocks never carry payloads: the aggregate side reads the
-    same store.
     """
 
     def map(self, key: int, value: None, context: Context) -> None:
@@ -686,16 +690,15 @@ class AggregateReducer(Reducer):
     all folded away is the fingerprint's to catch.  A built-in aggregator
     folds the columns as they are
     (:func:`~repro.core.aggregate.fold_columns`); any other gets each
-    element rebuilt — the block's payload when it carries one, else the
-    cached store's, else (``results_only``) none — and ``aggregator([element])``,
-    so its contract is unchanged, and its output is flattened back into
-    columns.  Emits one payload-free result block for the partition.
+    element rebuilt from its columns, with ``payload=None``, as
+    ``aggregator([element])`` — the paper's ``aggregateResults`` extension
+    point — and its output is flattened back into columns.  Emits one
+    result block for the partition.
     """
 
     def reduce(self, key: int, values: Iterable[tuple], context: Context) -> None:
         aggregator: Aggregator = context.config["aggregator"]
-        blocks = list(values)
-        ids, counts, partners, results = decode_blocks(blocks)
+        ids, counts, partners, results = decode_blocks(list(values))
         order = np.argsort(ids, kind="stable")  # runs by owner, then their entries
         sizes, ends = counts[order], np.cumsum(counts[order])
         gather = np.repeat(np.cumsum(counts)[order] - ends, sizes) + np.arange(len(partners))
@@ -708,11 +711,7 @@ class AggregateReducer(Reducer):
         counts = np.searchsorted(owners, eids, side="right") - np.searchsorted(owners, eids)
         block = encode_block(eids.tolist(), counts.tolist(), partners, results, v)
         if folded is None:
-            carried = [(sent[0], sent[4]) for sent in blocks if sent[4] is not None]
-            payloads = {eid: payload for got, sent in carried for eid, payload in zip(got, sent)}
-            if not payloads and not context.config.get("results_only", False):
-                payloads = context.cache_file("dataset")
-            elements = PairResults([block], v=v, payloads=payloads).values()
+            elements = PairResults([block], v=v).values()
             block = element_block([aggregator([element]) for element in elements], v)
         context.emit(key, block)
 
@@ -907,9 +906,7 @@ class PairwiseComputation:
         compute.cache["sketches"] = suite
         compute.config = {**compute.config, "pruner": pruner}
 
-    def _meter_replication(
-        self, counters: Any, elements: Sequence[Element], *, legs: int
-    ) -> None:
+    def _meter_replication(self, counters: Any, payloads: Mapping[int, Any]) -> None:
         """Record achieved-vs-bound replication after a pipeline completes.
 
         Sets the three :class:`~repro.mapreduce.stats.EngineStats`
@@ -917,13 +914,11 @@ class PairwiseComputation:
         no stats object) and emits a
         :class:`~repro.mapreduce.controlplane.events.ReplicationMeasured`
         event on the engine's bus, which the JSONL trace sink serializes
-        like every other event.  ``legs`` is how many shuffle legs of the
-        executed path the byte floor prices: the ones that carry payloads
-        on the shuffle plan (1 when results come home payload-free, else
-        2), the one leg of the cached plan (1).  Cached runs shuffle results
-        only, so their ``shuffle_bytes_vs_bound`` dropping far below 1.0 is
-        the meter showing the cache optimization beating the naive
-        payload-shuffle floor.
+        like every other event.  The byte floor prices one leg of replicas,
+        ``r·v·s``: only leg 1 of the shuffle plan carries payloads.  Cached
+        runs shuffle results only, so their ``shuffle_bytes_vs_bound``
+        dropping far below 1.0 is the meter showing the cache optimization
+        beating the naive payload-shuffle floor.
         """
         report = self.scheme.replication_report()
         v = self.scheme.v
@@ -931,8 +926,8 @@ class PairwiseComputation:
         achieved = replicas / v if replicas else report.replication_achieved
         bound = report.replication_lower_bound
         shuffle_bytes = counters.get(FRAMEWORK_GROUP, SHUFFLE_BYTES)
-        element_size = estimate_element_size([el.payload for el in elements])
-        floor = legs * report.shuffle_bytes_floor(element_size)
+        element_size = estimate_element_size(list(payloads.values()))
+        floor = report.shuffle_bytes_floor(element_size)
         vs_bound = shuffle_bytes / floor if floor and shuffle_bytes else 0.0
         stats = getattr(self.engine, "stats", None)
         if stats is not None:
@@ -957,31 +952,18 @@ class PairwiseComputation:
             )
 
     # -- input handling --------------------------------------------------------
-    def _as_elements(self, dataset: Sequence[Any]) -> list[Element]:
-        """Accept Elements or raw payloads; enforce ids 1..v and v == scheme.v.
+    def _payloads(self, dataset: Sequence[Any]) -> dict[int, Any]:
+        """``{eid: payload}`` of the scheme's participants; element ``i`` is ``dataset[i-1]``.
 
-        Returns the scheme's participants — every element, unless the
-        scheme says some sit this computation out.
+        Every element takes part unless the scheme says some sit this
+        computation out; ``len(dataset)`` must be the scheme's ``v``.
         """
         if len(dataset) != self.scheme.v:
             raise ValueError(
                 f"dataset has {len(dataset)} elements but the scheme was "
                 f"built for v={self.scheme.v}"
             )
-        participants = self.scheme.participants()
-        if dataset and isinstance(dataset[0], Element):
-            elements = list(dataset)  # type: ignore[arg-type]
-            ids = sorted(element.eid for element in elements)
-            if ids != list(range(1, len(elements) + 1)):
-                raise ValueError(
-                    "element ids must be exactly 1..v; "
-                    f"got min={ids[0]}, max={ids[-1]}, count={len(ids)}"
-                )
-            if len(participants) != len(elements):
-                taking_part = set(participants)
-                elements = [element for element in elements if element.eid in taking_part]
-            return elements
-        return [Element(eid, dataset[eid - 1]) for eid in participants]
+        return {eid: dataset[eid - 1] for eid in self.scheme.participants()}
 
     # -- execution paths --------------------------------------------------------
     def _job(self, stage: _Stage, config: dict[str, Any], cache: dict[str, Any]) -> Job:
@@ -1013,14 +995,9 @@ class PairwiseComputation:
         per job, and stage fusion is disabled so every stage's records are
         materialized for inspection.
         """
-        elements = self._as_elements(dataset)
-        payloads = {element.eid: element.payload for element in elements}
-        # An aggregator that never reads payloads gets none: the compute
-        # phase emits results only and the payloads are re-attached below.
-        results_only = not getattr(self.aggregator, "needs_payload", True)
-        config = {**self._job_config(), "results_only": results_only}
-        cached = plan is _CACHED_PLAN
-        if cached:
+        payloads = self._payloads(dataset)
+        config = self._job_config()
+        if plan is _CACHED_PLAN:
             # The store is a root WorkingSetStore, pickled as a dict: each
             # process's copy builds a kernel's matrix form at most once.
             # One descriptor per task, batched into as many compute tasks as
@@ -1031,9 +1008,9 @@ class PairwiseComputation:
                 num_map_tasks = self.num_reduce_tasks
         else:
             cache = {}
-            input_records = [(element.eid, element) for element in elements]
-        # Only the first job reads the store and the sketches: the shuffle
-        # plan's aggregate job takes any payloads it reads from the blocks.
+            input_records = list(payloads.items())
+        # Only the first job reads the store and the sketches: results are
+        # aggregated without payloads.
         jobs = [self._job(stage, config, {} if i else cache) for i, stage in enumerate(plan)]
         self._attach_pruning(jobs[0], payloads)
         result = PipelineResult(
@@ -1041,10 +1018,11 @@ class PairwiseComputation:
                 jobs, input_records, num_map_tasks=num_map_tasks, fuse=not return_pipeline
             )
         )
-        if _folds(self.aggregator):
-            _check_fingerprint(self.scheme, result.counters, plan[0][0])
-        payload_legs = 1 if cached or results_only else 2
-        self._meter_replication(result.counters, elements, legs=payload_legs)
+        _check_coverage(
+            self.scheme, result.counters, plan[0][0],
+            orientations=1 if self.symmetric else 2, fingerprinted=_folds(self.aggregator),
+        )
+        self._meter_replication(result.counters, payloads)
         blocks = [block for _partition, block in result.records]
         merged = PairResults(blocks, v=self.scheme.v, payloads=payloads)
         return (merged, result) if return_pipeline else merged
@@ -1100,8 +1078,8 @@ class PairwiseComputation:
         against (the threshold/top-k objective still applies, through the
         aggregator).
         """
-        elements = self._as_elements(dataset)
-        by_id = {element.eid: element for element in elements}
+        payloads = self._payloads(dataset)
+        by_id = {eid: Element(eid, payload) for eid, payload in payloads.items()}
         copies: dict[int, list[Element]] = {eid: [] for eid in by_id}
 
         for subset_id, member_ids in self.scheme.iter_subsets():
@@ -1121,7 +1099,6 @@ class PairwiseComputation:
             self.aggregator(element_copies or [by_id[eid].copy_without_results()])
             for eid, element_copies in copies.items()
         ]
-        payloads = {eid: element.payload for eid, element in by_id.items()}
         v = self.scheme.v
         return PairResults([element_block(merged, v)], v=v, payloads=payloads)
 

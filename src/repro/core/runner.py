@@ -23,7 +23,7 @@ from ..mapreduce.runtime import choose_engine
 from ..mapreduce.serialization import estimate_element_size
 from .chooser import SchemeChoice, choose_scheme, route_payloads
 from .element import PairResults
-from .hierarchical import check_refoldable, run_rounds
+from .hierarchical import run_rounds
 from .pairwise import PairwiseComputation
 from .scheme import DistributionScheme
 
@@ -135,9 +135,7 @@ def auto_pairwise(
     objective plus sketch-based candidate pruning (DESIGN.md §3.1.7) — for
     a flat scheme and for every round of a schedule alike, on the engine
     given or built (the serial one without either).  A schedule folds each
-    round into the running elements with the aggregator, so one that folds
-    an element's results to a single value raises ``ValueError`` before any
-    engine is built (:func:`~repro.core.hierarchical.check_refoldable`).
+    round into the running elements with the aggregator.
     """
     if len(dataset) < 2:
         raise ValueError("pairwise computation needs at least two elements")
@@ -157,8 +155,6 @@ def auto_pairwise(
             maxws=maxws,
             num_nodes=num_nodes,
         )
-    if choice.is_hierarchical:
-        check_refoldable(aggregator)
     owned_engine = None
     if engine is None and (auto_engine or trace_sink is not None):
         records = None  # unknown workload: the serial engine, carrying the sink

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.aggregate import (
-    ConcatAggregator,
-    ReduceAggregator,
-    ThresholdAggregator,
-    TopKAggregator,
-    count_neighbors,
-)
+from repro.core.aggregate import ConcatAggregator, ThresholdAggregator, TopKAggregator
 from repro.core.element import DuplicatePairError, Element
 
 
@@ -43,11 +37,6 @@ class TestThreshold:
         agg = ThresholdAggregator(0.5, keep_below=False)
         merged = agg(_copies([{2: 0.1, 3: 0.9}]))
         assert merged.results == {3: 0.9}
-
-    def test_key_extractor(self):
-        agg = ThresholdAggregator(1.0, keep_below=True, key=lambda v: v["d"])
-        merged = agg(_copies([{2: {"d": 0.4}, 3: {"d": 2.0}}]))
-        assert merged.results == {2: {"d": 0.4}}
 
 
 class TestTopK:
@@ -91,40 +80,3 @@ class TestTopK:
         )
         assert merged.results == dict(ranked[:k])
 
-
-class TestReduce:
-    def test_sum(self):
-        import operator
-
-        agg = ReduceAggregator(operator.add)
-        merged = agg(_copies([{2: 1.0, 3: 2.0}, {4: 3.0}]))
-        assert merged.results == {0: 6.0}
-
-    def test_initial_value(self):
-        import operator
-
-        agg = ReduceAggregator(operator.add, initial=100.0)
-        merged = agg(_copies([{2: 1.0}]))
-        assert merged.results == {0: 101.0}
-
-    def test_max(self):
-        agg = ReduceAggregator(max)
-        merged = agg(_copies([{2: 1.0, 3: 7.0}, {4: 3.0}]))
-        assert merged.results == {0: 7.0}
-
-    def test_empty_results(self):
-        import operator
-
-        agg = ReduceAggregator(operator.add)
-        merged = agg([Element(1, "p")])
-        assert merged.results == {0: None}
-
-
-class TestCountNeighbors:
-    def test_counts(self):
-        merged = count_neighbors(_copies([{2: 0.1}, {3: 0.2, 4: 0.3}]))
-        assert merged.results == {0: 3}
-
-    def test_payload_preserved(self):
-        merged = count_neighbors(_copies([{2: 0.1}]))
-        assert merged.payload == "payload"

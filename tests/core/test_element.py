@@ -10,7 +10,6 @@ from repro.core.element import (
     PairResults,
     dataset_size_bytes,
     element_size_bytes,
-    make_elements,
     merge_copies,
     ordered_results,
     results_matrix,
@@ -37,31 +36,6 @@ class TestElement:
         e.add_result(2, 0.5)
         with pytest.raises(DuplicatePairError):
             e.add_result(2, 0.7)
-
-    def test_add_results_bulk(self):
-        e = Element(1)
-        e.add_result(2, 0.5)
-        e.add_results([3, 4], [0.25, (1, 2)])
-        e.add_results({5: 0.75}.keys(), {5: 0.75}.values())  # dict views work too
-        e.add_results([], [])
-        assert e.results == {2: 0.5, 3: 0.25, 4: (1, 2), 5: 0.75}
-        assert list(e.results) == [2, 3, 4, 5]  # insertion order = call order
-
-    def test_add_results_self_pair_rejected(self):
-        with pytest.raises(ValueError, match="element 3 paired with itself"):
-            Element(3).add_results([1, 3], [0.5, 1.0])
-
-    @pytest.mark.parametrize("partners", [[4, 2], [4, 5, 4]])
-    def test_add_results_duplicate_names_the_pair(self, partners):
-        e = Element(1)
-        e.add_result(2, 0.5)
-        duplicate = 2 if 2 in partners else 4
-        with pytest.raises(DuplicatePairError, match=rf"pair \(1, {duplicate}\)"):
-            e.add_results(partners, [0.1] * len(partners))
-
-    def test_add_results_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Element(1).add_results([2, 3], [0.5])
 
     def test_copy_without_results_shares_payload(self):
         payload = [1, 2, 3]
@@ -137,11 +111,6 @@ class TestSizeArithmetic:
 
 
 class TestHelpers:
-    def test_make_elements(self):
-        elements = make_elements(["a", "b", "c"])
-        assert [e.eid for e in elements] == [1, 2, 3]
-        assert [e.payload for e in elements] == ["a", "b", "c"]
-
     def test_results_matrix_canonicalizes(self):
         a = Element(1)
         a.add_result(2, 0.5)
@@ -164,8 +133,7 @@ class TestHelpers:
 
     def test_results_matrix_nan_is_symmetric(self):
         """Regression: NaN != NaN made every NaN-valued pair 'asymmetric'."""
-        a = Element(1)
-        a.add_results([2, 3], [float("nan"), 1.0])
+        a = Element(1, results={2: float("nan"), 3: 1.0})
         b = Element(2)
         b.add_result(1, float("nan"))  # a distinct NaN object, as after a shuffle
         out = results_matrix([a, b])
@@ -175,8 +143,7 @@ class TestHelpers:
             results_matrix([a, b])
 
     def test_results_matrix_keeps_first_value_and_one_sided_pairs(self):
-        a = Element(3)
-        a.add_results([1, 2], [0.0, 7.0])
+        a = Element(3, results={1: 0.0, 2: 7.0})
         b = Element(1)
         b.add_result(3, -0.0)  # equal to 0.0: symmetric, first one seen is kept
         out = results_matrix([a, b])
@@ -193,8 +160,7 @@ class TestHelpers:
 
 class TestResultsDense:
     def _elements(self):
-        a = Element(1)
-        a.add_results([2, 3], [0.5, float("nan")])
+        a = Element(1, results={2: 0.5, 3: float("nan")})
         b = Element(2)
         b.add_result(1, 0.5)
         c = Element(3)

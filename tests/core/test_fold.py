@@ -13,6 +13,9 @@ required tiles' closed form before any result is returned.
 The guard is held to two defective schemes the unfolded pipeline misses
 or catches only by luck: one whose task 0 drops a pair (no evaluation, no
 error: a wrong top-k), and one whose task 1 repeats a pair of task 0.
+Every run, folding or not, also compares its evaluations plus pruned
+pairs with the required tiles' pair count, so a concat run that drops a
+pair raises too, before any result is returned.
 """
 
 import numpy as np
@@ -153,6 +156,28 @@ class TestTheGuard:
         assert merged.keys() == reference.keys()
         for eid in merged:
             assert merged[eid].results.keys() == reference[eid].results.keys()
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with MultiprocessEngine(max_workers=2) as engine:
+        yield engine
+
+
+@pytest.mark.parametrize("engine", ["serial", "pool"])
+@pytest.mark.parametrize("path", ["run", "run_cached"])
+def test_a_concat_run_that_drops_a_pair_raises_before_any_result(path, engine, request, monkeypatch):
+    """No fold, no fingerprint: the evaluation count misses the dropped pair."""
+
+    def no_results(*args, **kwargs):
+        raise AssertionError("a PairResults was built")
+
+    engine = SerialEngine() if engine == "serial" else request.getfixturevalue("pool")
+    monkeypatch.setattr("repro.core.pairwise.PairResults", no_results)
+    stage = "pairwise-cached" if path == "run_cached" else "pairwise-distribute-compute"
+    named = rf"^block\(v=30, h=3, e=10, tasks=6\): .*'{stage}'.*\(434 .*, required 435\)$"
+    with pytest.raises(PairCoverageError, match=named):
+        run(DropsAPair(V, 3), path, {}, "off", engine=engine)
 
 
 def test_an_unfolded_run_meters_no_fingerprint():

@@ -1,12 +1,9 @@
 """Hierarchical schedule tests (§7 extensions)."""
 
-import operator
-
 import numpy as np
 import pytest
 
 from repro.apps.dbscan import euclidean_distance
-from repro.core.aggregate import ReduceAggregator, count_neighbors
 from repro.core.bipartite import (
     BipartiteBlockScheme,
     BipartiteBroadcastScheme,
@@ -180,13 +177,6 @@ class TestRunRounds:
         out = run_rounds(small_dataset, abs_diff, schedule_factory())
         assert results_matrix(out) == brute_force_results(small_dataset, abs_diff)
 
-    def test_accepts_elements(self, small_dataset):
-        from repro.core.element import Element
-
-        elements = [Element(i + 1, p) for i, p in enumerate(small_dataset)]
-        out = run_rounds(elements, abs_diff, HierarchicalBlockScheme(23, 2, 2))
-        assert results_matrix(out) == brute_force_results(small_dataset, abs_diff)
-
     def test_wrong_cardinality_rejected(self):
         with pytest.raises(ValueError):
             run_rounds([1.0], abs_diff, HierarchicalBlockScheme(23, 2, 2))
@@ -344,32 +334,6 @@ class TestNoEngineRunsTheExecutor:
         want = brute_force_bipartite(r, s, signed_diff)
         for scheme in (BipartiteBroadcastScheme(5, 3, 4), BipartiteBlockScheme(5, 3, 2, 2)):
             assert run_bipartite(r, s, signed_diff, scheme) == want
-
-
-class TestAFoldCannotBeRefolded:
-    """A schedule folds every round into the running elements with the aggregator."""
-
-    FOLDS = [ReduceAggregator(operator.add, 0.0), count_neighbors]
-
-    @pytest.mark.parametrize("fold", FOLDS, ids=["reduce", "count_neighbors"])
-    def test_run_rounds_refuses_before_the_first_round(self, fold, monkeypatch):
-        monkeypatch.setattr(PairwiseComputation, "run", None)  # a round would call it
-        with pytest.raises(ValueError, match="applied again to its own output"):
-            run_rounds(range(23), abs_diff, HierarchicalBlockScheme(23, 3, 2), aggregator=fold)
-
-    @pytest.mark.parametrize("fold", FOLDS, ids=["reduce", "count_neighbors"])
-    def test_auto_pairwise_refuses_before_building_an_engine(self, fold, monkeypatch):
-        from repro.core import runner
-
-        def no_engine(*args, **kwargs):
-            raise AssertionError("an engine was built")
-
-        monkeypatch.setattr(runner, "choose_engine", no_engine)
-        huge = {"element_size": 40 * MB, "maxws": 100 * MB, "maxis": 600 * MB}
-        with pytest.raises(ValueError, match="applied again to its own output"):
-            runner.auto_pairwise(
-                [float(i) for i in range(30)], abs_diff, aggregator=fold, auto_engine=True, **huge
-            )
 
 
 class TestLimitModel:

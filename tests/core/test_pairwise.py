@@ -6,7 +6,7 @@ from repro.core.aggregate import ThresholdAggregator, TopKAggregator
 from repro.core.block import BlockScheme
 from repro.core.broadcast import BroadcastScheme
 from repro.core.design import DesignScheme
-from repro.core.element import Element, results_matrix
+from repro.core.element import results_matrix
 from repro.core.pairwise import (
     EVALUATIONS,
     PAIRWISE_GROUP,
@@ -56,22 +56,10 @@ class TestTwoJobPipeline:
 
 
 class TestInputHandling:
-    def test_accepts_elements(self, small_dataset):
-        elements = [Element(i + 1, p) for i, p in enumerate(small_dataset)]
-        computation = PairwiseComputation(BlockScheme(23, 3), abs_diff)
-        merged = computation.run(elements)
-        assert results_matrix(merged) == brute_force_results(small_dataset, abs_diff)
-
     def test_wrong_cardinality_rejected(self):
         computation = PairwiseComputation(BlockScheme(23, 3), abs_diff)
         with pytest.raises(ValueError):
             computation.run([1.0, 2.0])
-
-    def test_non_contiguous_ids_rejected(self):
-        computation = PairwiseComputation(BlockScheme(3, 1), abs_diff)
-        bad = [Element(1, 0.0), Element(2, 1.0), Element(7, 2.0)]
-        with pytest.raises(ValueError):
-            computation.run(bad)
 
     def test_bad_reduce_task_count(self):
         with pytest.raises(ValueError):

@@ -402,29 +402,32 @@ def test_auto_pairwise_runs_the_priced_route(routing, symmetric, pruning, engine
     assert all(merged[eid].payload is data[eid - 1] for eid in merged)
 
 
-class PayloadCountingAggregator:
-    """Reads ``copies[0].payload``, and says so."""
-
-    needs_payload = True
+class PayloadWitness:
+    """A custom aggregator, no declaration: files the payload its copy carried beside each result."""
 
     def __call__(self, copies):
         merged = merge_copies(copies)
-        merged.results = {0: (copies[0].payload, len(merged.results))}
+        merged.results = {p: (value, copies[0].payload) for p, value in merged.results.items()}
         return merged
 
 
 @pytest.mark.parametrize("engine", ["serial", "pool"])
-@pytest.mark.parametrize("routing", sorted(ROUTES))
-def test_aggregator_that_reads_payloads_gets_them_on_every_route(routing, engine, engines):
+@pytest.mark.parametrize("path", ["run", "run_cached"])
+def test_aggregator_gets_no_payload_on_every_route(path, engine, engines):
+    """A custom aggregator gets copies with ``payload=None``; the caller gets every payload."""
     data = points()
-    merged, choice = auto_pairwise(
-        data, euclidean_distance, engine=engines[engine],
-        aggregator=PayloadCountingAggregator(), **ROUTES[routing][0],
+    computation = PairwiseComputation(
+        BlockScheme(V, 3), euclidean_distance, engine=engines[engine], aggregator=PayloadWitness()
     )
-    assert choice.routing == routing
-    assert {eid: element.results[0] for eid, element in merged.items()} == {
-        eid: (data[eid - 1], V - 1) for eid in range(1, V + 1)
-    }
+    merged = getattr(computation, path)(data)
+    reference = PairwiseComputation(BlockScheme(V, 3), euclidean_distance).run_local(data)
+    assert {
+        eid: {partner: value for partner, (value, _seen) in element.results.items()}
+        for eid, element in merged.items()
+    } == result_maps(reference)
+    seen = [payload for element in merged.values() for _value, payload in element.results.values()]
+    assert seen and all(payload is None for payload in seen)
+    assert all(merged[eid].payload is data[eid - 1] for eid in range(1, V + 1))
 
 
 def block(ids, payloads):
@@ -451,7 +454,7 @@ def aggregate(blocks):
     """Run the one aggregate reducer over one partition's result blocks."""
     context = Context(
         Counters(),
-        config={"aggregator": ConcatAggregator(), "results_only": True, "scheme": BlockScheme(9, 3)},
+        config={"aggregator": ConcatAggregator(), "scheme": BlockScheme(9, 3)},
     )
     task = AggregateReducer()
     task.setup(context)
@@ -485,10 +488,10 @@ def test_aggregate_reducer_refuses_a_self_pair():
 
 
 def per_record_emit(scheme, records):
-    """The map phase before blocks: one ``(subset, copy)`` per membership."""
-    for _key, value in records:
-        for subset_id in scheme.get_subsets(value.eid):
-            yield subset_id, value.copy_without_results()
+    """The map phase before blocks: one ``(subset, element copy)`` per membership."""
+    for eid, payload in records:
+        for subset_id in scheme.get_subsets(eid):
+            yield subset_id, Element(eid, payload)
 
 
 def map_task_output(scheme, records):
@@ -510,7 +513,7 @@ def map_task_output(scheme, records):
 def test_blocks_deliver_what_the_per_record_loop_delivered(scheme, cuts):
     scheme = SCHEMES[scheme]()
     data = mixed_objects()
-    records = [(eid, Element(eid, data[eid - 1])) for eid in scheme.participants()]
+    records = [(eid, data[eid - 1]) for eid in scheme.participants()]
     bounds = sorted({0, len(records), *(cut for cut in cuts if cut < len(records))})
     delivered, delivered_bytes, replicas = Counter(), 0, 0
     for lo, hi in zip(bounds, bounds[1:]):

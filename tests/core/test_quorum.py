@@ -317,41 +317,29 @@ class TestMetering:
         assert event["v"] == V
         assert event["replication_achieved"] >= event["replication_lower_bound"]
 
-    @pytest.mark.parametrize("needs_payload", [False, True])
-    def test_byte_floor_prices_the_legs_that_carry_payloads(self, needs_payload):
-        """The floor prices every leg that carries payloads at ``r·v·s``.
+    @pytest.mark.parametrize("payloads_on_leg_two", [False])
+    def test_byte_floor_prices_the_legs_that_carry_payloads(self, payloads_on_leg_two):
+        """The floor prices every leg that carries payloads at ``r·v·s``: leg 1 only.
 
-        v = 13 is a perfect difference set (achieved == bound).  With a
-        payload-free leg 2 the floor is one leg of replicas, not two — priced
-        per job it would read ≈ 0.5 — and leg 1 never beats it.  With
-        payloads on leg 2 the run reads below the floor, by design: the one
-        compute task ships one result block, and pickle writes each of the
-        13 payloads into it once, not once per membership (r = 4), so leg 2
-        costs about ``v·s`` where the floor prices ``r·v·s``.
+        v = 13 is a perfect difference set (achieved == bound).  Result
+        blocks never carry payloads, so the floor is one leg of replicas,
+        not two — priced per job it would read ≈ 0.5 — and leg 1 never
+        beats it.
         """
-        from repro.core.aggregate import ConcatAggregator
         from repro.mapreduce.controlplane.events import ReplicationMeasured
 
-        aggregator = ConcatAggregator()
-        aggregator.needs_payload = needs_payload
         rows = [np.full(512, float(i)) for i in range(13)]
         engine = SerialEngine()
         measured = []
         engine.events.subscribe(
             lambda event: isinstance(event, ReplicationMeasured) and measured.append(event)
         )
-        PairwiseComputation(
-            QuorumScheme(13), first_entry_gap, engine=engine, aggregator=aggregator
-        ).run(rows)
+        PairwiseComputation(QuorumScheme(13), first_entry_gap, engine=engine).run(rows)
         (event,) = measured
         assert event.optimality_ratio == pytest.approx(1.0)
-        legs = 2 if needs_payload else 1
+        legs = 1 + payloads_on_leg_two
         assert event.shuffle_bytes_floor == legs * 4 * 13 * estimate_element_size(rows)
-        if needs_payload:
-            assert event.shuffle_bytes == 220_168 + 55_564  # leg 1 + leg 2
-            assert event.shuffle_bytes_vs_bound == pytest.approx(0.6277, abs=1e-4)
-        else:
-            assert 1.0 <= event.shuffle_bytes_vs_bound < 1.2
+        assert 1.0 <= event.shuffle_bytes_vs_bound < 1.2
 
     def test_serial_engine_safe_no_stats(self):
         # SerialEngine has no .stats; the meter must not crash.

@@ -2,7 +2,7 @@
 
 The aggregate reducer folds a partition's result blocks as columns.  The
 reference kept here is the Element fold it replaced: every element rebuilt
-from its slices in arrival order with one ``add_results``, then
+from its slices in arrival order into one result map, then
 ``aggregator([element])``.  On any partition the two must give the same
 elements — the same partners, the same result objects (compared by
 ``repr``, so ``-0.0`` and NaN count), in the same order — and fail on the
@@ -103,8 +103,10 @@ def element_fold(blocks, aggregator):
             lo += count
     folded = {}
     for eid in sorted(slices):
+        partners, values = slices[eid]
         element = Element(eid)
-        element.add_results(*slices[eid])
+        for partner, value in zip(partners, values):
+            element.add_result(partner, value)  # raises, naming the pair
         folded[eid] = aggregator([element])
     return folded
 
@@ -113,7 +115,7 @@ def column_fold(blocks, aggregator):
     """The aggregate reducer over the same blocks, read back through ``PairResults``."""
     context = Context(
         Counters(),
-        config={"aggregator": aggregator, "results_only": True, "scheme": BlockScheme(V, 3)},
+        config={"aggregator": aggregator, "scheme": BlockScheme(V, 3)},
     )
     task = AggregateReducer()
     task.setup(context)
@@ -276,7 +278,7 @@ MUTATIONS = ("partner byte added", "partner byte dropped", "result added", "resu
 
 def mutate(block, mutation):
     """``block`` with one column's length changed by ``mutation``; falsy if nothing to drop."""
-    ids, counts, raw, values, payloads = block
+    ids, counts, raw, values = block
     one = b"\x00" if isinstance(values, bytes) else [0.0]
     changed = {
         "partner byte added": lambda: (ids, counts, raw + b"\x01", values),
@@ -287,7 +289,7 @@ def mutate(block, mutation):
         "count dropped": lambda: (ids, counts[:-1], raw, values),
         "id dropped": lambda: (ids[:-1], counts, raw, values),
     }[mutation]()
-    return changed and (*changed, payloads)
+    return changed
 
 
 @given(partition=partitions(), mutation=st.sampled_from(MUTATIONS), data=st.data())
@@ -311,14 +313,14 @@ def test_a_block_whose_columns_do_not_line_up_raises(partition, mutation, data):
 @pytest.mark.parametrize(
     "block",
     [
-        ([1, 2], [1, 1], b"\x01\x02\x03", b"\x00" * 16, None),  # 3 partner bytes for 2 entries
-        ([1], [0], b"\x05", b"", None),  # a partner for no entry
-        ([1, 2], [1, 1], b"\x01\x02", b"\x00" * 8, None),  # 1 result for 2 entries
+        ([1, 2], [1, 1], b"\x01\x02\x03", b"\x00" * 16),  # 3 partner bytes for 2 entries
+        ([1], [0], b"\x05", b""),  # a partner for no entry
+        ([1, 2], [1, 1], b"\x01\x02", b"\x00" * 8),  # 1 result for 2 entries
     ],
 )
 def test_malformed_blocks_that_used_to_decode_raise(block):
     with pytest.raises(ValueError, match="result block 1 is malformed"):
-        decode_blocks([([3], [1], b"\x01", b"\x00" * 8, None), block])
+        decode_blocks([([3], [1], b"\x01", b"\x00" * 8), block])
 
 
 # -- PairResults ------------------------------------------------------------------

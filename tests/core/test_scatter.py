@@ -21,7 +21,8 @@ per aggregate partition, the bytes and the aggregate output records
 once more when result blocks became columns — ``bytes`` partner ids, one
 output block per aggregate partition — and ``run_cached``'s records,
 groups, bytes and attempts once more when the cached plan became one job
-whose map tasks read their working sets from the cache (see ``PARENT``;
+whose map tasks read their working sets from the cache, and the bytes
+once more when a result block lost its empty payload field (see ``PARENT``;
 every result, the digest, the evaluations and the replica count are the
 original ones).
 """
@@ -41,7 +42,6 @@ from repro.core.element import (
     PairResults,
     check_pairs,
     encode_block,
-    merge_copies,
 )
 from repro.core.pairwise import AggregateReducer, PairwiseComputation, scatter_results
 from repro.kernels import pair_index_array
@@ -177,21 +177,17 @@ def _counters(records, groups, shuffle_bytes, attempts, **pairwise):
     }
 
 
-#: ``run``'s bytes with payloads still on leg 2 — what the row read before
-#: results came home payload-free, and what an aggregator that may read
-#: payloads still costs (``test_unknown_aggregator_keeps_payloads_on_leg_two``);
-#: 18 781 before partner ids became one ``bytes`` column
-RUN_BYTES_WITH_PAYLOADS = 17913
-
 PARENT = {
     # leg 1 is one block per working set (one map task, six working sets);
     # leg 2 one result block (one compute task, one aggregate partition):
     # 90 records, 30 groups and 18 030 (run) / 11 730 (run_cached) bytes before.
     # Partner ids as one uint8 ``bytes`` column took the bytes from 16 948 /
     # 10 738 to these, and the aggregate reducer's one block per partition
-    # took its output records from 30 to 1 (31 → 2 over both jobs).
+    # took its output records from 30 to 1 (31 → 2 over both jobs).  The
+    # result block lost its fifth field, a pickled ``None``: 16 080 / 9 102
+    # bytes before, one byte more per result block.
     "run": _counters(
-        (31, 7, 2), 7, 16080, 4,
+        (31, 7, 2), 7, 16079, 4,
         max_working_set_bytes=1540, max_working_set_records=20, replicas_emitted=90,
     ),
     # One job: six task descriptors in one split (one compute map task, one
@@ -200,7 +196,7 @@ PARENT = {
     # working-set gauges and the replica count are metered from the cached
     # view (8 B per id) and kept their values.
     "run_cached": _counters(
-        (6, 1, 1), 1, 9102, 2,
+        (6, 1, 1), 1, 9101, 2,
         max_working_set_bytes=160, max_working_set_records=20, replicas_emitted=90,
     ),
 }
@@ -224,7 +220,7 @@ def test_records_and_counters_identical_to_parent(path):
 
 
 def check_result_blocks(path, kernel, monkeypatch):
-    """Leg 2 and the aggregate output: int-list ids and counts, ``bytes`` partners, no payloads.
+    """Leg 2 and the aggregate output: four columns, int-list ids and counts, ``bytes`` partners.
 
     Partners are uint8 (v = 30); results are float64 ``bytes`` exactly when
     the kernel returned a float64 array (``dense-dot``), else the scalar
@@ -248,14 +244,13 @@ def check_result_blocks(path, kernel, monkeypatch):
     assert arrived and emitted
     for block in [*arrived, *emitted]:
         assert type(block) is tuple
-        ids, counts, partners, values, payloads = block
+        ids, counts, partners, values = block
         assert all(type(item) is int for item in [*ids, *counts])
         assert type(partners) is bytes and len(partners) == sum(counts)  # one byte per id
         if kernel is None:
             assert type(values) is list and all(type(value) is float for value in values)
         else:
             assert type(values) is bytes and len(values) == 8 * sum(counts)
-        assert payloads is None  # results come home payload-free
     assert _digest(merged) == RECORDS_DIGEST
     for element in merged.values():
         assert all(type(p) is int and type(r) is float for p, r in element.results.items())
@@ -272,20 +267,3 @@ def test_float_kernel_results_cross_as_float64_bytes(path, monkeypatch):
     """A kernel's float64 array crosses as float64 ``bytes`` (:func:`check_result_blocks`)."""
     check_result_blocks(path, "dense-dot", monkeypatch)
 
-
-def plain_concat(copies):
-    """An aggregator without a ``needs_payload`` declaration: may read payloads."""
-    assert all(copy.payload is not None for copy in copies)
-    return merge_copies(copies)
-
-
-def test_unknown_aggregator_keeps_payloads_on_leg_two():
-    """No declaration, no stripping: the bytes ``run`` moved before payload routing."""
-    computation = PairwiseComputation(
-        BlockScheme(30, 3), exact_dot, engine=SerialEngine(), aggregator=plain_concat
-    )
-    merged, result = computation.run(golden_data(), return_pipeline=True)
-    assert _digest(merged) == RECORDS_DIGEST
-    expected = {**PARENT["run"]["framework"]}
-    expected["map_output_bytes"] = expected["shuffle_bytes"] = RUN_BYTES_WITH_PAYLOADS
-    assert result.counters.as_dict() == {**PARENT["run"], "framework": expected}

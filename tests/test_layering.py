@@ -37,7 +37,9 @@ a scheme hands it to ``auto_pairwise``, and calls no plan preset (``run``,
 no module under ``src/repro`` calls it.
 
 Leg 2 ships result blocks: the pairwise producers emit once per task, from
-``cleanup``, never one record per element.
+``cleanup``, never one record per element; a block carries results only, and
+the payload route, the aggregator options only tests used and the Element
+input helpers stay deleted.
 
 The periphery nothing ran — a second file route, a DFS model, Streaming
 stages, a range partitioner, an incremental wrapper — stays deleted, and so
@@ -389,6 +391,28 @@ class TestLegTwoShipsBlocks:
             if isinstance(node, ast.FunctionDef) and calls_of(node, "emit")
         ]
         assert helpers == []
+
+    #: leg 2's payload route, the aggregator options only tests used, and Elements as input
+    DELETED = (
+        "ReduceAggregator", "count_neighbors", "check_refoldable", "make_elements",
+        "_elements_by_id", "add_results", "needs_payload", "results_only", "ships_payloads",
+    )
+
+    def test_the_deleted_api_is_defined_nowhere(self):
+        """No def, class, assignment, parameter or string key under ``src/repro``; no export."""
+        defined = set()
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.walk(parsed(path)):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                    defined.add(getattr(node, "id", getattr(node, "attr", None)))
+                elif isinstance(node, ast.arg):
+                    defined.add(node.arg)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    defined.add(node.value)  # a config key or an ``__all__`` entry
+        assert {"add_result", "merge_copies", "aggregate_partitions"} <= defined  # the walk reads
+        assert sorted(defined.intersection(self.DELETED)) == []
 
 
 class TestTheMenuIsGone:

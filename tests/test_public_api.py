@@ -151,6 +151,9 @@ class TestPinnedSignatures:
         "run_bipartite": ("r_payloads", "s_payloads", "comp", "scheme", "engine"),
         # Sound bounds only: no estimate mode, no margin.
         "ThresholdPruner.__init__": ("self", "threshold", "keep_below"),
+        # An objective folds the results themselves: no key extractor.
+        "ThresholdAggregator.__init__": ("self", "threshold", "keep_below"),
+        "TopKAggregator.__init__": ("self", "k", "smallest"),
         # A universe is tiles: a round states its own, top-k taus read one.
         "Round.__init__": ("self", "v", "index", "tasks", "universe"),
         "build_topk_taus": ("suite", "k", "tiles", "chunk_size"),
