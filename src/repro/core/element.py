@@ -23,9 +23,13 @@ in-process reference (``run_local``), by ``run_rounds``' running fold, and
 for an aggregator that is not built in.  The flattened views
 (:meth:`PairResults.dense`, :meth:`PairResults.pairs`, and the adapters
 :func:`results_matrix` and :func:`ordered_results` that also take plain
-elements) read the columns.  :func:`check_pairs` is the columns' self-pair
-and duplicate check, worded like the single-pair
-:meth:`Element.add_result`, the public per-pair API.
+elements) read the columns.  Where one number serves both elements of a
+pair — a symmetric run under a built-in concat or threshold — a run files
+it once, under ``(max(i, j), min(i, j))``, and its :class:`PairResults`
+mirrors it when read; :func:`scatter_results` is the one mirror step, for
+those readers and for the runs that file both orientations.
+:func:`check_pairs` is the columns' self-pair and duplicate check, worded
+like the single-pair :meth:`Element.add_result`, the public per-pair API.
 
 :func:`element_size_bytes` reproduces the §3 storage arithmetic (the
 "10,000 × 500 KB elements → 6.5 GB, not 50 TB" example).
@@ -197,6 +201,31 @@ def element_block(elements: Sequence[Element], top: int = 0) -> tuple:
     return encode_block([element.eid for element in elements], counts, partners, results, top)
 
 
+def result_column(out: Any) -> np.ndarray:
+    """A kernel's results as one column: an ndarray as is, a list as an object column."""
+    return out if isinstance(out, np.ndarray) else np.fromiter(out, object, len(out))
+
+
+def scatter_results(block: np.ndarray, forward: Any, backward: Any) -> tuple[np.ndarray, ...]:
+    """Group a pair block's results by owning element, both orientations (bulk ``addResult``).
+
+    Row k = ``(i, j)`` gives ``i`` the entry ``j → forward[k]`` and ``j``
+    the entry ``i → backward[k]``: the mirror step — owners and partners
+    swapped, the backward results taken — and one stable sort by owner,
+    which keeps an element's entries in row order (the order the per-pair
+    loop stored them).  Returns ``(owners, partners, results)``.  A
+    kernel's float64 array stays one; list results (the scalar kernel's)
+    become an object column, so tuple results scatter like floats.
+    """
+    forward, backward = result_column(forward), result_column(backward)
+    results = np.empty(2 * len(block), dtype=np.result_type(forward, backward))
+    results[0::2], results[1::2] = forward, backward
+    owners = block.ravel()  # i0, j0, i1, j1, …: entry k's partner is entry k ^ 1's owner
+    narrow = 0 <= owners.min(initial=0) and owners.max(initial=0) < 1 << 16  # a radix sort then
+    order = np.argsort(owners.astype(np.uint16) if narrow else owners, kind="stable")
+    return owners[order], owners[order ^ 1], results[order]
+
+
 def join_results(chunks: Sequence[np.ndarray]) -> np.ndarray:
     """One result column from chunks: float64 when every non-empty chunk is, else objects."""
     chunks = [chunk for chunk in chunks if len(chunk)] or [np.empty(0)]
@@ -259,16 +288,25 @@ class PairResults(Mapping[int, Element]):
     canonical ``{(i, j): result}``, i > j).  Elements iterate in block
     order.  The columns are the record: editing a built element changes
     neither view.
+
+    ``mirrored=True`` (set by the executor alone, for a run that files
+    each pair's result once, under ``(max(i, j), min(i, j))``): the
+    columns hold one orientation per pair and the readers mirror it —
+    :meth:`dense` writes both cells, :meth:`pairs` reads the columns as
+    they are, and the first element lookup builds both orientations once
+    (:func:`scatter_results`).  ``len`` and iteration read the ids either
+    way.
     """
 
-    def __init__(self, blocks: Sequence[tuple], *, v: int, payloads: Mapping | None = None):
-        ids, counts, self._partners, self._results = decode_blocks(blocks)
-        self.v, self._ids = v, ids
-        self._owners = np.repeat(ids, counts)
+    def __init__(self, blocks: Sequence[tuple], *, v: int, payloads: Mapping | None = None,
+                 mirrored: bool = False):
+        ids, self._counts, self._partners, self._results = decode_blocks(blocks)
+        self.v, self._ids, self._mirrored = v, ids, mirrored
+        self._owners = np.repeat(ids, self._counts)
         self._index = dict(zip(ids.tolist(), range(len(ids))))
-        self._offsets = [0, *np.cumsum(counts).tolist()]
         self._payloads = payloads or {}
         self._built: dict[int, Element] = {}
+        self._lookup: tuple | None = None
 
     @classmethod
     def of(cls, elements: Mapping[int, Element] | Iterable[Element]) -> "PairResults":
@@ -278,12 +316,34 @@ class PairResults(Mapping[int, Element]):
         items = list(elements.values() if isinstance(elements, Mapping) else elements)
         return cls([element_block(items)], v=len(items), payloads={e.eid: e.payload for e in items})
 
+    def _entries(self) -> tuple:
+        """``(owners, partners, results, starts, ends)``: every entry as its owner reads it.
+
+        The ``k``-th id's entries are ``starts[k]:ends[k]``.  Built on first
+        use; a mirrored run's columns are sorted by owner and mirrored by
+        one :func:`scatter_results`, so an element lists its lower partners
+        in the order they were filed, then its higher ones ascending.
+        """
+        if self._lookup is None:
+            owners, partners, results = self._owners, self._partners, self._results
+            if self._mirrored:
+                order = np.argsort(owners, kind="stable")
+                block = np.column_stack((owners, partners))[order]
+                owners, partners, results = scatter_results(block, results[order], results[order])
+                starts, ends = (owners.searchsorted(self._ids, side) for side in ("left", "right"))
+            else:
+                ends = np.cumsum(self._counts)
+                starts = ends - self._counts
+            self._lookup = owners, partners, results, starts.tolist(), ends.tolist()
+        return self._lookup
+
     def __getitem__(self, eid: int) -> Element:
         element = self._built.get(eid)
         if element is None:
             run = self._index[eid]
-            lo, hi = self._offsets[run], self._offsets[run + 1]
-            results = dict(zip(self._partners[lo:hi].tolist(), self._results[lo:hi].tolist()))
+            _owners, partners, results, starts, ends = self._entries()
+            lo, hi = starts[run], ends[run]
+            results = dict(zip(partners[lo:hi].tolist(), results[lo:hi].tolist()))
             element = self._built[eid] = Element(eid, self._payloads.get(eid), results)
         return element
 
@@ -299,6 +359,8 @@ class PairResults(Mapping[int, Element]):
     def pairs(self) -> dict[tuple[int, int], Any]:
         """``{(i, j): result}`` with i > j; a pair stored twice keeps its first value."""
         owners, partners, results = self._owners, self._partners, self._results
+        if self._mirrored:  # filed once, keyed (i, j) already
+            return dict(zip(zip(owners.tolist(), partners.tolist()), results.tolist()))
         high, low = np.maximum(owners, partners), np.minimum(owners, partners)
         keys = high * (int(high.max(initial=0)) + 1) + low
         order = np.argsort(keys, kind="stable")
@@ -328,6 +390,9 @@ class PairResults(Mapping[int, Element]):
             raise ValueError(f"pair key {key} out of range for v={v}")
         cells = (owners - 1) * v + partners - 1
         out, stored = np.zeros(v * v), np.zeros(v * v, dtype=bool)
+        if self._mirrored:  # one result per pair: no two orientations to disagree
+            out[cells] = out[(partners - 1) * v + owners - 1] = self._results
+            return out.reshape(v, v)
         out[cells], stored[cells] = self._results, True
         out, stored = out.reshape(v, v), stored.reshape(v, v)
         clash = np.flatnonzero(np.tril(stored & stored.T & _disagree(out.T, out), -1))
@@ -352,9 +417,8 @@ def ordered_results(
     elements: Mapping[int, Element] | Iterable[Element],
 ) -> dict[tuple[int, int], Any]:
     """Flatten result maps keeping orientation: ``(i, j) → i's result for j``, unchecked."""
-    results = PairResults.of(elements)
-    keys = zip(results._owners.tolist(), results._partners.tolist())
-    return dict(zip(keys, results._results.tolist()))
+    owners, partners, results, _starts, _ends = PairResults.of(elements)._entries()
+    return dict(zip(zip(owners.tolist(), partners.tolist()), results.tolist()))
 
 
 def results_matrix(elements: Mapping[int, Element] | Iterable[Element]) -> dict[tuple[int, int], Any]:

@@ -10,11 +10,15 @@ preset         stages (map → reduce)                          payloads leg 1 c
 ============== ============================================== ======== ================== ==================== ==== =======
 ``run``        ``DistributeMapper`` → ``ComputeReducer``;     shuffle  blocks of ids +    result blocks        2    shuffle
                identity → ``AggregateReducer``                         payload references folded by the
-                                                                                          objective: ``bytes``
-                                                                                          columns, no payload
+                                                                                          objective, filed
+                                                                                          once when symmetric:
+                                                                                          ``bytes`` columns,
+                                                                                          no payload
 ``run_cached`` ``CachedComputeMapper`` → ``AggregateReducer`` cache    result blocks      —                    1    cache
                                                                        folded by the
-                                                                       objective (its
+                                                                       objective, filed
+                                                                       once when
+                                                                       symmetric (its
                                                                        only leg)
 ============== ============================================== ======== ================== ==================== ==== =======
 
@@ -37,6 +41,11 @@ aggregate partitions`` records, not one copy per membership; a block's
 partner ids are one ``bytes`` column of the narrowest unsigned dtype
 holding ``v`` and its results float64 ``bytes`` whenever the kernel
 returned a float64 array (:func:`~repro.core.element.encode_block`).
+*Filed once*: on a symmetric run under a built-in concat or threshold
+aggregator a pair's one result is filed once, under ``(max(i, j), min(i,
+j))``, and the :class:`~repro.core.element.PairResults` the run returns
+mirrors it when read (:func:`_files_once`); top-k, any other aggregator
+and ``symmetric=False`` file both orientations.
 *Folded by the objective*: under a built-in threshold or top-k aggregator
 a compute task keeps only the entries that can survive the aggregate's
 fold — a threshold's passing ones, each member's k best per task — so the
@@ -67,8 +76,9 @@ holds.
   working sets onto reducers; each reducer admits the blocks
   (:func:`_admit_working_set`), takes ``getPairs`` as the scheme's pair
   array, evaluates it,
-  and files both orientations of every result (``addResult``) under the
-  member's aggregate partition; at task end it emits one result block per
+  and files every result (``addResult``: once, under its higher id, when
+  one number serves both elements; else both orientations) under the
+  owner's aggregate partition; at task end it emits one result block per
   partition reached.
   *Job 2* (Algorithm 2): identity map; the shuffle groups a partition's
   blocks; the reducer folds each element's slices — the partial result
@@ -99,13 +109,14 @@ job.  Its pair relation comes from the scheme as tiles of the pair matrix
 (:meth:`~repro.core.scheme.DistributionScheme.pair_tiles`: triangles,
 cross products, or plain ``(n, 2)`` int64 rows — no Python tuple per
 pair).  A kernel with a tile form evaluates a triangle or a cross tile as
-one matrix product and scatters it as row and column slices
-(:func:`_evaluate_tiles`).  Otherwise the tiles' rows stay an array
-through pruner → :class:`~repro.kernels.PairKernel`
-(``config["kernel"]``; ``None`` → the scalar kernel, bit-identical to the
-historical loop; ``"auto"`` → registry selection from the pair function
-and payload type) → :func:`scatter_results`.  Either way the results
-leave as :data:`Columns` grouped by element — a vectorized kernel's
+one matrix product, one entry per pair (:func:`_evaluate_tiles`).
+Otherwise the tiles' rows stay an array through pruner →
+:class:`~repro.kernels.PairKernel` (``config["kernel"]``; ``None`` → the
+scalar kernel, bit-identical to the historical loop; ``"auto"`` →
+registry selection from the pair function and payload type).  Either
+way :func:`_file` files the results — once per pair, or both
+orientations through :func:`~repro.core.element.scatter_results` — and
+they leave as :data:`Columns` grouped by element — a vectorized kernel's
 float64 array is never boxed — for the task's result blocks; the
 aggregate reducer folds each partition's columns (a built-in aggregator)
 or rebuilds its elements (any other), and the caller's
@@ -159,6 +170,8 @@ from .element import (
     element_block,
     encode_block,
     join_results,
+    result_column,
+    scatter_results,
 )
 from .scheme import Cross, DistributionScheme, Rows, Tile, Triangle, tile_rows
 
@@ -322,39 +335,47 @@ def _evaluate_pairs(
 Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def scatter_results(block: np.ndarray, forward: Any, backward: Any) -> Columns:
-    """Group a pair block's results by owning element (bulk ``addResult``).
+def _files_once(config: Mapping[str, Any]) -> bool:
+    """Whether a run files each pair's result once, under ``(max(i, j), min(i, j))``.
 
-    Row k = ``(i, j)`` gives ``i`` the entry ``j → forward[k]`` and ``j``
-    the entry ``i → backward[k]``.  Returns the :data:`Columns` of the
-    block; the stable sort keeps an element's entries in row order — the
-    order the per-pair loop stored them.  A kernel's float64 array stays
-    one; list results (the scalar kernel's) become an object column, so
-    tuple results scatter like floats.
+    A symmetric run under a built-in concat or threshold: one number
+    serves both elements of a pair, and neither fold needs an element's
+    every partner (top-k does; a custom aggregator may), so the result
+    crosses leg 2 once and :class:`~repro.core.element.PairResults`
+    mirrors it when read.
     """
-    forward, backward = (
-        out if isinstance(out, np.ndarray) else np.fromiter(out, object, len(out))
-        for out in (forward, backward)
-    )
-    results = np.empty(2 * len(block), dtype=np.result_type(forward, backward))
-    results[0::2], results[1::2] = forward, backward
-    order = np.argsort(block.ravel(), kind="stable")  # owners: i0, j0, i1, j1, …
-    return block.ravel()[order], block[:, ::-1].ravel()[order], results[order]
+    aggregator = type(config.get("aggregator"))
+    return config.get("symmetric", True) and aggregator in (ConcatAggregator, ThresholdAggregator)
+
+
+def _file(block: np.ndarray, forward: Any, backward: Any, config: Mapping[str, Any]) -> Columns:
+    """Algorithm 1's ``addResult`` over an evaluated pair block: its :data:`Columns`.
+
+    A run that files once (:func:`_files_once`) keys row ``(i, j)``'s
+    result ``(max(i, j), min(i, j))`` whatever tile produced it — so a pair
+    delivered twice, in either orientation, reaches one owner twice and
+    the aggregate's check — and groups the rows by owner with one stable
+    sort.  Any other run files both orientations (:func:`scatter_results`).
+    """
+    if not _files_once(config):
+        return scatter_results(block, forward, backward)
+    high, low = np.maximum(block[:, 0], block[:, 1]), np.minimum(block[:, 0], block[:, 1])
+    order = np.argsort(high, kind="stable")
+    return high[order], low[order], result_column(forward)[order]
 
 
 def _compute_block(
     tiles: Sequence[Tile], payloads: Mapping[int, Any], context: Context
 ) -> Columns:
-    """One working set, block-granular: the scheme's tiles → kernel → scatter.
+    """One working set, block-granular: the scheme's tiles → kernel → :func:`_file`.
 
     A kernel with an ``evaluate_tile`` takes each :class:`Triangle` /
     :class:`Cross` tile as one matrix product (:func:`_evaluate_tiles`).
-    Everything else walks the tiles' rows — prune → kernel →
-    :func:`scatter_results`: a configured pruner (its survivors are rows;
-    a threshold on a similarity bounds each tile as one matrix,
-    :func:`_apply_pruner`), ``symmetric=False`` (two orientations per row),
-    a relation with no tile shape (:class:`Rows`) and a kernel with no tile
-    form (scalar).
+    Everything else walks the tiles' rows — prune → kernel: a configured
+    pruner (its survivors are rows; a threshold on a similarity bounds
+    each tile as one matrix, :func:`_apply_pruner`), ``symmetric=False``
+    (two orientations per row), a relation with no tile shape
+    (:class:`Rows`) and a kernel with no tile form (scalar).
     """
     config = context.config
     if (
@@ -365,53 +386,39 @@ def _compute_block(
         sample = next(iter(payloads.values()))
         kernel = resolve_kernel(config.get("kernel"), config["comp"], sample)
         if hasattr(kernel, "evaluate_tile"):
-            return _evaluate_tiles(tiles, payloads, kernel, context)
+            block, results = _evaluate_tiles(tiles, payloads, kernel, context)
+            return _file(block, results, results, config)
     block = _apply_pruner(tiles, context)
     if len(block) == 0:
         return block[:, 0], block[:, 1], np.empty(0)
-    return scatter_results(block, *_evaluate_pairs(block, payloads, context))
+    return _file(block, *_evaluate_pairs(block, payloads, context), config)
 
 
 def _evaluate_tiles(
     tiles: Sequence[Tile], store: WorkingSetStore, kernel: PairKernel, context: Context
-) -> Columns:
-    """Evaluate a working set tile by tile into :data:`Columns`: no gather.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a working set tile by tile, no gather: ``(rows, results)``, one entry per pair.
 
-    A cross tile's ``(|H|, |L|)`` result ``M`` gives each high member its
-    row and each low member its column: ``M.ravel()`` then
-    ``M.T.ravel()``.  A triangle's ``(n, n)`` result ``T`` is read below
-    the diagonal only — ``np.where(lower, T, T.T)`` off the diagonal — so
-    both elements of a pair hold the one entry computed for it, bit for
-    bit (a BLAS ``X @ X.T`` need not be symmetric).  One stable sort by
-    owner then puts each element's partners in the order
-    :func:`scatter_results` gives the tiles' rows — ascending within a
-    tile, tile after tile.  Meters ``EVALUATIONS`` as the rows path does:
+    ``rows`` are the tiles' :func:`tile_rows`; a triangle's ``(n, n)``
+    result is read below the diagonal only, in the same row-major order —
+    the one entry computed for a pair, bit for bit (a BLAS ``X @ X.T``
+    need not be symmetric) — and a cross tile's ``(|H|, |L|)`` result
+    ``M`` is ``M.ravel()``.  Meters ``EVALUATIONS`` as the rows path does:
     one per pair.
     """
     use_one_blas_thread()
     matrix = store.form(kernel.to_matrix)
-    owners, partners, results = [], [], []
+    results = []
     for tile in tiles:
         if isinstance(tile, Triangle):
-            points = np.asarray(tile.points, dtype=np.int64)
-            n = len(points)
-            operand = _tile_operand(matrix, store, points)
+            operand = _tile_operand(matrix, store, np.asarray(tile.points, dtype=np.int64))
             full = kernel.evaluate_tile(operand, operand)
-            off = ~np.eye(n, dtype=bool)
-            owners.append(np.repeat(points, n - 1))
-            partners.append(np.broadcast_to(points, (n, n))[off])
-            results.append(np.where(np.tri(n, k=-1, dtype=bool), full, full.T)[off])
+            results.append(full[np.tri(len(full), k=-1, dtype=bool)])
         else:
-            high, low = (np.asarray(side, dtype=np.int64) for side in (tile.high, tile.low))
-            left, right = (_tile_operand(matrix, store, side) for side in (high, low))
-            grid = kernel.evaluate_tile(left, right)
-            owners += [np.repeat(high, len(low)), np.repeat(low, len(high))]
-            partners += [np.tile(low, len(high)), np.tile(high, len(low))]
-            results += [grid.ravel(), grid.T.ravel()]
+            left, right = (_tile_operand(matrix, store, np.asarray(ids, np.int64)) for ids in tile)
+            results.append(kernel.evaluate_tile(left, right).ravel())
         context.counters.increment(PAIRWISE_GROUP, EVALUATIONS, tile.size())
-    owners = np.concatenate(owners)
-    order = np.argsort(owners, kind="stable")
-    return owners[order], np.concatenate(partners)[order], join_results(results)[order]
+    return tile_rows(tiles), join_results(results)
 
 
 def _tile_operand(matrix: Any, store: WorkingSetStore, points: np.ndarray) -> Any:
@@ -578,7 +585,9 @@ class _ResultBlocks:
     results in the flat ``partners`` (``bytes``, the narrowest unsigned
     dtype holding ``v``) and ``results`` (float64 ``bytes`` when every
     chunk is float64, else a list of objects) columns.  A block carries
-    results only, never a payload.
+    results only, never a payload.  On a run that files each result once
+    (:func:`_files_once`) the columns hold each pair under its higher id
+    only, and a member with no lower partner is listed with count 0.
     """
 
     def setup(self, context: Context) -> None:
@@ -633,7 +642,7 @@ class _ResultBlocks:
 
 
 class ComputeReducer(_ResultBlocks, Reducer):
-    """Algorithm 1's reduce: getPairs, batch-evaluate, addResult both ways.
+    """Algorithm 1's reduce: getPairs, batch-evaluate, addResult (:func:`_file`).
 
     The pair relation arrives from the scheme as one int64 array and is
     dispatched to the configured :mod:`repro.kernels` kernel (scalar by
@@ -1024,7 +1033,8 @@ class PairwiseComputation:
         )
         self._meter_replication(result.counters, payloads)
         blocks = [block for _partition, block in result.records]
-        merged = PairResults(blocks, v=self.scheme.v, payloads=payloads)
+        mirrored = _files_once(config)  # True when the compute tasks filed each result once
+        merged = PairResults(blocks, v=self.scheme.v, payloads=payloads, mirrored=mirrored)
         return (merged, result) if return_pipeline else merged
 
     def run(

@@ -22,9 +22,10 @@ once more when result blocks became columns — ``bytes`` partner ids, one
 output block per aggregate partition — and ``run_cached``'s records,
 groups, bytes and attempts once more when the cached plan became one job
 whose map tasks read their working sets from the cache, and the bytes
-once more when a result block lost its empty payload field (see ``PARENT``;
-every result, the digest, the evaluations and the replica count are the
-original ones).
+once more when a result block lost its empty payload field, and the bytes
+once more when a concat run started filing each pair's result once (see
+``PARENT``; every result, the digest, the evaluations and the replica
+count are the original ones).
 """
 
 import hashlib
@@ -185,9 +186,11 @@ PARENT = {
     # 10 738 to these, and the aggregate reducer's one block per partition
     # took its output records from 30 to 1 (31 → 2 over both jobs).  The
     # result block lost its fifth field, a pickled ``None``: 16 080 / 9 102
-    # bytes before, one byte more per result block.
+    # bytes before, one byte more per result block.  A concat run files each
+    # pair's result once, under (max, min): 16 079 / 9 101 bytes before, the
+    # 435 partner bytes and 435 float results of the other orientation fewer.
     "run": _counters(
-        (31, 7, 2), 7, 16079, 4,
+        (31, 7, 2), 7, 11729, 4,
         max_working_set_bytes=1540, max_working_set_records=20, replicas_emitted=90,
     ),
     # One job: six task descriptors in one split (one compute map task, one
@@ -196,7 +199,7 @@ PARENT = {
     # working-set gauges and the replica count are metered from the cached
     # view (8 B per id) and kept their values.
     "run_cached": _counters(
-        (6, 1, 1), 1, 9101, 2,
+        (6, 1, 1), 1, 4751, 2,
         max_working_set_bytes=160, max_working_set_records=20, replicas_emitted=90,
     ),
 }
