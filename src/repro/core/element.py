@@ -292,10 +292,10 @@ class PairResults(Mapping[int, Element]):
     ``mirrored=True`` (set by the executor alone, for a run that files
     each pair's result once, under ``(max(i, j), min(i, j))``): the
     columns hold one orientation per pair and the readers mirror it —
-    :meth:`dense` writes both cells, :meth:`pairs` reads the columns as
-    they are, and the first element lookup builds both orientations once
-    (:func:`scatter_results`).  ``len`` and iteration read the ids either
-    way.
+    :meth:`dense` writes both cells, :meth:`pairs` reads them as for
+    any run (its sort finds no twins), and the first element lookup
+    builds both orientations once (:func:`scatter_results`).  ``len``
+    and iteration read the ids either way.
     """
 
     def __init__(self, blocks: Sequence[tuple], *, v: int, payloads: Mapping | None = None,
@@ -359,8 +359,6 @@ class PairResults(Mapping[int, Element]):
     def pairs(self) -> dict[tuple[int, int], Any]:
         """``{(i, j): result}`` with i > j; a pair stored twice keeps its first value."""
         owners, partners, results = self._owners, self._partners, self._results
-        if self._mirrored:  # filed once, keyed (i, j) already
-            return dict(zip(zip(owners.tolist(), partners.tolist()), results.tolist()))
         high, low = np.maximum(owners, partners), np.minimum(owners, partners)
         keys = high * (int(high.max(initial=0)) + 1) + low
         order = np.argsort(keys, kind="stable")
@@ -389,10 +387,11 @@ class PairResults(Mapping[int, Element]):
             key = (strays[0], None) if strays else (int(owners[at]), int(partners[at]))
             raise ValueError(f"pair key {key} out of range for v={v}")
         cells = (owners - 1) * v + partners - 1
-        out, stored = np.zeros(v * v), np.zeros(v * v, dtype=bool)
+        out = np.zeros(v * v)
         if self._mirrored:  # one result per pair: no two orientations to disagree
             out[cells] = out[(partners - 1) * v + owners - 1] = self._results
             return out.reshape(v, v)
+        stored = np.zeros(v * v, dtype=bool)
         out[cells], stored[cells] = self._results, True
         out, stored = out.reshape(v, v), stored.reshape(v, v)
         clash = np.flatnonzero(np.tril(stored & stored.T & _disagree(out.T, out), -1))

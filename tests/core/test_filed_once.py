@@ -1,20 +1,16 @@
-"""A symmetric concat or threshold run files each pair's result once; readers mirror it.
+"""A once-filed run's :class:`PairResults` mirrors its columns when read.
 
 Under a built-in :class:`ConcatAggregator` or :class:`ThresholdAggregator`
 with ``symmetric=True`` the compute tasks key every result ``(max(i, j),
-min(i, j))`` and leg 2 carries one entry per pair; the
-:class:`PairResults` the run returns is ``mirrored`` and builds the other
-orientation when read.  Top-k, a custom aggregator and ``symmetric=False``
-still file both orientations.  Held here:
-
-- a pair delivered twice — in either orientation, by a reversed
-  :class:`Rows` or a swapped :class:`Cross` — still reaches the aggregate's
-  check twice and raises :class:`DuplicatePairError`;
-- leg 2's entry count: one per evaluation once filed, two per pair otherwise;
-- every view of a once-filed run equals ``run_local``'s: element lookups,
-  ``len`` and iteration, :meth:`PairResults.dense`, :meth:`PairResults.pairs`
-  and :func:`ordered_results`, on the scalar kernel and ``"auto"``, with NaN
-  results, and through ``run_rounds`` and ``run_bipartite``.
+min(i, j))``, and the :class:`PairResults` the run returns is ``mirrored``:
+it builds the other orientation when read.  Every view of such a run
+equals ``run_local``'s — element lookups, ``len`` and iteration,
+:meth:`PairResults.dense`, :meth:`PairResults.pairs` and
+:func:`ordered_results` — on the scalar kernel and ``"auto"``, with one
+element whose every result is NaN, and through ``run_rounds`` and
+``run_bipartite``.  That a pair repeated in the other orientation is still
+refused, and that leg 2 carries one entry per pair, is held in
+``test_fold.py``.
 """
 
 import random
@@ -24,130 +20,34 @@ import numpy as np
 import pytest
 
 from repro.apps.covariance import row_inner_product
-from repro.core.aggregate import ConcatAggregator
 from repro.core.bipartite import BipartiteBlockScheme, brute_force_bipartite, run_bipartite
 from repro.core.block import BlockScheme
-from repro.core.element import DuplicatePairError, PairResults, encode_block, ordered_results
+from repro.core.element import PairResults, encode_block, ordered_results
 from repro.core.hierarchical import HierarchicalBlockScheme, run_rounds
-from repro.core.pairwise import EVALUATIONS, PAIRWISE_GROUP, AggregateReducer, PairwiseComputation
-from repro.core.scheme import Cross, Rows
-from repro.mapreduce import MultiprocessEngine, SerialEngine, TaskFailedError
+from repro.core.pairwise import PairwiseComputation
+from repro.mapreduce import MultiprocessEngine
 
 V = 30
 #: 0.1 keeps about half the pairs of the rows below, NaN ones never
 THRESHOLD = 0.1
 
 
-def rows(v=V, nan=None):
-    """Rows of multiples of 1/64: every dot product is exact, so BLAS and the loop agree bitwise."""
+def rows(v=V, nan=7):
+    """Rows of multiples of 1/64: every dot product is exact, so BLAS and the loop agree bitwise.
+
+    Every result of element ``nan`` is NaN (``None``: none is).
+    """
     rng = random.Random(1234)
     data = [np.array([rng.randrange(-64, 65) / 64 for _ in range(6)]) for _ in range(v)]
     if nan is not None:
-        data[nan - 1][2] = np.nan  # every result of element ``nan`` is NaN
+        data[nan - 1][2] = np.nan
     return data
-
-
-class CustomConcat(ConcatAggregator):
-    """Concat as a custom aggregator: the executor cannot tell what it keeps."""
 
 
 @pytest.fixture(scope="module")
 def pool():
     with MultiprocessEngine(max_workers=2) as engine:
         yield engine
-
-
-# -- a pair delivered twice raises, whatever its orientation ----------------------
-
-
-class ReversesAPair(BlockScheme):
-    """Task 1 (which holds 1..20) also evaluates (3, 4), which task 0's triangle holds as (4, 3)."""
-
-    def pair_tiles(self, subset_id, members=None):
-        tiles = super().pair_tiles(subset_id, members)
-        return (*tiles, Rows(np.array([[3, 4]]))) if subset_id == 1 else tiles
-
-
-class SwapsACross(BlockScheme):
-    """Task 1 also evaluates the cross ``[3] × [4]``: high below low, against its contract."""
-
-    def pair_tiles(self, subset_id, members=None):
-        tiles = super().pair_tiles(subset_id, members)
-        return (*tiles, Cross([3], [4])) if subset_id == 1 else tiles
-
-
-@pytest.mark.parametrize(
-    "scheme", [ReversesAPair, SwapsACross], ids=["reversed-rows", "swapped-cross"]
-)
-@pytest.mark.parametrize("objective", [{}, {"threshold": -10.0}], ids=["concat", "threshold"])
-@pytest.mark.parametrize("kernel", [None, "auto"])
-@pytest.mark.parametrize("engine", ["serial", "pool"])
-@pytest.mark.parametrize("path", ["run", "run_cached"])
-def test_a_pair_delivered_in_both_orientations_raises(
-    path, engine, kernel, objective, scheme, request
-):
-    engine = SerialEngine() if engine == "serial" else request.getfixturevalue("pool")
-    computation = PairwiseComputation(
-        scheme(V, 3), row_inner_product, engine=engine, kernel=kernel, **objective
-    )
-    with pytest.raises(TaskFailedError) as failed:
-        getattr(computation, path)(rows())
-    assert isinstance(failed.value.__cause__, DuplicatePairError)
-    assert str(failed.value.__cause__) == "pair (4, 3) evaluated more than once"
-
-
-# -- leg 2 carries one entry per pair exactly when filed once ---------------------
-
-
-def leg_two_entries(path, monkeypatch, **options):
-    """``(entries that crossed leg 2, EVALUATIONS)`` of one run over :func:`rows`."""
-    arrived = []
-    fold = AggregateReducer.reduce
-
-    def watched(self, key, values, context):
-        values = list(values)
-        arrived.extend(values)
-        return fold(self, key, iter(values), context)
-
-    monkeypatch.setattr(AggregateReducer, "reduce", watched)
-    computation = PairwiseComputation(
-        BlockScheme(V, 3), row_inner_product, engine=SerialEngine(), num_reduce_tasks=2, **options
-    )
-    _merged, result = getattr(computation, path)(rows(), return_pipeline=True)
-    return sum(sum(counts) for _ids, counts, _p, _r in arrived), result.counters.get(
-        PAIRWISE_GROUP, EVALUATIONS
-    )
-
-
-PAIRS = V * (V - 1) // 2
-
-
-@pytest.mark.parametrize("kernel", [None, "auto"])
-@pytest.mark.parametrize("objective", [{}, {"threshold": -10.0}], ids=["concat", "threshold"])
-@pytest.mark.parametrize("path", ["run", "run_cached"])
-def test_a_once_filed_run_ships_one_entry_per_evaluation(path, objective, kernel, monkeypatch):
-    entries, evaluations = leg_two_entries(path, monkeypatch, kernel=kernel, **objective)
-    assert entries == evaluations == PAIRS
-
-
-@pytest.mark.parametrize(
-    "options",
-    [
-        {"top_k": V},  # k above every element's partner count: the fold keeps every entry
-        {"aggregator": CustomConcat()},
-        {"symmetric": False},
-    ],
-    ids=["top_k", "custom", "asymmetric"],
-)
-@pytest.mark.parametrize("kernel", [None, "auto"])
-@pytest.mark.parametrize("path", ["run", "run_cached"])
-def test_other_runs_still_ship_two_entries_per_pair(path, kernel, options, monkeypatch):
-    entries, evaluations = leg_two_entries(path, monkeypatch, kernel=kernel, **options)
-    assert entries == 2 * PAIRS
-    assert evaluations == (2 * PAIRS if options.get("symmetric") is False else PAIRS)
-
-
-# -- every view equals the reference's --------------------------------------------
 
 
 def nan_repr(mapping):
@@ -168,34 +68,32 @@ def assert_same_views(got, want, payloads=None):
     assert np.array_equal(got.dense(), want.dense(), equal_nan=True)
 
 
-@pytest.mark.parametrize("nan", [None, 7], ids=["finite", "nan"])
 @pytest.mark.parametrize("kernel", [None, "auto"])
 @pytest.mark.parametrize("objective", [{}, {"threshold": THRESHOLD}], ids=["concat", "threshold"])
 @pytest.mark.parametrize("path", ["run", "run_cached"])
-def test_views_equal_run_local(path, objective, kernel, nan):
-    data = rows(nan=nan)
+def test_views_equal_run_local(path, objective, kernel):
+    data = rows()
     computation = PairwiseComputation(
         BlockScheme(V, 3), row_inner_product, kernel=kernel, num_reduce_tasks=3, **objective
     )
     got = getattr(computation, path)(data)
     if objective:
-        assert 0 < len(got.pairs()) < PAIRS  # the threshold kept some pairs, not all
+        assert 0 < len(got.pairs()) < V * (V - 1) // 2  # the threshold kept some pairs, not all
     assert_same_views(got, computation.run_local(data), payloads=data)
 
 
 @pytest.mark.parametrize("objective", [{}, {"threshold": THRESHOLD}], ids=["concat", "threshold"])
 def test_views_equal_run_local_on_the_pool(objective, pool):
-    data = rows(nan=7)
+    data = rows()
     computation = PairwiseComputation(
         BlockScheme(V, 3), row_inner_product, kernel="auto", engine=pool, **objective
     )
     assert_same_views(computation.run(data), computation.run_local(data), payloads=data)
 
 
-@pytest.mark.parametrize("nan", [None, 7], ids=["finite", "nan"])
 @pytest.mark.parametrize("objective", [{}, {"threshold": THRESHOLD}], ids=["concat", "threshold"])
-def test_run_rounds_equals_the_flat_reference(objective, nan):
-    data = rows(23, nan=nan)
+def test_run_rounds_equals_the_flat_reference(objective):
+    data = rows(23)
     out = run_rounds(data, row_inner_product, HierarchicalBlockScheme(23, 3, 2), **objective)
     want = PairwiseComputation(BlockScheme(23, 4), row_inner_product, **objective).run_local(data)
     assert len(out) == len(want)
@@ -206,7 +104,7 @@ def test_run_rounds_equals_the_flat_reference(objective, nan):
 
 @pytest.mark.parametrize("kernel", [None, "auto"])
 def test_run_bipartite_equals_the_rectangle(kernel):
-    r, s = rows(10, nan=4), rows(15)
+    r, s = rows(10, nan=4), rows(15, nan=None)
     scheme = BipartiteBlockScheme(10, 15, 2, 3)
     got = run_bipartite(r, s, row_inner_product, scheme)
     assert nan_repr(got) == nan_repr(brute_force_bipartite(r, s, row_inner_product))

@@ -15,7 +15,10 @@ or catches only by luck: one whose task 0 drops a pair (no evaluation, no
 error: a wrong top-k), and one whose task 1 repeats a pair of task 0.
 Every run, folding or not, also compares its evaluations plus pruned
 pairs with the required tiles' pair count, so a concat run that drops a
-pair raises too, before any result is returned.
+pair raises too, before any result is returned.  A symmetric concat or
+threshold run files each pair's result once, under ``(max(i, j), min(i,
+j))``, so a pair repeated in the other orientation still reaches the
+aggregate's check twice, and leg 2 carries one entry per pair.
 """
 
 import numpy as np
@@ -27,6 +30,7 @@ from repro.core.aggregate import ConcatAggregator
 from repro.core.block import BlockScheme
 from repro.core.element import DuplicatePairError, decode_blocks
 from repro.core.pairwise import (
+    EVALUATIONS,
     PAIR_FINGERPRINT,
     PAIRS_PRUNED,
     PAIRWISE_GROUP,
@@ -109,13 +113,27 @@ class RepeatsAPair(BlockScheme):
 
     pair = (2, 1)
 
+    def repeated(self):
+        return Rows(np.array([self.pair]))
+
     def pair_tiles(self, subset_id, members=None):
         tiles = super().pair_tiles(subset_id, members)
-        return (*tiles, Rows(np.array([self.pair]))) if subset_id == 1 else tiles
+        return (*tiles, self.repeated()) if subset_id == 1 else tiles
 
 
 class RepeatsANearPair(RepeatsAPair):
     pair = (4, 3)
+
+
+class ReversesANearPair(RepeatsAPair):
+    pair = (3, 4)
+
+
+class SwapsANearCross(RepeatsAPair):
+    """Task 1 repeats (4, 3) as the cross ``[3] × [4]``: high below low, against its contract."""
+
+    def repeated(self):
+        return Cross([3], [4])
 
 
 def run(scheme, path, objective, pruning, engine=None):
@@ -183,6 +201,21 @@ def test_a_concat_run_that_drops_a_pair_raises_before_any_result(path, engine, r
         run(DropsAPair(V, 3), path, {}, "off", engine=engine)
 
 
+@pytest.mark.parametrize("scheme", [ReversesANearPair, SwapsANearCross], ids=["rows", "cross"])
+@pytest.mark.parametrize("objective", [{}, {"threshold": 0.3}], ids=["concat", "threshold"])
+@pytest.mark.parametrize("engine", ["serial", "pool"])
+@pytest.mark.parametrize("path", ["run", "run_cached"])
+def test_a_pair_filed_once_and_repeated_the_other_way_is_refused(
+    path, engine, objective, scheme, request
+):
+    """Filed once, (3, 4) is keyed (4, 3): both copies reach one owner and the aggregate's check."""
+    engine = SerialEngine() if engine == "serial" else request.getfixturevalue("pool")
+    with pytest.raises(TaskFailedError) as failed:
+        run(scheme(V, 3), path, objective, "off", engine=engine)
+    assert isinstance(failed.value.__cause__, DuplicatePairError)
+    assert str(failed.value.__cause__) == "pair (4, 3) evaluated more than once"
+
+
 def test_an_unfolded_run_meters_no_fingerprint():
     """Concat keeps every entry, so the aggregate's check sees every copy: no fingerprint."""
     _merged, result = run(BlockScheme(V, 3), "run_cached", {}, "off")
@@ -196,8 +229,9 @@ def knn_points(v=200):
     return list(np.random.default_rng(8).random((v, 16)))
 
 
-@pytest.mark.parametrize("path", ["run", "run_cached"])
-def test_result_blocks_hold_at_most_k_entries_per_member_and_task(path, monkeypatch):
+@pytest.fixture
+def leg_two(monkeypatch):
+    """The result blocks that reach the aggregate reducers, as they arrive."""
     arrived = []
     fold = AggregateReducer.reduce
 
@@ -207,13 +241,48 @@ def test_result_blocks_hold_at_most_k_entries_per_member_and_task(path, monkeypa
         return fold(self, key, iter(values), context)
 
     monkeypatch.setattr(AggregateReducer, "reduce", watched)
+    return arrived
+
+
+class CustomConcat(ConcatAggregator):
+    """Concat as a custom aggregator: the executor cannot tell what it keeps."""
+
+
+@pytest.mark.parametrize(
+    "options, copies",
+    [
+        ({}, 1),
+        ({"kernel": None}, 1),
+        ({"threshold": 100.0}, 1),  # above every distance: keeps every pair
+        ({"top_k": V}, 2),  # k above every member's partner count: keeps every entry
+        ({"aggregator": CustomConcat()}, 2),
+        ({"symmetric": False}, 2),
+    ],
+    ids=["concat", "concat-scalar", "threshold", "top_k", "custom", "asymmetric"],
+)
+@pytest.mark.parametrize("path", ["run", "run_cached"])
+def test_leg_two_files_a_pair_once_only_on_a_symmetric_concat_or_threshold(
+    path, options, copies, leg_two
+):
+    computation = PairwiseComputation(
+        BlockScheme(V, 3), euclidean_distance, num_reduce_tasks=2, **{"kernel": "auto", **options}
+    )
+    _merged, result = getattr(computation, path)(points(), return_pipeline=True)
+    pairs = V * (V - 1) // 2
+    orientations = 2 if options.get("symmetric") is False else 1
+    assert result.counters.get(PAIRWISE_GROUP, EVALUATIONS) == orientations * pairs
+    assert sum(sum(counts) for _ids, counts, _partners, _results in leg_two) == copies * pairs
+
+
+@pytest.mark.parametrize("path", ["run", "run_cached"])
+def test_result_blocks_hold_at_most_k_entries_per_member_and_task(path, leg_two):
     k = 5
     computation = PairwiseComputation(
         BlockScheme(200, 5), euclidean_distance, kernel="auto", top_k=k, num_reduce_tasks=2
     )
     getattr(computation, path)(knn_points(), num_map_tasks=3)
-    assert len(arrived) > 2  # several compute tasks, two aggregate partitions
-    for block in arrived:  # one block per (compute task, aggregate partition)
+    assert len(leg_two) > 2  # several compute tasks, two aggregate partitions
+    for block in leg_two:  # one block per (compute task, aggregate partition)
         ids, counts, _partners, _results = decode_blocks([block])
         assert len(set(ids.tolist())) == len(ids)
         assert counts.max() <= k
